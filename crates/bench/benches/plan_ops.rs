@@ -1,10 +1,15 @@
 //! Micro-benchmarks of the mediator's local machinery: item-set algebra,
-//! plan construction/validation, and selectivity estimation.
+//! the source-side data plane, plan construction/validation, and
+//! selectivity estimation. The timings are also written to
+//! `BENCH_b3_plan_ops.json` (in `$BENCH_DIR`, default the package root).
 
+use fusion_bench::json::write_artifact;
 use fusion_bench::microbench::{BenchmarkId, Criterion};
 use fusion_core::plan::SimplePlanSpec;
+use fusion_source::SourceEngine;
 use fusion_stats::{estimate_selectivity, TableStats};
 use fusion_types::{CmpOp, ItemSet, Predicate, Relation, Schema, Tuple, Value};
+use fusion_workload::synth::{condition_with_selectivity, synth_relations, SynthSpec};
 use std::hint::black_box;
 
 fn items(n: usize, offset: i64) -> ItemSet {
@@ -44,6 +49,46 @@ fn bench_itemset_ops(c: &mut Criterion) {
     group.finish();
 }
 
+/// The data plane of one bulk query round: `sq` at each of 8 sources, the
+/// 8-way union of the answers, and `sjq` of that union back at a source
+/// (4 000-row sources over a 20 000-item universe, string merge keys).
+fn bench_data_plane(c: &mut Criterion) {
+    let spec = SynthSpec {
+        domain_size: 20_000,
+        rows_per_source: 4_000,
+        ..SynthSpec::default_with(8, 41)
+    };
+    let engines: Vec<SourceEngine> = synth_relations(&spec)
+        .into_iter()
+        .map(SourceEngine::new)
+        .collect();
+    let mut group = c.benchmark_group("data_plane");
+    group.sample_size(30);
+    for sel in [0.05, 0.25, 0.45] {
+        let cond = condition_with_selectivity(1, sel);
+        let other = condition_with_selectivity(2, sel);
+        group.bench_with_input(BenchmarkId::new("select_items_x8", sel), &sel, |b, _| {
+            b.iter(|| {
+                for e in &engines {
+                    black_box(e.select(&cond).expect("well-typed condition"));
+                }
+            });
+        });
+        let answers: Vec<ItemSet> = engines
+            .iter()
+            .map(|e| e.select(&cond).expect("well-typed condition").items)
+            .collect();
+        group.bench_with_input(BenchmarkId::new("union_all_8way", sel), &sel, |b, _| {
+            b.iter(|| black_box(ItemSet::union_all(&answers)));
+        });
+        let bindings = ItemSet::union_all(&answers);
+        group.bench_with_input(BenchmarkId::new("semijoin_items", sel), &sel, |b, _| {
+            b.iter(|| black_box(engines[0].semijoin(&other, &bindings)));
+        });
+    }
+    group.finish();
+}
+
 /// Plan construction + validation at large n.
 fn bench_plan_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_build");
@@ -71,7 +116,7 @@ fn bench_selectivity(c: &mut Criterion) {
     )
     .expect("valid schema");
     let rows: Vec<Tuple> = (0..10_000)
-        .map(|i| Tuple::new(vec![Value::Str(format!("M{i:05}")), Value::Int(i % 1_000)]))
+        .map(|i| Tuple::new(vec![Value::str(format!("M{i:05}")), Value::Int(i % 1_000)]))
         .collect();
     let rel = Relation::from_rows(schema, rows);
     let stats = TableStats::build(&rel, 1);
@@ -95,6 +140,10 @@ fn bench_selectivity(c: &mut Criterion) {
 fn main() {
     let mut c = Criterion::new();
     bench_itemset_ops(&mut c);
+    bench_data_plane(&mut c);
     bench_plan_build(&mut c);
     bench_selectivity(&mut c);
+    let path = write_artifact("BENCH_b3_plan_ops.json", &c.to_json("b3-plan-ops"))
+        .expect("write BENCH_b3_plan_ops.json");
+    println!("wrote {}", path.display());
 }

@@ -6,36 +6,89 @@
 //! warmup, fixed sample counts, and median/mean reporting over
 //! wall-clock time.
 
+use crate::json::Json;
 use std::time::{Duration, Instant};
 
 /// Root benchmark context; create one per bench binary.
 #[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    records: Vec<BenchRecord>,
+}
+
+/// The timings of one finished benchmark.
+#[derive(Debug, Clone)]
+pub struct BenchRecord {
+    /// `group/name` (or the bare name of a stand-alone benchmark).
+    pub name: String,
+    /// Median time per iteration.
+    pub median: Duration,
+    /// Mean time per iteration.
+    pub mean: Duration,
+    /// Fastest sample.
+    pub min: Duration,
+}
 
 impl Criterion {
     /// Creates a fresh context.
     pub fn new() -> Criterion {
-        Criterion {}
+        Criterion::default()
     }
 
     /// Opens a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
+    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         println!("group {name}");
-        BenchmarkGroup { sample_size: 20 }
+        BenchmarkGroup {
+            prefix: format!("{name}/"),
+            sample_size: 20,
+            records: &mut self.records,
+        }
     }
 
     /// Runs a single stand-alone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) {
-        run_one(name, 20, &mut f);
+        self.records.extend(run_one("", name, 20, &mut f));
+    }
+
+    /// Every benchmark finished so far, in run order.
+    pub fn records(&self) -> &[BenchRecord] {
+        &self.records
+    }
+
+    /// The records as a `BENCH_*.json` artifact body (all fields are
+    /// wall-clock timings; nothing here repeats bit for bit).
+    pub fn to_json(&self, experiment: &str) -> Json {
+        let ns = |d: Duration| Json::Num(d.as_secs_f64() * 1e9);
+        Json::obj([
+            ("experiment", Json::Str(experiment.into())),
+            (
+                "timing",
+                Json::Arr(
+                    self.records
+                        .iter()
+                        .map(|r| {
+                            Json::obj([
+                                ("name", Json::Str(r.name.clone())),
+                                ("median_ns", ns(r.median)),
+                                ("mean_ns", ns(r.mean)),
+                                ("min_ns", ns(r.min)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
     }
 }
 
 /// A group of benchmarks sharing a sample-size setting.
-pub struct BenchmarkGroup {
+pub struct BenchmarkGroup<'a> {
+    /// `group/`, prepended to the names of the group's records.
+    prefix: String,
     sample_size: usize,
+    records: &'a mut Vec<BenchRecord>,
 }
 
-impl BenchmarkGroup {
+impl BenchmarkGroup<'_> {
     /// Sets how many timed samples each benchmark records.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(3);
@@ -49,12 +102,16 @@ impl BenchmarkGroup {
         input: &I,
         mut f: F,
     ) {
-        run_one(&id.0, self.sample_size, &mut |b| f(b, input));
+        self.records
+            .extend(run_one(&self.prefix, &id.0, self.sample_size, &mut |b| {
+                f(b, input);
+            }));
     }
 
     /// Runs one named benchmark of the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) {
-        run_one(name, self.sample_size, &mut f);
+        self.records
+            .extend(run_one(&self.prefix, name, self.sample_size, &mut f));
     }
 
     /// Ends the group (kept for API familiarity; no-op).
@@ -111,7 +168,15 @@ impl Bencher {
     }
 }
 
-fn run_one(name: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
+/// Runs one benchmark, prints its line under `name` and returns its record
+/// under `prefix` + `name` (`None` if the closure never called
+/// [`Bencher::iter`]).
+fn run_one(
+    prefix: &str,
+    name: &str,
+    sample_size: usize,
+    f: &mut dyn FnMut(&mut Bencher),
+) -> Option<BenchRecord> {
     let mut b = Bencher {
         samples: Vec::new(),
         sample_size,
@@ -119,13 +184,19 @@ fn run_one(name: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
     f(&mut b);
     if b.samples.is_empty() {
         println!("  {name:<40} (no samples)");
-        return;
+        return None;
     }
     b.samples.sort_unstable();
     let median = b.samples[b.samples.len() / 2];
     let mean: Duration = b.samples.iter().sum::<Duration>() / b.samples.len() as u32;
     let min = b.samples[0];
     println!("  {name:<40} median {median:>12?}  mean {mean:>12?}  min {min:>12?}");
+    Some(BenchRecord {
+        name: format!("{prefix}{name}"),
+        median,
+        mean,
+        min,
+    })
 }
 
 #[cfg(test)]
@@ -146,5 +217,12 @@ mod tests {
         });
         group.finish();
         assert!(ran > 0);
+        let [record] = c.records() else {
+            panic!("one benchmark ran, so one record is kept");
+        };
+        assert_eq!(record.name, "t/x/1");
+        assert!(record.min <= record.median);
+        let rendered = c.to_json("b0-demo").render();
+        assert!(rendered.contains("\"name\": \"t/x/1\""), "{rendered}");
     }
 }

@@ -398,9 +398,10 @@ impl AnswerCache {
 }
 
 /// Projects cached records to the answer item set, optionally applying
-/// the (narrower) condition as a residual filter. The engine's own
-/// `select` sorts and deduplicates through [`ItemSet::from_items`], so
-/// the result is byte-identical to a cold `sq`.
+/// the (narrower) condition as a residual filter. Cached records carry
+/// no order, so this sorts and deduplicates through
+/// [`ItemSet::from_items`] — the same set the engine's `select` reads off
+/// its merge index, so the result is byte-identical to a cold `sq`.
 fn project(tuples: &[Tuple], cond: &Condition, schema: &Schema, residual: bool) -> Result<ItemSet> {
     let mut items = Vec::with_capacity(tuples.len());
     for t in tuples {

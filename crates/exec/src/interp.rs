@@ -253,7 +253,7 @@ pub(crate) fn run_sequential(
         )?;
     }
     let answer = vars[plan.result.0]
-        .clone()
+        .take()
         .expect("validated: result defined");
     if let Some(cache) = cache {
         // Plain exchanges are infallible, so every answer is exact and no
@@ -395,13 +395,14 @@ pub(crate) fn exec_local_step(
             Ok(entry)
         }
         Step::Intersect { out, inputs } => {
-            let mut iter = inputs.iter();
-            let first = vars[iter.next().expect("validated").0]
-                .clone()
-                .expect("validated");
-            let acc = iter.fold(first, |acc, v| {
-                acc.intersect(vars[v.0].as_ref().expect("validated"))
-            });
+            let mut sets = inputs
+                .iter()
+                .map(|v| vars[v.0].as_ref().expect("validated"));
+            let first = sets.next().expect("validated");
+            let acc = match sets.next() {
+                Some(second) => sets.fold(first.intersect(second), |acc, s| acc.intersect(s)),
+                None => first.clone(),
+            };
             let entry = local_entry(idx, acc.len());
             vars[out.0] = Some(acc);
             Ok(entry)
@@ -730,20 +731,18 @@ pub(crate) fn exec_sq_ft<E: Exchanger>(
                     w.processing()
                         .cost(resp.tuples_examined, resp.payload.len()),
                 );
-                FtFetched::Done(
-                    resp.payload.clone(),
-                    LedgerEntry {
-                        step: idx,
-                        kind,
-                        source: Some(source),
-                        comm,
-                        proc,
-                        round_trips: 1,
-                        items_out: resp.payload.len(),
-                        attempts,
-                        failed_cost: failed,
-                    },
-                )
+                let entry = LedgerEntry {
+                    step: idx,
+                    kind,
+                    source: Some(source),
+                    comm,
+                    proc,
+                    round_trips: 1,
+                    items_out: resp.payload.len(),
+                    attempts,
+                    failed_cost: failed,
+                };
+                FtFetched::Done(resp.payload, entry)
             }
             Attempted::Exhausted { attempts, failed } => {
                 FtFetched::Dropped(dropped_entry(idx, kind, source, attempts, failed))
@@ -801,20 +800,18 @@ pub(crate) fn exec_bloom_ft<E: Exchanger>(
                     w.processing()
                         .cost(resp.tuples_examined, resp.payload.len()),
                 );
-                FtFetched::Done(
-                    resp.payload.clone(),
-                    LedgerEntry {
-                        step: idx,
-                        kind,
-                        source: Some(source),
-                        comm,
-                        proc,
-                        round_trips: 1,
-                        items_out: resp.payload.len(),
-                        attempts,
-                        failed_cost: failed,
-                    },
-                )
+                let entry = LedgerEntry {
+                    step: idx,
+                    kind,
+                    source: Some(source),
+                    comm,
+                    proc,
+                    round_trips: 1,
+                    items_out: resp.payload.len(),
+                    attempts,
+                    failed_cost: failed,
+                };
+                FtFetched::Done(resp.payload, entry)
             }
             Attempted::Exhausted { attempts, failed } => {
                 FtFetched::Dropped(dropped_entry(idx, kind, source, attempts, failed))
@@ -1041,7 +1038,7 @@ pub(crate) fn run_sequential_ft(
         )?;
     }
     let answer = vars[plan.result.0]
-        .clone()
+        .take()
         .expect("validated: result defined");
     let completeness = if dropped.is_empty() {
         Completeness::Exact
@@ -1158,20 +1155,18 @@ pub(crate) fn run_semijoin_ft<E: Exchanger>(
                         w.processing()
                             .cost(resp.tuples_examined, resp.payload.len()),
                     );
-                    SjResult::Done(
-                        resp.payload.clone(),
-                        LedgerEntry {
-                            step,
-                            kind: StepKind::Semijoin,
-                            source: Some(source),
-                            comm,
-                            proc,
-                            round_trips: 1,
-                            items_out: resp.payload.len(),
-                            attempts,
-                            failed_cost: failed,
-                        },
-                    )
+                    let entry = LedgerEntry {
+                        step,
+                        kind: StepKind::Semijoin,
+                        source: Some(source),
+                        comm,
+                        proc,
+                        round_trips: 1,
+                        items_out: resp.payload.len(),
+                        attempts,
+                        failed_cost: failed,
+                    };
+                    SjResult::Done(resp.payload, entry)
                 }
                 Attempted::Exhausted { attempts, failed } => SjResult::Dropped(dropped_entry(
                     step,
@@ -1372,12 +1367,11 @@ pub(crate) fn dispatch_remote_step<E: Exchanger>(
             },
             ft,
         ) => {
-            let bindings = vars[input.0].clone().expect("validated: def before use");
+            let bindings = vars[input.0].as_ref().expect("validated: def before use");
             let c = &conditions[cond.0];
             match ft {
                 None => {
-                    let (items, entry) =
-                        run_semijoin(idx, *source, c, &bindings, sources, network)?;
+                    let (items, entry) = run_semijoin(idx, *source, c, bindings, sources, network)?;
                     Ok(StepDone {
                         value: StepValue::Items(items),
                         entry,
@@ -1385,7 +1379,7 @@ pub(crate) fn dispatch_remote_step<E: Exchanger>(
                 }
                 Some((policy, ft)) => Ok(
                     match run_semijoin_ft(
-                        idx, *source, c, &bindings, sources, network, policy, ft, spent,
+                        idx, *source, c, bindings, sources, network, policy, ft, spent,
                     )? {
                         SjResult::Done(items, entry) => StepDone {
                             value: StepValue::Items(items),
@@ -1409,19 +1403,19 @@ pub(crate) fn dispatch_remote_step<E: Exchanger>(
             },
             ft,
         ) => {
-            let bindings = vars[input.0].clone().expect("validated: def before use");
+            let bindings = vars[input.0].as_ref().expect("validated: def before use");
             let c = &conditions[cond.0];
             match ft {
                 None => {
                     let (items, entry) =
-                        exec_bloom(idx, *source, c, &bindings, *bits, sources, network)?;
+                        exec_bloom(idx, *source, c, bindings, *bits, sources, network)?;
                     Ok(StepDone {
                         value: StepValue::Items(items),
                         entry,
                     })
                 }
                 Some((policy, ft)) => Ok(items_done(exec_bloom_ft(
-                    idx, *source, c, &bindings, *bits, sources, network, policy, ft, spent,
+                    idx, *source, c, bindings, *bits, sources, network, policy, ft, spent,
                 )?)),
             }
         }

@@ -466,7 +466,7 @@ fn run_parallel(
         ledger.push(e.expect("every stage step executed"));
     }
     let answer = vars[plan.result.0]
-        .clone()
+        .take()
         .expect("validated: result defined");
     let completeness = if dropped.is_empty() {
         Completeness::Exact

@@ -570,7 +570,7 @@ fn run_reopt<M: CostModel>(
         network.commit();
     }
     let answer = vars[plan.result.0]
-        .clone()
+        .take()
         .expect("validated: result defined");
     if let Some(cache) = cache {
         commit_inserts(cache, pending, true, &[]);
@@ -897,7 +897,7 @@ pub fn replay_plan_reopt(
         ));
     }
     let answer = vars[plan.result.0]
-        .clone()
+        .take()
         .expect("validated: result defined");
     if let Some(cache) = cache {
         commit_inserts(cache, pending, true, &[]);

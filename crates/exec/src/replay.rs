@@ -292,7 +292,7 @@ pub fn execute_plan_replay(
         }
     }
     let answer = vars[plan.result.0]
-        .clone()
+        .take()
         .expect("validated: result defined");
     let completeness = if dropped.is_empty() {
         Completeness::Exact

@@ -67,11 +67,13 @@ impl SourceEngine {
         filter: &fusion_types::BloomFilter,
     ) -> Result<SelectOutcome> {
         let full = self.relation.select_items(cond)?;
-        let items = fusion_types::ItemSet::from_items(
+        // A filtered ordered set is still ordered: no re-sort.
+        let items = ItemSet::from_sorted_unique(
             full.items
                 .iter()
                 .filter(|item| filter.may_contain(item))
-                .cloned(),
+                .cloned()
+                .collect(),
         );
         Ok(SelectOutcome {
             items,
@@ -106,8 +108,8 @@ impl SourceEngine {
     ) -> Result<(Vec<Tuple>, usize)> {
         let schema = self.relation.schema();
         let mut out = Vec::new();
-        for row in self.relation.rows() {
-            if bindings.contains(&row.item(schema)) && cond.eval(row, schema)? {
+        for row in self.relation.rows_with_items(bindings) {
+            if cond.eval(row, schema)? {
                 out.push(row.clone());
             }
         }
@@ -122,13 +124,7 @@ impl SourceEngine {
     /// Fetches the full tuples whose merge item is in `items` (phase two
     /// of two-phase processing).
     pub fn fetch(&self, items: &ItemSet) -> (Vec<Tuple>, usize) {
-        let schema = self.relation.schema();
-        let mut out = Vec::new();
-        for row in self.relation.rows() {
-            if items.contains(&row.item(schema)) {
-                out.push(row.clone());
-            }
-        }
+        let out = self.relation.rows_with_items(items).cloned().collect();
         (out, self.relation.len())
     }
 
@@ -137,15 +133,11 @@ impl SourceEngine {
     /// in the given order). The caller includes the merge index in
     /// `attrs` when it wants the key shipped back.
     pub fn fetch_projected(&self, items: &ItemSet, attrs: &[usize]) -> (Vec<Tuple>, usize) {
-        let schema = self.relation.schema();
-        let mut out = Vec::new();
-        for row in self.relation.rows() {
-            if items.contains(&row.item(schema)) {
-                out.push(Tuple::new(
-                    attrs.iter().map(|&a| row.get(a).clone()).collect(),
-                ));
-            }
-        }
+        let out = self
+            .relation
+            .rows_with_items(items)
+            .map(|row| Tuple::new(attrs.iter().map(|&a| row.get(a).clone()).collect()))
+            .collect();
         (out, self.relation.len())
     }
 }

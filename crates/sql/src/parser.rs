@@ -280,7 +280,7 @@ impl Parser {
         let v = match &self.peek().kind {
             TokenKind::Int(i) => Value::Int(*i),
             TokenKind::Float(f) => Value::Float(*f),
-            TokenKind::Str(s) => Value::Str(s.clone()),
+            TokenKind::Str(s) => Value::str(s.as_str()),
             TokenKind::Ident(s) if s.eq_ignore_ascii_case("NULL") => Value::Null,
             TokenKind::Ident(s) if s.eq_ignore_ascii_case("TRUE") => Value::Bool(true),
             TokenKind::Ident(s) if s.eq_ignore_ascii_case("FALSE") => Value::Bool(false),

@@ -168,22 +168,24 @@ impl ColumnStats {
         }
         let non_null = values.len() - nulls;
         let distinct = counts.len();
-        let mut mcv: Vec<(Value, usize)> = counts.iter().map(|(v, c)| ((*v).clone(), *c)).collect();
-        mcv.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        mcv.truncate(DEFAULT_MCVS);
+        // Rank borrowed pairs; only the values that are kept get cloned.
+        let mut ranked: Vec<(&Value, usize)> = counts.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        ranked.truncate(DEFAULT_MCVS);
+        let mcv = ranked.into_iter().map(|(v, c)| (v.clone(), c)).collect();
         let histogram = if numerics.len() == non_null && non_null > 0 {
             NumericHistogram::build(numerics, DEFAULT_BUCKETS)
         } else {
             None
         };
         let sample = reservoir_sample(
-            values
-                .iter()
-                .filter(|v| !matches!(v, Value::Null))
-                .map(|v| (*v).clone()),
+            values.iter().filter(|v| !matches!(v, Value::Null)),
             DEFAULT_SAMPLE,
             seed,
-        );
+        )
+        .into_iter()
+        .map(|v| (*v).clone())
+        .collect();
         ColumnStats {
             non_null,
             nulls,
@@ -337,6 +339,24 @@ mod tests {
         assert!(cs.histogram.is_none(), "strings get no numeric histogram");
         assert!((cs.mcv_frequency(&Value::str("a")).unwrap() - 0.5).abs() < 1e-12);
         assert_eq!(cs.mcv_frequency(&Value::str("zzz")), None);
+    }
+
+    #[test]
+    fn mcv_keeps_the_top_counts_with_ties_broken_by_value() {
+        // 40 distinct values, more than DEFAULT_MCVS, with counts that tie
+        // in blocks of four: the kept list must not depend on hash order.
+        let vals: Vec<Value> = (0..40i64)
+            .flat_map(|v| std::iter::repeat(Value::Int(v)).take(1 + (v / 4) as usize))
+            .collect();
+        let refs: Vec<&Value> = vals.iter().collect();
+        let cs = ColumnStats::build(&refs, 3);
+        assert_eq!(cs.distinct, 40);
+        let want: Vec<(Value, usize)> = [(36..40, 10), (32..36, 9), (28..32, 8), (24..28, 7)]
+            .into_iter()
+            .flat_map(|(vs, c)| vs.map(move |v| (Value::Int(v), c)))
+            .collect();
+        assert_eq!(cs.mcv, want);
+        assert_eq!(cs.sample.len(), DEFAULT_SAMPLE.min(vals.len()));
     }
 
     #[test]

@@ -177,6 +177,28 @@ mod tests {
     }
 
     #[test]
+    fn bit_pattern_is_pinned_across_item_representations() {
+        // Golden bits taken from the build in which `Value::Str` held a
+        // `String`: an item must hash the same however its string is stored
+        // (inline, boxed), or filters built by one side stop matching.
+        let items: ItemSet = [
+            Item::new("J55"),
+            Item::new("E0001234"),
+            Item::new(""),
+            Item::new("0-306-40615-2 (a long ISBN-like key)"),
+            Item::new("日本語のテキスト"),
+            Item::new(17i64),
+            Item(crate::Value::Float(2.5)),
+            Item(crate::Value::Null),
+        ]
+        .into_iter()
+        .collect();
+        let f = BloomFilter::build(&items, 10.0);
+        assert_eq!((f.n_bits, f.n_hashes), (80, 7));
+        assert_eq!(f.bits, [7_458_165_824_419_528_466, 33_948]);
+    }
+
+    #[test]
     fn string_items_work() {
         let items = ItemSet::from_items(["J55", "T21", "T80"]);
         let f = BloomFilter::build(&items, 12.0);

@@ -5,7 +5,7 @@
 //! set difference (§4). All three are implemented as linear merges over
 //! sorted, deduplicated storage, so every operation is `O(|a| + |b|)`.
 
-use crate::value::Item;
+use crate::value::{Item, Value};
 use std::fmt;
 
 /// A sorted, duplicate-free set of merge-attribute items.
@@ -56,7 +56,13 @@ impl ItemSet {
 
     /// Membership test by binary search.
     pub fn contains(&self, item: &Item) -> bool {
-        self.items.binary_search(item).is_ok()
+        self.position_of(item.value()).is_some()
+    }
+
+    /// Position of the item equal to `value`, by binary search on the
+    /// borrowed value (no [`Item`] has to be built to ask).
+    pub fn position_of(&self, value: &Value) -> Option<usize> {
+        self.items.binary_search_by(|it| it.value().cmp(value)).ok()
     }
 
     /// Iterates items in ascending order.
@@ -72,7 +78,7 @@ impl ItemSet {
     /// Set union: `self ∪ other`.
     pub fn union(&self, other: &ItemSet) -> ItemSet {
         ItemSet {
-            items: merge_union(&self.items, &other.items),
+            items: merge_union(self.items.iter(), other.items.iter(), Item::clone),
         }
     }
 
@@ -160,50 +166,47 @@ impl ItemSet {
 
     /// Union of many sets (the `X_i := ∪_j X_ij` plan step).
     ///
-    /// A single k-way merge over the sorted inputs: `O(N log k)` for `N`
-    /// total input items, where the old pairwise fold re-allocated the
-    /// accumulator per set (`O(k·N)` on the hot union path).
+    /// Three or more inputs are merged pairwise in balanced rounds over
+    /// *borrowed* items — `O(N log k)` comparisons for `N` total input
+    /// items — and only the last round, which sees each survivor once,
+    /// clones.
     pub fn union_all<'a, I: IntoIterator<Item = &'a ItemSet>>(sets: I) -> ItemSet {
         let slices: Vec<&[Item]> = sets
             .into_iter()
             .map(ItemSet::as_slice)
             .filter(|s| !s.is_empty())
             .collect();
-        match slices.len() {
-            0 => return ItemSet::empty(),
-            1 => {
-                return ItemSet {
-                    items: slices[0].to_vec(),
+        let items = match slices[..] {
+            [] => Vec::new(),
+            [only] => only.to_vec(),
+            [a, b] => merge_union(a.iter(), b.iter(), Item::clone),
+            _ => {
+                let mut runs: Vec<Vec<&Item>> = slices
+                    .chunks(2)
+                    .map(|pair| match *pair {
+                        [a, b] => merge_union(a.iter(), b.iter(), |it| it),
+                        _ => pair[0].iter().collect(),
+                    })
+                    .collect();
+                while runs.len() > 2 {
+                    let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
+                    let mut rest = runs.into_iter();
+                    while let Some(a) = rest.next() {
+                        merged.push(match rest.next() {
+                            Some(b) => merge_union(a.iter().copied(), b.iter().copied(), |it| it),
+                            None => a,
+                        });
+                    }
+                    runs = merged;
                 }
+                merge_union(
+                    runs[0].iter().copied(),
+                    runs[1].iter().copied(),
+                    Item::clone,
+                )
             }
-            2 => {
-                // Two-input unions (the common small-n case) skip the heap.
-                return ItemSet {
-                    items: merge_union(slices[0], slices[1]),
-                };
-            }
-            _ => {}
-        }
-        // Min-heap of one cursor per input, keyed by the cursor's current
-        // item; popping in ascending order with a last-pushed guard both
-        // merges and deduplicates in one pass.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(&Item, usize)>> = slices
-            .iter()
-            .enumerate()
-            .map(|(k, s)| std::cmp::Reverse((&s[0], k)))
-            .collect();
-        let mut pos = vec![0usize; slices.len()];
-        let mut out: Vec<Item> = Vec::with_capacity(slices.iter().map(|s| s.len()).sum());
-        while let Some(std::cmp::Reverse((item, k))) = heap.pop() {
-            if out.last() != Some(item) {
-                out.push(item.clone());
-            }
-            pos[k] += 1;
-            if let Some(next) = slices[k].get(pos[k]) {
-                heap.push(std::cmp::Reverse((next, k)));
-            }
-        }
-        ItemSet { items: out }
+        };
+        ItemSet { items }
     }
 
     /// Estimated wire size in bytes when shipped as a semijoin set.
@@ -212,29 +215,35 @@ impl ItemSet {
     }
 }
 
-/// Linear merge of two sorted, duplicate-free slices.
-fn merge_union(a: &[Item], b: &[Item]) -> Vec<Item> {
+/// Linear merge of two sorted, duplicate-free runs of borrowed items.
+/// `keep` turns each survivor into an output element: a clone, or — in
+/// the inner rounds of [`ItemSet::union_all`] — the borrow itself.
+fn merge_union<'a, O>(
+    mut a: impl ExactSizeIterator<Item = &'a Item>,
+    mut b: impl ExactSizeIterator<Item = &'a Item>,
+    keep: impl Fn(&'a Item) -> O,
+) -> Vec<O> {
     let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+    let (mut x, mut y) = (a.next(), b.next());
+    while let (Some(p), Some(q)) = (x, y) {
+        match p.cmp(q) {
             std::cmp::Ordering::Less => {
-                out.push(a[i].clone());
-                i += 1;
+                out.push(keep(p));
+                x = a.next();
             }
             std::cmp::Ordering::Greater => {
-                out.push(b[j].clone());
-                j += 1;
+                out.push(keep(q));
+                y = b.next();
             }
             std::cmp::Ordering::Equal => {
-                out.push(a[i].clone());
-                i += 1;
-                j += 1;
+                out.push(keep(p));
+                x = a.next();
+                y = b.next();
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    out.extend(x.into_iter().chain(a).map(&keep));
+    out.extend(y.into_iter().chain(b).map(&keep));
     out
 }
 

@@ -6,13 +6,15 @@
 //! * [`Value`] — the dynamically typed cell value of the common wrapper
 //!   schema (§2.1 of the paper), with a total order and hash so values can
 //!   act as merge-attribute items.
+//! * [`Text`] — the string inside a `Value`: short ones are stored in
+//!   place, so merge keys clone, compare and drop without the allocator.
 //! * [`Item`] — a merge-attribute value, i.e. the identity of a real-world
 //!   entity that tuples at different sources may refer to.
 //! * [`ItemSet`] — an ordered set of items with the `∪` / `∩` / `−` algebra
 //!   mediators apply locally (§2.3, §4).
 //! * [`Schema`], [`Tuple`], [`Relation`] — the relational view every wrapper
 //!   exports; relations are in-memory row stores with optional secondary
-//!   indexes.
+//!   indexes and a rank-ordered merge index that answers in merge order.
 //! * [`Condition`] / [`Predicate`] — the condition language `c_i` of fusion
 //!   queries, with an evaluator and an SQL-ish printer.
 //! * [`Cost`] — non-negative, possibly infinite cost values of the paper's
@@ -28,6 +30,7 @@ pub mod error;
 pub mod itemset;
 pub mod relation;
 pub mod schema;
+pub mod text;
 pub mod tuple;
 pub mod value;
 
@@ -38,6 +41,7 @@ pub use error::FusionError;
 pub use itemset::ItemSet;
 pub use relation::{Relation, SelectOutcome};
 pub use schema::{Attribute, Schema, ValueType};
+pub use text::Text;
 pub use tuple::Tuple;
 pub use value::{Item, Value};
 

@@ -11,7 +11,132 @@ use crate::itemset::ItemSet;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::{Item, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+
+/// The merge-attribute index: the relation's distinct items in ascending
+/// order, built once so that no query ever sorts or compares its answer.
+///
+/// An item's position in `items` is its *rank*. A selection marks the
+/// ranks of its qualifying rows in a bitset and reads the items off in
+/// rank order — sorted and duplicate-free by construction. Values that
+/// compare equal (`Int(2)` and `Float(2.0)`) share a rank; its item is the
+/// value of the first row, in insertion order, that carries it.
+#[derive(Debug, Clone)]
+struct MergeIndex {
+    /// Distinct merge values, ascending; position = rank.
+    items: Vec<Item>,
+    /// CSR offsets: the rows of rank `r` are `rows[starts[r]..starts[r + 1]]`.
+    starts: Vec<usize>,
+    /// Row ids grouped by rank, ascending within a rank.
+    rows: Vec<usize>,
+    /// Rank of each row.
+    rank_of_row: Vec<usize>,
+}
+
+impl MergeIndex {
+    fn build(rows: &[Tuple], mi: usize) -> MergeIndex {
+        let mut by_value: Vec<usize> = (0..rows.len()).collect();
+        // Stable: rows of one rank stay in insertion order.
+        by_value.sort_by(|&a, &b| rows[a].get(mi).cmp(rows[b].get(mi)));
+        let mut items: Vec<Item> = Vec::new();
+        let mut starts = Vec::new();
+        let mut rank_of_row = vec![0; rows.len()];
+        for (pos, &rid) in by_value.iter().enumerate() {
+            let v = rows[rid].get(mi);
+            if items.last().is_none_or(|last| last.value() != v) {
+                items.push(Item(v.clone()));
+                starts.push(pos);
+            }
+            rank_of_row[rid] = items.len() - 1;
+        }
+        starts.push(by_value.len());
+        MergeIndex {
+            items,
+            starts,
+            rows: by_value,
+            rank_of_row,
+        }
+    }
+
+    /// Row ids carrying the item of `rank`, in insertion order.
+    fn rows_of(&self, rank: usize) -> &[usize] {
+        &self.rows[self.starts[rank]..self.starts[rank + 1]]
+    }
+
+    /// Merge join of two sorted lists: yields `(i, rank)` for every
+    /// `bindings[i]` that is the item of `rank`, in ascending order. A
+    /// binding set much smaller than the index binary-searches forward
+    /// instead of walking every item in between.
+    fn join<'a>(&'a self, bindings: &'a [Item]) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let items = &self.items[..];
+        let sparse = bindings.len() < items.len() / SPARSE_JOIN_RATIO;
+        let (mut i, mut rank) = (0, 0);
+        std::iter::from_fn(move || {
+            while i < bindings.len() && rank < items.len() {
+                if sparse {
+                    rank += items[rank..].partition_point(|it| *it < bindings[i]);
+                    if rank == items.len() {
+                        break;
+                    }
+                }
+                match bindings[i].cmp(&items[rank]) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => rank += 1,
+                    Ordering::Equal => {
+                        i += 1;
+                        rank += 1;
+                        return Some((i - 1, rank - 1));
+                    }
+                }
+            }
+            None
+        })
+    }
+}
+
+/// A binding set this many times smaller than the index it joins is
+/// probed by forward binary search rather than merged by a linear walk
+/// (the same ratio [`ItemSet::intersect`] switches at).
+const SPARSE_JOIN_RATIO: usize = 16;
+
+/// A fixed-size set of small integers (ranks, binding positions).
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    fn new(len: usize) -> BitSet {
+        BitSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The items of `items` at the set positions, in position order.
+    fn pick(&self, items: &[Item]) -> ItemSet {
+        let count = self.words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut out = Vec::with_capacity(count);
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(items[w * 64 + bits.trailing_zeros() as usize].clone());
+                bits &= bits - 1;
+            }
+        }
+        ItemSet::from_sorted_unique(out)
+    }
+}
+
+/// A secondary index: attribute value → ids of the rows holding it.
+type SecondaryIndex = BTreeMap<Value, Vec<usize>>;
 
 /// An in-memory relation over the common schema.
 #[derive(Debug, Clone)]
@@ -19,9 +144,9 @@ pub struct Relation {
     schema: Schema,
     rows: Vec<Tuple>,
     /// attr index → (value → row ids), built on demand.
-    indexes: BTreeMap<usize, BTreeMap<Value, Vec<usize>>>,
-    /// index over the merge attribute: item → row ids.
-    merge_index: Option<BTreeMap<Value, Vec<usize>>>,
+    indexes: BTreeMap<usize, SecondaryIndex>,
+    /// index over the merge attribute, built on demand.
+    merge_index: Option<MergeIndex>,
 }
 
 impl Relation {
@@ -93,7 +218,7 @@ impl Relation {
         if self.indexes.contains_key(&attr_idx) {
             return;
         }
-        let mut idx: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
+        let mut idx: SecondaryIndex = BTreeMap::new();
         for (rid, row) in self.rows.iter().enumerate() {
             idx.entry(row.get(attr_idx).clone()).or_default().push(rid);
         }
@@ -102,153 +227,206 @@ impl Relation {
 
     /// Builds the merge-attribute index (idempotent).
     pub fn build_merge_index(&mut self) {
-        if self.merge_index.is_some() {
-            return;
+        if self.merge_index.is_none() {
+            self.merge_index = Some(MergeIndex::build(&self.rows, self.schema.merge_index()));
         }
-        let mi = self.schema.merge_index();
-        let mut idx: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
-        for (rid, row) in self.rows.iter().enumerate() {
-            idx.entry(row.get(mi).clone()).or_default().push(rid);
-        }
-        self.merge_index = Some(idx);
     }
 
     /// Evaluates `sq(c, R)`: the set of items whose tuples satisfy `c`,
     /// together with the number of tuples examined (for cost accounting).
     ///
     /// Uses a secondary index for top-level point/range predicates when one
-    /// has been built; falls back to a full scan otherwise.
+    /// has been built; falls back to a full scan otherwise. With the merge
+    /// index built, the answer comes out in merge order without a sort.
     ///
     /// # Errors
     /// Propagates predicate evaluation errors.
     pub fn select_items(&self, cond: &Condition) -> Result<SelectOutcome> {
-        // Index fast path: single Cmp predicate over an indexed attribute.
-        if let Predicate::Cmp { attr, op, value } = &cond.pred {
-            if let Ok(aidx) = self.schema.index_of(attr) {
-                if let Some(index) = self.indexes.get(&aidx) {
-                    if !matches!(value, Value::Null) {
-                        return Ok(self.select_via_index(index, *op, value));
+        let mut picked = Picked::new(self);
+        let mut examined = self.rows.len();
+        match self.index_for(&cond.pred) {
+            Some((index, op, value)) => {
+                examined = 0;
+                for_each_indexed(index, op, value, |rids| {
+                    examined += rids.len();
+                    for &rid in rids {
+                        picked.add(rid);
+                    }
+                });
+            }
+            None => {
+                for (rid, row) in self.rows.iter().enumerate() {
+                    if cond.eval(row, &self.schema)? {
+                        picked.add(rid);
                     }
                 }
-            }
-        }
-        let mut items = Vec::new();
-        for row in &self.rows {
-            if cond.eval(row, &self.schema)? {
-                items.push(row.item(&self.schema));
             }
         }
         Ok(SelectOutcome {
-            items: ItemSet::from_items(items),
-            tuples_examined: self.rows.len(),
+            items: picked.finish(),
+            tuples_examined: examined,
         })
     }
 
-    fn select_via_index(
-        &self,
-        index: &BTreeMap<Value, Vec<usize>>,
-        op: CmpOp,
-        value: &Value,
-    ) -> SelectOutcome {
-        use std::ops::Bound::*;
-        let mi = self.schema.merge_index();
-        let mut items = Vec::new();
-        let mut examined = 0usize;
-        let take = |rids: &Vec<usize>, items: &mut Vec<Item>, examined: &mut usize| {
-            for &rid in rids {
-                items.push(Item(self.rows[rid].get(mi).clone()));
-                *examined += 1;
-            }
+    /// The secondary index that answers `pred` on its own, if any: a single
+    /// comparison of an indexed attribute against a non-NULL constant.
+    fn index_for<'a>(
+        &'a self,
+        pred: &'a Predicate,
+    ) -> Option<(&'a SecondaryIndex, CmpOp, &'a Value)> {
+        let Predicate::Cmp { attr, op, value } = pred else {
+            return None;
         };
-        match op {
-            CmpOp::Eq => {
-                if let Some(rids) = index.get(value) {
-                    take(rids, &mut items, &mut examined);
-                }
-            }
-            CmpOp::Ne => {
-                for (v, rids) in index {
-                    if v != value {
-                        take(rids, &mut items, &mut examined);
-                    }
-                }
-            }
-            CmpOp::Lt => {
-                for (_, rids) in index.range::<Value, _>((Unbounded, Excluded(value))) {
-                    take(rids, &mut items, &mut examined);
-                }
-            }
-            CmpOp::Le => {
-                for (_, rids) in index.range::<Value, _>((Unbounded, Included(value))) {
-                    take(rids, &mut items, &mut examined);
-                }
-            }
-            CmpOp::Gt => {
-                for (_, rids) in index.range::<Value, _>((Excluded(value), Unbounded)) {
-                    take(rids, &mut items, &mut examined);
-                }
-            }
-            CmpOp::Ge => {
-                for (_, rids) in index.range::<Value, _>((Included(value), Unbounded)) {
-                    take(rids, &mut items, &mut examined);
-                }
-            }
+        if matches!(value, Value::Null) {
+            return None;
         }
-        SelectOutcome {
-            items: ItemSet::from_items(items),
-            tuples_examined: examined,
-        }
+        let index = self.indexes.get(&self.schema.index_of(attr).ok()?)?;
+        Some((index, *op, value))
     }
 
     /// Evaluates `sjq(c, R, bindings)`: the subset of `bindings` whose items
     /// satisfy `c` at this relation (§2.1).
     ///
-    /// Uses the merge index when built (probing each binding), otherwise a
-    /// single scan filtered against the binding set.
+    /// With the merge index built this is a merge join of the sorted
+    /// bindings against the sorted distinct items; otherwise a single scan
+    /// filtered against the binding set. Either way the answer holds the
+    /// bindings' own items, already in order.
     ///
     /// # Errors
     /// Propagates predicate evaluation errors.
     pub fn semijoin_items(&self, cond: &Condition, bindings: &ItemSet) -> Result<SelectOutcome> {
-        if let Some(merge_index) = &self.merge_index {
-            let mut out = Vec::new();
-            let mut examined = 0usize;
-            for item in bindings {
-                if let Some(rids) = merge_index.get(item.value()) {
-                    for &rid in rids {
-                        examined += 1;
-                        if cond.eval(&self.rows[rid], &self.schema)? {
-                            out.push(item.clone());
-                            break;
-                        }
+        let bound = bindings.as_slice();
+        let Some(merge_index) = &self.merge_index else {
+            let mi = self.schema.merge_index();
+            let mut kept = BitSet::new(bound.len());
+            for row in &self.rows {
+                if let Some(i) = bindings.position_of(row.get(mi)) {
+                    if cond.eval(row, &self.schema)? {
+                        kept.insert(i);
                     }
                 }
             }
             return Ok(SelectOutcome {
-                items: ItemSet::from_items(out),
-                tuples_examined: examined,
+                items: kept.pick(bound),
+                tuples_examined: self.rows.len(),
             });
-        }
+        };
         let mut out = Vec::new();
-        for row in &self.rows {
-            let item = row.item(&self.schema);
-            if bindings.contains(&item) && cond.eval(row, &self.schema)? {
-                out.push(item);
+        let mut examined = 0usize;
+        for (i, rank) in merge_index.join(bound) {
+            for &rid in merge_index.rows_of(rank) {
+                examined += 1;
+                if cond.eval(&self.rows[rid], &self.schema)? {
+                    out.push(bound[i].clone());
+                    break;
+                }
             }
         }
         Ok(SelectOutcome {
-            items: ItemSet::from_items(out),
-            tuples_examined: self.rows.len(),
+            items: ItemSet::from_sorted_unique(out),
+            tuples_examined: examined,
         })
+    }
+
+    /// The tuples whose merge item is in `items`, in insertion order.
+    ///
+    /// Membership is decided per rank by one merge join when the merge
+    /// index is built, by a borrowed binary search per row otherwise; no
+    /// item is cloned either way.
+    pub fn rows_with_items<'a>(&'a self, items: &'a ItemSet) -> impl Iterator<Item = &'a Tuple> {
+        let mi = self.schema.merge_index();
+        let wanted = self.merge_index.as_ref().map(|index| {
+            let mut ranks = BitSet::new(index.items.len());
+            for (_, rank) in index.join(items.as_slice()) {
+                ranks.insert(rank);
+            }
+            (ranks, &index.rank_of_row)
+        });
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(move |(rid, row)| match &wanted {
+                Some((ranks, rank_of_row)) => ranks.contains(rank_of_row[*rid]),
+                None => items.position_of(row.get(mi)).is_some(),
+            })
+            .map(|(_, row)| row)
     }
 
     /// All distinct merge-attribute items in the relation.
     pub fn distinct_items(&self) -> ItemSet {
-        ItemSet::from_items(self.rows.iter().map(|r| r.item(&self.schema)))
+        match &self.merge_index {
+            Some(index) => ItemSet::from_sorted_unique(index.items.clone()),
+            None => ItemSet::from_items(self.rows.iter().map(|r| r.item(&self.schema))),
+        }
     }
 
     /// Total wire size in bytes if the entire relation is shipped (`lq`).
     pub fn wire_size(&self) -> usize {
         self.rows.iter().map(Tuple::wire_size).sum()
+    }
+}
+
+/// Calls `take` with the row ids of every index entry satisfying
+/// `entry op value`, in index order. As in [`Predicate::eval`], a NULL
+/// entry satisfies no comparison (it sorts first, so only `<`, `<=` and
+/// `<>` could reach it).
+fn for_each_indexed(
+    index: &SecondaryIndex,
+    op: CmpOp,
+    value: &Value,
+    mut take: impl FnMut(&[usize]),
+) {
+    use std::ops::Bound::{Excluded, Included, Unbounded};
+    let range = match op {
+        CmpOp::Eq => (Included(value), Included(value)),
+        CmpOp::Lt => (Excluded(&Value::Null), Excluded(value)),
+        CmpOp::Le => (Excluded(&Value::Null), Included(value)),
+        CmpOp::Gt => (Excluded(value), Unbounded),
+        CmpOp::Ge => (Included(value), Unbounded),
+        CmpOp::Ne => {
+            for (v, rids) in index {
+                if v != value && !matches!(v, Value::Null) {
+                    take(rids);
+                }
+            }
+            return;
+        }
+    };
+    for (_, rids) in index.range::<Value, _>(range) {
+        take(rids);
+    }
+}
+
+/// The rows a selection has qualified so far. Over a merge index they are
+/// a set of ranks; a relation without one (a freshly loaded `lq` answer)
+/// has no ranks, so its items are collected and sorted at the end.
+enum Picked<'a> {
+    Ranked(&'a MergeIndex, BitSet),
+    Unranked(&'a Relation, Vec<Item>),
+}
+
+impl<'a> Picked<'a> {
+    fn new(relation: &'a Relation) -> Picked<'a> {
+        match &relation.merge_index {
+            Some(index) => Picked::Ranked(index, BitSet::new(index.items.len())),
+            None => Picked::Unranked(relation, Vec::new()),
+        }
+    }
+
+    fn add(&mut self, rid: usize) {
+        match self {
+            Picked::Ranked(index, ranks) => ranks.insert(index.rank_of_row[rid]),
+            Picked::Unranked(relation, items) => {
+                items.push(relation.rows[rid].item(&relation.schema));
+            }
+        }
+    }
+
+    fn finish(self) -> ItemSet {
+        match self {
+            Picked::Ranked(index, ranks) => ranks.pick(&index.items),
+            Picked::Unranked(_, items) => ItemSet::from_items(items),
+        }
     }
 }
 
@@ -353,6 +531,63 @@ mod tests {
             .unwrap();
         assert!(out.items.is_subset_of(&bindings));
         assert_eq!(out.items, bindings);
+    }
+
+    #[test]
+    fn a_rank_shows_the_value_of_its_first_row() {
+        // Int(2) and Float(2.0) are one item. The merge index keeps the
+        // value of the first row that carries it, whichever row qualifies.
+        let mut r = Relation::from_rows(
+            dmv_schema(),
+            vec![tuple![2.0f64, "dui", 1993i64], tuple![2i64, "sp", 1994i64]],
+        );
+        let sp: Condition = Predicate::eq("V", "sp").into();
+        let unranked = r.select_items(&sp).unwrap().items;
+        assert_eq!(unranked.to_string(), "{2}");
+        r.build_merge_index();
+        let ranked = r.select_items(&sp).unwrap().items;
+        assert_eq!(ranked.to_string(), "{2.0}");
+        assert_eq!(ranked, unranked, "the same set either way");
+        assert_eq!(r.distinct_items().len(), 1);
+        // A semijoin answers with the bindings' own items.
+        let bindings = ItemSet::from_items([2i64]);
+        let out = r.semijoin_items(&sp, &bindings).unwrap();
+        assert_eq!(out.items.to_string(), "{2}");
+        assert_eq!(out.tuples_examined, 2);
+    }
+
+    #[test]
+    fn indexed_comparisons_skip_null_attributes() {
+        let mut r = Relation::from_rows(
+            dmv_schema(),
+            vec![
+                tuple!["J55", "dui", Value::Null],
+                tuple!["T21", "sp", 1994i64],
+                tuple!["T80", "dui", 1993i64],
+            ],
+        );
+        let plain = r.clone();
+        r.build_index(2);
+        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Ne, CmpOp::Gt, CmpOp::Ge] {
+            let cond: Condition = Predicate::cmp("D", op, 1994i64).into();
+            let indexed = r.select_items(&cond).unwrap();
+            assert_eq!(indexed.items, plain.select_items(&cond).unwrap().items);
+            assert!(!indexed.items.contains(&Item::new("J55")), "{cond}");
+            assert_eq!(indexed.tuples_examined, indexed.items.len(), "{cond}");
+        }
+    }
+
+    #[test]
+    fn rows_with_items_keeps_insertion_order_with_and_without_index() {
+        let wanted = ItemSet::from_items(["T80", "J55", "ZZZ"]);
+        let mut r = r1();
+        let plain: Vec<&Tuple> = r.rows_with_items(&wanted).collect();
+        assert_eq!(plain, [&r.rows()[0], &r.rows()[2]]);
+        let plain: Vec<Tuple> = plain.into_iter().cloned().collect();
+        r.build_merge_index();
+        let ranked: Vec<Tuple> = r.rows_with_items(&wanted).cloned().collect();
+        assert_eq!(ranked, plain);
+        assert_eq!(r.rows_with_items(&ItemSet::empty()).count(), 0);
     }
 
     #[test]

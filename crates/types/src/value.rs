@@ -1,5 +1,6 @@
 //! Dynamically typed values and merge-attribute items.
 
+use crate::text::Text;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -24,8 +25,8 @@ pub enum Value {
     Int(i64),
     /// 64-bit float with canonicalized NaN/zero semantics.
     Float(f64),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string; short ones are stored in place (see [`Text`]).
+    Str(Text),
 }
 
 impl Value {
@@ -42,7 +43,7 @@ impl Value {
     }
 
     /// Convenience constructor for string values.
-    pub fn str(s: impl Into<String>) -> Self {
+    pub fn str(s: impl Into<Text>) -> Self {
         Value::Str(s.into())
     }
 
@@ -201,13 +202,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 
@@ -328,6 +329,43 @@ mod tests {
         assert_eq!(Value::Int(1).wire_size(), 8);
         assert_eq!(Value::str("ab").wire_size(), 6);
         assert_eq!(Value::Null.wire_size(), 1);
+    }
+
+    #[test]
+    fn inline_strings_do_not_widen_values() {
+        // The same enum with a `String` in it, as `Value` was declared
+        // before `Text`: tuples and item sets must not grow.
+        #[allow(dead_code)]
+        enum WithString {
+            Null,
+            Bool(bool),
+            Int(i64),
+            Float(f64),
+            Str(String),
+        }
+        assert_eq!(
+            std::mem::size_of::<Value>(),
+            std::mem::size_of::<WithString>()
+        );
+        assert!(std::mem::size_of::<Value>() <= 32);
+        assert_eq!(std::mem::size_of::<Item>(), std::mem::size_of::<Value>());
+    }
+
+    #[test]
+    fn strings_order_hash_and_size_as_before_at_any_length() {
+        let short = Value::str("E0001234");
+        let long = Value::str("E0001234-with-a-tail-past-the-inline-limit");
+        assert!(short < long, "a prefix sorts first");
+        assert!(long < Value::str("E0001235"));
+        assert_eq!(short.wire_size(), 4 + 8);
+        assert_eq!(long.wire_size(), 4 + 42);
+        assert_eq!(long, long.clone());
+        assert_eq!(hash_of(&long), hash_of(&long.clone()));
+        assert_ne!(hash_of(&short), hash_of(&long));
+        assert_eq!(
+            long.to_string(),
+            "'E0001234-with-a-tail-past-the-inline-limit'"
+        );
     }
 
     #[test]

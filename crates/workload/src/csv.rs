@@ -97,10 +97,11 @@ fn csv_field(v: &Value) -> String {
         Value::Int(i) => i.to_string(),
         Value::Float(f) => f.to_string(),
         Value::Str(s) => {
+            let s = s.as_str();
             if s.contains(',') || s.contains('"') || s.contains('\n') || s.trim() != s {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
-                s.clone()
+                s.to_string()
             }
         }
     }
@@ -129,7 +130,7 @@ fn parse_value(field: &str, ty: ValueType, lineno: usize) -> Result<Value> {
             "false" | "f" | "0" | "no" => Ok(Value::Bool(false)),
             _ => Err(err(format!("row {lineno}: `{f}` is not a boolean"))),
         },
-        ValueType::Str | ValueType::Null => Ok(Value::Str(f.to_string())),
+        ValueType::Str | ValueType::Null => Ok(Value::str(f)),
     }
 }
 
@@ -263,6 +264,30 @@ mod tests {
         let text = to_csv(&rel);
         let back = parse_csv(&text, &dmv_schema()).unwrap();
         assert_eq!(rel.rows(), back.rows());
+    }
+
+    #[test]
+    fn round_trip_of_long_and_quoted_strings() {
+        // Keys on both sides of `Text`'s 22-byte inline limit, with the
+        // characters that force quoting, and multi-byte UTF-8.
+        let keys = [
+            "x".repeat(22),
+            "x".repeat(23),
+            format!("{}, \"quoted\" and long", "k".repeat(30)),
+            "short,\"q\"".to_string(),
+            "日本語のテキスト, 長い".to_string(),
+        ];
+        let rel = Relation::from_rows(
+            dmv_schema(),
+            keys.iter()
+                .map(|k| fusion_types::tuple![k.as_str(), "dui", 1993i64])
+                .collect(),
+        );
+        let back = parse_csv(&to_csv(&rel), &dmv_schema()).unwrap();
+        assert_eq!(rel.rows(), back.rows());
+        for (row, key) in back.rows().iter().zip(&keys) {
+            assert_eq!(row.get(0), &Value::str(key.as_str()));
+        }
     }
 
     #[test]

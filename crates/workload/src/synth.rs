@@ -125,7 +125,7 @@ pub fn synth_relations(spec: &SynthSpec) -> Vec<Relation> {
                 .iter()
                 .map(|&item| {
                     let mut values = Vec::with_capacity(1 + NUM_ATTRS);
-                    values.push(Value::Str(format!("E{item:07}")));
+                    values.push(Value::str(format!("E{item:07}")));
                     for _ in 0..NUM_ATTRS {
                         values.push(Value::Int(rng.next_i64_range(0, ATTR_RANGE)));
                     }

@@ -45,7 +45,7 @@ impl Gen {
         let v = *self.0.choose(&VIOLATIONS);
         let d = self.0.next_i64_range(1990, 2000);
         Tuple::new(vec![
-            Value::Str(format!("L{l:02}")),
+            Value::str(format!("L{l:02}")),
             Value::str(v),
             Value::Int(d),
         ])

@@ -1,0 +1,266 @@
+//! Differential battery for the sort-free data plane.
+//!
+//! `Relation::select_items` / `semijoin_items` read their answers off the
+//! merge index in rank order and `ItemSet::union_all` merges borrowed items
+//! in rounds. Each is compared here, over a battery of seeds, with the plain
+//! definition it replaced: evaluate the predicate row by row, collect the
+//! qualifying items and let `ItemSet::from_items` sort and deduplicate them;
+//! fold `union` over the inputs. Items **and** `tuples_examined` must agree.
+//!
+//! The generated relations carry what the rank bookkeeping could get wrong:
+//! several rows per merge value, NULL merge values, merge values that are
+//! equal across types (`Int(2)` and `Float(2.0)` are one item — sets compare
+//! them equal, and the merge index shows the value of the first row that
+//! carries it), NULLs in the filtered attributes, empty relations, and
+//! relations without any index (what a `LocalSq` step sees after `lq`).
+
+mod common;
+
+use common::{for_seeds, Gen, VIOLATIONS};
+use fusion::source::SourceEngine;
+use fusion::types::schema::dmv_schema;
+use fusion::types::{CmpOp, Condition, Item, ItemSet, Predicate, Relation, Tuple, Value};
+
+const OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// A merge value from a small mixed pool: strings, integers, floats that
+/// collide with the integers, and NULL.
+fn merge_value(g: &mut Gen) -> Value {
+    match g.0.next_below(10) {
+        0 => Value::Null,
+        1 | 2 => Value::Int(g.0.next_i64_range(0, 5)),
+        3 => Value::Float(g.0.next_i64_range(0, 9) as f64 / 2.0),
+        _ => Value::str(format!("L{:02}", g.0.next_below(12))),
+    }
+}
+
+/// A DMV-shaped row with NULLs sprinkled over every column.
+fn row(g: &mut Gen) -> Tuple {
+    let v = match g.0.next_below(8) {
+        0 => Value::Null,
+        _ => Value::str(*g.0.choose(&VIOLATIONS)),
+    };
+    let d = match g.0.next_below(8) {
+        0 => Value::Null,
+        _ => Value::Int(g.0.next_i64_range(1990, 2000)),
+    };
+    Tuple::new(vec![merge_value(g), v, d])
+}
+
+fn rows(g: &mut Gen) -> Vec<Tuple> {
+    // One seed in eight gets the empty relation.
+    let n = if g.0.next_below(8) == 0 {
+        0
+    } else {
+        g.0.next_below(40)
+    };
+    (0..n).map(|_| row(g)).collect()
+}
+
+/// Every shape of condition the engine can meet: the six comparisons on an
+/// integer and on a string attribute (the secondary-index path), and the
+/// predicates that always scan.
+fn conditions(g: &mut Gen) -> Vec<Condition> {
+    let year = g.0.next_i64_range(1989, 2001);
+    let violation = *g.0.choose(&VIOLATIONS);
+    let mut preds: Vec<Predicate> = Vec::new();
+    for op in OPS {
+        preds.push(Predicate::cmp("D", op, year));
+        preds.push(Predicate::cmp("V", op, violation));
+        preds.push(Predicate::cmp("L", op, "L05"));
+    }
+    preds.push(Predicate::cmp("D", CmpOp::Eq, Value::Null));
+    preds.push(Predicate::Between {
+        attr: "D".into(),
+        lo: Value::Int(year - 2),
+        hi: Value::Int(year + 1),
+    });
+    preds.push(Predicate::InList {
+        attr: "V".into(),
+        values: vec![Value::str("dui"), Value::str("park")],
+    });
+    preds.push(Predicate::Like {
+        attr: "V".into(),
+        pattern: "%p%".into(),
+    });
+    preds.push(Predicate::IsNull { attr: "D".into() });
+    preds.push(Predicate::And(vec![
+        Predicate::cmp("D", CmpOp::Ge, year),
+        Predicate::eq("V", violation),
+    ]));
+    preds.push(Predicate::Or(vec![
+        Predicate::cmp("D", CmpOp::Lt, year),
+        Predicate::IsNull { attr: "V".into() },
+    ]));
+    preds.push(Predicate::Not(Box::new(Predicate::eq("V", violation))));
+    preds.into_iter().map(Into::into).collect()
+}
+
+/// The three states a relation can be in when it is asked.
+struct Views {
+    /// No index at all: the mediator-side `LocalSq` path.
+    plain: Relation,
+    /// Merge index only: ranked answers from a full scan.
+    ranked: Relation,
+    /// Merge index and every secondary index, as `SourceEngine` builds them.
+    engine: SourceEngine,
+}
+
+fn views(rows: &[Tuple]) -> Views {
+    let plain = Relation::from_rows(dmv_schema(), rows.to_vec());
+    let mut ranked = plain.clone();
+    ranked.build_merge_index();
+    let engine = SourceEngine::new(plain.clone());
+    Views {
+        plain,
+        ranked,
+        engine,
+    }
+}
+
+fn qualifies(cond: &Condition, row: &Tuple) -> bool {
+    cond.eval(row, &dmv_schema())
+        .expect("generated conditions are well-typed")
+}
+
+/// True when a built secondary index answers `cond` without a scan.
+fn index_answers(cond: &Condition) -> bool {
+    matches!(&cond.pred, Predicate::Cmp { value, .. } if !matches!(value, Value::Null))
+}
+
+#[test]
+fn select_items_matches_collect_and_sort() {
+    let schema = dmv_schema();
+    for_seeds(192, |g| {
+        let rows = rows(g);
+        let v = views(&rows);
+        for cond in conditions(g) {
+            let hits: Vec<&Tuple> = rows.iter().filter(|r| qualifies(&cond, r)).collect();
+            let want = ItemSet::from_items(hits.iter().map(|r| r.item(&schema)));
+            for (name, rel) in [("plain", &v.plain), ("ranked", &v.ranked)] {
+                let got = rel.select_items(&cond).unwrap();
+                assert_eq!(got.items, want, "{name} {cond}");
+                assert_eq!(got.tuples_examined, rows.len(), "{name} {cond}");
+            }
+            let got = v.engine.select(&cond).unwrap();
+            assert_eq!(got.items, want, "engine {cond}");
+            let examined = if index_answers(&cond) {
+                hits.len()
+            } else {
+                rows.len()
+            };
+            assert_eq!(got.tuples_examined, examined, "engine {cond}");
+        }
+    });
+}
+
+/// The definition of `sjq` the merge join replaced: probe each binding in
+/// ascending order, examine its rows in insertion order up to the first
+/// that qualifies.
+fn semijoin_by_probing(rows: &[Tuple], cond: &Condition, bindings: &ItemSet) -> (ItemSet, usize) {
+    let mut out = Vec::new();
+    let mut examined = 0;
+    for item in bindings {
+        for row in rows.iter().filter(|r| r.get(0) == item.value()) {
+            examined += 1;
+            if qualifies(cond, row) {
+                out.push(item.clone());
+                break;
+            }
+        }
+    }
+    (ItemSet::from_items(out), examined)
+}
+
+#[test]
+fn semijoin_items_matches_probe_per_binding() {
+    let schema = dmv_schema();
+    for_seeds(192, |g| {
+        let rows = rows(g);
+        let v = views(&rows);
+        let n_bindings = g.0.next_below(20);
+        let bindings: ItemSet = (0..n_bindings).map(|_| Item(merge_value(g))).collect();
+        for cond in conditions(g) {
+            let (want, examined) = semijoin_by_probing(&rows, &cond, &bindings);
+            let got = v.ranked.semijoin_items(&cond, &bindings).unwrap();
+            assert_eq!(got.items, want, "ranked {cond} ⋉ {bindings}");
+            assert_eq!(got.tuples_examined, examined, "ranked {cond} ⋉ {bindings}");
+            assert_eq!(v.engine.semijoin(&cond, &bindings).unwrap(), got);
+            // Without a merge index: one scan, the same answer.
+            let got = v.plain.semijoin_items(&cond, &bindings).unwrap();
+            assert_eq!(got.items, want, "plain {cond} ⋉ {bindings}");
+            assert_eq!(got.tuples_examined, rows.len());
+            assert!(got.items.is_subset_of(&bindings));
+
+            // The record-returning twins filter by the same membership.
+            let in_bindings = |r: &&Tuple| bindings.contains(&r.item(&schema));
+            let want: Vec<Tuple> = rows.iter().filter(in_bindings).cloned().collect();
+            assert_eq!(v.engine.fetch(&bindings), (want.clone(), rows.len()));
+            let projected: Vec<Tuple> = want
+                .iter()
+                .map(|r| Tuple::new(vec![r.get(2).clone(), r.get(0).clone()]))
+                .collect();
+            assert_eq!(
+                v.engine.fetch_projected(&bindings, &[2, 0]),
+                (projected, rows.len())
+            );
+            let want: Vec<Tuple> = want.into_iter().filter(|r| qualifies(&cond, r)).collect();
+            assert_eq!(
+                v.engine.semijoin_records(&cond, &bindings).unwrap(),
+                (want, rows.len())
+            );
+        }
+    });
+}
+
+#[test]
+fn semijoin_agrees_on_both_sides_of_the_sparse_threshold() {
+    // 160 distinct keys, two rows each. A binding set under a sixteenth of
+    // that (9 < 10) binary-searches forward; from 10 on it walks. Bindings
+    // fall before the first key, between keys, on keys and past the last.
+    let rows: Vec<Tuple> = (0..320i64)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::Int((i % 160) * 3),
+                Value::str(VIOLATIONS[(i % 3) as usize]),
+                Value::Int(1990 + i % 10),
+            ])
+        })
+        .collect();
+    let mut rel = Relation::from_rows(dmv_schema(), rows.clone());
+    rel.build_merge_index();
+    let cond: Condition = Predicate::eq("V", "dui").into();
+    for n in [0usize, 1, 8, 9, 10, 11, 40, 400] {
+        for (start, stride) in [(-7i64, 1i64), (-6, 3), (0, 31), (470, 2), (477, 3)] {
+            let bindings: ItemSet = (0..n as i64).map(|k| start + k * stride).collect();
+            let (want, examined) = semijoin_by_probing(&rows, &cond, &bindings);
+            let got = rel.semijoin_items(&cond, &bindings).unwrap();
+            assert_eq!(got.items, want, "n {n} start {start} stride {stride}");
+            assert_eq!(got.tuples_examined, examined, "n {n} start {start}");
+        }
+    }
+}
+
+#[test]
+fn union_all_matches_a_fold_of_union() {
+    for_seeds(64, |g| {
+        for k in 0..=17usize {
+            let sets: Vec<ItemSet> = (0..k)
+                .map(|_| match g.0.next_below(4) {
+                    0 => ItemSet::empty(),
+                    1 => (0..g.0.next_below(12)).map(|_| g.item()).collect(),
+                    _ => g.items(),
+                })
+                .collect();
+            let want = sets.iter().fold(ItemSet::empty(), |acc, s| acc.union(s));
+            assert_eq!(ItemSet::union_all(&sets), want, "k {k}");
+        }
+    });
+}
