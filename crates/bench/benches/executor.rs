@@ -1,6 +1,9 @@
 //! B3: mediator executor throughput — full optimize-and-execute pipeline
-//! over live wrappers and the simulated network.
+//! over live wrappers and the simulated network. The timings are also
+//! written to `BENCH_b3_executor.json` (in `$BENCH_DIR`, default the
+//! package root).
 
+use fusion_bench::json::write_artifact;
 use fusion_bench::microbench::{BenchmarkId, Criterion};
 use fusion_core::postopt::sja_plus;
 use fusion_core::{filter_plan, sja_optimal};
@@ -76,4 +79,7 @@ fn main() {
     let mut c = Criterion::new();
     bench_execute(&mut c);
     bench_plan_shapes(&mut c);
+    let path = write_artifact("BENCH_b3_executor.json", &c.to_json("b3-executor"))
+        .expect("write BENCH_b3_executor.json");
+    println!("wrote {}", path.display());
 }

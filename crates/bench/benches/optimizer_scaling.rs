@@ -5,7 +5,11 @@
 //!   sources as is the case with integrating Internet sources".
 //! * B2 — runtime is **factorial in the number of conditions** for the
 //!   exact SJ/SJA, while the greedy variant of \[24\] stays linear.
+//!
+//! The timings are also written to `BENCH_b1_b2_optimizer_scaling.json`
+//! (in `$BENCH_DIR`, default the package root).
 
+use fusion_bench::json::write_artifact;
 use fusion_bench::microbench::{BenchmarkId, Criterion};
 use fusion_core::optimizer::sja_branch_and_bound;
 use fusion_core::{filter_plan, greedy_sja, sj_optimal, sja_optimal, TableCostModel};
@@ -73,4 +77,10 @@ fn main() {
     let mut c = Criterion::new();
     bench_scaling_in_sources(&mut c);
     bench_scaling_in_conditions(&mut c);
+    let path = write_artifact(
+        "BENCH_b1_b2_optimizer_scaling.json",
+        &c.to_json("b1-b2-optimizer-scaling"),
+    )
+    .expect("write BENCH_b1_b2_optimizer_scaling.json");
+    println!("wrote {}", path.display());
 }

@@ -1,15 +1,20 @@
 //! Micro-benchmarks of the mediator's local machinery: item-set algebra,
-//! the source-side data plane, plan construction/validation, and
-//! selectivity estimation. The timings are also written to
+//! the source-side data plane, plan construction/validation, the two
+//! proof memos, and selectivity estimation. The timings are also written to
 //! `BENCH_b3_plan_ops.json` (in `$BENCH_DIR`, default the package root).
 
 use fusion_bench::json::write_artifact;
 use fusion_bench::microbench::{BenchmarkId, Criterion};
+use fusion_cache::subsumes;
+use fusion_core::analyze::ensure_sound;
 use fusion_core::plan::SimplePlanSpec;
+use fusion_core::sja_optimal;
 use fusion_source::SourceEngine;
 use fusion_stats::{estimate_selectivity, TableStats};
 use fusion_types::{CmpOp, ItemSet, Predicate, Relation, Schema, Tuple, Value};
-use fusion_workload::synth::{condition_with_selectivity, synth_relations, SynthSpec};
+use fusion_workload::synth::{
+    condition_with_selectivity, synth_relations, synth_scenario, SynthSpec,
+};
 use std::hint::black_box;
 
 fn items(n: usize, offset: i64) -> ItemSet {
@@ -105,6 +110,43 @@ fn bench_plan_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two proof memos, each asked something new every time (cold: the
+/// prover runs and the verdict is stored) and the same thing every time
+/// (warm: a lookup).
+fn bench_proof_memos(c: &mut Criterion) {
+    const SELS: [f64; 6] = [0.05, 0.4, 0.6, 0.1, 0.25, 0.5];
+    let mut group = c.benchmark_group("proof_memo");
+    group.sample_size(30);
+    for m in [4usize, 5, 6] {
+        let scenario = synth_scenario(&SynthSpec::default_with(8, 41), &SELS[..m]);
+        let plan = sja_optimal(&scenario.cost_model()).plan;
+        // One more trailing variable per call: a shape never seen before.
+        let mut fresh = plan.clone();
+        group.bench_with_input(BenchmarkId::new("ensure_sound_cold", m), &m, |b, _| {
+            b.iter(|| {
+                fresh.fresh_var(String::new());
+                ensure_sound(black_box(&fresh)).expect("SJA plans are sound");
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("ensure_sound_warm", m), &m, |b, _| {
+            b.iter(|| ensure_sound(black_box(&plan)).expect("SJA plans are sound"));
+        });
+    }
+    let lt = |v: i64| Predicate::cmp("A1", CmpOp::Lt, v);
+    let mut next = 0i64;
+    group.bench_function("subsumes_cold", |b| {
+        b.iter(|| {
+            next += 2;
+            black_box(subsumes(&lt(next + 1), &lt(next)))
+        });
+    });
+    let (broad, narrow) = (lt(-1), lt(-2));
+    group.bench_function("subsumes_warm", |b| {
+        b.iter(|| black_box(subsumes(black_box(&broad), black_box(&narrow))));
+    });
+    group.finish();
+}
+
 /// Selectivity estimation over table statistics.
 fn bench_selectivity(c: &mut Criterion) {
     let schema = Schema::new(
@@ -142,6 +184,7 @@ fn main() {
     bench_itemset_ops(&mut c);
     bench_data_plane(&mut c);
     bench_plan_build(&mut c);
+    bench_proof_memos(&mut c);
     bench_selectivity(&mut c);
     let path = write_artifact("BENCH_b3_plan_ops.json", &c.to_json("b3-plan-ops"))
         .expect("write BENCH_b3_plan_ops.json");

@@ -37,7 +37,7 @@ pub mod subsume;
 pub use cost::{CacheSnapshot, CachedCostModel};
 pub use lint::{stale_cache_findings, StaleCacheServe};
 pub use shared::{CacheGuard, SharedAnswerCache};
-pub use subsume::subsumes;
+pub use subsume::{containment_memo_stats, subsumes};
 
 use std::sync::Arc;
 

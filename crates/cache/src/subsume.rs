@@ -15,10 +15,20 @@
 //! while a `false` answer merely means no proof was found. Incomplete
 //! is safe here: a missed subsumption is a cache miss, never a wrong
 //! answer.
+//!
+//! The verdict is a pure function of the two predicates up to
+//! [`Predicate`]'s own equality (atoms are keyed by the same `Eq`/`Hash`
+//! on attribute, operator and literal; the axioms are conjoined, so the
+//! order a `HashMap` hands the attribute groups out in cannot change the
+//! outcome). [`subsumes`] therefore runs the prover once per distinct
+//! ordered pair and afterwards answers from a bounded process-wide memo —
+//! "not proved" is remembered like "proved".
 
 use fusion_core::analyze::bdd::{BddManager, NodeId, FALSE, TRUE};
+use fusion_core::analyze::{MemoCounters, ProofMemoStats};
 use fusion_types::{CmpOp, Predicate, Value};
 use std::collections::HashMap;
+use std::sync::{LazyLock, PoisonError, RwLock};
 
 /// An atomic predicate after normalization, usable as a BDD variable key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -219,10 +229,101 @@ fn provably_disjoint(a: Shape<'_>, b: Shape<'_>) -> bool {
     }
 }
 
+/// Distinct predicates the containment memo names at most.
+pub const CONTAINMENT_MEMO_PREDICATES: usize = 4096;
+/// Verdicts the containment memo keeps at most.
+pub const CONTAINMENT_MEMO_VERDICTS: usize = 65_536;
+
+/// Verdicts by interned predicate pair `(broad, narrow)`. Predicates are
+/// stored once each and named by dense ids, so a verdict costs a dozen
+/// bytes however large its predicates are.
+#[derive(Default)]
+struct Verdicts {
+    ids: HashMap<Predicate, u32>,
+    by_pair: HashMap<(u32, u32), bool>,
+}
+
+impl Verdicts {
+    fn get(&self, broad: &Predicate, narrow: &Predicate) -> Option<bool> {
+        let pair = (*self.ids.get(broad)?, *self.ids.get(narrow)?);
+        self.by_pair.get(&pair).copied()
+    }
+
+    fn intern(&mut self, p: &Predicate) -> u32 {
+        if let Some(&id) = self.ids.get(p) {
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        self.ids.insert(p.clone(), id);
+        id
+    }
+
+    /// Records a verdict, clearing the memo first when the verdict table
+    /// is full or the intern table has no room for two more predicates.
+    /// Returns true when it cleared. Ids never leave this call, so a
+    /// clear cannot leave a verdict that names another predicate.
+    fn insert(&mut self, broad: &Predicate, narrow: &Predicate, verdict: bool) -> bool {
+        let full = self.ids.len() + 2 > CONTAINMENT_MEMO_PREDICATES
+            || self.by_pair.len() >= CONTAINMENT_MEMO_VERDICTS;
+        if full {
+            self.by_pair.clear();
+            self.ids.clear();
+        }
+        let pair = (self.intern(broad), self.intern(narrow));
+        self.by_pair.insert(pair, verdict);
+        full
+    }
+}
+
+/// The process-wide memo: built by the first question, never pre-warmed.
+///
+/// Readers share the lock, the prover runs with no lock held, and two
+/// threads that miss on the same pair both decide it and insert the same
+/// verdict. A poisoned lock is recovered with `into_inner`: a write clears
+/// verdicts before ids and interns ids before the verdict that names them,
+/// each step one complete map entry, so at every point every stored
+/// verdict names the two predicates it was decided for.
+static MEMO: LazyLock<RwLock<Verdicts>> = LazyLock::new(RwLock::default);
+static COUNTERS: MemoCounters = MemoCounters::new();
+
 /// Decides whether `narrow ⊆ broad`: every tuple satisfying `narrow`
 /// also satisfies `broad`, for every relation instance. Sound — `true`
-/// is a proof; `false` only means "not proved".
+/// is a proof; `false` only means "not proved". Each distinct ordered
+/// pair is decided once per process (see the module docs).
 pub fn subsumes(broad: &Predicate, narrow: &Predicate) -> bool {
+    let known = MEMO
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(broad, narrow);
+    if let Some(verdict) = known {
+        COUNTERS.hit();
+        return verdict;
+    }
+    COUNTERS.miss();
+    let verdict = prove(broad, narrow);
+    let cleared = MEMO
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(broad, narrow, verdict);
+    if cleared {
+        COUNTERS.reset();
+    }
+    verdict
+}
+
+/// Counters of the containment memo since the process started;
+/// `entries` counts verdicts.
+pub fn containment_memo_stats() -> ProofMemoStats {
+    let entries = MEMO
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .by_pair
+        .len();
+    COUNTERS.stats(entries)
+}
+
+/// The prover behind [`subsumes`], un-memoised.
+fn prove(broad: &Predicate, narrow: &Predicate) -> bool {
     let mut env = Env::new();
     let fb = compile(&mut env, broad);
     let fn_ = compile(&mut env, narrow);
@@ -322,6 +423,102 @@ mod tests {
 
     fn lt(attr: &str, v: i64) -> Predicate {
         Predicate::cmp(attr, CmpOp::Lt, v)
+    }
+
+    #[test]
+    fn memo_agrees_with_the_prover_on_every_pair_of_a_zoo() {
+        let between = |lo: i64, hi: i64| Predicate::Between {
+            attr: "Z1".into(),
+            lo: Value::Int(lo),
+            hi: Value::Int(hi),
+        };
+        let mut zoo = vec![
+            Predicate::Const(true),
+            Predicate::Const(false),
+            Predicate::IsNull { attr: "Z1".into() },
+            Predicate::eq("Z1", Value::Null),
+            between(3, 8),
+            between(5, 6),
+            Predicate::Between {
+                attr: "Z1".into(),
+                lo: Value::Null,
+                hi: Value::Int(5),
+            },
+            Predicate::InList {
+                attr: "Z1".into(),
+                values: vec![Value::Int(3), Value::Null, Value::Int(5)],
+            },
+            Predicate::Like {
+                attr: "Z2".into(),
+                pattern: "J%".into(),
+            },
+        ];
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            zoo.push(Predicate::cmp("Z1", op, 5i64));
+            zoo.push(Predicate::cmp("Z1", op, 7i64));
+            zoo.push(Predicate::cmp("Z2", op, 5i64));
+        }
+        for i in 0..zoo.len() {
+            zoo.push(Predicate::Not(Box::new(zoo[i].clone())));
+        }
+        for i in (0..18).step_by(3) {
+            zoo.push(Predicate::And(vec![zoo[i].clone(), zoo[i + 9].clone()]));
+            zoo.push(Predicate::Or(vec![zoo[i + 1].clone(), zoo[i + 10].clone()]));
+        }
+        for round in 0..2 {
+            for b in &zoo {
+                for n in &zoo {
+                    assert_eq!(subsumes(b, n), prove(b, n), "round {round}: {b} ⊇ {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_verdict_table_clears_then_keeps_the_newcomer() {
+        let preds: Vec<Predicate> = (0..257).map(|v| lt("V1", v)).collect();
+        let mut memo = Verdicts::default();
+        let mut stored = 0usize;
+        'fill: for b in &preds {
+            for n in &preds {
+                if stored == CONTAINMENT_MEMO_VERDICTS {
+                    break 'fill;
+                }
+                assert!(!memo.insert(b, n, true));
+                stored += 1;
+            }
+        }
+        assert_eq!(memo.by_pair.len(), CONTAINMENT_MEMO_VERDICTS);
+        assert_eq!(memo.get(&preds[0], &preds[1]), Some(true));
+        // One more verdict: everything goes, ids included, and only the
+        // newcomer is known afterwards.
+        assert!(memo.insert(&preds[256], &preds[255], false));
+        assert_eq!((memo.ids.len(), memo.by_pair.len()), (2, 1));
+        assert_eq!(memo.get(&preds[256], &preds[255]), Some(false));
+        assert_eq!(memo.get(&preds[0], &preds[1]), None);
+        assert_eq!(memo.get(&preds[255], &preds[256]), None);
+    }
+
+    #[test]
+    fn full_intern_table_clears_verdicts_with_the_ids() {
+        let mut memo = Verdicts::default();
+        let pairs = CONTAINMENT_MEMO_PREDICATES as i64 / 2;
+        for k in 0..pairs {
+            assert!(!memo.insert(&lt("V2", 2 * k), &lt("V2", 2 * k + 1), k % 2 == 0));
+        }
+        assert_eq!(memo.ids.len(), CONTAINMENT_MEMO_PREDICATES);
+        assert_eq!(memo.get(&lt("V2", 2), &lt("V2", 3)), Some(false));
+        // No room left for two more names.
+        assert!(memo.insert(&lt("V2", -1), &lt("V2", -2), true));
+        assert_eq!((memo.ids.len(), memo.by_pair.len()), (2, 1));
+        assert_eq!(memo.get(&lt("V2", 0), &lt("V2", 1)), None);
     }
 
     #[test]

@@ -1160,7 +1160,7 @@ executed cost {} with per-round re-optimization:",
              sharing {}: {shared} selections rode co-admitted fetches \
              ({shared_residual} through a residual filter)\n\
              log: {} ops, {} commuting pairs, linearization certified\n\
-             replay parity: {parity} answers and ledgers byte-identical to the serial replay",
+             replay parity: {parity} answers and ledgers byte-identical to the serial replay\n{}",
             report.results.len(),
             tenants.len(),
             config.workers,
@@ -1171,6 +1171,7 @@ executed cost {} with per-round re-optimization:",
             if config.share { "on" } else { "off" },
             report.log.len(),
             report.commuting_pairs,
+            proof_memo_lines(),
         ))
     }
 
@@ -1312,7 +1313,7 @@ executed cost {} with per-round re-optimization:",
             "cache on: {} entries, {} of {} bytes used\n\
              epochs: {epochs}\n\
              hits {} ({} residual), misses {}, insertions {}, evictions {}, \
-             rejections {}, invalidations {}",
+             rejections {}, invalidations {}\n{}",
             c.len(),
             c.bytes_used(),
             c.budget(),
@@ -1322,7 +1323,8 @@ executed cost {} with per-round re-optimization:",
             s.insertions,
             s.evictions,
             s.rejections,
-            s.invalidations
+            s.invalidations,
+            proof_memo_lines()
         )
     }
 
@@ -1910,6 +1912,15 @@ impl<M: fusion_core::CostModel> fusion_core::CostModel for DistortedModel<'_, M>
     }
 }
 
+/// One line per process-wide proof memo, for `\cache` and `\serve`.
+fn proof_memo_lines() -> String {
+    format!(
+        "plan-proof memo: {}\ncontainment memo: {}",
+        fusion_core::analyze::proof_memo_stats(),
+        fusion_cache::containment_memo_stats()
+    )
+}
+
 /// Splits leading `--flag` tokens off a command argument.
 fn split_flags(arg: &str) -> (Vec<&str>, &str) {
     let mut rest = arg.trim();
@@ -2418,6 +2429,8 @@ mod tests {
         assert!(status.contains("6 entries"), "{status}");
         assert!(status.contains("R1=0"), "{status}");
         assert!(status.contains("misses 6"), "{status}");
+        assert!(status.contains("\nplan-proof memo: hits "), "{status}");
+        assert!(status.contains("\ncontainment memo: hits "), "{status}");
         // Parallel execution uses the cache too.
         let par = run(&mut s, &format!("\\exec --parallel=2 {DMV_SQL}"));
         assert!(par.contains("{J55, T21}"), "{par}");
@@ -2505,6 +2518,8 @@ mod tests {
         assert!(out.contains("linearization certified"), "{out}");
         assert!(out.contains("sharing on:"), "{out}");
         assert!(out.contains("selections served warm"), "{out}");
+        assert!(out.contains("\nplan-proof memo: hits "), "{out}");
+        assert!(out.contains("\ncontainment memo: hits "), "{out}");
         let off = run(&mut s, "\\serve workers=2 share=off");
         assert!(
             off.contains("sharing off: 0 selections rode co-admitted fetches"),

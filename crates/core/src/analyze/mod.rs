@@ -50,12 +50,14 @@
 
 pub mod bdd;
 mod lint;
+mod memo;
 
 pub use lint::{lint_plan, Diagnostic, Lint, LintRegistry, Severity};
+pub use memo::{ensure_sound, proof_memo_stats, MemoCounters, ProofMemoStats, PROOF_MEMO_CAPACITY};
 
 use crate::plan::{Plan, Step, VarId};
 use bdd::{BVar, BddManager, NodeId, FALSE};
-use fusion_types::error::Result;
+use fusion_types::error::{FusionError, Result};
 
 /// Maps plan atoms to BDD variables.
 ///
@@ -241,13 +243,18 @@ pub struct Analysis {
 /// structurally broken listing has no semantics to analyze.
 pub fn analyze_plan(plan: &Plan) -> Result<Analysis> {
     plan.validate()?;
+    Ok(analyze_validated(plan))
+}
+
+/// [`analyze_plan`] for a plan the caller has already validated.
+fn analyze_validated(plan: &Plan) -> Analysis {
     let mut mgr = BddManager::new();
     let atoms = AtomMap::new(plan, &mut mgr);
     let (values, rel_source) = interpret(plan, &mut mgr, &atoms, None, &[], None);
     let target = fusion_target(plan, &mut mgr, &atoms);
     let result_value = values[plan.result.0];
     let verdict = decide(plan, &mut mgr, &atoms, &values, result_value, target);
-    Ok(Analysis {
+    Analysis {
         mgr,
         atoms,
         values,
@@ -255,7 +262,7 @@ pub fn analyze_plan(plan: &Plan) -> Result<Analysis> {
         target,
         result_value,
         verdict,
-    })
+    }
 }
 
 /// Runs the transfer function over the step list. With
@@ -482,6 +489,21 @@ impl Analysis {
     /// The verdict: proved equivalent to the fusion query, or refuted.
     pub fn verdict(&self) -> &Verdict {
         &self.verdict
+    }
+
+    /// `Ok` for a proved plan; for a refuted one, the executors' refusal
+    /// with the counterexample rendered into it.
+    ///
+    /// # Errors
+    /// [`FusionError::InvalidPlan`] when the verdict is `Refuted`.
+    pub fn require_proved(&self) -> Result<()> {
+        match &self.verdict {
+            Verdict::Proved => Ok(()),
+            Verdict::Refuted(cx) => Err(FusionError::invalid_plan(format!(
+                "refusing to execute a semantically unsound plan: it does not \
+                 compute the fusion query.\n{cx}"
+            ))),
+        }
     }
 
     /// The membership predicate of a variable (`None` for out-of-range

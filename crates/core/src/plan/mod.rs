@@ -30,7 +30,7 @@ pub enum SourceChoice {
 }
 
 /// One plan step.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Step {
     /// `X := sq(c, R)` — selection query at a source (§2.1).
     Sq {

@@ -78,7 +78,8 @@ impl FusionQuery {
         Ok(answer.expect("at least one condition"))
     }
 
-    /// Renders the query in the paper's SQL form over the union view `U`.
+    /// Renders the query in the paper's SQL form over the union view `U`,
+    /// as text the `fusion-sql` parser reads back to the same conditions.
     pub fn to_sql(&self) -> String {
         let m = self.m();
         let merge = &self.schema.merge_attribute().name;
@@ -90,14 +91,10 @@ impl FusionQuery {
             sql.push_str(&format!("U u{}", i + 1));
         }
         sql.push_str("\nWHERE ");
-        if m > 1 {
-            for i in 0..m {
-                if i > 0 {
-                    sql.push_str(" = ");
-                }
-                sql.push_str(&format!("u{}.{merge}", i + 1));
-            }
-            sql.push_str(" AND ");
+        // The merge equality as a pairwise chain: the paper's
+        // `u1.M = u2.M = u3.M` is not SQL the parser accepts.
+        for i in 1..m {
+            sql.push_str(&format!("u{i}.{merge} = u{}.{merge} AND ", i + 1));
         }
         for (i, c) in self.conditions.iter().enumerate() {
             if i > 0 {
@@ -254,6 +251,17 @@ mod tests {
         assert_eq!(
             sql,
             "SELECT u1.L\nFROM U u1, U u2\nWHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
+        );
+    }
+
+    #[test]
+    fn to_sql_chains_the_merge_equality_pairwise() {
+        let conds = ["dui", "sp", "park"].map(|v| Predicate::eq("V", v).into());
+        let q = FusionQuery::new(dmv_schema(), conds.to_vec()).unwrap();
+        assert_eq!(
+            q.to_sql(),
+            "SELECT u1.L\nFROM U u1, U u2, U u3\nWHERE u1.L = u2.L AND u2.L = u3.L \
+             AND u1.V = 'dui' AND u2.V = 'sp' AND u3.V = 'park'"
         );
     }
 

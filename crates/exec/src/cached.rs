@@ -41,7 +41,7 @@ use fusion_core::plan::Plan;
 use fusion_core::query::FusionQuery;
 use fusion_net::{ExchangeKind, MessageSize, Network};
 use fusion_source::SourceSet;
-use fusion_types::error::{FusionError, Result};
+use fusion_types::error::Result;
 use fusion_types::schema::Schema;
 use fusion_types::{Condition, Cost, ItemSet, SourceId, Tuple};
 
@@ -61,13 +61,7 @@ pub fn execute_plan_cached(
     network: &mut Network,
     cache: &mut AnswerCache,
 ) -> Result<ExecutionOutcome> {
-    let analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
+    fusion_core::analyze::ensure_sound(plan)?;
     run_sequential(plan, query, sources, network, Some(cache))
 }
 

@@ -143,14 +143,8 @@ pub fn execute_plan(
     sources: &SourceSet,
     network: &mut Network,
 ) -> Result<ExecutionOutcome> {
-    let analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    execute_plan_unchecked(plan, query, sources, network)
+    fusion_core::analyze::ensure_sound(plan)?;
+    run_sequential(plan, query, sources, network, None)
 }
 
 /// [`execute_plan`] without the semantic-soundness guard: the plan is
@@ -166,6 +160,7 @@ pub fn execute_plan_unchecked(
     sources: &SourceSet,
     network: &mut Network,
 ) -> Result<ExecutionOutcome> {
+    plan.validate()?;
     run_sequential(plan, query, sources, network, None)
 }
 
@@ -173,7 +168,8 @@ pub fn execute_plan_unchecked(
 /// attached. `None` is [`execute_plan_unchecked`]; `Some` additionally
 /// serves selections from the cache (free `sq(cache)` / `sq(residual)`
 /// entries), fetches misses as full records, and admits them once the
-/// run completes — see [`crate::cached`] for the contract.
+/// run completes — see [`crate::cached`] for the contract. The caller
+/// has validated `plan`.
 pub(crate) fn run_sequential(
     plan: &Plan,
     query: &FusionQuery,
@@ -181,7 +177,6 @@ pub(crate) fn run_sequential(
     network: &mut Network,
     mut cache: Option<&mut AnswerCache>,
 ) -> Result<ExecutionOutcome> {
-    plan.validate()?;
     if query.m() != plan.n_conditions {
         return Err(FusionError::invalid_plan(format!(
             "plan expects {} conditions, query has {}",
@@ -940,13 +935,7 @@ pub(crate) fn run_sequential_ft(
     mut cache: Option<&mut AnswerCache>,
 ) -> Result<ExecutionOutcome> {
     let mut analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    plan.validate()?;
+    analysis.require_proved()?;
     if query.m() != plan.n_conditions {
         return Err(FusionError::invalid_plan(format!(
             "plan expects {} conditions, query has {}",

@@ -284,13 +284,7 @@ fn run_parallel(
     mut cache: Option<&mut AnswerCache>,
 ) -> Result<ParallelOutcome> {
     let mut analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    plan.validate()?;
+    analysis.require_proved()?;
     if query.m() != plan.n_conditions {
         return Err(FusionError::invalid_plan(format!(
             "plan expects {} conditions, query has {}",

@@ -420,13 +420,7 @@ fn run_reopt<M: CostModel>(
     let m = spec.order.len();
     let mut spec = spec.clone();
     let mut plan = spec.build(n)?;
-    let analysis = fusion_core::analyze::analyze_plan(&plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
+    fusion_core::analyze::ensure_sound(&plan)?;
     if threads.is_some() {
         // The parallel path runs rounds on worker threads; re-verify the
         // stage certificate up front like the stage-parallel executor.
@@ -816,13 +810,7 @@ pub fn replay_plan_reopt(
     }
     let mut spec = spec.clone();
     let mut plan = spec.build(n)?;
-    let analysis = fusion_core::analyze::analyze_plan(&plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to replay a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
+    fusion_core::analyze::ensure_sound(&plan)?;
     let conditions = query.conditions();
     let mut vars: Vec<Option<ItemSet>> = vec![None; plan.var_names.len()];
     let mut rels: Vec<Option<Relation>> = vec![None; plan.rel_names.len()];

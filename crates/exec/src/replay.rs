@@ -100,13 +100,7 @@ pub fn execute_plan_replay(
     options: &ReplayOptions,
 ) -> Result<ExecutionOutcome> {
     let mut analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    plan.validate()?;
+    analysis.require_proved()?;
     if query.m() != plan.n_conditions {
         return Err(FusionError::invalid_plan(format!(
             "plan expects {} conditions, query has {}",

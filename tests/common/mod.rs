@@ -7,6 +7,8 @@
 
 #![allow(dead_code)]
 
+pub mod mutants;
+
 use fusion::core::plan::{SimplePlanSpec, SourceChoice};
 use fusion::core::query::FusionQuery;
 use fusion::core::TableCostModel;
@@ -78,6 +80,37 @@ impl Gen {
                 }
                 .into()
             }
+        }
+    }
+
+    /// Like [`Gen::condition`], plus the shapes whose SQL text needs
+    /// care: `IN` lists, `LIKE` patterns, and string literals holding
+    /// quotes, keywords, digits and `uN.`-like prefixes.
+    pub fn sql_condition(&mut self) -> Condition {
+        const AWKWARD: [&str; 6] = ["it's", "a AND b", "NULL", "u2.V", "1990", "x''y"];
+        match self.0.next_below(6) {
+            0 => Predicate::eq("V", *self.0.choose(&AWKWARD)).into(),
+            1 => Predicate::InList {
+                attr: "D".into(),
+                values: (0..1 + self.0.next_below(3))
+                    .map(|_| Value::Int(self.0.next_i64_range(1990, 2000)))
+                    .collect(),
+            }
+            .into(),
+            2 => Predicate::InList {
+                attr: "V".into(),
+                values: vec![
+                    Value::str(*self.0.choose(&AWKWARD)),
+                    Value::str(*self.0.choose(&VIOLATIONS)),
+                ],
+            }
+            .into(),
+            3 => Predicate::Like {
+                attr: "V".into(),
+                pattern: format!("{}%_", self.0.choose(&AWKWARD)),
+            }
+            .into(),
+            _ => self.condition(),
         }
     }
 

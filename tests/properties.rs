@@ -176,7 +176,9 @@ fn selectivities_bounded() {
 
 // ---------- SQL round trip ---------------------------------------------------
 
-/// to_sql → parse is the identity on conditions.
+/// to_sql → parse is the identity on conditions, for every number of
+/// query variables (m ≥ 3 needs the pairwise merge chain) and for
+/// `BETWEEN` / `IN` / `LIKE` / awkwardly quoted literals.
 #[test]
 fn sql_round_trip() {
     for_seeds(128, |g| {
@@ -184,6 +186,16 @@ fn sql_round_trip() {
         let sql = query.to_sql();
         let parsed = parse_fusion_query(&sql, &dmv_schema()).unwrap();
         assert_eq!(parsed.conditions(), query.conditions(), "sql was: {sql}");
+    });
+    for_seeds(96, |g| {
+        for m in 1..=6 {
+            let conds = (0..m).map(|_| g.sql_condition()).collect();
+            let query = fusion::core::FusionQuery::new(dmv_schema(), conds).unwrap();
+            let sql = query.to_sql();
+            let parsed = parse_fusion_query(&sql, &dmv_schema())
+                .unwrap_or_else(|e| panic!("m={m}: {e}\nsql was: {sql}"));
+            assert_eq!(parsed.conditions(), query.conditions(), "sql was: {sql}");
+        }
     });
 }
 
