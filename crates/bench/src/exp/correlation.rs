@@ -170,9 +170,14 @@ pub fn e14_adaptive() {
         let model = scenario.cost_model();
         let static_cost = executed_cost(&scenario, &sja_optimal(&model).plan);
         let mut network = scenario.network();
-        let out =
-            fusion_exec::execute_adaptive(&scenario.query, &scenario.sources, &mut network, &model)
-                .expect("adaptive executes");
+        let out = fusion_exec::execute_adaptive(
+            &scenario.query,
+            &scenario.sources,
+            &mut network,
+            &model,
+            None,
+        )
+        .expect("adaptive executes");
         assert_eq!(
             out.answer,
             scenario.ground_truth().expect("evaluation succeeds"),
@@ -218,6 +223,7 @@ mod tests {
                 &scenario.sources,
                 &mut network,
                 &model,
+                None,
             )
             .unwrap();
             let adaptive_cost = out.total_cost().value();

@@ -64,6 +64,8 @@ fn paced_run(
         &s.scenario.query,
         &s.scenario.sources,
         &mut network,
+        None,
+        None,
         &ParallelConfig::with_threads(threads).paced(pace),
     )
     .expect("experiment plans execute")

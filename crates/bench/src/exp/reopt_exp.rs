@@ -175,6 +175,7 @@ pub fn run_point(factor: f64) -> ReoptRow {
         None,
         &mut session,
         &ReoptConfig::default(),
+        None,
     )
     .expect("adaptive run");
     assert_eq!(

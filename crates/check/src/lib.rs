@@ -38,9 +38,8 @@ use fusion_core::plan::Plan;
 use fusion_core::plan::SimplePlanSpec;
 use fusion_core::query::FusionQuery;
 use fusion_core::sja_optimal;
-use fusion_exec::cached::{execute_plan_cached, execute_plan_ft_cached};
 use fusion_exec::{
-    execute_plan, execute_plan_ft, execute_plan_replay, replay_plan_reopt, replay_serial, serve,
+    execute_plan, execute_plan_replay, execute_plan_with, replay_plan_reopt, replay_serial, serve,
     verify_replay_parity, ExecutionOutcome, ReoptOutcome, ReplayOptions, RetryPolicy, ServerConfig,
     TenantEvent,
 };
@@ -329,7 +328,7 @@ pub fn schedule_fingerprint(
     )?;
     let mut fp = fmt_round("round1", &r1, &net);
     let mut net2 = make_network();
-    let r2 = reference_round(plan, query, sources, &mut net2, policy, &mut cache)?;
+    let r2 = execute_plan_with(plan, query, sources, &mut net2, policy, Some(&mut cache))?;
     fp.push_str(&fmt_round("round2", &r2, &net2));
     fp.push_str(&format!(
         "cache: stats={:?} epochs={:?}\n",
@@ -337,20 +336,6 @@ pub fn schedule_fingerprint(
         cache.epochs(plan.n_sources)
     ));
     Ok(fp)
-}
-
-fn reference_round(
-    plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    net: &mut Network,
-    policy: Option<&RetryPolicy>,
-    cache: &mut AnswerCache,
-) -> Result<ExecutionOutcome> {
-    match policy {
-        Some(policy) => execute_plan_ft_cached(plan, query, sources, net, policy, cache),
-        None => execute_plan_cached(plan, query, sources, net, cache),
-    }
 }
 
 /// The fingerprint of the *sequential reference* executors on the same
@@ -369,17 +354,14 @@ pub fn reference_fingerprint(
 ) -> Result<String> {
     let mut net = make_network();
     let Some(budget) = cfg.cache_budget else {
-        let out = match policy {
-            Some(policy) => execute_plan_ft(plan, query, sources, &mut net, policy)?,
-            None => execute_plan(plan, query, sources, &mut net)?,
-        };
+        let out = execute_plan_with(plan, query, sources, &mut net, policy, None)?;
         return Ok(fmt_round("round1", &out, &net));
     };
     let mut cache = AnswerCache::new(budget);
-    let r1 = reference_round(plan, query, sources, &mut net, policy, &mut cache)?;
+    let r1 = execute_plan_with(plan, query, sources, &mut net, policy, Some(&mut cache))?;
     let mut fp = fmt_round("round1", &r1, &net);
     let mut net2 = make_network();
-    let r2 = reference_round(plan, query, sources, &mut net2, policy, &mut cache)?;
+    let r2 = execute_plan_with(plan, query, sources, &mut net2, policy, Some(&mut cache))?;
     fp.push_str(&fmt_round("round2", &r2, &net2));
     fp.push_str(&format!(
         "cache: stats={:?} epochs={:?}\n",
@@ -836,6 +818,7 @@ mod tests {
                 None,
                 &mut session,
                 &ReoptConfig::default(),
+                None,
             )
             .unwrap();
             let switches = verify_reopt_replay(&out, &opt.spec, &q, &sources, &make_net).unwrap();
@@ -862,6 +845,7 @@ mod tests {
             None,
             &mut session,
             &ReoptConfig::default(),
+            None,
         )
         .unwrap();
         assert!(!out.switches.is_empty(), "fixture stopped switching");

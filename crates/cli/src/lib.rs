@@ -30,7 +30,7 @@ use fusion_core::{
     Dataflow, Diagnostic, NetworkCostModel, Plan, SourceBounds, Verdict,
 };
 use fusion_exec::{
-    execute_plan, execute_plan_ft, fetch_records, replay_serial, serve, verify_replay_parity,
+    execute_plan, execute_plan_with, fetch_records, replay_serial, serve, verify_replay_parity,
     ParallelConfig, RetryPolicy, ServerConfig, TenantEvent,
 };
 use fusion_net::{FaultPlan, FaultSpec, Link, LinkProfile, Network};
@@ -748,12 +748,9 @@ impl Session {
         let (query, sources, mut network) = self.materialize(sql)?;
         let model = NetworkCostModel::new(&sources, &network, &query, None);
         let faults_on = self.faults.is_some();
-        let out = if faults_on {
-            let policy = RetryPolicy::default();
-            fusion_exec::execute_adaptive_ft(&query, &sources, &mut network, &model, &policy)?
-        } else {
-            fusion_exec::execute_adaptive(&query, &sources, &mut network, &model)?
-        };
+        let policy = faults_on.then(RetryPolicy::default);
+        let out =
+            fusion_exec::execute_adaptive(&query, &sources, &mut network, &model, policy.as_ref())?;
         let mut text = format!(
             "answer ({} items): {}
 executed cost {} with per-round re-optimization:",
@@ -820,6 +817,7 @@ executed cost {} with per-round re-optimization:",
             None,
             &mut session,
             &fusion_exec::ReoptConfig::default(),
+            None,
         )?;
         // Independently re-certify and re-execute from the recorded
         // switches before reporting anything.
@@ -1366,65 +1364,27 @@ executed cost {} with per-round re-optimization:",
         let faults_on = self.faults.is_some();
         let n_sources = self.sources.len();
         let config = ParallelConfig::with_threads(threads);
-        let mut cache_line = None;
-        let par = if let Some(cache) = self.cache.as_mut() {
-            let snap = cache.snapshot(query.conditions(), n_sources);
-            let cmodel = CachedCostModel::new(&model, &snap);
-            // SJA, not SJA+, for the same reason as `query`: load-based
-            // postoptimized plans would bypass the cache entirely.
-            let plus = sja_optimal(&cmodel);
-            let before = *cache.stats();
-            let par = if faults_on {
-                let policy = RetryPolicy::default();
-                fusion_exec::execute_plan_parallel_ft_cached(
-                    &plus.plan,
-                    &query,
-                    &sources,
-                    &mut network,
-                    &policy,
-                    &config,
-                    cache,
-                )?
-            } else {
-                fusion_exec::execute_plan_parallel_cached(
-                    &plus.plan,
-                    &query,
-                    &sources,
-                    &mut network,
-                    &config,
-                    cache,
-                )?
-            };
-            let after = *cache.stats();
-            cache_line = Some(format!(
-                "\ncache: {} exact, {} residual, {} miss",
-                after.hits - before.hits,
-                after.residual_hits - before.residual_hits,
-                after.misses - before.misses
-            ));
-            par
-        } else {
-            let plus = sja_plus(&model);
-            if faults_on {
-                let policy = RetryPolicy::default();
-                fusion_exec::execute_plan_parallel_ft(
-                    &plus.plan,
-                    &query,
-                    &sources,
-                    &mut network,
-                    &policy,
-                    &config,
-                )?
-            } else {
-                fusion_exec::execute_plan_parallel(
-                    &plus.plan,
-                    &query,
-                    &sources,
-                    &mut network,
-                    &config,
-                )?
+        let policy = faults_on.then(RetryPolicy::default);
+        let plan = match &self.cache {
+            Some(cache) => {
+                let snap = cache.snapshot(query.conditions(), n_sources);
+                // SJA, not SJA+, for the same reason as `query`: load-based
+                // postoptimized plans would bypass the cache entirely.
+                sja_optimal(&CachedCostModel::new(&model, &snap)).plan
             }
+            None => sja_plus(&model).plan,
         };
+        let before = self.cache.as_ref().map(|c| *c.stats());
+        let par = fusion_exec::execute_plan_parallel(
+            &plan,
+            &query,
+            &sources,
+            &mut network,
+            policy.as_ref(),
+            self.cache.as_mut(),
+            &config,
+        )?;
+        let cache_line = self.cache_delta_line(before);
         let outcome = &par.outcome;
         let total = outcome.total_cost();
         let mut out = format!(
@@ -1536,6 +1496,18 @@ executed cost {} with per-round re-optimization:",
         Ok(attrs)
     }
 
+    /// The `cache:` line of a cached run: what the run added to the
+    /// counters read `before` it (`None` with the cache off).
+    fn cache_delta_line(&self, before: Option<fusion_cache::CacheStats>) -> Option<String> {
+        let (before, after) = before.zip(self.cache.as_ref().map(|c| *c.stats()))?;
+        Some(format!(
+            "\ncache: {} exact, {} residual, {} miss",
+            after.hits - before.hits,
+            after.residual_hits - before.residual_hits,
+            after.misses - before.misses
+        ))
+    }
+
     fn query(&mut self, sql: &str, mode: QueryMode) -> Result<String> {
         if sql.is_empty() {
             return Err(FusionError::execution("empty query"));
@@ -1546,52 +1518,28 @@ executed cost {} with per-round re-optimization:",
             QueryMode::Execute | QueryMode::Fetch(_) => {
                 let faults_on = self.faults.is_some();
                 let n_sources = self.sources.len();
-                let mut cache_line = None;
-                let outcome = if let Some(cache) = self.cache.as_mut() {
-                    let snap = cache.snapshot(query.conditions(), n_sources);
-                    let cmodel = CachedCostModel::new(&model, &snap);
-                    // SJA (not SJA+): post-optimization can replace sq
-                    // rounds with whole-relation loads, which the cache
-                    // can neither serve nor harvest. The selection /
-                    // semijoin plans keep the cache in the loop.
-                    let plus = sja_optimal(&cmodel);
-                    let before = *cache.stats();
-                    let outcome = if faults_on {
-                        let policy = RetryPolicy::default();
-                        fusion_exec::execute_plan_ft_cached(
-                            &plus.plan,
-                            &query,
-                            &sources,
-                            &mut network,
-                            &policy,
-                            cache,
-                        )?
-                    } else {
-                        fusion_exec::execute_plan_cached(
-                            &plus.plan,
-                            &query,
-                            &sources,
-                            &mut network,
-                            cache,
-                        )?
-                    };
-                    let after = *cache.stats();
-                    cache_line = Some(format!(
-                        "\ncache: {} exact, {} residual, {} miss",
-                        after.hits - before.hits,
-                        after.residual_hits - before.residual_hits,
-                        after.misses - before.misses
-                    ));
-                    outcome
-                } else {
-                    let plus = sja_plus(&model);
-                    if faults_on {
-                        let policy = RetryPolicy::default();
-                        execute_plan_ft(&plus.plan, &query, &sources, &mut network, &policy)?
-                    } else {
-                        execute_plan(&plus.plan, &query, &sources, &mut network)?
+                let policy = faults_on.then(RetryPolicy::default);
+                let plan = match &self.cache {
+                    Some(cache) => {
+                        let snap = cache.snapshot(query.conditions(), n_sources);
+                        // SJA (not SJA+): post-optimization can replace sq
+                        // rounds with whole-relation loads, which the cache
+                        // can neither serve nor harvest. The selection /
+                        // semijoin plans keep the cache in the loop.
+                        sja_optimal(&CachedCostModel::new(&model, &snap)).plan
                     }
+                    None => sja_plus(&model).plan,
                 };
+                let before = self.cache.as_ref().map(|c| *c.stats());
+                let outcome = execute_plan_with(
+                    &plan,
+                    &query,
+                    &sources,
+                    &mut network,
+                    policy.as_ref(),
+                    self.cache.as_mut(),
+                )?;
+                let cache_line = self.cache_delta_line(before);
                 let mut out = format!(
                     "answer ({} items): {}\nexecuted cost {} over {} round trips",
                     outcome.answer.len(),

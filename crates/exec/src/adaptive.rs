@@ -10,14 +10,14 @@
 //! correctness argument as condition-at-a-time simple plans, with truth
 //! instead of estimates in the cost comparisons.
 
-use crate::interp::{dropped_entry, run_semijoin, run_semijoin_ft, Attempted, FtState, SjResult};
-use crate::ledger::{CostLedger, LedgerEntry, StepKind};
+use crate::ledger::{CostLedger, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
+use crate::step::{exec_sq, run_semijoin, Delivery, SourceFt, StepValue};
 use fusion_core::optimizer::adaptive_next;
 use fusion_core::plan::SourceChoice;
 use fusion_core::query::FusionQuery;
 use fusion_core::CostModel;
-use fusion_net::{ExchangeKind, MessageSize, Network};
+use fusion_net::Network;
 use fusion_source::SourceSet;
 use fusion_types::error::{FusionError, Result};
 use fusion_types::{CondId, Cost, ItemSet, SourceId};
@@ -59,6 +59,15 @@ impl AdaptiveOutcome {
 
 /// Executes `query` with per-round re-optimization against `model`.
 ///
+/// With `retry`, each source query goes through the policy's retry
+/// loop, and sources that are given up on are excluded from all later
+/// rounds — mid-query re-planning around dead sources. Dropping a
+/// source here is *always* sound, with no analyzer consult: every
+/// adaptive round is a union over sources folded into a running
+/// intersection, so losing an operand can only shrink the answer. The
+/// outcome then reports [`Completeness::Subset`] listing the dead
+/// sources and the conditions whose rounds were degraded.
+///
 /// # Errors
 /// Propagates wrapper and capability failures.
 pub fn execute_adaptive<M: CostModel>(
@@ -66,6 +75,7 @@ pub fn execute_adaptive<M: CostModel>(
     sources: &SourceSet,
     network: &mut Network,
     model: &M,
+    retry: Option<&RetryPolicy>,
 ) -> Result<AdaptiveOutcome> {
     if query.m() != model.n_conditions() || sources.len() != model.n_sources() {
         return Err(FusionError::invalid_plan(
@@ -77,110 +87,8 @@ pub fn execute_adaptive<M: CostModel>(
     let mut current: Option<ItemSet> = None;
     let mut ledger = CostLedger::new();
     let mut rounds = Vec::with_capacity(query.m());
-    let mut step = 0usize;
-    while !remaining.is_empty() {
-        let next = adaptive_next(model, &remaining, current.as_ref().map(|s| s.len() as f64));
-        let cond = &conditions[next.cond.0];
-        let mut round_union = ItemSet::empty();
-        let mut any_selection = false;
-        for (j, choice) in next.choices.iter().enumerate() {
-            let source = SourceId(j);
-            let items = match choice {
-                SourceChoice::Selection => {
-                    any_selection = true;
-                    let w = sources.get(source);
-                    let resp = w.select(cond)?;
-                    let req_bytes = MessageSize::sq_request(cond);
-                    let resp_bytes = MessageSize::items_response(&resp.payload);
-                    let comm =
-                        network.exchange(source, ExchangeKind::Selection, req_bytes, resp_bytes);
-                    let proc = Cost::new(
-                        w.processing()
-                            .cost(resp.tuples_examined, resp.payload.len()),
-                    );
-                    ledger.push(LedgerEntry {
-                        step,
-                        kind: StepKind::Selection,
-                        source: Some(source),
-                        comm,
-                        proc,
-                        round_trips: 1,
-                        items_out: resp.payload.len(),
-                        attempts: 1,
-                        failed_cost: Cost::ZERO,
-                    });
-                    resp.payload
-                }
-                SourceChoice::Semijoin => {
-                    let bindings = current
-                        .as_ref()
-                        .expect("planner only semijoins with a running set")
-                        .clone();
-                    let (items, entry) =
-                        run_semijoin(step, source, cond, &bindings, sources, network)?;
-                    ledger.push(entry);
-                    items
-                }
-            };
-            round_union = round_union.union(&items);
-            step += 1;
-        }
-        current = Some(match current {
-            None => round_union,
-            // Semijoin results are already subsets; selections need the
-            // intersection with the running set.
-            Some(prev) if any_selection => prev.intersect(&round_union),
-            Some(_) => round_union,
-        });
-        rounds.push(AdaptiveRound {
-            cond: next.cond,
-            choices: next.choices,
-            predicted_size: next.predicted_size,
-            actual_size: current.as_ref().expect("just set").len(),
-        });
-        remaining.retain(|c| *c != next.cond);
-    }
-    Ok(AdaptiveOutcome {
-        answer: current.expect("m >= 1"),
-        ledger,
-        rounds,
-        completeness: Completeness::Exact,
-    })
-}
-
-/// Fault-tolerant [`execute_adaptive`]: each source query goes through
-/// the retry loop of `policy`, and sources that are given up on are
-/// excluded from all later rounds — mid-query re-planning around dead
-/// sources.
-///
-/// Dropping a source here is *always* sound, with no analyzer consult:
-/// every adaptive round is a union over sources folded into a running
-/// intersection, so losing an operand can only shrink the answer. The
-/// outcome reports [`Completeness::Subset`] listing the dead sources and
-/// the conditions whose rounds were degraded.
-///
-/// # Errors
-/// Propagates wrapper and capability failures.
-pub fn execute_adaptive_ft<M: CostModel>(
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    model: &M,
-    policy: &RetryPolicy,
-) -> Result<AdaptiveOutcome> {
-    if query.m() != model.n_conditions() || sources.len() != model.n_sources() {
-        return Err(FusionError::invalid_plan(
-            "cost model does not match query/sources",
-        ));
-    }
-    let conditions = query.conditions();
-    let mut remaining: Vec<CondId> = (0..query.m()).map(CondId).collect();
-    let mut current: Option<ItemSet> = None;
-    let mut ledger = CostLedger::new();
-    let mut rounds = Vec::with_capacity(query.m());
-    let mut st = FtState::new(policy, sources.len());
+    let mut fts = vec![SourceFt::default(); retry.map_or(0, |_| sources.len())];
     let mut missing_conds: Vec<CondId> = Vec::new();
-    let mut any_dropped = false;
     let mut step = 0usize;
     while !remaining.is_empty() {
         let next = adaptive_next(model, &remaining, current.as_ref().map(|s| s.len() as f64));
@@ -189,110 +97,56 @@ pub fn execute_adaptive_ft<M: CostModel>(
         let mut any_selection = false;
         let mut round_degraded = false;
         for (j, choice) in next.choices.iter().enumerate() {
-            let source = SourceId(j);
-            if st.dead(source) {
+            let mut d = Delivery {
+                net: &mut *network,
+                step,
+                source: SourceId(j),
+                retry: retry.zip(fts.get_mut(j)),
+                spent: retry.map_or(Cost::ZERO, |_| ledger.total()),
+            };
+            if d.dead() {
                 // Re-planned around: the dead source's union operand is
-                // skipped, shrinking (never growing) the round.
-                ledger.push(dropped_entry(
-                    step,
-                    match choice {
-                        SourceChoice::Selection => StepKind::Selection,
-                        SourceChoice::Semijoin => StepKind::Semijoin,
-                    },
-                    source,
-                    0,
-                    Cost::ZERO,
-                ));
+                // skipped, shrinking (never growing) the round — checked
+                // here, ahead of the semijoin primitive, so the entry
+                // reads `Semijoin` whatever the source's capabilities
+                // and an empty running set does not mask the drop.
+                let kind = match choice {
+                    SourceChoice::Selection => StepKind::Selection,
+                    SourceChoice::Semijoin => StepKind::Semijoin,
+                };
+                ledger.push(d.dropped(kind, 0, Cost::ZERO));
                 round_degraded = true;
                 step += 1;
                 continue;
             }
-            match choice {
+            let done = match choice {
                 SourceChoice::Selection => {
                     any_selection = true;
-                    let w = sources.get(source);
-                    let resp = w.select(cond)?;
-                    let req_bytes = MessageSize::sq_request(cond);
-                    let resp_bytes = MessageSize::items_response(&resp.payload);
-                    match st.try_with_retry(
-                        network,
-                        source,
-                        ExchangeKind::Selection,
-                        req_bytes,
-                        resp_bytes,
-                        ledger.total(),
-                    ) {
-                        Attempted::Delivered {
-                            comm,
-                            attempts,
-                            failed,
-                        } => {
-                            let proc = Cost::new(
-                                w.processing()
-                                    .cost(resp.tuples_examined, resp.payload.len()),
-                            );
-                            ledger.push(LedgerEntry {
-                                step,
-                                kind: StepKind::Selection,
-                                source: Some(source),
-                                comm,
-                                proc,
-                                round_trips: 1,
-                                items_out: resp.payload.len(),
-                                attempts,
-                                failed_cost: failed,
-                            });
-                            round_union = round_union.union(&resp.payload);
-                        }
-                        Attempted::Exhausted { attempts, failed } => {
-                            ledger.push(dropped_entry(
-                                step,
-                                StepKind::Selection,
-                                source,
-                                attempts,
-                                failed,
-                            ));
-                            round_degraded = true;
-                        }
-                    }
+                    exec_sq(&mut d, cond, sources)?
                 }
                 SourceChoice::Semijoin => {
                     let bindings = current
                         .as_ref()
-                        .expect("planner only semijoins with a running set")
-                        .clone();
-                    match run_semijoin_ft(
-                        step,
-                        source,
-                        cond,
-                        &bindings,
-                        sources,
-                        network,
-                        policy,
-                        st.src_mut(source),
-                        ledger.total(),
-                    )? {
-                        SjResult::Done(items, entry) => {
-                            ledger.push(entry);
-                            round_union = round_union.union(&items);
-                        }
-                        SjResult::Dropped(entry) => {
-                            ledger.push(entry);
-                            round_degraded = true;
-                        }
-                    }
+                        .expect("planner only semijoins with a running set");
+                    run_semijoin(&mut d, cond, bindings, sources)?
                 }
+            };
+            ledger.push(done.entry);
+            match done.value {
+                StepValue::Items(items) => round_union = round_union.union(&items),
+                _ => round_degraded = true,
             }
             step += 1;
         }
         if round_degraded {
-            any_dropped = true;
             missing_conds.push(next.cond);
         }
         current = Some(match current {
             None => round_union,
-            Some(prev) if any_selection => prev.intersect(&round_union),
-            Some(prev) if round_degraded => prev.intersect(&round_union),
+            // Semijoin results are already subsets; selections — and a
+            // round that lost an operand — need the intersection with
+            // the running set.
+            Some(prev) if any_selection || round_degraded => prev.intersect(&round_union),
             Some(_) => round_union,
         });
         rounds.push(AdaptiveRound {
@@ -303,23 +157,18 @@ pub fn execute_adaptive_ft<M: CostModel>(
         });
         remaining.retain(|c| *c != next.cond);
     }
-    let completeness = if any_dropped {
-        let mut missing_sources: Vec<SourceId> = st
-            .srcs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.dead)
-            .map(|(j, _)| SourceId(j))
-            .collect();
-        missing_sources.sort_unstable();
+    let completeness = if missing_conds.is_empty() {
+        Completeness::Exact
+    } else {
         missing_conds.sort_unstable();
         missing_conds.dedup();
         Completeness::Subset {
-            missing_sources,
+            missing_sources: (0..fts.len())
+                .filter(|&j| fts[j].dead)
+                .map(SourceId)
+                .collect(),
             missing_conditions: missing_conds,
         }
-    } else {
-        Completeness::Exact
     };
     Ok(AdaptiveOutcome {
         answer: current.expect("m >= 1"),
@@ -389,7 +238,7 @@ mod tests {
     fn adaptive_computes_the_right_answer() {
         let (q, sources, mut net) = setup();
         let model = NetworkCostModel::new(&sources, &net, &q, None);
-        let out = execute_adaptive(&q, &sources, &mut net, &model).unwrap();
+        let out = execute_adaptive(&q, &sources, &mut net, &model, None).unwrap();
         assert_eq!(out.answer, ItemSet::from_items(["J55", "T21"]));
         assert_eq!(out.rounds.len(), 2);
         assert!(out.total_cost() > Cost::ZERO);
@@ -403,7 +252,7 @@ mod tests {
     fn first_round_is_selections() {
         let (q, sources, mut net) = setup();
         let model = NetworkCostModel::new(&sources, &net, &q, None);
-        let out = execute_adaptive(&q, &sources, &mut net, &model).unwrap();
+        let out = execute_adaptive(&q, &sources, &mut net, &model, None).unwrap();
         assert!(out.rounds[0]
             .choices
             .iter()
@@ -416,7 +265,7 @@ mod tests {
         // empty running set, so round 2's semijoins ship nothing and the
         // executor's no-op must cost zero — and the static estimator must
         // price the corresponding plan identically (the PR-2 parity that
-        // previously only covered `execute_plan_ft`).
+        // previously only covered retried plan execution).
         let (_, sources, mut net) = setup();
         let q = FusionQuery::new(
             dmv_schema(),
@@ -427,7 +276,7 @@ mod tests {
         )
         .unwrap();
         let model = NetworkCostModel::new(&sources, &net, &q, None);
-        let out = execute_adaptive(&q, &sources, &mut net, &model).unwrap();
+        let out = execute_adaptive(&q, &sources, &mut net, &model, None).unwrap();
         assert!(out.answer.is_empty());
         // Round 2 re-planned from the observed empty set: semijoins,
         // recorded at exactly zero cost.
@@ -471,6 +320,6 @@ mod tests {
     fn model_mismatch_rejected() {
         let (q, sources, mut net) = setup();
         let model = fusion_core::TableCostModel::uniform(5, 2, 1.0, 1.0, 0.1, 1e9, 2.0, 10.0);
-        assert!(execute_adaptive(&q, &sources, &mut net, &model).is_err());
+        assert!(execute_adaptive(&q, &sources, &mut net, &model, None).is_err());
     }
 }

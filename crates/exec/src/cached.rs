@@ -1,11 +1,11 @@
-//! Cache-aware plan execution.
+//! Cache-aware plan execution: the contract and its shared pieces.
 //!
-//! [`execute_plan_cached`] and [`execute_plan_ft_cached`] are the
-//! sequential executors with an [`AnswerCache`] attached (the parallel
-//! counterparts live in [`crate::parallel`]). The contract mirrors the
-//! parallel one: **answers and completeness are byte-identical to cold
-//! execution** — the cache only changes what things cost, never what
-//! they compute:
+//! Every plan driver takes its [`AnswerCache`] as an `Option`
+//! ([`crate::execute_plan_with`], [`crate::execute_plan_parallel`],
+//! [`crate::execute_plan_reopt`], [`crate::execute_plan_replay`]); what
+//! a cache may and may not change is the same for all of them:
+//! **answers and completeness are byte-identical to cold execution** —
+//! the cache only changes what things cost, never what they compute:
 //!
 //! * A selection the cache can serve (exactly, or by residual-filtering
 //!   a subsuming entry) never touches the network. Its ledger entry has
@@ -25,63 +25,13 @@
 //!   [`Completeness::Subset`](crate::retry::Completeness) are inserted
 //!   as non-exact and are never served.
 //! * Fault recovery invalidates: any source that failed at least one
-//!   exchange during a fault-tolerant run gets its epoch bumped (its
+//!   exchange during a retried run gets its epoch bumped (its
 //!   pre-existing entries die) and its fresh answers are *not* admitted
 //!   — data fetched around a fault window predates recovery.
 
-use crate::interp::{
-    dropped_entry, retry_loop, run_sequential, run_sequential_ft, Attempted, Exchanger, FtFetched,
-    SourceFt,
-};
 use crate::ledger::{LedgerEntry, StepKind};
-use crate::retry::RetryPolicy;
-use crate::ExecutionOutcome;
 use fusion_cache::{AnswerCache, HitKind, Served};
-use fusion_core::plan::Plan;
-use fusion_core::query::FusionQuery;
-use fusion_net::{ExchangeKind, MessageSize, Network};
-use fusion_source::SourceSet;
-use fusion_types::error::Result;
-use fusion_types::schema::Schema;
-use fusion_types::{Condition, Cost, ItemSet, SourceId, Tuple};
-
-/// Executes `plan` sequentially, serving selections from `cache` where
-/// possible and admitting fresh answers afterwards.
-///
-/// The answer and completeness are byte-identical to
-/// [`crate::execute_plan`] on the same inputs; the ledger differs only
-/// in selection entries (cache kinds and record-sized misses).
-///
-/// # Errors
-/// As [`crate::execute_plan`].
-pub fn execute_plan_cached(
-    plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    cache: &mut AnswerCache,
-) -> Result<ExecutionOutcome> {
-    fusion_core::analyze::ensure_sound(plan)?;
-    run_sequential(plan, query, sources, network, Some(cache))
-}
-
-/// Fault-tolerant [`execute_plan_cached`]: cache hits are immune to
-/// faults (they never touch the network, not even for a dead source),
-/// and a source that went through fault recovery has its epoch bumped
-/// and its fresh answers withheld from admission.
-///
-/// # Errors
-/// As [`crate::execute_plan_ft`].
-pub fn execute_plan_ft_cached(
-    plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    policy: &RetryPolicy,
-    cache: &mut AnswerCache,
-) -> Result<ExecutionOutcome> {
-    run_sequential_ft(plan, query, sources, network, policy, Some(cache))
-}
+use fusion_types::{Condition, Cost, SourceId, Tuple};
 
 /// A cache admission waiting for the run to finish.
 pub(crate) struct PendingInsert {
@@ -94,13 +44,23 @@ pub(crate) struct PendingInsert {
     pub(crate) refetch: Cost,
 }
 
-/// The ledger entry of a cache-served selection: free, zero round trips.
-pub(crate) fn served_entry(idx: usize, source: SourceId, served: &Served) -> LedgerEntry {
+/// The ledger entry of a served selection: free, zero round trips.
+/// `shared` marks a hit on another in-flight query's merged fetch —
+/// free like a cache hit, distinguishable from one (the harvest never
+/// lived in the cache).
+pub(crate) fn served_entry(
+    idx: usize,
+    source: SourceId,
+    served: &Served,
+    shared: bool,
+) -> LedgerEntry {
     LedgerEntry {
         step: idx,
-        kind: match served.kind {
-            HitKind::Exact => StepKind::CacheHit,
-            HitKind::Subsumed => StepKind::CacheResidual,
+        kind: match (served.kind, shared) {
+            (HitKind::Exact, false) => StepKind::CacheHit,
+            (HitKind::Subsumed, false) => StepKind::CacheResidual,
+            (HitKind::Exact, true) => StepKind::ShareHit,
+            (HitKind::Subsumed, true) => StepKind::ShareResidual,
         },
         source: Some(source),
         comm: Cost::ZERO,
@@ -110,130 +70,6 @@ pub(crate) fn served_entry(idx: usize, source: SourceId, served: &Served) -> Led
         attempts: 0,
         failed_cost: Cost::ZERO,
     }
-}
-
-/// The ledger entry of a selection served from another in-flight
-/// query's merged fetch: free like a cache hit, distinguishable from
-/// one (the harvest never lived in the cache).
-pub(crate) fn shared_entry(idx: usize, source: SourceId, served: &Served) -> LedgerEntry {
-    LedgerEntry {
-        step: idx,
-        kind: match served.kind {
-            HitKind::Exact => StepKind::ShareHit,
-            HitKind::Subsumed => StepKind::ShareResidual,
-        },
-        source: Some(source),
-        comm: Cost::ZERO,
-        proc: Cost::ZERO,
-        round_trips: 0,
-        items_out: served.items.len(),
-        attempts: 0,
-        failed_cost: Cost::ZERO,
-    }
-}
-
-/// The cached-mode selection miss: like [`crate::interp::exec_sq`] but
-/// fetching full records so the answer can be cached, with the response
-/// sized accordingly.
-pub(crate) fn exec_sq_records<E: Exchanger>(
-    idx: usize,
-    source: SourceId,
-    cond: &Condition,
-    schema: &Schema,
-    sources: &SourceSet,
-    network: &mut E,
-) -> Result<(ItemSet, Vec<Tuple>, LedgerEntry)> {
-    let w = sources.get(source);
-    let resp = w.select_records(cond)?;
-    let req_bytes = MessageSize::sq_request(cond);
-    let resp_bytes = MessageSize::tuples_response(&resp.payload);
-    let comm = network.exchange(source, ExchangeKind::Selection, req_bytes, resp_bytes);
-    let proc = Cost::new(
-        w.processing()
-            .cost(resp.tuples_examined, resp.payload.len()),
-    );
-    let items = ItemSet::from_items(resp.payload.iter().map(|t| t.item(schema)));
-    let entry = LedgerEntry {
-        step: idx,
-        kind: StepKind::Selection,
-        source: Some(source),
-        comm,
-        proc,
-        round_trips: 1,
-        items_out: items.len(),
-        attempts: 1,
-        failed_cost: Cost::ZERO,
-    };
-    Ok((items, resp.payload, entry))
-}
-
-/// Fault-aware [`exec_sq_records`], mirroring
-/// [`crate::interp::exec_sq_ft`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_sq_records_ft<E: Exchanger>(
-    idx: usize,
-    source: SourceId,
-    cond: &Condition,
-    schema: &Schema,
-    sources: &SourceSet,
-    network: &mut E,
-    policy: &RetryPolicy,
-    ft: &mut SourceFt,
-    spent: Cost,
-) -> Result<FtFetched<(ItemSet, Vec<Tuple>)>> {
-    let kind = StepKind::Selection;
-    if ft.dead {
-        return Ok(FtFetched::Dropped(dropped_entry(
-            idx,
-            kind,
-            source,
-            0,
-            Cost::ZERO,
-        )));
-    }
-    let w = sources.get(source);
-    let resp = w.select_records(cond)?;
-    let req_bytes = MessageSize::sq_request(cond);
-    let resp_bytes = MessageSize::tuples_response(&resp.payload);
-    Ok(
-        match retry_loop(
-            policy,
-            network,
-            ft,
-            source,
-            ExchangeKind::Selection,
-            req_bytes,
-            resp_bytes,
-            spent,
-        ) {
-            Attempted::Delivered {
-                comm,
-                attempts,
-                failed,
-            } => {
-                let proc = Cost::new(
-                    w.processing()
-                        .cost(resp.tuples_examined, resp.payload.len()),
-                );
-                let items = ItemSet::from_items(resp.payload.iter().map(|t| t.item(schema)));
-                let entry = LedgerEntry {
-                    step: idx,
-                    kind,
-                    source: Some(source),
-                    comm,
-                    proc,
-                    round_trips: 1,
-                    items_out: items.len(),
-                    attempts,
-                    failed_cost: failed,
-                };
-                FtFetched::Done((items, resp.payload), entry)
-            }
-            Attempted::Exhausted { attempts, failed } => {
-                FtFetched::Dropped(dropped_entry(idx, kind, source, attempts, failed))
-            }
-        },
-    )
 }
 
 /// Commits the run's buffered admissions: sources that went through
@@ -257,10 +93,12 @@ pub(crate) fn commit_inserts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{execute_plan, execute_plan_ft};
+    use crate::interp::{execute_plan, execute_plan_with};
+    use crate::retry::RetryPolicy;
     use fusion_core::plan::SimplePlanSpec;
-    use fusion_net::{FaultPlan, FaultSpec, LinkProfile};
-    use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
+    use fusion_core::query::FusionQuery;
+    use fusion_net::{FaultPlan, FaultSpec, LinkProfile, Network};
+    use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet};
     use fusion_types::schema::dmv_schema;
     use fusion_types::{tuple, Predicate, Relation};
 
@@ -335,12 +173,14 @@ mod tests {
         let cold = execute_plan(&plan, &q, &sources, &mut net()).unwrap();
 
         let mut cache = AnswerCache::new(1 << 20);
-        let first = execute_plan_cached(&plan, &q, &sources, &mut net(), &mut cache).unwrap();
+        let first =
+            execute_plan_with(&plan, &q, &sources, &mut net(), None, Some(&mut cache)).unwrap();
         assert_eq!(first.answer, cold.answer);
         assert_eq!(cache.stats().misses, 6);
         assert_eq!(cache.len(), 6);
 
-        let second = execute_plan_cached(&plan, &q, &sources, &mut net(), &mut cache).unwrap();
+        let second =
+            execute_plan_with(&plan, &q, &sources, &mut net(), None, Some(&mut cache)).unwrap();
         assert_eq!(second.answer, cold.answer);
         assert_eq!(second.completeness, cold.completeness);
         assert_eq!(second.ledger.count_kind(StepKind::CacheHit), 6);
@@ -376,10 +216,11 @@ mod tests {
         .unwrap();
         let plan = SimplePlanSpec::filter(2, 3).build(3).unwrap();
         let mut cache = AnswerCache::new(1 << 20);
-        execute_plan_cached(&plan, &broad, &sources, &mut net(), &mut cache).unwrap();
+        execute_plan_with(&plan, &broad, &sources, &mut net(), None, Some(&mut cache)).unwrap();
 
         let cold = execute_plan(&plan, &narrow, &sources, &mut net()).unwrap();
-        let warm = execute_plan_cached(&plan, &narrow, &sources, &mut net(), &mut cache).unwrap();
+        let warm = execute_plan_with(&plan, &narrow, &sources, &mut net(), None, Some(&mut cache))
+            .unwrap();
         assert_eq!(warm.answer, cold.answer);
         // c1 (D ≥ 1994 ⊆ D ≥ 1900) is residual-served at all 3 sources;
         // c2 is an exact hit at all 3.
@@ -398,9 +239,17 @@ mod tests {
         let mut c1 = AnswerCache::new(1 << 20);
         let mut c2 = AnswerCache::new(1 << 20);
         for _ in 0..2 {
-            let a = execute_plan_cached(&plan, &q, &sources, &mut net(), &mut c1).unwrap();
-            let b =
-                execute_plan_ft_cached(&plan, &q, &sources, &mut net(), &policy, &mut c2).unwrap();
+            let a =
+                execute_plan_with(&plan, &q, &sources, &mut net(), None, Some(&mut c1)).unwrap();
+            let b = execute_plan_with(
+                &plan,
+                &q,
+                &sources,
+                &mut net(),
+                Some(&policy),
+                Some(&mut c2),
+            )
+            .unwrap();
             assert_eq!(a.answer, b.answer);
             assert_eq!(a.ledger, b.ledger);
             assert_eq!(a.completeness, b.completeness);
@@ -417,7 +266,15 @@ mod tests {
         let mut cache = AnswerCache::new(1 << 20);
 
         // Warm every pair fault-free.
-        execute_plan_ft_cached(&plan, &q, &sources, &mut net(), &policy, &mut cache).unwrap();
+        execute_plan_with(
+            &plan,
+            &q,
+            &sources,
+            &mut net(),
+            Some(&policy),
+            Some(&mut cache),
+        )
+        .unwrap();
         assert_eq!(cache.len(), 6);
         let epochs_before = cache.epochs(3);
 
@@ -426,8 +283,15 @@ mod tests {
         // entries.
         let mut network = net();
         network.set_fault_plan(FaultPlan::none(3).with_outage(SourceId(1), 0));
-        let out =
-            execute_plan_ft_cached(&plan, &q, &sources, &mut network, &policy, &mut cache).unwrap();
+        let out = execute_plan_with(
+            &plan,
+            &q,
+            &sources,
+            &mut network,
+            Some(&policy),
+            Some(&mut cache),
+        )
+        .unwrap();
         // All six selections were cache hits, so no fault was even felt.
         assert!(out.completeness.is_exact());
         assert_eq!(out.ledger.count_kind(StepKind::CacheHit), 6);
@@ -439,14 +303,28 @@ mod tests {
         cache.clear();
         let mut network = net();
         network.set_fault_plan(FaultPlan::none(3).with_outage(SourceId(1), 0));
-        let out =
-            execute_plan_ft_cached(&plan, &q, &sources, &mut network, &policy, &mut cache).unwrap();
+        let out = execute_plan_with(
+            &plan,
+            &q,
+            &sources,
+            &mut network,
+            Some(&policy),
+            Some(&mut cache),
+        )
+        .unwrap();
         assert!(!out.completeness.is_exact());
         assert_eq!(cache.epoch(SourceId(1)), epochs_before[1] + 1);
         // Entries from the degraded run were admitted non-exact (R1, R3)
         // or withheld (R2): none serve.
-        let warm =
-            execute_plan_ft_cached(&plan, &q, &sources, &mut net(), &policy, &mut cache).unwrap();
+        let warm = execute_plan_with(
+            &plan,
+            &q,
+            &sources,
+            &mut net(),
+            Some(&policy),
+            Some(&mut cache),
+        )
+        .unwrap();
         assert_eq!(warm.ledger.count_kind(StepKind::CacheHit), 0);
         assert_eq!(warm.ledger.count_kind(StepKind::CacheResidual), 0);
         assert!(warm.completeness.is_exact());
@@ -464,14 +342,21 @@ mod tests {
             let faults = FaultPlan::uniform(3, seed, FaultSpec::transient(0.4));
             let mut cold_net = net();
             cold_net.set_fault_plan(faults.clone());
-            let cold = execute_plan_ft(&plan, &q, &sources, &mut cold_net, &policy).unwrap();
+            let cold =
+                execute_plan_with(&plan, &q, &sources, &mut cold_net, Some(&policy), None).unwrap();
 
             let mut cache = AnswerCache::new(1 << 20);
             let mut warm_net = net();
             warm_net.set_fault_plan(faults);
-            let warm =
-                execute_plan_ft_cached(&plan, &q, &sources, &mut warm_net, &policy, &mut cache)
-                    .unwrap();
+            let warm = execute_plan_with(
+                &plan,
+                &q,
+                &sources,
+                &mut warm_net,
+                Some(&policy),
+                Some(&mut cache),
+            )
+            .unwrap();
             assert_eq!(warm.answer, cold.answer, "seed {seed}");
             assert_eq!(warm.completeness, cold.completeness, "seed {seed}");
         }

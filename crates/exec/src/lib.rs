@@ -1,51 +1,55 @@
 //! The mediator-side plan executor.
 //!
 //! Interprets fusion query plans against live wrappers with full cost
-//! accounting:
+//! accounting. The crate is one **step core** plus the **drivers** that
+//! interpret a plan through it (DESIGN.md §19):
 //!
-//! * [`execute_plan`] runs a plan sequentially, performing every remote
-//!   operation through the simulated [`Network`] and charging both
-//!   communication and source-processing costs; semijoin queries against
-//!   sources without native support are transparently emulated as batched
-//!   passed-binding probes (§2.3).
-//! * [`CostLedger`] records the actual cost of every step, so experiments
-//!   can compare the optimizer's estimates against executed reality.
-//! * [`response_time`] replays an executed plan under a parallel
-//!   execution model (the paper's §6 future-work direction): steps run as
-//!   soon as their inputs are available, each source serves one query at a
-//!   time, and the response time is the critical-path makespan.
-//! * [`fetch_records`] implements the "second phase" of two-phase fusion
-//!   query processing (§1): retrieving the full records of the matching
-//!   entities.
-//! * [`execute_adaptive`] interleaves planning and execution: after every
-//!   round it re-plans the remaining conditions from the *observed*
-//!   running-set size (mid-query re-optimization), which repairs the
-//!   estimate drift correlated conditions cause.
-//! * [`execute_plan_parallel`] (and [`execute_plan_parallel_ft`]) run the
-//!   certified stage decomposition on real threads — one serial queue per
-//!   source, results merged at stage barriers — producing answers,
-//!   ledgers, and network traces byte-identical to sequential execution
-//!   while measuring actual wall-clock makespan.
-//! * [`execute_plan_ft`] and [`execute_adaptive_ft`] add fault tolerance:
-//!   exchanges failed by the network's [`FaultPlan`] are retried under a
-//!   [`RetryPolicy`] (bounded attempts, seeded-jitter backoff, circuit
-//!   breaker, cost deadline), and when a source stays down its steps are
-//!   dropped — guarded by the BDD analyzer's droppability check — to
-//!   return a partial answer tagged [`Completeness::Subset`].
-//! * [`execute_plan_reopt`] (and [`execute_plan_reopt_parallel`]) add
-//!   runtime adaptive re-optimization: observed per-exchange
-//!   cardinalities calibrate a persistent feedback store, and when an
-//!   observation escapes its certified believed interval at a round
-//!   boundary, the remaining suffix is re-searched under a budgeted
-//!   persistent memo ([`ReoptSession`]) and spliced in — only if
-//!   [`certify_switch`] proves the splice sound. Switches land in the
-//!   ledger as [`StepKind::Reopt`] markers so [`replay_plan_reopt`]
-//!   reproduces switched runs bit for bit.
-//! * [`serve`] is the multi-tenant mediator server: a worker pool
-//!   interleaves many tenants' sessions over one shared, sharded answer
-//!   cache with admission control, per-source concurrency limits, and a
-//!   certified replayable operation log ([`replay_serial`] /
-//!   [`verify_replay_parity`] prove byte-parity with a serial run).
+//! * The step core (`step.rs`, crate-private) says what a plan step
+//!   *means*, once: one fetch primitive per remote step kind — every
+//!   remote operation goes through the simulated [`Network`] and is
+//!   charged communication and source-processing cost; a semijoin
+//!   against a source without native support is transparently emulated
+//!   as batched passed-binding probes (§2.3) — each deliverable plainly
+//!   or retried under a [`RetryPolicy`]; one run state (variables,
+//!   ledger slots, pending cache admissions, dropped steps, the
+//!   [`Completeness`] fold, the BDD-guarded drop check); one stage pool.
+//! * A driver decides only in which order and on which thread steps run,
+//!   and takes as `Option` parameters what is orthogonal to that:
+//!   - [`execute_plan`] / [`execute_plan_unchecked`] / [`execute_plan_with`]
+//!     — in plan order on the calling thread; `retry` adds fault
+//!     tolerance (exchanges failed by the network's [`FaultPlan`] are
+//!     retried, and when a source stays down its steps are dropped —
+//!     guarded by the analyzer's droppability check — for a partial
+//!     answer tagged [`Completeness::Subset`]), `cache` serves and
+//!     admits selections through a semantic answer cache ([`cached`]).
+//!   - [`execute_plan_parallel`] — the certified stage decomposition on
+//!     real threads, one serial queue per source, results merged at
+//!     stage barriers: answers, ledgers, and network traces
+//!     byte-identical to sequential execution, with measured wall-clock
+//!     makespan.
+//!   - [`execute_plan_replay`] — one event at a time in a caller-chosen
+//!     order, the semantics the schedule model-checker explores.
+//!   - [`execute_plan_reopt`] (and [`replay_plan_reopt`]) — round by
+//!     round (optionally each round on worker threads), watching
+//!     observed cardinalities: when one escapes its certified believed
+//!     interval the remaining suffix is re-searched under a budgeted
+//!     persistent memo ([`ReoptSession`]) and spliced in — only if
+//!     [`certify_switch`] proves the splice sound. Switches land in the
+//!     ledger as [`StepKind::Reopt`] markers so the replay reproduces
+//!     switched runs bit for bit.
+//!   - [`serve`] — the multi-tenant mediator server: a worker pool
+//!     interleaves many tenants' sessions over one shared, sharded
+//!     answer cache with admission control, per-source concurrency
+//!     limits, cross-query fetch sharing, and a certified replayable
+//!     operation log ([`replay_serial`] / [`verify_replay_parity`] prove
+//!     byte-parity with a serial run).
+//! * Beside the plan drivers: [`execute_adaptive`] plans each round from
+//!   the *observed* running-set size instead of executing a plan (it
+//!   calls the same fetch primitives); [`CostLedger`] records the actual
+//!   cost of every step; [`response_time`] replays an executed plan
+//!   under a parallel execution model (§6); [`fetch_records`] is the
+//!   broadcast "second phase" of two-phase processing (§1) and
+//!   [`fetch_planned`] its cost-based covering counterpart.
 //!
 //! [`FaultPlan`]: fusion_net::FaultPlan
 //!
@@ -68,24 +72,20 @@ pub mod retry;
 pub mod schedule;
 pub mod server;
 mod share;
+mod step;
 pub mod two_phase;
 
-pub use adaptive::{execute_adaptive, execute_adaptive_ft, AdaptiveOutcome, AdaptiveRound};
-pub use cached::{execute_plan_cached, execute_plan_ft_cached};
-pub use interp::{execute_plan, execute_plan_ft, execute_plan_unchecked, ExecutionOutcome};
+pub use adaptive::{execute_adaptive, AdaptiveOutcome, AdaptiveRound};
+pub use interp::{execute_plan, execute_plan_unchecked, execute_plan_with, ExecutionOutcome};
 pub use ledger::{CostLedger, LedgerEntry, StepKind};
-pub use parallel::{
-    execute_plan_parallel, execute_plan_parallel_cached, execute_plan_parallel_ft,
-    execute_plan_parallel_ft_cached, ParallelConfig, ParallelOutcome,
-};
+pub use parallel::{execute_plan_parallel, ParallelConfig, ParallelOutcome};
 pub use phase2::{
     cached_phase2_rows, execute_fetch_plan, execute_fetch_plan_ft, execute_fetch_plan_parallel,
     fetch_planned, Phase2Outcome,
 };
 pub use piggyback::{execute_piggyback, fetch_first_records, PiggybackOutcome};
 pub use reopt::{
-    execute_plan_reopt, execute_plan_reopt_parallel, replay_plan_reopt, ReoptConfig, ReoptOutcome,
-    ReoptSession, SwitchRecord,
+    execute_plan_reopt, replay_plan_reopt, ReoptConfig, ReoptOutcome, ReoptSession, SwitchRecord,
 };
 pub use replay::{execute_plan_replay, ReplayOptions};
 pub use retry::{Completeness, RetryPolicy};

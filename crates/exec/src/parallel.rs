@@ -1,8 +1,7 @@
 //! True multi-threaded execution of certified stage schedules.
 //!
-//! [`execute_plan_parallel`] (and its fault-tolerant variant) turn the
-//! simulated parallel execution model of [`crate::schedule`] into real
-//! concurrency: the plan's certified stage decomposition
+//! [`execute_plan_parallel`] turns the simulated parallel execution
+//! model of [`crate::schedule`] into real concurrency: the plan's certified stage decomposition
 //! ([`fusion_core::dataflow::stage_decomposition`]) is refined with one
 //! *serial queue per source* — autonomous Internet sources answer one
 //! mediator request at a time (§6) — and each stage's remote steps run on
@@ -13,8 +12,8 @@
 //! Parallel execution is **byte-identical** to sequential execution:
 //!
 //! * The ledger has one entry per plan step in step order, each entry
-//!   equal to the one [`crate::execute_plan`] / [`crate::execute_plan_ft`]
-//!   would have produced, so [`crate::schedule::schedule`] replays and
+//!   equal to the one [`crate::execute_plan_with`] would have produced
+//!   under the same retry policy and cache, so [`crate::schedule::schedule`] replays and
 //!   [`crate::schedule::stage_schedule`] verification work unchanged.
 //! * Workers exchange through shared [`fusion_net::SourceHandle`]s that
 //!   buffer per-source trace segments; one [`fusion_net::Network::commit`]
@@ -40,24 +39,17 @@
 //! deadline set (the default), fault-tolerant parallel execution is
 //! byte-identical to sequential; with one, it may retry slightly more.
 
-use crate::cached::{commit_inserts, served_entry, PendingInsert};
-use crate::interp::{
-    apply_step_done, dispatch_remote_step, exec_local_step, ExecutionOutcome, SharedExchanger,
-    SourceFt, StepDone,
-};
-use crate::ledger::{CostLedger, LedgerEntry};
-use crate::retry::{Completeness, RetryPolicy};
+use crate::interp::ExecutionOutcome;
+use crate::retry::RetryPolicy;
 use crate::schedule::stage_schedule;
+use crate::step::{committing, PlanRun};
 use fusion_cache::{AnswerCache, Served};
-use fusion_core::plan::{Plan, Step};
+use fusion_core::plan::Plan;
 use fusion_core::query::FusionQuery;
 use fusion_net::Network;
 use fusion_source::SourceSet;
-use fusion_types::error::{FusionError, Result};
-use fusion_types::schema::Schema;
-use fusion_types::{CondId, Condition, Cost, ItemSet, Relation, SourceId};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use fusion_types::error::Result;
+use fusion_types::Cost;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for parallel execution.
@@ -127,178 +119,32 @@ impl ParallelOutcome {
 }
 
 /// Executes `plan` concurrently, producing an outcome byte-identical to
-/// [`crate::execute_plan`]. See the module docs for the contract.
+/// [`crate::execute_plan_with`] under the same `retry` policy and
+/// `cache` (deadline caveat in the module docs). See the module docs for
+/// the contract.
+///
+/// With a cache, every selection is looked up on the calling thread
+/// before any stage dispatches — admissions are deferred until after the
+/// run, so the cache is constant while stages execute, and resolving in
+/// plan order up front performs exactly the lookup sequence (stats, LRU
+/// touches) the sequential executor does. Hits never reach a worker;
+/// misses fetch full records through the workers.
 ///
 /// # Errors
-/// Fails on structurally invalid or semantically unsound plans,
-/// capability violations, and predicate evaluation errors. When a worker
-/// fails, the error of the lowest-indexed failing step is reported;
-/// exchanges already performed by the stage stay committed to the trace.
+/// As [`crate::execute_plan_with`]. When a worker fails, the error of
+/// the lowest-indexed failing step is reported; exchanges already
+/// performed by the stage stay committed to the trace.
 pub fn execute_plan_parallel(
     plan: &Plan,
     query: &FusionQuery,
     sources: &SourceSet,
     network: &mut Network,
-    config: &ParallelConfig,
-) -> Result<ParallelOutcome> {
-    run_parallel(plan, query, sources, network, Mode::Plain, config, None)
-}
-
-/// Fault-tolerant [`execute_plan_parallel`]: byte-identical to
-/// [`crate::execute_plan_ft`] under the same fault plan and policy
-/// (deadline caveat in the module docs).
-///
-/// # Errors
-/// As [`crate::execute_plan_ft`]: additionally fails when a dead source's
-/// step cannot be soundly dropped.
-pub fn execute_plan_parallel_ft(
-    plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    policy: &RetryPolicy,
-    config: &ParallelConfig,
-) -> Result<ParallelOutcome> {
-    run_parallel(
-        plan,
-        query,
-        sources,
-        network,
-        Mode::Ft(policy),
-        config,
-        None,
-    )
-}
-
-/// Cache-aware [`execute_plan_parallel`]: hits resolve on the main
-/// thread before each stage dispatches (they never touch the network),
-/// misses fetch full records through the workers, and fresh answers are
-/// admitted after the run — answers and completeness byte-identical to
-/// [`crate::cached::execute_plan_cached`] on the same inputs.
-///
-/// # Errors
-/// As [`execute_plan_parallel`].
-pub fn execute_plan_parallel_cached(
-    plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    config: &ParallelConfig,
-    cache: &mut AnswerCache,
-) -> Result<ParallelOutcome> {
-    run_parallel(
-        plan,
-        query,
-        sources,
-        network,
-        Mode::Plain,
-        config,
-        Some(cache),
-    )
-}
-
-/// Fault-tolerant [`execute_plan_parallel_cached`]: additionally bumps
-/// the epoch of every source that failed an exchange during the run and
-/// withholds its fresh answers from admission — matching
-/// [`crate::cached::execute_plan_ft_cached`].
-///
-/// # Errors
-/// As [`execute_plan_parallel_ft`].
-pub fn execute_plan_parallel_ft_cached(
-    plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    policy: &RetryPolicy,
-    config: &ParallelConfig,
-    cache: &mut AnswerCache,
-) -> Result<ParallelOutcome> {
-    run_parallel(
-        plan,
-        query,
-        sources,
-        network,
-        Mode::Ft(policy),
-        config,
-        Some(cache),
-    )
-}
-
-#[derive(Clone, Copy)]
-enum Mode<'a> {
-    Plain,
-    Ft(&'a RetryPolicy),
-}
-
-/// Executes one remote step against the shared network. Runs on a worker
-/// thread: reads earlier-stage variables immutably, locks only the step's
-/// source (its fault state, and — inside the exchange — its trace shard).
-/// The per-step logic is [`dispatch_remote_step`] — the same code the
-/// sequential executors run, so behavior cannot drift between families.
-#[allow(clippy::too_many_arguments)]
-fn run_remote_step(
-    idx: usize,
-    step: &Step,
-    conditions: &[Condition],
-    sources: &SourceSet,
-    net: &Network,
-    vars: &[Option<ItemSet>],
-    mode: &Mode<'_>,
-    fts: &[Mutex<SourceFt>],
-    spent: Cost,
-    // `Some(schema)` marks a cached run: selection misses fetch full
-    // records (sized as such) so they can be admitted afterwards. Cache
-    // *hits* never reach a worker — the main thread resolves them.
-    records: Option<&Schema>,
-) -> Result<StepDone> {
-    let mut ex = SharedExchanger { net, step: idx };
-    match mode {
-        Mode::Plain => dispatch_remote_step(
-            idx, step, conditions, sources, &mut ex, vars, None, spent, records,
-        ),
-        Mode::Ft(policy) => {
-            let source = step.source().expect("remote worker got a local step");
-            let mut ft = fts[source.0].lock().expect("source fault state poisoned");
-            dispatch_remote_step(
-                idx,
-                step,
-                conditions,
-                sources,
-                &mut ex,
-                vars,
-                Some((policy, &mut ft)),
-                spent,
-                records,
-            )
-        }
-    }
-}
-
-fn run_parallel(
-    plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    mode: Mode<'_>,
-    config: &ParallelConfig,
+    retry: Option<&RetryPolicy>,
     mut cache: Option<&mut AnswerCache>,
+    config: &ParallelConfig,
 ) -> Result<ParallelOutcome> {
-    let mut analysis = fusion_core::analyze::analyze_plan(plan)?;
-    analysis.require_proved()?;
-    if query.m() != plan.n_conditions {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} conditions, query has {}",
-            plan.n_conditions,
-            query.m()
-        )));
-    }
-    if sources.len() != plan.n_sources {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} sources, got {}",
-            plan.n_sources,
-            sources.len()
-        )));
-    }
+    fusion_core::analyze::ensure_sound(plan)?;
+    let mut run = PlanRun::new(plan, query, sources, network, retry, cache.is_some())?;
     // The certificate gate: validates the plan's dataflow and proves (BDD)
     // that stage-parallel execution is race-free before any thread spawns.
     // Execution then runs the certified stages refined by per-source
@@ -308,195 +154,33 @@ fn run_parallel(
     // builds too — an unsound schedule is an error, never a data race.
     fusion_core::dataflow::stage_decomposition(plan)?;
     let stages = fusion_core::dataflow::serial_queue_stages(plan)?;
-
-    let threads = config.threads.max(1);
-    let conditions = query.conditions();
-    // Cache pre-resolution: admissions are deferred until after the run,
-    // so the cache is constant while stages execute, and resolving every
-    // selection in plan order up front performs exactly the lookup
-    // sequence (stats, LRU touches) the sequential cached executor does.
-    let mut served: Vec<Option<Served>> = (0..plan.steps.len()).map(|_| None).collect();
-    let failed_before: Vec<usize> = if cache.is_some() {
-        (0..plan.n_sources)
-            .map(|j| network.failed_count_for(SourceId(j)))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let mut served: Vec<Option<Served>> = vec![None; plan.steps.len()];
     if let Some(cache) = cache.as_deref_mut() {
-        for (idx, step) in plan.steps.iter().enumerate() {
-            if let Step::Sq { cond, source, .. } = step {
-                served[idx] = cache.lookup(*source, &conditions[cond.0], query.schema())?;
-            }
+        for (idx, slot) in served.iter_mut().enumerate() {
+            *slot = run.lookup(idx, cache)?;
         }
     }
-    let records: Option<&Schema> = cache.is_some().then(|| query.schema());
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    let mut vars: Vec<Option<ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut entries: Vec<Option<LedgerEntry>> = vec![None; plan.steps.len()];
-    let fts: Vec<Mutex<SourceFt>> = (0..plan.n_sources)
-        .map(|_| Mutex::new(SourceFt::default()))
-        .collect();
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
-    // Ledger cost committed through the last stage barrier — the
-    // deadline basis (see module docs).
-    let mut spent = Cost::ZERO;
-
+    let threads = config.threads.max(1);
     let start = Instant::now();
-    for stage in &stages {
-        // Cache hits resolve here on the main thread: no network, no
-        // worker, no fault exposure — just the free served entry.
-        for &idx in stage {
-            if let Some(s) = served[idx].take() {
-                if let Step::Sq { out, source, .. } = &plan.steps[idx] {
-                    entries[idx] = Some(served_entry(idx, *source, &s));
-                    vars[out.0] = Some(s.items);
+    let wall = committing(network, |network| {
+        // Ledger cost committed through the last stage barrier — the
+        // deadline basis (see module docs).
+        let mut spent = Cost::ZERO;
+        for stage in &stages {
+            for &idx in stage {
+                if let Some(hit) = served[idx].take() {
+                    run.serve(idx, hit, false);
                 }
             }
+            run.stage(stage, network, threads, config.pace, spent)?;
+            spent = run.spent();
         }
-        let remote: Vec<usize> = stage
-            .iter()
-            .copied()
-            .filter(|&i| plan.steps[i].source().is_some() && entries[i].is_none())
-            .collect();
-        if !remote.is_empty() {
-            let cursor = AtomicUsize::new(0);
-            let results: Mutex<Vec<(usize, Result<StepDone>)>> =
-                Mutex::new(Vec::with_capacity(remote.len()));
-            let workers = threads.min(remote.len());
-            let shared_net: &Network = network;
-            let vars_ref: &[Option<ItemSet>] = &vars;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= remote.len() {
-                            break;
-                        }
-                        let idx = remote[i];
-                        let r = run_remote_step(
-                            idx,
-                            &plan.steps[idx],
-                            conditions,
-                            sources,
-                            shared_net,
-                            vars_ref,
-                            &mode,
-                            &fts,
-                            spent,
-                            records,
-                        );
-                        if let (Some(pace), Ok(done)) = (config.pace, &r) {
-                            let secs = done.entry.total().value() * pace;
-                            if secs > 0.0 {
-                                std::thread::sleep(Duration::from_secs_f64(secs));
-                            }
-                        }
-                        results.lock().expect("results poisoned").push((idx, r));
-                    });
-                }
-            });
-            let mut results = results.into_inner().expect("results poisoned");
-            // The barrier restores determinism: results are folded in
-            // step order no matter which worker finished first.
-            results.sort_by_key(|(idx, _)| *idx);
-            for (idx, r) in results {
-                let done = match r {
-                    Ok(done) => done,
-                    Err(e) => {
-                        network.commit();
-                        return Err(e);
-                    }
-                };
-                let refetch = done.entry.comm + done.entry.proc;
-                entries[idx] = Some(done.entry);
-                if let Err(e) = apply_step_done(
-                    plan,
-                    query.schema(),
-                    conditions,
-                    idx,
-                    done.value,
-                    refetch,
-                    &mut vars,
-                    &mut rels,
-                    &mut rel_dropped,
-                    &mut pending,
-                    &mut dropped,
-                    &mut missing_conds,
-                    Some(&mut analysis),
-                ) {
-                    network.commit();
-                    return Err(e);
-                }
-            }
-        }
-        for &idx in stage.iter().filter(|&&i| plan.steps[i].source().is_none()) {
-            let step = &plan.steps[idx];
-            if matches!(mode, Mode::Ft(_)) {
-                if let Step::LocalSq { cond, rel, .. } = step {
-                    if rel_dropped[rel.0] {
-                        missing_conds.push(*cond);
-                    }
-                }
-            }
-            match exec_local_step(idx, step, conditions, &mut vars, &rels) {
-                Ok(entry) => entries[idx] = Some(entry),
-                Err(e) => {
-                    network.commit();
-                    return Err(e);
-                }
-            }
-        }
-        spent = entries.iter().flatten().map(LedgerEntry::total).sum();
-    }
-    let wall = start.elapsed();
-    network.commit();
-
-    let mut ledger = CostLedger::new();
-    for e in entries {
-        ledger.push(e.expect("every stage step executed"));
-    }
-    let answer = vars[plan.result.0]
-        .take()
-        .expect("validated: result defined");
-    let completeness = if dropped.is_empty() {
-        Completeness::Exact
-    } else {
-        let mut missing_sources: Vec<SourceId> = dropped
-            .iter()
-            .filter_map(|&i| plan.steps[i].source())
-            .collect();
-        missing_sources.sort_unstable();
-        missing_sources.dedup();
-        missing_conds.sort_unstable();
-        missing_conds.dedup();
-        Completeness::Subset {
-            missing_sources,
-            missing_conditions: missing_conds,
-        }
-    };
-    if let Some(cache) = cache {
-        let mut failed = vec![false; plan.n_sources];
-        for (j, before) in failed_before.iter().enumerate() {
-            if network.failed_count_for(SourceId(j)) > *before {
-                failed[j] = true;
-                // Fault recovery: entries fetched before or around the
-                // fault window predate it, so the source's epoch advances.
-                cache.bump_epoch(SourceId(j));
-            }
-        }
-        commit_inserts(cache, pending, completeness.is_exact(), &failed);
-    }
-    let (_, makespan) = stage_schedule(plan, &ledger)?;
+        Ok(start.elapsed())
+    })?;
+    let outcome = run.finish_committing(network, cache);
+    let (_, makespan) = stage_schedule(plan, &outcome.ledger)?;
     Ok(ParallelOutcome {
-        outcome: ExecutionOutcome {
-            answer,
-            ledger,
-            completeness,
-        },
+        outcome,
         threads,
         stages: stages.len(),
         wall,
@@ -507,14 +191,14 @@ fn run_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{execute_plan, execute_plan_ft};
+    use crate::interp::{execute_plan, execute_plan_with};
     use fusion_core::cost::TableCostModel;
     use fusion_core::optimizer::{filter_plan, sja_optimal};
-    use fusion_core::plan::VarId;
+    use fusion_core::plan::{Step, VarId};
     use fusion_net::{FaultPlan, FaultSpec, LinkProfile};
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, CondId, Predicate};
+    use fusion_types::{tuple, CondId, Predicate, Relation, SourceId};
 
     fn figure1_relations() -> Vec<Relation> {
         let s = dmv_schema();
@@ -590,6 +274,8 @@ mod tests {
                     &q,
                     &sources,
                     &mut par_net,
+                    None,
+                    None,
                     &ParallelConfig::with_threads(threads),
                 )
                 .unwrap();
@@ -615,16 +301,18 @@ mod tests {
             let faults = FaultPlan::uniform(3, seed, FaultSpec::transient(0.45));
             let mut seq_net = Network::uniform(3, LinkProfile::Wan.link());
             seq_net.set_fault_plan(faults.clone());
-            let seq = execute_plan_ft(&plan, &q, &sources, &mut seq_net, &policy).unwrap();
+            let seq =
+                execute_plan_with(&plan, &q, &sources, &mut seq_net, Some(&policy), None).unwrap();
             for threads in [2, 8] {
                 let mut par_net = Network::uniform(3, LinkProfile::Wan.link());
                 par_net.set_fault_plan(faults.clone());
-                let par = execute_plan_parallel_ft(
+                let par = execute_plan_parallel(
                     &plan,
                     &q,
                     &sources,
                     &mut par_net,
-                    &policy,
+                    Some(&policy),
+                    None,
                     &ParallelConfig::with_threads(threads),
                 )
                 .unwrap();
@@ -736,15 +424,16 @@ mod tests {
             let faults = FaultPlan::uniform(3, seed, FaultSpec::transient(0.5));
             let mut seq_net = Network::uniform(3, LinkProfile::Wan.link());
             seq_net.set_fault_plan(faults.clone());
-            let seq = execute_plan_ft(&plan, &q, &sources, &mut seq_net, &policy);
+            let seq = execute_plan_with(&plan, &q, &sources, &mut seq_net, Some(&policy), None);
             let mut par_net = Network::uniform(3, LinkProfile::Wan.link());
             par_net.set_fault_plan(faults);
-            let par = execute_plan_parallel_ft(
+            let par = execute_plan_parallel(
                 &plan,
                 &q,
                 &sources,
                 &mut par_net,
-                &policy,
+                Some(&policy),
+                None,
                 &ParallelConfig::with_threads(4),
             );
             match (seq, par) {
@@ -781,6 +470,8 @@ mod tests {
                 &q,
                 &sources,
                 &mut net,
+                None,
+                None,
                 &ParallelConfig::with_threads(threads).paced(pace),
             )
             .unwrap()
@@ -806,7 +497,6 @@ mod tests {
 
     #[test]
     fn parallel_cached_matches_sequential_cached_bytes() {
-        use crate::cached::{execute_plan_cached, execute_plan_ft_cached};
         let q = dmv_query();
         let model = TableCostModel::uniform(2, 3, 5.0, 1.0, 0.5, 1e9, 2.0, 8.0);
         let plan = sja_optimal(&model).plan;
@@ -818,16 +508,24 @@ mod tests {
         let mut par_cache = AnswerCache::new(1 << 20);
         for round in 0..2 {
             let mut seq_net = Network::uniform(3, LinkProfile::Wan.link());
-            let seq =
-                execute_plan_cached(&plan, &q, &sources, &mut seq_net, &mut seq_cache).unwrap();
+            let seq = execute_plan_with(
+                &plan,
+                &q,
+                &sources,
+                &mut seq_net,
+                None,
+                Some(&mut seq_cache),
+            )
+            .unwrap();
             let mut par_net = Network::uniform(3, LinkProfile::Wan.link());
-            let par = execute_plan_parallel_cached(
+            let par = execute_plan_parallel(
                 &plan,
                 &q,
                 &sources,
                 &mut par_net,
+                None,
+                Some(&mut par_cache),
                 &ParallelConfig::with_threads(4),
-                &mut par_cache,
             )
             .unwrap();
             assert_eq!(par.outcome.answer, seq.answer, "round {round}");
@@ -844,25 +542,25 @@ mod tests {
             for round in 0..2 {
                 let mut seq_net = Network::uniform(3, LinkProfile::Wan.link());
                 seq_net.set_fault_plan(faults.clone());
-                let seq = execute_plan_ft_cached(
+                let seq = execute_plan_with(
                     &plan,
                     &q,
                     &sources,
                     &mut seq_net,
-                    &policy,
-                    &mut seq_cache,
+                    Some(&policy),
+                    Some(&mut seq_cache),
                 )
                 .unwrap();
                 let mut par_net = Network::uniform(3, LinkProfile::Wan.link());
                 par_net.set_fault_plan(faults.clone());
-                let par = execute_plan_parallel_ft_cached(
+                let par = execute_plan_parallel(
                     &plan,
                     &q,
                     &sources,
                     &mut par_net,
-                    &policy,
+                    Some(&policy),
+                    Some(&mut par_cache),
                     &ParallelConfig::with_threads(4),
-                    &mut par_cache,
                 )
                 .unwrap();
                 assert_eq!(par.outcome.answer, seq.answer, "seed {seed} round {round}");
@@ -898,8 +596,16 @@ mod tests {
         }
         let sources = dmv_sources(Capabilities::full());
         let mut net = Network::uniform(3, LinkProfile::Wan.link());
-        let err = execute_plan_parallel(&plan, &q, &sources, &mut net, &ParallelConfig::default())
-            .unwrap_err();
+        let err = execute_plan_parallel(
+            &plan,
+            &q,
+            &sources,
+            &mut net,
+            None,
+            None,
+            &ParallelConfig::default(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("refusing to execute"), "{err}");
     }
 }

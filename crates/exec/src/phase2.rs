@@ -35,9 +35,9 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::cached::{commit_inserts, PendingInsert};
-use crate::interp::{dropped_entry, Attempted, Exchanger, FtState, SharedExchanger};
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
+use crate::step::{proc_cost, Attempted, Delivery, Exchanger, SharedExchanger, SourceFt};
 use fusion_cache::AnswerCache;
 use fusion_core::cost::NetworkCostModel;
 use fusion_core::phase2::{
@@ -206,15 +206,25 @@ fn rows_by_item(raw: &[Tuple], merge_pos: usize) -> BTreeMap<Item, Vec<Tuple>> {
     rows
 }
 
-/// Runs the batched exchanges of one assignment through an infallible
-/// exchanger.
+/// What an assignment execution yields: the exchange result (absent
+/// when the source delivered nothing), its ledger entry, and the covers
+/// of every undelivered item, back for re-planning.
+type AssignmentResult = (Option<Executed>, LedgerEntry, Vec<(Item, Vec<usize>)>);
+
+/// Runs the batched exchanges of one assignment through `d`. Under
+/// retried delivery a dead source, or one that exhausts the policy
+/// mid-way, hands the covers of every undelivered item back; plain
+/// delivery always delivers everything.
 fn exec_assignment<E: Exchanger>(
-    step: usize,
+    d: &mut Delivery<'_, E>,
     asg: &FetchAssignment,
     schema: &Schema,
     sources: &SourceSet,
-    net: &mut E,
-) -> Result<(Executed, LedgerEntry)> {
+) -> Result<AssignmentResult> {
+    let kind = StepKind::Fetch;
+    if d.dead() {
+        return Ok((None, d.dropped(kind, 0, Cost::ZERO), asg.covers.clone()));
+    }
     let w = sources.get(asg.source);
     let caps = w.capabilities();
     let layout = record_columns(schema, &asg.attrs);
@@ -222,168 +232,66 @@ fn exec_assignment<E: Exchanger>(
         .iter()
         .position(|&c| c == schema.merge_index())
         .expect("layout contains the merge index");
-    let mut comm = Cost::ZERO;
-    let mut proc = Cost::ZERO;
-    let mut round_trips = 0usize;
+    let mut entry = d.blank(kind);
     let mut raw: Vec<Tuple> = Vec::new();
-    for chunk in asg.items.as_slice().chunks(caps.fetch_batch.max(1)) {
+    let items = asg.items.as_slice();
+    let batch_size = caps.fetch_batch.max(1);
+    // Items of the batches delivered before the source was given up on;
+    // `None` while every batch has been delivered.
+    let mut delivered_before_loss: Option<ItemSet> = None;
+    for (b, chunk) in items.chunks(batch_size).enumerate() {
         let batch: ItemSet = chunk.iter().cloned().collect();
         let (resp, resp_bytes) = fetch_batch(w, &batch, schema, &layout)?;
         let req_bytes = MessageSize::sjq_request(&Predicate::Const(true).into(), &batch);
-        comm += net.exchange(asg.source, ExchangeKind::Fetch, req_bytes, resp_bytes);
-        comm += Cost::new(caps.query_fee());
-        proc += Cost::new(
-            w.processing()
-                .cost(resp.tuples_examined, resp.payload.len()),
-        );
-        round_trips += 1;
-        raw.extend(resp.payload);
-    }
-    let entry = LedgerEntry {
-        step,
-        kind: StepKind::Fetch,
-        source: Some(asg.source),
-        comm,
-        proc,
-        round_trips,
-        items_out: raw.len(),
-        attempts: round_trips,
-        failed_cost: Cost::ZERO,
-    };
-    let executed = Executed {
-        covers: asg.covers.clone(),
-        layout,
-        rows: rows_by_item(&raw, merge_pos),
-        raw,
-        requested: asg.items.clone(),
-        source: asg.source,
-        step,
-        paid: entry.total(),
-    };
-    Ok((executed, entry))
-}
-
-/// What a fault-aware assignment execution yields: the exchange result
-/// (absent when the source died), its ledger entry, and the covers of
-/// every undelivered item, back for re-planning.
-type FtStepResult = (Option<Executed>, LedgerEntry, Vec<(Item, Vec<usize>)>);
-
-/// Fault-aware assignment execution: batches run through the retry
-/// loop; on exhaustion the source is dead and the covers of every
-/// undelivered item come back for re-planning.
-fn exec_assignment_ft(
-    step: usize,
-    asg: &FetchAssignment,
-    schema: &Schema,
-    sources: &SourceSet,
-    net: &mut Network,
-    ft: &mut FtState<'_>,
-    spent: Cost,
-) -> Result<FtStepResult> {
-    let kind = StepKind::Fetch;
-    if ft.dead(asg.source) {
-        return Ok((
-            None,
-            dropped_entry(step, kind, asg.source, 0, Cost::ZERO),
-            asg.covers.clone(),
-        ));
-    }
-    let w = sources.get(asg.source);
-    let caps = w.capabilities();
-    let layout = record_columns(schema, &asg.attrs);
-    let merge_pos = layout
-        .iter()
-        .position(|&c| c == schema.merge_index())
-        .expect("layout contains the merge index");
-    let mut comm = Cost::ZERO;
-    let mut proc = Cost::ZERO;
-    let mut round_trips = 0usize;
-    let mut attempts = 0usize;
-    let mut failed = Cost::ZERO;
-    let mut raw: Vec<Tuple> = Vec::new();
-    let mut delivered = ItemSet::empty();
-    let mut undelivered: Vec<(Item, Vec<usize>)> = Vec::new();
-    let chunks: Vec<ItemSet> = asg
-        .items
-        .as_slice()
-        .chunks(caps.fetch_batch.max(1))
-        .map(|c| c.iter().cloned().collect())
-        .collect();
-    for (b, batch) in chunks.iter().enumerate() {
-        let (resp, resp_bytes) = fetch_batch(w, batch, schema, &layout)?;
-        let req_bytes = MessageSize::sjq_request(&Predicate::Const(true).into(), batch);
-        match ft.try_with_retry(
-            net,
-            asg.source,
-            ExchangeKind::Fetch,
-            req_bytes,
-            resp_bytes,
-            spent + comm + proc + failed,
-        ) {
+        let spent = d.spent + entry.comm + entry.proc + entry.failed_cost;
+        match d.send(ExchangeKind::Fetch, req_bytes, resp_bytes, spent) {
             Attempted::Delivered {
-                comm: c,
-                attempts: a,
-                failed: f,
+                comm,
+                attempts,
+                failed,
             } => {
-                comm += c + Cost::new(caps.query_fee());
-                proc += Cost::new(
-                    w.processing()
-                        .cost(resp.tuples_examined, resp.payload.len()),
-                );
-                round_trips += 1;
-                attempts += a;
-                failed += f;
+                // The order `two_phase::fetch_records` accumulates in, so
+                // ledgers agree to the last bit at any per-query fee.
+                entry.comm += comm;
+                entry.comm += Cost::new(caps.query_fee());
+                entry.proc += proc_cost(w, resp.tuples_examined, resp.payload.len());
+                entry.round_trips += 1;
+                entry.attempts += attempts;
+                entry.failed_cost += failed;
                 raw.extend(resp.payload);
-                delivered = delivered.union(batch);
             }
-            Attempted::Exhausted {
-                attempts: a,
-                failed: f,
-            } => {
-                attempts += a;
-                failed += f;
-                let lost: ItemSet = chunks[b..]
-                    .iter()
-                    .fold(ItemSet::empty(), |acc, c| acc.union(c));
-                undelivered = asg
-                    .covers
-                    .iter()
-                    .filter(|(i, _)| lost.contains(i))
-                    .cloned()
-                    .collect();
+            Attempted::Exhausted { attempts, failed } => {
+                entry.attempts += attempts;
+                entry.failed_cost += failed;
+                delivered_before_loss = Some(items[..b * batch_size].iter().cloned().collect());
                 break;
             }
         }
     }
-    let entry = LedgerEntry {
-        step,
-        kind,
-        source: Some(asg.source),
-        comm,
-        proc,
-        round_trips,
-        items_out: raw.len(),
-        attempts,
-        failed_cost: failed,
+    entry.items_out = raw.len();
+    let (covers, requested, undelivered) = match delivered_before_loss {
+        None => (asg.covers.clone(), asg.items.clone(), Vec::new()),
+        Some(delivered) => {
+            let (kept, lost) = asg
+                .covers
+                .iter()
+                .cloned()
+                .partition(|(i, _)| delivered.contains(i));
+            if delivered.is_empty() {
+                return Ok((None, entry, lost));
+            }
+            (kept, delivered, lost)
+        }
     };
-    if delivered.is_empty() {
-        return Ok((None, entry, undelivered));
-    }
-    let paid = entry.total();
     let executed = Executed {
-        covers: asg
-            .covers
-            .iter()
-            .filter(|(i, _)| delivered.contains(i))
-            .cloned()
-            .collect(),
+        covers,
         layout,
         rows: rows_by_item(&raw, merge_pos),
         raw,
-        requested: delivered,
+        requested,
         source: asg.source,
-        step,
-        paid,
+        step: d.step,
+        paid: entry.total(),
     };
     Ok((Some(executed), entry, undelivered))
 }
@@ -620,9 +528,10 @@ pub fn execute_fetch_plan(
     let mut ledger = CostLedger::new();
     let mut executed = Vec::with_capacity(plan.assignments.len());
     for (t, asg) in plan.assignments.iter().enumerate() {
-        let (e, entry) = exec_assignment(t, asg, schema, sources, network)?;
+        let mut d = Delivery::plain(network, t, asg.source);
+        let (e, entry, _) = exec_assignment(&mut d, asg, schema, sources)?;
         ledger.push(entry);
-        executed.push(e);
+        executed.extend(e);
     }
     let next = plan.assignments.len();
     finish(
@@ -656,7 +565,7 @@ pub fn execute_fetch_plan_ft(
     policy: &RetryPolicy,
     cache: Option<&mut AnswerCache>,
 ) -> Result<Phase2Outcome> {
-    let mut ft = FtState::new(policy, sources.len());
+    let mut fts = vec![SourceFt::default(); sources.len()];
     let mut live = catalog.clone();
     let mut queue: VecDeque<FetchAssignment> = plan.assignments.iter().cloned().collect();
     let mut ledger = CostLedger::new();
@@ -666,14 +575,18 @@ pub fn execute_fetch_plan_ft(
     let mut spent = Cost::ZERO;
     let mut step = 0usize;
     while let Some(asg) = queue.pop_front() {
-        let (done, entry, undelivered) =
-            exec_assignment_ft(step, &asg, schema, sources, network, &mut ft, spent)?;
+        let mut d = Delivery {
+            net: &mut *network,
+            step,
+            source: asg.source,
+            retry: Some((policy, &mut fts[asg.source.0])),
+            spent,
+        };
+        let (done, entry, undelivered) = exec_assignment(&mut d, &asg, schema, sources)?;
         spent += entry.total();
         ledger.push(entry);
         step += 1;
-        if let Some(e) = done {
-            executed.push(e);
-        }
+        executed.extend(done);
         if undelivered.is_empty() {
             continue;
         }
@@ -737,7 +650,7 @@ pub fn execute_fetch_plan_parallel(
         }
     }
     let net = &*network;
-    let results: Vec<Result<(Executed, LedgerEntry)>> = std::thread::scope(|scope| {
+    let results: Vec<Result<AssignmentResult>> = std::thread::scope(|scope| {
         let handles: Vec<_> = plan
             .assignments
             .iter()
@@ -745,7 +658,12 @@ pub fn execute_fetch_plan_parallel(
             .map(|(t, asg)| {
                 scope.spawn(move || {
                     let mut ex = SharedExchanger { net, step: t };
-                    exec_assignment(t, asg, schema, sources, &mut ex)
+                    exec_assignment(
+                        &mut Delivery::plain(&mut ex, t, asg.source),
+                        asg,
+                        schema,
+                        sources,
+                    )
                 })
             })
             .collect();
@@ -758,9 +676,9 @@ pub fn execute_fetch_plan_parallel(
     let mut ledger = CostLedger::new();
     let mut executed = Vec::with_capacity(results.len());
     for r in results {
-        let (e, entry) = r?;
+        let (e, entry, _) = r?;
         ledger.push(entry);
-        executed.push(e);
+        executed.extend(e);
     }
     let next = plan.assignments.len();
     finish(

@@ -17,8 +17,8 @@
 //!
 //! [`fetch_first_records`]: crate::piggyback::fetch_first_records
 
-use crate::interp::run_semijoin;
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
+use crate::step::{run_semijoin, Delivery, StepValue};
 use fusion_core::plan::{SimplePlanSpec, SourceChoice};
 use fusion_core::query::FusionQuery;
 use fusion_net::{ExchangeKind, MessageSize, Network};
@@ -107,9 +107,12 @@ pub fn execute_piggyback(
                         .as_ref()
                         .expect("validated: round 0 has no semijoins")
                         .clone();
-                    let (items, entry) =
-                        run_semijoin(step, source, cond, &bindings, sources, network)?;
-                    ledger.push(entry);
+                    let mut d = Delivery::plain(network, step, source);
+                    let done = run_semijoin(&mut d, cond, &bindings, sources)?;
+                    ledger.push(done.entry);
+                    let StepValue::Items(items) = done.value else {
+                        unreachable!("plain delivery never drops a step");
+                    };
                     items
                 }
             };

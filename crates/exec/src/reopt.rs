@@ -39,21 +39,17 @@
 //!
 //! # Determinism contract
 //!
-//! [`execute_plan_reopt_parallel`] runs each round's remote steps on
-//! scoped worker threads (per-source serial queues via shared
-//! [`fusion_net::SourceHandle`]s) and folds results at the round
+//! With `threads: Some(_)`, [`execute_plan_reopt`] runs each round's
+//! remote steps on scoped worker threads (per-source serial queues via
+//! shared [`fusion_net::SourceHandle`]s) and folds results at the round
 //! barrier in step order — answers, ledgers, and network traces
-//! byte-identical to [`execute_plan_reopt`] by construction. Round
-//! boundaries are exactly where switch decisions happen, so parallelism
-//! never observes a half-switched plan.
+//! byte-identical to `threads: None` by construction. Round boundaries
+//! are exactly where switch decisions happen, so parallelism never
+//! observes a half-switched plan.
 
-use crate::cached::{commit_inserts, served_entry, PendingInsert};
-use crate::interp::{
-    apply_step_done, dispatch_remote_step, exec_local_step, ExecutionOutcome, SharedExchanger,
-    StepDone,
-};
+use crate::interp::ExecutionOutcome;
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
-use crate::retry::Completeness;
+use crate::step::{committing, PlanRun};
 use fusion_cache::AnswerCache;
 use fusion_core::cost::FeedbackCostModel;
 use fusion_core::dataflow::{
@@ -67,9 +63,7 @@ use fusion_net::Network;
 use fusion_source::SourceSet;
 use fusion_stats::{CardObservation, CardinalityFeedback};
 use fusion_types::error::{FusionError, Result};
-use fusion_types::{CondId, Condition, Cost, ItemSet, Relation, SourceId};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use fusion_types::{CondId, Condition, Cost, SourceId};
 
 /// Tuning knobs for adaptive re-optimization.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,13 +213,8 @@ fn derive_df<M: CostModel>(
 /// semijoins record observed selectivities. Bloom semijoins are skipped
 /// (their output overcounts by the false-positive rate), as are loads
 /// and local steps.
-fn record_observation(
-    feedback: &mut CardinalityFeedback,
-    plan: &Plan,
-    vars: &[Option<ItemSet>],
-    entry: &LedgerEntry,
-) {
-    match (&plan.steps[entry.step], entry.kind) {
+fn record_observation(feedback: &mut CardinalityFeedback, run: &PlanRun<'_>, entry: &LedgerEntry) {
+    match (&run.plan().steps[entry.step], entry.kind) {
         (
             Step::Sq { cond, source, .. },
             StepKind::Selection
@@ -245,7 +234,7 @@ fn record_observation(
             },
             StepKind::Semijoin | StepKind::EmulatedSemijoin,
         ) => {
-            let input_items = vars[input.0].as_ref().map_or(0, ItemSet::len);
+            let input_items = run.var_len(*input).unwrap_or(0);
             feedback.record_semijoin(*cond, *source, entry.items_out as f64, input_items as f64);
         }
         _ => {}
@@ -346,7 +335,9 @@ fn check_shapes<M: CostModel>(
 /// session's budgeted memo. Certified switches are spliced mid-flight
 /// and recorded as [`StepKind::Reopt`] ledger markers. With a cache
 /// attached, selections are served/admitted exactly as
-/// [`crate::execute_plan_cached`] does.
+/// [`crate::execute_plan_with`] does. With `threads`, each round's
+/// remote steps run on that many scoped worker threads — byte-identical
+/// outcome (see the module docs' determinism contract).
 ///
 /// When every observation stays inside its believed interval — in
 /// particular whenever the model's estimates are accurate within
@@ -363,53 +354,6 @@ pub fn execute_plan_reopt<M: CostModel>(
     sources: &SourceSet,
     network: &mut Network,
     model: &M,
-    cache: Option<&mut AnswerCache>,
-    session: &mut ReoptSession,
-    config: &ReoptConfig,
-) -> Result<ReoptOutcome> {
-    run_reopt(
-        spec, query, sources, network, model, cache, session, config, None,
-    )
-}
-
-/// [`execute_plan_reopt`] with each round's remote steps on `threads`
-/// scoped worker threads — byte-identical outcome (see the module
-/// docs' determinism contract).
-///
-/// # Errors
-/// As [`execute_plan_reopt`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_reopt_parallel<M: CostModel>(
-    spec: &SimplePlanSpec,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    model: &M,
-    cache: Option<&mut AnswerCache>,
-    session: &mut ReoptSession,
-    config: &ReoptConfig,
-    threads: usize,
-) -> Result<ReoptOutcome> {
-    run_reopt(
-        spec,
-        query,
-        sources,
-        network,
-        model,
-        cache,
-        session,
-        config,
-        Some(threads.max(1)),
-    )
-}
-
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn run_reopt<M: CostModel>(
-    spec: &SimplePlanSpec,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    model: &M,
     mut cache: Option<&mut AnswerCache>,
     session: &mut ReoptSession,
     config: &ReoptConfig,
@@ -419,365 +363,118 @@ fn run_reopt<M: CostModel>(
     let n = sources.len();
     let m = spec.order.len();
     let mut spec = spec.clone();
-    let mut plan = spec.build(n)?;
+    let plan = spec.build(n)?;
     fusion_core::analyze::ensure_sound(&plan)?;
     if threads.is_some() {
         // The parallel path runs rounds on worker threads; re-verify the
         // stage certificate up front like the stage-parallel executor.
         fusion_core::dataflow::stage_decomposition(&plan)?;
     }
-    let conditions = query.conditions();
+    let mut run = PlanRun::new(&plan, query, sources, network, None, cache.is_some())?;
     let mut feedback = session.feedback.clone();
     let mut df = derive_df(&plan, model, &feedback, config.slack)?;
     let mut rounds = round_layout(&spec, n);
     debug_assert_eq!(rounds.last().map_or(0, |r| r.1), plan.steps.len());
-
-    let mut vars: Vec<Option<ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut ledger = CostLedger::new();
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
     let mut switches: Vec<SwitchRecord> = Vec::new();
     let mut violations = 0usize;
-    // (step, items_out) of the current round, for the violation check.
-    let mut round_obs: Vec<(usize, usize)> = Vec::new();
 
-    for r in 0..m {
-        let (start, end) = rounds[r];
-        round_obs.clear();
-        match threads {
-            None => {
-                for idx in start..end {
-                    let entry_items = exec_step_sequential(
-                        &plan,
-                        query,
-                        conditions,
-                        idx,
-                        sources,
-                        network,
-                        &mut cache,
-                        &mut vars,
-                        &mut rels,
-                        &mut rel_dropped,
-                        &mut ledger,
-                        &mut pending,
-                        &mut dropped,
-                        &mut missing_conds,
-                    )?;
-                    round_obs.push((idx, entry_items));
-                    let entry = ledger.entries().last().expect("just pushed");
-                    record_observation(&mut feedback, &plan, &vars, entry);
+    committing(network, |network| {
+        for r in 0..m {
+            let (start, end) = rounds[r];
+            match threads {
+                None => {
+                    for idx in start..end {
+                        run.step(idx, network, cache.as_deref_mut())?;
+                    }
+                }
+                Some(threads) => {
+                    // Cache lookups resolve on the calling thread in step
+                    // order — exactly the lookup sequence (stats, LRU
+                    // touches) the sequential path performs.
+                    if let Some(cache) = cache.as_deref_mut() {
+                        for idx in start..end {
+                            if let Some(hit) = run.lookup(idx, cache)? {
+                                run.serve(idx, hit, false);
+                            }
+                        }
+                    }
+                    let steps: Vec<usize> = (start..end).collect();
+                    run.stage(&steps, network, threads, None, Cost::ZERO)?;
                 }
             }
-            Some(threads) => {
-                exec_round_parallel(
-                    &plan,
-                    query,
-                    conditions,
-                    (start, end),
-                    sources,
-                    network,
-                    &mut cache,
-                    &mut vars,
-                    &mut rels,
-                    &mut rel_dropped,
-                    &mut ledger,
-                    &mut pending,
-                    &mut dropped,
-                    &mut missing_conds,
-                    &mut round_obs,
-                    threads,
-                )?;
-                for (idx, _) in &round_obs {
-                    let pos = ledger.entries().len() - (end - start) + (idx - start);
-                    let entry = &ledger.entries()[pos];
-                    record_observation(&mut feedback, &plan, &vars, entry);
-                }
+            let entries = (start..end).map(|idx| run.entry(idx).expect("round executed"));
+            for entry in entries.clone() {
+                record_observation(&mut feedback, &run, entry);
             }
+            // Round boundary: did any observation escape its believed
+            // interval? (Checking every step of the round — not just the
+            // round result — catches per-cell misestimates the intersect
+            // would mask.)
+            if r + 1 >= m {
+                continue;
+            }
+            let Some((violating_step, observed)) = entries
+                .map(|e| (e.step, e.items_out))
+                .find(|(idx, items)| !df.step_bounds[*idx].contains(*items as f64))
+            else {
+                continue;
+            };
+            violations += 1;
+            let executed = end;
+            let x_var = run.plan().steps[executed - 1]
+                .defined_var()
+                .expect("a round ends in a set operation");
+            let x0 = run.var_len(x_var).unwrap_or(0) as f64;
+            let remaining: Vec<usize> = spec.order[r + 1..].iter().map(|c| c.0).collect();
+            let (old_suffix_cost, cand) = {
+                let fbm = FeedbackCostModel::new(model, &feedback);
+                let cur = price_suffix(&fbm, &remaining, &spec.choices[r + 1..], x0);
+                let cand = session.memo.search(&fbm, &remaining, x0);
+                (cur, cand)
+            };
+            if cand.cost.value() >= old_suffix_cost.value() * (1.0 - config.min_gain) {
+                continue;
+            }
+            let mut new_spec = SimplePlanSpec {
+                order: spec.order[..=r].to_vec(),
+                choices: spec.choices[..=r].to_vec(),
+            };
+            new_spec.order.extend(cand.order.iter().map(|&c| CondId(c)));
+            new_spec.choices.extend(cand.choices.iter().cloned());
+            let new_plan = new_spec.build(n)?;
+            let Ok(certificate) = certify_switch(run.plan(), &new_plan, executed) else {
+                // Certification refused the splice: keep the plan we have.
+                continue;
+            };
+            switches.push(SwitchRecord {
+                at_step: executed,
+                rounds_done: r + 1,
+                violating_step,
+                observed,
+                expected: df.step_bounds[violating_step],
+                x0,
+                old_suffix_cost,
+                new_suffix_cost: cand.cost,
+                suffix_order: cand.order.iter().map(|&c| CondId(c)).collect(),
+                suffix_choices: cand.choices.clone(),
+                certificate,
+            });
+            run.splice(new_plan, reopt_marker(executed, observed));
+            spec = new_spec;
+            rounds = round_layout(&spec, n);
+            debug_assert_eq!(rounds.last().map_or(0, |r| r.1), run.plan().steps.len());
+            df = derive_df(run.plan(), model, &feedback, config.slack)?;
         }
-        // Round boundary: did any observation escape its believed
-        // interval? (Checking every step of the round — not just the
-        // round result — catches per-cell misestimates the intersect
-        // would mask.)
-        if r + 1 >= m {
-            continue;
-        }
-        let violation = round_obs
-            .iter()
-            .find(|(idx, items)| !df.step_bounds[*idx].contains(*items as f64));
-        let Some(&(violating_step, observed)) = violation else {
-            continue;
-        };
-        violations += 1;
-        let executed = end;
-        let x_var = plan.steps[executed - 1]
-            .defined_var()
-            .expect("a round ends in a set operation");
-        let x0 = vars[x_var.0].as_ref().map_or(0, ItemSet::len) as f64;
-        let remaining: Vec<usize> = spec.order[r + 1..].iter().map(|c| c.0).collect();
-        let (old_suffix_cost, cand) = {
-            let fbm = FeedbackCostModel::new(model, &feedback);
-            let cur = price_suffix(&fbm, &remaining, &spec.choices[r + 1..], x0);
-            let cand = session.memo.search(&fbm, &remaining, x0);
-            (cur, cand)
-        };
-        if cand.cost.value() >= old_suffix_cost.value() * (1.0 - config.min_gain) {
-            continue;
-        }
-        let mut new_spec = SimplePlanSpec {
-            order: spec.order[..=r].to_vec(),
-            choices: spec.choices[..=r].to_vec(),
-        };
-        new_spec.order.extend(cand.order.iter().map(|&c| CondId(c)));
-        new_spec.choices.extend(cand.choices.iter().cloned());
-        let new_plan = new_spec.build(n)?;
-        let Ok(certificate) = certify_switch(&plan, &new_plan, executed) else {
-            // Certification refused the splice: keep the plan we have.
-            continue;
-        };
-        ledger.push(reopt_marker(executed, observed));
-        switches.push(SwitchRecord {
-            at_step: executed,
-            rounds_done: r + 1,
-            violating_step,
-            observed,
-            expected: df.step_bounds[violating_step],
-            x0,
-            old_suffix_cost,
-            new_suffix_cost: cand.cost,
-            suffix_order: cand.order.iter().map(|&c| CondId(c)).collect(),
-            suffix_choices: cand.choices.clone(),
-            certificate,
-        });
-        plan = new_plan;
-        spec = new_spec;
-        vars.resize(plan.var_names.len(), None);
-        rels.resize(plan.rel_names.len(), None);
-        rel_dropped.resize(plan.rel_names.len(), false);
-        rounds = round_layout(&spec, n);
-        debug_assert_eq!(rounds.last().map_or(0, |r| r.1), plan.steps.len());
-        df = derive_df(&plan, model, &feedback, config.slack)?;
-    }
-    if threads.is_some() {
-        network.commit();
-    }
-    let answer = vars[plan.result.0]
-        .take()
-        .expect("validated: result defined");
-    if let Some(cache) = cache {
-        commit_inserts(cache, pending, true, &[]);
-    }
+        Ok(())
+    })?;
+    let outcome = run.finish_committing(network, cache);
     session.feedback = feedback;
     Ok(ReoptOutcome {
-        outcome: ExecutionOutcome {
-            answer,
-            ledger,
-            completeness: Completeness::Exact,
-        },
+        outcome,
         final_spec: spec,
         switches,
         violations,
     })
-}
-
-/// Executes one step exactly as [`crate::interp`]'s sequential loop
-/// does (cache lookup, dispatch, fold) and returns its `items_out`.
-#[allow(clippy::too_many_arguments)]
-fn exec_step_sequential(
-    plan: &Plan,
-    query: &FusionQuery,
-    conditions: &[Condition],
-    idx: usize,
-    sources: &SourceSet,
-    network: &mut Network,
-    cache: &mut Option<&mut AnswerCache>,
-    vars: &mut [Option<ItemSet>],
-    rels: &mut [Option<Relation>],
-    rel_dropped: &mut [bool],
-    ledger: &mut CostLedger,
-    pending: &mut Vec<PendingInsert>,
-    dropped: &mut Vec<usize>,
-    missing_conds: &mut Vec<CondId>,
-) -> Result<usize> {
-    let step = &plan.steps[idx];
-    if step.source().is_none() {
-        let entry = exec_local_step(idx, step, conditions, vars, rels)?;
-        let items = entry.items_out;
-        ledger.push(entry);
-        return Ok(items);
-    }
-    if let Step::Sq { out, cond, source } = step {
-        let served = match cache.as_deref_mut() {
-            Some(cache) => cache.lookup(*source, &conditions[cond.0], query.schema())?,
-            None => None,
-        };
-        if let Some(served) = served {
-            let entry = served_entry(idx, *source, &served);
-            let items = entry.items_out;
-            ledger.push(entry);
-            vars[out.0] = Some(served.items);
-            return Ok(items);
-        }
-    }
-    let records = cache.is_some().then(|| query.schema());
-    let done = dispatch_remote_step(
-        idx,
-        step,
-        conditions,
-        sources,
-        network,
-        vars,
-        None,
-        Cost::ZERO,
-        records,
-    )?;
-    let refetch = done.entry.comm + done.entry.proc;
-    let items = done.entry.items_out;
-    ledger.push(done.entry);
-    apply_step_done(
-        plan,
-        query.schema(),
-        conditions,
-        idx,
-        done.value,
-        refetch,
-        vars,
-        rels,
-        rel_dropped,
-        pending,
-        dropped,
-        missing_conds,
-        None,
-    )?;
-    Ok(items)
-}
-
-/// Executes one round's steps with the remote ones on worker threads,
-/// folding results at the round barrier in step order so the ledger,
-/// variables, and trace come out byte-identical to the sequential path.
-#[allow(clippy::too_many_arguments)]
-fn exec_round_parallel(
-    plan: &Plan,
-    query: &FusionQuery,
-    conditions: &[Condition],
-    (start, end): (usize, usize),
-    sources: &SourceSet,
-    network: &mut Network,
-    cache: &mut Option<&mut AnswerCache>,
-    vars: &mut [Option<ItemSet>],
-    rels: &mut [Option<Relation>],
-    rel_dropped: &mut [bool],
-    ledger: &mut CostLedger,
-    pending: &mut Vec<PendingInsert>,
-    dropped: &mut Vec<usize>,
-    missing_conds: &mut Vec<CondId>,
-    round_obs: &mut Vec<(usize, usize)>,
-    threads: usize,
-) -> Result<usize> {
-    let mut entries: Vec<Option<LedgerEntry>> = vec![None; end - start];
-    // Cache lookups resolve on the main thread in step order — exactly
-    // the lookup sequence (stats, LRU touches) the sequential path
-    // performs.
-    if let Some(cache) = cache.as_deref_mut() {
-        for idx in start..end {
-            if let Step::Sq { out, cond, source } = &plan.steps[idx] {
-                if let Some(served) = cache.lookup(*source, &conditions[cond.0], query.schema())? {
-                    entries[idx - start] = Some(served_entry(idx, *source, &served));
-                    vars[out.0] = Some(served.items);
-                }
-            }
-        }
-    }
-    let records = cache.is_some().then(|| query.schema());
-    let remote: Vec<usize> = (start..end)
-        .filter(|&i| plan.steps[i].source().is_some() && entries[i - start].is_none())
-        .collect();
-    if !remote.is_empty() {
-        let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Result<StepDone>)>> =
-            Mutex::new(Vec::with_capacity(remote.len()));
-        let workers = threads.min(remote.len());
-        let shared_net: &Network = network;
-        let vars_ref: &[Option<ItemSet>] = vars;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= remote.len() {
-                        break;
-                    }
-                    let idx = remote[i];
-                    let mut ex = SharedExchanger {
-                        net: shared_net,
-                        step: idx,
-                    };
-                    let r = dispatch_remote_step(
-                        idx,
-                        &plan.steps[idx],
-                        conditions,
-                        sources,
-                        &mut ex,
-                        vars_ref,
-                        None,
-                        Cost::ZERO,
-                        records,
-                    );
-                    results.lock().expect("results poisoned").push((idx, r));
-                });
-            }
-        });
-        let mut results = results.into_inner().expect("results poisoned");
-        results.sort_by_key(|(idx, _)| *idx);
-        for (idx, r) in results {
-            let done = match r {
-                Ok(done) => done,
-                Err(e) => {
-                    network.commit();
-                    return Err(e);
-                }
-            };
-            let refetch = done.entry.comm + done.entry.proc;
-            entries[idx - start] = Some(done.entry);
-            if let Err(e) = apply_step_done(
-                plan,
-                query.schema(),
-                conditions,
-                idx,
-                done.value,
-                refetch,
-                vars,
-                rels,
-                rel_dropped,
-                pending,
-                dropped,
-                missing_conds,
-                None,
-            ) {
-                network.commit();
-                return Err(e);
-            }
-        }
-    }
-    // Local set operations run after the barrier, in step order.
-    for idx in start..end {
-        if plan.steps[idx].source().is_none() {
-            match exec_local_step(idx, &plan.steps[idx], conditions, vars, rels) {
-                Ok(entry) => entries[idx - start] = Some(entry),
-                Err(e) => {
-                    network.commit();
-                    return Err(e);
-                }
-            }
-        }
-    }
-    for (off, e) in entries.into_iter().enumerate() {
-        let e = e.expect("every round step executed");
-        round_obs.push((start + off, e.items_out));
-        ledger.push(e);
-    }
-    Ok(end - start)
 }
 
 /// Replays an adaptively re-optimized run from its recorded switches:
@@ -809,74 +506,45 @@ pub fn replay_plan_reopt(
         )));
     }
     let mut spec = spec.clone();
-    let mut plan = spec.build(n)?;
+    let plan = spec.build(n)?;
     fusion_core::analyze::ensure_sound(&plan)?;
-    let conditions = query.conditions();
-    let mut vars: Vec<Option<ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut ledger = CostLedger::new();
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
+    let mut run = PlanRun::new(&plan, query, sources, network, None, cache.is_some())?;
     let mut next_switch = switches.iter().peekable();
     let mut replayed: Vec<SwitchRecord> = Vec::new();
     let mut idx = 0usize;
-    while idx < plan.steps.len() {
-        if let Some(sw) = next_switch.peek() {
-            if sw.at_step == idx {
-                let sw = next_switch.next().expect("just peeked");
-                if sw.rounds_done == 0 || sw.rounds_done > spec.order.len() {
-                    return Err(FusionError::invalid_plan(format!(
-                        "switch record splices after {} of {} rounds",
-                        sw.rounds_done,
-                        spec.order.len()
-                    )));
-                }
-                if sw.suffix_order.len() != spec.order.len() - sw.rounds_done {
-                    return Err(FusionError::invalid_plan(format!(
-                        "switch record's suffix covers {} rounds, {} remain",
-                        sw.suffix_order.len(),
-                        spec.order.len() - sw.rounds_done
-                    )));
-                }
-                let mut new_spec = SimplePlanSpec {
-                    order: spec.order[..sw.rounds_done].to_vec(),
-                    choices: spec.choices[..sw.rounds_done].to_vec(),
-                };
-                new_spec.order.extend(sw.suffix_order.iter().copied());
-                new_spec.choices.extend(sw.suffix_choices.iter().cloned());
-                let new_plan = new_spec.build(n)?;
-                let certificate = certify_switch(&plan, &new_plan, idx)?;
-                ledger.push(reopt_marker(idx, sw.observed));
-                replayed.push(SwitchRecord {
-                    certificate,
-                    ..sw.clone()
-                });
-                plan = new_plan;
-                spec = new_spec;
-                vars.resize(plan.var_names.len(), None);
-                rels.resize(plan.rel_names.len(), None);
-                rel_dropped.resize(plan.rel_names.len(), false);
-                continue;
+    while idx < run.plan().steps.len() {
+        if let Some(sw) = next_switch.next_if(|sw| sw.at_step == idx) {
+            if sw.rounds_done == 0 || sw.rounds_done > spec.order.len() {
+                return Err(FusionError::invalid_plan(format!(
+                    "switch record splices after {} of {} rounds",
+                    sw.rounds_done,
+                    spec.order.len()
+                )));
             }
+            if sw.suffix_order.len() != spec.order.len() - sw.rounds_done {
+                return Err(FusionError::invalid_plan(format!(
+                    "switch record's suffix covers {} rounds, {} remain",
+                    sw.suffix_order.len(),
+                    spec.order.len() - sw.rounds_done
+                )));
+            }
+            let mut new_spec = SimplePlanSpec {
+                order: spec.order[..sw.rounds_done].to_vec(),
+                choices: spec.choices[..sw.rounds_done].to_vec(),
+            };
+            new_spec.order.extend(sw.suffix_order.iter().copied());
+            new_spec.choices.extend(sw.suffix_choices.iter().cloned());
+            let new_plan = new_spec.build(n)?;
+            let certificate = certify_switch(run.plan(), &new_plan, idx)?;
+            replayed.push(SwitchRecord {
+                certificate,
+                ..sw.clone()
+            });
+            run.splice(new_plan, reopt_marker(idx, sw.observed));
+            spec = new_spec;
+            continue;
         }
-        exec_step_sequential(
-            &plan,
-            query,
-            conditions,
-            idx,
-            sources,
-            network,
-            &mut cache,
-            &mut vars,
-            &mut rels,
-            &mut rel_dropped,
-            &mut ledger,
-            &mut pending,
-            &mut dropped,
-            &mut missing_conds,
-        )?;
+        run.step(idx, network, cache.as_deref_mut())?;
         idx += 1;
     }
     if next_switch.peek().is_some() {
@@ -884,19 +552,10 @@ pub fn replay_plan_reopt(
             "switch record points past the end of the plan",
         ));
     }
-    let answer = vars[plan.result.0]
-        .take()
-        .expect("validated: result defined");
-    if let Some(cache) = cache {
-        commit_inserts(cache, pending, true, &[]);
-    }
+    let outcome = run.finish_committing(network, cache);
     let violations = replayed.len();
     Ok(ReoptOutcome {
-        outcome: ExecutionOutcome {
-            answer,
-            ledger,
-            completeness: Completeness::Exact,
-        },
+        outcome,
         final_spec: spec,
         switches: replayed,
         violations,
@@ -912,7 +571,7 @@ mod tests {
     use fusion_net::LinkProfile;
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, Predicate};
+    use fusion_types::{tuple, Predicate, Relation};
 
     fn figure1_relations() -> Vec<Relation> {
         let s = dmv_schema();
@@ -1042,6 +701,7 @@ mod tests {
             None,
             &mut session,
             &ReoptConfig::default(),
+            None,
         )
         .unwrap();
         assert!(on.switches.is_empty(), "spurious switch: {:?}", on.switches);
@@ -1081,6 +741,7 @@ mod tests {
             None,
             &mut session,
             &ReoptConfig::default(),
+            None,
         )
         .unwrap();
         assert_eq!(out.outcome.answer, locked.answer);
@@ -1123,6 +784,7 @@ mod tests {
             None,
             &mut session,
             &ReoptConfig::default(),
+            None,
         )
         .unwrap();
         assert!(!live.switches.is_empty());
@@ -1169,11 +831,12 @@ mod tests {
                 None,
                 &mut s_seq,
                 &ReoptConfig::default(),
+                None,
             )
             .unwrap();
             let mut s_par = ReoptSession::new(2, 3, 256);
             let mut net_par = Network::uniform(3, LinkProfile::Wan.link());
-            let par = execute_plan_reopt_parallel(
+            let par = execute_plan_reopt(
                 &opt.spec,
                 &q,
                 &sources,
@@ -1182,7 +845,7 @@ mod tests {
                 None,
                 &mut s_par,
                 &ReoptConfig::default(),
-                4,
+                Some(4),
             )
             .unwrap();
             assert_eq!(par.outcome.answer, seq.outcome.answer);
@@ -1210,6 +873,7 @@ mod tests {
             None,
             &mut session,
             &ReoptConfig::default(),
+            None,
         )
         .unwrap();
         assert!(!first.switches.is_empty());
@@ -1228,6 +892,7 @@ mod tests {
             None,
             &mut session,
             &ReoptConfig::default(),
+            None,
         )
         .unwrap();
         assert_eq!(second.outcome.answer, first.outcome.answer);
@@ -1280,6 +945,7 @@ mod tests {
             None,
             &mut session,
             &ReoptConfig::default(),
+            None,
         )
         .unwrap_err();
         assert!(err.to_string().contains("session"), "{err}");

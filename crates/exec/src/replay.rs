@@ -11,7 +11,7 @@
 //! happens-before claims into an executable proof obligation.
 //!
 //! The per-event actions are the *same code* the production executors
-//! run: [`dispatch_remote_step`] / [`apply_step_done`] for executions,
+//! run: [`PlanRun::fetch`] / [`PlanRun::fold`] for executions,
 //! [`fusion_cache::AnswerCache::lookup`] for lookups,
 //! [`fusion_cache::AnswerCache::bump_epoch`] guarded by the committed
 //! failure count for bumps, and the pending-admission insert for
@@ -35,13 +35,10 @@
 //!   the `cache-commit-race` lint describes, so the checker can replay a
 //!   static witness into a real divergence.
 
-use crate::cached::{commit_inserts, served_entry, PendingInsert};
-use crate::interp::{
-    apply_step_done, dispatch_remote_step, exec_local_step, ExecutionOutcome, SharedExchanger,
-    SourceFt,
-};
-use crate::ledger::{CostLedger, LedgerEntry};
-use crate::retry::{Completeness, RetryPolicy};
+use crate::cached::commit_inserts;
+use crate::interp::ExecutionOutcome;
+use crate::retry::RetryPolicy;
+use crate::step::{PlanRun, SharedExchanger};
 use fusion_cache::{AnswerCache, Served};
 use fusion_core::dataflow::Event;
 use fusion_core::plan::{Plan, Step};
@@ -49,7 +46,7 @@ use fusion_core::query::FusionQuery;
 use fusion_net::Network;
 use fusion_source::SourceSet;
 use fusion_types::error::{FusionError, Result};
-use fusion_types::{CondId, SourceId};
+use fusion_types::SourceId;
 
 /// Knobs for replay runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +85,7 @@ fn replay_err(msg: impl std::fmt::Display) -> FusionError {
 /// replay (a step executed twice or never, an execution before its
 /// inputs, a cache event without a cache), and on the same execution
 /// errors the production executors report.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)]
 pub fn execute_plan_replay(
     plan: &Plan,
     query: &FusionQuery,
@@ -99,36 +96,9 @@ pub fn execute_plan_replay(
     order: &[Event],
     options: &ReplayOptions,
 ) -> Result<ExecutionOutcome> {
-    let mut analysis = fusion_core::analyze::analyze_plan(plan)?;
-    analysis.require_proved()?;
-    if query.m() != plan.n_conditions {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} conditions, query has {}",
-            plan.n_conditions,
-            query.m()
-        )));
-    }
-    if sources.len() != plan.n_sources {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} sources, got {}",
-            plan.n_sources,
-            sources.len()
-        )));
-    }
-    let conditions = query.conditions();
-    let n = plan.steps.len();
-    let mut vars: Vec<Option<fusion_types::ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<fusion_types::Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut entries: Vec<Option<LedgerEntry>> = vec![None; n];
-    let mut served: Vec<Option<Served>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    let mut fts: Vec<SourceFt> = (0..plan.n_sources).map(|_| SourceFt::default()).collect();
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
-    let failed_before: Vec<usize> = (0..plan.n_sources)
-        .map(|j| network.failed_count_for(SourceId(j)))
-        .collect();
+    fusion_core::analyze::ensure_sound(plan)?;
+    let mut run = PlanRun::new(plan, query, sources, network, policy, cache.is_some())?;
+    let mut served: Vec<Option<Served>> = vec![None; plan.steps.len()];
     let mut failed = vec![false; plan.n_sources];
 
     let step_at = |idx: usize| -> Result<&Step> {
@@ -140,27 +110,27 @@ pub fn execute_plan_replay(
     for event in order {
         match *event {
             Event::Lookup { step } => {
-                let Step::Sq { cond, source, .. } = step_at(step)? else {
+                if !matches!(step_at(step)?, Step::Sq { .. }) {
                     return Err(replay_err(format!(
                         "lookup#{} targets a non-selection step",
                         step + 1
                     )));
-                };
+                }
                 let Some(cache) = cache.as_deref_mut() else {
                     return Err(replay_err(format!(
                         "lookup#{} replayed without an answer cache",
                         step + 1
                     )));
                 };
-                served[step] = cache.lookup(*source, &conditions[cond.0], query.schema())?;
+                served[step] = run.lookup(step, cache)?;
             }
             Event::Exec { step: idx } => {
                 let step = step_at(idx)?;
-                if entries[idx].is_some() {
+                if run.entry(idx).is_some() {
                     return Err(replay_err(format!("step#{} executed twice", idx + 1)));
                 }
                 for v in step.used_vars() {
-                    if vars[v.0].is_none() {
+                    if run.var_len(v).is_none() {
                         return Err(replay_err(format!(
                             "step#{} executed before its input {} was bound",
                             idx + 1,
@@ -169,58 +139,31 @@ pub fn execute_plan_replay(
                     }
                 }
                 if step.source().is_none() {
-                    if let Step::LocalSq { cond, rel, .. } = step {
-                        if rels[rel.0].is_none() {
+                    if let Step::LocalSq { rel, .. } = step {
+                        if !run.rel_bound(*rel) {
                             return Err(replay_err(format!(
                                 "step#{} executed before its load {} was bound",
                                 idx + 1,
                                 plan.rel_names[rel.0]
                             )));
                         }
-                        if policy.is_some() && rel_dropped[rel.0] {
-                            missing_conds.push(*cond);
-                        }
                     }
-                    entries[idx] = Some(exec_local_step(idx, step, conditions, &mut vars, &rels)?);
+                    run.local(idx)?;
                     continue;
                 }
-                if let (Some(s), Step::Sq { out, source, .. }) = (served[idx].take(), step) {
-                    entries[idx] = Some(served_entry(idx, *source, &s));
-                    vars[out.0] = Some(s.items);
+                if let Some(hit) = served[idx].take() {
+                    run.serve(idx, hit, false);
                     continue;
                 }
                 // The deadline basis under reordering: the cost of the
                 // executions completed so far in *replay* order.
-                let spent = entries.iter().flatten().map(LedgerEntry::total).sum();
-                let records = cache.is_some().then(|| query.schema());
+                let spent = run.spent();
                 let mut ex = SharedExchanger {
                     net: &*network,
                     step: idx,
                 };
-                let ft = policy.map(|p| {
-                    let source = step.source().expect("remote step has a source");
-                    (p, &mut fts[source.0])
-                });
-                let done = dispatch_remote_step(
-                    idx, step, conditions, sources, &mut ex, &vars, ft, spent, records,
-                )?;
-                let refetch = done.entry.comm + done.entry.proc;
-                entries[idx] = Some(done.entry);
-                apply_step_done(
-                    plan,
-                    query.schema(),
-                    conditions,
-                    idx,
-                    done.value,
-                    refetch,
-                    &mut vars,
-                    &mut rels,
-                    &mut rel_dropped,
-                    &mut pending,
-                    &mut dropped,
-                    &mut missing_conds,
-                    policy.is_some().then_some(&mut analysis),
-                )?;
+                let done = run.fetch(idx, &mut ex, spent)?;
+                run.fold(idx, done)?;
             }
             Event::EpochBump { source } => {
                 if source >= plan.n_sources {
@@ -240,7 +183,7 @@ pub fn execute_plan_replay(
                 // commit; merging the buffered exchanges first is what
                 // makes the read see every execution ordered before it.
                 network.commit();
-                if network.failed_count_for(SourceId(source)) > failed_before[source] {
+                if run.failed_since_start(network, SourceId(source)) {
                     failed[source] = true;
                     cache.bump_epoch(SourceId(source));
                 }
@@ -260,61 +203,31 @@ pub fn execute_plan_replay(
                 };
                 // Cache hits and guarded failures leave nothing pending;
                 // their commit events are no-ops, as in production.
-                let Some(pos) = pending.iter().position(|p| p.step == step) else {
+                let Some(p) = run.take_pending(step) else {
                     continue;
                 };
-                let p = pending.remove(pos);
                 let keep = !(options.guard_commits && failed[p.source.0]);
                 commit_inserts(
                     cache,
                     vec![p],
-                    dropped.is_empty(),
+                    run.exact(),
                     if keep { &[] } else { &failed },
                 );
             }
         }
     }
     network.commit();
-
-    let mut ledger = CostLedger::new();
-    for (idx, e) in entries.into_iter().enumerate() {
-        match e {
-            Some(e) => ledger.push(e),
-            None => {
-                return Err(replay_err(format!("step#{} never executed", idx + 1)));
-            }
-        }
+    if let Some(idx) = run.unexecuted() {
+        return Err(replay_err(format!("step#{} never executed", idx + 1)));
     }
-    let answer = vars[plan.result.0]
-        .take()
-        .expect("validated: result defined");
-    let completeness = if dropped.is_empty() {
-        Completeness::Exact
-    } else {
-        let mut missing_sources: Vec<SourceId> = dropped
-            .iter()
-            .filter_map(|&i| plan.steps[i].source())
-            .collect();
-        missing_sources.sort_unstable();
-        missing_sources.dedup();
-        missing_conds.sort_unstable();
-        missing_conds.dedup();
-        Completeness::Subset {
-            missing_sources,
-            missing_conditions: missing_conds,
-        }
-    };
-    Ok(ExecutionOutcome {
-        answer,
-        ledger,
-        completeness,
-    })
+    // Admissions without a `Commit` event stay uncommitted.
+    Ok(run.finish().0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{execute_plan, execute_plan_ft};
+    use crate::interp::{execute_plan, execute_plan_with};
     use fusion_core::dataflow::EventGraph;
     use fusion_core::optimizer::sja_optimal;
     use fusion_core::TableCostModel;
@@ -428,7 +341,8 @@ mod tests {
             let faults = FaultPlan::uniform(3, seed, FaultSpec::transient(0.45));
             let mut seq_net = Network::uniform(3, LinkProfile::Wan.link());
             seq_net.set_fault_plan(faults.clone());
-            let seq = execute_plan_ft(&plan, &q, &sources, &mut seq_net, &policy).unwrap();
+            let seq =
+                execute_plan_with(&plan, &q, &sources, &mut seq_net, Some(&policy), None).unwrap();
             let mut net = Network::uniform(3, LinkProfile::Wan.link());
             net.set_fault_plan(faults);
             let rep = execute_plan_replay(
@@ -451,7 +365,6 @@ mod tests {
 
     #[test]
     fn cached_program_order_replay_matches_cached_executor() {
-        use crate::cached::execute_plan_cached;
         let plan = plan();
         let q = dmv_query();
         let sources = dmv_sources();
@@ -460,8 +373,15 @@ mod tests {
         let mut rep_cache = AnswerCache::new(1 << 20);
         for round in 0..2 {
             let mut seq_net = Network::uniform(3, LinkProfile::Wan.link());
-            let seq =
-                execute_plan_cached(&plan, &q, &sources, &mut seq_net, &mut seq_cache).unwrap();
+            let seq = execute_plan_with(
+                &plan,
+                &q,
+                &sources,
+                &mut seq_net,
+                None,
+                Some(&mut seq_cache),
+            )
+            .unwrap();
             let mut net = Network::uniform(3, LinkProfile::Wan.link());
             let rep = execute_plan_replay(
                 &plan,

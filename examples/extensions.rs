@@ -125,7 +125,7 @@ fn main() {
     let static_out = execute_plan(&static_plan.plan, &corr.query, &corr.sources, &mut network)
         .expect("static executes");
     let mut network = corr.network();
-    let adaptive_out = execute_adaptive(&corr.query, &corr.sources, &mut network, &model)
+    let adaptive_out = execute_adaptive(&corr.query, &corr.sources, &mut network, &model, None)
         .expect("adaptive executes");
     assert_eq!(static_out.answer, adaptive_out.answer);
     println!(

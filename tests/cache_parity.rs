@@ -10,8 +10,8 @@
 use fusion::cache::{AnswerCache, CachedCostModel};
 use fusion::core::sja_optimal;
 use fusion::exec::{
-    execute_plan, execute_plan_cached, execute_plan_ft, execute_plan_ft_cached,
-    execute_plan_parallel_cached, Completeness, ParallelConfig, RetryPolicy,
+    execute_plan, execute_plan_parallel, execute_plan_with, Completeness, ParallelConfig,
+    RetryPolicy,
 };
 use fusion::net::{FaultPlan, FaultSpec};
 use fusion::stats::SplitMix64;
@@ -58,12 +58,13 @@ fn warm_execution_matches_cold_answers() {
         let mut cache = AnswerCache::new(1 << 22);
         for round in 0..2 {
             let mut network = scenario.network();
-            let warm = execute_plan_cached(
+            let warm = execute_plan_with(
                 &plan,
                 &scenario.query,
                 &scenario.sources,
                 &mut network,
-                &mut cache,
+                None,
+                Some(&mut cache),
             )
             .unwrap();
             assert_eq!(warm.answer, cold.answer, "seed {seed} round {round}");
@@ -76,12 +77,13 @@ fn warm_execution_matches_cold_answers() {
         assert!(snap.any_covered(), "seed {seed}: nothing covered");
         let warm_plan = sja_optimal(&CachedCostModel::new(&model, &snap)).plan;
         let mut network = scenario.network();
-        let replanned = execute_plan_cached(
+        let replanned = execute_plan_with(
             &warm_plan,
             &scenario.query,
             &scenario.sources,
             &mut network,
-            &mut cache,
+            None,
+            Some(&mut cache),
         )
         .unwrap();
         assert_eq!(replanned.answer, cold.answer, "seed {seed} replanned");
@@ -91,13 +93,14 @@ fn warm_execution_matches_cold_answers() {
         let config = ParallelConfig::with_threads(2);
         for round in 0..2 {
             let mut network = scenario.network();
-            let par = execute_plan_parallel_cached(
+            let par = execute_plan_parallel(
                 &plan,
                 &scenario.query,
                 &scenario.sources,
                 &mut network,
+                None,
+                Some(&mut cache),
                 &config,
-                &mut cache,
             )
             .unwrap();
             assert_eq!(
@@ -135,25 +138,26 @@ fn faulty_cached_runs_match_cold_completeness() {
 
         let mut network = scenario.network();
         network.set_fault_plan(faults());
-        let cold = execute_plan_ft(
+        let cold = execute_plan_with(
             &plan,
             &scenario.query,
             &scenario.sources,
             &mut network,
-            &policy,
+            Some(&policy),
+            None,
         )
         .unwrap();
 
         let mut cache = AnswerCache::new(1 << 22);
         let mut network = scenario.network();
         network.set_fault_plan(faults());
-        let warm = execute_plan_ft_cached(
+        let warm = execute_plan_with(
             &plan,
             &scenario.query,
             &scenario.sources,
             &mut network,
-            &policy,
-            &mut cache,
+            Some(&policy),
+            Some(&mut cache),
         )
         .unwrap();
         assert_eq!(warm.answer, cold.answer, "seed {seed}");
@@ -182,12 +186,13 @@ fn outage_subset_parity_then_recovery() {
 
     let mut network = scenario.network();
     network.set_fault_plan(down.clone());
-    let cold = execute_plan_ft(
+    let cold = execute_plan_with(
         &plan,
         &scenario.query,
         &scenario.sources,
         &mut network,
-        &policy,
+        Some(&policy),
+        None,
     )
     .unwrap();
     assert!(matches!(cold.completeness, Completeness::Subset { .. }));
@@ -195,13 +200,13 @@ fn outage_subset_parity_then_recovery() {
     let mut cache = AnswerCache::new(1 << 20);
     let mut network = scenario.network();
     network.set_fault_plan(down);
-    let warm = execute_plan_ft_cached(
+    let warm = execute_plan_with(
         &plan,
         &scenario.query,
         &scenario.sources,
         &mut network,
-        &policy,
-        &mut cache,
+        Some(&policy),
+        Some(&mut cache),
     )
     .unwrap();
     assert_eq!(warm.answer, cold.answer);
@@ -214,13 +219,13 @@ fn outage_subset_parity_then_recovery() {
     // leaves the cache fully warm.
     let truth = scenario.ground_truth().unwrap();
     let mut network = scenario.network();
-    let healed = execute_plan_ft_cached(
+    let healed = execute_plan_with(
         &plan,
         &scenario.query,
         &scenario.sources,
         &mut network,
-        &policy,
-        &mut cache,
+        Some(&policy),
+        Some(&mut cache),
     )
     .unwrap();
     assert_eq!(healed.answer, truth);

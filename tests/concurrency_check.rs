@@ -18,8 +18,9 @@ use fusion::core::dataflow::{
 };
 use fusion::core::plan::{Plan, Step, VarId};
 use fusion::core::{filter_plan, sja_optimal};
-use fusion::exec::cached::execute_plan_ft_cached;
-use fusion::exec::{execute_plan_parallel_ft_cached, ParallelConfig, ReplayOptions, RetryPolicy};
+use fusion::exec::{
+    execute_plan_parallel, execute_plan_with, ParallelConfig, ReplayOptions, RetryPolicy,
+};
 use fusion::net::{FaultPlan, FaultSpec, Network};
 use fusion::types::{CondId, SourceId};
 use fusion::workload::dmv;
@@ -285,13 +286,13 @@ fn seeded_mutant_is_caught_by_analyzer_and_checker() {
         // expose the race; skip the quiet ones.
         let mut probe = make_net();
         let mut probe_cache = AnswerCache::new(1 << 20);
-        execute_plan_ft_cached(
+        execute_plan_with(
             &plan,
             &query,
             &sources,
             &mut probe,
-            &policy,
-            &mut probe_cache,
+            Some(&policy),
+            Some(&mut probe_cache),
         )
         .unwrap();
         if probe.failed_count_for(SourceId(0)) == 0 {
@@ -402,25 +403,25 @@ fn parallel_cached_ft_parity_battery() {
         for round in 0..2 {
             let mut seq_net = scenario.network();
             seq_net.set_fault_plan(faults.clone());
-            let seq = execute_plan_ft_cached(
+            let seq = execute_plan_with(
                 &plan,
                 &scenario.query,
                 &scenario.sources,
                 &mut seq_net,
-                &policy,
-                &mut seq_cache,
+                Some(&policy),
+                Some(&mut seq_cache),
             )
             .unwrap();
             let mut par_net = scenario.network();
             par_net.set_fault_plan(faults.clone());
-            let par = execute_plan_parallel_ft_cached(
+            let par = execute_plan_parallel(
                 &plan,
                 &scenario.query,
                 &scenario.sources,
                 &mut par_net,
-                &policy,
+                Some(&policy),
+                Some(&mut par_cache),
                 &ParallelConfig::with_threads(4),
-                &mut par_cache,
             )
             .unwrap();
             assert_eq!(par.outcome.answer, seq.answer, "seed {seed} round {round}");

@@ -99,7 +99,7 @@ fn adaptive_matches_naive_semantics() {
         );
         let mut network = Network::uniform(rels.len(), LinkProfile::Wan.link());
         let model = NetworkCostModel::new(&sources, &network, &query, None);
-        let out = execute_adaptive(&query, &sources, &mut network, &model).unwrap();
+        let out = execute_adaptive(&query, &sources, &mut network, &model, None).unwrap();
         assert_eq!(out.answer, truth);
         assert_eq!(out.rounds.len(), query.m());
     });

@@ -7,7 +7,7 @@
 
 use fusion::core::postopt::sja_plus;
 use fusion::core::{filter_plan, sja_optimal};
-use fusion::exec::{execute_adaptive_ft, execute_plan, execute_plan_ft, Completeness, RetryPolicy};
+use fusion::exec::{execute_adaptive, execute_plan, execute_plan_with, Completeness, RetryPolicy};
 use fusion::net::{FaultPlan, FaultSpec};
 use fusion::types::{ItemSet, SourceId};
 use fusion::workload::synth::{synth_scenario, SynthSpec};
@@ -51,12 +51,13 @@ fn run_ft(
     let plan = sja_plus(&model).plan;
     let mut network = scenario.network();
     network.set_fault_plan(faults);
-    execute_plan_ft(
+    execute_plan_with(
         &plan,
         &scenario.query,
         &scenario.sources,
         &mut network,
-        policy,
+        Some(policy),
+        None,
     )
     .expect("fault-tolerant execution degrades instead of failing")
 }
@@ -75,12 +76,13 @@ fn same_seed_replays_identically() {
         let run = || {
             let mut network = scenario.network();
             network.set_fault_plan(FaultPlan::uniform(n, 0xBAD, stormy(0.3)));
-            let out = execute_plan_ft(
+            let out = execute_plan_with(
                 &plan,
                 &scenario.query,
                 &scenario.sources,
                 &mut network,
-                &policy,
+                Some(&policy),
+                None,
             )
             .unwrap();
             (out, network.trace().to_vec(), network.failed_count())
@@ -169,12 +171,12 @@ fn adaptive_execution_degrades_to_sound_subsets() {
         for seed in 0..battery().min(16) {
             let mut network = scenario.network();
             network.set_fault_plan(FaultPlan::uniform(n, seed, stormy(0.5)));
-            let out = execute_adaptive_ft(
+            let out = execute_adaptive(
                 &scenario.query,
                 &scenario.sources,
                 &mut network,
                 &model,
-                &RetryPolicy::default(),
+                Some(&RetryPolicy::default()),
             )
             .unwrap();
             assert!(
@@ -216,12 +218,13 @@ fn single_source_outage_equals_fusion_over_survivors() {
             for (name, plan) in &plans {
                 let mut network = scenario.network();
                 network.set_fault_plan(FaultPlan::none(n).with_outage(SourceId(dead), 0));
-                let out = execute_plan_ft(
+                let out = execute_plan_with(
                     plan,
                     &scenario.query,
                     &scenario.sources,
                     &mut network,
-                    &RetryPolicy::default(),
+                    Some(&RetryPolicy::default()),
+                    None,
                 )
                 .unwrap();
                 let Completeness::Subset {
@@ -287,12 +290,13 @@ fn faults_off_is_byte_identical_to_plain_execution() {
                 if let Some(f) = faults {
                     ft_net.set_fault_plan(f);
                 }
-                let ft = execute_plan_ft(
+                let ft = execute_plan_with(
                     &plan,
                     &scenario.query,
                     &scenario.sources,
                     &mut ft_net,
-                    &RetryPolicy::default(),
+                    Some(&RetryPolicy::default()),
+                    None,
                 )
                 .unwrap();
                 assert_eq!(ft.answer, plain.answer, "{}", scenario.name);
@@ -302,6 +306,34 @@ fn faults_off_is_byte_identical_to_plain_execution() {
                 assert_eq!(ft_net.trace(), plain_net.trace(), "{}", scenario.name);
             }
         }
+        // The same pair for per-round re-planning: a retry policy with
+        // nothing to retry changes not a byte of an adaptive run.
+        let adaptive = |retry: Option<&RetryPolicy>| {
+            let mut net = scenario.network();
+            let out = execute_adaptive(&scenario.query, &scenario.sources, &mut net, &model, retry)
+                .unwrap();
+            (out, net)
+        };
+        let (plain, plain_net) = adaptive(None);
+        let (ft, ft_net) = adaptive(Some(&RetryPolicy::default()));
+        assert_eq!(ft.answer, plain.answer, "{}", scenario.name);
+        assert_eq!(ft.ledger, plain.ledger, "{}", scenario.name);
+        assert_eq!(ft.completeness, plain.completeness, "{}", scenario.name);
+        assert_eq!(ft_net.trace(), plain_net.trace(), "{}", scenario.name);
+        let rounds = |o: &fusion::exec::AdaptiveOutcome| -> Vec<_> {
+            o.rounds
+                .iter()
+                .map(|r| {
+                    (
+                        r.cond,
+                        r.choices.clone(),
+                        r.predicted_size.to_bits(),
+                        r.actual_size,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(rounds(&ft), rounds(&plain), "{}", scenario.name);
     }
 }
 

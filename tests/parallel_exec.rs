@@ -10,8 +10,8 @@
 use fusion::core::postopt::sja_plus;
 use fusion::core::{filter_plan, sja_optimal};
 use fusion::exec::{
-    execute_plan, execute_plan_ft, execute_plan_parallel, execute_plan_parallel_ft, schedule,
-    stage_schedule, verify_stage_trace, ParallelConfig, RetryPolicy,
+    execute_plan, execute_plan_parallel, execute_plan_with, schedule, stage_schedule,
+    verify_stage_trace, ParallelConfig, RetryPolicy,
 };
 use fusion::net::{FaultPlan, FaultSpec};
 use fusion::workload::synth::{synth_scenario, SynthSpec};
@@ -71,6 +71,8 @@ fn parallel_is_byte_identical_to_sequential() {
                     &scenario.query,
                     &scenario.sources,
                     &mut par_net,
+                    None,
+                    None,
                     &ParallelConfig::with_threads(threads),
                 )
                 .unwrap();
@@ -102,6 +104,8 @@ fn parallel_ledger_replays_and_verifies() {
             &scenario.query,
             &scenario.sources,
             &mut par_net,
+            None,
+            None,
             &ParallelConfig::with_threads(4),
         )
         .unwrap();
@@ -138,24 +142,26 @@ fn parallel_ft_matches_sequential_across_fault_battery() {
                 let faults = FaultPlan::uniform(n, seed, stormy(rate));
                 let mut seq_net = scenario.network();
                 seq_net.set_fault_plan(faults.clone());
-                let seq = execute_plan_ft(
+                let seq = execute_plan_with(
                     &plan,
                     &scenario.query,
                     &scenario.sources,
                     &mut seq_net,
-                    &policy,
+                    Some(&policy),
+                    None,
                 )
                 .unwrap();
                 for threads in THREADS {
                     let faults = faults.clone();
                     let mut par_net = scenario.network();
                     par_net.set_fault_plan(faults);
-                    let par = execute_plan_parallel_ft(
+                    let par = execute_plan_parallel(
                         &plan,
                         &scenario.query,
                         &scenario.sources,
                         &mut par_net,
-                        &policy,
+                        Some(&policy),
+                        None,
                         &ParallelConfig::with_threads(threads),
                     )
                     .unwrap();
@@ -186,12 +192,13 @@ fn same_seed_parallel_replay_is_deterministic() {
         let run = |threads: usize| {
             let mut network = scenario.network();
             network.set_fault_plan(FaultPlan::uniform(n, 0xBAD, stormy(0.4)));
-            let out = execute_plan_parallel_ft(
+            let out = execute_plan_parallel(
                 &plan,
                 &scenario.query,
                 &scenario.sources,
                 &mut network,
-                &policy,
+                Some(&policy),
+                None,
                 &ParallelConfig::with_threads(threads),
             )
             .unwrap();
@@ -231,22 +238,24 @@ fn parallel_outage_degrades_identically() {
             let faults = FaultPlan::none(n).with_outage(fusion::types::SourceId(dead), 0);
             let mut seq_net = scenario.network();
             seq_net.set_fault_plan(faults.clone());
-            let seq = execute_plan_ft(
+            let seq = execute_plan_with(
                 &plan,
                 &scenario.query,
                 &scenario.sources,
                 &mut seq_net,
-                &policy,
+                Some(&policy),
+                None,
             )
             .unwrap();
             let mut par_net = scenario.network();
             par_net.set_fault_plan(faults);
-            let par = execute_plan_parallel_ft(
+            let par = execute_plan_parallel(
                 &plan,
                 &scenario.query,
                 &scenario.sources,
                 &mut par_net,
-                &policy,
+                Some(&policy),
+                None,
                 &ParallelConfig::with_threads(8),
             )
             .unwrap();

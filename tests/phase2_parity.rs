@@ -336,3 +336,55 @@ fn outage_degrades_to_named_subset_or_recovers_exactly() {
     assert!(recovered > 0, "no seed recovered exactly");
     assert!(subsets > 0, "no seed degraded to a subset");
 }
+
+/// With no fault plan, a retried fetch is the plain fetch bit for bit —
+/// records, ledger and network trace — at any per-query fee and batch
+/// size: the fee is added to the batch's exchange cost in the same
+/// order on both paths, so not even the last ulp moves.
+#[test]
+fn retried_fetch_with_faults_off_is_bit_identical_to_plain_at_any_fee() {
+    let schema = dmv_schema();
+    let attrs = non_merge_attrs(&schema);
+    let rows = global_rows(40);
+    let policy = RetryPolicy::default();
+    for fee_millis in [1, 3, 7, 100, 333, 2_500] {
+        for fetch_batch in [1, 3, 7] {
+            let caps = Capabilities::full()
+                .with_fetch_batch(fetch_batch)
+                .with_fee_millis(fee_millis);
+            let w = World {
+                rels: vec![
+                    Relation::from_rows(schema.clone(), rows[..30].to_vec()),
+                    Relation::from_rows(schema.clone(), rows[10..].to_vec()),
+                ],
+                caps: vec![caps; 2],
+            };
+            let answer = answer_of(&w.rels);
+            let catalog = CoverageCatalog::from_relations(&schema, &w.rels, &[true, true]);
+            let run = |policy: Option<&RetryPolicy>| {
+                let (sources, mut network) = rebuild(&w);
+                let model = model_of(&sources, &network, &schema);
+                let (_, _, out) = fetch_planned(
+                    &answer,
+                    &attrs,
+                    &catalog,
+                    &model,
+                    &schema,
+                    &sources,
+                    &mut network,
+                    None,
+                    policy,
+                )
+                .unwrap();
+                (out, network)
+            };
+            let (plain, plain_net) = run(None);
+            let (retried, retried_net) = run(Some(&policy));
+            let cell = format!("fee {fee_millis} batch {fetch_batch}");
+            assert_eq!(retried.records, plain.records, "{cell}");
+            assert_eq!(retried.ledger, plain.ledger, "{cell}");
+            assert_eq!(retried.completeness, plain.completeness, "{cell}");
+            assert_eq!(retried_net.trace(), plain_net.trace(), "{cell}");
+        }
+    }
+}

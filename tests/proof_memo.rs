@@ -18,8 +18,11 @@ use fusion::cache::{containment_memo_stats, subsumes};
 use fusion::core::analyze::{ensure_sound, proof_memo_stats, ProofMemoStats, PROOF_MEMO_CAPACITY};
 use fusion::core::plan::{Plan, SimplePlanSpec, Step, VarId};
 use fusion::core::{analyze_plan, sja_optimal};
-use fusion::exec::execute_plan;
-use fusion::types::{Attribute, CmpOp, Predicate, Schema, Tuple, Value, ValueType};
+use fusion::exec::{execute_plan, execute_plan_parallel, ParallelConfig, RetryPolicy};
+use fusion::net::FaultPlan;
+use fusion::types::{
+    Attribute, CmpOp, CondId, Predicate, Schema, SourceId, Tuple, Value, ValueType,
+};
 use fusion::workload::synth::{synth_scenario, SynthSpec};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -133,6 +136,75 @@ fn executors_refuse_a_mutant_after_running_its_original() {
     let first = ensure_sound(&broken).unwrap_err().to_string();
     assert_eq!(first, broken.validate().unwrap_err().to_string());
     assert_eq!(ensure_sound(&broken).unwrap_err().to_string(), first);
+}
+
+/// The staged driver guards through the memo like `execute_plan`: a run
+/// without a retry policy of an already-proved plan proves nothing, and
+/// the analysis a drop needs is only built when a step is dropped —
+/// where a drop that would grow the answer is still refused.
+#[test]
+fn a_staged_run_proves_nothing_until_a_step_is_dropped() {
+    let _alone = serial();
+    let scenario = synth_scenario(&SynthSpec::default_with(2, 23), &[0.3, 0.4]);
+    let truth = scenario.ground_truth().unwrap();
+    // FILTER, plus `∪ (B − S)` with B and S the same selection asked
+    // twice: sound (B − S = ∅), but losing S alone would let B through.
+    let (mut steps, filter_result) = filter22();
+    for out in [VarId(7), VarId(8)] {
+        steps.push(Step::Sq {
+            out,
+            cond: CondId(0),
+            source: SourceId(0),
+        });
+    }
+    steps.push(Step::Diff {
+        out: VarId(9),
+        left: VarId(7),
+        right: VarId(8),
+    });
+    steps.push(Step::Union {
+        out: VarId(10),
+        inputs: vec![filter_result, VarId(9)],
+    });
+    let subtrahend_at = 8;
+    let plan = Plan::new(steps, VarId(10), 2, 2);
+    ensure_sound(&plan).unwrap();
+    let config = ParallelConfig::with_threads(2);
+    let delta = moved(proof_memo_stats, || {
+        let out = execute_plan_parallel(
+            &plan,
+            &scenario.query,
+            &scenario.sources,
+            &mut scenario.network(),
+            None,
+            None,
+            &config,
+        )
+        .unwrap();
+        assert_eq!(out.outcome.answer, truth);
+    });
+    assert_eq!(delta, (0, 1, 0), "one memo hit, no proof");
+    // R1 answers its first three queries and goes dark before the fourth.
+    let mut network = scenario.network();
+    network.set_fault_plan(FaultPlan::none(2).with_outage(SourceId(0), 3));
+    let err = execute_plan_parallel(
+        &plan,
+        &scenario.query,
+        &scenario.sources,
+        &mut network,
+        Some(&RetryPolicy::default()),
+        None,
+        &config,
+    )
+    .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "execution error: source failure at step #{subtrahend_at}: dropping it would not \
+             yield a sound subset of the fusion answer (the step's value is used \
+             non-monotonically); aborting instead"
+        )
+    );
 }
 
 // ---------- (b) a near miss is decided on its own ---------------------------

@@ -29,9 +29,8 @@ use fusion::cache::AnswerCache;
 use fusion::core::query::FusionQuery;
 use fusion::core::{sja_optimal, TableCostModel};
 use fusion::exec::{
-    execute_plan, execute_plan_cached, execute_plan_reopt, execute_plan_reopt_parallel,
-    replay_plan_reopt, replay_serial, serve, verify_replay_parity, ReoptConfig, ReoptSession,
-    ServerConfig, TenantEvent,
+    execute_plan, execute_plan_reopt, execute_plan_with, replay_plan_reopt, replay_serial, serve,
+    verify_replay_parity, ReoptConfig, ReoptSession, ServerConfig, TenantEvent,
 };
 use fusion::net::{LinkProfile, Network};
 use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
@@ -114,6 +113,7 @@ fn accurate_statistics_make_adaptation_invisible() {
             None,
             &mut session,
             &config,
+            None,
         )
         .unwrap();
         assert!(on.switches.is_empty(), "switch under exact statistics");
@@ -125,7 +125,7 @@ fn accurate_statistics_make_adaptation_invisible() {
         // Parallel adaptive path: byte-identical to sequential adaptive.
         let mut session = ReoptSession::new(query.m(), N_SOURCES, 1024);
         let mut net_par = wan();
-        let par = execute_plan_reopt_parallel(
+        let par = execute_plan_reopt(
             &opt.spec,
             &query,
             &sources,
@@ -134,7 +134,7 @@ fn accurate_statistics_make_adaptation_invisible() {
             None,
             &mut session,
             &config,
-            2,
+            Some(2),
         )
         .unwrap();
         assert_eq!(par.outcome.ledger, on.outcome.ledger);
@@ -144,8 +144,15 @@ fn accurate_statistics_make_adaptation_invisible() {
         // both from cold caches.
         let mut cache_off = AnswerCache::new(1 << 20);
         let mut net_coff = wan();
-        let coff = execute_plan_cached(&opt.plan, &query, &sources, &mut net_coff, &mut cache_off)
-            .unwrap();
+        let coff = execute_plan_with(
+            &opt.plan,
+            &query,
+            &sources,
+            &mut net_coff,
+            None,
+            Some(&mut cache_off),
+        )
+        .unwrap();
         let mut cache_on = AnswerCache::new(1 << 20);
         let mut session = ReoptSession::new(query.m(), N_SOURCES, 1024);
         let mut net_con = wan();
@@ -158,6 +165,7 @@ fn accurate_statistics_make_adaptation_invisible() {
             Some(&mut cache_on),
             &mut session,
             &config,
+            None,
         )
         .unwrap();
         assert!(con.switches.is_empty());
@@ -194,6 +202,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
             None,
             &mut session,
             &config,
+            None,
         )
         .unwrap();
         assert_eq!(
@@ -224,7 +233,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
         // Parallel adaptive run: same switches, same bytes.
         let mut session = ReoptSession::new(query.m(), N_SOURCES, 1024);
         let mut net_par = wan();
-        let par = execute_plan_reopt_parallel(
+        let par = execute_plan_reopt(
             &opt.spec,
             &query,
             &sources,
@@ -233,7 +242,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
             None,
             &mut session,
             &config,
-            2,
+            Some(2),
         )
         .unwrap();
         assert_eq!(par.switches, on.switches, "parallel switched differently");
@@ -254,6 +263,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
             Some(&mut cache),
             &mut session,
             &config,
+            None,
         )
         .unwrap();
         assert_eq!(cached.outcome.answer, locked.answer);
