@@ -3,16 +3,21 @@
 //! * B1 — runtime is **linear in the number of sources** (`O(m!·m·n)`
 //!   with m fixed): "very important when we deal with a large number of
 //!   sources as is the case with integrating Internet sources".
-//! * B2 — runtime is **factorial in the number of conditions** for the
-//!   exact SJ/SJA, while the greedy variant of \[24\] stays linear.
+//! * B2 — runtime is **factorial in the number of conditions** for
+//!   Figures 3–4 taken literally (`sja_exact` / `sj_exact`: the reference
+//!   enumeration), while the greedy variant of \[24\] stays linear and
+//!   the optimizers' own bounded search (`sja_bnb`: `sja_optimal`) cuts
+//!   most of the space. m ∈ {2, 3} are the sizes the server workloads
+//!   ask, where the search has nothing to cut and must not cost more.
 //!
 //! The timings are also written to `BENCH_b1_b2_optimizer_scaling.json`
 //! (in `$BENCH_DIR`, default the package root).
 
+use fusion_bench::exp::pruning::reference_plan;
 use fusion_bench::json::write_artifact;
 use fusion_bench::microbench::{BenchmarkId, Criterion};
-use fusion_core::optimizer::sja_branch_and_bound;
-use fusion_core::{filter_plan, greedy_sja, sj_optimal, sja_optimal, TableCostModel};
+use fusion_core::optimizer::RoundRule;
+use fusion_core::{filter_plan, greedy_sja, sja_optimal, TableCostModel};
 use std::hint::black_box;
 
 fn model(m: usize, n: usize) -> TableCostModel {
@@ -48,23 +53,24 @@ fn bench_scaling_in_sources(c: &mut Criterion) {
     group.finish();
 }
 
-/// B2: exact vs greedy runtime vs number of conditions, n = 16.
+/// B2: reference enumeration vs search vs greedy runtime vs number of
+/// conditions, n = 16.
 fn bench_scaling_in_conditions(c: &mut Criterion) {
     let mut group = c.benchmark_group("b2_vs_conditions");
     group.sample_size(10);
-    for m in [2usize, 4, 6, 8] {
+    for m in [2usize, 3, 4, 6, 8] {
         let t = model(m, 16);
         group.bench_with_input(BenchmarkId::new("sja_exact", m), &m, |b, _| {
-            b.iter(|| black_box(sja_optimal(&t).cost));
+            b.iter(|| black_box(reference_plan(&t, RoundRule::PerSource).cost));
         });
         group.bench_with_input(BenchmarkId::new("sj_exact", m), &m, |b, _| {
-            b.iter(|| black_box(sj_optimal(&t).cost));
+            b.iter(|| black_box(reference_plan(&t, RoundRule::Uniform).cost));
         });
         group.bench_with_input(BenchmarkId::new("sja_greedy", m), &m, |b, _| {
             b.iter(|| black_box(greedy_sja(&t).cost));
         });
         group.bench_with_input(BenchmarkId::new("sja_bnb", m), &m, |b, _| {
-            b.iter(|| black_box(sja_branch_and_bound(&t).0.cost));
+            b.iter(|| black_box(sja_optimal(&t).cost));
         });
         group.bench_with_input(BenchmarkId::new("filter", m), &m, |b, _| {
             b.iter(|| black_box(filter_plan(&t).cost));

@@ -868,9 +868,9 @@ fn response_lower_bound(
 /// cost at `x_min` — the running-set size after *every* other remaining
 /// condition has already shrunk it. By the §2.4 monotonicity axiom on
 /// `sjq_cost` this never overestimates, so branch-and-bound pruning on
-/// it preserves exactness ([`sja_branch_and_bound`]).
+/// it preserves exactness ([`ordering_search`]).
 ///
-/// [`sja_branch_and_bound`]: crate::optimizer::sja_branch_and_bound
+/// [`ordering_search`]: crate::optimizer::ordering_search
 pub fn remaining_cost_lower_bound<M: CostModel>(
     model: &M,
     used: &[bool],

@@ -8,16 +8,16 @@
 //! one round, observe the real cardinality, re-plan the rest.
 //!
 //! [`adaptive_next`] is the planning half: given the conditions still to
-//! process and the *observed* size of the running item set, it searches
-//! all orderings of the remainder (the same loop-A search as Figure 4,
+//! process and the *observed* size of the running item set, it runs the
+//! crate's one ordering search over the remainder (Figure 4's space,
 //! seeded with truth instead of an estimate) and returns the first round
-//! of the best one. The executor in `fusion-exec` calls it once per
+//! of the best ordering. The executor in `fusion-exec` calls it once per
 //! round.
 
+use super::search::{price_round, RoundRule, SearchState};
 use crate::cost::CostModel;
-use crate::optimizer::perm::for_each_permutation;
 use crate::plan::SourceChoice;
-use fusion_types::{CondId, Cost, SourceId};
+use fusion_types::{CondId, Cost};
 
 /// The recommended next round.
 #[derive(Debug, Clone)]
@@ -34,10 +34,10 @@ pub struct NextRound {
     pub predicted_size: f64,
 }
 
-/// Plans the next round: searches every ordering of `remaining`, chaining
+/// Plans the next round: searches the orderings of `remaining`, chaining
 /// cardinalities from the observed `current_items` (or from scratch when
-/// `None`, i.e. the first round), and returns the best ordering's first
-/// round.
+/// `None`, i.e. the first round), and returns the first round of the best
+/// ordering — of equally cheap ones, the lexicographically least.
 ///
 /// When `current_items` is `Some`, every source may independently choose
 /// between a selection and a semijoin against the *actual* running set —
@@ -52,58 +52,22 @@ pub fn adaptive_next<M: CostModel>(
     current_items: Option<f64>,
 ) -> NextRound {
     assert!(!remaining.is_empty(), "nothing left to plan");
-    let n = model.n_sources();
-    let mut best: Option<NextRound> = None;
-    for_each_permutation(remaining.len(), |perm| {
-        let order: Vec<CondId> = perm.iter().map(|&i| remaining[i]).collect();
-        let mut total = Cost::ZERO;
-        let mut first_round: Option<(Vec<SourceChoice>, Cost, f64)> = None;
-        let mut x = current_items;
-        for (r, &cond) in order.iter().enumerate() {
-            let mut round_cost = Cost::ZERO;
-            let mut choices = Vec::with_capacity(n);
-            for j in 0..n {
-                let sq = model.sq_cost(cond, SourceId(j));
-                let choice_cost = match x {
-                    None => {
-                        choices.push(SourceChoice::Selection);
-                        sq
-                    }
-                    Some(k) => {
-                        let sjq = model.sjq_cost(cond, SourceId(j), k);
-                        if sq < sjq {
-                            choices.push(SourceChoice::Selection);
-                            sq
-                        } else {
-                            choices.push(SourceChoice::Semijoin);
-                            sjq
-                        }
-                    }
-                };
-                round_cost += choice_cost;
-            }
-            let next_x = match x {
-                None => model.est_condition_union(cond),
-                Some(k) => k * model.gsel(cond),
-            };
-            total += round_cost;
-            if r == 0 {
-                first_round = Some((choices, round_cost, next_x));
-            }
-            x = Some(next_x);
-        }
-        let (choices, round_cost, predicted_size) = first_round.expect("non-empty order");
-        if best.as_ref().is_none_or(|b| total < b.remainder_cost) {
-            best = Some(NextRound {
-                cond: order[0],
-                choices,
-                round_cost,
-                remainder_cost: total,
-                predicted_size,
-            });
-        }
-    });
-    best.expect("at least one ordering")
+    let rule = RoundRule::PerSource;
+    let mut cands: Vec<usize> = remaining.iter().map(|c| c.0).collect();
+    cands.sort_unstable();
+    let mut search = SearchState::new(cands.clone());
+    let ((mut choices, remainder_cost, sizes), _) =
+        search.run(model, rule, &cands, current_items, usize::MAX);
+    let cond = search.best[0];
+    let mut round_cost = Cost::ZERO;
+    price_round(model, rule, cond, current_items, &mut round_cost, None);
+    NextRound {
+        cond: CondId(cond),
+        choices: choices.swap_remove(0),
+        round_cost,
+        remainder_cost,
+        predicted_size: sizes[0],
+    }
 }
 
 #[cfg(test)]
@@ -111,6 +75,7 @@ mod tests {
     use super::*;
     use crate::cost::TableCostModel;
     use crate::optimizer::sja_optimal;
+    use fusion_types::SourceId;
 
     fn model() -> TableCostModel {
         let mut m = TableCostModel::uniform(3, 2, 10.0, 1.0, 0.1, 1e9, 5.0, 1000.0);

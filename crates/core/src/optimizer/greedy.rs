@@ -14,9 +14,9 @@
 //! such models. The per-round selection/semijoin decisions then follow the
 //! same rule as the exact algorithms, in a single pass.
 
-use super::{cost_ordering_sj, cost_ordering_sja, OptimizedPlan};
+use super::search::{price_ordering, RoundRule};
+use super::OptimizedPlan;
 use crate::cost::CostModel;
-use crate::plan::SimplePlanSpec;
 use fusion_types::CondId;
 
 /// Orders conditions by ascending estimated union size, condition index
@@ -26,7 +26,7 @@ use fusion_types::CondId;
 /// under a custom [`CostModel`]) degrades to a deterministic — if
 /// arbitrary — position instead of panicking mid-optimization, and the
 /// explicit tie-break keeps the order independent of the sort algorithm.
-fn selectivity_order<M: CostModel>(model: &M) -> Vec<usize> {
+pub(crate) fn selectivity_order<M: CostModel>(model: &M) -> Vec<usize> {
     let mut order: Vec<usize> = (0..model.n_conditions()).collect();
     order.sort_by(|&a, &b| {
         model
@@ -37,36 +37,15 @@ fn selectivity_order<M: CostModel>(model: &M) -> Vec<usize> {
     order
 }
 
-/// Greedy SJ: one selectivity-ordered pass of the Figure 3 round rule.
-/// Runs in `O(mn + m log m)`.
-///
-/// # Panics
-/// Panics if the model has no conditions.
-pub fn greedy_sj<M: CostModel>(model: &M) -> OptimizedPlan {
-    assert!(model.n_conditions() > 0, "no conditions to optimize");
-    let order = selectivity_order(model);
-    let (choices, cost, sizes) = cost_ordering_sj(model, &order);
-    let spec = SimplePlanSpec {
-        order: order.into_iter().map(CondId).collect(),
-        choices,
-    };
-    OptimizedPlan::from_spec(spec, cost, sizes, model.n_sources())
-}
-
 /// Greedy SJA: one selectivity-ordered pass of the Figure 4 round rule
 /// (per-source decisions). Runs in `O(mn + m log m)`.
 ///
 /// # Panics
 /// Panics if the model has no conditions.
 pub fn greedy_sja<M: CostModel>(model: &M) -> OptimizedPlan {
-    assert!(model.n_conditions() > 0, "no conditions to optimize");
     let order = selectivity_order(model);
-    let (choices, cost, sizes) = cost_ordering_sja(model, &order);
-    let spec = SimplePlanSpec {
-        order: order.into_iter().map(CondId).collect(),
-        choices,
-    };
-    OptimizedPlan::from_spec(spec, cost, sizes, model.n_sources())
+    let priced = price_ordering(model, RoundRule::PerSource, &order, None);
+    OptimizedPlan::from_ordering(order, priced, model.n_sources())
 }
 
 #[cfg(test)]
@@ -75,6 +54,13 @@ mod tests {
     use crate::cost::TableCostModel;
     use crate::optimizer::{sj_optimal, sja_optimal};
     use fusion_types::SourceId;
+
+    /// The same pass under Figure 3's uniform rule.
+    fn greedy_sj(model: &TableCostModel) -> OptimizedPlan {
+        let order = selectivity_order(model);
+        let priced = price_ordering(model, RoundRule::Uniform, &order, None);
+        OptimizedPlan::from_ordering(order, priced, model.n_sources())
+    }
 
     fn varied_model() -> TableCostModel {
         let mut m = TableCostModel::uniform(4, 3, 10.0, 1.0, 0.05, 1e9, 30.0, 500.0);

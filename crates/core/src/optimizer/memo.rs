@@ -5,26 +5,21 @@
 //! queries (the workloads the answer cache was built for). Following the
 //! optd-style budgeted-exploration idea, [`ReoptMemo`] keys each suffix
 //! search by *which conditions remain* (a bitmask) and the observed
-//! running-set size (a coarse log-scale bucket) — the same
-//! `(source, condition)`-shaped keying the answer cache uses — and stores
-//! the search's **suspended DFS stack** plus the best complete ordering
-//! found so far. Each invocation spends a bounded number of node
-//! expansions and then suspends; the next invocation with the same key
-//! *resumes exactly where the last stopped*, so the factorial search is
-//! amortized across stage boundaries and across queries.
+//! running-set size (a coarse log-scale bucket) and stores the crate's
+//! one ordering search ([`super::search`]) **suspended**: its path and
+//! the best complete ordering found so far. Each invocation
+//! spends a bounded number of node expansions and then suspends; the next
+//! invocation with the same key *resumes exactly where the last stopped*,
+//! so the factorial search is amortized across stage boundaries and
+//! across queries.
 //!
-//! Only *structure* is memoized — prefixes and orderings, never costs.
-//! Every invocation re-prices the stored incumbent and every explored
-//! prefix under the **current** (feedback-recalibrated) model, so stored
-//! state never goes stale when estimates drift. The trade-off is
-//! documented rather than hidden: subtrees pruned under an earlier
-//! model's bounds are not revisited, so an *exhausted* entry is exact for
-//! the model it finished under and a strong heuristic after further
-//! drift.
+//! Only *structure* is memoized, never a cost: every invocation re-prices
+//! the stored state under the **current** (feedback-recalibrated) model,
+//! and an *exhausted* entry is exact for the model it finished under
+//! (`SearchState` has the fine print).
 
-use super::{cost_suffix_sja, improves, ordering_tie_tolerance};
+use super::search::{RoundRule, SearchState};
 use crate::cost::CostModel;
-use crate::dataflow::remaining_cost_lower_bound;
 use crate::plan::SourceChoice;
 use fusion_types::Cost;
 use std::collections::HashMap;
@@ -54,39 +49,9 @@ impl MemoKey {
             assert!(c < 64, "memo supports at most 64 conditions, got index {c}");
             mask |= 1u64 << c;
         }
-        MemoKey {
-            mask,
-            x_bucket: bucket_of(x0),
-        }
+        let x_bucket = (4.0 * (1.0 + x0.max(0.0)).log2()).floor() as u32;
+        MemoKey { mask, x_bucket }
     }
-}
-
-fn bucket_of(x0: f64) -> u32 {
-    let x = x0.max(0.0);
-    (4.0 * (1.0 + x).log2()).floor() as u32
-}
-
-/// One node of a suspended depth-first search: the ordering prefix chosen
-/// so far and the index of the next child (in ascending condition order)
-/// to expand.
-#[derive(Debug, Clone)]
-struct Frame {
-    prefix: Vec<usize>,
-    next_child: usize,
-}
-
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    /// Suspended DFS stack; empty once the space is drained.
-    stack: Vec<Frame>,
-    /// Best complete ordering found so far (structure only — re-priced on
-    /// every resume).
-    best_order: Option<Vec<usize>>,
-    /// True once the stack drained: the search visited (or soundly
-    /// pruned) the whole suffix space.
-    exhausted: bool,
-    /// Total expansions charged to this entry across invocations.
-    expansions: usize,
 }
 
 /// Counters accumulated across a memo's lifetime, for the E23 bench and
@@ -124,7 +89,7 @@ pub struct SuffixPlan {
 /// A persistent, budgeted memo of suffix plan-space searches.
 #[derive(Debug, Clone)]
 pub struct ReoptMemo {
-    entries: HashMap<MemoKey, MemoEntry>,
+    entries: HashMap<MemoKey, SearchState>,
     budget: usize,
     stats: MemoStats,
 }
@@ -163,13 +128,9 @@ impl ReoptMemo {
 
     /// Searches (or resumes searching) the best SJA suffix over
     /// `remaining` conditions fed by an observed running set of `x0`
-    /// items, spending at most the configured budget, then re-prices the
-    /// incumbent under `model`.
-    ///
-    /// Deterministic given (memo state, model, arguments): children are
-    /// expanded in ascending condition order and ties break to the
-    /// lexicographically smaller ordering, the same rule the offline
-    /// optimizers share.
+    /// items, spending at most the configured budget, and returns the
+    /// incumbent priced under `model`. Deterministic given (memo state,
+    /// model, arguments): it is the offline optimizers' search.
     ///
     /// # Panics
     /// Panics if `remaining` is empty, holds duplicates, or names a
@@ -189,128 +150,34 @@ impl ReoptMemo {
         );
         let mut cands: Vec<usize> = remaining.to_vec();
         cands.sort_unstable();
-
         self.stats.invocations += 1;
-        let entry = match self.entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.stats.resumed += 1;
-                let e = e.into_mut();
-                if e.exhausted {
-                    self.stats.exhausted_hits += 1;
-                }
-                e
-            }
-            std::collections::hash_map::Entry::Vacant(v) => v.insert(MemoEntry {
-                stack: vec![Frame {
-                    prefix: Vec::new(),
-                    next_child: 0,
-                }],
-                best_order: None,
-                exhausted: false,
-                expansions: 0,
-            }),
-        };
-
-        // Re-price the incumbent under the *current* model; seed with the
-        // ascending ordering when the entry is fresh so pruning has a
-        // finite incumbent from the first expansion.
-        let mut best_order = entry.best_order.clone().unwrap_or_else(|| cands.clone());
-        let mut best_cost = cost_suffix_sja(model, &best_order, x0).1;
-
-        let mut spent = 0usize;
-        while spent < self.budget {
-            let Some(top) = entry.stack.last_mut() else {
-                break;
-            };
-            let children: Vec<usize> = cands
-                .iter()
-                .copied()
-                .filter(|c| !top.prefix.contains(c))
-                .collect();
-            if top.next_child >= children.len() {
-                entry.stack.pop();
-                continue;
-            }
-            let cand = children[top.next_child];
-            top.next_child += 1;
-            spent += 1;
-
-            let mut child = top.prefix.clone();
-            child.push(cand);
-            // Price the child prefix from scratch under the current
-            // model: O(depth·n), the cost of never trusting a stale
-            // number.
-            let (_, prefix_cost, prefix_sizes) = cost_suffix_sja(model, &child, x0);
-            let x_after = *prefix_sizes.last().expect("non-empty prefix");
-            if child.len() == cands.len() {
-                if improves(prefix_cost, &child, best_cost, &best_order) {
-                    best_cost = best_cost.min(prefix_cost);
-                    best_order = child;
-                }
-                continue;
-            }
-            // Admissible completion bound, shared with the offline B&B:
-            // prune only strictly-worse subtrees so tie-breaking stays
-            // identical to the exhaustive search.
-            let mut used = vec![true; m];
-            for &c in &cands {
-                used[c] = false;
-            }
-            for &c in &child {
-                used[c] = true;
-            }
-            let bound = prefix_cost + remaining_cost_lower_bound(model, &used, cand, x_after);
-            if bound.value() > best_cost.value() + ordering_tie_tolerance(best_cost) {
-                continue;
-            }
-            entry.stack.push(Frame {
-                prefix: child,
-                next_child: 0,
-            });
+        if let Some(state) = self.entries.get(&key) {
+            self.stats.resumed += 1;
+            self.stats.exhausted_hits += usize::from(state.exhausted());
         }
-
-        if entry.stack.is_empty() {
-            entry.exhausted = true;
-        }
-        entry.best_order = Some(best_order.clone());
-        entry.expansions += spent;
-        self.stats.expansions += spent;
-
-        let (choices, cost, sizes) = cost_suffix_sja(model, &best_order, x0);
+        // A fresh search starts from the ascending ordering, so pruning
+        // has an incumbent from the first expansion.
+        let state = (self.entries.entry(key)).or_insert_with(|| SearchState::new(cands.clone()));
+        let ((choices, cost, sizes), run) =
+            state.run(model, RoundRule::PerSource, &cands, Some(x0), self.budget);
+        self.stats.expansions += run.prefixes_explored;
         SuffixPlan {
-            order: best_order,
+            order: state.best.clone(),
             choices,
             cost,
             sizes,
-            exhausted: entry.exhausted,
-            spent,
+            exhausted: state.exhausted(),
+            spent: run.prefixes_explored,
         }
     }
-}
-
-/// Exhaustive reference: the cheapest suffix by brute force, with the
-/// shared tie-break. Test-only oracle for the memo.
-#[cfg(test)]
-fn suffix_exhaustive<M: CostModel>(model: &M, remaining: &[usize], x0: f64) -> (Vec<usize>, Cost) {
-    let mut cands: Vec<usize> = remaining.to_vec();
-    cands.sort_unstable();
-    let mut best_order = cands.clone();
-    let mut best_cost = cost_suffix_sja(model, &best_order, x0).1;
-    super::perm::for_each_permutation(cands.len(), |perm| {
-        let order: Vec<usize> = perm.iter().map(|&i| cands[i]).collect();
-        let (_, cost, _) = cost_suffix_sja(model, &order, x0);
-        if improves(cost, &order, best_cost, &best_order) {
-            best_cost = best_cost.min(cost);
-            best_order = order;
-        }
-    });
-    (best_order, best_cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::TableCostModel;
+    use crate::optimizer::reference_enumeration;
+    use crate::optimizer::search::price_ordering;
     use fusion_stats::SplitMix64;
     use fusion_types::{CondId, SourceId};
 
@@ -334,6 +201,7 @@ mod tests {
 
     #[test]
     fn exhausted_search_matches_brute_force() {
+        let rule = RoundRule::PerSource;
         for seed in 0..20u64 {
             for m in 2..=5 {
                 let model = random_model(m, 3, 51_000 + seed);
@@ -342,15 +210,9 @@ mod tests {
                 let mut memo = ReoptMemo::new(100_000);
                 let got = memo.search(&model, &remaining, x0);
                 assert!(got.exhausted, "seed {seed} m {m}");
-                let (want_order, want_cost) = suffix_exhaustive(&model, &remaining, x0);
-                assert_eq!(got.order, want_order, "seed {seed} m {m}");
-                assert!(
-                    (got.cost.value() - want_cost.value()).abs()
-                        <= 1e-9 * want_cost.value().max(1.0),
-                    "seed {seed} m {m}: {} vs {}",
-                    got.cost,
-                    want_cost
-                );
+                let want = reference_enumeration(&model, rule, &remaining, Some(x0));
+                assert_eq!(got.order, want.order, "seed {seed} m {m}");
+                assert_eq!(got.cost, want.cost, "seed {seed} m {m}");
             }
         }
     }
@@ -425,7 +287,7 @@ mod tests {
         let under_a = memo.search(&a, &[0, 1, 2], 8.0);
         let under_b = memo.search(&b, &[0, 1, 2], 8.0);
         assert_eq!(under_a.order.len(), under_b.order.len());
-        let repriced = cost_suffix_sja(&b, &under_b.order, 8.0).1;
+        let repriced = price_ordering(&b, RoundRule::PerSource, &under_b.order, Some(8.0)).1;
         assert_eq!(under_b.cost, repriced);
         assert!(under_b.cost.value() > under_a.cost.value());
     }

@@ -1,51 +1,51 @@
 //! The FILTER, SJ, and SJA optimization algorithms (§3) and the greedy
 //! variants of the extended version \[24\].
 //!
-//! All four run in time **linear in the number of sources** — the property
-//! the paper stresses for Internet-scale integration — and (for SJ/SJA)
-//! factorial in the number of conditions, which "in most realistic
-//! scenarios ... is acceptable since the number of conditions (unlike the
-//! number of sources) is usually small".
+//! All run in time **linear in the number of sources** — the property
+//! the paper stresses for Internet-scale integration. SJ and SJA are in
+//! the worst case factorial in the number of conditions, which "in most
+//! realistic scenarios ... is acceptable since the number of conditions
+//! (unlike the number of sources) is usually small".
+//!
+//! There is **one ordering search** (`search.rs`, DESIGN §20), and every
+//! exact optimizer calls it: [`sj_optimal`] / [`sja_optimal`] over all
+//! conditions ([`ordering_search`] adds its counts), [`ReoptMemo::search`]
+//! over a plan suffix under a budget, [`adaptive_next`] over the
+//! remainder after each executed round. [`reference_enumeration`] —
+//! Figures 3–4 literally — is the **reference** it is tested and timed
+//! against, not a product path. [`sja_response_optimal`] minimizes
+//! makespan, which does not decompose by prefix, and enumerates.
 
 mod adaptive;
-mod bnb;
 mod filter;
 mod greedy;
 mod memo;
 pub mod perm;
 mod response;
-mod sj;
-mod sja;
+mod search;
 
 pub use adaptive::{adaptive_next, NextRound};
-pub use bnb::{sj_branch_and_bound, sja_branch_and_bound, BnbStats};
 pub use filter::filter_plan;
-pub use greedy::{greedy_sj, greedy_sja};
+pub use greedy::greedy_sja;
 pub use memo::{MemoKey, MemoStats, ReoptMemo, SuffixPlan};
 pub use response::{estimate_makespan, sja_response_optimal, ResponseOptimized};
-pub use sj::sj_optimal;
-pub use sja::sja_optimal;
+pub use search::{
+    ordering_search, reference_enumeration, sj_optimal, sja_optimal, BnbStats, RoundRule,
+};
 
 use crate::cost::CostModel;
 use crate::plan::{Plan, SimplePlanSpec, SourceChoice};
 use fusion_types::{CondId, Cost, SourceId};
 
-/// The best ordering found so far during search: the condition order,
-/// per-round choices, total cost, and per-round size estimates.
-pub(crate) type BestOrdering = (Vec<usize>, Vec<Vec<SourceChoice>>, Cost, Vec<f64>);
-
-/// Tie-breaking rule shared by the exhaustive and branch-and-bound
-/// searches: strictly cheaper wins, and costs tied within float noise
-/// fall back to the lexicographically smaller ordering. Sharing the rule
-/// makes both searches return byte-identical plans even when several
-/// orderings are equally cheap (e.g. when every round picks selections
-/// and the total is order-independent).
+/// The one tie-break of the search and the reference enumeration:
+/// strictly cheaper wins, and costs tied within float noise — or equal,
+/// which covers two infinite costs — fall back to the lexicographically
+/// smaller ordering. So both return byte-identical plans when several
+/// orderings are equally cheap, whatever ordering either started from.
 pub(crate) fn improves(cost: Cost, order: &[usize], best_cost: Cost, best_order: &[usize]) -> bool {
     let tol = ordering_tie_tolerance(best_cost);
-    if cost.value() < best_cost.value() - tol {
-        return true;
-    }
-    (cost.value() - best_cost.value()).abs() <= tol && order < best_order
+    let tied = cost == best_cost || (cost.value() - best_cost.value()).abs() <= tol;
+    cost.value() < best_cost.value() - tol || (tied && order < best_order)
 }
 
 /// Absolute cost tolerance under which two orderings count as tied.
@@ -98,115 +98,19 @@ impl OptimizedPlan {
             round_sizes,
         }
     }
-}
 
-/// Evaluates the cost of one ordering under SJ's *uniform* per-round rule.
-/// Returns the round choices, total cost, and per-round size estimates.
-pub(crate) fn cost_ordering_sj<M: CostModel>(
-    model: &M,
-    order: &[usize],
-) -> (Vec<Vec<SourceChoice>>, Cost, Vec<f64>) {
-    let n = model.n_sources();
-    let mut choices = Vec::with_capacity(order.len());
-    let mut sizes = Vec::with_capacity(order.len());
-    let first = CondId(order[0]);
-    let mut cost: Cost = (0..n).map(|j| model.sq_cost(first, SourceId(j))).sum();
-    choices.push(vec![SourceChoice::Selection; n]);
-    let mut x_est = model.est_condition_union(first);
-    sizes.push(x_est);
-    for &o in &order[1..] {
-        let cond = CondId(o);
-        let sel_total: Cost = (0..n).map(|j| model.sq_cost(cond, SourceId(j))).sum();
-        let semi_total: Cost = (0..n)
-            .map(|j| model.sjq_cost(cond, SourceId(j), x_est))
-            .sum();
-        if sel_total < semi_total {
-            cost += sel_total;
-            choices.push(vec![SourceChoice::Selection; n]);
-        } else {
-            cost += semi_total;
-            choices.push(vec![SourceChoice::Semijoin; n]);
-        }
-        x_est *= model.gsel(cond);
-        sizes.push(x_est);
+    /// [`OptimizedPlan::from_spec`] for a priced condition ordering.
+    pub(crate) fn from_ordering(
+        order: Vec<usize>,
+        (choices, cost, round_sizes): search::Priced,
+        n_sources: usize,
+    ) -> OptimizedPlan {
+        let spec = SimplePlanSpec {
+            order: order.into_iter().map(CondId).collect(),
+            choices,
+        };
+        OptimizedPlan::from_spec(spec, cost, round_sizes, n_sources)
     }
-    (choices, cost, sizes)
-}
-
-/// Evaluates the cost of one ordering under SJA's *per-source* rule (the
-/// "source loop" of Figure 4).
-pub(crate) fn cost_ordering_sja<M: CostModel>(
-    model: &M,
-    order: &[usize],
-) -> (Vec<Vec<SourceChoice>>, Cost, Vec<f64>) {
-    let n = model.n_sources();
-    let mut choices = Vec::with_capacity(order.len());
-    let mut sizes = Vec::with_capacity(order.len());
-    let first = CondId(order[0]);
-    let mut cost: Cost = (0..n).map(|j| model.sq_cost(first, SourceId(j))).sum();
-    choices.push(vec![SourceChoice::Selection; n]);
-    let mut x_est = model.est_condition_union(first);
-    sizes.push(x_est);
-    for &o in &order[1..] {
-        let cond = CondId(o);
-        let mut row = Vec::with_capacity(n);
-        for j in 0..n {
-            let sq = model.sq_cost(cond, SourceId(j));
-            let sjq = model.sjq_cost(cond, SourceId(j), x_est);
-            if sq < sjq {
-                cost += sq;
-                row.push(SourceChoice::Selection);
-            } else {
-                cost += sjq;
-                row.push(SourceChoice::Semijoin);
-            }
-        }
-        choices.push(row);
-        x_est *= model.gsel(cond);
-        sizes.push(x_est);
-    }
-    (choices, cost, sizes)
-}
-
-/// Prices a plan *suffix* under SJA's per-source rule, given the observed
-/// running-set size `x0` at the splice point.
-///
-/// Unlike [`cost_ordering_sja`], *every* round — including the suffix's
-/// first — chooses per source between a fresh selection and a semijoin
-/// against the running set, because a running set already exists when a
-/// mid-flight re-optimization fires (§2.5's "first condition always by
-/// selection queries" applies only to the very first round of a query).
-/// Returns the per-round choices, the suffix cost, and the estimated
-/// `|X|` after each suffix round.
-pub fn cost_suffix_sja<M: CostModel>(
-    model: &M,
-    order: &[usize],
-    x0: f64,
-) -> (Vec<Vec<SourceChoice>>, Cost, Vec<f64>) {
-    let n = model.n_sources();
-    let mut choices = Vec::with_capacity(order.len());
-    let mut sizes = Vec::with_capacity(order.len());
-    let mut cost = Cost::ZERO;
-    let mut x_est = x0;
-    for &o in order {
-        let cond = CondId(o);
-        let mut row = Vec::with_capacity(n);
-        for j in 0..n {
-            let sq = model.sq_cost(cond, SourceId(j));
-            let sjq = model.sjq_cost(cond, SourceId(j), x_est);
-            if sq < sjq {
-                cost += sq;
-                row.push(SourceChoice::Selection);
-            } else {
-                cost += sjq;
-                row.push(SourceChoice::Semijoin);
-            }
-        }
-        choices.push(row);
-        x_est *= model.gsel(cond);
-        sizes.push(x_est);
-    }
-    (choices, cost, sizes)
 }
 
 /// Prices a *fixed* suffix — rounds whose source choices are already
@@ -248,9 +152,8 @@ pub(crate) mod testutil {
     ///
     /// Costs are arranged so that every ordering starting with `c1` ties
     /// (semijoin costs are input-independent) and orderings starting with
-    /// `c2` or `c3` are strictly worse; the exact search keeps the first
-    /// tied ordering it visits, which under Heap's enumeration is the
-    /// identity `[c1, c2, c3]` — the figure's ordering.
+    /// `c2` or `c3` are strictly worse; the shared tie-break keeps the
+    /// lexicographically least, `[c1, c2, c3]` — the figure's ordering.
     pub fn figure2_model() -> TableCostModel {
         use fusion_types::{CondId, SourceId};
         let mut m = TableCostModel::uniform(3, 2, 10.0, 100.0, 10.0, 1e6, 5.0, 1000.0);
@@ -268,17 +171,26 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
+    use super::search::{price_ordering, RoundRule};
     use super::*;
     use crate::cost::TableCostModel;
+
+    fn sj(model: &TableCostModel, order: &[usize]) -> search::Priced {
+        price_ordering(model, RoundRule::Uniform, order, None)
+    }
+
+    fn sja(model: &TableCostModel, order: &[usize]) -> search::Priced {
+        price_ordering(model, RoundRule::PerSource, order, None)
+    }
 
     #[test]
     fn sj_and_sja_agree_on_uniform_models() {
         // With identical sources, per-source choice degenerates to the
-        // uniform choice: both algorithms must find equal-cost plans
-        // (up to float summation order).
+        // uniform choice: both rules must price an ordering equally (up
+        // to float summation order).
         let model = TableCostModel::uniform(3, 4, 10.0, 1.0, 0.1, 1e9, 20.0, 500.0);
-        let (_, sj_cost, _) = cost_ordering_sj(&model, &[0, 1, 2]);
-        let (_, sja_cost, _) = cost_ordering_sja(&model, &[0, 1, 2]);
+        let (_, sj_cost, _) = sj(&model, &[0, 1, 2]);
+        let (_, sja_cost, _) = sja(&model, &[0, 1, 2]);
         assert!((sj_cost.value() - sja_cost.value()).abs() < 1e-9 * sj_cost.value());
     }
 
@@ -286,8 +198,8 @@ mod tests {
     fn sja_never_worse_than_sj_per_ordering() {
         let model = testutil::figure2_model();
         for order in [[0usize, 1, 2], [2, 1, 0], [1, 0, 2]] {
-            let (_, sj_cost, _) = cost_ordering_sj(&model, &order);
-            let (_, sja_cost, _) = cost_ordering_sja(&model, &order);
+            let (_, sj_cost, _) = sj(&model, &order);
+            let (_, sja_cost, _) = sja(&model, &order);
             assert!(sja_cost <= sj_cost, "order {order:?}");
         }
     }
@@ -295,7 +207,7 @@ mod tests {
     #[test]
     fn round_sizes_shrink_with_selective_conditions() {
         let model = TableCostModel::uniform(3, 2, 10.0, 1.0, 0.1, 1e9, 5.0, 1000.0);
-        let (_, _, sizes) = cost_ordering_sja(&model, &[0, 1, 2]);
+        let (_, _, sizes) = sja(&model, &[0, 1, 2]);
         assert_eq!(sizes.len(), 3);
         assert!(sizes[0] > sizes[1] && sizes[1] > sizes[2]);
     }
@@ -305,7 +217,7 @@ mod tests {
         let mut model = TableCostModel::uniform(2, 2, 10.0, 1.0, 0.1, 1e9, 5.0, 100.0);
         model.set_sjq_cost(CondId(1), SourceId(0), f64::INFINITY, 0.0);
         model.set_sjq_cost(CondId(1), SourceId(1), f64::INFINITY, 0.0);
-        let (choices, cost, _) = cost_ordering_sja(&model, &[0, 1]);
+        let (choices, cost, _) = sja(&model, &[0, 1]);
         assert!(cost.is_finite());
         assert_eq!(choices[1], vec![SourceChoice::Selection; 2]);
     }

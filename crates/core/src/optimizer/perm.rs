@@ -32,15 +32,14 @@ pub fn for_each_permutation<F: FnMut(&[usize])>(m: usize, mut f: F) {
     }
 }
 
-/// `m!` as f64 (for reporting the search-space size).
-pub fn factorial(m: usize) -> f64 {
-    (1..=m).fold(1.0, |acc, k| acc * k as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    fn factorial(m: usize) -> f64 {
+        (1..=m).fold(1.0, |acc, k| acc * k as f64)
+    }
 
     #[test]
     fn generates_all_distinct_permutations() {

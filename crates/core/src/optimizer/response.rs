@@ -129,7 +129,10 @@ pub fn estimate_makespan<M: CostModel>(model: &M, spec: &SimplePlanSpec) -> f64 
 /// # Panics
 /// Panics if the model has no conditions.
 pub fn sja_response_optimal<M: CostModel>(model: &M) -> ResponseOptimized {
-    assert!(model.n_conditions() > 0, "no conditions to optimize");
+    assert!(
+        model.n_conditions() > 0,
+        "a fusion query has at least one condition"
+    );
     #[allow(clippy::type_complexity)] // order, choices, work, makespan, sizes
     let mut best: Option<(Vec<usize>, Vec<Vec<SourceChoice>>, Cost, f64, Vec<f64>)> = None;
     for_each_permutation(model.n_conditions(), |order| {
@@ -145,12 +148,8 @@ pub fn sja_response_optimal<M: CostModel>(model: &M) -> ResponseOptimized {
         }
     });
     let (order, choices, total, makespan, sizes) = best.expect("m >= 1");
-    let spec = SimplePlanSpec {
-        order: order.into_iter().map(CondId).collect(),
-        choices,
-    };
     ResponseOptimized {
-        optimized: OptimizedPlan::from_spec(spec, total, sizes, model.n_sources()),
+        optimized: OptimizedPlan::from_ordering(order, (choices, total, sizes), model.n_sources()),
         est_response_time: makespan,
     }
 }

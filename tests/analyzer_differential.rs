@@ -15,7 +15,7 @@ mod common;
 
 use common::for_seeds;
 use common::mutants::mutant_corpus;
-use fusion::core::optimizer::sja_branch_and_bound;
+use fusion::core::optimizer::{ordering_search, RoundRule};
 use fusion::core::plan::{Plan, SimplePlanSpec};
 use fusion::core::postopt::{build_with_difference, sja_plus};
 use fusion::core::query::FusionQuery;
@@ -42,7 +42,7 @@ fn optimizer_plans_are_proved_and_compute_naive_answer() {
             ("sj", sj_optimal(&model).plan),
             ("sja", sja_optimal(&model).plan),
             ("greedy", greedy_sja(&model).plan),
-            ("bnb", sja_branch_and_bound(&model).0.plan),
+            ("bnb", ordering_search(&model, RoundRule::PerSource).0.plan),
             ("sja+", sja_plus(&model).plan),
         ];
         let query = g.query(m);

@@ -199,22 +199,172 @@ fn sql_round_trip() {
     });
 }
 
-// ---------- branch-and-bound exactness ---------------------------------------
+// ---------- the ordering search against the reference enumeration -----------
 
-/// Branch-and-bound SJA matches the exhaustive SJA cost on arbitrary
-/// models.
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `sj_optimal` / `sja_optimal` return the reference enumeration's plan,
+/// bit for bit, under both round rules.
+fn assert_plans_match_reference<M: CostModel>(model: &M, what: &str) {
+    use fusion::core::optimizer::{reference_enumeration, RoundRule};
+    let all: Vec<usize> = (0..model.n_conditions()).collect();
+    for rule in [RoundRule::Uniform, RoundRule::PerSource] {
+        let want = reference_enumeration(model, rule, &all, None);
+        let got = match rule {
+            RoundRule::Uniform => sj_optimal(model),
+            RoundRule::PerSource => sja_optimal(model),
+        };
+        let ctx = format!("{what}, m={}, n={}, {rule:?}", all.len(), model.n_sources());
+        let order: Vec<usize> = got.spec.order.iter().map(|c| c.0).collect();
+        assert_eq!(order, want.order, "{ctx}");
+        assert_eq!(got.spec.choices, want.choices, "{ctx}");
+        assert_eq!(
+            got.cost.value().to_bits(),
+            want.cost.value().to_bits(),
+            "{ctx}"
+        );
+        assert_eq!(bits(&got.round_sizes), bits(&want.sizes), "{ctx}");
+    }
+}
+
+/// The optimizers' one ordering search against Figures 3–4 taken
+/// literally: plan identity for whole queries on every model shape the
+/// product plans under, and suffix identity for the two callers that
+/// search from an observed running set.
 #[test]
 fn bnb_matches_exhaustive() {
-    for_seeds(48, |g| {
-        let model = g.model(4, 3);
-        let exact = sja_optimal(&model);
-        let (bnb, _) = fusion::core::optimizer::sja_branch_and_bound(&model);
-        assert!(
-            (bnb.cost.value() - exact.cost.value()).abs() <= 1e-9 * exact.cost.value().max(1.0),
-            "bnb {} vs exact {}",
-            bnb.cost,
-            exact.cost
-        );
+    use fusion::cache::{CacheSnapshot, CachedCostModel};
+    use fusion::core::optimizer::{adaptive_next, reference_enumeration, ReoptMemo, RoundRule};
+    use fusion::core::{FeedbackCostModel, NetworkCostModel};
+    use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
+    use fusion::stats::CardinalityFeedback;
+
+    // Costs and estimates drawn from a few values each, so exactly tied
+    // orderings are the norm, not the exception.
+    let quantised = |g: &mut common::Gen, m: usize, n: usize| {
+        let mut model = fusion::core::TableCostModel::uniform(m, n, 1.0, 1.0, 0.0, 1e6, 1.0, 64.0);
+        for i in 0..m {
+            for j in 0..n {
+                let (c, s) = (CondId(i), SourceId(j));
+                model.set_sq_cost(c, s, *g.0.choose(&[1.0, 2.0, 4.0]));
+                model.set_sjq_cost(
+                    c,
+                    s,
+                    *g.0.choose(&[0.5, 1.0, 2.0]),
+                    *g.0.choose(&[0.0, 0.25]),
+                );
+                model.set_est_sq_items(c, s, *g.0.choose(&[0.0, 4.0, 16.0]));
+            }
+        }
+        model
+    };
+
+    for m in 1..=7usize {
+        // The reference is O(m!·m·n): fewer cases where it bites.
+        let cases = [12, 12, 12, 12, 6, 3, 1][m - 1];
+        for n in [1usize, 3, 8] {
+            for_seeds(cases, |g| {
+                let table = g.model(m, n);
+                assert_plans_match_reference(&table, "random table");
+                assert_plans_match_reference(&quantised(g, m, n), "quantised table");
+
+                // The two shapes `admit_query` plans under: a snapshot
+                // with hits (zero-cost cells), and observed cardinalities
+                // over it.
+                let covered = (0..m)
+                    .map(|_| (0..n).map(|_| g.0.next_below(5) < 2).collect())
+                    .collect();
+                let snap = CacheSnapshot::new(covered, vec![0; n]);
+                let cached = CachedCostModel::new(&table, &snap);
+                assert_plans_match_reference(&cached, "cached");
+                let mut fb = CardinalityFeedback::new(m, n);
+                for i in 0..m {
+                    for j in 0..n {
+                        if g.0.next_below(3) == 0 {
+                            fb.record_exact(CondId(i), SourceId(j), g.0.next_f64_range(0.0, 60.0));
+                        }
+                    }
+                }
+                assert_plans_match_reference(&FeedbackCostModel::new(&cached, &fb), "feedback");
+
+                let sources = SourceSet::new(
+                    g.relations(n)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, r)| {
+                            Box::new(InMemoryWrapper::new(
+                                format!("R{}", i + 1),
+                                r,
+                                Capabilities::full(),
+                                ProcessingProfile::free(),
+                                i as u64,
+                            )) as Box<dyn Wrapper>
+                        })
+                        .collect(),
+                );
+                let network =
+                    fusion::net::Network::uniform(n, fusion::net::LinkProfile::Wan.link());
+                let net_model = NetworkCostModel::new(&sources, &network, &g.query(m), None);
+                assert_plans_match_reference(&net_model, "network");
+            });
+        }
+    }
+
+    // Suffix searches: every non-empty subset of five conditions, from
+    // running sets of every magnitude.
+    let rule = RoundRule::PerSource;
+    for_seeds(4, |g| {
+        let model = if g.0.next_below(2) == 0 {
+            g.model(5, 3)
+        } else {
+            quantised(g, 5, 3)
+        };
+        for mask in 1u32..32 {
+            let subset: Vec<usize> = (0..5).filter(|c| mask & (1 << c) != 0).collect();
+            let conds: Vec<CondId> = subset.iter().map(|&c| CondId(c)).collect();
+            for x0 in [0.0, 1.0, 40.0, 4_000.0] {
+                let want = reference_enumeration(&model, rule, &subset, Some(x0));
+                // The memo, in one go and resumed across small budgets.
+                for budget in [usize::MAX, 1, 7, 64] {
+                    let mut memo = ReoptMemo::new(budget);
+                    let mut got = memo.search(&model, &subset, x0);
+                    while !got.exhausted {
+                        got = memo.search(&model, &subset, x0);
+                    }
+                    let ctx = format!("subset {subset:?}, x0 {x0}, budget {budget}");
+                    assert_eq!(got.order, want.order, "{ctx}");
+                    assert_eq!(got.choices, want.choices, "{ctx}");
+                    assert_eq!(
+                        got.cost.value().to_bits(),
+                        want.cost.value().to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(bits(&got.sizes), bits(&want.sizes), "{ctx}");
+                }
+                // The round-at-a-time planner keeps the first round.
+                for (x, want) in [
+                    (Some(x0), &want),
+                    (None, &reference_enumeration(&model, rule, &subset, None)),
+                ] {
+                    let next = adaptive_next(&model, &conds, x);
+                    let ctx = format!("subset {subset:?}, x {x:?}");
+                    assert_eq!(next.cond.0, want.order[0], "{ctx}");
+                    assert_eq!(next.choices, want.choices[0], "{ctx}");
+                    assert_eq!(
+                        next.predicted_size.to_bits(),
+                        want.sizes[0].to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        next.remainder_cost.value().to_bits(),
+                        want.cost.value().to_bits(),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
     });
 }
 
