@@ -19,7 +19,7 @@ use fusion_net::LinkProfile;
 use fusion_source::ProcessingProfile;
 use fusion_types::Condition;
 use fusion_workload::synth::{
-    condition_with_selectivity, synth_relations, synth_schema, SynthSpec,
+    condition_with_selectivity, synth_scenario_for, synth_schema, SynthSpec,
 };
 use fusion_workload::{CapabilityMix, Scenario};
 
@@ -35,25 +35,8 @@ fn scenario_with(conditions: Vec<Condition>, seed: u64) -> Scenario {
         link: Some(LinkProfile::Intercontinental),
         processing: ProcessingProfile::indexed_db(),
     };
-    let relations = synth_relations(&spec);
     let query = FusionQuery::new(synth_schema(), conditions).expect("valid query");
-    let sources = fusion_source::SourceSet::new(
-        relations
-            .iter()
-            .enumerate()
-            .map(|(j, r)| {
-                Box::new(fusion_source::InMemoryWrapper::new(
-                    format!("S{}", j + 1),
-                    r.clone(),
-                    fusion_source::Capabilities::full(),
-                    spec.processing,
-                    seed.wrapping_add(j as u64),
-                )) as Box<dyn fusion_source::Wrapper>
-            })
-            .collect(),
-    );
-    let network = fusion_net::Network::uniform(6, LinkProfile::Intercontinental.link());
-    Scenario::new("correlation", query, relations, sources, network)
+    synth_scenario_for(&spec, query)
 }
 
 /// The three workloads: (name, conditions).
@@ -232,6 +215,30 @@ mod tests {
                 "{name}: adaptive {adaptive_cost:.3} vs static {static_cost:.3}"
             );
             savings.push(1.0 - adaptive_cost / static_cost);
+            // The certified re-optimizer at point trust regions and no
+            // gain threshold reproduces the per-round executor's cost to
+            // the bit on both workloads (DESIGN §15).
+            let mut network = scenario.network();
+            let mut session = fusion_exec::ReoptSession::new(scenario.m(), scenario.n(), 4096);
+            let reopt = fusion_exec::execute_plan_reopt(
+                &sja_optimal(&model).spec,
+                &scenario.query,
+                &scenario.sources,
+                &mut network,
+                &model,
+                None,
+                &mut session,
+                &fusion_exec::ReoptConfig::every_round(),
+                None,
+                None,
+            )
+            .unwrap();
+            assert_eq!(
+                reopt.total_cost().value().to_bits(),
+                adaptive_cost.to_bits(),
+                "{name}: reopt {} vs adaptive {adaptive_cost}",
+                reopt.total_cost()
+            );
         }
         // On the nested workload the drift flips decisions: adaptive must
         // show a real saving there.

@@ -176,6 +176,7 @@ pub fn run_point(factor: f64) -> ReoptRow {
         &mut session,
         &ReoptConfig::default(),
         None,
+        None,
     )
     .expect("adaptive run");
     assert_eq!(
@@ -186,7 +187,7 @@ pub fn run_point(factor: f64) -> ReoptRow {
     // Every adaptive run must reproduce bit-for-bit from its switch
     // records, with each switch independently re-certified.
     let mut net_r = wan();
-    let replayed = replay_plan_reopt(&opt.spec, &out.switches, &q, &srcs, &mut net_r, None)
+    let replayed = replay_plan_reopt(&opt.spec, &out.switches, &q, &srcs, &mut net_r, None, None)
         .expect("switch replay");
     assert_eq!(
         replayed.outcome.ledger, out.outcome.ledger,

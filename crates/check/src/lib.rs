@@ -557,7 +557,9 @@ pub fn verify_merged_vs_isolated(
 /// and final spliced spec against the live outcome. Then executes the
 /// final spliced spec *cold* — no switches, fresh network — and checks
 /// the answer agrees: mid-flight switching must be semantically
-/// invisible, affecting only costs.
+/// invisible, affecting only costs. `retry` is the live run's policy
+/// (and `make_network` must then carry its fault plan); the cold
+/// agreement check is skipped for a run that degraded to a subset.
 ///
 /// Returns the number of switches verified.
 ///
@@ -570,9 +572,18 @@ pub fn verify_reopt_replay(
     query: &FusionQuery,
     sources: &SourceSet,
     make_network: &dyn Fn() -> Network,
+    retry: Option<&RetryPolicy>,
 ) -> Result<usize> {
     let mut net = make_network();
-    let replayed = replay_plan_reopt(spec, &outcome.switches, query, sources, &mut net, None)?;
+    let replayed = replay_plan_reopt(
+        spec,
+        &outcome.switches,
+        query,
+        sources,
+        &mut net,
+        None,
+        retry,
+    )?;
     if replayed.outcome.answer != outcome.outcome.answer {
         return Err(FusionError::execution(
             "reopt replay: answer diverged from the live run",
@@ -593,14 +604,16 @@ pub fn verify_reopt_replay(
             "reopt replay: final spliced spec diverged from the live run",
         ));
     }
-    let final_plan = outcome.final_spec.build(sources.len())?;
-    let mut cold_net = make_network();
-    let cold = execute_plan(&final_plan, query, sources, &mut cold_net)?;
-    if cold.answer != outcome.outcome.answer {
-        return Err(FusionError::execution(
-            "reopt replay: the final spliced spec's cold answer diverges — \
-             switching was not semantically invisible",
-        ));
+    if outcome.outcome.completeness.is_exact() {
+        let final_plan = outcome.final_spec.build(sources.len())?;
+        let mut cold_net = make_network();
+        let cold = execute_plan(&final_plan, query, sources, &mut cold_net)?;
+        if cold.answer != outcome.outcome.answer {
+            return Err(FusionError::execution(
+                "reopt replay: the final spliced spec's cold answer diverges — \
+                 switching was not semantically invisible",
+            ));
+        }
     }
     Ok(outcome.switches.len())
 }
@@ -819,9 +832,11 @@ mod tests {
                 &mut session,
                 &ReoptConfig::default(),
                 None,
+                None,
             )
             .unwrap();
-            let switches = verify_reopt_replay(&out, &opt.spec, &q, &sources, &make_net).unwrap();
+            let switches =
+                verify_reopt_replay(&out, &opt.spec, &q, &sources, &make_net, None).unwrap();
             assert_eq!(switches, out.switches.len(), "est={est}");
         }
     }
@@ -846,12 +861,13 @@ mod tests {
             &mut session,
             &ReoptConfig::default(),
             None,
+            None,
         )
         .unwrap();
         assert!(!out.switches.is_empty(), "fixture stopped switching");
         // Forge the answer: the byte-compare must catch it.
         out.outcome.answer = fusion_types::ItemSet::from_items(["bogus"]);
-        let err = verify_reopt_replay(&out, &opt.spec, &q, &sources, &make_net).unwrap_err();
+        let err = verify_reopt_replay(&out, &opt.spec, &q, &sources, &make_net, None).unwrap_err();
         assert!(err.to_string().contains("answer diverged"), "{err}");
     }
 }

@@ -808,6 +808,8 @@ executed cost {} with per-round re-optimization:",
         };
         let opt = sja_optimal(&model);
         let mut session = fusion_exec::ReoptSession::new(query.m(), sources.len(), 4096);
+        let faults_on = self.faults.is_some();
+        let policy = faults_on.then(RetryPolicy::default);
         let out = fusion_exec::execute_plan_reopt(
             &opt.spec,
             &query,
@@ -818,6 +820,7 @@ executed cost {} with per-round re-optimization:",
             &mut session,
             &fusion_exec::ReoptConfig::default(),
             None,
+            policy.as_ref(),
         )?;
         // Independently re-certify and re-execute from the recorded
         // switches before reporting anything.
@@ -828,8 +831,14 @@ executed cost {} with per-round re-optimization:",
             }
             n
         };
-        let verified =
-            fusion_check::verify_reopt_replay(&out, &opt.spec, &query, &sources, &make_net)?;
+        let verified = fusion_check::verify_reopt_replay(
+            &out,
+            &opt.spec,
+            &query,
+            &sources,
+            &make_net,
+            policy.as_ref(),
+        )?;
         let mut text = format!(
             "answer ({} items): {}\nexecuted cost {}; {} interval violation{}, {} certified switch{}",
             out.outcome.answer.len(),
@@ -842,6 +851,9 @@ executed cost {} with per-round re-optimization:",
         );
         if factor != 1.0 {
             text.push_str(&format!(" (estimates distorted x{factor})"));
+        }
+        if faults_on {
+            text.push_str(&format!("\ncompleteness: {}", out.outcome.completeness));
         }
         for sw in &out.switches {
             text.push_str(&format!(
@@ -1755,7 +1767,8 @@ commands:
          splices the winner in only if the switch certifies (prefix
          identity, BDD semantics, race-free stages). The run is then
          replayed bit-for-bit from its switch records. xF inflates
-         every estimate by F to provoke a visible switch.
+         every estimate by F to provoke a visible switch. Honors
+         \\faults.
   \\faults [off | seed=N transient=P timeout=P slow=PxF outage=J@K]
          deterministic fault injection: failed exchanges are retried with
          backoff; a source that stays down degrades the query to a
@@ -2242,6 +2255,13 @@ mod tests {
         assert!(out.contains("violation"), "{out}");
         let out = run(&mut s, "\\reopt xq SELECT u1.L FROM U u1");
         assert!(out.contains("bad distortion"), "{out}");
+        // Under \faults the run retries and degrades like plain
+        // execution does, and still replays from its switch records.
+        run(&mut s, "\\faults seed=7 outage=3@0");
+        let out = run(&mut s, &format!("\\reopt x500 {DMV_SQL}"));
+        assert!(out.contains("completeness: subset"), "{out}");
+        assert!(out.contains("missing sources: R3"), "{out}");
+        assert!(out.contains("re-certified bit-for-bit"), "{out}");
     }
 
     #[test]

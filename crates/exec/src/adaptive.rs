@@ -9,6 +9,13 @@
 //! against the wrappers, and folded into the running result — the same
 //! correctness argument as condition-at-a-time simple plans, with truth
 //! instead of estimates in the cost comparisons.
+//!
+//! [`crate::execute_plan_reopt`] under [`crate::ReoptConfig::every_round`]
+//! is its certified, replayable counterpart and bit-equal to it wherever
+//! no estimate is exact (DESIGN.md §15 has the experiment). This
+//! executor stays for the one thing that driver does not do: re-plan at
+//! a boundary whose every observation matched its estimate, from the
+//! running set's drift alone.
 
 use crate::ledger::{CostLedger, StepKind};
 use crate::retry::{Completeness, RetryPolicy};

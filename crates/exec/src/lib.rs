@@ -36,7 +36,8 @@
 //!     persistent memo ([`ReoptSession`]) and spliced in — only if
 //!     [`certify_switch`] proves the splice sound. Switches land in the
 //!     ledger as [`StepKind::Reopt`] markers so the replay reproduces
-//!     switched runs bit for bit.
+//!     switched runs bit for bit. Takes `retry` and `cache` as
+//!     [`execute_plan_with`] does; a dropped step is not an observation.
 //!   - [`serve`] — the multi-tenant mediator server: a worker pool
 //!     interleaves many tenants' sessions over one shared, sharded
 //!     answer cache with admission control, per-source concurrency
@@ -45,11 +46,15 @@
 //!     byte-parity with a serial run).
 //! * Beside the plan drivers: [`execute_adaptive`] plans each round from
 //!   the *observed* running-set size instead of executing a plan (it
-//!   calls the same fetch primitives); [`CostLedger`] records the actual
-//!   cost of every step; [`response_time`] replays an executed plan
-//!   under a parallel execution model (§6); [`fetch_records`] is the
-//!   broadcast "second phase" of two-phase processing (§1) and
-//!   [`fetch_planned`] its cost-based covering counterpart.
+//!   calls the same fetch primitives; [`ReoptConfig::every_round`] is
+//!   its certified counterpart wherever no estimate is exact, DESIGN.md
+//!   §15); [`CostLedger`] records the actual cost of every step;
+//!   [`response_time`] replays an executed plan under a parallel
+//!   execution model (§6); [`fetch_records`] is the broadcast "second
+//!   phase" of two-phase processing (§1) and [`fetch_planned`] its
+//!   cost-based covering counterpart (one queue loop,
+//!   [`execute_fetch_plan`], re-planning around dead sources when given
+//!   a retry policy).
 //!
 //! [`FaultPlan`]: fusion_net::FaultPlan
 //!
@@ -80,8 +85,8 @@ pub use interp::{execute_plan, execute_plan_unchecked, execute_plan_with, Execut
 pub use ledger::{CostLedger, LedgerEntry, StepKind};
 pub use parallel::{execute_plan_parallel, ParallelConfig, ParallelOutcome};
 pub use phase2::{
-    cached_phase2_rows, execute_fetch_plan, execute_fetch_plan_ft, execute_fetch_plan_parallel,
-    fetch_planned, Phase2Outcome,
+    cached_phase2_rows, execute_fetch_plan, execute_fetch_plan_parallel, fetch_planned,
+    Phase2Outcome,
 };
 pub use piggyback::{execute_piggyback, fetch_first_records, PiggybackOutcome};
 pub use reopt::{

@@ -7,19 +7,19 @@
 //! * [`execute_fetch_plan`] performs the batched per-source fetch
 //!   exchanges sequentially, serves cache-covered items at zero cost
 //!   ([`StepKind::FetchCached`]), stitches the responses into records,
-//!   and harvests full-record fetches back into the answer cache.
-//! * [`execute_fetch_plan_ft`] adds fault tolerance: exchanges run
-//!   through the same retry loop as phase one, and when a source is
-//!   given up on, its undelivered coverage is *re-planned* over the
-//!   surviving sources. Only coverage nothing can replace degrades the
-//!   record set to [`Completeness::Subset`], with the missing
-//!   attributes named per item.
-//! * [`execute_fetch_plan_parallel`] runs the assignments on real
-//!   threads — sound without a scheduling proof because the planner
-//!   emits at most one assignment per source, so the per-source serial
-//!   queues are disjoint by construction — and commits the shared
-//!   network trace back to sequential order, byte-identical to
-//!   [`execute_fetch_plan`].
+//!   and harvests full-record fetches back into the answer cache. Its
+//!   `replan` argument adds fault tolerance: exchanges run through the
+//!   same retry loop as phase one, and when a source is given up on,
+//!   its undelivered coverage is *re-planned* over the surviving
+//!   sources. Only coverage nothing can replace degrades the record
+//!   set to [`Completeness::Subset`], with the missing attributes named
+//!   per item.
+//! * [`execute_fetch_plan_parallel`] runs the assignments on the stage
+//!   pool's threads — sound without a scheduling proof because the
+//!   planner emits at most one assignment per source, so the per-source
+//!   serial queues are disjoint by construction — and commits the
+//!   shared network trace back to sequential order, byte-identical to
+//!   plain [`execute_fetch_plan`].
 //! * [`fetch_planned`] is the plan→certify→execute convenience the CLI,
 //!   the mediator server, and the parity battery share.
 //!
@@ -37,11 +37,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::cached::{commit_inserts, PendingInsert};
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
-use crate::step::{proc_cost, Attempted, Delivery, Exchanger, SharedExchanger, SourceFt};
+use crate::step::{
+    committing, proc_cost, run_stage, Attempted, Delivery, Exchanger, SharedExchanger, SourceFt,
+};
 use fusion_cache::AnswerCache;
 use fusion_core::cost::NetworkCostModel;
 use fusion_core::phase2::{
-    certify_fetch_plan, plan_fetch, CoverageCatalog, FetchAssignment, FetchCertificate, FetchPlan,
+    certify_fetch_plan, non_merge_attrs, plan_fetch, CoverageCatalog, FetchAssignment,
+    FetchCertificate, FetchPlan,
 };
 use fusion_net::{ExchangeKind, MessageSize, Network};
 use fusion_source::{SourceSet, WrapperResponse};
@@ -296,6 +299,30 @@ fn exec_assignment<E: Exchanger>(
     Ok((Some(executed), entry, undelivered))
 }
 
+/// Every full record `source` holds for `items`, in wrapper order: a
+/// one-source assignment outside any plan, delivered plainly in batches
+/// of the source's `fetch_batch`, with its [`StepKind::Fetch`] entry.
+pub(crate) fn fetch_full_records(
+    items: &ItemSet,
+    source: SourceId,
+    step: usize,
+    schema: &Schema,
+    sources: &SourceSet,
+    network: &mut Network,
+) -> Result<(Vec<Tuple>, LedgerEntry)> {
+    let asg = FetchAssignment {
+        source,
+        items: items.clone(),
+        attrs: non_merge_attrs(schema),
+        covers: Vec::new(),
+        batches: 0,
+        est_cost: Cost::ZERO,
+    };
+    let mut d = Delivery::plain(network, step, source);
+    let (done, entry, _) = exec_assignment(&mut d, &asg, schema, sources)?;
+    Ok((done.map_or_else(Vec::new, |e| e.raw), entry))
+}
+
 /// What [`assemble`] yields: the output records, the items whose named
 /// attributes could not be delivered, and the cached-row serve count.
 type Assembled = (Vec<Tuple>, Vec<(Item, Vec<String>)>, usize);
@@ -513,7 +540,13 @@ fn finish(
     })
 }
 
-/// Executes a fetch plan sequentially over a fault-free network.
+/// Executes a fetch plan's assignments in order. With `replan` — a
+/// retry policy plus the catalog and model the plan was made from —
+/// exchanges are retried, and when a source is given up on its
+/// undelivered coverage is re-planned over the surviving sources; only
+/// coverage nothing can replace is reported missing. Without it,
+/// delivery is plain (the network's fault plan is ignored) and nothing
+/// is ever re-planned.
 ///
 /// # Errors
 /// Propagates wrapper failures; fails when the plan expects cached
@@ -523,53 +556,14 @@ pub fn execute_fetch_plan(
     schema: &Schema,
     sources: &SourceSet,
     network: &mut Network,
-    cache: Option<&mut AnswerCache>,
-) -> Result<Phase2Outcome> {
-    let mut ledger = CostLedger::new();
-    let mut executed = Vec::with_capacity(plan.assignments.len());
-    for (t, asg) in plan.assignments.iter().enumerate() {
-        let mut d = Delivery::plain(network, t, asg.source);
-        let (e, entry, _) = exec_assignment(&mut d, asg, schema, sources)?;
-        ledger.push(entry);
-        executed.extend(e);
-    }
-    let next = plan.assignments.len();
-    finish(
-        plan,
-        schema,
-        sources.len(),
-        &executed,
-        ledger,
-        next,
-        &[],
-        &[],
-        cache,
-    )
-}
-
-/// Executes a fetch plan under a retry policy. When a source is given
-/// up on, its undelivered coverage is re-planned over the surviving
-/// sources; only coverage nothing can replace is reported missing.
-///
-/// # Errors
-/// Propagates wrapper failures; fails when the plan expects cached
-/// items but no cache is given.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_fetch_plan_ft(
-    plan: &FetchPlan,
-    schema: &Schema,
-    catalog: &CoverageCatalog,
-    model: &NetworkCostModel,
-    sources: &SourceSet,
-    network: &mut Network,
-    policy: &RetryPolicy,
+    replan: Option<(&RetryPolicy, &CoverageCatalog, &NetworkCostModel)>,
     cache: Option<&mut AnswerCache>,
 ) -> Result<Phase2Outcome> {
     let mut fts = vec![SourceFt::default(); sources.len()];
-    let mut live = catalog.clone();
+    let mut live: Option<CoverageCatalog> = None;
     let mut queue: VecDeque<FetchAssignment> = plan.assignments.iter().cloned().collect();
     let mut ledger = CostLedger::new();
-    let mut executed = Vec::new();
+    let mut executed = Vec::with_capacity(queue.len());
     let mut extra_missing: Vec<(Item, Vec<usize>)> = Vec::new();
     let mut dead: BTreeSet<SourceId> = BTreeSet::new();
     let mut spent = Cost::ZERO;
@@ -579,7 +573,7 @@ pub fn execute_fetch_plan_ft(
             net: &mut *network,
             step,
             source: asg.source,
-            retry: Some((policy, &mut fts[asg.source.0])),
+            retry: replan.map(|(policy, ..)| (policy, &mut fts[asg.source.0])),
             spent,
         };
         let (done, entry, undelivered) = exec_assignment(&mut d, &asg, schema, sources)?;
@@ -587,13 +581,14 @@ pub fn execute_fetch_plan_ft(
         ledger.push(entry);
         step += 1;
         executed.extend(done);
-        if undelivered.is_empty() {
+        let Some((_, catalog, model)) = replan.filter(|_| !undelivered.is_empty()) else {
             continue;
-        }
+        };
         // The source is dead: strike it from the live catalog and
         // re-cover its undelivered pairs from the survivors. Items
         // with identical residual needs re-plan as one group.
         dead.insert(asg.source);
+        let live = live.get_or_insert_with(|| catalog.clone());
         live.set(asg.source, BTreeSet::new(), ItemSet::empty());
         let mut groups: BTreeMap<Vec<usize>, Vec<Item>> = BTreeMap::new();
         for (item, attrs) in undelivered {
@@ -601,7 +596,7 @@ pub fn execute_fetch_plan_ft(
         }
         for (attrs, items) in groups {
             let set: ItemSet = items.into_iter().collect();
-            let sub = plan_fetch(&set, &attrs, &live, model, plan.arity, &ItemSet::empty());
+            let sub = plan_fetch(&set, &attrs, live, model, plan.arity, &ItemSet::empty());
             extra_missing.extend(sub.missing);
             queue.extend(sub.assignments);
         }
@@ -627,7 +622,7 @@ pub fn execute_fetch_plan_ft(
 /// never picks a source twice — its residual gain is zero), so every
 /// per-source serial queue has at most one client. The shared trace is
 /// committed back to step order, making answer, ledger, and trace
-/// byte-identical to [`execute_fetch_plan`].
+/// byte-identical to plain [`execute_fetch_plan`].
 ///
 /// # Errors
 /// Propagates wrapper failures; rejects plans with two assignments at
@@ -649,33 +644,23 @@ pub fn execute_fetch_plan_parallel(
             )));
         }
     }
-    let net = &*network;
-    let results: Vec<Result<AssignmentResult>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .assignments
-            .iter()
-            .enumerate()
-            .map(|(t, asg)| {
-                scope.spawn(move || {
-                    let mut ex = SharedExchanger { net, step: t };
-                    exec_assignment(
-                        &mut Delivery::plain(&mut ex, t, asg.source),
-                        asg,
-                        schema,
-                        sources,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
-    });
-    network.commit();
+    let jobs: Vec<usize> = (0..plan.assignments.len()).collect();
+    let results = committing(network, |network| {
+        let net = &*network;
+        Ok(run_stage(jobs.len(), &jobs, |t| {
+            let asg = &plan.assignments[t];
+            let mut ex = SharedExchanger { net, step: t };
+            exec_assignment(
+                &mut Delivery::plain(&mut ex, t, asg.source),
+                asg,
+                schema,
+                sources,
+            )
+        }))
+    })?;
     let mut ledger = CostLedger::new();
     let mut executed = Vec::with_capacity(results.len());
-    for r in results {
+    for (_, r) in results {
         let (e, entry, _) = r?;
         ledger.push(entry);
         executed.extend(e);
@@ -696,8 +681,8 @@ pub fn execute_fetch_plan_parallel(
 
 /// Plan → certify → execute, the surface the CLI, the mediator server,
 /// and the parity battery share. Items the answer cache can serve are
-/// planned at zero cost; with a retry policy the fault-tolerant
-/// executor runs, otherwise the sequential one.
+/// planned at zero cost; with a retry policy execution is fault
+/// tolerant and re-plans around dead sources.
 ///
 /// # Errors
 /// Fails when the planner emits an uncertifiable plan (a planner bug by
@@ -719,12 +704,8 @@ pub fn fetch_planned(
     });
     let plan = plan_fetch(answer, attrs, catalog, model, schema.arity(), &cached);
     let cert = certify_fetch_plan(&plan, answer, catalog, model)?;
-    let outcome = match policy {
-        Some(p) => {
-            execute_fetch_plan_ft(&plan, schema, catalog, model, sources, network, p, cache)?
-        }
-        None => execute_fetch_plan(&plan, schema, sources, network, cache)?,
-    };
+    let replan = policy.map(|p| (p, catalog, model));
+    let outcome = execute_fetch_plan(&plan, schema, sources, network, replan, cache)?;
     Ok((plan, cert, outcome))
 }
 
@@ -732,7 +713,6 @@ pub fn fetch_planned(
 mod tests {
     use super::*;
     use crate::two_phase::fetch_records;
-    use fusion_core::phase2::non_merge_attrs;
     use fusion_core::query::FusionQuery;
     use fusion_net::{FaultPlan, LinkProfile};
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
@@ -889,14 +869,12 @@ mod tests {
         let victim = plan.assignments[0].source;
         network.set_fault_plan(FaultPlan::none(2).with_outage(victim, 0));
         let policy = RetryPolicy::default();
-        let out = execute_fetch_plan_ft(
+        let out = execute_fetch_plan(
             &plan,
             &schema,
-            &catalog,
-            &model,
             &sources,
             &mut network,
-            &policy,
+            Some((&policy, &catalog, &model)),
             None,
         )
         .unwrap();
@@ -940,14 +918,12 @@ mod tests {
         );
         network.set_fault_plan(FaultPlan::none(2).with_outage(SourceId(0), 0));
         let policy = RetryPolicy::default();
-        let out = execute_fetch_plan_ft(
+        let out = execute_fetch_plan(
             &plan,
             &schema,
-            &catalog,
-            &model,
             &sources,
             &mut network,
-            &policy,
+            Some((&policy, &catalog, &model)),
             None,
         )
         .unwrap();
@@ -986,7 +962,7 @@ mod tests {
             &ItemSet::empty(),
         );
         assert_eq!(plan.assignments.len(), 2);
-        let seq = execute_fetch_plan(&plan, &schema, &sources, &mut seq_net, None).unwrap();
+        let seq = execute_fetch_plan(&plan, &schema, &sources, &mut seq_net, None, None).unwrap();
         let (psources, mut par_net, _) = world(&caps, &[0..40, 0..40]);
         let par =
             execute_fetch_plan_parallel(&plan, &schema, &psources, &mut par_net, None).unwrap();

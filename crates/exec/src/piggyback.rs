@@ -18,7 +18,8 @@
 //! [`fetch_first_records`]: crate::piggyback::fetch_first_records
 
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
-use crate::step::{run_semijoin, Delivery, StepValue};
+use crate::phase2::fetch_full_records;
+use crate::step::{exec_sq, run_semijoin, Delivery, StepValue};
 use fusion_core::plan::{SimplePlanSpec, SourceChoice};
 use fusion_core::query::FusionQuery;
 use fusion_net::{ExchangeKind, MessageSize, Network};
@@ -77,44 +78,22 @@ pub fn execute_piggyback(
         let mut any_selection = false;
         for (j, choice) in spec.choices[r].iter().enumerate() {
             let source = SourceId(j);
-            let items = match choice {
+            let mut d = Delivery::plain(network, step, source);
+            let done = match choice {
                 SourceChoice::Selection => {
                     any_selection = true;
-                    let w = sources.get(source);
-                    let resp = w.select(cond)?;
-                    let req = MessageSize::sq_request(cond);
-                    let resp_bytes = MessageSize::items_response(&resp.payload);
-                    let comm = network.exchange(source, ExchangeKind::Selection, req, resp_bytes);
-                    let proc = Cost::new(
-                        w.processing()
-                            .cost(resp.tuples_examined, resp.payload.len()),
-                    );
-                    ledger.push(LedgerEntry {
-                        step,
-                        kind: StepKind::Selection,
-                        source: Some(source),
-                        comm,
-                        proc,
-                        round_trips: 1,
-                        items_out: resp.payload.len(),
-                        attempts: 1,
-                        failed_cost: Cost::ZERO,
-                    });
-                    resp.payload
+                    exec_sq(&mut d, cond, sources)?
                 }
                 SourceChoice::Semijoin => {
                     let bindings = current
                         .as_ref()
-                        .expect("validated: round 0 has no semijoins")
-                        .clone();
-                    let mut d = Delivery::plain(network, step, source);
-                    let done = run_semijoin(&mut d, cond, &bindings, sources)?;
-                    ledger.push(done.entry);
-                    let StepValue::Items(items) = done.value else {
-                        unreachable!("plain delivery never drops a step");
-                    };
-                    items
+                        .expect("validated: round 0 has no semijoins");
+                    run_semijoin(&mut d, cond, bindings, sources)?
                 }
+            };
+            ledger.push(done.entry);
+            let StepValue::Items(items) = done.value else {
+                unreachable!("plain delivery never drops a step");
             };
             round_union = round_union.union(&items);
             step += 1;
@@ -191,9 +170,10 @@ pub fn execute_piggyback(
 }
 
 /// The two-phase counterpart with the same deliverable (≥ 1 witnessing
-/// record per answer item): sweeps the sources in order, fetching records
-/// only for the items not yet covered, stopping early once every item has
-/// one.
+/// record per answer item): sweeps the fetch-capable sources in order,
+/// fetching records only for the items not yet covered — batched and
+/// priced exactly as phase two's fetches are — and stopping early once
+/// every item has one.
 ///
 /// # Errors
 /// Propagates wrapper failures.
@@ -205,29 +185,25 @@ pub fn fetch_first_records(
     let mut uncovered = answer.clone();
     let mut records = Vec::new();
     let mut cost = Cost::ZERO;
-    for (id, w) in sources.iter() {
+    for (step, (id, w)) in sources.iter().enumerate() {
         if uncovered.is_empty() {
             break;
         }
-        let schema = w.schema().clone();
-        let resp = w.fetch(&uncovered)?;
-        let req =
-            MessageSize::sjq_request(&fusion_types::Predicate::Const(true).into(), &uncovered);
-        let resp_bytes = MessageSize::tuples_response(&resp.payload);
-        cost += network.exchange(id, ExchangeKind::Fetch, req, resp_bytes);
-        cost += Cost::new(
-            w.processing()
-                .cost(resp.tuples_examined, resp.payload.len()),
-        );
+        if !w.capabilities().record_fetch {
+            continue;
+        }
+        let schema = w.schema();
+        let (rows, entry) = fetch_full_records(&uncovered, id, step, schema, sources, network)?;
+        cost += entry.total();
         // Keep one record per newly covered item.
         let mut newly: Vec<Tuple> = Vec::new();
-        for t in resp.payload {
-            let item = t.item(&schema);
-            if uncovered.contains(&item) && !newly.iter().any(|x| x.item(&schema) == item) {
+        for t in rows {
+            let item = t.item(schema);
+            if uncovered.contains(&item) && !newly.iter().any(|x| x.item(schema) == item) {
                 newly.push(t);
             }
         }
-        let newly_items: ItemSet = newly.iter().map(|t| t.item(&schema)).collect();
+        let newly_items: ItemSet = newly.iter().map(|t| t.item(schema)).collect();
         uncovered = uncovered.difference(&newly_items);
         records.extend(newly);
     }
@@ -292,5 +268,52 @@ mod tests {
             fetch_first_records(&ItemSet::empty(), &scenario.sources, &mut network).unwrap();
         assert!(records.is_empty());
         assert_eq!(cost, Cost::ZERO);
+    }
+
+    #[test]
+    fn first_records_honour_fetch_capabilities_like_the_broadcast_path() {
+        use crate::two_phase::fetch_records;
+        use fusion_net::LinkProfile;
+        use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile, Wrapper};
+        use fusion_types::schema::dmv_schema;
+        use fusion_types::{tuple, Relation};
+
+        // R1 cannot serve fetches at all; R2 takes 3 items per request
+        // and charges 0.25 per round trip.
+        let rows: Vec<Tuple> = (0..7)
+            .map(|i| tuple![format!("L{i}"), "dui", 1990 + i as i64])
+            .collect();
+        let caps = [
+            Capabilities::selection_only(),
+            Capabilities::full()
+                .with_fetch_batch(3)
+                .with_fee_millis(250),
+        ];
+        let sources = SourceSet::new(
+            caps.iter()
+                .enumerate()
+                .map(|(j, c)| {
+                    Box::new(InMemoryWrapper::new(
+                        format!("R{}", j + 1),
+                        Relation::from_rows(dmv_schema(), rows.clone()),
+                        *c,
+                        ProcessingProfile::indexed_db(),
+                        j as u64,
+                    )) as Box<dyn Wrapper>
+                })
+                .collect(),
+        );
+        let answer: ItemSet = rows.iter().map(|t| t.item(&dmv_schema())).collect();
+        let mut network = Network::uniform(2, LinkProfile::Wan.link());
+        let (records, cost) = fetch_first_records(&answer, &sources, &mut network).unwrap();
+        assert_eq!(records.len(), 7, "one record per item, all from R2");
+        assert_eq!(network.trace().len(), 3, "⌈7 / 3⌉ fetch round trips");
+        assert!(network.trace().iter().all(|e| e.source == SourceId(1)));
+        // With one capable source holding everything, the sweep is the
+        // broadcast fetch: same batches, same fees, same cost.
+        let mut broadcast_net = Network::uniform(2, LinkProfile::Wan.link());
+        let broadcast = fetch_records(&answer, &sources, &mut broadcast_net).unwrap();
+        assert_eq!(cost, broadcast.cost);
+        assert_eq!(network.trace(), broadcast_net.trace());
     }
 }

@@ -49,6 +49,7 @@
 
 use crate::interp::ExecutionOutcome;
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
+use crate::retry::RetryPolicy;
 use crate::step::{committing, PlanRun};
 use fusion_cache::AnswerCache;
 use fusion_core::cost::FeedbackCostModel;
@@ -56,7 +57,7 @@ use fusion_core::dataflow::{
     analyze_dataflow, certify_switch, Dataflow, Interval, SourceBounds, SwitchCertificate,
 };
 use fusion_core::optimizer::{price_suffix, ReoptMemo};
-use fusion_core::plan::{Plan, SimplePlanSpec, SourceChoice, Step};
+use fusion_core::plan::{Plan, SimplePlanSpec, SourceChoice, Step, VarId};
 use fusion_core::query::FusionQuery;
 use fusion_core::CostModel;
 use fusion_net::Network;
@@ -84,6 +85,20 @@ impl Default for ReoptConfig {
         ReoptConfig {
             slack: 4.0,
             min_gain: 0.05,
+        }
+    }
+}
+
+impl ReoptConfig {
+    /// Point trust regions and no gain threshold: every round boundary
+    /// with an observation off its estimate re-opens the suffix search,
+    /// and any strictly cheaper suffix is spliced in. For a model known
+    /// to be wrong in shape (correlated conditions), where this is
+    /// per-round re-planning as a certified, replayable run.
+    pub fn every_round() -> ReoptConfig {
+        ReoptConfig {
+            slack: 1.0,
+            min_gain: 0.0,
         }
     }
 }
@@ -208,13 +223,23 @@ fn derive_df<M: CostModel>(
     analyze_dataflow(plan, &fbm, &bounds)
 }
 
-/// Folds one executed step's observation into the feedback store:
-/// selections (served or fetched) record exact cell cardinalities,
-/// semijoins record observed selectivities. Bloom semijoins are skipped
-/// (their output overcounts by the false-positive rate), as are loads
-/// and local steps.
-fn record_observation(feedback: &mut CardinalityFeedback, run: &PlanRun<'_>, entry: &LedgerEntry) {
-    match (&run.plan().steps[entry.step], entry.kind) {
+/// The cardinality observation one executed step's ledger entry
+/// carries: selections (fetched, or served from the cache or a shared
+/// fetch) count a cell exactly, semijoins over a non-empty input
+/// variable (sized by `var_len`) sample its selectivity. Bloom semijoins carry none (their
+/// output overcounts by the false-positive rate), nor do loads, local
+/// steps and [`StepKind::Reopt`] markers.
+///
+/// The entry of a *dropped* step is not an observation — its
+/// `items_out = 0` says the source was given up on, not that nothing
+/// matches — and the ledger alone cannot tell the two apart: callers
+/// must not pass one in.
+fn observation(
+    step: &Step,
+    entry: &LedgerEntry,
+    var_len: impl Fn(VarId) -> Option<usize>,
+) -> Option<(CondId, SourceId, CardObservation)> {
+    match (step, entry.kind) {
         (
             Step::Sq { cond, source, .. },
             StepKind::Selection
@@ -222,9 +247,11 @@ fn record_observation(feedback: &mut CardinalityFeedback, run: &PlanRun<'_>, ent
             | StepKind::CacheResidual
             | StepKind::ShareHit
             | StepKind::ShareResidual,
-        ) => {
-            feedback.record_exact(*cond, *source, entry.items_out as f64);
-        }
+        ) => Some((
+            *cond,
+            *source,
+            CardObservation::Exact(entry.items_out as f64),
+        )),
         (
             Step::Sjq {
                 cond,
@@ -234,10 +261,20 @@ fn record_observation(feedback: &mut CardinalityFeedback, run: &PlanRun<'_>, ent
             },
             StepKind::Semijoin | StepKind::EmulatedSemijoin,
         ) => {
-            let input_items = run.var_len(*input).unwrap_or(0);
-            feedback.record_semijoin(*cond, *source, entry.items_out as f64, input_items as f64);
+            let input_items = var_len(*input).filter(|&k| k > 0)?;
+            let sel = (entry.items_out as f64 / input_items as f64).clamp(0.0, 1.0);
+            Some((*cond, *source, CardObservation::Selectivity(sel)))
         }
-        _ => {}
+        _ => None,
+    }
+}
+
+/// Folds one executed, not dropped step's [`observation`] into the
+/// feedback store.
+fn record_observation(feedback: &mut CardinalityFeedback, run: &PlanRun<'_>, entry: &LedgerEntry) {
+    let step = &run.plan().steps[entry.step];
+    if let Some((cond, source, obs)) = observation(step, entry, |v| run.var_len(v)) {
+        feedback.record(cond, source, obs);
     }
 }
 
@@ -245,8 +282,8 @@ fn record_observation(feedback: &mut CardinalityFeedback, run: &PlanRun<'_>, ent
 /// in plan order — the cross-query harvest the multi-tenant server
 /// folds into its shared feedback store at commit time. Semijoin
 /// observations reconstruct their input size from the ledger entry of
-/// the step that defined the input variable; [`StepKind::Reopt`]
-/// markers are skipped.
+/// the step that defined the input variable. The ledger must come from
+/// a run that dropped no step (the server delivers plainly).
 pub fn harvest_observations(
     plan: &Plan,
     conditions: &[Condition],
@@ -258,40 +295,11 @@ pub fn harvest_observations(
         if entry.kind == StepKind::Reopt {
             continue;
         }
-        match (&plan.steps[entry.step], entry.kind) {
-            (
-                Step::Sq { cond, source, .. },
-                StepKind::Selection
-                | StepKind::CacheHit
-                | StepKind::CacheResidual
-                | StepKind::ShareHit
-                | StepKind::ShareResidual,
-            ) => out.push((
-                conditions[cond.0].clone(),
-                *source,
-                CardObservation::Exact(entry.items_out as f64),
-            )),
-            (
-                Step::Sjq {
-                    cond,
-                    source,
-                    input,
-                    ..
-                },
-                StepKind::Semijoin | StepKind::EmulatedSemijoin,
-            ) => {
-                if let Some(input_items) = var_items[input.0].filter(|&k| k > 0) {
-                    let sel = (entry.items_out as f64 / input_items as f64).clamp(0.0, 1.0);
-                    out.push((
-                        conditions[cond.0].clone(),
-                        *source,
-                        CardObservation::Selectivity(sel),
-                    ));
-                }
-            }
-            _ => {}
+        let step = &plan.steps[entry.step];
+        if let Some((cond, source, obs)) = observation(step, entry, |v| var_items[v.0]) {
+            out.push((conditions[cond.0].clone(), source, obs));
         }
-        if let Some(v) = plan.steps[entry.step].defined_var() {
+        if let Some(v) = step.defined_var() {
             var_items[v.0] = Some(entry.items_out);
         }
     }
@@ -329,6 +337,24 @@ fn check_shapes<M: CostModel>(
     Ok(())
 }
 
+/// Rejects a config the believed-interval derivation or the gain test
+/// cannot work with.
+fn check_config(config: &ReoptConfig) -> Result<()> {
+    if !(config.slack.is_finite() && config.slack >= 1.0) {
+        return Err(FusionError::execution(format!(
+            "reopt config: slack must be finite and at least 1, got {}",
+            config.slack
+        )));
+    }
+    if !(0.0..1.0).contains(&config.min_gain) {
+        return Err(FusionError::execution(format!(
+            "reopt config: min_gain must be in [0, 1), got {}",
+            config.min_gain
+        )));
+    }
+    Ok(())
+}
+
 /// Executes `spec` with runtime adaptive re-optimization: observed
 /// cardinalities calibrate the session's feedback store, and interval
 /// violations at round boundaries re-open the suffix search under the
@@ -337,7 +363,12 @@ fn check_shapes<M: CostModel>(
 /// attached, selections are served/admitted exactly as
 /// [`crate::execute_plan_with`] does. With `threads`, each round's
 /// remote steps run on that many scoped worker threads — byte-identical
-/// outcome (see the module docs' determinism contract).
+/// outcome (see the module docs' determinism contract). With `retry`,
+/// exchanges are retried and a source given up on has its steps dropped
+/// exactly as [`crate::execute_plan_with`] does; a dropped step is not
+/// an observation (it neither calibrates the session nor counts as a
+/// violation), and with no fault plan on the network the run is
+/// byte-identical to `retry: None`.
 ///
 /// When every observation stays inside its believed interval — in
 /// particular whenever the model's estimates are accurate within
@@ -345,8 +376,11 @@ fn check_shapes<M: CostModel>(
 /// executor on the same inputs.
 ///
 /// # Errors
-/// Fails on shape mismatches, structurally or semantically unsound
-/// plans, capability violations, and predicate evaluation errors.
+/// Fails on a `config` whose `slack` is not finite or below 1 or whose
+/// `min_gain` is outside `[0, 1)`, on shape mismatches, structurally or
+/// semantically unsound plans, capability violations, predicate
+/// evaluation errors, and a source failure whose step cannot be soundly
+/// dropped.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_reopt<M: CostModel>(
     spec: &SimplePlanSpec,
@@ -358,7 +392,9 @@ pub fn execute_plan_reopt<M: CostModel>(
     session: &mut ReoptSession,
     config: &ReoptConfig,
     threads: Option<usize>,
+    retry: Option<&RetryPolicy>,
 ) -> Result<ReoptOutcome> {
+    check_config(config)?;
     check_shapes(spec, query, sources, model, session)?;
     let n = sources.len();
     let m = spec.order.len();
@@ -370,7 +406,7 @@ pub fn execute_plan_reopt<M: CostModel>(
         // stage certificate up front like the stage-parallel executor.
         fusion_core::dataflow::stage_decomposition(&plan)?;
     }
-    let mut run = PlanRun::new(&plan, query, sources, network, None, cache.is_some())?;
+    let mut run = PlanRun::new(&plan, query, sources, network, retry, cache.is_some())?;
     let mut feedback = session.feedback.clone();
     let mut df = derive_df(&plan, model, &feedback, config.slack)?;
     let mut rounds = round_layout(&spec, n);
@@ -399,10 +435,15 @@ pub fn execute_plan_reopt<M: CostModel>(
                         }
                     }
                     let steps: Vec<usize> = (start..end).collect();
-                    run.stage(&steps, network, threads, None, Cost::ZERO)?;
+                    let spent = run.spent();
+                    run.stage(&steps, network, threads, None, spent)?;
                 }
             }
-            let entries = (start..end).map(|idx| run.entry(idx).expect("round executed"));
+            // A dropped step observed nothing: its entry neither
+            // calibrates the session nor is tested against its interval.
+            let entries = (start..end)
+                .filter(|&idx| !run.was_dropped(idx))
+                .map(|idx| run.entry(idx).expect("round executed"));
             for entry in entries.clone() {
                 record_observation(&mut feedback, &run, entry);
             }
@@ -484,7 +525,8 @@ pub fn execute_plan_reopt<M: CostModel>(
 /// the replay rather than executing. No intervals, feedback, or memo
 /// are consulted: the ledger (markers included), answer, and
 /// completeness come out bit-for-bit identical to the live run on the
-/// same sources and network.
+/// same sources and network — under the live run's `retry` policy and
+/// fault plan when it had them.
 ///
 /// # Errors
 /// Fails on shape mismatches, unsound plans or splices, capability
@@ -496,6 +538,7 @@ pub fn replay_plan_reopt(
     sources: &SourceSet,
     network: &mut Network,
     mut cache: Option<&mut AnswerCache>,
+    retry: Option<&RetryPolicy>,
 ) -> Result<ReoptOutcome> {
     let n = sources.len();
     if query.m() != spec.order.len() {
@@ -508,7 +551,7 @@ pub fn replay_plan_reopt(
     let mut spec = spec.clone();
     let plan = spec.build(n)?;
     fusion_core::analyze::ensure_sound(&plan)?;
-    let mut run = PlanRun::new(&plan, query, sources, network, None, cache.is_some())?;
+    let mut run = PlanRun::new(&plan, query, sources, network, retry, cache.is_some())?;
     let mut next_switch = switches.iter().peekable();
     let mut replayed: Vec<SwitchRecord> = Vec::new();
     let mut idx = 0usize;
@@ -571,7 +614,7 @@ mod tests {
     use fusion_net::LinkProfile;
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, Predicate, Relation};
+    use fusion_types::{tuple, ItemSet, Predicate, Relation};
 
     fn figure1_relations() -> Vec<Relation> {
         let s = dmv_schema();
@@ -702,6 +745,7 @@ mod tests {
             &mut session,
             &ReoptConfig::default(),
             None,
+            None,
         )
         .unwrap();
         assert!(on.switches.is_empty(), "spurious switch: {:?}", on.switches);
@@ -741,6 +785,7 @@ mod tests {
             None,
             &mut session,
             &ReoptConfig::default(),
+            None,
             None,
         )
         .unwrap();
@@ -785,6 +830,7 @@ mod tests {
             &mut session,
             &ReoptConfig::default(),
             None,
+            None,
         )
         .unwrap();
         assert!(!live.switches.is_empty());
@@ -795,6 +841,7 @@ mod tests {
             &q,
             &sources,
             &mut replay_net,
+            None,
             None,
         )
         .unwrap();
@@ -809,8 +856,16 @@ mod tests {
         let mut forged = live.switches.clone();
         forged[0].suffix_order = vec![done];
         let mut forged_net = Network::uniform(3, LinkProfile::Wan.link());
-        let err =
-            replay_plan_reopt(&opt.spec, &forged, &q, &sources, &mut forged_net, None).unwrap_err();
+        let err = replay_plan_reopt(
+            &opt.spec,
+            &forged,
+            &q,
+            &sources,
+            &mut forged_net,
+            None,
+            None,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("permutation"), "{err}");
     }
 
@@ -832,6 +887,7 @@ mod tests {
                 &mut s_seq,
                 &ReoptConfig::default(),
                 None,
+                None,
             )
             .unwrap();
             let mut s_par = ReoptSession::new(2, 3, 256);
@@ -846,6 +902,7 @@ mod tests {
                 &mut s_par,
                 &ReoptConfig::default(),
                 Some(4),
+                None,
             )
             .unwrap();
             assert_eq!(par.outcome.answer, seq.outcome.answer);
@@ -874,6 +931,7 @@ mod tests {
             &mut session,
             &ReoptConfig::default(),
             None,
+            None,
         )
         .unwrap();
         assert!(!first.switches.is_empty());
@@ -892,6 +950,7 @@ mod tests {
             None,
             &mut session,
             &ReoptConfig::default(),
+            None,
             None,
         )
         .unwrap();
@@ -946,8 +1005,114 @@ mod tests {
             &mut session,
             &ReoptConfig::default(),
             None,
+            None,
         )
         .unwrap_err();
         assert!(err.to_string().contains("session"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_configs_are_rejected_not_panicked() {
+        let q = dmv_query();
+        let sources = dmv_sources();
+        let model = accurate_model();
+        let opt = sja_optimal(&model);
+        let run = |slack: f64, min_gain: f64| {
+            let mut session = ReoptSession::new(2, 3, 64);
+            let mut net = Network::uniform(3, LinkProfile::Wan.link());
+            execute_plan_reopt(
+                &opt.spec,
+                &q,
+                &sources,
+                &mut net,
+                &model,
+                None,
+                &mut session,
+                &ReoptConfig { slack, min_gain },
+                None,
+                None,
+            )
+        };
+        for slack in [0.5, 0.0, -4.0, f64::NAN, f64::INFINITY] {
+            let err = run(slack, 0.05).unwrap_err();
+            assert!(err.to_string().contains("slack"), "slack {slack}: {err}");
+        }
+        for min_gain in [-0.1, 1.0, 2.0, f64::NAN, f64::NEG_INFINITY] {
+            let err = run(4.0, min_gain).unwrap_err();
+            assert!(
+                err.to_string().contains("min_gain"),
+                "min_gain {min_gain}: {err}"
+            );
+        }
+        // The tightest legal corner: point trust regions, any gain.
+        let ReoptConfig { slack, min_gain } = ReoptConfig::every_round();
+        run(slack, min_gain).unwrap();
+    }
+
+    #[test]
+    fn a_switch_between_two_drops_keeps_the_run_sound_and_replayable() {
+        use crate::retry::Completeness;
+        use fusion_net::FaultPlan;
+        let q = dmv_query();
+        let sources = skewed_sources();
+        let model = misestimated_model();
+        let opt = sja_optimal(&model);
+        let policy = RetryPolicy::default();
+        // Step #0's source: its dropped entry is the first a violation
+        // scan meets.
+        let dead = SourceId(0);
+        let faulty = || {
+            let mut net = Network::uniform(3, LinkProfile::Wan.link());
+            net.set_fault_plan(FaultPlan::none(3).with_outage(dead, 0));
+            net
+        };
+        let mut session = ReoptSession::new(2, 3, 256);
+        let mut net = faulty();
+        let live = execute_plan_reopt(
+            &opt.spec,
+            &q,
+            &sources,
+            &mut net,
+            &model,
+            None,
+            &mut session,
+            &ReoptConfig::default(),
+            None,
+            Some(&policy),
+        )
+        .unwrap();
+        // R1's round-0 selection is dropped, the live sources' round-0
+        // observations force the switch to semijoins, and R1's spliced
+        // semijoin is dropped against the *new* plan.
+        assert_eq!(live.switches.len(), 1);
+        let violating = &live.outcome.ledger.entries()[live.switches[0].violating_step];
+        assert_ne!(violating.source, Some(dead));
+        assert_eq!(
+            live.outcome.completeness,
+            Completeness::Subset {
+                missing_sources: vec![dead],
+                missing_conditions: vec![CondId(0), CondId(1)],
+            }
+        );
+        for cond in [CondId(0), CondId(1)] {
+            assert_eq!(session.feedback.observed(cond, dead), None);
+        }
+        // Each live source holds one entity with both violations.
+        assert_eq!(live.outcome.answer, ItemSet::from_items(["D10", "D20"]));
+        let mut replay_net = faulty();
+        let replayed = replay_plan_reopt(
+            &opt.spec,
+            &live.switches,
+            &q,
+            &sources,
+            &mut replay_net,
+            None,
+            Some(&policy),
+        )
+        .unwrap();
+        assert_eq!(replayed.outcome.answer, live.outcome.answer);
+        assert_eq!(replayed.outcome.ledger, live.outcome.ledger);
+        assert_eq!(replayed.outcome.completeness, live.outcome.completeness);
+        assert_eq!(replay_net.trace(), net.trace());
     }
 }

@@ -706,6 +706,12 @@ impl<'a> PlanRun<'a> {
         self.dropped.is_empty()
     }
 
+    /// Whether step `idx` was dropped: its ledger entry then reports no
+    /// items because the source was given up on, not because none match.
+    pub(crate) fn was_dropped(&self, idx: usize) -> bool {
+        self.dropped.contains(&idx)
+    }
+
     /// Removes and returns the pending admission of step `idx`.
     pub(crate) fn take_pending(&mut self, idx: usize) -> Option<PendingInsert> {
         let pos = self.pending.iter().position(|p| p.step == idx)?;
@@ -1017,9 +1023,12 @@ impl<'a> PlanRun<'a> {
     }
 
     /// Reopt: continues the run under `new_plan` — certified by the
-    /// caller to share the executed prefix — recording `marker` ahead of
-    /// the first spliced step.
+    /// caller to share the executed prefix, so the dropped step indices
+    /// stay valid — recording `marker` ahead of the first spliced step.
+    /// The drop-check analysis was built for the old plan and is
+    /// discarded; the next drop rebuilds it for the new one.
     pub(crate) fn splice(&mut self, new_plan: Plan, marker: LedgerEntry) {
+        self.analysis = None;
         self.vars.resize(new_plan.var_names.len(), None);
         self.rels.resize(new_plan.rel_names.len(), None);
         self.rel_dropped.resize(new_plan.rel_names.len(), false);
@@ -1098,7 +1107,7 @@ impl<'a> PlanRun<'a> {
 /// The cursor-and-barrier of the stage pool: runs `work` for every
 /// index of `jobs` on up to `threads` scoped workers and returns the
 /// results sorted by index.
-fn run_stage<T: Send>(
+pub(crate) fn run_stage<T: Send>(
     threads: usize,
     jobs: &[usize],
     work: impl Fn(usize) -> T + Sync,

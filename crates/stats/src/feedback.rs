@@ -72,12 +72,22 @@ impl CardinalityFeedback {
         cond.0 * self.n + source.0
     }
 
+    /// Records one observation: an exact count always lands (newer
+    /// exact beats older — sources drift), a selectivity sample never
+    /// displaces an exact count.
+    pub fn record(&mut self, cond: CondId, source: SourceId, obs: CardObservation) {
+        let i = self.idx(cond, source);
+        match (self.cells[i], obs) {
+            (Some(CardObservation::Exact(_)), CardObservation::Selectivity(_)) => {}
+            _ => self.cells[i] = Some(obs),
+        }
+    }
+
     /// Records an exactly counted selection result. Overrides any prior
     /// observation for the cell (exact beats sampled, newer exact beats
     /// older exact — sources drift).
     pub fn record_exact(&mut self, cond: CondId, source: SourceId, items: f64) {
-        let i = self.idx(cond, source);
-        self.cells[i] = Some(CardObservation::Exact(items.max(0.0)));
+        self.record(cond, source, CardObservation::Exact(items.max(0.0)));
     }
 
     /// Records a semijoin probe: `out_items` survivors of an
@@ -93,12 +103,8 @@ impl CardinalityFeedback {
         if input_items <= 0.0 {
             return;
         }
-        let i = self.idx(cond, source);
-        if matches!(self.cells[i], Some(CardObservation::Exact(_))) {
-            return;
-        }
         let sel = (out_items / input_items).clamp(0.0, 1.0);
-        self.cells[i] = Some(CardObservation::Selectivity(sel));
+        self.record(cond, source, CardObservation::Selectivity(sel));
     }
 
     /// The current belief for a cell, if anything has been observed.

@@ -165,6 +165,12 @@ fn link_for(spec: &SynthSpec, j: usize) -> Link {
 
 /// Builds the complete scenario for a spec and query selectivities.
 pub fn synth_scenario(spec: &SynthSpec, selectivities: &[f64]) -> Scenario {
+    synth_scenario_for(spec, synth_query(selectivities))
+}
+
+/// Builds the complete scenario for a spec around any query over
+/// [`synth_schema`] — conditions sharing an attribute are correlated.
+pub fn synth_scenario_for(spec: &SynthSpec, query: FusionQuery) -> Scenario {
     let relations = synth_relations(spec);
     let n = spec.n_sources;
     let sources = SourceSet::new(
@@ -184,8 +190,8 @@ pub fn synth_scenario(spec: &SynthSpec, selectivities: &[f64]) -> Scenario {
     );
     let network = Network::new((0..n).map(|j| link_for(spec, j)).collect());
     Scenario::new(
-        format!("synth-n{}-m{}", n, selectivities.len()),
-        synth_query(selectivities),
+        format!("synth-n{}-m{}", n, query.m()),
+        query,
         relations,
         sources,
         network,

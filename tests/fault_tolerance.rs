@@ -7,9 +7,12 @@
 
 use fusion::core::postopt::sja_plus;
 use fusion::core::{filter_plan, sja_optimal};
-use fusion::exec::{execute_adaptive, execute_plan, execute_plan_with, Completeness, RetryPolicy};
-use fusion::net::{FaultPlan, FaultSpec};
-use fusion::types::{ItemSet, SourceId};
+use fusion::exec::{
+    execute_adaptive, execute_plan, execute_plan_reopt, execute_plan_with, Completeness,
+    ReoptConfig, ReoptOutcome, ReoptSession, RetryPolicy, StepKind,
+};
+use fusion::net::{FaultPlan, FaultSpec, Network};
+use fusion::types::{CondId, ItemSet, SourceId};
 use fusion::workload::synth::{synth_scenario, SynthSpec};
 use fusion::workload::{dmv, Scenario};
 
@@ -60,6 +63,32 @@ fn run_ft(
         None,
     )
     .expect("fault-tolerant execution degrades instead of failing")
+}
+
+/// The SJA plan under certified re-optimization at point trust regions
+/// (every inexact observation re-opens the suffix search), sequentially,
+/// from a fresh session.
+fn run_reopt(
+    scenario: &Scenario,
+    network: &mut Network,
+    retry: Option<&RetryPolicy>,
+) -> (ReoptOutcome, ReoptSession) {
+    let model = scenario.cost_model();
+    let mut session = ReoptSession::new(scenario.m(), scenario.n(), 4096);
+    let out = execute_plan_reopt(
+        &sja_optimal(&model).spec,
+        &scenario.query,
+        &scenario.sources,
+        network,
+        &model,
+        None,
+        &mut session,
+        &ReoptConfig::every_round(),
+        None,
+        retry,
+    )
+    .expect("fault-tolerant re-optimization degrades instead of failing");
+    (out, session)
 }
 
 // ---------- determinism -----------------------------------------------------
@@ -187,6 +216,109 @@ fn adaptive_execution_degrades_to_sound_subsets() {
             if out.completeness.is_exact() {
                 assert_eq!(out.answer, exact, "{} seed {seed}", scenario.name);
             }
+        }
+    }
+}
+
+/// So does the re-optimizing driver under a retry policy: whatever it
+/// switches to around the faults, the answer stays a subset, and every
+/// run — degraded or not — replays bit for bit from its switch records
+/// under the same fault plan and policy.
+#[test]
+fn reopt_execution_degrades_to_sound_subsets() {
+    for scenario in scenarios() {
+        let n = scenario.n();
+        let exact = scenario.ground_truth().unwrap();
+        let model = scenario.cost_model();
+        let spec = sja_optimal(&model).spec;
+        let policy = RetryPolicy::default();
+        for seed in 0..battery().min(16) {
+            let faulty = || {
+                let mut network = scenario.network();
+                network.set_fault_plan(FaultPlan::uniform(n, seed, stormy(0.5)));
+                network
+            };
+            let (out, _) = run_reopt(&scenario, &mut faulty(), Some(&policy));
+            assert!(
+                out.outcome.answer.is_subset_of(&exact),
+                "{} seed {seed}",
+                scenario.name
+            );
+            if out.outcome.completeness.is_exact() {
+                assert_eq!(out.outcome.answer, exact, "{} seed {seed}", scenario.name);
+            }
+            fusion::check::verify_reopt_replay(
+                &out,
+                &spec,
+                &scenario.query,
+                &scenario.sources,
+                &faulty,
+                Some(&policy),
+            )
+            .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", scenario.name));
+        }
+    }
+}
+
+/// A step the run dropped is not an observation. With one source down
+/// from its first exchange, every one of its steps is dropped before
+/// any round boundary is reached: the violations that follow come from
+/// live sources only, the session learns nothing about the dead one —
+/// its `items_out = 0` must never calibrate a later query — and the
+/// answer is the fusion over the survivors.
+#[test]
+fn a_dropped_step_is_not_an_observation() {
+    let scenario = synth_scenario(&SynthSpec::default_with(6, 17), &[0.05, 0.4, 0.6]);
+    let (m, n) = (scenario.m(), scenario.n());
+    for dead in 0..n {
+        let mut network = scenario.network();
+        network.set_fault_plan(FaultPlan::none(n).with_outage(SourceId(dead), 0));
+        let (out, session) = run_reopt(&scenario, &mut network, Some(&RetryPolicy::default()));
+        let Completeness::Subset {
+            missing_sources, ..
+        } = &out.outcome.completeness
+        else {
+            panic!("R{} down: expected a subset answer", dead + 1);
+        };
+        assert_eq!(missing_sources.as_slice(), &[SourceId(dead)]);
+        let survivors: Vec<_> = (scenario.relations.iter().enumerate())
+            .filter(|(j, _)| *j != dead)
+            .map(|(_, r)| r.clone())
+            .collect();
+        assert_eq!(
+            out.outcome.answer,
+            scenario.query.naive_answer(&survivors).unwrap(),
+            "R{} down",
+            dead + 1
+        );
+        assert!(out.violations > 0, "R{} down: nothing re-planned", dead + 1);
+        for i in 0..m {
+            assert_eq!(
+                session.feedback.observed(CondId(i), SourceId(dead)),
+                None,
+                "R{} down: c{} calibrated from a dropped step",
+                dead + 1,
+                i + 1
+            );
+            for live in (0..n).filter(|j| *j != dead) {
+                assert!(
+                    session
+                        .feedback
+                        .observed(CondId(i), SourceId(live))
+                        .is_some(),
+                    "R{} down: live cell c{}/R{} unobserved",
+                    dead + 1,
+                    i + 1,
+                    live + 1
+                );
+            }
+        }
+        // No switch was argued from a dead source's silence.
+        for sw in &out.switches {
+            let entry = (out.outcome.ledger.entries().iter())
+                .find(|e| e.kind != StepKind::Reopt && e.step == sw.violating_step)
+                .expect("violating step executed");
+            assert_ne!(entry.source, Some(SourceId(dead)), "R{} down", dead + 1);
         }
     }
 }
@@ -334,6 +466,26 @@ fn faults_off_is_byte_identical_to_plain_execution() {
                 .collect()
         };
         assert_eq!(rounds(&ft), rounds(&plain), "{}", scenario.name);
+        // And for certified re-optimization, switches included.
+        let mut plain_net = scenario.network();
+        let (plain, plain_session) = run_reopt(&scenario, &mut plain_net, None);
+        let mut ft_net = scenario.network();
+        let (ft, ft_session) = run_reopt(&scenario, &mut ft_net, Some(&RetryPolicy::default()));
+        assert_eq!(ft.outcome.answer, plain.outcome.answer, "{}", scenario.name);
+        assert_eq!(ft.outcome.ledger, plain.outcome.ledger, "{}", scenario.name);
+        assert_eq!(
+            ft.outcome.completeness, plain.outcome.completeness,
+            "{}",
+            scenario.name
+        );
+        assert_eq!(ft.switches, plain.switches, "{}", scenario.name);
+        assert_eq!(ft.final_spec, plain.final_spec, "{}", scenario.name);
+        assert_eq!(
+            ft_session.feedback, plain_session.feedback,
+            "{}",
+            scenario.name
+        );
+        assert_eq!(ft_net.trace(), plain_net.trace(), "{}", scenario.name);
     }
 }
 

@@ -19,6 +19,16 @@
 //! calibration on and proves its admission log still replays to byte
 //! parity at every worker count.
 //!
+//! A fourth pins what `slack: 1, min_gain: 0` means — point trust
+//! regions, any strictly cheaper suffix switches: on populations large
+//! enough that no estimate is exact, that is per-round re-planning.
+//! Every executed round is the first round of Figures 3–4's enumeration
+//! over the conditions still to run, from the observed running-set size,
+//! and the run is bit-equal to `execute_adaptive`'s — while staying a
+//! certified, replayable plan execution. (On toy populations an
+//! observation can equal its estimate, and that round is not re-planned:
+//! DESIGN §15 has the counts.)
+//!
 //! The battery size scales with `REOPT_BATTERY_SEEDS` (default 16; CI
 //! runs 32 in release).
 
@@ -26,15 +36,24 @@ mod common;
 
 use common::{for_seeds, Gen};
 use fusion::cache::AnswerCache;
+use fusion::check::verify_reopt_replay;
+use fusion::core::optimizer::{reference_enumeration, RoundRule};
+use fusion::core::plan::SourceChoice;
 use fusion::core::query::FusionQuery;
 use fusion::core::{sja_optimal, TableCostModel};
 use fusion::exec::{
-    execute_plan, execute_plan_reopt, execute_plan_with, replay_plan_reopt, replay_serial, serve,
-    verify_replay_parity, ReoptConfig, ReoptSession, ServerConfig, TenantEvent,
+    execute_adaptive, execute_plan, execute_plan_reopt, execute_plan_with, replay_plan_reopt,
+    replay_serial, serve, verify_replay_parity, ReoptConfig, ReoptSession, ServerConfig, StepKind,
+    TenantEvent,
 };
 use fusion::net::{LinkProfile, Network};
 use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
-use fusion::types::{CondId, Relation, SourceId};
+use fusion::stats::SplitMix64;
+use fusion::types::{CondId, Condition, Relation, SourceId};
+use fusion::workload::synth::{
+    condition_with_selectivity, synth_scenario_for, synth_schema, CapabilityMix, SynthSpec,
+};
+use fusion::workload::Scenario;
 
 const N_SOURCES: usize = 3;
 
@@ -114,6 +133,7 @@ fn accurate_statistics_make_adaptation_invisible() {
             &mut session,
             &config,
             None,
+            None,
         )
         .unwrap();
         assert!(on.switches.is_empty(), "switch under exact statistics");
@@ -135,6 +155,7 @@ fn accurate_statistics_make_adaptation_invisible() {
             &mut session,
             &config,
             Some(2),
+            None,
         )
         .unwrap();
         assert_eq!(par.outcome.ledger, on.outcome.ledger);
@@ -165,6 +186,7 @@ fn accurate_statistics_make_adaptation_invisible() {
             Some(&mut cache_on),
             &mut session,
             &config,
+            None,
             None,
         )
         .unwrap();
@@ -203,6 +225,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
             &mut session,
             &config,
             None,
+            None,
         )
         .unwrap();
         assert_eq!(
@@ -219,6 +242,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
             &query,
             &sources,
             &mut net_replay,
+            None,
             None,
         )
         .unwrap();
@@ -243,6 +267,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
             &mut session,
             &config,
             Some(2),
+            None,
         )
         .unwrap();
         assert_eq!(par.switches, on.switches, "parallel switched differently");
@@ -264,6 +289,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
             &mut session,
             &config,
             None,
+            None,
         )
         .unwrap();
         assert_eq!(cached.outcome.answer, locked.answer);
@@ -276,6 +302,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
             &sources,
             &mut net_creplay,
             Some(&mut cache_replay),
+            None,
         )
         .unwrap();
         assert_eq!(creplayed.outcome.ledger, cached.outcome.ledger);
@@ -335,4 +362,130 @@ fn server_feedback_calibration_preserves_replay_parity() {
             );
         }
     }
+}
+
+/// One seeded scenario of the every-round battery: m ∈ 2..=5 conditions
+/// drawn on 1–3 shared attributes (so most are correlated and the
+/// independence chain drifts), n ∈ 2..=6 sources of 250 rows, every
+/// third population half emulated-semijoin at batch 50, every second on
+/// mixed link profiles.
+fn correlated_scenario(seed: u64) -> Scenario {
+    let mut rng = SplitMix64::new(0xE14_E23 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let m = rng.next_range(2, 6);
+    let n = rng.next_range(2, 7);
+    let shared = rng.next_range(1, 4);
+    let conditions: Vec<Condition> = (0..m)
+        .map(|_| {
+            let attr = rng.next_range(1, shared + 1);
+            condition_with_selectivity(attr, rng.next_f64_range(0.05, 0.95))
+        })
+        .collect();
+    let mix = if seed.is_multiple_of(3) {
+        CapabilityMix::FractionEmulated {
+            frac: 0.5,
+            batch: 50,
+        }
+    } else {
+        CapabilityMix::AllFull
+    };
+    let spec = SynthSpec {
+        n_sources: n,
+        domain_size: 1_500,
+        rows_per_source: 250,
+        seed: 18_000 + seed,
+        capability_mix: mix,
+        link: seed.is_multiple_of(2).then_some(LinkProfile::Wan),
+        processing: ProcessingProfile::indexed_db(),
+    };
+    let query = FusionQuery::new(synth_schema(), conditions).expect("valid query");
+    synth_scenario_for(&spec, query)
+}
+
+#[test]
+fn slack_one_reopt_replans_every_round_like_the_reference_enumeration() {
+    let mut switched_runs = 0u32;
+    for seed in 0..battery() {
+        let scenario = correlated_scenario(seed);
+        let (m, n) = (scenario.m(), scenario.n());
+        let model = scenario.cost_model();
+        let opt = sja_optimal(&model);
+        let mut session = ReoptSession::new(m, n, 4096);
+        let mut net = scenario.network();
+        let out = execute_plan_reopt(
+            &opt.spec,
+            &scenario.query,
+            &scenario.sources,
+            &mut net,
+            &model,
+            None,
+            &mut session,
+            &ReoptConfig::every_round(),
+            None,
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            out.outcome.answer,
+            scenario.ground_truth().unwrap(),
+            "seed {seed}"
+        );
+        switched_runs += u32::from(!out.switches.is_empty());
+
+        // Round by round against Figures 3–4: the conditions still to
+        // run, from the size the previous round actually left behind.
+        let spec = &out.final_spec;
+        let entries: Vec<_> = (out.outcome.ledger.entries().iter())
+            .filter(|e| e.kind != StepKind::Reopt)
+            .collect();
+        let mut closed = 0usize;
+        let mut x: Option<f64> = None;
+        for r in 0..m {
+            let remaining: Vec<usize> = spec.order[r..].iter().map(|c| c.0).collect();
+            let want = reference_enumeration(&model, RoundRule::PerSource, &remaining, x);
+            assert_eq!(spec.order[r].0, want.order[0], "seed {seed} round {r}");
+            assert_eq!(spec.choices[r], want.choices[0], "seed {seed} round {r}");
+            let all_semijoin = spec.choices[r].iter().all(|c| *c == SourceChoice::Semijoin);
+            closed += n + 1 + usize::from(r > 0 && !all_semijoin);
+            x = Some(entries[closed - 1].items_out as f64);
+        }
+        assert_eq!(closed, entries.len(), "seed {seed}: round layout");
+
+        // Something `execute_adaptive` cannot offer: the run replays bit
+        // for bit from its switch records, each splice re-certified.
+        let fresh = || scenario.network();
+        let verified = verify_reopt_replay(
+            &out,
+            &opt.spec,
+            &scenario.query,
+            &scenario.sources,
+            &fresh,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(verified, out.switches.len());
+
+        // And the direct differential against the per-round executor.
+        let mut adaptive_net = scenario.network();
+        let adaptive = execute_adaptive(
+            &scenario.query,
+            &scenario.sources,
+            &mut adaptive_net,
+            &model,
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            adaptive.total_cost().value().to_bits(),
+            out.total_cost().value().to_bits(),
+            "seed {seed}: executed cost"
+        );
+        let rounds: Vec<_> = (adaptive.rounds.iter())
+            .map(|r| (r.cond, r.choices.clone()))
+            .collect();
+        let executed: Vec<_> = (spec.order.iter().copied())
+            .zip(spec.choices.iter().cloned())
+            .collect();
+        assert_eq!(rounds, executed, "seed {seed}: executed rounds");
+    }
+    assert!(switched_runs > 0, "battery never exercised a switch");
 }
