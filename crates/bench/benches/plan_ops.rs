@@ -1,21 +1,25 @@
 //! Micro-benchmarks of the mediator's local machinery: item-set algebra,
 //! the source-side data plane, plan construction/validation, the two
 //! proof memos, and selectivity estimation. The timings are also written to
-//! `BENCH_b3_plan_ops.json` (in `$BENCH_DIR`, default the package root).
+//! `BENCH_b3_plan_ops.json` (in `$BENCH_DIR`, default the package root);
+//! the answer cache's hit path goes to `BENCH_b4_cache_hit.json`.
 
 use fusion_bench::json::write_artifact;
 use fusion_bench::microbench::{BenchmarkId, Criterion};
-use fusion_cache::subsumes;
+use fusion_cache::{subsumes, Harvest, HitKind, ResolvedHit};
 use fusion_core::analyze::ensure_sound;
 use fusion_core::plan::SimplePlanSpec;
 use fusion_core::sja_optimal;
 use fusion_source::SourceEngine;
 use fusion_stats::{estimate_selectivity, TableStats};
-use fusion_types::{CmpOp, ItemSet, Predicate, Relation, Schema, Tuple, Value};
+use fusion_types::{
+    CmpOp, Condition, ItemSet, Predicate, Relation, Schema, SourceId, Tuple, Value,
+};
 use fusion_workload::synth::{
     condition_with_selectivity, synth_relations, synth_scenario, SynthSpec,
 };
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn items(n: usize, offset: i64) -> ItemSet {
     (0..n as i64).map(|i| i * 2 + offset).collect()
@@ -147,16 +151,21 @@ fn bench_proof_memos(c: &mut Criterion) {
     group.finish();
 }
 
-/// Selectivity estimation over table statistics.
-fn bench_selectivity(c: &mut Criterion) {
-    let schema = Schema::new(
+/// `(M: Str, A: Int)`, merged on `M`.
+fn merge_and_int_schema() -> Schema {
+    Schema::new(
         vec![
             fusion_types::Attribute::new("M", fusion_types::ValueType::Str),
             fusion_types::Attribute::new("A", fusion_types::ValueType::Int),
         ],
         "M",
     )
-    .expect("valid schema");
+    .expect("valid schema")
+}
+
+/// Selectivity estimation over table statistics.
+fn bench_selectivity(c: &mut Criterion) {
+    let schema = merge_and_int_schema();
     let rows: Vec<Tuple> = (0..10_000)
         .map(|i| Tuple::new(vec![Value::str(format!("M{i:05}")), Value::Int(i % 1_000)]))
         .collect();
@@ -179,6 +188,56 @@ fn bench_selectivity(c: &mut Criterion) {
     });
 }
 
+/// Serving a cache hit: exact (the remembered set) and residual (a
+/// filter pass in merge order, half the rows qualifying), on the first
+/// projection of a harvest — which builds its merge order — and on
+/// every later one. Two rows per item, in shuffled order. A `*_first`
+/// row starts from a fresh harvest each time and so includes the
+/// `rows_clone` of its size, reported beside it.
+fn bench_cache_hit(c: &mut Criterion) {
+    let schema = merge_and_int_schema();
+    let cached: Condition = Predicate::cmp("A", CmpOp::Lt, 1_000i64).into();
+    let narrow: Condition = Predicate::cmp("A", CmpOp::Lt, 500i64).into();
+    let mut group = c.benchmark_group("cache_hit");
+    for n in [100usize, 1_000, 10_000] {
+        let rows: Vec<Tuple> = (0..n)
+            .map(|i| {
+                let item = i * 7_919 % n.div_ceil(2);
+                Tuple::new(vec![
+                    Value::str(format!("M{item:05}")),
+                    Value::Int((i % 1_000) as i64),
+                ])
+            })
+            .collect();
+        group.bench_with_input(BenchmarkId::new("rows_clone", n), &n, |b, _| {
+            b.iter(|| black_box(rows.clone()));
+        });
+        for (name, cond, kind) in [
+            ("exact", &cached, HitKind::Exact),
+            ("residual", &narrow, HitKind::Subsumed),
+        ] {
+            let hit = |rows: Vec<Tuple>| {
+                ResolvedHit::from_harvest(Arc::new(Harvest::new(rows)), SourceId(0), kind)
+            };
+            let first = format!("{name}_first");
+            group.bench_with_input(BenchmarkId::new(&first, n), &n, |b, _| {
+                b.iter(|| {
+                    hit(rows.clone())
+                        .serve(cond, &schema)
+                        .expect("well-formed rows")
+                });
+            });
+            let warm = hit(rows.clone());
+            warm.serve(cond, &schema).expect("well-formed rows");
+            let repeat = format!("{name}_repeat");
+            group.bench_with_input(BenchmarkId::new(&repeat, n), &n, |b, _| {
+                b.iter(|| warm.serve(cond, &schema).expect("well-formed rows"));
+            });
+        }
+    }
+    group.finish();
+}
+
 fn main() {
     let mut c = Criterion::new();
     bench_itemset_ops(&mut c);
@@ -188,5 +247,10 @@ fn main() {
     bench_selectivity(&mut c);
     let path = write_artifact("BENCH_b3_plan_ops.json", &c.to_json("b3-plan-ops"))
         .expect("write BENCH_b3_plan_ops.json");
+    println!("wrote {}", path.display());
+    let mut c = Criterion::new();
+    bench_cache_hit(&mut c);
+    let path = write_artifact("BENCH_b4_cache_hit.json", &c.to_json("b4-cache-hit"))
+        .expect("write BENCH_b4_cache_hit.json");
     println!("wrote {}", path.display());
 }

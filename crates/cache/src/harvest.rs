@@ -1,0 +1,271 @@
+//! One selection answer's records, shared by reference, with their
+//! projection remembered.
+//!
+//! A [`Harvest`] is what a cached-mode miss produces, what a share
+//! leader publishes, what a commit admits and what a lookup resolves to
+//! — one `Arc`, never a copy of the rows. The first projection sorts the
+//! rows' *indices* by merge item (stably, so values that compare equal —
+//! `Int(2)` and `Float(2.0)` — keep the representation of the first row
+//! that carries them, as `Relation`'s merge index and
+//! [`ItemSet::from_items`] both do) and keeps that order beside the
+//! deduplicated item set. Every later exact hit is a reference-count
+//! bump on that set; every residual hit is one filter pass in merge
+//! order, de-duplicating neighbours, with no sort — and the order keeps
+//! the sets it filtered out, so a narrower condition asked again is a
+//! reference-count bump too.
+//!
+//! All of it is derived data, built with no lock held: the order is at
+//! most 36 bytes per row (a `u32` index and, for a row that starts a
+//! new item, the 32-byte item) and written once; the remembered
+//! residual sets together never hold more items than the harvest has
+//! rows (one that would push them past that is served and not kept), so
+//! at most 32 bytes per row more. None of it is counted against the
+//! cache's byte budget, which weighs wire bytes only.
+
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+
+use fusion_core::analyze::{MemoCounters, ProofMemoStats};
+use fusion_types::error::{FusionError, Result};
+use fusion_types::{Condition, Item, ItemSet, Schema, SourceId, Tuple};
+
+/// Builds (`misses`) and reuses (`hits`) of merge orders, process-wide.
+static COUNTERS: MemoCounters = MemoCounters::new();
+
+/// Merge-order builds (`misses`) and reuses (`hits`) since the process
+/// started. Orders live and die with their harvests, so `entries` and
+/// `resets` stay zero.
+pub fn projection_memo_stats() -> ProofMemoStats {
+    COUNTERS.stats(0)
+}
+
+/// The rows of one harvest in merge order, and the set they project to.
+#[derive(Debug)]
+struct MergeOrder {
+    /// The merge column the order was built for.
+    merge_index: usize,
+    /// Row indices, stably sorted by the rows' merge values.
+    by_item: Vec<u32>,
+    /// The distinct merge items, ascending — the exact hit's answer.
+    items: Arc<ItemSet>,
+    /// Residual answers already filtered out of this order; readers
+    /// share the lock.
+    residuals: RwLock<Residuals>,
+}
+
+/// The residual sets one order remembers, by the condition that
+/// filtered them. A set weighs its items plus one (an empty set is not
+/// free); the sets' total weight stays within the order's row count.
+#[derive(Debug, Default)]
+struct Residuals {
+    sets: HashMap<Condition, Arc<ItemSet>>,
+    weight: usize,
+}
+
+impl MergeOrder {
+    /// The remembered answer of `cond`, if any. Poison recovery (here
+    /// and in `remember`) is sound: a writer touches the map and the
+    /// weight with steps that cannot panic in between.
+    fn remembered(&self, cond: &Condition) -> Option<Arc<ItemSet>> {
+        let memo = self
+            .residuals
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        memo.sets.get(cond).cloned()
+    }
+
+    /// Keeps `items` as the answer of `cond` while the row-count bound
+    /// has room for it, and returns the set to serve: a racing reader's,
+    /// if one got here first.
+    fn remember(&self, cond: &Condition, items: Arc<ItemSet>) -> Arc<ItemSet> {
+        let weight = items.len() + 1;
+        let mut memo = self
+            .residuals
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(kept) = memo.sets.get(cond) {
+            return Arc::clone(kept);
+        }
+        if memo.weight + weight <= self.by_item.len() {
+            memo.sets.insert(cond.clone(), Arc::clone(&items));
+            memo.weight += weight;
+        }
+        items
+    }
+}
+
+/// The full records one `sq(c, R)` returned, in the order the wrapper
+/// returned them.
+#[derive(Debug)]
+pub struct Harvest {
+    rows: Vec<Tuple>,
+    /// Written once, by whichever projection finishes building first;
+    /// racing builders produce equal orders, and a failed build writes
+    /// nothing.
+    order: OnceLock<Arc<MergeOrder>>,
+}
+
+impl Harvest {
+    /// Wraps fetched records; nothing is derived until the first
+    /// projection.
+    pub fn new(rows: Vec<Tuple>) -> Harvest {
+        Harvest {
+            rows,
+            order: OnceLock::new(),
+        }
+    }
+
+    /// The records, in the order the wrapper returned them.
+    pub fn rows(&self) -> &[Tuple] {
+        &self.rows
+    }
+
+    /// The merge order for `schema`'s merge column: the remembered one,
+    /// or a fresh build — remembered in turn if it is the first. A
+    /// harvest read under a second merge column gets a right answer
+    /// from an order built per call.
+    fn order(
+        &self,
+        source: SourceId,
+        cond: &Condition,
+        schema: &Schema,
+    ) -> Result<Arc<MergeOrder>> {
+        let mi = schema.merge_index();
+        if let Some(order) = self.order.get().filter(|o| o.merge_index == mi) {
+            COUNTERS.hit();
+            return Ok(Arc::clone(order));
+        }
+        COUNTERS.miss();
+        if let Some(short) = self.rows.iter().find(|r| r.arity() <= mi) {
+            return Err(FusionError::execution(format!(
+                "cached answer of `{cond}` at R{} holds a row of arity {}, \
+                 too short for the merge attribute at column {mi}",
+                source.0 + 1,
+                short.arity()
+            )));
+        }
+        let n = u32::try_from(self.rows.len()).map_err(|_| {
+            FusionError::execution(format!(
+                "cached answer of `{cond}` at R{} holds {} rows, more than a merge order can index",
+                source.0 + 1,
+                self.rows.len()
+            ))
+        })?;
+        let mut by_item: Vec<u32> = (0..n).collect();
+        let key = |i: u32| self.rows[i as usize].get(mi);
+        by_item.sort_by(|&a, &b| key(a).cmp(key(b)));
+        let mut items: Vec<Item> = Vec::with_capacity(by_item.len());
+        for &i in &by_item {
+            if items.last().is_none_or(|last| last.value() != key(i)) {
+                items.push(Item(key(i).clone()));
+            }
+        }
+        items.shrink_to_fit();
+        let built = Arc::new(MergeOrder {
+            merge_index: mi,
+            by_item,
+            items: Arc::new(ItemSet::from_sorted_unique(items)),
+            residuals: RwLock::default(),
+        });
+        // A racing builder may have won; both built the same order.
+        let kept = self.order.get_or_init(|| Arc::clone(&built));
+        Ok(if kept.merge_index == mi {
+            Arc::clone(kept)
+        } else {
+            built
+        })
+    }
+
+    /// Projects the records to the answer item set — the cache's one
+    /// projection routine. Without `residual` that is the remembered
+    /// set itself; with it, `cond` filters the rows in merge order, each
+    /// item taken from the first of its rows that passes, unless the
+    /// order already holds the set `cond` filtered out. Either way the
+    /// result equals [`ItemSet::from_items`] over the qualifying rows'
+    /// items, which is what a cold `sq` returns.
+    ///
+    /// # Errors
+    /// Fails — on the first call and on every later one — when a row is
+    /// too short to hold the merge attribute, naming `source`, `cond`
+    /// and the row's arity; propagates predicate evaluation errors from
+    /// the residual filter.
+    pub fn project(
+        &self,
+        source: SourceId,
+        cond: &Condition,
+        schema: &Schema,
+        residual: bool,
+    ) -> Result<Arc<ItemSet>> {
+        let order = self.order(source, cond, schema)?;
+        if !residual {
+            return Ok(Arc::clone(&order.items));
+        }
+        if let Some(known) = order.remembered(cond) {
+            return Ok(known);
+        }
+        let mut items: Vec<Item> = Vec::with_capacity(order.items.len());
+        for &i in &order.by_item {
+            let row = &self.rows[i as usize];
+            let value = row.get(order.merge_index);
+            if items.last().is_some_and(|last| last.value() == value) {
+                continue;
+            }
+            if cond.eval(row, schema)? {
+                items.push(Item(value.clone()));
+            }
+        }
+        items.shrink_to_fit();
+        Ok(order.remember(cond, Arc::new(ItemSet::from_sorted_unique(items))))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fusion_types::{Attribute, CmpOp, Predicate, Value, ValueType};
+
+    fn schema() -> Schema {
+        Schema::new(
+            vec![
+                Attribute::new("M", ValueType::Str),
+                Attribute::new("A1", ValueType::Int),
+            ],
+            "M",
+        )
+        .unwrap()
+    }
+
+    fn lt(v: i64) -> Condition {
+        Predicate::cmp("A1", CmpOp::Lt, v).into()
+    }
+
+    #[test]
+    fn residual_sets_are_remembered_within_the_row_count() {
+        let rows: Vec<Tuple> = (0..40)
+            .map(|i| Tuple::new(vec![Value::str(format!("m{:02}", i % 20)), Value::Int(i)]))
+            .collect();
+        let harvest = Harvest::new(rows.clone());
+        let serve = |v: i64| {
+            harvest
+                .project(SourceId(0), &lt(v), &schema(), true)
+                .unwrap()
+        };
+        // Asked again, a narrower condition gets the very set back.
+        assert!(Arc::ptr_eq(&serve(5), &serve(5)));
+        // A sweep of distinct conditions stays inside the bound and
+        // every answer stays right, remembered or not.
+        for v in (0..60).chain(0..60) {
+            let want = ItemSet::from_items(
+                rows.iter()
+                    .filter(|t| lt(v).eval(t, &schema()).unwrap())
+                    .map(|t| t.item(&schema())),
+            );
+            assert_eq!(*serve(v), want, "A1 < {v}");
+            let order = harvest.order.get().expect("built by the first serve");
+            let memo = order.residuals.read().unwrap();
+            let held: usize = memo.sets.values().map(|s| s.len() + 1).sum();
+            assert_eq!(memo.weight, held);
+            assert!(held <= rows.len(), "{held} items and sets remembered");
+        }
+    }
+}

@@ -30,11 +30,13 @@
 #![forbid(unsafe_code)]
 
 pub mod cost;
+pub mod harvest;
 pub mod lint;
 pub mod shared;
 pub mod subsume;
 
 pub use cost::{CacheSnapshot, CachedCostModel};
+pub use harvest::{projection_memo_stats, Harvest};
 pub use lint::{stale_cache_findings, StaleCacheServe};
 pub use shared::{CacheGuard, SharedAnswerCache};
 pub use subsume::{containment_memo_stats, subsumes};
@@ -51,11 +53,11 @@ pub struct CacheEntry {
     pub source: SourceId,
     /// The condition the records satisfy.
     pub cond: Condition,
-    /// Full records, in the order the wrapper returned them. Behind an
-    /// [`Arc`] so a concurrent reader ([`SharedAnswerCache`]) can take a
-    /// cheap reference under the shard lock and run the residual filter
-    /// outside it.
-    tuples: Arc<Vec<Tuple>>,
+    /// Full records, in the order the wrapper returned them, plus their
+    /// remembered projection. Behind an [`Arc`] so a concurrent reader
+    /// ([`SharedAnswerCache`]) can take a cheap reference under the
+    /// shard lock and project outside it.
+    harvest: Arc<Harvest>,
     /// Source epoch the records were fetched under.
     pub epoch: u64,
     /// False when harvested from a `Subset`-complete execution; such
@@ -72,7 +74,7 @@ pub struct CacheEntry {
 impl CacheEntry {
     /// The cached records.
     pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+        self.harvest.rows()
     }
 
     /// Eviction score: re-fetch price per cached byte. Lower scores are
@@ -94,8 +96,9 @@ pub enum HitKind {
 /// A successful lookup: the answer plus how it was produced.
 #[derive(Debug, Clone)]
 pub struct Served {
-    /// The answer items, byte-identical to what `sq` would return.
-    pub items: ItemSet,
+    /// The answer items, byte-identical to what `sq` would return —
+    /// for an exact hit, the entry's own remembered set.
+    pub items: Arc<ItemSet>,
     /// Exact hit or subsumption residual.
     pub kind: HitKind,
 }
@@ -107,7 +110,9 @@ pub struct Served {
 /// shard lock and the per-tuple work outside it.
 #[derive(Debug, Clone)]
 pub struct ResolvedHit {
-    tuples: Arc<Vec<Tuple>>,
+    harvest: Arc<Harvest>,
+    /// The source the records came from (named by projection errors).
+    source: SourceId,
     /// Exact hit or subsumption residual.
     pub kind: HitKind,
 }
@@ -118,8 +123,12 @@ impl ResolvedHit {
     /// through the same projection (and, for a proper containment,
     /// residual filter) an answer-cache hit uses, so shared answers
     /// stay byte-identical to a cold `sq`.
-    pub fn from_rows(tuples: Arc<Vec<Tuple>>, kind: HitKind) -> ResolvedHit {
-        ResolvedHit { tuples, kind }
+    pub fn from_harvest(harvest: Arc<Harvest>, source: SourceId, kind: HitKind) -> ResolvedHit {
+        ResolvedHit {
+            harvest,
+            source,
+            kind,
+        }
     }
 
     /// Projects the resolved records to the answer item set, applying
@@ -127,9 +136,10 @@ impl ResolvedHit {
     /// result is byte-identical to what [`AnswerCache::lookup`] serves.
     ///
     /// # Errors
-    /// Propagates predicate evaluation errors from the residual filter.
+    /// As [`Harvest::project`].
     pub fn serve(&self, cond: &Condition, schema: &Schema) -> Result<Served> {
-        let items = project(&self.tuples, cond, schema, self.kind == HitKind::Subsumed)?;
+        let residual = self.kind == HitKind::Subsumed;
+        let items = self.harvest.project(self.source, cond, schema, residual)?;
         Ok(Served {
             items,
             kind: self.kind,
@@ -163,6 +173,8 @@ pub struct AnswerCache {
     /// Per-source epoch counters, grown on demand.
     epochs: Vec<u64>,
     budget: usize,
+    /// Total wire bytes of `entries`, kept in step by every mutation.
+    bytes: usize,
     clock: u64,
     stats: CacheStats,
     /// Operations applied through a shared-cache guard — the per-shard
@@ -178,6 +190,7 @@ impl AnswerCache {
             entries: Vec::new(),
             epochs: Vec::new(),
             budget: budget_bytes,
+            bytes: 0,
             clock: 0,
             stats: CacheStats::default(),
             op_seq: 0,
@@ -211,7 +224,15 @@ impl AnswerCache {
 
     /// Total wire bytes of resident entries.
     pub fn bytes_used(&self) -> usize {
-        self.entries.iter().map(|e| e.bytes).sum()
+        self.bytes
+    }
+
+    /// Debug builds re-sum the entries after every mutation.
+    fn debug_check_bytes(&self) {
+        debug_assert_eq!(
+            self.bytes,
+            self.entries.iter().map(|e| e.bytes).sum::<usize>()
+        );
     }
 
     /// Behaviour counters.
@@ -242,17 +263,24 @@ impl AnswerCache {
         self.epochs[source.0] += 1;
         let epoch = self.epochs[source.0];
         let mut removed: u64 = 0;
+        let mut freed = 0;
         self.entries.retain(|e| {
             let keep = e.source != source || e.epoch >= epoch;
-            removed += u64::from(!keep);
+            if !keep {
+                removed += 1;
+                freed += e.bytes;
+            }
             keep
         });
+        self.bytes -= freed;
+        self.debug_check_bytes();
         self.stats.invalidations += removed;
     }
 
     /// Drops every entry and resets all epochs (stats are kept).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.bytes = 0;
         self.epochs.clear();
     }
 
@@ -279,9 +307,9 @@ impl AnswerCache {
                 return Some((i, HitKind::Exact));
             }
             if subsume::subsumes(&e.cond.pred, &cond.pred)
-                && best.is_none_or(|(_, n)| e.tuples.len() < n)
+                && best.is_none_or(|(_, n)| e.tuples().len() < n)
             {
-                best = Some((i, e.tuples.len()));
+                best = Some((i, e.tuples().len()));
             }
         }
         best.map(|(i, _)| (i, HitKind::Subsumed))
@@ -304,7 +332,8 @@ impl AnswerCache {
             HitKind::Subsumed => self.stats.residual_hits += 1,
         }
         Some(ResolvedHit {
-            tuples: Arc::clone(&self.entries[idx].tuples),
+            harvest: Arc::clone(&self.entries[idx].harvest),
+            source,
             kind,
         })
     }
@@ -340,14 +369,39 @@ impl AnswerCache {
         exact: bool,
         refetch: Cost,
     ) {
+        self.insert_harvest(source, cond, Arc::new(Harvest::new(tuples)), exact, refetch);
+    }
+
+    /// [`AnswerCache::insert`] of records that are already shared: the
+    /// entry holds `harvest` itself, so whatever projection its fetcher
+    /// or an earlier reader built is the entry's from the start.
+    pub fn insert_harvest(
+        &mut self,
+        source: SourceId,
+        cond: Condition,
+        harvest: Arc<Harvest>,
+        exact: bool,
+        refetch: Cost,
+    ) {
         self.clock += 1;
-        let bytes = tuples.iter().map(Tuple::wire_size).sum::<usize>().max(1);
-        self.entries
-            .retain(|e| !(e.source == source && e.cond == cond));
+        let bytes = harvest
+            .rows()
+            .iter()
+            .map(Tuple::wire_size)
+            .sum::<usize>()
+            .max(1);
+        let mut replaced = 0;
+        self.entries.retain(|e| {
+            let keep = !(e.source == source && e.cond == cond);
+            if !keep {
+                replaced += e.bytes;
+            }
+            keep
+        });
         let entry = CacheEntry {
             source,
             cond,
-            tuples: Arc::new(tuples),
+            harvest,
             epoch: self.epoch(source),
             exact,
             bytes,
@@ -355,10 +409,11 @@ impl AnswerCache {
             last_used: self.clock,
         };
         self.entries.push(entry);
+        self.bytes = self.bytes - replaced + bytes;
         self.stats.insertions += 1;
         let fresh = self.entries.len() - 1;
         let mut fresh_alive = true;
-        while self.bytes_used() > self.budget && !self.entries.is_empty() {
+        while self.bytes > self.budget && !self.entries.is_empty() {
             let victim = self
                 .entries
                 .iter()
@@ -377,8 +432,9 @@ impl AnswerCache {
             } else {
                 self.stats.evictions += 1;
             }
-            self.entries.remove(victim);
+            self.bytes -= self.entries.remove(victim).bytes;
         }
+        self.debug_check_bytes();
     }
 
     /// The optimizer's view: which `(condition, source)` pairs are warm
@@ -395,21 +451,6 @@ impl AnswerCache {
             .collect();
         CacheSnapshot::new(covered, self.epochs(n_sources))
     }
-}
-
-/// Projects cached records to the answer item set, optionally applying
-/// the (narrower) condition as a residual filter. Cached records carry
-/// no order, so this sorts and deduplicates through
-/// [`ItemSet::from_items`] — the same set the engine's `select` reads off
-/// its merge index, so the result is byte-identical to a cold `sq`.
-fn project(tuples: &[Tuple], cond: &Condition, schema: &Schema, residual: bool) -> Result<ItemSet> {
-    let mut items = Vec::with_capacity(tuples.len());
-    for t in tuples {
-        if !residual || cond.eval(t, schema)? {
-            items.push(t.item(schema));
-        }
-    }
-    Ok(ItemSet::from_items(items))
 }
 
 #[cfg(test)]
@@ -449,7 +490,7 @@ mod tests {
         );
         let got = c.lookup(s, &lt(100), &schema()).unwrap().unwrap();
         assert_eq!(got.kind, HitKind::Exact);
-        assert_eq!(got.items, ItemSet::from_items(["a", "b"]));
+        assert_eq!(*got.items, ItemSet::from_items(["a", "b"]));
         assert_eq!(c.stats().hits, 1);
         // Different source: miss.
         assert!(c
@@ -472,7 +513,7 @@ mod tests {
         );
         let got = c.lookup(s, &lt(50), &schema()).unwrap().unwrap();
         assert_eq!(got.kind, HitKind::Subsumed);
-        assert_eq!(got.items, ItemSet::from_items(["a"]));
+        assert_eq!(*got.items, ItemSet::from_items(["a"]));
         assert_eq!(c.stats().residual_hits, 1);
         // The narrower cached entry never serves the broader query.
         assert!(c.lookup(s, &lt(101), &schema()).unwrap().is_none());
@@ -621,7 +662,79 @@ mod tests {
         c.insert(s, lt(100), vec![row("b", 6)], true, Cost::new(1.0));
         assert_eq!(c.len(), 1);
         let got = c.lookup(s, &lt(100), &schema()).unwrap().unwrap();
-        assert_eq!(got.items, ItemSet::from_items(["b"]));
+        assert_eq!(*got.items, ItemSet::from_items(["b"]));
+    }
+
+    #[test]
+    fn short_row_is_an_error_on_every_hit_not_a_panic() {
+        let mut c = AnswerCache::new(1 << 20);
+        let s = SourceId(2);
+        // The merge attribute `M` is column 0; an empty row cannot hold it.
+        c.insert(
+            s,
+            lt(100),
+            vec![row("a", 5), Tuple::new(vec![])],
+            true,
+            Cost::new(1.0),
+        );
+        for cond in [lt(100), lt(50), lt(100)] {
+            let err = c.lookup(s, &cond, &schema()).unwrap_err().to_string();
+            assert!(err.contains("R3"), "{err}");
+            assert!(err.contains(&cond.to_string()), "{err}");
+            assert!(err.contains("arity 0"), "{err}");
+        }
+        // A failed build is not remembered as a success: a well-formed
+        // re-insert under the same key serves.
+        c.insert(s, lt(100), vec![row("a", 5)], true, Cost::new(1.0));
+        let got = c.lookup(s, &lt(100), &schema()).unwrap().unwrap();
+        assert_eq!(*got.items, ItemSet::from_items(["a"]));
+    }
+
+    #[test]
+    fn bytes_used_tracks_replace_evict_bump_and_clear() {
+        let sz = row("aaaa", 1).wire_size();
+        let mut c = AnswerCache::new(3 * sz);
+        let resummed = |c: &AnswerCache| c.entries().map(|e| e.bytes).sum::<usize>();
+        c.insert(
+            SourceId(0),
+            lt(10),
+            vec![row("aaaa", 1)],
+            true,
+            Cost::new(5.0),
+        );
+        c.insert(
+            SourceId(1),
+            lt(10),
+            vec![row("bbbb", 1), row("cccc", 2)],
+            true,
+            Cost::new(9.0),
+        );
+        assert_eq!(c.bytes_used(), 3 * sz);
+        // Replace in place with a smaller answer.
+        c.insert(
+            SourceId(1),
+            lt(10),
+            vec![row("bbbb", 1)],
+            true,
+            Cost::new(9.0),
+        );
+        assert_eq!((c.bytes_used(), c.len()), (2 * sz, 2));
+        // Over budget: the cheapest-per-byte resident goes.
+        c.insert(
+            SourceId(2),
+            lt(10),
+            vec![row("dddd", 1), row("eeee", 2)],
+            true,
+            Cost::new(99.0),
+        );
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.bytes_used(), resummed(&c));
+        assert_eq!(c.bytes_used(), 3 * sz);
+        c.bump_epoch(SourceId(2));
+        assert_eq!(c.bytes_used(), resummed(&c));
+        assert_eq!(c.bytes_used(), sz);
+        c.clear();
+        assert_eq!(c.bytes_used(), 0);
     }
 
     #[test]

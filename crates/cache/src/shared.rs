@@ -26,19 +26,19 @@
 //!   [`SharedAnswerCache`] reproduces every shard's mutation sequence
 //!   bit for bit — the byte-parity contract `fusion-exec::server`
 //!   checks.
-//! * The expensive half of serving a warm hit — projecting the cached
-//!   records and running the residual filter — happens **outside** the
-//!   locks: [`AnswerCache::resolve`] hands out an `Arc` of the entry's
-//!   records under the lock and [`ResolvedHit::serve`]
-//!   ([`crate::ResolvedHit`]) does the per-tuple work after release, so
-//!   concurrent warm hits do not serialize on each other.
+//! * The per-tuple half of serving a warm hit — building the entry's
+//!   merge order on its first projection, running the residual filter —
+//!   happens **outside** the locks: [`AnswerCache::resolve`] hands out
+//!   an `Arc` of the entry's [`Harvest`] under the lock and
+//!   [`ResolvedHit::serve`] ([`crate::ResolvedHit`]) projects after
+//!   release, so concurrent warm hits do not serialize on each other.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
 
 use fusion_types::{Condition, Cost, SourceId, Tuple};
 
-use crate::{AnswerCache, CacheSnapshot, CacheStats, ResolvedHit};
+use crate::{AnswerCache, CacheSnapshot, CacheStats, Harvest, ResolvedHit};
 
 /// The sharded shared answer cache. See the module docs for the locking
 /// discipline.
@@ -274,9 +274,22 @@ impl CacheGuard<'_> {
         exact: bool,
         refetch: Cost,
     ) {
+        self.insert_harvest(source, cond, Arc::new(Harvest::new(tuples)), exact, refetch);
+    }
+
+    /// [`CacheGuard::insert`] of records that are already shared (same
+    /// semantics as [`AnswerCache::insert_harvest`]).
+    pub fn insert_harvest(
+        &mut self,
+        source: SourceId,
+        cond: Condition,
+        harvest: Arc<Harvest>,
+        exact: bool,
+        refetch: Cost,
+    ) {
         let c = self.shard_mut(source);
         c.note_op();
-        c.insert(source, cond, tuples, exact, refetch);
+        c.insert_harvest(source, cond, harvest, exact, refetch);
     }
 
     /// The optimizer's coverage view over all `n_sources` sources.

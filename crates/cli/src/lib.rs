@@ -1873,12 +1873,15 @@ impl<M: fusion_core::CostModel> fusion_core::CostModel for DistortedModel<'_, M>
     }
 }
 
-/// One line per process-wide proof memo, for `\cache` and `\serve`.
+/// One line per process-wide memo, for `\cache` and `\serve`.
 fn proof_memo_lines() -> String {
+    let orders = fusion_cache::projection_memo_stats();
     format!(
-        "plan-proof memo: {}\ncontainment memo: {}",
+        "plan-proof memo: {}\ncontainment memo: {}\nmerge-order memo: reuses {}, builds {}",
         fusion_core::analyze::proof_memo_stats(),
-        fusion_cache::containment_memo_stats()
+        fusion_cache::containment_memo_stats(),
+        orders.hits,
+        orders.misses
     )
 }
 
@@ -2399,6 +2402,7 @@ mod tests {
         assert!(status.contains("misses 6"), "{status}");
         assert!(status.contains("\nplan-proof memo: hits "), "{status}");
         assert!(status.contains("\ncontainment memo: hits "), "{status}");
+        assert!(status.contains("\nmerge-order memo: reuses "), "{status}");
         // Parallel execution uses the cache too.
         let par = run(&mut s, &format!("\\exec --parallel=2 {DMV_SQL}"));
         assert!(par.contains("{J55, T21}"), "{par}");
@@ -2488,6 +2492,7 @@ mod tests {
         assert!(out.contains("selections served warm"), "{out}");
         assert!(out.contains("\nplan-proof memo: hits "), "{out}");
         assert!(out.contains("\ncontainment memo: hits "), "{out}");
+        assert!(out.contains("\nmerge-order memo: reuses "), "{out}");
         let off = run(&mut s, "\\serve workers=2 share=off");
         assert!(
             off.contains("sharing off: 0 selections rode co-admitted fetches"),

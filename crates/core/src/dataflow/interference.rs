@@ -30,6 +30,8 @@
 //! cache commits racing epoch bumps, and epoch reads (cache lookups)
 //! racing epoch bumps.
 
+use std::collections::HashMap;
+
 use super::dependencies;
 use crate::analyze::{Analysis, Diagnostic, Lint, Severity};
 use crate::plan::{Plan, Step};
@@ -84,7 +86,7 @@ impl std::fmt::Display for Resource {
 
 /// The read and write sets of one event, kept sorted and deduplicated so
 /// conflict detection is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Footprint {
     /// Resources the event reads.
     pub reads: Vec<Resource>,
@@ -999,13 +1001,26 @@ pub fn verify_server_log(ops: &[ServerOp], n_shards: usize) -> Result<()> {
 /// Counts the pairs of logged critical sections that commute (disjoint
 /// shard footprints, [`Footprint::conflicts_with`] is `None`) — the
 /// concurrency the sharding actually bought, reported by `\sessions`.
+///
+/// Ops holding the same shards have the same footprint, and a log has few
+/// distinct shard sets (every admission holds them all), so the count is
+/// taken per footprint class — `O(L + k²)` for `L` ops in `k` classes —
+/// and equals the pair-by-pair count.
 pub fn server_commuting_pairs(ops: &[ServerOp]) -> usize {
-    let foots: Vec<Footprint> = ops.iter().map(server_event_footprint).collect();
+    let mut classes: HashMap<Footprint, usize> = HashMap::new();
+    for op in ops {
+        *classes.entry(server_event_footprint(op)).or_default() += 1;
+    }
+    let classes: Vec<(Footprint, usize)> = classes.into_iter().collect();
     let mut n = 0;
-    for (i, a) in foots.iter().enumerate() {
-        for b in foots.iter().skip(i + 1) {
+    for (i, (a, na)) in classes.iter().enumerate() {
+        // Two ops of one class commute only when the class holds no shard.
+        if a.conflicts_with(a).is_none() {
+            n += na * (na - 1) / 2;
+        }
+        for (b, nb) in &classes[i + 1..] {
             if a.conflicts_with(b).is_none() {
-                n += 1;
+                n += na * nb;
             }
         }
     }
@@ -1328,6 +1343,54 @@ mod tests {
         assert_eq!(server_commuting_pairs(&ops), 1);
         let f = server_event_footprint(&ops[1]);
         assert_eq!(f.writes, vec![Resource::Shard(1)]);
+    }
+
+    #[test]
+    fn commuting_pairs_by_class_match_the_nested_loop() {
+        // Seeded logs in the server's own mix: admissions hold every
+        // shard, bumps one, commits a random non-empty subset — plus an
+        // occasional op holding none, which commutes with everything,
+        // itself included.
+        for n_shards in [1usize, 4, 7] {
+            for seed in 0..32u64 {
+                let mut rng = fusion_stats::SplitMix64::new(seed * 31 + n_shards as u64);
+                let len = rng.next_below(120);
+                let ops: Vec<ServerOp> = (0..len)
+                    .map(|t| {
+                        let held: Vec<usize> = match rng.next_below(8) {
+                            0..=2 => (0..n_shards).collect(),
+                            3 | 4 => vec![rng.next_below(n_shards)],
+                            5 | 6 => {
+                                let mut s: Vec<usize> =
+                                    (0..n_shards).filter(|_| rng.next_below(2) == 0).collect();
+                                if s.is_empty() {
+                                    s.push(rng.next_below(n_shards));
+                                }
+                                s
+                            }
+                            _ => Vec::new(),
+                        };
+                        ServerOp {
+                            ticket: t as u64,
+                            event: ServerEvent::Commit { query: t },
+                            shard_seqs: held.into_iter().map(|k| (k, t as u64)).collect(),
+                        }
+                    })
+                    .collect();
+                let foots: Vec<Footprint> = ops.iter().map(server_event_footprint).collect();
+                let mut nested = 0;
+                for (i, a) in foots.iter().enumerate() {
+                    for b in &foots[i + 1..] {
+                        nested += usize::from(a.conflicts_with(b).is_none());
+                    }
+                }
+                assert_eq!(
+                    server_commuting_pairs(&ops),
+                    nested,
+                    "n_shards {n_shards} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

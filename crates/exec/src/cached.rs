@@ -30,8 +30,9 @@
 //!   — data fetched around a fault window predates recovery.
 
 use crate::ledger::{LedgerEntry, StepKind};
-use fusion_cache::{AnswerCache, HitKind, Served};
-use fusion_types::{Condition, Cost, SourceId, Tuple};
+use fusion_cache::{AnswerCache, Harvest, HitKind, Served};
+use fusion_types::{Condition, Cost, SourceId};
+use std::sync::Arc;
 
 /// A cache admission waiting for the run to finish.
 pub(crate) struct PendingInsert {
@@ -39,7 +40,8 @@ pub(crate) struct PendingInsert {
     pub(crate) step: usize,
     pub(crate) source: SourceId,
     pub(crate) cond: Condition,
-    pub(crate) rows: Vec<Tuple>,
+    /// The fetched records — the very value a share leader published.
+    pub(crate) rows: Arc<Harvest>,
     /// The price paid to fetch the answer — the eviction weight.
     pub(crate) refetch: Cost,
 }
@@ -86,7 +88,7 @@ pub(crate) fn commit_inserts(
         if failed.get(p.source.0).copied().unwrap_or(false) {
             continue;
         }
-        cache.insert(p.source, p.cond, p.rows, exact, p.refetch);
+        cache.insert_harvest(p.source, p.cond, p.rows, exact, p.refetch);
     }
 }
 

@@ -33,6 +33,7 @@
 //! each contributing source.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use crate::cached::{commit_inserts, PendingInsert};
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
@@ -40,7 +41,7 @@ use crate::retry::{Completeness, RetryPolicy};
 use crate::step::{
     committing, proc_cost, run_stage, Attempted, Delivery, Exchanger, SharedExchanger, SourceFt,
 };
-use fusion_cache::AnswerCache;
+use fusion_cache::{AnswerCache, Harvest};
 use fusion_core::cost::NetworkCostModel;
 use fusion_core::phase2::{
     certify_fetch_plan, non_merge_attrs, plan_fetch, CoverageCatalog, FetchAssignment,
@@ -459,7 +460,7 @@ fn harvest(schema: &Schema, executed: &[Executed]) -> Vec<PendingInsert> {
                 values: e.requested.iter().map(|i| i.value().clone()).collect(),
             }
             .into(),
-            rows: e.raw.clone(),
+            rows: Arc::new(Harvest::new(e.raw.clone())),
             refetch: e.paid,
         })
         .collect()

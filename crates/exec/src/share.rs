@@ -48,11 +48,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use fusion_cache::subsumes;
+use fusion_cache::{subsumes, Harvest};
 use fusion_core::dataflow::{sharing_report, EdgeKind, InFlightPlan, MergeCertificate};
 use fusion_core::plan::{Plan, Step};
 use fusion_types::error::{FusionError, Result};
-use fusion_types::{Condition, Predicate, SourceId, Tuple};
+use fusion_types::{Condition, Predicate, SourceId};
 
 /// One logged share of a server admission: `step` of the admitted plan
 /// is served from the in-flight fetch `leader` performs at its
@@ -74,8 +74,9 @@ pub struct ShareRef {
 enum SlotState {
     /// The leader has not completed the exchange yet.
     Pending,
-    /// The leader's full-record harvest, ready to fan out.
-    Ready(Arc<Vec<Tuple>>),
+    /// The leader's full-record harvest, ready to fan out — the value
+    /// the leader goes on to commit, not a copy of it.
+    Ready(Arc<Harvest>),
     /// The leader's run failed before publishing.
     Failed,
 }
@@ -96,7 +97,7 @@ impl FetchSlot {
 
     /// A slot born ready — the serial replay path, where the leader's
     /// harvest is already known from its replayed execution.
-    pub(crate) fn ready(rows: Arc<Vec<Tuple>>) -> FetchSlot {
+    pub(crate) fn ready(rows: Arc<Harvest>) -> FetchSlot {
         FetchSlot {
             state: Mutex::new(SlotState::Ready(rows)),
             cv: Condvar::new(),
@@ -107,7 +108,7 @@ impl FetchSlot {
     /// published (the caller is the non-degradable server executor); a
     /// run that cannot produce one must [`FetchSlot::fail`] instead.
     /// Idempotent: only a pending slot transitions.
-    pub(crate) fn publish(&self, rows: Arc<Vec<Tuple>>) {
+    pub(crate) fn publish(&self, rows: Arc<Harvest>) {
         let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if matches!(*s, SlotState::Pending) {
             *s = SlotState::Ready(rows);
@@ -138,7 +139,7 @@ impl FetchSlot {
     ///
     /// # Errors
     /// Fails when the leader's run failed before publishing.
-    pub(crate) fn wait(&self) -> Result<Arc<Vec<Tuple>>> {
+    pub(crate) fn wait(&self) -> Result<Arc<Harvest>> {
         let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             match &*s {
@@ -184,7 +185,7 @@ impl ShareCtx {
     pub(crate) fn from_log(
         n_steps: usize,
         shares: &[ShareRef],
-        fetched: &HashMap<(u64, usize), Arc<Vec<Tuple>>>,
+        fetched: &HashMap<(u64, usize), Arc<Harvest>>,
     ) -> Result<ShareCtx> {
         let mut attach: Vec<Option<ShareAttach>> = vec![None; n_steps];
         for r in shares {
@@ -433,7 +434,7 @@ fn certify(
 mod tests {
     use super::*;
     use fusion_core::plan::VarId;
-    use fusion_types::{CmpOp, CondId, Value};
+    use fusion_types::{CmpOp, CondId, Tuple, Value};
 
     fn ge(v: i64) -> Condition {
         Predicate::cmp("D", CmpOp::Ge, v).into()
@@ -452,12 +453,12 @@ mod tests {
         p
     }
 
-    fn rows(n: i64) -> Arc<Vec<Tuple>> {
-        Arc::new(vec![Tuple::new(vec![
+    fn rows(n: i64) -> Arc<Harvest> {
+        Arc::new(Harvest::new(vec![Tuple::new(vec![
             Value::str("e"),
             Value::str("v"),
             Value::Int(n),
-        ])])
+        ])]))
     }
 
     #[test]
@@ -477,7 +478,7 @@ mod tests {
         // The leader publishes; the follower's slot serves the rows.
         a.leads[0].as_ref().unwrap().publish(rows(1993));
         let got = b.attach[0].as_ref().unwrap().slot.wait().unwrap();
-        assert_eq!(got.len(), 1);
+        assert_eq!(got.rows().len(), 1);
     }
 
     #[test]
@@ -566,7 +567,7 @@ mod tests {
         let ctx = ShareCtx::from_log(1, &refs, &fetched).unwrap();
         let att = ctx.attach[0].as_ref().unwrap();
         assert!(att.residual);
-        assert_eq!(att.slot.wait().unwrap().len(), 1);
+        assert_eq!(att.slot.wait().unwrap().rows().len(), 1);
         // A log referencing a fetch that never happened is rejected.
         let bad = [ShareRef {
             step: 0,

@@ -23,7 +23,7 @@ use crate::cached::{commit_inserts, served_entry, PendingInsert};
 use crate::interp::ExecutionOutcome;
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
-use fusion_cache::{AnswerCache, Served};
+use fusion_cache::{AnswerCache, Harvest, Served};
 use fusion_core::analyze::Analysis;
 use fusion_core::plan::{Plan, RelVar, Step, VarId};
 use fusion_core::query::FusionQuery;
@@ -33,7 +33,7 @@ use fusion_types::error::{FusionError, Result};
 use fusion_types::{CondId, Condition, Cost, ItemSet, Relation, Schema, SourceId, Tuple};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// How a step reaches the network: exclusively (the calling thread owns
@@ -324,9 +324,9 @@ pub(crate) struct StepDone {
 pub(crate) enum StepValue {
     /// A delivered item-set step (`sq` / `sjq` / Bloom `sjq`).
     Items(ItemSet),
-    /// A cached-mode selection miss: the answer items plus the full
-    /// records to admit to the cache after the run.
-    CachedItems(ItemSet, Vec<Tuple>),
+    /// A cached-mode selection miss: the full records to admit to the
+    /// cache after the run, and the answer items they project to.
+    CachedItems(Arc<ItemSet>, Arc<Harvest>),
     /// A delivered full load.
     Rows(Vec<Tuple>),
     /// A dropped item-set step (retried delivery only).
@@ -388,7 +388,9 @@ pub(crate) fn exec_sq<E: Exchanger>(
 
 /// The cached-mode selection miss: like [`exec_sq`] but fetching full
 /// records so the answer can be cached, with the response sized
-/// accordingly.
+/// accordingly. The answer is the harvest's first projection, so the
+/// one sort a miss pays is also the merge order every later hit on the
+/// records reuses.
 pub(crate) fn exec_sq_records<E: Exchanger>(
     d: &mut Delivery<'_, E>,
     cond: &Condition,
@@ -401,18 +403,21 @@ pub(crate) fn exec_sq_records<E: Exchanger>(
     }
     let w = sources.get(d.source);
     let resp = w.select_records(cond)?;
-    let items = ItemSet::from_items(resp.payload.iter().map(|t| t.item(schema)));
+    let resp_bytes = MessageSize::tuples_response(&resp.payload);
+    let n_rows = resp.payload.len();
+    let harvest = Arc::new(Harvest::new(resp.payload));
+    let items = harvest.project(d.source, cond, schema, false)?;
     let sent = d.once(
         kind,
         ExchangeKind::Selection,
         MessageSize::sq_request(cond),
-        MessageSize::tuples_response(&resp.payload),
-        proc_cost(w, resp.tuples_examined, resp.payload.len()),
+        resp_bytes,
+        proc_cost(w, resp.tuples_examined, n_rows),
         items.len(),
     );
     Ok(StepDone::of(
         sent,
-        StepValue::CachedItems(items, resp.payload),
+        StepValue::CachedItems(items, harvest),
         StepValue::DroppedItems,
     ))
 }
@@ -588,7 +593,9 @@ pub(crate) struct PlanRun<'a> {
     retry: Option<&'a RetryPolicy>,
     /// A cached run: selection misses fetch full records for admission.
     records: bool,
-    vars: Vec<Option<ItemSet>>,
+    /// One representation for served, fetched and computed sets: binding
+    /// a hit is a reference-count bump.
+    vars: Vec<Option<Arc<ItemSet>>>,
     rels: Vec<Option<Relation>>,
     rel_dropped: Vec<bool>,
     pending: Vec<PendingInsert>,
@@ -682,7 +689,7 @@ impl<'a> PlanRun<'a> {
 
     /// The size of a bound variable.
     pub(crate) fn var_len(&self, v: VarId) -> Option<usize> {
-        self.vars[v.0].as_ref().map(ItemSet::len)
+        self.vars[v.0].as_ref().map(|set| set.len())
     }
 
     /// Whether a relation variable has been loaded.
@@ -755,8 +762,12 @@ impl<'a> PlanRun<'a> {
         self.vars[out.0] = Some(hit.items);
     }
 
-    fn var(&self, v: VarId) -> &ItemSet {
+    fn var_shared(&self, v: VarId) -> &Arc<ItemSet> {
         self.vars[v.0].as_ref().expect("validated: def before use")
+    }
+
+    fn var(&self, v: VarId) -> &ItemSet {
+        self.var_shared(v)
     }
 
     /// Runs mediator-local step `idx` (`LocalSq`, `Union`, `Intersect`,
@@ -777,22 +788,26 @@ impl<'a> PlanRun<'a> {
                     .as_ref()
                     .expect("validated: loaded before use");
                 let r = relation.select_items(&self.query.conditions()[cond.0])?;
-                (*out, r.items)
+                (*out, Arc::new(r.items))
             }
             Step::Union { out, inputs } => (
                 *out,
-                ItemSet::union_all(inputs.iter().map(|v| self.var(*v))),
+                Arc::new(ItemSet::union_all(inputs.iter().map(|v| self.var(*v)))),
             ),
             Step::Intersect { out, inputs } => {
-                let mut sets = inputs.iter().map(|v| self.var(*v));
+                let mut sets = inputs.iter().map(|v| self.var_shared(*v));
                 let first = sets.next().expect("validated");
                 let acc = match sets.next() {
-                    Some(second) => sets.fold(first.intersect(second), |acc, s| acc.intersect(s)),
-                    None => first.clone(),
+                    Some(second) => {
+                        Arc::new(sets.fold(first.intersect(second), |acc, s| acc.intersect(s)))
+                    }
+                    None => Arc::clone(first),
                 };
                 (*out, acc)
             }
-            Step::Diff { out, left, right } => (*out, self.var(*left).difference(self.var(*right))),
+            Step::Diff { out, left, right } => {
+                (*out, Arc::new(self.var(*left).difference(self.var(*right))))
+            }
             remote => panic!("PlanRun::local called with remote step {remote:?}"),
         };
         self.entries[idx] = Some(LedgerEntry {
@@ -911,7 +926,7 @@ impl<'a> PlanRun<'a> {
                 StepValue::Items(items),
                 Step::Sq { out, .. } | Step::Sjq { out, .. } | Step::SjqBloom { out, .. },
             ) => {
-                self.vars[out.0] = Some(items);
+                self.vars[out.0] = Some(Arc::new(items));
             }
             (StepValue::CachedItems(items, rows), Step::Sq { out, cond, source }) => {
                 self.pending.push(PendingInsert {
@@ -935,7 +950,7 @@ impl<'a> PlanRun<'a> {
                 let (out, cond) = (*out, *cond);
                 self.drop_step(idx)?;
                 self.missing_conds.push(cond);
-                self.vars[out.0] = Some(ItemSet::empty());
+                self.vars[out.0] = Some(Arc::new(ItemSet::empty()));
             }
             (StepValue::DroppedRows, Step::Lq { out, .. }) => {
                 let out = *out;
@@ -1052,8 +1067,11 @@ impl<'a> PlanRun<'a> {
             }
             ledger.push(entry.expect("every step executed"));
         }
+        // The result may still be shared with a cache entry (a one-step
+        // plan served by an exact hit): unwrap when sole owner, else copy.
         let answer = self.vars[self.plan.result.0]
             .take()
+            .map(Arc::unwrap_or_clone)
             .expect("validated: result defined");
         let completeness = if self.dropped.is_empty() {
             Completeness::Exact

@@ -71,7 +71,7 @@ fn served_lookups_match_direct_evaluation() {
             Some(got) => {
                 assert!(proved, "served without a containment proof");
                 assert_eq!(
-                    got.items,
+                    *got.items,
                     direct_sq(&rel, &probe, &schema),
                     "served items diverge for probe {probe} under cached {cached_cond}"
                 );
