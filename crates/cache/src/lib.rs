@@ -37,7 +37,7 @@ pub mod subsume;
 
 pub use cost::{CacheSnapshot, CachedCostModel};
 pub use harvest::{projection_memo_stats, Harvest};
-pub use lint::{stale_cache_findings, StaleCacheServe};
+pub use lint::stale_cache_findings;
 pub use shared::{CacheGuard, SharedAnswerCache};
 pub use subsume::{containment_memo_stats, subsumes};
 

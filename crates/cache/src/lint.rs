@@ -11,7 +11,7 @@
 //! an error.
 
 use crate::cost::CacheSnapshot;
-use fusion_core::analyze::{Analysis, Diagnostic, Lint, Severity};
+use fusion_core::analyze::{Diagnostic, Severity};
 use fusion_core::plan::{Plan, Step};
 
 /// Computes `stale-cache-serve` findings for a plan: every `sq` step
@@ -44,35 +44,6 @@ pub fn stale_cache_findings(
             _ => None,
         })
         .collect()
-}
-
-/// The `stale-cache-serve` rule, in the precomputed-findings style of
-/// the dataflow lints: construction does the epoch comparison, and
-/// [`Lint::check`] replays the findings through any [`LintRegistry`].
-///
-/// [`LintRegistry`]: fusion_core::analyze::LintRegistry
-pub struct StaleCacheServe {
-    findings: Vec<Diagnostic>,
-}
-
-impl StaleCacheServe {
-    /// Builds the rule for one plan against the snapshot it was
-    /// optimized with and the epochs in force now.
-    pub fn new(plan: &Plan, snapshot: &CacheSnapshot, current_epochs: &[u64]) -> StaleCacheServe {
-        StaleCacheServe {
-            findings: stale_cache_findings(plan, snapshot, current_epochs),
-        }
-    }
-}
-
-impl Lint for StaleCacheServe {
-    fn name(&self) -> &'static str {
-        "stale-cache-serve"
-    }
-
-    fn check(&self, _plan: &Plan, _analysis: &mut Analysis) -> Vec<Diagnostic> {
-        self.findings.clone()
-    }
 }
 
 #[cfg(test)]
@@ -115,13 +86,9 @@ mod tests {
 
     #[test]
     fn registry_integration() {
-        use fusion_core::analyze::{analyze_plan, LintRegistry};
         let plan = SimplePlanSpec::filter(2, 2).build(2).unwrap();
         let snap = covering_snapshot(&plan, 2, vec![0, 0]);
-        let mut reg = LintRegistry::default_rules();
-        reg.register(Box::new(StaleCacheServe::new(&plan, &snap, &[1, 0])));
-        let mut a = analyze_plan(&plan).unwrap();
-        let d = reg.run(&plan, &mut a);
+        let d = stale_cache_findings(&plan, &snap, &[1, 0]);
         assert!(d.iter().any(|d| d.rule == "stale-cache-serve"));
     }
 }

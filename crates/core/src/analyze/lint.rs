@@ -3,10 +3,11 @@
 //! Where [`analyze_plan`](super::analyze_plan) answers *"is this plan
 //! correct?"*, the lints answer *"is it sensible?"* — dead work,
 //! duplicated queries, provably oversized semijoin inputs, and Bloom
-//! supersets that leak into the answer. Each rule implements [`Lint`]
-//! and reports structured [`Diagnostic`]s with a severity and a 1-based
-//! step number, so the CLI and the optimizer's debug checks can render
-//! them uniformly.
+//! supersets that leak into the answer. Each rule is a plain function
+//! from the plan (and the analysis it reads) to structured
+//! [`Diagnostic`]s with a severity and a 1-based step number, so the CLI
+//! and the optimizer's debug checks can render them uniformly;
+//! [`lint_plan`] runs the five base rules and sorts them once.
 
 use super::{analyze_plan, Analysis};
 use crate::plan::{Plan, RelVar, Step, VarId};
@@ -53,72 +54,29 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// A lint rule over an analyzed plan.
-pub trait Lint {
-    /// Stable rule identifier (kebab-case).
-    fn name(&self) -> &'static str;
-    /// Runs the rule; the analysis is mutable because some rules pose
-    /// further BDD queries (subset tests, substitution re-analysis).
-    fn check(&self, plan: &Plan, analysis: &mut Analysis) -> Vec<Diagnostic>;
+/// Concatenates per-rule findings in run order and stable-sorts them by
+/// `(step, rule)` — the one ordering every composed entry point
+/// ([`lint_plan`], `dataflow_lint_plan`) returns.
+pub(crate) fn merge_sorted(rules: impl IntoIterator<Item = Vec<Diagnostic>>) -> Vec<Diagnostic> {
+    let mut out: Vec<Diagnostic> = rules.into_iter().flatten().collect();
+    out.sort_by_key(|d| (d.step, d.rule));
+    out
 }
 
-/// An ordered collection of lint rules.
-pub struct LintRegistry {
-    rules: Vec<Box<dyn Lint>>,
-}
-
-impl LintRegistry {
-    /// An empty registry.
-    pub fn new() -> LintRegistry {
-        LintRegistry { rules: Vec::new() }
-    }
-
-    /// All built-in rules.
-    pub fn default_rules() -> LintRegistry {
-        let mut r = LintRegistry::new();
-        r.register(Box::new(DeadStep));
-        r.register(Box::new(DuplicateQuery));
-        r.register(Box::new(SupersetSemijoinInput));
-        r.register(Box::new(LoadedUnused));
-        r.register(Box::new(BloomNotReintersected));
-        r
-    }
-
-    /// Adds a rule.
-    pub fn register(&mut self, rule: Box<dyn Lint>) {
-        self.rules.push(rule);
-    }
-
-    /// Names of the registered rules, in run order.
-    pub fn rule_names(&self) -> Vec<&'static str> {
-        self.rules.iter().map(|r| r.name()).collect()
-    }
-
-    /// Runs every rule, returning findings sorted by step then rule.
-    pub fn run(&self, plan: &Plan, analysis: &mut Analysis) -> Vec<Diagnostic> {
-        let mut out: Vec<Diagnostic> = self
-            .rules
-            .iter()
-            .flat_map(|r| r.check(plan, analysis))
-            .collect();
-        out.sort_by_key(|d| (d.step, d.rule));
-        out
-    }
-}
-
-impl Default for LintRegistry {
-    fn default() -> LintRegistry {
-        LintRegistry::default_rules()
-    }
-}
-
-/// Analyzes a plan and runs the default lint rules.
+/// Analyzes a plan and runs the five base rules, returning findings
+/// sorted by step then rule.
 ///
 /// # Errors
 /// Propagates structural validation failure from the analysis.
 pub fn lint_plan(plan: &Plan) -> Result<Vec<Diagnostic>> {
     let mut analysis = analyze_plan(plan)?;
-    Ok(LintRegistry::default_rules().run(plan, &mut analysis))
+    Ok(merge_sorted([
+        dead_step_findings(plan),
+        duplicate_query_findings(plan, &analysis),
+        superset_semijoin_input_findings(plan, &mut analysis),
+        loaded_unused_findings(plan),
+        bloom_not_reintersected_findings(plan, &analysis),
+    ]))
 }
 
 /// Which steps contribute to the result: walk the use-def chains
@@ -157,223 +115,185 @@ fn live_steps(plan: &Plan) -> (Vec<bool>, Vec<bool>) {
 }
 
 /// `dead-step`: a step whose output never reaches the result.
-struct DeadStep;
-
-impl Lint for DeadStep {
-    fn name(&self) -> &'static str {
-        "dead-step"
-    }
-
-    fn check(&self, plan: &Plan, _analysis: &mut Analysis) -> Vec<Diagnostic> {
-        let (live, _) = live_steps(plan);
-        plan.steps
-            .iter()
-            .enumerate()
-            // Unused loads are `loaded-unused`'s finding, not ours.
-            .filter(|(t, s)| !live[*t] && !matches!(s, Step::Lq { .. }))
-            .map(|(t, s)| {
-                let what = s
-                    .defined_var()
-                    .map_or_else(String::new, |v| plan.var_name(v).to_string());
-                Diagnostic {
-                    rule: self.name(),
-                    severity: Severity::Warning,
-                    step: t + 1,
-                    message: format!("{what} never contributes to the result"),
-                }
-            })
-            .collect()
-    }
+pub(crate) fn dead_step_findings(plan: &Plan) -> Vec<Diagnostic> {
+    let (live, _) = live_steps(plan);
+    plan.steps
+        .iter()
+        .enumerate()
+        // Unused loads are `loaded-unused`'s finding, not ours.
+        .filter(|(t, s)| !live[*t] && !matches!(s, Step::Lq { .. }))
+        .map(|(t, s)| {
+            let what = s
+                .defined_var()
+                .map_or_else(String::new, |v| plan.var_name(v).to_string());
+            Diagnostic {
+                rule: "dead-step",
+                severity: Severity::Warning,
+                step: t + 1,
+                message: format!("{what} never contributes to the result"),
+            }
+        })
+        .collect()
 }
 
 /// `duplicate-query`: the same remote work issued twice.
-struct DuplicateQuery;
-
-impl Lint for DuplicateQuery {
-    fn name(&self) -> &'static str {
-        "duplicate-query"
-    }
-
-    fn check(&self, plan: &Plan, analysis: &mut Analysis) -> Vec<Diagnostic> {
-        use std::collections::HashMap;
-        let mut out = Vec::new();
-        // Selections (remote or over a loaded copy) keyed by
-        // (condition, source): identical ones return identical sets.
-        let mut selections: HashMap<(usize, usize), usize> = HashMap::new();
-        // Semijoins keyed by (condition, source, input).
-        let mut semijoins: HashMap<(usize, usize, usize), usize> = HashMap::new();
-        for (t, s) in plan.steps.iter().enumerate() {
-            let key_step = match s {
-                Step::Sq { cond, source, .. } => Some((cond.0, source.0)),
-                Step::LocalSq { cond, rel, .. } => {
-                    analysis.loaded_source(*rel).map(|j| (cond.0, j))
-                }
-                _ => None,
-            };
-            if let Some(key) = key_step {
-                if let Some(&first) = selections.get(&key) {
-                    out.push(Diagnostic {
-                        rule: self.name(),
-                        severity: Severity::Warning,
-                        step: t + 1,
-                        message: format!(
-                            "repeats the selection sq(c{}, R{}) of step {}",
-                            key.0 + 1,
-                            key.1 + 1,
-                            first + 1
-                        ),
-                    });
-                } else {
-                    selections.insert(key, t);
-                }
-            }
-            if let Step::Sjq {
-                cond,
-                source,
-                input,
-                ..
-            } = s
-            {
-                let key = (cond.0, source.0, input.0);
-                if let Some(&first) = semijoins.get(&key) {
-                    out.push(Diagnostic {
-                        rule: self.name(),
-                        severity: Severity::Warning,
-                        step: t + 1,
-                        message: format!(
-                            "repeats the semijoin sjq(c{}, R{}, {}) of step {}",
-                            cond.0 + 1,
-                            source.0 + 1,
-                            plan.var_name(*input),
-                            first + 1
-                        ),
-                    });
-                } else {
-                    semijoins.insert(key, t);
-                }
+pub(crate) fn duplicate_query_findings(plan: &Plan, analysis: &Analysis) -> Vec<Diagnostic> {
+    use std::collections::HashMap;
+    let mut out = Vec::new();
+    // Selections (remote or over a loaded copy) keyed by
+    // (condition, source): identical ones return identical sets.
+    let mut selections: HashMap<(usize, usize), usize> = HashMap::new();
+    // Semijoins keyed by (condition, source, input).
+    let mut semijoins: HashMap<(usize, usize, usize), usize> = HashMap::new();
+    for (t, s) in plan.steps.iter().enumerate() {
+        let key_step = match s {
+            Step::Sq { cond, source, .. } => Some((cond.0, source.0)),
+            Step::LocalSq { cond, rel, .. } => analysis.loaded_source(*rel).map(|j| (cond.0, j)),
+            _ => None,
+        };
+        if let Some(key) = key_step {
+            if let Some(&first) = selections.get(&key) {
+                out.push(Diagnostic {
+                    rule: "duplicate-query",
+                    severity: Severity::Warning,
+                    step: t + 1,
+                    message: format!(
+                        "repeats the selection sq(c{}, R{}) of step {}",
+                        key.0 + 1,
+                        key.1 + 1,
+                        first + 1
+                    ),
+                });
+            } else {
+                selections.insert(key, t);
             }
         }
-        out
+        if let Step::Sjq {
+            cond,
+            source,
+            input,
+            ..
+        } = s
+        {
+            let key = (cond.0, source.0, input.0);
+            if let Some(&first) = semijoins.get(&key) {
+                out.push(Diagnostic {
+                    rule: "duplicate-query",
+                    severity: Severity::Warning,
+                    step: t + 1,
+                    message: format!(
+                        "repeats the semijoin sjq(c{}, R{}, {}) of step {}",
+                        cond.0 + 1,
+                        source.0 + 1,
+                        plan.var_name(*input),
+                        first + 1
+                    ),
+                });
+            } else {
+                semijoins.insert(key, t);
+            }
+        }
     }
+    out
 }
 
 /// `superset-semijoin-input`: a semijoin ships set `Y` although an
 /// already-available set `Z ⊊ Y` provably yields the same final result —
 /// shipping the smaller set can only be cheaper (§2.4: semijoin cost
 /// grows with the bindings shipped).
-struct SupersetSemijoinInput;
-
-impl Lint for SupersetSemijoinInput {
-    fn name(&self) -> &'static str {
-        "superset-semijoin-input"
-    }
-
-    fn check(&self, plan: &Plan, analysis: &mut Analysis) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        let original = analysis.result_value();
-        let mut available: Vec<VarId> = Vec::new();
-        for (t, s) in plan.steps.iter().enumerate() {
-            if let Step::Sjq { input, .. } | Step::SjqBloom { input, .. } = s {
-                let vy = analysis.value(*input).unwrap_or(super::bdd::FALSE);
-                for &z in &available {
-                    if z == *input {
-                        continue;
-                    }
-                    let vz = analysis.value(z).unwrap_or(super::bdd::FALSE);
-                    if vz == super::bdd::FALSE || vz == vy {
-                        continue;
-                    }
-                    // Z strictly below Y in every world, and swapping it
-                    // in provably leaves the final result unchanged.
-                    if analysis.is_subset(vz, vy)
-                        && analysis.result_with_semijoin_input(plan, t, z) == original
-                    {
-                        out.push(Diagnostic {
-                            rule: self.name(),
-                            severity: Severity::Warning,
-                            step: t + 1,
-                            message: format!(
-                                "ships {} although the provably smaller {} \
-                                 yields the same result",
-                                plan.var_name(*input),
-                                plan.var_name(z)
-                            ),
-                        });
-                        break;
-                    }
+pub(crate) fn superset_semijoin_input_findings(
+    plan: &Plan,
+    analysis: &mut Analysis,
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let original = analysis.result_value();
+    let mut available: Vec<VarId> = Vec::new();
+    for (t, s) in plan.steps.iter().enumerate() {
+        if let Step::Sjq { input, .. } | Step::SjqBloom { input, .. } = s {
+            let vy = analysis.value(*input).unwrap_or(super::bdd::FALSE);
+            for &z in &available {
+                if z == *input {
+                    continue;
+                }
+                let vz = analysis.value(z).unwrap_or(super::bdd::FALSE);
+                if vz == super::bdd::FALSE || vz == vy {
+                    continue;
+                }
+                // Z strictly below Y in every world, and swapping it
+                // in provably leaves the final result unchanged.
+                if analysis.is_subset(vz, vy)
+                    && analysis.result_with_semijoin_input(plan, t, z) == original
+                {
+                    out.push(Diagnostic {
+                        rule: "superset-semijoin-input",
+                        severity: Severity::Warning,
+                        step: t + 1,
+                        message: format!(
+                            "ships {} although the provably smaller {} \
+                             yields the same result",
+                            plan.var_name(*input),
+                            plan.var_name(z)
+                        ),
+                    });
+                    break;
                 }
             }
-            if let Some(v) = s.defined_var() {
-                available.push(v);
-            }
         }
-        out
+        if let Some(v) = s.defined_var() {
+            available.push(v);
+        }
     }
+    out
 }
 
 /// `loaded-unused`: a source is loaded in full but its copy never feeds
 /// a live local selection — pure wasted transfer (§4 loads pay `lq`'s
 /// full-relation cost).
-struct LoadedUnused;
-
-impl Lint for LoadedUnused {
-    fn name(&self) -> &'static str {
-        "loaded-unused"
-    }
-
-    fn check(&self, plan: &Plan, _analysis: &mut Analysis) -> Vec<Diagnostic> {
-        let (_, live_rel) = live_steps(plan);
-        plan.steps
-            .iter()
-            .enumerate()
-            .filter_map(|(t, s)| match s {
-                Step::Lq { out, source } if !live_rel[out.0] => Some(Diagnostic {
-                    rule: self.name(),
-                    severity: Severity::Warning,
-                    step: t + 1,
-                    message: format!(
-                        "loads R{} into {} but the copy never contributes to the result",
-                        source.0 + 1,
-                        plan.rel_name(RelVar(out.0))
-                    ),
-                }),
-                _ => None,
-            })
-            .collect()
-    }
+pub(crate) fn loaded_unused_findings(plan: &Plan) -> Vec<Diagnostic> {
+    let (_, live_rel) = live_steps(plan);
+    plan.steps
+        .iter()
+        .enumerate()
+        .filter_map(|(t, s)| match s {
+            Step::Lq { out, source } if !live_rel[out.0] => Some(Diagnostic {
+                rule: "loaded-unused",
+                severity: Severity::Warning,
+                step: t + 1,
+                message: format!(
+                    "loads R{} into {} but the copy never contributes to the result",
+                    source.0 + 1,
+                    plan.rel_name(RelVar(out.0))
+                ),
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
 /// `bloom-not-reintersected`: a Bloom semijoin's raw superset reaches
 /// the result without being re-intersected with the exact input, so a
 /// filter false positive can surface in the answer.
-struct BloomNotReintersected;
-
-impl Lint for BloomNotReintersected {
-    fn name(&self) -> &'static str {
-        "bloom-not-reintersected"
-    }
-
-    fn check(&self, plan: &Plan, analysis: &mut Analysis) -> Vec<Diagnostic> {
-        plan.steps
-            .iter()
-            .enumerate()
-            .filter_map(|(t, s)| match s {
-                Step::SjqBloom { out, .. } if analysis.result_tainted_by_bloom(t) => {
-                    Some(Diagnostic {
-                        rule: self.name(),
-                        severity: Severity::Error,
-                        step: t + 1,
-                        message: format!(
-                            "Bloom superset {} reaches the result without \
-                             re-intersection; collisions can corrupt the answer",
-                            plan.var_name(*out)
-                        ),
-                    })
-                }
-                _ => None,
-            })
-            .collect()
-    }
+pub(crate) fn bloom_not_reintersected_findings(
+    plan: &Plan,
+    analysis: &Analysis,
+) -> Vec<Diagnostic> {
+    plan.steps
+        .iter()
+        .enumerate()
+        .filter_map(|(t, s)| match s {
+            Step::SjqBloom { out, .. } if analysis.result_tainted_by_bloom(t) => Some(Diagnostic {
+                rule: "bloom-not-reintersected",
+                severity: Severity::Error,
+                step: t + 1,
+                message: format!(
+                    "Bloom superset {} reaches the result without \
+                         re-intersection; collisions can corrupt the answer",
+                    plan.var_name(*out)
+                ),
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -413,6 +333,13 @@ mod tests {
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].step, p.steps.len());
         assert_eq!(ds[0].severity, Severity::Warning);
+        assert_eq!(
+            ds[0].to_string(),
+            format!(
+                "warning: step {}: DEAD never contributes to the result [dead-step]",
+                p.steps.len()
+            )
+        );
     }
 
     #[test]
@@ -555,34 +482,6 @@ mod tests {
         assert_eq!(bl.len(), 1);
         assert_eq!(bl[0].severity, Severity::Error);
         assert_eq!(bl[0].step, idx + 1);
-    }
-
-    #[test]
-    fn registry_is_extensible_and_ordered() {
-        struct Nag;
-        impl Lint for Nag {
-            fn name(&self) -> &'static str {
-                "nag"
-            }
-            fn check(&self, plan: &Plan, _a: &mut Analysis) -> Vec<Diagnostic> {
-                vec![Diagnostic {
-                    rule: "nag",
-                    severity: Severity::Warning,
-                    step: plan.steps.len(),
-                    message: "custom rule ran".into(),
-                }]
-            }
-        }
-        let mut reg = LintRegistry::default_rules();
-        reg.register(Box::new(Nag));
-        assert!(reg.rule_names().contains(&"nag"));
-        let p = clean_plan();
-        let mut a = crate::analyze::analyze_plan(&p).unwrap();
-        let d = reg.run(&p, &mut a);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "nag");
-        let shown = d[0].to_string();
-        assert!(shown.contains("warning") && shown.contains("custom rule ran"));
     }
 
     #[test]

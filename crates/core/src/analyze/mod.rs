@@ -52,7 +52,11 @@ pub mod bdd;
 mod lint;
 mod memo;
 
-pub use lint::{lint_plan, Diagnostic, Lint, LintRegistry, Severity};
+pub(crate) use lint::{
+    bloom_not_reintersected_findings, dead_step_findings, duplicate_query_findings,
+    loaded_unused_findings, merge_sorted, superset_semijoin_input_findings,
+};
+pub use lint::{lint_plan, Diagnostic, Severity};
 pub use memo::{ensure_sound, proof_memo_stats, MemoCounters, ProofMemoStats, PROOF_MEMO_CAPACITY};
 
 use crate::plan::{Plan, Step, VarId};

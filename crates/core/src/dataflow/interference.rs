@@ -25,15 +25,15 @@
 //! the pair goes first, exactly the schedules a model checker must
 //! replay to exhibit (or refute) divergence.
 //!
-//! The lints at the bottom package the three interference classes the
+//! The three `*_findings` rules report the interference classes the
 //! executors must stay free of: conflicting same-stage step footprints,
 //! cache commits racing epoch bumps, and epoch reads (cache lookups)
 //! racing epoch bumps.
 
 use std::collections::HashMap;
 
-use super::dependencies;
-use crate::analyze::{Analysis, Diagnostic, Lint, Severity};
+use super::{dependencies, verify_stage_structure};
+use crate::analyze::{Diagnostic, Severity};
 use crate::plan::{Plan, Step};
 use fusion_types::error::{FusionError, Result};
 
@@ -530,7 +530,7 @@ impl EventGraph {
 /// dependencies *and* its source's previous step — autonomous sources
 /// answer one mediator request at a time, so each source's steps must
 /// consume its fault-schedule slots in plan order.
-fn serial_queue_levels(plan: &Plan) -> Vec<Vec<usize>> {
+pub(super) fn serial_queue_levels(plan: &Plan) -> Vec<Vec<usize>> {
     let (_, deps) = dependencies(plan);
     let n = plan.steps.len();
     let mut level = vec![0usize; n];
@@ -581,50 +581,19 @@ pub fn serial_queue_stages(plan: &Plan) -> Result<Vec<Vec<usize>>> {
 /// Fails with the violated invariant; interference failures carry the
 /// witness schedule pair.
 pub fn verify_serial_queue_stages(plan: &Plan, stages: &[Vec<usize>]) -> Result<()> {
-    let fail = |msg: String| {
-        Err(FusionError::invalid_plan(format!(
-            "serial-queue certificate: {msg}"
-        )))
-    };
     let (_, deps) = dependencies(plan);
-    let mut stage_of = vec![usize::MAX; plan.steps.len()];
-    for (s, steps) in stages.iter().enumerate() {
-        for &t in steps {
-            if t >= plan.steps.len() || stage_of[t] != usize::MAX {
-                return fail(format!("step {t} missing, duplicated, or out of range"));
-            }
-            stage_of[t] = s;
-        }
-    }
-    if stage_of.contains(&usize::MAX) {
-        return fail("stages do not cover every step".into());
-    }
-    for (s, steps) in stages.iter().enumerate() {
-        let mut sources = Vec::new();
-        for &t in steps {
-            for &d in &deps[t] {
-                if stage_of[d] >= s {
-                    return fail(format!(
-                        "step {t} in stage {s} reads step {d} of stage {}",
-                        stage_of[d]
-                    ));
-                }
-            }
-            if let Some(src) = plan.steps[t].source() {
-                if sources.contains(&src) {
-                    return fail(format!(
-                        "stage {s} queries R{} twice — serial queues must keep \
-                         stages source-disjoint",
-                        src.0 + 1
-                    ));
-                }
-                sources.push(src);
-            }
-        }
-    }
+    verify_stage_structure(
+        "serial-queue certificate",
+        " — serial queues must keep stages source-disjoint",
+        plan,
+        &deps,
+        stages,
+    )?;
     let graph = EventGraph::certified(plan, stages, true);
     if let Some(i) = graph.interferences().into_iter().next() {
-        return fail(format!("interference: {i}"));
+        return Err(FusionError::invalid_plan(format!(
+            "serial-queue certificate: interference: {i}"
+        )));
     }
     Ok(())
 }
@@ -762,80 +731,6 @@ pub fn epoch_read_before_bump_findings(plan: &Plan, graph: &EventGraph) -> Vec<D
         });
     }
     out
-}
-
-/// A lint with findings precomputed from an event graph.
-macro_rules! graph_lint {
-    ($name:ident, $rule:literal, $finder:ident) => {
-        /// See the corresponding finding function.
-        pub struct $name {
-            findings: Vec<Diagnostic>,
-        }
-
-        impl $name {
-            /// Precomputes findings over `plan`'s certified cached
-            /// event graph.
-            ///
-            /// # Errors
-            /// Fails on structurally invalid plans.
-            pub fn new(plan: &Plan) -> Result<$name> {
-                plan.validate()?;
-                let stages = serial_queue_levels(plan);
-                let graph = EventGraph::certified(plan, &stages, true);
-                Ok($name {
-                    findings: $finder(plan, &graph),
-                })
-            }
-
-            /// A lint replaying findings computed from an explicit
-            /// (possibly mutant) event graph.
-            pub fn from_graph(plan: &Plan, graph: &EventGraph) -> $name {
-                $name {
-                    findings: $finder(plan, graph),
-                }
-            }
-        }
-
-        impl Lint for $name {
-            fn name(&self) -> &'static str {
-                $rule
-            }
-
-            fn check(&self, _plan: &Plan, _analysis: &mut Analysis) -> Vec<Diagnostic> {
-                self.findings.clone()
-            }
-        }
-    };
-}
-
-graph_lint!(
-    ConflictingStageFootprints,
-    "conflicting-stage-footprints",
-    conflicting_footprint_findings
-);
-graph_lint!(
-    CacheCommitRace,
-    "cache-commit-race",
-    cache_commit_race_findings
-);
-graph_lint!(
-    EpochReadBeforeBump,
-    "epoch-read-before-bump",
-    epoch_read_before_bump_findings
-);
-
-/// The three interference lints over `plan`'s own certified schedule —
-/// provably quiet on any schedule [`verify_serial_queue_stages`]
-/// accepts, loud on hand-built mutant graphs (see the golden corpus).
-///
-/// # Errors
-/// Fails on structurally invalid plans.
-pub fn interference_rules(plan: &Plan) -> Result<Vec<Box<dyn Lint>>> {
-    Ok(vec![
-        Box::new(ConflictingStageFootprints::new(plan)?),
-        Box::new(CacheCommitRace::new(plan)?),
-        Box::new(EpochReadBeforeBump::new(plan)?),
-    ])
 }
 
 // ---------------------------------------------------------------------
@@ -1431,17 +1326,17 @@ mod tests {
     }
 
     #[test]
-    fn interference_rules_are_quiet_on_optimizer_plans() {
+    fn interference_findings_are_quiet_on_optimizer_plans() {
         let m = model();
         for plan in [filter_plan(&m).plan, sja_optimal(&m).plan] {
-            let mut analysis = crate::analyze::analyze_plan(&plan).unwrap();
-            for rule in interference_rules(&plan).unwrap() {
-                assert!(
-                    rule.check(&plan, &mut analysis).is_empty(),
-                    "{} fired on a certified plan",
-                    rule.name()
-                );
-            }
+            let graph = EventGraph::certified(&plan, &serial_queue_levels(&plan), true);
+            let fired: Vec<Diagnostic> = [
+                conflicting_footprint_findings(&plan, &graph),
+                cache_commit_race_findings(&plan, &graph),
+                epoch_read_before_bump_findings(&plan, &graph),
+            ]
+            .concat();
+            assert_eq!(fired, vec![], "fired on a certified plan");
         }
     }
 }

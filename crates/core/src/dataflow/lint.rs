@@ -1,15 +1,22 @@
 //! Dataflow-powered lint rules.
 //!
-//! These rules need more than the BDD semantics the base registry works
+//! These rules need more than the BDD semantics the base rules work
 //! from: they read the def-use graph, the cardinality intervals, and the
-//! guaranteed-cost bounds computed by [`analyze_dataflow`]. Two of them
-//! ([`NarrowThenWiden`], [`TransferExceedsLoad`]) precompute their
-//! findings from a [`Dataflow`] at construction time and replay them
-//! through the ordinary [`Lint`] interface, so they compose with the
-//! base rules in one [`LintRegistry`] run.
+//! guaranteed-cost bounds computed by [`analyze_dataflow`]. Like every
+//! rule they are plain functions of the inputs they read;
+//! [`dataflow_lint_plan`] computes each analysis once and calls all
+//! eleven plan rules.
 
-use super::{analyze_dataflow, interference_rules, Dataflow, SourceBounds};
-use crate::analyze::{analyze_plan, Analysis, Diagnostic, Lint, LintRegistry, Severity};
+use super::interference::serial_queue_levels;
+use super::{
+    analyze_dataflow, cache_commit_race_findings, conflicting_footprint_findings,
+    epoch_read_before_bump_findings, Dataflow, EventGraph, SourceBounds,
+};
+use crate::analyze::{
+    analyze_plan, bloom_not_reintersected_findings, dead_step_findings, duplicate_query_findings,
+    loaded_unused_findings, merge_sorted, superset_semijoin_input_findings, Analysis, Diagnostic,
+    Severity,
+};
 use crate::cost::CostModel;
 use crate::plan::{Plan, Step};
 use fusion_types::error::Result;
@@ -22,39 +29,31 @@ use fusion_types::error::Result;
 /// proves. A step whose source-suffix is *not* droppable (an antitone
 /// use, e.g. feeding the right side of a difference) can make a retried
 /// partial answer unsound, so it is flagged.
-pub struct RetryNonIdempotent;
-
-impl Lint for RetryNonIdempotent {
-    fn name(&self) -> &'static str {
-        "retry-non-idempotent-step"
-    }
-
-    fn check(&self, plan: &Plan, analysis: &mut Analysis) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (t, s) in plan.steps.iter().enumerate() {
-            let Some(src) = s.source() else { continue };
-            // The answers a retry can shrink: this step and every later
-            // query at the same source (a mid-plan re-issue re-runs the
-            // source's remaining schedule).
-            let suffix: Vec<usize> = (t..plan.steps.len())
-                .filter(|&u| plan.steps[u].source() == Some(src))
-                .collect();
-            if !analysis.droppable(plan, &suffix) {
-                out.push(Diagnostic {
-                    rule: self.name(),
-                    severity: Severity::Warning,
-                    step: t + 1,
-                    message: format!(
-                        "re-issuing this query at R{} is not idempotent: the plan \
-                         uses the source's answers non-monotonically, so a retry \
-                         against changed source state can corrupt the answer",
-                        src.0 + 1
-                    ),
-                });
-            }
+pub fn retry_non_idempotent_findings(plan: &Plan, analysis: &mut Analysis) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (t, s) in plan.steps.iter().enumerate() {
+        let Some(src) = s.source() else { continue };
+        // The answers a retry can shrink: this step and every later
+        // query at the same source (a mid-plan re-issue re-runs the
+        // source's remaining schedule).
+        let suffix: Vec<usize> = (t..plan.steps.len())
+            .filter(|&u| plan.steps[u].source() == Some(src))
+            .collect();
+        if !analysis.droppable(plan, &suffix) {
+            out.push(Diagnostic {
+                rule: "retry-non-idempotent-step",
+                severity: Severity::Warning,
+                step: t + 1,
+                message: format!(
+                    "re-issuing this query at R{} is not idempotent: the plan \
+                     uses the source's answers non-monotonically, so a retry \
+                     against changed source state can corrupt the answer",
+                    src.0 + 1
+                ),
+            });
         }
-        out
     }
+    out
 }
 
 /// `narrow-then-widen`: a semijoin ships a set that was first narrowed
@@ -62,140 +61,101 @@ impl Lint for RetryNonIdempotent {
 /// upper bound *exceeds* the bound of the narrowed set it descends from
 /// — the difference bought nothing for this shipment and the union is
 /// paying transfer for items the difference already excluded.
-pub struct NarrowThenWiden {
-    findings: Vec<Diagnostic>,
-}
-
-impl NarrowThenWiden {
-    /// Precomputes the findings from a finished dataflow analysis.
-    pub fn new(plan: &Plan, df: &Dataflow) -> NarrowThenWiden {
-        let mut findings = Vec::new();
-        for (t, s) in plan.steps.iter().enumerate() {
-            let (Step::Sjq { input, .. } | Step::SjqBloom { input, .. }) = s else {
+pub fn narrow_then_widen_findings(plan: &Plan, df: &Dataflow) -> Vec<Diagnostic> {
+    let mut findings = Vec::new();
+    for (t, s) in plan.steps.iter().enumerate() {
+        let (Step::Sjq { input, .. } | Step::SjqBloom { input, .. }) = s else {
+            continue;
+        };
+        let Some(def) = df.def_of[input.0] else {
+            continue;
+        };
+        // Walk the def-use ancestry of the shipped set, tracking
+        // whether the path to each ancestor crossed a union.
+        let mut widened_diff: Option<usize> = None;
+        let mut seen = vec![false; plan.steps.len() * 2];
+        let mut stack = vec![(def, false)];
+        while let Some((u, crossed_union)) = stack.pop() {
+            let slot = u * 2 + usize::from(crossed_union);
+            if seen[slot] {
                 continue;
-            };
-            let Some(def) = df.def_of[input.0] else {
-                continue;
-            };
-            // Walk the def-use ancestry of the shipped set, tracking
-            // whether the path to each ancestor crossed a union.
-            let mut widened_diff: Option<usize> = None;
-            let mut seen = vec![false; plan.steps.len() * 2];
-            let mut stack = vec![(def, false)];
-            while let Some((u, crossed_union)) = stack.pop() {
-                let slot = u * 2 + usize::from(crossed_union);
-                if seen[slot] {
-                    continue;
-                }
-                seen[slot] = true;
-                if crossed_union
-                    && matches!(plan.steps[u], Step::Diff { .. })
-                    && df.step_bounds[t].hi > df.step_bounds[u].hi + 1e-9
-                {
-                    widened_diff = Some(u);
-                    break;
-                }
-                let next_union = crossed_union || matches!(plan.steps[u], Step::Union { .. });
-                stack.extend(df.deps[u].iter().map(|&d| (d, next_union)));
             }
-            if let Some(d) = widened_diff {
-                findings.push(Diagnostic {
-                    rule: "narrow-then-widen",
-                    severity: Severity::Warning,
-                    step: t + 1,
-                    message: format!(
-                        "ships {} (bound {}) although it descends, through a \
-                         union, from the difference {} already narrowed to {}",
-                        plan.var_name(*input),
-                        df.step_bounds[t],
-                        plan.steps[d]
-                            .defined_var()
-                            .map_or_else(String::new, |v| plan.var_name(v).to_string()),
-                        df.step_bounds[d]
-                    ),
-                });
+            seen[slot] = true;
+            if crossed_union
+                && matches!(plan.steps[u], Step::Diff { .. })
+                && df.step_bounds[t].hi > df.step_bounds[u].hi + 1e-9
+            {
+                widened_diff = Some(u);
+                break;
             }
+            let next_union = crossed_union || matches!(plan.steps[u], Step::Union { .. });
+            stack.extend(df.deps[u].iter().map(|&d| (d, next_union)));
         }
-        NarrowThenWiden { findings }
+        if let Some(d) = widened_diff {
+            findings.push(Diagnostic {
+                rule: "narrow-then-widen",
+                severity: Severity::Warning,
+                step: t + 1,
+                message: format!(
+                    "ships {} (bound {}) although it descends, through a \
+                     union, from the difference {} already narrowed to {}",
+                    plan.var_name(*input),
+                    df.step_bounds[t],
+                    plan.steps[d]
+                        .defined_var()
+                        .map_or_else(String::new, |v| plan.var_name(v).to_string()),
+                    df.step_bounds[d]
+                ),
+            });
+        }
     }
-}
-
-impl Lint for NarrowThenWiden {
-    fn name(&self) -> &'static str {
-        "narrow-then-widen"
-    }
-
-    fn check(&self, _plan: &Plan, _analysis: &mut Analysis) -> Vec<Diagnostic> {
-        self.findings.clone()
-    }
+    findings
 }
 
 /// `transfer-exceeds-load`: the *guaranteed minimum* a plan spends
 /// querying one source already exceeds the flat `lq` cost of loading the
 /// whole relation — the §4 extended space provably contains a cheaper
 /// plan that loads the source once and selects locally for free.
-pub struct TransferExceedsLoad {
-    findings: Vec<Diagnostic>,
-}
-
-impl TransferExceedsLoad {
-    /// Precomputes the findings from a finished dataflow analysis.
-    pub fn new<M: CostModel>(plan: &Plan, model: &M, df: &Dataflow) -> TransferExceedsLoad {
-        let mut findings = Vec::new();
-        for j in 0..plan.n_sources {
-            let src = fusion_types::SourceId(j);
-            let lq = model.lq_cost(src);
-            if !lq.is_finite() {
-                continue; // source cannot be loaded at all
-            }
-            let query_steps: Vec<usize> = plan
-                .steps
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.source() == Some(src) && !matches!(s, Step::Lq { .. }))
-                .map(|(t, _)| t)
-                .collect();
-            let lo: fusion_types::Cost = query_steps.iter().map(|&t| df.step_costs[t].lo).sum();
-            if lo > lq {
-                findings.push(Diagnostic {
-                    rule: "transfer-exceeds-load",
-                    severity: Severity::Warning,
-                    step: query_steps[0] + 1,
-                    message: format!(
-                        "queries at R{} cost at least {lo} even in the best case, \
-                         more than loading the whole relation for {lq}",
-                        j + 1
-                    ),
-                });
-            }
+pub fn transfer_exceeds_load_findings<M: CostModel>(
+    plan: &Plan,
+    model: &M,
+    df: &Dataflow,
+) -> Vec<Diagnostic> {
+    let mut findings = Vec::new();
+    for j in 0..plan.n_sources {
+        let src = fusion_types::SourceId(j);
+        let lq = model.lq_cost(src);
+        if !lq.is_finite() {
+            continue; // source cannot be loaded at all
         }
-        TransferExceedsLoad { findings }
+        let query_steps: Vec<usize> = plan
+            .steps
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.source() == Some(src) && !matches!(s, Step::Lq { .. }))
+            .map(|(t, _)| t)
+            .collect();
+        let lo: fusion_types::Cost = query_steps.iter().map(|&t| df.step_costs[t].lo).sum();
+        if lo > lq {
+            findings.push(Diagnostic {
+                rule: "transfer-exceeds-load",
+                severity: Severity::Warning,
+                step: query_steps[0] + 1,
+                message: format!(
+                    "queries at R{} cost at least {lo} even in the best case, \
+                     more than loading the whole relation for {lq}",
+                    j + 1
+                ),
+            });
+        }
     }
+    findings
 }
 
-impl Lint for TransferExceedsLoad {
-    fn name(&self) -> &'static str {
-        "transfer-exceeds-load"
-    }
-
-    fn check(&self, _plan: &Plan, _analysis: &mut Analysis) -> Vec<Diagnostic> {
-        self.findings.clone()
-    }
-}
-
-/// The three dataflow-powered rules, built from a finished analysis.
-pub fn dataflow_rules<M: CostModel>(plan: &Plan, model: &M, df: &Dataflow) -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(RetryNonIdempotent),
-        Box::new(NarrowThenWiden::new(plan, df)),
-        Box::new(TransferExceedsLoad::new(plan, model, df)),
-    ]
-}
-
-/// Runs the dataflow analysis, then the full lint registry — the base
+/// Runs the dataflow analysis, then every plan rule — the five base
 /// semantic rules, the three dataflow-powered ones, and the three
-/// interference rules over the plan's certified schedule — and returns
-/// the merged findings sorted by (step, rule).
+/// interference rules over the plan's certified cached event graph
+/// (built once) — and returns the merged findings sorted by (step, rule).
 ///
 /// # Errors
 /// Propagates structural validation and certificate failures.
@@ -205,15 +165,21 @@ pub fn dataflow_lint_plan<M: CostModel>(
     bounds: &SourceBounds,
 ) -> Result<Vec<Diagnostic>> {
     let df = analyze_dataflow(plan, model, bounds)?;
-    let mut registry = LintRegistry::default_rules();
-    for rule in dataflow_rules(plan, model, &df) {
-        registry.register(rule);
-    }
-    for rule in interference_rules(plan)? {
-        registry.register(rule);
-    }
+    let graph = EventGraph::certified(plan, &serial_queue_levels(plan), true);
     let mut analysis = analyze_plan(plan)?;
-    Ok(registry.run(plan, &mut analysis))
+    Ok(merge_sorted([
+        dead_step_findings(plan),
+        duplicate_query_findings(plan, &analysis),
+        superset_semijoin_input_findings(plan, &mut analysis),
+        loaded_unused_findings(plan),
+        bloom_not_reintersected_findings(plan, &analysis),
+        retry_non_idempotent_findings(plan, &mut analysis),
+        narrow_then_widen_findings(plan, &df),
+        transfer_exceeds_load_findings(plan, model, &df),
+        conflicting_footprint_findings(plan, &graph),
+        cache_commit_race_findings(plan, &graph),
+        epoch_read_before_bump_findings(plan, &graph),
+    ]))
 }
 
 #[cfg(test)]
@@ -363,6 +329,58 @@ mod tests {
         }
         let d = run_lints(&plan, &m);
         assert!(d.iter().all(|x| x.rule != "narrow-then-widen"), "{d:?}");
+    }
+
+    /// The composed entry point is the eleven plan rules in run order,
+    /// stable-sorted by `(step, rule)` — dropping or reordering one in
+    /// `dataflow_lint_plan` breaks the equality on a loud plan.
+    #[test]
+    fn composed_entry_point_is_the_eleven_rules_sorted_once() {
+        fn by_hand(plan: &Plan, m: &TableCostModel, b: &SourceBounds) -> Vec<Diagnostic> {
+            let df = analyze_dataflow(plan, m, b).unwrap();
+            let graph = EventGraph::certified(plan, &serial_queue_levels(plan), true);
+            let mut a = analyze_plan(plan).unwrap();
+            let mut all = [
+                dead_step_findings(plan),
+                duplicate_query_findings(plan, &a),
+                superset_semijoin_input_findings(plan, &mut a),
+                loaded_unused_findings(plan),
+                bloom_not_reintersected_findings(plan, &a),
+                retry_non_idempotent_findings(plan, &mut a),
+                narrow_then_widen_findings(plan, &df),
+                transfer_exceeds_load_findings(plan, m, &df),
+                conflicting_footprint_findings(plan, &graph),
+                cache_commit_race_findings(plan, &graph),
+                epoch_read_before_bump_findings(plan, &graph),
+            ]
+            .concat();
+            all.sort_by_key(|d| (d.step, d.rule));
+            all
+        }
+        let m = model();
+        let quiet = sja_optimal(&m).plan;
+        let b = SourceBounds::from_model(&m);
+        assert_eq!(dataflow_lint_plan(&quiet, &m, &b).unwrap(), vec![]);
+        assert_eq!(by_hand(&quiet, &m, &b), vec![]);
+
+        let m1 = TableCostModel::uniform(2, 1, 10.0, 1.0, 0.1, 100.0, 5.0, 1000.0);
+        let m2 = TableCostModel::uniform(2, 2, 10.0, 1.0, 0.1, 100.0, 5.0, 1000.0);
+        let mut b2 = SourceBounds::from_model(&m2);
+        b2.sq[0][0] = super::super::Interval::point(10.0);
+        b2.sq[1][1] = super::super::Interval::point(4.0);
+        for (plan, m, b, rule) in [
+            (
+                antitone_plan(),
+                &m1,
+                SourceBounds::from_model(&m1),
+                "retry-non-idempotent-step",
+            ),
+            (narrow_widen_plan(), &m2, b2, "narrow-then-widen"),
+        ] {
+            let composed = dataflow_lint_plan(&plan, m, &b).unwrap();
+            assert!(composed.iter().any(|d| d.rule == rule), "{composed:?}");
+            assert_eq!(composed, by_hand(&plan, m, &b));
+        }
     }
 
     #[test]

@@ -60,19 +60,21 @@ mod sharing;
 
 pub use interference::{
     cache_commit_race_findings, conflicting_footprint_findings, epoch_read_before_bump_findings,
-    event_footprint, interference_report, interference_rules, plan_footprints, serial_queue_stages,
+    event_footprint, interference_report, plan_footprints, serial_queue_stages,
     server_commuting_pairs, server_event_footprint, step_footprint, verify_serial_queue_stages,
-    verify_server_log, CacheCommitRace, ConflictingStageFootprints, EpochReadBeforeBump, Event,
-    EventGraph, Footprint, Interference, Resource, ServerEvent, ServerOp, Witness,
+    verify_server_log, Event, EventGraph, Footprint, Interference, Resource, ServerEvent, ServerOp,
+    Witness,
 };
-pub use lint::{dataflow_lint_plan, dataflow_rules};
+pub use lint::{
+    dataflow_lint_plan, narrow_then_widen_findings, retry_non_idempotent_findings,
+    transfer_exceeds_load_findings,
+};
 pub use reopt::{certify_switch, SwitchCertificate};
 pub use sharing::{
-    duplicate_inflight_findings, merged_schedule, sharing_report, sharing_rules,
-    unshared_subsumed_findings, unsound_merge_findings, verify_merged_schedule,
-    verify_share_windows, DuplicateInflightStep, EdgeKind, FanOut, InFlightPlan, MergeCertificate,
-    MergedFetch, MergedSchedule, Prover, ShareLink, SharingEdge, SharingGraph, SharingReport,
-    StepNode, UnsharedSubsumedStep, UnsoundMergeResidual,
+    duplicate_inflight_findings, merged_schedule, sharing_report, unshared_subsumed_findings,
+    unsound_merge_findings, verify_merged_schedule, verify_share_windows, EdgeKind, FanOut,
+    InFlightPlan, MergeCertificate, MergedFetch, MergedSchedule, Prover, ShareLink, SharingEdge,
+    SharingGraph, SharingReport, StepNode,
 };
 
 use crate::analyze::analyze_plan;
@@ -572,53 +574,68 @@ pub fn stage_decomposition(plan: &Plan) -> Result<StageDecomposition> {
     Ok(decomposition)
 }
 
-/// The certificate checker behind [`stage_decomposition`]; also run by
-/// consumers that receive a decomposition from elsewhere.
-fn verify_stages(plan: &Plan, deps: &[Vec<usize>], d: &StageDecomposition) -> Result<()> {
-    let fail = |msg: String| {
-        Err(FusionError::invalid_plan(format!(
-            "stage certificate: {msg}"
-        )))
-    };
-    // Partition check.
-    let mut seen = vec![false; plan.steps.len()];
-    for steps in &d.stages {
+/// The structural half of both stage certificates (`certificate` names
+/// the caller in every error): the stages partition the steps, every
+/// data dependency sits in a strictly earlier stage, and no stage
+/// queries a source twice (`twice_note` ends that last error). Returns
+/// each step's stage.
+fn verify_stage_structure(
+    certificate: &str,
+    twice_note: &str,
+    plan: &Plan,
+    deps: &[Vec<usize>],
+    stages: &[Vec<usize>],
+) -> Result<Vec<usize>> {
+    let fail = |msg: String| Err(FusionError::invalid_plan(format!("{certificate}: {msg}")));
+    let mut stage_of = vec![usize::MAX; plan.steps.len()];
+    for (s, steps) in stages.iter().enumerate() {
         for &t in steps {
-            if t >= plan.steps.len() || seen[t] {
+            if t >= plan.steps.len() || stage_of[t] != usize::MAX {
                 return fail(format!("step {t} missing, duplicated, or out of range"));
             }
-            seen[t] = true;
+            stage_of[t] = s;
         }
     }
-    if !seen.iter().all(|&s| s) {
+    if stage_of.contains(&usize::MAX) {
         return fail("stages do not cover every step".into());
     }
-    // Dependency and disjointness checks.
-    for (s, steps) in d.stages.iter().enumerate() {
+    for (s, steps) in stages.iter().enumerate() {
         let mut sources: Vec<SourceId> = Vec::new();
         for &t in steps {
             for &dep in &deps[t] {
-                if d.stage_of[dep] >= s {
+                if stage_of[dep] >= s {
                     return fail(format!(
                         "step {t} in stage {s} reads step {dep} of stage {}",
-                        d.stage_of[dep]
+                        stage_of[dep]
                     ));
                 }
             }
             if let Some(src) = plan.steps[t].source() {
                 if sources.contains(&src) {
-                    return fail(format!("stage {s} queries R{} twice", src.0 + 1));
+                    return fail(format!(
+                        "stage {s} queries R{} twice{twice_note}",
+                        src.0 + 1
+                    ));
                 }
                 sources.push(src);
             }
         }
     }
+    Ok(stage_of)
+}
+
+/// The certificate checker behind [`stage_decomposition`]: the
+/// structural checks, then stage-order replay against the BDD semantics.
+fn verify_stages(plan: &Plan, deps: &[Vec<usize>], d: &StageDecomposition) -> Result<()> {
+    verify_stage_structure("stage certificate", "", plan, deps, &d.stages)?;
     // Semantic check: stage-order replay computes the same predicate as
     // listing-order interpretation, in every possible world.
     let mut analysis = analyze_plan(plan)?;
     let order = d.flattened_order();
     if analysis.result_with_step_order(plan, &order) != analysis.result_value() {
-        return fail("stage-order replay changes the plan's semantics".into());
+        return Err(FusionError::invalid_plan(
+            "stage certificate: stage-order replay changes the plan's semantics",
+        ));
     }
     Ok(())
 }

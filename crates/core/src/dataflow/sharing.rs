@@ -28,9 +28,9 @@
 //!   leader's publish happens before every follower's read, and no two
 //!   leaders write one slot).
 //!
-//! The lints at the bottom package the three sharing defects the server
+//! The three `*_findings` rules report the sharing defects the server
 //! must stay free of: duplicate in-flight exchanges, unshared subsumed
-//! steps, and unsound merge residuals. Like the interference lints they
+//! steps, and unsound merge residuals. Like the interference rules they
 //! are driven from explicit (possibly mutant) schedules, so the golden
 //! corpus can exhibit each defect with a concrete witness schedule.
 //!
@@ -39,7 +39,7 @@
 //! it and still uncommitted at its admission.
 
 use super::interference::{Footprint, Resource};
-use crate::analyze::{Analysis, Diagnostic, Lint, Severity};
+use crate::analyze::{Diagnostic, Severity};
 use crate::plan::{Plan, Step};
 use fusion_types::error::{FusionError, Result};
 use fusion_types::{CondId, Condition, Predicate, SourceId};
@@ -848,102 +848,6 @@ pub fn unsound_merge_findings(
     out
 }
 
-/// A sharing lint with findings precomputed from an explicit (possibly
-/// mutant) graph and schedule.
-macro_rules! sharing_lint {
-    ($name:ident, $rule:literal, $doc:literal) => {
-        #[doc = $doc]
-        pub struct $name {
-            findings: Vec<Diagnostic>,
-        }
-
-        impl Lint for $name {
-            fn name(&self) -> &'static str {
-                $rule
-            }
-
-            fn check(&self, _plan: &Plan, _analysis: &mut Analysis) -> Vec<Diagnostic> {
-                self.findings.clone()
-            }
-        }
-    };
-}
-
-sharing_lint!(
-    DuplicateInflightStep,
-    "duplicate-inflight-step",
-    "See [`duplicate_inflight_findings`]."
-);
-sharing_lint!(
-    UnsharedSubsumedStep,
-    "unshared-subsumed-step",
-    "See [`unshared_subsumed_findings`]."
-);
-sharing_lint!(
-    UnsoundMergeResidual,
-    "unsound-merge-residual",
-    "See [`unsound_merge_findings`]."
-);
-
-impl DuplicateInflightStep {
-    /// Precomputes findings over an explicit schedule.
-    pub fn from_schedule(
-        plans: &[InFlightPlan<'_>],
-        graph: &SharingGraph,
-        schedule: &MergedSchedule,
-    ) -> DuplicateInflightStep {
-        DuplicateInflightStep {
-            findings: duplicate_inflight_findings(plans, graph, schedule),
-        }
-    }
-}
-
-impl UnsharedSubsumedStep {
-    /// Precomputes findings over an explicit schedule.
-    pub fn from_schedule(
-        plans: &[InFlightPlan<'_>],
-        graph: &SharingGraph,
-        schedule: &MergedSchedule,
-    ) -> UnsharedSubsumedStep {
-        UnsharedSubsumedStep {
-            findings: unshared_subsumed_findings(plans, graph, schedule),
-        }
-    }
-}
-
-impl UnsoundMergeResidual {
-    /// Precomputes findings over an explicit schedule.
-    pub fn from_schedule(
-        plans: &[InFlightPlan<'_>],
-        graph: &SharingGraph,
-        schedule: &MergedSchedule,
-        prove: Prover<'_>,
-    ) -> UnsoundMergeResidual {
-        UnsoundMergeResidual {
-            findings: unsound_merge_findings(plans, graph, schedule, prove),
-        }
-    }
-}
-
-/// The three sharing lints over an explicit graph and schedule —
-/// provably quiet on any schedule [`verify_merged_schedule`] accepts
-/// with the same prover, loud on hand-built mutants (see the golden
-/// corpus).
-pub fn sharing_rules(
-    plans: &[InFlightPlan<'_>],
-    graph: &SharingGraph,
-    schedule: &MergedSchedule,
-    prove: Prover<'_>,
-) -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(DuplicateInflightStep::from_schedule(plans, graph, schedule)),
-        Box::new(UnsharedSubsumedStep::from_schedule(plans, graph, schedule)),
-        Box::new(UnsoundMergeResidual::from_schedule(
-            plans, graph, schedule, prove,
-        )),
-    ]
-}
-
 /// One logged share link of a server run: a follower admission that
 /// attached to a leader's in-flight fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1083,10 +987,10 @@ mod tests {
         assert_eq!(report.certificate.residuals, 0);
         assert_eq!(report.certificate.ordered_pairs, 1);
         // The derived schedule is lint-quiet.
-        let mut analysis = crate::analyze::analyze_plan(&pa).unwrap();
-        for rule in sharing_rules(&plans, &report.graph, &report.schedule, &hand_prover) {
-            assert!(rule.check(&pa, &mut analysis).is_empty(), "{}", rule.name());
-        }
+        let (g, sched) = (&report.graph, &report.schedule);
+        assert!(duplicate_inflight_findings(&plans, g, sched).is_empty());
+        assert!(unshared_subsumed_findings(&plans, g, sched).is_empty());
+        assert!(unsound_merge_findings(&plans, g, sched, &hand_prover).is_empty());
     }
 
     #[test]

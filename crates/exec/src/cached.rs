@@ -97,81 +97,19 @@ mod tests {
     use super::*;
     use crate::interp::{execute_plan, execute_plan_with};
     use crate::retry::RetryPolicy;
+    use crate::testkit::{dmv_query, dmv_sources, net};
     use fusion_core::plan::SimplePlanSpec;
     use fusion_core::query::FusionQuery;
-    use fusion_net::{FaultPlan, FaultSpec, LinkProfile, Network};
-    use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet};
+    use fusion_net::{FaultPlan, FaultSpec};
+    use fusion_source::Capabilities;
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, Predicate, Relation};
-
-    fn figure1_relations() -> Vec<Relation> {
-        let s = dmv_schema();
-        vec![
-            Relation::from_rows(
-                s.clone(),
-                vec![
-                    tuple!["J55", "dui", 1993i64],
-                    tuple!["T21", "sp", 1994i64],
-                    tuple!["T80", "dui", 1993i64],
-                ],
-            ),
-            Relation::from_rows(
-                s.clone(),
-                vec![
-                    tuple!["T21", "dui", 1996i64],
-                    tuple!["J55", "sp", 1996i64],
-                    tuple!["T11", "sp", 1993i64],
-                ],
-            ),
-            Relation::from_rows(
-                s,
-                vec![
-                    tuple!["T21", "sp", 1993i64],
-                    tuple!["S07", "sp", 1996i64],
-                    tuple!["S07", "sp", 1993i64],
-                ],
-            ),
-        ]
-    }
-
-    fn dmv_sources() -> SourceSet {
-        SourceSet::new(
-            figure1_relations()
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    Box::new(InMemoryWrapper::new(
-                        format!("R{}", i + 1),
-                        r,
-                        Capabilities::full(),
-                        ProcessingProfile::indexed_db(),
-                        i as u64,
-                    )) as Box<dyn fusion_source::Wrapper>
-                })
-                .collect(),
-        )
-    }
-
-    fn dmv_query() -> FusionQuery {
-        FusionQuery::new(
-            dmv_schema(),
-            vec![
-                Predicate::eq("V", "dui").into(),
-                Predicate::eq("V", "sp").into(),
-            ],
-        )
-        .unwrap()
-    }
-
-    fn net() -> Network {
-        Network::uniform(3, LinkProfile::Wan.link())
-    }
+    use fusion_types::Predicate;
 
     #[test]
     fn warm_run_serves_hits_and_matches_cold_answer() {
         let q = dmv_query();
         let plan = SimplePlanSpec::filter(2, 3).build(3).unwrap();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let cold = execute_plan(&plan, &q, &sources, &mut net()).unwrap();
 
         let mut cache = AnswerCache::new(1 << 20);
@@ -199,7 +137,7 @@ mod tests {
     #[test]
     fn subsumption_serves_narrower_condition_from_broader_entry() {
         let s = dmv_schema();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let broad = FusionQuery::new(
             s.clone(),
             vec![
@@ -235,7 +173,7 @@ mod tests {
     fn ft_cached_with_no_faults_matches_plain_cached() {
         let q = dmv_query();
         let plan = SimplePlanSpec::filter(2, 3).build(3).unwrap();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let policy = RetryPolicy::default();
 
         let mut c1 = AnswerCache::new(1 << 20);
@@ -263,7 +201,7 @@ mod tests {
     fn fault_recovery_bumps_epoch_and_withholds_admission() {
         let q = dmv_query();
         let plan = SimplePlanSpec::filter(2, 3).build(3).unwrap();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let policy = RetryPolicy::default();
         let mut cache = AnswerCache::new(1 << 20);
 
@@ -338,7 +276,7 @@ mod tests {
     fn ft_cached_matches_cold_answer_under_faults() {
         let q = dmv_query();
         let plan = SimplePlanSpec::filter(2, 3).build(3).unwrap();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let policy = RetryPolicy::default();
         for seed in 0..12u64 {
             let faults = FaultPlan::uniform(3, seed, FaultSpec::transient(0.4));

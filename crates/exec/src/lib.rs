@@ -102,3 +102,6 @@ pub use server::{
     ServerConfig, ServerReport, ShareRef, ShedQuery, TenantEvent,
 };
 pub use two_phase::fetch_records;
+
+#[cfg(test)]
+mod testkit;

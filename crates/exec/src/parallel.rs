@@ -192,72 +192,13 @@ pub fn execute_plan_parallel(
 mod tests {
     use super::*;
     use crate::interp::{execute_plan, execute_plan_with};
+    use crate::testkit::{dmv_query, dmv_sources};
     use fusion_core::cost::TableCostModel;
     use fusion_core::optimizer::{filter_plan, sja_optimal};
     use fusion_core::plan::{Step, VarId};
     use fusion_net::{FaultPlan, FaultSpec, LinkProfile};
-    use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
-    use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, CondId, Predicate, Relation, SourceId};
-
-    fn figure1_relations() -> Vec<Relation> {
-        let s = dmv_schema();
-        vec![
-            Relation::from_rows(
-                s.clone(),
-                vec![
-                    tuple!["J55", "dui", 1993i64],
-                    tuple!["T21", "sp", 1994i64],
-                    tuple!["T80", "dui", 1993i64],
-                ],
-            ),
-            Relation::from_rows(
-                s.clone(),
-                vec![
-                    tuple!["T21", "dui", 1996i64],
-                    tuple!["J55", "sp", 1996i64],
-                    tuple!["T11", "sp", 1993i64],
-                ],
-            ),
-            Relation::from_rows(
-                s,
-                vec![
-                    tuple!["T21", "sp", 1993i64],
-                    tuple!["S07", "sp", 1996i64],
-                    tuple!["S07", "sp", 1993i64],
-                ],
-            ),
-        ]
-    }
-
-    fn dmv_sources(caps: Capabilities) -> SourceSet {
-        SourceSet::new(
-            figure1_relations()
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    Box::new(InMemoryWrapper::new(
-                        format!("R{}", i + 1),
-                        r,
-                        caps,
-                        ProcessingProfile::indexed_db(),
-                        i as u64,
-                    )) as Box<dyn fusion_source::Wrapper>
-                })
-                .collect(),
-        )
-    }
-
-    fn dmv_query() -> FusionQuery {
-        FusionQuery::new(
-            dmv_schema(),
-            vec![
-                Predicate::eq("V", "dui").into(),
-                Predicate::eq("V", "sp").into(),
-            ],
-        )
-        .unwrap()
-    }
+    use fusion_source::Capabilities;
+    use fusion_types::{CondId, SourceId};
 
     #[test]
     fn parallel_matches_sequential_bytes() {

@@ -609,71 +609,14 @@ pub fn replay_plan_reopt(
 mod tests {
     use super::*;
     use crate::interp::execute_plan;
+    use crate::testkit::{dmv_query, dmv_sources};
     use fusion_core::cost::TableCostModel;
     use fusion_core::optimizer::sja_optimal;
     use fusion_net::LinkProfile;
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, ItemSet, Predicate, Relation};
-
-    fn figure1_relations() -> Vec<Relation> {
-        let s = dmv_schema();
-        vec![
-            Relation::from_rows(
-                s.clone(),
-                vec![
-                    tuple!["J55", "dui", 1993i64],
-                    tuple!["T21", "sp", 1994i64],
-                    tuple!["T80", "dui", 1993i64],
-                ],
-            ),
-            Relation::from_rows(
-                s.clone(),
-                vec![
-                    tuple!["T21", "dui", 1996i64],
-                    tuple!["J55", "sp", 1996i64],
-                    tuple!["T11", "sp", 1993i64],
-                ],
-            ),
-            Relation::from_rows(
-                s,
-                vec![
-                    tuple!["T21", "sp", 1993i64],
-                    tuple!["S07", "sp", 1996i64],
-                    tuple!["S07", "sp", 1993i64],
-                ],
-            ),
-        ]
-    }
-
-    fn dmv_sources() -> SourceSet {
-        SourceSet::new(
-            figure1_relations()
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    Box::new(InMemoryWrapper::new(
-                        format!("R{}", i + 1),
-                        r,
-                        Capabilities::full(),
-                        ProcessingProfile::indexed_db(),
-                        i as u64,
-                    )) as Box<dyn fusion_source::Wrapper>
-                })
-                .collect(),
-        )
-    }
-
-    fn dmv_query() -> FusionQuery {
-        FusionQuery::new(
-            dmv_schema(),
-            vec![
-                Predicate::eq("V", "dui").into(),
-                Predicate::eq("V", "sp").into(),
-            ],
-        )
-        .unwrap()
-    }
+    use fusion_types::{tuple, ItemSet, Relation};
+    use fusion_workload::dmv::figure1_relations;
 
     /// A skewed instance: per source, "dui" matches 2 entities while
     /// "sp" matches 31 — so a locked-in round-1 selection sweep is
@@ -728,7 +671,7 @@ mod tests {
     #[test]
     fn accurate_stats_are_byte_identical_to_reopt_off() {
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let model = accurate_model();
         let opt = sja_optimal(&model);
         let mut net_off = Network::uniform(3, LinkProfile::Wan.link());
@@ -872,7 +815,7 @@ mod tests {
     #[test]
     fn parallel_reopt_is_byte_identical_to_sequential() {
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         for model in [accurate_model(), misestimated_model()] {
             let opt = sja_optimal(&model);
             let mut s_seq = ReoptSession::new(2, 3, 256);
@@ -916,7 +859,7 @@ mod tests {
     #[test]
     fn session_feedback_preplans_the_second_query() {
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let model = misestimated_model();
         let opt = sja_optimal(&model);
         let mut session = ReoptSession::new(2, 3, 256);
@@ -963,7 +906,7 @@ mod tests {
     #[test]
     fn harvest_reconstructs_observations_from_the_ledger() {
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let model = accurate_model();
         let opt = sja_optimal(&model);
         let mut net = Network::uniform(3, LinkProfile::Wan.link());
@@ -989,7 +932,7 @@ mod tests {
     #[test]
     fn shape_mismatches_are_rejected() {
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let model = accurate_model();
         let opt = sja_optimal(&model);
         // Session calibrated for a different shape.
@@ -1014,7 +957,7 @@ mod tests {
     #[test]
     fn out_of_range_configs_are_rejected_not_panicked() {
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let model = accurate_model();
         let opt = sja_optimal(&model);
         let run = |slack: f64, min_gain: f64| {

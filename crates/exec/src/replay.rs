@@ -228,68 +228,12 @@ pub fn execute_plan_replay(
 mod tests {
     use super::*;
     use crate::interp::{execute_plan, execute_plan_with};
+    use crate::testkit::{dmv_query, dmv_sources};
     use fusion_core::dataflow::EventGraph;
     use fusion_core::optimizer::sja_optimal;
     use fusion_core::TableCostModel;
     use fusion_net::{FaultPlan, FaultSpec, LinkProfile};
-    use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
-    use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, Predicate, Relation};
-
-    fn dmv_sources() -> SourceSet {
-        let s = dmv_schema();
-        let rels = vec![
-            Relation::from_rows(
-                s.clone(),
-                vec![
-                    tuple!["J55", "dui", 1993i64],
-                    tuple!["T21", "sp", 1994i64],
-                    tuple!["T80", "dui", 1993i64],
-                ],
-            ),
-            Relation::from_rows(
-                s.clone(),
-                vec![
-                    tuple!["T21", "dui", 1996i64],
-                    tuple!["J55", "sp", 1996i64],
-                    tuple!["T11", "sp", 1993i64],
-                ],
-            ),
-            Relation::from_rows(
-                s,
-                vec![
-                    tuple!["T21", "sp", 1993i64],
-                    tuple!["S07", "sp", 1996i64],
-                    tuple!["S07", "sp", 1993i64],
-                ],
-            ),
-        ];
-        SourceSet::new(
-            rels.into_iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    Box::new(InMemoryWrapper::new(
-                        format!("R{}", i + 1),
-                        r,
-                        Capabilities::full(),
-                        ProcessingProfile::indexed_db(),
-                        i as u64,
-                    )) as Box<dyn fusion_source::Wrapper>
-                })
-                .collect(),
-        )
-    }
-
-    fn dmv_query() -> FusionQuery {
-        FusionQuery::new(
-            dmv_schema(),
-            vec![
-                Predicate::eq("V", "dui").into(),
-                Predicate::eq("V", "sp").into(),
-            ],
-        )
-        .unwrap()
-    }
+    use fusion_source::Capabilities;
 
     fn plan() -> Plan {
         let model = TableCostModel::uniform(2, 3, 5.0, 1.0, 0.5, 1e9, 2.0, 8.0);
@@ -309,7 +253,7 @@ mod tests {
     fn program_order_replay_matches_sequential() {
         let plan = plan();
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let mut seq_net = Network::uniform(3, LinkProfile::Wan.link());
         let seq = execute_plan(&plan, &q, &sources, &mut seq_net).unwrap();
         let order = program_order(&plan, false);
@@ -334,7 +278,7 @@ mod tests {
     fn program_order_replay_matches_ft_under_faults() {
         let plan = plan();
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let policy = RetryPolicy::default();
         let order = program_order(&plan, false);
         for seed in 0..8u64 {
@@ -367,7 +311,7 @@ mod tests {
     fn cached_program_order_replay_matches_cached_executor() {
         let plan = plan();
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let order = program_order(&plan, true);
         let mut seq_cache = AnswerCache::new(1 << 20);
         let mut rep_cache = AnswerCache::new(1 << 20);
@@ -404,7 +348,7 @@ mod tests {
     fn invalid_schedules_are_rejected() {
         let plan = plan();
         let q = dmv_query();
-        let sources = dmv_sources();
+        let sources = dmv_sources(Capabilities::full());
         let opts = ReplayOptions::default();
         // Dependency violation: execute the last step first.
         let last = plan.steps.len() - 1;
