@@ -2,14 +2,18 @@
 //! the source-side data plane, plan construction/validation, the two
 //! proof memos, and selectivity estimation. The timings are also written to
 //! `BENCH_b3_plan_ops.json` (in `$BENCH_DIR`, default the package root);
-//! the answer cache's hit path goes to `BENCH_b4_cache_hit.json`.
+//! the answer cache's hit path goes to `BENCH_b4_cache_hit.json`, the
+//! stage-schedule certificate and its callers to
+//! `BENCH_b5_stage_schedule.json`.
 
 use fusion_bench::json::write_artifact;
 use fusion_bench::microbench::{BenchmarkId, Criterion};
 use fusion_cache::{subsumes, Harvest, HitKind, ResolvedHit};
 use fusion_core::analyze::ensure_sound;
+use fusion_core::dataflow::{analyze_dataflow, stage_decomposition, SourceBounds};
 use fusion_core::plan::SimplePlanSpec;
 use fusion_core::sja_optimal;
+use fusion_exec::{execute_plan_parallel, ParallelConfig};
 use fusion_source::SourceEngine;
 use fusion_stats::{estimate_selectivity, TableStats};
 use fusion_types::{
@@ -238,6 +242,52 @@ fn bench_cache_hit(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a plan's stage schedule costs where it is built, and what the
+/// analysis that must not build one costs: `analyze_dataflow`, the
+/// certified constructor on its own, and one unpaced single-thread
+/// parallel run end to end (small relations, so the certificate shows
+/// beside the data plane).
+fn bench_stage_schedule(c: &mut Criterion) {
+    const SELS: [f64; 6] = [0.05, 0.4, 0.6, 0.1, 0.25, 0.5];
+    let mut group = c.benchmark_group("stage_schedule");
+    group.sample_size(30);
+    for (m, n) in [(3usize, 5usize), (5, 8), (6, 8)] {
+        let spec = SynthSpec {
+            domain_size: 1_000,
+            rows_per_source: 200,
+            ..SynthSpec::default_with(n, 41)
+        };
+        let scenario = synth_scenario(&spec, &SELS[..m]);
+        let model = scenario.cost_model();
+        let plan = sja_optimal(&model).plan;
+        let bounds = SourceBounds::from_model(&model);
+        let id = format!("m{m}_n{n}");
+        group.bench_with_input(BenchmarkId::new("analyze_dataflow", &id), &m, |b, _| {
+            b.iter(|| analyze_dataflow(black_box(&plan), &model, &bounds).expect("valid plan"));
+        });
+        group.bench_with_input(BenchmarkId::new("stage_decomposition", &id), &m, |b, _| {
+            b.iter(|| stage_decomposition(black_box(&plan)).expect("certified"));
+        });
+        let config = ParallelConfig::with_threads(1);
+        group.bench_with_input(BenchmarkId::new("execute_parallel_1t", &id), &m, |b, _| {
+            b.iter(|| {
+                let mut net = scenario.network();
+                execute_plan_parallel(
+                    &plan,
+                    &scenario.query,
+                    &scenario.sources,
+                    &mut net,
+                    None,
+                    None,
+                    &config,
+                )
+                .expect("certified plan executes")
+            });
+        });
+    }
+    group.finish();
+}
+
 fn main() {
     let mut c = Criterion::new();
     bench_itemset_ops(&mut c);
@@ -252,5 +302,13 @@ fn main() {
     bench_cache_hit(&mut c);
     let path = write_artifact("BENCH_b4_cache_hit.json", &c.to_json("b4-cache-hit"))
         .expect("write BENCH_b4_cache_hit.json");
+    println!("wrote {}", path.display());
+    let mut c = Criterion::new();
+    bench_stage_schedule(&mut c);
+    let path = write_artifact(
+        "BENCH_b5_stage_schedule.json",
+        &c.to_json("b5-stage-schedule"),
+    )
+    .expect("write BENCH_b5_stage_schedule.json");
     println!("wrote {}", path.display());
 }

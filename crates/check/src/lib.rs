@@ -33,7 +33,7 @@
 
 use fusion_cache::AnswerCache;
 use fusion_core::cost::NetworkCostModel;
-use fusion_core::dataflow::{serial_queue_stages, Event, EventGraph};
+use fusion_core::dataflow::{stage_decomposition, Event, EventGraph};
 use fusion_core::plan::Plan;
 use fusion_core::plan::SimplePlanSpec;
 use fusion_core::query::FusionQuery;
@@ -427,7 +427,7 @@ pub fn check_certified(
     policy: Option<&RetryPolicy>,
     cfg: &CheckConfig,
 ) -> Result<CheckReport> {
-    let stages = serial_queue_stages(plan)?;
+    let stages = stage_decomposition(plan)?.stages;
     let graph = EventGraph::certified(plan, &stages, cfg.cache_budget.is_some());
     let interferences = graph.interferences();
     if let Some(i) = interferences.first() {
@@ -734,7 +734,7 @@ mod tests {
     fn reduction_collapses_interference_free_graphs() {
         let model = TableCostModel::uniform(2, 3, 5.0, 1.0, 0.5, 1e9, 2.0, 8.0);
         let plan = sja_optimal(&model).plan;
-        let stages = serial_queue_stages(&plan).unwrap();
+        let stages = stage_decomposition(&plan).unwrap().stages;
         let graph = EventGraph::certified(&plan, &stages, true);
         assert!(graph.interferences().is_empty());
         let (schedules, truncated) = enumerate_schedules(&graph, 256);
@@ -750,7 +750,7 @@ mod tests {
     fn random_linearizations_respect_happens_before() {
         let model = TableCostModel::uniform(2, 3, 5.0, 1.0, 0.5, 1e9, 2.0, 8.0);
         let plan = sja_optimal(&model).plan;
-        let stages = serial_queue_stages(&plan).unwrap();
+        let stages = stage_decomposition(&plan).unwrap().stages;
         let graph = EventGraph::certified(&plan, &stages, true);
         let hb = graph.happens_before();
         for seed in 0..16u64 {

@@ -19,7 +19,7 @@
 use fusion_cache::{subsumes, AnswerCache, CachedCostModel};
 use fusion_check::{check_certified, CheckConfig};
 use fusion_core::dataflow::{
-    duplicate_inflight_findings, serial_queue_stages, sharing_report, unshared_subsumed_findings,
+    duplicate_inflight_findings, sharing_report, stage_decomposition, unshared_subsumed_findings,
     unsound_merge_findings, EdgeKind, EventGraph, InFlightPlan, Resource,
 };
 use fusion_core::optimizer::sja_response_optimal;
@@ -542,6 +542,7 @@ impl Session {
         let plus = sja_plus(&model);
         let bounds = self.source_bounds(&query);
         let df = fusion_core::analyze_dataflow(&plus.plan, &model, &bounds)?;
+        let stages = stage_decomposition(&plus.plan)?.stages;
         let dead = df.live.iter().filter(|l| !**l).count();
         let mut out = format!(
             "SJA+ plan: {} steps, {} live, {} dead\n",
@@ -551,9 +552,9 @@ impl Session {
         );
         out.push_str(&format!(
             "parallel stages (certificate checked against the BDD analyzer): {}\n",
-            df.stages.stages.len()
+            stages.len()
         ));
-        for (i, steps) in df.stages.stages.iter().enumerate() {
+        for (i, steps) in stages.iter().enumerate() {
             let list: Vec<String> = steps.iter().map(|t| (t + 1).to_string()).collect();
             out.push_str(&format!("  stage {}: steps {}\n", i + 1, list.join(", ")));
         }
@@ -573,7 +574,7 @@ impl Session {
         let (query, sources, network) = self.materialize(sql)?;
         let model = NetworkCostModel::new(&sources, &network, &query, None);
         let plus = sja_plus(&model);
-        let stages = serial_queue_stages(&plus.plan)?;
+        let stages = stage_decomposition(&plus.plan)?.stages;
         let cached = self.cache.is_some();
         let faults_on = self.faults.is_some();
         let graph = EventGraph::certified(&plus.plan, &stages, cached);

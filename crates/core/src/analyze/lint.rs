@@ -10,6 +10,7 @@
 //! [`lint_plan`] runs the five base rules and sorts them once.
 
 use super::{analyze_plan, Analysis};
+use crate::dataflow::{dependencies, liveness};
 use crate::plan::{Plan, RelVar, Step, VarId};
 use fusion_types::error::Result;
 
@@ -79,44 +80,9 @@ pub fn lint_plan(plan: &Plan) -> Result<Vec<Diagnostic>> {
     ]))
 }
 
-/// Which steps contribute to the result: walk the use-def chains
-/// backwards from the result variable. Returns (per-step liveness,
-/// per-relvar liveness).
-fn live_steps(plan: &Plan) -> (Vec<bool>, Vec<bool>) {
-    let mut def_of: Vec<Option<usize>> = vec![None; plan.var_names.len()];
-    for (t, s) in plan.steps.iter().enumerate() {
-        if let Some(v) = s.defined_var() {
-            def_of[v.0] = Some(t);
-        }
-    }
-    let mut live = vec![false; plan.steps.len()];
-    let mut live_rel = vec![false; plan.rel_names.len()];
-    let mut stack: Vec<VarId> = vec![plan.result];
-    while let Some(v) = stack.pop() {
-        let Some(t) = def_of.get(v.0).copied().flatten() else {
-            continue;
-        };
-        if live[t] {
-            continue;
-        }
-        live[t] = true;
-        stack.extend(plan.steps[t].used_vars());
-        if let Step::LocalSq { rel, .. } = &plan.steps[t] {
-            live_rel[rel.0] = true;
-        }
-    }
-    // An lq step is live iff its relation feeds a live local selection.
-    for (t, s) in plan.steps.iter().enumerate() {
-        if let Step::Lq { out, .. } = s {
-            live[t] = live_rel[out.0];
-        }
-    }
-    (live, live_rel)
-}
-
 /// `dead-step`: a step whose output never reaches the result.
 pub(crate) fn dead_step_findings(plan: &Plan) -> Vec<Diagnostic> {
-    let (live, _) = live_steps(plan);
+    let (live, _, _) = liveness(plan, &dependencies(plan).0);
     plan.steps
         .iter()
         .enumerate()
@@ -250,7 +216,7 @@ pub(crate) fn superset_semijoin_input_findings(
 /// a live local selection — pure wasted transfer (§4 loads pay `lq`'s
 /// full-relation cost).
 pub(crate) fn loaded_unused_findings(plan: &Plan) -> Vec<Diagnostic> {
-    let (_, live_rel) = live_steps(plan);
+    let (_, _, live_rel) = liveness(plan, &dependencies(plan).0);
     plan.steps
         .iter()
         .enumerate()

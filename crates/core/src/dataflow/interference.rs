@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 
-use super::{dependencies, verify_stage_structure};
+use super::{dependencies, stage_levels};
 use crate::analyze::{Diagnostic, Severity};
 use crate::plan::{Plan, Step};
 use fusion_types::error::{FusionError, Result};
@@ -525,79 +525,6 @@ impl EventGraph {
     }
 }
 
-/// The per-source serial-queue refinement of the dependency wavefronts:
-/// each step's stage is one past the deepest stage among its data
-/// dependencies *and* its source's previous step — autonomous sources
-/// answer one mediator request at a time, so each source's steps must
-/// consume its fault-schedule slots in plan order.
-pub(super) fn serial_queue_levels(plan: &Plan) -> Vec<Vec<usize>> {
-    let (_, deps) = dependencies(plan);
-    let n = plan.steps.len();
-    let mut level = vec![0usize; n];
-    let mut last_of_source: Vec<Option<usize>> = vec![None; plan.n_sources];
-    for idx in 0..n {
-        let mut lv = 0;
-        for &d in &deps[idx] {
-            lv = lv.max(level[d] + 1);
-        }
-        if let Some(src) = plan.steps[idx].source() {
-            if let Some(prev) = last_of_source[src.0] {
-                lv = lv.max(level[prev] + 1);
-            }
-            last_of_source[src.0] = Some(idx);
-        }
-        level[idx] = lv;
-    }
-    let n_stages = level.iter().max().map_or(0, |m| m + 1);
-    let mut stages = vec![Vec::new(); n_stages];
-    for (idx, lv) in level.iter().enumerate() {
-        stages[*lv].push(idx);
-    }
-    stages
-}
-
-/// Computes the execution stages the parallel executor runs: the
-/// certified wavefronts refined with one serial queue per source, then
-/// **verified** ([`verify_serial_queue_stages`]) — never trusted.
-///
-/// # Errors
-/// Fails on structurally invalid plans and on any certificate-check
-/// failure (which would indicate a bug in this module, never silently).
-pub fn serial_queue_stages(plan: &Plan) -> Result<Vec<Vec<usize>>> {
-    plan.validate()?;
-    let stages = serial_queue_levels(plan);
-    verify_serial_queue_stages(plan, &stages)?;
-    Ok(stages)
-}
-
-/// The always-on (release-mode included) certificate check behind
-/// [`serial_queue_stages`]: the stages must partition the steps, every
-/// data dependency must land in a strictly earlier stage, no stage may
-/// query a source twice, and the certified event graph over the stages
-/// must be interference-free — no two unordered events with conflicting
-/// footprints, cache events included.
-///
-/// # Errors
-/// Fails with the violated invariant; interference failures carry the
-/// witness schedule pair.
-pub fn verify_serial_queue_stages(plan: &Plan, stages: &[Vec<usize>]) -> Result<()> {
-    let (_, deps) = dependencies(plan);
-    verify_stage_structure(
-        "serial-queue certificate",
-        " — serial queues must keep stages source-disjoint",
-        plan,
-        &deps,
-        stages,
-    )?;
-    let graph = EventGraph::certified(plan, stages, true);
-    if let Some(i) = graph.interferences().into_iter().next() {
-        return Err(FusionError::invalid_plan(format!(
-            "serial-queue certificate: interference: {i}"
-        )));
-    }
-    Ok(())
-}
-
 /// Runs the interference analysis on `plan`'s own certified schedule:
 /// the returned list is empty exactly when every pair of concurrent
 /// events commutes. `cached` includes the answer-cache events.
@@ -606,7 +533,7 @@ pub fn verify_serial_queue_stages(plan: &Plan, stages: &[Vec<usize>]) -> Result<
 /// Fails on structurally invalid plans.
 pub fn interference_report(plan: &Plan, cached: bool) -> Result<Vec<Interference>> {
     plan.validate()?;
-    let stages = serial_queue_levels(plan);
+    let stages = stage_levels(plan).stages;
     Ok(EventGraph::certified(plan, &stages, cached).interferences())
 }
 
@@ -926,6 +853,7 @@ pub fn server_commuting_pairs(ops: &[ServerOp]) -> usize {
 mod tests {
     use super::*;
     use crate::cost::TableCostModel;
+    use crate::dataflow::{stage_decomposition, verify_stage_decomposition};
     use crate::optimizer::{filter_plan, sja_optimal};
     use crate::plan::{SimplePlanSpec, VarId};
     use fusion_types::{CondId, SourceId};
@@ -1099,8 +1027,8 @@ mod tests {
                 report[0]
             );
             assert!(interference_report(&plan, false).unwrap().is_empty());
-            let stages = serial_queue_stages(&plan).unwrap();
-            assert!(verify_serial_queue_stages(&plan, &stages).is_ok());
+            let stages = stage_decomposition(&plan).unwrap().stages;
+            assert!(verify_stage_decomposition(&plan, &stages).is_ok());
         }
     }
 
@@ -1108,7 +1036,7 @@ mod tests {
     fn dropping_the_serial_queue_exposes_the_shard_race() {
         let plan = queue_order_plan();
         let stages = racy_stages();
-        let err = verify_serial_queue_stages(&plan, &stages).unwrap_err();
+        let err = verify_stage_decomposition(&plan, &stages).unwrap_err();
         assert!(err.to_string().contains("source-disjoint"), "{err}");
         // The event graph over the racy stages interferes on R3's shard,
         // and the lint pinpoints the step pair with a witness.
@@ -1199,7 +1127,7 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("unordered"), "{}", findings[0]);
         // The properly phased graph is quiet.
-        let stages = serial_queue_stages(&plan).unwrap();
+        let stages = stage_decomposition(&plan).unwrap().stages;
         let good = EventGraph::certified(&plan, &stages, true);
         assert!(epoch_read_before_bump_findings(&plan, &good).is_empty());
         assert!(cache_commit_race_findings(&plan, &good).is_empty());
@@ -1329,7 +1257,7 @@ mod tests {
     fn interference_findings_are_quiet_on_optimizer_plans() {
         let m = model();
         for plan in [filter_plan(&m).plan, sja_optimal(&m).plan] {
-            let graph = EventGraph::certified(&plan, &serial_queue_levels(&plan), true);
+            let graph = EventGraph::certified(&plan, &stage_levels(&plan).stages, true);
             let fired: Vec<Diagnostic> = [
                 conflicting_footprint_findings(&plan, &graph),
                 cache_commit_race_findings(&plan, &graph),

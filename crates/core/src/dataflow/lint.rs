@@ -7,10 +7,9 @@
 //! [`dataflow_lint_plan`] computes each analysis once and calls all
 //! eleven plan rules.
 
-use super::interference::serial_queue_levels;
 use super::{
     analyze_dataflow, cache_commit_race_findings, conflicting_footprint_findings,
-    epoch_read_before_bump_findings, Dataflow, EventGraph, SourceBounds,
+    epoch_read_before_bump_findings, stage_levels, Dataflow, EventGraph, SourceBounds,
 };
 use crate::analyze::{
     analyze_plan, bloom_not_reintersected_findings, dead_step_findings, duplicate_query_findings,
@@ -165,7 +164,7 @@ pub fn dataflow_lint_plan<M: CostModel>(
     bounds: &SourceBounds,
 ) -> Result<Vec<Diagnostic>> {
     let df = analyze_dataflow(plan, model, bounds)?;
-    let graph = EventGraph::certified(plan, &serial_queue_levels(plan), true);
+    let graph = EventGraph::certified(plan, &stage_levels(plan).stages, true);
     let mut analysis = analyze_plan(plan)?;
     Ok(merge_sorted([
         dead_step_findings(plan),
@@ -338,7 +337,7 @@ mod tests {
     fn composed_entry_point_is_the_eleven_rules_sorted_once() {
         fn by_hand(plan: &Plan, m: &TableCostModel, b: &SourceBounds) -> Vec<Diagnostic> {
             let df = analyze_dataflow(plan, m, b).unwrap();
-            let graph = EventGraph::certified(plan, &serial_queue_levels(plan), true);
+            let graph = EventGraph::certified(plan, &stage_levels(plan).stages, true);
             let mut a = analyze_plan(plan).unwrap();
             let mut all = [
                 dead_step_findings(plan),

@@ -7,10 +7,11 @@
 //!
 //! * a **def-use graph** with per-step liveness (which steps can reach
 //!   the result at all);
-//! * a **happens-before DAG** and a *parallel-stage decomposition*:
-//!   wavefronts of steps touching disjoint sources and variables,
-//!   race-free by construction and machine-checked against the BDD
-//!   analyzer's semantics ([`StageDecomposition`]);
+//! * a **happens-before DAG** and, on request, the plan's one *stage
+//!   schedule* ([`stage_decomposition`]): wavefronts of steps touching
+//!   disjoint sources and variables, each source's steps in plan order,
+//!   machine-checked against the BDD analyzer's semantics and for
+//!   interference-freedom ([`verify_stage_decomposition`]);
 //! * sound per-step **cardinality intervals** `[lo, hi]`, seeded from
 //!   source statistics ([`SourceBounds`]) and propagated through the
 //!   `sq`/`sjq`/`∪`/`∩`/`−`/Bloom algebra;
@@ -60,10 +61,9 @@ mod sharing;
 
 pub use interference::{
     cache_commit_race_findings, conflicting_footprint_findings, epoch_read_before_bump_findings,
-    event_footprint, interference_report, plan_footprints, serial_queue_stages,
-    server_commuting_pairs, server_event_footprint, step_footprint, verify_serial_queue_stages,
-    verify_server_log, Event, EventGraph, Footprint, Interference, Resource, ServerEvent, ServerOp,
-    Witness,
+    event_footprint, interference_report, plan_footprints, server_commuting_pairs,
+    server_event_footprint, step_footprint, verify_server_log, Event, EventGraph, Footprint,
+    Interference, Resource, ServerEvent, ServerOp, Witness,
 };
 pub use lint::{
     dataflow_lint_plan, narrow_then_widen_findings, retry_non_idempotent_findings,
@@ -399,10 +399,11 @@ fn range_row_bound(attr: &str, ts: &TableStats, range: Option<(f64, f64)>) -> In
     loose
 }
 
-/// The parallel-stage decomposition of a plan: a partition of the step
-/// indices into wavefronts such that, within a stage, no two steps touch
-/// the same source or exchange data. Stages execute sequentially; steps
-/// inside a stage are free to run concurrently.
+/// The stage schedule of a plan: a partition of the step indices into
+/// wavefronts such that, within a stage, no two steps touch the same
+/// source or exchange data, and each source's steps sit in plan order
+/// across stages. Stages execute sequentially; steps inside a stage are
+/// free to run concurrently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageDecomposition {
     /// Step indices per stage, in ascending order inside each stage.
@@ -432,8 +433,6 @@ pub struct Dataflow {
     /// Per-variable liveness: is the variable the result or read by a
     /// live step?
     pub live_vars: Vec<bool>,
-    /// The certified parallel-stage decomposition.
-    pub stages: StageDecomposition,
     /// Cardinality interval of every item-set variable.
     pub var_bounds: Vec<Interval>,
     /// Cardinality interval of every step's output set (for `lq`, the
@@ -478,11 +477,14 @@ pub(crate) fn dependencies(plan: &Plan) -> (Vec<Option<usize>>, Vec<Vec<usize>>)
     (def_of, deps)
 }
 
-/// Per-step and per-variable liveness: a backward walk from the result.
-fn liveness(plan: &Plan, def_of: &[Option<usize>]) -> (Vec<bool>, Vec<bool>) {
+/// Liveness by a backward walk from the result: per step (does its
+/// output reach the result?), per variable (is it the result or read by
+/// a live step?) and per loaded relation (does it feed a live local
+/// selection? — an `lq` step is live iff its relation is).
+pub(crate) fn liveness(plan: &Plan, def_of: &[Option<usize>]) -> (Vec<bool>, Vec<bool>, Vec<bool>) {
     let mut live = vec![false; plan.steps.len()];
     let mut live_vars = vec![false; plan.var_names.len()];
-    let mut live_rel = vec![false; plan.rel_names.len()];
+    let mut live_rels = vec![false; plan.rel_names.len()];
     let mut stack = vec![plan.result];
     live_vars[plan.result.0] = true;
     while let Some(v) = stack.pop() {
@@ -500,93 +502,85 @@ fn liveness(plan: &Plan, def_of: &[Option<usize>]) -> (Vec<bool>, Vec<bool>) {
             }
         }
         if let Step::LocalSq { rel, .. } = &plan.steps[t] {
-            live_rel[rel.0] = true;
+            live_rels[rel.0] = true;
         }
     }
     for (t, s) in plan.steps.iter().enumerate() {
         if let Step::Lq { out, .. } = s {
-            live[t] = live_rel[out.0];
+            live[t] = live_rels[out.0];
         }
     }
-    (live, live_vars)
+    (live, live_vars, live_rels)
 }
 
-/// Computes the certified parallel-stage decomposition of a plan.
-///
-/// Construction: each step's *level* is one past the deepest level among
-/// its data dependencies; levels are emitted in order, and a level whose
-/// steps contend for a source is split greedily into sub-stages of
-/// source-disjoint steps. The result is then **checked**, not trusted:
-///
-/// 1. structurally — the stages partition the steps, every dependency
-///    sits in a strictly earlier stage, and no two steps of a stage
-///    share a source or exchange data;
-/// 2. semantically — replaying the steps stage by stage through the BDD
-///    analyzer yields a result predicate *identical* to listing-order
-///    interpretation, for any world.
+/// The stage partition before it is certified: each step's stage is one
+/// past the deepest stage among its data dependencies *and* its source's
+/// previous step — autonomous sources answer one mediator request at a
+/// time, so each source's steps must consume its fault-schedule slots in
+/// plan order. The lints and [`interference_report`] read it as is: their
+/// findings *are* the certificate's failures.
+fn stage_levels(plan: &Plan) -> StageDecomposition {
+    let (_, deps) = dependencies(plan);
+    let mut stage_of = vec![0usize; plan.steps.len()];
+    let mut last_of_source: Vec<Option<usize>> = vec![None; plan.n_sources];
+    let mut stages: Vec<Vec<usize>> = Vec::new();
+    for (t, step) in plan.steps.iter().enumerate() {
+        let queued = step
+            .source()
+            .and_then(|src| last_of_source[src.0].replace(t));
+        let s = deps[t]
+            .iter()
+            .chain(&queued)
+            .map(|&d| stage_of[d] + 1)
+            .max()
+            .unwrap_or(0);
+        stage_of[t] = s;
+        if s == stages.len() {
+            stages.push(Vec::new());
+        }
+        stages[s].push(t);
+    }
+    StageDecomposition { stages, stage_of }
+}
+
+/// Computes the plan's certified stage schedule — the one partition the
+/// parallel executors run, `stage_schedule` prices and `\dataflow` /
+/// `\check` show: the serial-queue levels of the dependency DAG, then
+/// **checked**, not trusted ([`verify_stage_decomposition`]).
 ///
 /// # Errors
 /// Fails on structurally invalid plans, and on any certificate-check
 /// failure (which would indicate a bug in this module, never silently).
 pub fn stage_decomposition(plan: &Plan) -> Result<StageDecomposition> {
     plan.validate()?;
-    let (_, deps) = dependencies(plan);
-    let mut level = vec![0usize; plan.steps.len()];
-    let mut n_levels = 0usize;
-    for t in 0..plan.steps.len() {
-        let l = deps[t].iter().map(|&d| level[d] + 1).max().unwrap_or(0);
-        level[t] = l;
-        n_levels = n_levels.max(l + 1);
-    }
-    let mut stages: Vec<Vec<usize>> = Vec::new();
-    for l in 0..n_levels {
-        // Greedy source-disjoint splitting inside the level: each
-        // sub-stage tracks the sources it already occupies.
-        let mut subs: Vec<(Vec<usize>, Vec<SourceId>)> = Vec::new();
-        for t in (0..plan.steps.len()).filter(|&t| level[t] == l) {
-            let src = plan.steps[t].source();
-            let slot = subs.iter_mut().find(|(_, used)| match src {
-                Some(s) => !used.contains(&s),
-                None => true,
-            });
-            match slot {
-                Some((steps, used)) => {
-                    steps.push(t);
-                    if let Some(s) = src {
-                        used.push(s);
-                    }
-                }
-                None => {
-                    subs.push((vec![t], src.into_iter().collect()));
-                }
-            }
-        }
-        stages.extend(subs.into_iter().map(|(steps, _)| steps));
-    }
-    let mut stage_of = vec![0usize; plan.steps.len()];
-    for (s, steps) in stages.iter().enumerate() {
-        for &t in steps {
-            stage_of[t] = s;
-        }
-    }
-    let decomposition = StageDecomposition { stages, stage_of };
-    verify_stages(plan, &deps, &decomposition)?;
+    let decomposition = stage_levels(plan);
+    verify_stage_decomposition(plan, &decomposition.stages)?;
     Ok(decomposition)
 }
 
-/// The structural half of both stage certificates (`certificate` names
-/// the caller in every error): the stages partition the steps, every
-/// data dependency sits in a strictly earlier stage, and no stage
-/// queries a source twice (`twice_note` ends that last error). Returns
-/// each step's stage.
-fn verify_stage_structure(
-    certificate: &str,
-    twice_note: &str,
-    plan: &Plan,
-    deps: &[Vec<usize>],
-    stages: &[Vec<usize>],
-) -> Result<Vec<usize>> {
-    let fail = |msg: String| Err(FusionError::invalid_plan(format!("{certificate}: {msg}")));
+/// The always-on (release-mode included) certificate check behind
+/// [`stage_decomposition`], three checks on the one partition:
+///
+/// 1. structurally — the stages partition the steps, every data
+///    dependency sits in a strictly earlier stage, and no stage queries a
+///    source twice;
+/// 2. semantically — replaying the steps stage by stage through the BDD
+///    analyzer yields a result predicate *identical* to listing-order
+///    interpretation, for any world;
+/// 3. operationally — the certified event graph over the stages is
+///    interference-free: no two unordered events with conflicting
+///    footprints, cache events included.
+///
+/// # Errors
+/// Fails with the violated invariant; interference failures carry the
+/// witness schedule pair.
+pub fn verify_stage_decomposition(plan: &Plan, stages: &[Vec<usize>]) -> Result<()> {
+    let fail = |msg: String| {
+        Err(FusionError::invalid_plan(format!(
+            "serial-queue certificate: {msg}"
+        )))
+    };
+    let (_, deps) = dependencies(plan);
     let mut stage_of = vec![usize::MAX; plan.steps.len()];
     for (s, steps) in stages.iter().enumerate() {
         for &t in steps {
@@ -613,7 +607,8 @@ fn verify_stage_structure(
             if let Some(src) = plan.steps[t].source() {
                 if sources.contains(&src) {
                     return fail(format!(
-                        "stage {s} queries R{} twice{twice_note}",
+                        "stage {s} queries R{} twice — serial queues must keep stages \
+                         source-disjoint",
                         src.0 + 1
                     ));
                 }
@@ -621,21 +616,14 @@ fn verify_stage_structure(
             }
         }
     }
-    Ok(stage_of)
-}
-
-/// The certificate checker behind [`stage_decomposition`]: the
-/// structural checks, then stage-order replay against the BDD semantics.
-fn verify_stages(plan: &Plan, deps: &[Vec<usize>], d: &StageDecomposition) -> Result<()> {
-    verify_stage_structure("stage certificate", "", plan, deps, &d.stages)?;
-    // Semantic check: stage-order replay computes the same predicate as
-    // listing-order interpretation, in every possible world.
     let mut analysis = analyze_plan(plan)?;
-    let order = d.flattened_order();
+    let order: Vec<usize> = stages.iter().flatten().copied().collect();
     if analysis.result_with_step_order(plan, &order) != analysis.result_value() {
-        return Err(FusionError::invalid_plan(
-            "stage certificate: stage-order replay changes the plan's semantics",
-        ));
+        return fail("stage-order replay changes the plan's semantics".into());
+    }
+    let graph = EventGraph::certified(plan, stages, true);
+    if let Some(i) = graph.interferences().into_iter().next() {
+        return fail(format!("interference: {i}"));
     }
     Ok(())
 }
@@ -644,8 +632,8 @@ fn verify_stages(plan: &Plan, deps: &[Vec<usize>], d: &StageDecomposition) -> Re
 /// cardinality intervals from `bounds`.
 ///
 /// # Errors
-/// Fails on structurally invalid plans, on dimension mismatches between
-/// the plan and the seeds, and on stage-certificate failures.
+/// Fails on structurally invalid plans and on dimension mismatches
+/// between the plan and the seeds.
 pub fn analyze_dataflow<M: CostModel>(
     plan: &Plan,
     model: &M,
@@ -665,8 +653,7 @@ pub fn analyze_dataflow<M: CostModel>(
         )));
     }
     let (def_of, deps) = dependencies(plan);
-    let (live, live_vars) = liveness(plan, &def_of);
-    let stages = stage_decomposition(plan)?;
+    let (live, live_vars, _) = liveness(plan, &def_of);
     let domain = bounds.domain.max(0.0);
 
     // Cardinality interval propagation.
@@ -828,7 +815,6 @@ pub fn analyze_dataflow<M: CostModel>(
         deps,
         live,
         live_vars,
-        stages,
         var_bounds,
         step_bounds,
         step_costs,
@@ -978,42 +964,41 @@ mod tests {
 
     #[test]
     fn filter_plan_first_wave_is_fully_parallel() {
-        // m=2, n=3: the 6 selections have no dependencies; the first
-        // level splits into exactly 2 source-disjoint waves of 3.
+        // m=2, n=3: the 6 selections have no dependencies; the serial
+        // queues split them into exactly 2 source-disjoint waves of 3
+        // (a stage may also hold free local steps: `X1 := ∪` rides with
+        // the second wave).
         let m = TableCostModel::uniform(2, 3, 10.0, 1.0, 0.1, 100.0, 5.0, 1000.0);
         let plan = filter_plan(&m).plan;
         let d = stage_decomposition(&plan).unwrap();
-        let remote_stages: Vec<&Vec<usize>> = d
+        let remote_waves: Vec<Vec<SourceId>> = d
             .stages
             .iter()
-            .filter(|s| s.iter().any(|&t| plan.steps[t].is_remote()))
+            .map(|s| s.iter().filter_map(|&t| plan.steps[t].source()).collect())
+            .filter(|sources: &Vec<SourceId>| !sources.is_empty())
             .collect();
-        assert_eq!(remote_stages.len(), 2);
-        for s in remote_stages {
-            let mut sources: Vec<_> = s.iter().filter_map(|&t| plan.steps[t].source()).collect();
+        assert_eq!(remote_waves.len(), 2);
+        for mut sources in remote_waves {
+            assert_eq!(sources.len(), 3);
             sources.sort_unstable();
             sources.dedup();
-            assert_eq!(sources.len(), s.len(), "sources not disjoint: {s:?}");
+            assert_eq!(sources.len(), 3, "sources not disjoint");
         }
     }
 
     #[test]
     fn stage_verification_rejects_bad_decompositions() {
         let plan = SimplePlanSpec::filter(2, 2).build(2).unwrap();
-        let (_, deps) = dependencies(&plan);
         let good = stage_decomposition(&plan).unwrap();
         // Merge everything into one stage: source conflicts + same-stage
         // reads must be caught.
-        let bad = StageDecomposition {
-            stages: vec![(0..plan.steps.len()).collect()],
-            stage_of: vec![0; plan.steps.len()],
-        };
-        assert!(verify_stages(&plan, &deps, &bad).is_err());
+        let bad = vec![(0..plan.steps.len()).collect::<Vec<usize>>()];
+        assert!(verify_stage_decomposition(&plan, &bad).is_err());
         // Dropping a step breaks the partition.
         let mut partial = good.clone();
         partial.stages[0].clear();
-        assert!(verify_stages(&plan, &deps, &partial).is_err());
-        assert!(verify_stages(&plan, &deps, &good).is_ok());
+        assert!(verify_stage_decomposition(&plan, &partial.stages).is_err());
+        assert!(verify_stage_decomposition(&plan, &good.stages).is_ok());
     }
 
     #[test]

@@ -50,9 +50,9 @@ pub use cost::{
 };
 pub use dataflow::{
     analyze_dataflow, certify_switch, dataflow_lint_plan, interference_report, plan_footprints,
-    serial_queue_stages, stage_decomposition, step_footprint, verify_serial_queue_stages,
-    CostInterval, Dataflow, Event, EventGraph, Footprint, Interference, Interval, Resource,
-    SourceBounds, StageDecomposition, SwitchCertificate, Witness,
+    stage_decomposition, step_footprint, verify_stage_decomposition, CostInterval, Dataflow, Event,
+    EventGraph, Footprint, Interference, Interval, Resource, SourceBounds, StageDecomposition,
+    SwitchCertificate, Witness,
 };
 pub use estimate::{estimate_plan_cost, PlanEstimate};
 pub use evaluate::{evaluate_plan, evaluate_plan_vars};

@@ -1,11 +1,12 @@
 //! True multi-threaded execution of certified stage schedules.
 //!
 //! [`execute_plan_parallel`] turns the simulated parallel execution
-//! model of [`crate::schedule`] into real concurrency: the plan's certified stage decomposition
-//! ([`fusion_core::dataflow::stage_decomposition`]) is refined with one
-//! *serial queue per source* — autonomous Internet sources answer one
-//! mediator request at a time (§6) — and each stage's remote steps run on
-//! [`std::thread::scope`] workers.
+//! model of [`crate::schedule`] into real concurrency: the plan's
+//! certified stage schedule
+//! ([`fusion_core::dataflow::stage_decomposition`]) — dependency levels
+//! with one *serial queue per source*, because autonomous Internet
+//! sources answer one mediator request at a time (§6) — is run stage by
+//! stage, each stage's remote steps on [`std::thread::scope`] workers.
 //!
 //! # Determinism contract
 //!
@@ -28,8 +29,8 @@
 //! two steps exchange data or share a source, and that every data
 //! dependency lands in a strictly earlier stage. Workers therefore read
 //! earlier-stage variables immutably, write disjoint outputs, and never
-//! contend on a source's fault schedule. The serial-queue refinement adds
-//! the per-source total order on top, which is what makes the *accounting*
+//! contend on a source's fault schedule. The serial queues add the
+//! per-source total order on top, which is what makes the *accounting*
 //! (not just the answers) order-independent.
 //!
 //! One deliberate divergence: the retry deadline
@@ -41,14 +42,14 @@
 
 use crate::interp::ExecutionOutcome;
 use crate::retry::RetryPolicy;
-use crate::schedule::stage_schedule;
+use crate::schedule::barrier_trace;
 use crate::step::{committing, PlanRun};
 use fusion_cache::{AnswerCache, Served};
 use fusion_core::plan::Plan;
 use fusion_core::query::FusionQuery;
 use fusion_net::Network;
 use fusion_source::SourceSet;
-use fusion_types::error::Result;
+use fusion_types::error::{FusionError, Result};
 use fusion_types::Cost;
 use std::time::{Duration, Instant};
 
@@ -91,6 +92,17 @@ impl ParallelConfig {
     }
 }
 
+/// Rejects a `pace` (wall-clock seconds per cost unit) no worker can
+/// sleep by; [`crate::ServerConfig::pace`] is held to the same rule.
+pub(crate) fn check_pace(pace: Option<f64>) -> Result<()> {
+    match pace {
+        Some(p) if !(p.is_finite() && p >= 0.0) => Err(FusionError::execution(format!(
+            "config: pace must be finite and non-negative, got {p}"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// The result of a parallel execution: the sequential-identical outcome
 /// plus concurrency measurements.
 #[derive(Debug, Clone)]
@@ -100,14 +112,14 @@ pub struct ParallelOutcome {
     pub outcome: ExecutionOutcome,
     /// Worker threads the run was configured with.
     pub threads: usize,
-    /// Execution stages (certified stages refined by per-source serial
-    /// queues).
+    /// Stages of the certified schedule the run executed.
     pub stages: usize,
     /// Measured wall-clock time of the stage loop.
     pub wall: Duration,
-    /// Simulated barrier-synchronous makespan of the executed ledger
-    /// ([`crate::schedule::stage_schedule`]) — the model's prediction of
-    /// what `wall / pace` should be with enough threads.
+    /// Simulated barrier-synchronous makespan of the executed ledger over
+    /// those stages (what [`crate::schedule::stage_schedule`] returns) —
+    /// the model's prediction of what `wall / pace` should be with enough
+    /// threads.
     pub makespan: f64,
 }
 
@@ -131,9 +143,11 @@ impl ParallelOutcome {
 /// misses fetch full records through the workers.
 ///
 /// # Errors
-/// As [`crate::execute_plan_with`]. When a worker fails, the error of
-/// the lowest-indexed failing step is reported; exchanges already
-/// performed by the stage stay committed to the trace.
+/// As [`crate::execute_plan_with`], and on a `config.pace` that is not
+/// finite and non-negative or that turns a step's cost into an
+/// unrepresentable sleep. When a worker fails, the error of the
+/// lowest-indexed failing step is reported; exchanges already performed
+/// by the stage stay committed to the trace.
 pub fn execute_plan_parallel(
     plan: &Plan,
     query: &FusionQuery,
@@ -143,17 +157,15 @@ pub fn execute_plan_parallel(
     mut cache: Option<&mut AnswerCache>,
     config: &ParallelConfig,
 ) -> Result<ParallelOutcome> {
+    check_pace(config.pace)?;
     fusion_core::analyze::ensure_sound(plan)?;
     let mut run = PlanRun::new(plan, query, sources, network, retry, cache.is_some())?;
-    // The certificate gate: validates the plan's dataflow and proves (BDD)
-    // that stage-parallel execution is race-free before any thread spawns.
-    // Execution then runs the certified stages refined by per-source
-    // serial queues; `serial_queue_stages` re-verifies the refined
-    // schedule (partition, dependency order, source-disjointness, and
-    // interference-freedom of the certified event graph) in release
-    // builds too — an unsound schedule is an error, never a data race.
-    fusion_core::dataflow::stage_decomposition(plan)?;
-    let stages = fusion_core::dataflow::serial_queue_stages(plan)?;
+    // The certificate gate, before any thread spawns and in release
+    // builds too: the stages are verified (partition, dependency order,
+    // source-disjointness, BDD stage-order replay, interference-freedom
+    // of the certified event graph) — an unsound schedule is an error,
+    // never a data race.
+    let stages = fusion_core::dataflow::stage_decomposition(plan)?.stages;
     let mut served: Vec<Option<Served>> = vec![None; plan.steps.len()];
     if let Some(cache) = cache.as_deref_mut() {
         for (idx, slot) in served.iter_mut().enumerate() {
@@ -178,7 +190,7 @@ pub fn execute_plan_parallel(
         Ok(start.elapsed())
     })?;
     let outcome = run.finish_committing(network, cache);
-    let (_, makespan) = stage_schedule(plan, &outcome.ledger)?;
+    let (_, makespan) = barrier_trace(plan, &outcome.ledger, &stages)?;
     Ok(ParallelOutcome {
         outcome,
         threads,
@@ -337,15 +349,11 @@ mod tests {
         ];
         plan.result = r;
         let sources = dmv_sources(Capabilities::full());
-        let stages = fusion_core::dataflow::serial_queue_stages(&plan).unwrap();
         // Per-source order: within each source, step indices ascend with
         // stage index.
-        let mut stage_of = vec![0usize; plan.steps.len()];
-        for (si, stage) in stages.iter().enumerate() {
-            for &i in stage {
-                stage_of[i] = si;
-            }
-        }
+        let stage_of = fusion_core::dataflow::stage_decomposition(&plan)
+            .unwrap()
+            .stage_of;
         for src in 0..3 {
             let steps_of_src: Vec<usize> = (0..plan.steps.len())
                 .filter(|&i| plan.steps[i].source() == Some(SourceId(src)))
@@ -522,6 +530,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_configs_are_rejected_not_panicked() {
+        let q = dmv_query();
+        let model = TableCostModel::uniform(2, 3, 5.0, 1.0, 0.5, 1e9, 2.0, 8.0);
+        let plan = sja_optimal(&model).plan;
+        let sources = dmv_sources(Capabilities::full());
+        let run = |pace: f64| {
+            let mut net = Network::uniform(3, LinkProfile::Wan.link());
+            let config = ParallelConfig::with_threads(2).paced(pace);
+            execute_plan_parallel(&plan, &q, &sources, &mut net, None, None, &config)
+        };
+        // 1e300 is in range, but no step's cost times it is a duration.
+        for pace in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            let err = run(pace).unwrap_err();
+            assert!(err.to_string().contains("pace"), "pace {pace}: {err}");
+        }
+        run(0.0).unwrap();
     }
 
     #[test]

@@ -241,7 +241,9 @@ mod tests {
     }
 
     fn program_order(plan: &Plan, cached: bool) -> Vec<Event> {
-        let stages = fusion_core::dataflow::serial_queue_stages(plan).unwrap();
+        let stages = fusion_core::dataflow::stage_decomposition(plan)
+            .unwrap()
+            .stages;
         let graph = EventGraph::certified(plan, &stages, cached);
         // The events of a certified graph are pushed in an order that is
         // itself a linearization (lookups, stage by stage, bumps,

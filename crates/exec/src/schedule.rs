@@ -178,28 +178,38 @@ impl std::fmt::Display for StageTraceEntry {
     }
 }
 
-/// Replays an executed plan under the dataflow pass's *certified* stage
-/// decomposition and returns the stage trace plus the barrier-synchronous
-/// makespan.
+/// Replays an executed plan under its *certified* stage schedule
+/// ([`stage_decomposition`]) and returns the stage trace plus the
+/// barrier-synchronous makespan.
 ///
 /// Unlike [`schedule`], which greedily list-schedules individual steps,
 /// this execution model runs stage wavefronts with a barrier between
 /// them: stage `s` starts when stage `s − 1` finishes, and lasts as long
 /// as its slowest step. Within a stage, concurrency is safe by the
 /// machine-checked certificate — no two steps of a stage touch the same
-/// source or exchange data ([`stage_decomposition`]). The trace is
-/// deterministic and replayable: re-deriving it from the same plan and
-/// ledger reproduces it bit for bit ([`verify_stage_trace`]).
+/// source or exchange data. These are the stages
+/// [`crate::execute_plan_parallel`] runs. The trace is deterministic and
+/// replayable: re-deriving it from the same plan and ledger reproduces
+/// it bit for bit ([`verify_stage_trace`]).
 ///
 /// # Errors
 /// Fails if the ledger does not match the plan, or if the certificate
 /// check fails.
 pub fn stage_schedule(plan: &Plan, ledger: &CostLedger) -> Result<(Vec<StageTraceEntry>, f64)> {
+    barrier_trace(plan, ledger, &stage_decomposition(plan)?.stages)
+}
+
+/// The barrier-synchronous trace and makespan of `ledger` over
+/// `stages`, a certified stage schedule of `plan`.
+pub(crate) fn barrier_trace(
+    plan: &Plan,
+    ledger: &CostLedger,
+    stages: &[Vec<usize>],
+) -> Result<(Vec<StageTraceEntry>, f64)> {
     let entries = validate_ledger(plan, ledger)?;
-    let decomposition = stage_decomposition(plan)?;
-    let mut trace = Vec::with_capacity(decomposition.stages.len());
+    let mut trace = Vec::with_capacity(stages.len());
     let mut clock = 0.0f64;
-    for (s, steps) in decomposition.stages.iter().enumerate() {
+    for (s, steps) in stages.iter().enumerate() {
         let duration = steps
             .iter()
             .map(|&t| entries[t].total().value())

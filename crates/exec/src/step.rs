@@ -996,9 +996,8 @@ impl<'a> PlanRun<'a> {
     /// Runs one stage: the not-yet-served remote steps of `steps` on up
     /// to `threads` workers sharing `net`, folded at the barrier in step
     /// order no matter which worker finished first; then the stage's
-    /// local steps. `pace` makes each worker sleep that many wall-clock
-    /// seconds per cost unit of its step. The caller must [`committing`]
-    /// the network.
+    /// local steps. `pace` makes each worker [`pace_sleep`] after its
+    /// step. The caller must [`committing`] the network.
     ///
     /// # Errors
     /// The error of the lowest-indexed failing step.
@@ -1017,14 +1016,9 @@ impl<'a> PlanRun<'a> {
             .collect();
         let run = &*self;
         let results = run_stage(threads, &remote, |idx| {
-            let done = run.fetch(idx, &mut SharedExchanger { net, step: idx }, spent);
-            if let (Some(pace), Ok(done)) = (pace, &done) {
-                let secs = done.entry.total().value() * pace;
-                if secs > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(secs));
-                }
-            }
-            done
+            let done = run.fetch(idx, &mut SharedExchanger { net, step: idx }, spent)?;
+            pace_sleep(pace, done.entry.total())?;
+            Ok(done)
         });
         for (idx, done) in results {
             self.fold(idx, done?)?;
@@ -1120,6 +1114,21 @@ impl<'a> PlanRun<'a> {
         }
         outcome
     }
+}
+
+/// Sleeps `pace` wall-clock seconds per cost unit of a finished step.
+///
+/// # Errors
+/// Fails when the product is not a representable duration.
+pub(crate) fn pace_sleep(pace: Option<f64>, cost: Cost) -> Result<()> {
+    let secs = pace.map_or(0.0, |pace| cost.value() * pace);
+    if secs > 0.0 {
+        let nap = Duration::try_from_secs_f64(secs).map_err(|e| {
+            FusionError::execution(format!("pace: a step of cost {cost} sleeps {secs} s: {e}"))
+        })?;
+        std::thread::sleep(nap);
+    }
+    Ok(())
 }
 
 /// The cursor-and-barrier of the stage pool: runs `work` for every

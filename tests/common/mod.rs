@@ -9,7 +9,7 @@
 
 pub mod mutants;
 
-use fusion::core::plan::{SimplePlanSpec, SourceChoice};
+use fusion::core::plan::{Plan, SimplePlanSpec, SourceChoice, Step, VarId};
 use fusion::core::query::FusionQuery;
 use fusion::core::TableCostModel;
 use fusion::stats::SplitMix64;
@@ -192,4 +192,69 @@ pub fn for_seeds(cases: u64, mut body: impl FnMut(&mut Gen)) {
             std::panic::resume_unwind(payload);
         }
     }
+}
+
+/// A sound 2-condition, 3-source plan whose step order hides a
+/// same-source race unless the serial queues separate the two R3
+/// selections, which share a dependency level (mirrors the executor's
+/// own regression).
+pub fn queue_order_plan() -> Plan {
+    let mut plan = Plan::new(vec![], VarId(0), 2, 3);
+    let x0 = plan.fresh_var("X0");
+    let x1 = plan.fresh_var("X1");
+    let x2 = plan.fresh_var("X2");
+    let u1 = plan.fresh_var("U1");
+    let y0 = plan.fresh_var("Y0");
+    let y1 = plan.fresh_var("Y1");
+    let y2 = plan.fresh_var("Y2");
+    let y2r = plan.fresh_var("Y2R");
+    let r = plan.fresh_var("R");
+    plan.steps = vec![
+        Step::Sq {
+            out: x0,
+            cond: CondId(0),
+            source: SourceId(0),
+        },
+        Step::Sq {
+            out: x1,
+            cond: CondId(0),
+            source: SourceId(1),
+        },
+        Step::Sq {
+            out: x2,
+            cond: CondId(0),
+            source: SourceId(2),
+        },
+        Step::Union {
+            out: u1,
+            inputs: vec![x0, x1, x2],
+        },
+        Step::Sjq {
+            out: y0,
+            cond: CondId(1),
+            source: SourceId(0),
+            input: u1,
+        },
+        Step::Sjq {
+            out: y1,
+            cond: CondId(1),
+            source: SourceId(1),
+            input: u1,
+        },
+        Step::Sq {
+            out: y2,
+            cond: CondId(1),
+            source: SourceId(2),
+        },
+        Step::Intersect {
+            out: y2r,
+            inputs: vec![u1, y2],
+        },
+        Step::Union {
+            out: r,
+            inputs: vec![y0, y1, y2r],
+        },
+    ];
+    plan.result = r;
+    plan
 }

@@ -8,13 +8,16 @@
 //! The interleaving battery size scales with `CHECK_BATTERY_SEEDS`
 //! (default 8) so CI can run a heavier sweep in release mode.
 
+mod common;
+
+use common::queue_order_plan;
 use fusion::cache::AnswerCache;
 use fusion::check::{
     check_certified, check_schedules, enumerate_schedules, schedule_fingerprint, CheckConfig,
 };
 use fusion::core::dataflow::{
     cache_commit_race_findings, conflicting_footprint_findings, interference_report,
-    serial_queue_stages, verify_serial_queue_stages, Event, EventGraph,
+    stage_decomposition, verify_stage_decomposition, Event, EventGraph,
 };
 use fusion::core::plan::{Plan, Step, VarId};
 use fusion::core::{filter_plan, sja_optimal};
@@ -84,70 +87,6 @@ fn certified_schedules_are_conflict_free_and_linearizable() {
     }
 }
 
-/// A sound plan whose step order hides a same-source race unless the
-/// serial queues separate the two R3 selections (mirrors the executor's
-/// own regression).
-fn queue_order_plan() -> Plan {
-    let mut plan = Plan::new(vec![], VarId(0), 2, 3);
-    let x0 = plan.fresh_var("X0");
-    let x1 = plan.fresh_var("X1");
-    let x2 = plan.fresh_var("X2");
-    let u1 = plan.fresh_var("U1");
-    let y0 = plan.fresh_var("Y0");
-    let y1 = plan.fresh_var("Y1");
-    let y2 = plan.fresh_var("Y2");
-    let y2r = plan.fresh_var("Y2R");
-    let r = plan.fresh_var("R");
-    plan.steps = vec![
-        Step::Sq {
-            out: x0,
-            cond: CondId(0),
-            source: SourceId(0),
-        },
-        Step::Sq {
-            out: x1,
-            cond: CondId(0),
-            source: SourceId(1),
-        },
-        Step::Sq {
-            out: x2,
-            cond: CondId(0),
-            source: SourceId(2),
-        },
-        Step::Union {
-            out: u1,
-            inputs: vec![x0, x1, x2],
-        },
-        Step::Sjq {
-            out: y0,
-            cond: CondId(1),
-            source: SourceId(0),
-            input: u1,
-        },
-        Step::Sjq {
-            out: y1,
-            cond: CondId(1),
-            source: SourceId(1),
-            input: u1,
-        },
-        Step::Sq {
-            out: y2,
-            cond: CondId(1),
-            source: SourceId(2),
-        },
-        Step::Intersect {
-            out: y2r,
-            inputs: vec![u1, y2],
-        },
-        Step::Union {
-            out: r,
-            inputs: vec![y0, y1, y2r],
-        },
-    ];
-    plan.result = r;
-    plan
-}
-
 /// The always-on release guard: a stage schedule that puts both R3
 /// selections in one stage is rejected outright — in release builds too
 /// (CI runs this battery with `--release`) — and the conflicting
@@ -158,14 +97,14 @@ fn release_guard_rejects_racy_stage_schedule() {
     // Dependency-wavefront stages without the serial-queue refinement:
     // steps 2 (`sq(c1,R3)`... index 2) and 6 share source R3 in stage 0.
     let racy = vec![vec![0, 1, 2, 6], vec![3], vec![4, 5, 7], vec![8]];
-    let err = verify_serial_queue_stages(&plan, &racy).unwrap_err();
+    let err = verify_stage_decomposition(&plan, &racy).unwrap_err();
     assert!(
         err.to_string().contains("source-disjoint"),
         "guard must name the violated invariant: {err}"
     );
     // The certified stages pass the same guard.
-    let stages = serial_queue_stages(&plan).unwrap();
-    verify_serial_queue_stages(&plan, &stages).unwrap();
+    let stages = stage_decomposition(&plan).unwrap().stages;
+    verify_stage_decomposition(&plan, &stages).unwrap();
     // The static lint view of the same race: two unordered executions
     // with conflicting footprints on R3's network shard.
     let graph = EventGraph::certified(&plan, &racy, false);

@@ -9,7 +9,11 @@ mod common;
 use common::{for_seeds, Gen};
 use fusion::core::dataflow::{analyze_dataflow, stage_decomposition, SourceBounds};
 use fusion::core::plan::Plan;
-use fusion::core::{analyze_plan, evaluate_plan, evaluate_plan_vars};
+use fusion::core::postopt::sja_plus;
+use fusion::core::{
+    analyze_plan, evaluate_plan, evaluate_plan_vars, filter_plan, greedy_sja, sj_optimal,
+    sja_optimal,
+};
 use fusion::stats::TableStats;
 use fusion::types::{CmpOp, Condition, Predicate, Relation, Value};
 
@@ -404,22 +408,32 @@ fn liveness_matches_what_the_interpreter_reads() {
 #[test]
 fn stage_order_evaluation_matches_listing_order() {
     for_seeds(SEEDS, |g| {
-        let (plan, conditions, relations, _, _) = random_case(g);
-        let stages = stage_decomposition(&plan).unwrap();
-        let order = stages.flattened_order();
-        // Re-enact the stage schedule as a concrete reordered plan and
-        // run the reference interpreter over it: same answer.
-        let reordered = Plan::new(
-            order.iter().map(|&t| plan.steps[t].clone()).collect(),
-            plan.result,
-            plan.n_conditions,
-            plan.n_sources,
-        );
-        // Reordering can be structurally invalid only by re-definition
-        // interleavings; the decomposition certificate forbids those, so
-        // the rebuilt plan must validate and agree.
-        let a = evaluate_plan(&plan, &conditions, &relations).unwrap();
-        let b = evaluate_plan(&reordered, &conditions, &relations).unwrap();
-        assert_eq!(a, b, "\n{}\nvs\n{}", plan.listing(), reordered.listing());
+        let (spec_plan, conditions, relations, m, n) = random_case(g);
+        let model = g.model(m, n);
+        for plan in [
+            spec_plan,
+            filter_plan(&model).plan,
+            sj_optimal(&model).plan,
+            sja_optimal(&model).plan,
+            sja_plus(&model).plan,
+            greedy_sja(&model).plan,
+        ] {
+            let stages = stage_decomposition(&plan).unwrap();
+            let order = stages.flattened_order();
+            // Re-enact the stage schedule as a concrete reordered plan
+            // and run the reference interpreter over it: same answer.
+            let reordered = Plan::new(
+                order.iter().map(|&t| plan.steps[t].clone()).collect(),
+                plan.result,
+                plan.n_conditions,
+                plan.n_sources,
+            );
+            // Reordering can be structurally invalid only by
+            // re-definition interleavings; the decomposition certificate
+            // forbids those, so the rebuilt plan must validate and agree.
+            let a = evaluate_plan(&plan, &conditions, &relations).unwrap();
+            let b = evaluate_plan(&reordered, &conditions, &relations).unwrap();
+            assert_eq!(a, b, "\n{}\nvs\n{}", plan.listing(), reordered.listing());
+        }
     });
 }

@@ -7,13 +7,19 @@
 //! The seed battery size scales with `PARALLEL_BATTERY_SEEDS` (default
 //! 24) so CI can run a heavier sweep than the local default.
 
+mod common;
+
+use common::{for_seeds, queue_order_plan};
+use fusion::core::plan::Plan;
 use fusion::core::postopt::sja_plus;
-use fusion::core::{filter_plan, sja_optimal};
+use fusion::core::query::FusionQuery;
+use fusion::core::{filter_plan, greedy_sja, sj_optimal, sja_optimal};
 use fusion::exec::{
     execute_plan, execute_plan_parallel, execute_plan_with, schedule, stage_schedule,
     verify_stage_trace, ParallelConfig, RetryPolicy,
 };
-use fusion::net::{FaultPlan, FaultSpec};
+use fusion::net::{FaultPlan, FaultSpec, LinkProfile, Network};
+use fusion::source::{InMemoryWrapper, SourceSet};
 use fusion::workload::synth::{synth_scenario, SynthSpec};
 use fusion::workload::{dmv, Scenario};
 
@@ -122,6 +128,75 @@ fn parallel_ledger_replays_and_verifies() {
             scenario.name
         );
     }
+}
+
+/// What the executor reports is what it ran: `stages` and `makespan` are
+/// those of the one certified schedule `stage_schedule` re-derives, and
+/// that schedule keeps every stage source-disjoint and every source's
+/// steps in plan order — on optimizer plans, random specs, and a plan
+/// with two steps of one source at one dependency level.
+#[test]
+fn reported_schedule_is_the_executed_schedule() {
+    let check = |plan: &Plan, query: &FusionQuery, sources: &SourceSet, tag: &str| {
+        let mut net = Network::uniform(sources.len(), LinkProfile::Wan.link());
+        let config = ParallelConfig::with_threads(2);
+        let par =
+            execute_plan_parallel(plan, query, sources, &mut net, None, None, &config).unwrap();
+        let (trace, makespan) = stage_schedule(plan, &par.outcome.ledger).unwrap();
+        assert_eq!(trace.len(), par.stages, "{tag}");
+        assert_eq!(makespan.to_bits(), par.makespan.to_bits(), "{tag}");
+        let mut last_stage = vec![None; sources.len()];
+        for entry in &trace {
+            for &t in &entry.steps {
+                let Some(src) = plan.steps[t].source() else {
+                    continue;
+                };
+                // Steps ascend inside a stage and stages are visited in
+                // order, so this is plan order per source — strictly
+                // later stage each time, hence never twice in one.
+                assert!(
+                    last_stage[src.0] < Some(entry.stage),
+                    "{tag}: step {t} repeats or reorders R{} in stage {}",
+                    src.0 + 1,
+                    entry.stage
+                );
+                last_stage[src.0] = Some(entry.stage);
+            }
+            assert!(entry.steps.is_sorted(), "{tag}");
+        }
+    };
+    for_seeds(battery(), |g| {
+        let m = 1 + g.0.next_below(5);
+        let n = 2 + g.0.next_below(4);
+        let query = g.query(m);
+        let sources = SourceSet::new(
+            g.relations(n)
+                .into_iter()
+                .enumerate()
+                .map(|(j, r)| {
+                    Box::new(InMemoryWrapper::fully_capable(format!("R{}", j + 1), r)) as _
+                })
+                .collect(),
+        );
+        let model = g.model(m, n);
+        for (shape, plan) in [
+            ("FILTER", filter_plan(&model).plan),
+            ("SJ", sj_optimal(&model).plan),
+            ("SJA", sja_optimal(&model).plan),
+            ("SJA+", sja_plus(&model).plan),
+            ("GREEDY", greedy_sja(&model).plan),
+            ("SPEC", g.spec(m, n).build(n).unwrap()),
+        ] {
+            check(&plan, &query, &sources, shape);
+        }
+    });
+    let scenario = dmv::figure1_scenario();
+    check(
+        &queue_order_plan(),
+        &scenario.query,
+        &scenario.sources,
+        "two R3 selections at one level",
+    );
 }
 
 // ---------- faults on -------------------------------------------------------
