@@ -4,15 +4,17 @@
 //! `BENCH_b3_plan_ops.json` (in `$BENCH_DIR`, default the package root);
 //! the answer cache's hit path goes to `BENCH_b4_cache_hit.json`, the
 //! stage-schedule certificate and its callers to
-//! `BENCH_b5_stage_schedule.json`.
+//! `BENCH_b5_stage_schedule.json`, the plan memo behind `sja_optimal` to
+//! `BENCH_b6_plan_memo.json`.
 
 use fusion_bench::json::write_artifact;
 use fusion_bench::microbench::{BenchmarkId, Criterion};
 use fusion_cache::{subsumes, Harvest, HitKind, ResolvedHit};
 use fusion_core::analyze::ensure_sound;
 use fusion_core::dataflow::{analyze_dataflow, stage_decomposition, SourceBounds};
+use fusion_core::optimizer::{ordering_search, RoundRule, PLAN_MEMO_CAPACITY};
 use fusion_core::plan::SimplePlanSpec;
-use fusion_core::sja_optimal;
+use fusion_core::{sja_optimal, CostModel, NetworkCostModel};
 use fusion_exec::{execute_plan_parallel, ParallelConfig};
 use fusion_source::SourceEngine;
 use fusion_stats::{estimate_selectivity, TableStats};
@@ -288,6 +290,64 @@ fn bench_stage_schedule(c: &mut Criterion) {
     group.finish();
 }
 
+/// The plan memo behind `sja_optimal`, on `NetworkCostModel`s of the
+/// scoreboard's `single-wide` sizes: stating the key, a hit (key, lookup,
+/// clone of the stored plan), a miss (key, search, insert) and the
+/// search alone, which is `ordering_search` — never memoised, and since
+/// the dense per-search table the number to hold against the parent's.
+fn bench_plan_memo(c: &mut Criterion) {
+    const SELS: [f64; 6] = [0.05, 0.4, 0.6, 0.1, 0.25, 0.5];
+    let mut group = c.benchmark_group("plan_memo");
+    group.sample_size(30);
+    for (m, n) in [(4usize, 8usize), (5, 8), (6, 8)] {
+        let spec = SynthSpec {
+            domain_size: 1_000,
+            rows_per_source: 200,
+            ..SynthSpec::default_with(n, 41)
+        };
+        let scenario = synth_scenario(&spec, &SELS[..m]);
+        let network = scenario.network();
+        let model_with_domain = |domain: f64| {
+            NetworkCostModel::new(&scenario.sources, &network, &scenario.query, Some(domain))
+        };
+        let model = model_with_domain(scenario.domain_size);
+        let id = format!("m{m}_n{n}");
+        group.bench_with_input(BenchmarkId::new("key_build", &id), &m, |b, _| {
+            b.iter(|| {
+                let mut words = Vec::new();
+                black_box(&model).plan_key(&mut words);
+                words
+            });
+        });
+        sja_optimal(&model);
+        group.bench_with_input(BenchmarkId::new("hit", &id), &m, |b, _| {
+            b.iter(|| sja_optimal(black_box(&model)));
+        });
+        // One model more than the memo holds, asked round-robin: by the
+        // time a key comes round again the memo has been cleared, so
+        // every call misses.
+        let pool: Vec<NetworkCostModel> = (0..=PLAN_MEMO_CAPACITY)
+            .map(|k| model_with_domain(scenario.domain_size + 1.0 + k as f64))
+            .collect();
+        let mut next = 0;
+        group.bench_with_input(BenchmarkId::new("miss_insert", &id), &m, |b, _| {
+            b.iter(|| {
+                next = (next + 1) % pool.len();
+                sja_optimal(&pool[next])
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("search", &id), &m, |b, _| {
+            b.iter(|| ordering_search(black_box(&model), RoundRule::PerSource));
+        });
+        let (_, stats) = ordering_search(&model, RoundRule::PerSource);
+        println!(
+            "  search/{id} priced {} prefixes, cut {}",
+            stats.prefixes_explored, stats.prunes
+        );
+    }
+    group.finish();
+}
+
 fn main() {
     let mut c = Criterion::new();
     bench_itemset_ops(&mut c);
@@ -310,5 +370,10 @@ fn main() {
         &c.to_json("b5-stage-schedule"),
     )
     .expect("write BENCH_b5_stage_schedule.json");
+    println!("wrote {}", path.display());
+    let mut c = Criterion::new();
+    bench_plan_memo(&mut c);
+    let path = write_artifact("BENCH_b6_plan_memo.json", &c.to_json("b6-plan-memo"))
+        .expect("write BENCH_b6_plan_memo.json");
     println!("wrote {}", path.display());
 }

@@ -1878,11 +1878,13 @@ impl<M: fusion_core::CostModel> fusion_core::CostModel for DistortedModel<'_, M>
 fn proof_memo_lines() -> String {
     let orders = fusion_cache::projection_memo_stats();
     format!(
-        "plan-proof memo: {}\ncontainment memo: {}\nmerge-order memo: reuses {}, builds {}",
+        "plan-proof memo: {}\ncontainment memo: {}\nmerge-order memo: reuses {}, builds {}\n\
+         plan memo: {}",
         fusion_core::analyze::proof_memo_stats(),
         fusion_cache::containment_memo_stats(),
         orders.hits,
-        orders.misses
+        orders.misses,
+        fusion_core::optimizer::plan_memo_stats()
     )
 }
 
@@ -2404,6 +2406,7 @@ mod tests {
         assert!(status.contains("\nplan-proof memo: hits "), "{status}");
         assert!(status.contains("\ncontainment memo: hits "), "{status}");
         assert!(status.contains("\nmerge-order memo: reuses "), "{status}");
+        assert!(status.contains("\nplan memo: hits "), "{status}");
         // Parallel execution uses the cache too.
         let par = run(&mut s, &format!("\\exec --parallel=2 {DMV_SQL}"));
         assert!(par.contains("{J55, T21}"), "{par}");
@@ -2494,6 +2497,7 @@ mod tests {
         assert!(out.contains("\nplan-proof memo: hits "), "{out}");
         assert!(out.contains("\ncontainment memo: hits "), "{out}");
         assert!(out.contains("\nmerge-order memo: reuses "), "{out}");
+        assert!(out.contains("\nplan memo: hits "), "{out}");
         let off = run(&mut s, "\\serve workers=2 share=off");
         assert!(
             off.contains("sharing off: 0 selections rode co-admitted fetches"),

@@ -12,12 +12,15 @@
 //! Only `Proved` is remembered. A refuted plan is analyzed again every
 //! time, so its refusal — counterexample included — is rebuilt byte for
 //! byte and never depends on what was asked before.
+//!
+//! The table itself — [`SharedMemo`]: buckets, lock, capacity, counters —
+//! is generic, and the optimizers' plan memo is its second instance.
 
 use super::analyze_validated;
 use crate::plan::{Plan, Step, VarId};
 use fusion_types::error::Result;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
+use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, PoisonError, RwLock};
 
@@ -127,25 +130,37 @@ impl PlanShape {
     }
 }
 
-/// The set of proved shapes, bucketed by shape hash. A hash only picks
-/// the bucket: membership is decided by comparing shapes field by field.
-#[derive(Debug, Default)]
-struct ProvedShapes {
-    buckets: HashMap<u64, Vec<PlanShape>>,
+/// Memo entries bucketed by key hash. A hash only picks the bucket:
+/// membership is decided by the caller comparing whole keys.
+#[derive(Debug)]
+struct Buckets<E> {
+    buckets: HashMap<u64, Vec<E>>,
     len: usize,
 }
 
-impl ProvedShapes {
-    fn contains(&self, hash: u64, plan: &Plan) -> bool {
-        self.buckets
-            .get(&hash)
-            .is_some_and(|bucket| bucket.iter().any(|shape| shape.matches(plan)))
+impl<E> Buckets<E> {
+    fn new() -> Buckets<E> {
+        Buckets {
+            buckets: HashMap::new(),
+            len: 0,
+        }
     }
 
-    /// Adds the shape of `plan`, clearing the set first when it is full.
-    /// Returns true when it cleared.
-    fn insert(&mut self, hash: u64, plan: &Plan, capacity: usize) -> bool {
-        if self.contains(hash, plan) {
+    fn find(&self, hash: u64, is_key: impl Fn(&E) -> bool) -> Option<&E> {
+        self.buckets.get(&hash)?.iter().find(|entry| is_key(entry))
+    }
+
+    /// Adds `entry()` unless an entry `is_key` accepts is there already,
+    /// clearing the table first when it is full. Returns true when it
+    /// cleared.
+    fn insert(
+        &mut self,
+        hash: u64,
+        is_key: impl Fn(&E) -> bool,
+        entry: impl FnOnce() -> E,
+        capacity: usize,
+    ) -> bool {
+        if self.find(hash, is_key).is_some() {
             return false;
         }
         let full = self.len >= capacity;
@@ -153,37 +168,88 @@ impl ProvedShapes {
             self.buckets.clear();
             self.len = 0;
         }
-        self.buckets
-            .entry(hash)
-            .or_default()
-            .push(PlanShape::of(plan));
+        self.buckets.entry(hash).or_default().push(entry());
         self.len += 1;
         full
     }
 }
 
-/// The process-wide memo: built by the first proof, never pre-warmed.
+/// A process-wide memo of a pure function: bounded, cleared when full,
+/// built by the first question and never pre-warmed. The one table shape
+/// behind [`ensure_sound`] and the optimizers' plan memo.
 ///
-/// Readers share the lock, a proof runs with no lock held, and two
-/// threads that miss on the same shape both prove it and insert the same
-/// fact. A poisoned lock is recovered with `into_inner`: every write is
-/// one complete shape pushed into one bucket (or a clear followed by
-/// it), so a panic between writes cannot leave a shape that was not
-/// proved.
-struct ProofMemo {
+/// Readers share the lock, the memoised function runs with no lock held,
+/// and two threads that miss on the same key both compute it and insert
+/// equal entries. A poisoned lock is recovered with `into_inner`: every
+/// write is one complete entry pushed into one bucket (or a clear
+/// followed by it), so a panic between writes cannot leave an entry that
+/// was not computed.
+pub(crate) struct SharedMemo<E> {
     hasher: RandomState,
-    shapes: RwLock<ProvedShapes>,
+    table: RwLock<Buckets<E>>,
     counters: MemoCounters,
+    capacity: usize,
 }
 
-static PROOF_MEMO: LazyLock<ProofMemo> = LazyLock::new(|| ProofMemo {
-    hasher: RandomState::new(),
-    shapes: RwLock::new(ProvedShapes::default()),
-    counters: MemoCounters::new(),
-});
+impl<E> SharedMemo<E> {
+    pub(crate) fn new(capacity: usize) -> SharedMemo<E> {
+        SharedMemo {
+            hasher: RandomState::new(),
+            table: RwLock::new(Buckets::new()),
+            counters: MemoCounters::new(),
+            capacity,
+        }
+    }
 
-fn shape_hash(hasher: &RandomState, plan: &Plan) -> u64 {
-    hasher.hash_one((
+    /// The bucket of `key` under this memo's own hasher.
+    pub(crate) fn hash(&self, key: impl Hash) -> u64 {
+        self.hasher.hash_one(key)
+    }
+
+    /// Reads the entry `is_key` accepts, counting a hit or a miss.
+    pub(crate) fn get<R>(
+        &self,
+        hash: u64,
+        is_key: impl Fn(&E) -> bool,
+        read: impl FnOnce(&E) -> R,
+    ) -> Option<R> {
+        let table = self.table.read().unwrap_or_else(PoisonError::into_inner);
+        let found = table.find(hash, is_key).map(read);
+        match found {
+            Some(_) => self.counters.hit(),
+            None => self.counters.miss(),
+        }
+        found
+    }
+
+    /// Records what a miss computed (see [`Buckets::insert`]).
+    pub(crate) fn insert(&self, hash: u64, is_key: impl Fn(&E) -> bool, entry: impl FnOnce() -> E) {
+        let cleared = self
+            .table
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(hash, is_key, entry, self.capacity);
+        if cleared {
+            self.counters.reset();
+        }
+    }
+
+    /// Counters since the process started.
+    pub(crate) fn stats(&self) -> ProofMemoStats {
+        let entries = self
+            .table
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len;
+        self.counters.stats(entries)
+    }
+}
+
+static PROOF_MEMO: LazyLock<SharedMemo<PlanShape>> =
+    LazyLock::new(|| SharedMemo::new(PROOF_MEMO_CAPACITY));
+
+fn shape_hash(memo: &SharedMemo<PlanShape>, plan: &Plan) -> u64 {
+    memo.hash((
         &plan.steps,
         plan.result,
         plan.n_conditions,
@@ -205,44 +271,34 @@ fn shape_hash(hasher: &RandomState, plan: &Plan) -> u64 {
 pub fn ensure_sound(plan: &Plan) -> Result<()> {
     plan.validate()?;
     let memo = &*PROOF_MEMO;
-    let hash = shape_hash(&memo.hasher, plan);
-    if memo
-        .shapes
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .contains(hash, plan)
-    {
-        memo.counters.hit();
+    let hash = shape_hash(memo, plan);
+    let is_shape = |shape: &PlanShape| shape.matches(plan);
+    if memo.get(hash, is_shape, |_| ()).is_some() {
         return Ok(());
     }
-    memo.counters.miss();
     analyze_validated(plan).require_proved()?;
-    let cleared = memo
-        .shapes
-        .write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(hash, plan, PROOF_MEMO_CAPACITY);
-    if cleared {
-        memo.counters.reset();
-    }
+    memo.insert(hash, is_shape, || PlanShape::of(plan));
     Ok(())
 }
 
 /// Counters of the plan-soundness memo since the process started.
 pub fn proof_memo_stats() -> ProofMemoStats {
-    let memo = &*PROOF_MEMO;
-    let entries = memo
-        .shapes
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .len;
-    memo.counters.stats(entries)
+    PROOF_MEMO.stats()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::SimplePlanSpec;
+
+    fn contains(set: &Buckets<PlanShape>, hash: u64, plan: &Plan) -> bool {
+        set.find(hash, |shape| shape.matches(plan)).is_some()
+    }
+
+    fn insert(set: &mut Buckets<PlanShape>, hash: u64, plan: &Plan, capacity: usize) -> bool {
+        let is_shape = |shape: &PlanShape| shape.matches(plan);
+        set.insert(hash, is_shape, || PlanShape::of(plan), capacity)
+    }
 
     #[test]
     fn equal_hash_is_not_membership() {
@@ -251,36 +307,36 @@ mod tests {
         let a = SimplePlanSpec::filter(2, 2).build(2).unwrap();
         let b = SimplePlanSpec::all_semijoin(2, 2).build(2).unwrap();
         let c = SimplePlanSpec::filter(2, 3).build(3).unwrap();
-        let mut set = ProvedShapes::default();
-        assert!(!set.contains(7, &a));
-        assert!(!set.insert(7, &a, 8));
-        assert!(set.contains(7, &a) && !set.contains(7, &b) && !set.contains(7, &c));
-        assert!(!set.insert(7, &b, 8));
-        assert!(set.contains(7, &a) && set.contains(7, &b) && !set.contains(7, &c));
+        let mut set = Buckets::new();
+        assert!(!contains(&set, 7, &a));
+        assert!(!insert(&mut set, 7, &a, 8));
+        assert!(contains(&set, 7, &a) && !contains(&set, 7, &b) && !contains(&set, 7, &c));
+        assert!(!insert(&mut set, 7, &b, 8));
+        assert!(contains(&set, 7, &a) && contains(&set, 7, &b) && !contains(&set, 7, &c));
         assert_eq!((set.len, set.buckets.len()), (2, 1));
         // Names are not part of the shape; a trailing variable is.
         let mut renamed = a.clone();
         renamed.var_names[0] = "RENAMED".into();
-        assert!(set.contains(7, &renamed));
+        assert!(contains(&set, 7, &renamed));
         let mut wider = a.clone();
         wider.fresh_var("UNUSED");
-        assert!(!set.contains(7, &wider));
+        assert!(!contains(&set, 7, &wider));
         // Inserting what is there already changes nothing.
-        assert!(!set.insert(7, &a, 8));
+        assert!(!insert(&mut set, 7, &a, 8));
         assert_eq!(set.len, 2);
     }
 
     #[test]
     fn full_set_clears_then_keeps_the_newcomer() {
-        let mut set = ProvedShapes::default();
+        let mut set = Buckets::new();
         let mut plan = SimplePlanSpec::filter(1, 1).build(1).unwrap();
         for k in 0..3u64 {
-            assert!(!set.insert(k, &plan, 3));
+            assert!(!insert(&mut set, k, &plan, 3));
             plan.fresh_var("PAD");
         }
         assert_eq!(set.len, 3);
-        assert!(set.insert(3, &plan, 3), "fourth shape clears the set");
+        assert!(insert(&mut set, 3, &plan, 3), "fourth shape clears the set");
         assert_eq!(set.len, 1);
-        assert!(set.contains(3, &plan));
+        assert!(contains(&set, 3, &plan));
     }
 }

@@ -57,6 +57,7 @@ pub(crate) use lint::{
     loaded_unused_findings, merge_sorted, superset_semijoin_input_findings,
 };
 pub use lint::{lint_plan, Diagnostic, Severity};
+pub(crate) use memo::SharedMemo;
 pub use memo::{ensure_sound, proof_memo_stats, MemoCounters, ProofMemoStats, PROOF_MEMO_CAPACITY};
 
 use crate::plan::{Plan, Step, VarId};

@@ -97,6 +97,25 @@ pub trait CostModel {
         }
         (self.est_sq_items(cond, source) / d).clamp(0.0, 1.0)
     }
+
+    /// Appends, as bit patterns, **every input this model's answers are a
+    /// function of** and returns `true`; [`sj_optimal`] / [`sja_optimal`]
+    /// then plan once per distinct key and answer a repeat from a
+    /// process-wide memo (the memo adds the model's type, `m` and `n`).
+    /// Two models of one type whose words are equal must answer every
+    /// method alike, and the encoding must be unambiguous for a given
+    /// `m × n`.
+    ///
+    /// The default states nothing and is never memoised. A decorator
+    /// must not forward this to the model it wraps: what it adds
+    /// (coverage, feedback, a distortion) is an input too.
+    ///
+    /// [`sj_optimal`]: crate::optimizer::sj_optimal
+    /// [`sja_optimal`]: crate::optimizer::sja_optimal
+    fn plan_key(&self, words: &mut Vec<u64>) -> bool {
+        let _ = words;
+        false
+    }
 }
 
 #[cfg(test)]

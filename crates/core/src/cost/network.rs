@@ -267,6 +267,83 @@ impl CostModel for NetworkCostModel {
     fn domain_size(&self) -> f64 {
         self.domain
     }
+
+    fn plan_key(&self, words: &mut Vec<u64>) -> bool {
+        // Everything is destructured without `..`: a field added later to
+        // the model, a link, a capability record or a processing profile
+        // fails to compile here rather than silently leaving the key.
+        let NetworkCostModel {
+            m: _, // the memo keys `n_conditions()` itself
+            sources,
+            est,
+            index_served,
+            cond_wire,
+            domain,
+        } = self;
+        words.push(domain.to_bits());
+        for source in sources {
+            let SourceProfile {
+                link,
+                caps,
+                proc,
+                rows,
+                avg_item_bytes,
+                avg_tuple_bytes,
+            } = source;
+            let fusion_net::Link {
+                latency,
+                bandwidth,
+                overhead,
+            } = link;
+            let Capabilities {
+                native_semijoin,
+                full_load,
+                binding_batch,
+                passed_bindings,
+                bloom_semijoin,
+                record_fetch,
+                projection,
+                fetch_batch,
+                fee_millis,
+            } = *caps;
+            let ProcessingProfile {
+                fixed,
+                per_tuple_examined,
+                per_item_returned,
+            } = proc;
+            let flags = [
+                native_semijoin,
+                full_load,
+                passed_bindings,
+                bloom_semijoin,
+                record_fetch,
+                projection,
+            ];
+            let floats = [
+                latency,
+                bandwidth,
+                overhead,
+                fixed,
+                per_tuple_examined,
+                per_item_returned,
+                rows,
+                avg_item_bytes,
+                avg_tuple_bytes,
+            ];
+            words.push(
+                flags
+                    .iter()
+                    .fold(0, |bits, &flag| bits << 1 | u64::from(flag)),
+            );
+            words.extend([binding_batch as u64, fetch_batch as u64, fee_millis]);
+            words.extend(floats.map(|x| x.to_bits()));
+        }
+        for ((row, &indexed), &wire) in est.iter().zip(index_served).zip(cond_wire) {
+            words.extend(row.iter().map(|x| x.to_bits()));
+            words.extend([u64::from(indexed), wire as u64]);
+        }
+        true
+    }
 }
 
 #[cfg(test)]

@@ -119,6 +119,23 @@ impl CostModel for TableCostModel {
     fn domain_size(&self) -> f64 {
         self.domain
     }
+
+    fn plan_key(&self, words: &mut Vec<u64>) -> bool {
+        // Destructured without `..`: a field added later must be keyed.
+        let TableCostModel {
+            sq,
+            sjq_base,
+            sjq_per_item,
+            lq,
+            est_sq,
+            domain,
+        } = self;
+        let tables = [sq, sjq_base, sjq_per_item, est_sq];
+        let cells = tables.into_iter().flatten().flatten().chain(lq);
+        words.extend(cells.map(|cell| cell.to_bits()));
+        words.push(domain.to_bits());
+        true
+    }
 }
 
 #[cfg(test)]

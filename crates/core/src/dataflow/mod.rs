@@ -881,18 +881,14 @@ pub fn remaining_cost_lower_bound<M: CostModel>(
     x_after: f64,
 ) -> Cost {
     let n = model.n_sources();
-    let remaining: Vec<usize> = (0..used.len())
-        .filter(|&i| !used[i] && i != placing)
-        .collect();
-    if remaining.is_empty() {
-        return Cost::ZERO;
-    }
+    // Walked twice rather than collected: this runs at every search node.
+    let remaining = || (0..used.len()).filter(|&i| !used[i] && i != placing);
     let mut x_min = x_after;
-    for &u in &remaining {
+    for u in remaining() {
         x_min *= model.gsel(fusion_types::CondId(u));
     }
     let mut lb = Cost::ZERO;
-    for &u in &remaining {
+    for u in remaining() {
         let cond = fusion_types::CondId(u);
         for j in 0..n {
             let sq = model.sq_cost(cond, SourceId(j));

@@ -21,6 +21,7 @@ mod filter;
 mod greedy;
 mod memo;
 pub mod perm;
+mod plan_memo;
 mod response;
 mod search;
 
@@ -28,6 +29,7 @@ pub use adaptive::{adaptive_next, NextRound};
 pub use filter::filter_plan;
 pub use greedy::greedy_sja;
 pub use memo::{MemoKey, MemoStats, ReoptMemo, SuffixPlan};
+pub use plan_memo::{plan_memo_stats, PLAN_MEMO_CAPACITY};
 pub use response::{estimate_makespan, sja_response_optimal, ResponseOptimized};
 pub use search::{
     ordering_search, reference_enumeration, sj_optimal, sja_optimal, BnbStats, RoundRule,

@@ -15,6 +15,7 @@
 use super::greedy::selectivity_order;
 use super::memo::SuffixPlan;
 use super::perm::for_each_permutation;
+use super::plan_memo::planned;
 use super::{improves, ordering_tie_tolerance, OptimizedPlan};
 use crate::cost::CostModel;
 use crate::dataflow::remaining_cost_lower_bound;
@@ -114,6 +115,84 @@ pub(crate) fn price_ordering<M: CostModel>(
     (choices, cost, sizes)
 }
 
+/// Price once per search: the caller's model with the answers a search
+/// reads again at every node — `sq_cost` per (candidate, source),
+/// `est_condition_union` and `gsel` per candidate — asked for once and
+/// kept in dense vectors. Every cell is the model's own return value, so
+/// a search over this prices bit for bit what a search over the model
+/// would. Rows of conditions outside the candidate set are never read
+/// and hold zeros.
+struct PricedOnce<'a, M> {
+    model: &'a M,
+    n: usize,
+    sq: Vec<Cost>,
+    union: Vec<f64>,
+    gsel: Vec<f64>,
+}
+
+impl<'a, M: CostModel> PricedOnce<'a, M> {
+    fn new(model: &'a M, cands: &[usize]) -> PricedOnce<'a, M> {
+        let (m, n) = (model.n_conditions(), model.n_sources());
+        let mut priced = PricedOnce {
+            model,
+            n,
+            sq: vec![Cost::ZERO; m * n],
+            union: vec![0.0; m],
+            gsel: vec![0.0; m],
+        };
+        for &i in cands {
+            for j in 0..n {
+                priced.sq[i * n + j] = model.sq_cost(CondId(i), SourceId(j));
+            }
+            priced.union[i] = model.est_condition_union(CondId(i));
+            priced.gsel[i] = model.gsel(CondId(i));
+        }
+        priced
+    }
+}
+
+impl<M: CostModel> CostModel for PricedOnce<'_, M> {
+    fn n_conditions(&self) -> usize {
+        self.union.len()
+    }
+
+    fn n_sources(&self) -> usize {
+        self.n
+    }
+
+    fn sq_cost(&self, cond: CondId, source: SourceId) -> Cost {
+        self.sq[cond.0 * self.n + source.0]
+    }
+
+    fn sjq_cost(&self, cond: CondId, source: SourceId, est_items: f64) -> Cost {
+        self.model.sjq_cost(cond, source, est_items)
+    }
+
+    fn lq_cost(&self, source: SourceId) -> Cost {
+        self.model.lq_cost(source)
+    }
+
+    fn sjq_bloom_cost(&self, cond: CondId, source: SourceId, est_items: f64, bits: u8) -> Cost {
+        self.model.sjq_bloom_cost(cond, source, est_items, bits)
+    }
+
+    fn est_sq_items(&self, cond: CondId, source: SourceId) -> f64 {
+        self.model.est_sq_items(cond, source)
+    }
+
+    fn domain_size(&self) -> f64 {
+        self.model.domain_size()
+    }
+
+    fn est_condition_union(&self, cond: CondId) -> f64 {
+        self.union[cond.0]
+    }
+
+    fn gsel(&self, cond: CondId) -> f64 {
+        self.gsel[cond.0]
+    }
+}
+
 /// Search statistics, for the E/B benchmarks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BnbStats {
@@ -186,6 +265,7 @@ impl SearchState {
         x0: Option<f64>,
         budget: usize,
     ) -> (Priced, BnbStats) {
+        let model = &PricedOnce::new(model, cands);
         // Re-price what was stored — the incumbent and the path to the
         // suspended node — under the model of *this* run.
         let mut best = price_ordering(model, rule, &self.best, x0);
@@ -259,7 +339,8 @@ impl SearchState {
 }
 
 /// The exact optimum over all condition orderings under `rule`, with the
-/// search's counts; [`sj_optimal`] and [`sja_optimal`] drop the counts.
+/// search's counts — searched every time; [`sj_optimal`] and
+/// [`sja_optimal`] drop the counts and plan once per model.
 /// Seeded with the greedy ordering, near-optimal in practice (E7), so
 /// pruning is typically drastic while the worst case stays `O(m!·n)`.
 ///
@@ -278,12 +359,13 @@ pub fn ordering_search<M: CostModel>(model: &M, rule: RoundRule) -> (OptimizedPl
 
 /// Finds the optimal *semijoin plan* (§2.5 class 2): Figure 3's space —
 /// per condition, `n` selection queries or `n` semijoin queries by their
-/// summed costs — searched exactly by [`ordering_search`].
+/// summed costs — searched exactly by [`ordering_search`], once per
+/// distinct [`CostModel::plan_key`].
 ///
 /// # Panics
 /// Panics if the model has no conditions.
 pub fn sj_optimal<M: CostModel>(model: &M) -> OptimizedPlan {
-    ordering_search(model, RoundRule::Uniform).0
+    planned(model, RoundRule::Uniform)
 }
 
 /// Finds the optimal *semijoin-adaptive plan* (§2.5 class 3): Figure 4's
@@ -296,7 +378,7 @@ pub fn sj_optimal<M: CostModel>(model: &M) -> OptimizedPlan {
 /// # Panics
 /// Panics if the model has no conditions.
 pub fn sja_optimal<M: CostModel>(model: &M) -> OptimizedPlan {
-    ordering_search(model, RoundRule::PerSource).0
+    planned(model, RoundRule::PerSource)
 }
 
 /// Figures 3–4 literally, `O(m!·m·n)`: prices every ordering of
