@@ -93,8 +93,33 @@ fn bench_data_plane(c: &mut Criterion) {
             .iter()
             .map(|e| e.select(&cond).expect("well-typed condition").items)
             .collect();
+        group.bench_with_input(BenchmarkId::new("clone_items_x8", sel), &sel, |b, _| {
+            b.iter(|| {
+                for a in &answers {
+                    black_box(a.clone());
+                }
+            });
+        });
         group.bench_with_input(BenchmarkId::new("union_all_8way", sel), &sel, |b, _| {
             b.iter(|| black_box(ItemSet::union_all(&answers)));
+        });
+        // The same sets under 20-byte keys: past `Text::INLINE_CAP`.
+        let long: Vec<ItemSet> = answers
+            .iter()
+            .map(|a| a.iter().map(|it| format!("{it}-0123456789a")).collect())
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::new("union_all_8way_long", sel),
+            &sel,
+            |b, _| {
+                b.iter(|| black_box(ItemSet::union_all(&long)));
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("intersect_2way", sel), &sel, |b, _| {
+            b.iter(|| black_box(answers[0].intersect(&answers[1])));
+        });
+        group.bench_with_input(BenchmarkId::new("difference_2way", sel), &sel, |b, _| {
+            b.iter(|| black_box(answers[0].difference(&answers[1])));
         });
         let bindings = ItemSet::union_all(&answers);
         group.bench_with_input(BenchmarkId::new("semijoin_items", sel), &sel, |b, _| {

@@ -78,7 +78,7 @@ impl ItemSet {
     /// Set union: `self ∪ other`.
     pub fn union(&self, other: &ItemSet) -> ItemSet {
         ItemSet {
-            items: merge_union(self.items.iter(), other.items.iter(), Item::clone),
+            items: merge_union(self.items.iter(), other.items.iter(), push_clone),
         }
     }
 
@@ -108,7 +108,7 @@ impl ItemSet {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    out.push(self.items[i].clone());
+                    push_clone(&mut out, &self.items[i]);
                     i += 1;
                     j += 1;
                 }
@@ -128,7 +128,7 @@ impl ItemSet {
             }
             match self.items[i].cmp(&other.items[j]) {
                 std::cmp::Ordering::Less => {
-                    out.push(self.items[i].clone());
+                    push_clone(&mut out, &self.items[i]);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => j += 1,
@@ -166,10 +166,12 @@ impl ItemSet {
 
     /// Union of many sets (the `X_i := ∪_j X_ij` plan step).
     ///
-    /// Three or more inputs are merged pairwise in balanced rounds over
-    /// *borrowed* items — `O(N log k)` comparisons for `N` total input
-    /// items — and only the last round, which sees each survivor once,
-    /// clones.
+    /// Three or more inputs are merged pairwise in balanced rounds —
+    /// `O(N log k)` comparisons for `N` total input items. Inputs that
+    /// hold nothing but inline strings, as merge keys are, go through the
+    /// rounds as bare integers, merged without a data-dependent branch;
+    /// any other mix as *borrowed* items, of which only the last round,
+    /// which sees each survivor once, clones.
     pub fn union_all<'a, I: IntoIterator<Item = &'a ItemSet>>(sets: I) -> ItemSet {
         let slices: Vec<&[Item]> = sets
             .into_iter()
@@ -179,32 +181,11 @@ impl ItemSet {
         let items = match slices[..] {
             [] => Vec::new(),
             [only] => only.to_vec(),
-            [a, b] => merge_union(a.iter(), b.iter(), Item::clone),
-            _ => {
-                let mut runs: Vec<Vec<&Item>> = slices
-                    .chunks(2)
-                    .map(|pair| match *pair {
-                        [a, b] => merge_union(a.iter(), b.iter(), |it| it),
-                        _ => pair[0].iter().collect(),
-                    })
-                    .collect();
-                while runs.len() > 2 {
-                    let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
-                    let mut rest = runs.into_iter();
-                    while let Some(a) = rest.next() {
-                        merged.push(match rest.next() {
-                            Some(b) => merge_union(a.iter().copied(), b.iter().copied(), |it| it),
-                            None => a,
-                        });
-                    }
-                    runs = merged;
-                }
-                merge_union(
-                    runs[0].iter().copied(),
-                    runs[1].iter().copied(),
-                    Item::clone,
-                )
-            }
+            [a, b] => merge_union(a.iter(), b.iter(), push_clone),
+            _ => match inline_keys(&slices) {
+                Some(runs) => union_of_keys(runs),
+                None => union_of_borrowed(&slices),
+            },
         };
         ItemSet { items }
     }
@@ -215,36 +196,127 @@ impl ItemSet {
     }
 }
 
+/// Merges `runs` pairwise, in balanced rounds, until `at_most` are left.
+fn merge_rounds<T>(
+    mut runs: Vec<Vec<T>>,
+    at_most: usize,
+    merge: impl Fn(&[T], &[T]) -> Vec<T>,
+) -> Vec<Vec<T>> {
+    while runs.len() > at_most {
+        let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
+        let mut rest = runs.into_iter();
+        while let Some(a) = rest.next() {
+            merged.push(match rest.next() {
+                Some(b) => merge(&a, &b),
+                None => a,
+            });
+        }
+        runs = merged;
+    }
+    runs
+}
+
+/// The union of three or more sorted runs of any items: every round but
+/// the last passes borrows along, the last one clones the survivors.
+fn union_of_borrowed(slices: &[&[Item]]) -> Vec<Item> {
+    let runs: Vec<Vec<&Item>> = slices
+        .chunks(2)
+        .map(|pair| match *pair {
+            [a, b] => merge_union(a.iter(), b.iter(), Vec::push),
+            _ => pair[0].iter().collect(),
+        })
+        .collect();
+    let runs = merge_rounds(runs, 2, |a, b| {
+        merge_union(a.iter().copied(), b.iter().copied(), Vec::push)
+    });
+    merge_union(runs[0].iter().copied(), runs[1].iter().copied(), push_clone)
+}
+
+/// Every run as [`Item::inline_key`]s, if every item has one.
+fn inline_keys(slices: &[&[Item]]) -> Option<Vec<Vec<u128>>> {
+    slices
+        .iter()
+        .map(|run| run.iter().map(Item::inline_key).collect())
+        .collect()
+}
+
+/// The union of sorted runs of inline strings, merged as their keys. A
+/// key is the whole string, so no round looks at an item and the answer
+/// is rebuilt from the surviving keys.
+fn union_of_keys(runs: Vec<Vec<u128>>) -> Vec<Item> {
+    let merged = merge_rounds(runs, 1, merge_keys);
+    merged[0]
+        .iter()
+        .copied()
+        .map(Item::from_inline_key)
+        .collect()
+}
+
+/// Linear merge of two sorted, duplicate-free runs of integers, without a
+/// data-dependent branch: which side an element comes from, and which
+/// cursors move, are selects and flag additions. A merge step over items
+/// costs mostly its mispredicted three-way branch — sources answer with
+/// independent subsets, so the order the runs interleave in is noise.
+fn merge_keys(a: &[u128], b: &[u128]) -> Vec<u128> {
+    let mut out = vec![0; a.len() + b.len()];
+    let (mut i, mut j, mut len) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (p, q) = (a[i], b[j]);
+        out[len] = if p <= q { p } else { q };
+        len += 1;
+        i += usize::from(p <= q);
+        j += usize::from(q <= p);
+    }
+    out.truncate(len);
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 /// Linear merge of two sorted, duplicate-free runs of borrowed items.
-/// `keep` turns each survivor into an output element: a clone, or — in
-/// the inner rounds of [`ItemSet::union_all`] — the borrow itself.
+/// `put` appends each survivor to the output: as a clone, or — in the
+/// inner rounds of [`union_of_borrowed`] — as the borrow itself.
 fn merge_union<'a, O>(
     mut a: impl ExactSizeIterator<Item = &'a Item>,
     mut b: impl ExactSizeIterator<Item = &'a Item>,
-    keep: impl Fn(&'a Item) -> O,
+    put: impl Fn(&mut Vec<O>, &'a Item),
 ) -> Vec<O> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut x, mut y) = (a.next(), b.next());
     while let (Some(p), Some(q)) = (x, y) {
         match p.cmp(q) {
             std::cmp::Ordering::Less => {
-                out.push(keep(p));
+                put(&mut out, p);
                 x = a.next();
             }
             std::cmp::Ordering::Greater => {
-                out.push(keep(q));
+                put(&mut out, q);
                 y = b.next();
             }
             std::cmp::Ordering::Equal => {
-                out.push(keep(p));
+                put(&mut out, p);
                 x = a.next();
                 y = b.next();
             }
         }
     }
-    out.extend(x.into_iter().chain(a).map(&keep));
-    out.extend(y.into_iter().chain(b).map(&keep));
+    for rest in x.into_iter().chain(a) {
+        put(&mut out, rest);
+    }
+    for rest in y.into_iter().chain(b) {
+        put(&mut out, rest);
+    }
     out
+}
+
+/// Appends a clone of `item`, built in place. `out.push(item.clone())`
+/// holds the clone across the call that may grow the vector, and the
+/// compiler then assembles it in a stack slot and copies it over from
+/// there: a store-forwarding stall per item, on the busiest lines of the
+/// data plane.
+#[inline]
+pub(crate) fn push_clone(out: &mut Vec<Item>, item: &Item) {
+    out.extend_from_slice(std::slice::from_ref(item));
 }
 
 impl fmt::Display for ItemSet {
@@ -381,6 +453,48 @@ mod tests {
         );
         // Identical sets collapse.
         assert_eq!(ItemSet::union_all([&a, &a, &a]), a);
+    }
+
+    #[test]
+    fn both_union_kernels_agree_on_inline_strings() {
+        // Keys that differ only in the second word, in the length byte
+        // (a trailing NUL against its prefix), or not at all; the empty
+        // string, whose key is zero; the longest inline string.
+        let pool = [
+            "",
+            "\0",
+            "a",
+            "a\0",
+            "E0001234",
+            "E0001234\0",
+            "E0001234a",
+            "E0001235",
+            "abcdefghijklmn",
+            "abcdefghijklmn\0",
+            "abcdefghijklmno",
+            "é",
+            "🦀🦀🦀abc",
+        ];
+        let mut below = crate::xorshift_below();
+        for k in 3..=17 {
+            let sets: Vec<ItemSet> = (0..k)
+                .map(|_| (0..1 + below(9)).map(|_| pool[below(pool.len())]).collect())
+                .collect();
+            let slices: Vec<&[Item]> = sets.iter().map(ItemSet::as_slice).collect();
+            let keyed = union_of_keys(inline_keys(&slices).expect("all inline"));
+            let borrowed = union_of_borrowed(&slices);
+            assert_eq!(keyed, borrowed, "k {k}");
+            assert_eq!(ItemSet::union_all(&sets).as_slice(), &keyed[..], "k {k}");
+            assert_eq!(ItemSet::union_all(&sets), union_all_fold(&sets), "k {k}");
+        }
+        // One item without a key sends every input down the borrowed path.
+        let long = set(&["a-string-past-the-inline-limit"]);
+        let int: ItemSet = [7i64].into_iter().collect();
+        for odd in [&long, &int] {
+            let slices = [set(&["a"]), odd.clone(), set(&["b"])];
+            let slices: Vec<&[Item]> = slices.iter().map(ItemSet::as_slice).collect();
+            assert!(inline_keys(&slices).is_none());
+        }
     }
 
     #[test]

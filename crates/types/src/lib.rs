@@ -71,6 +71,20 @@ impl std::fmt::Display for CondId {
     }
 }
 
+/// A fixed-seed generator for the seeded unit tests of this crate (the
+/// workspace's `SplitMix64` lives downstream, in `fusion-stats`): each call
+/// of the returned closure draws from `0..n`.
+#[cfg(test)]
+pub(crate) fn xorshift_below() -> impl FnMut(usize) -> usize {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    move |n| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n as u64) as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

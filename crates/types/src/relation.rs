@@ -7,7 +7,7 @@
 
 use crate::condition::{CmpOp, Condition, Predicate};
 use crate::error::Result;
-use crate::itemset::ItemSet;
+use crate::itemset::{push_clone, ItemSet};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::{Item, Value};
@@ -36,23 +36,15 @@ struct MergeIndex {
 
 impl MergeIndex {
     fn build(rows: &[Tuple], mi: usize) -> MergeIndex {
-        let mut by_value: Vec<usize> = (0..rows.len()).collect();
-        // Stable: rows of one rank stay in insertion order.
-        by_value.sort_by(|&a, &b| rows[a].get(mi).cmp(rows[b].get(mi)));
-        let mut items: Vec<Item> = Vec::new();
-        let mut starts = Vec::new();
+        let (values, starts, by_value) = group_rows_by(rows, mi);
         let mut rank_of_row = vec![0; rows.len()];
-        for (pos, &rid) in by_value.iter().enumerate() {
-            let v = rows[rid].get(mi);
-            if items.last().is_none_or(|last| last.value() != v) {
-                items.push(Item(v.clone()));
-                starts.push(pos);
+        for (rank, span) in starts.windows(2).enumerate() {
+            for &rid in &by_value[span[0]..span[1]] {
+                rank_of_row[rid] = rank;
             }
-            rank_of_row[rid] = items.len() - 1;
         }
-        starts.push(by_value.len());
         MergeIndex {
-            items,
+            items: values.into_iter().map(Item).collect(),
             starts,
             rows: by_value,
             rank_of_row,
@@ -127,7 +119,7 @@ impl BitSet {
         for (w, &word) in self.words.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
-                out.push(items[w * 64 + bits.trailing_zeros() as usize].clone());
+                push_clone(&mut out, &items[w * 64 + bits.trailing_zeros() as usize]);
                 bits &= bits - 1;
             }
         }
@@ -135,8 +127,54 @@ impl BitSet {
     }
 }
 
-/// A secondary index: attribute value → ids of the rows holding it.
-type SecondaryIndex = BTreeMap<Value, Vec<usize>>;
+/// A secondary index in the merge index's shape: the distinct values of
+/// one attribute in ascending order, and the ids of the rows holding each.
+///
+/// Values that compare equal across types are one key (the value of the
+/// first row, in insertion order, that carries it). A range of keys is a
+/// contiguous run of `rows`, so a comparison predicate is answered by two
+/// binary searches and one or two slices.
+#[derive(Debug, Clone)]
+struct SecondaryIndex {
+    /// Distinct attribute values, ascending.
+    keys: Vec<Value>,
+    /// CSR offsets: the rows of `keys[k]` are `rows[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    /// Row ids grouped by key, in insertion order within a key.
+    rows: Vec<usize>,
+}
+
+impl SecondaryIndex {
+    fn build(rows: &[Tuple], attr_idx: usize) -> SecondaryIndex {
+        let (keys, starts, rows) = group_rows_by(rows, attr_idx);
+        SecondaryIndex { keys, starts, rows }
+    }
+
+    /// The row ids of the keys at positions `range`.
+    fn rows_of(&self, range: std::ops::Range<usize>) -> &[usize] {
+        &self.rows[self.starts[range.start]..self.starts[range.end]]
+    }
+}
+
+/// Groups row ids by the value at column `col`: the distinct values in
+/// ascending order, CSR offsets (one more than values), and the row ids
+/// grouped by value — by one stable sort, so the rows of a value stay in
+/// insertion order and its first row supplies the value shown.
+fn group_rows_by(rows: &[Tuple], col: usize) -> (Vec<Value>, Vec<usize>, Vec<usize>) {
+    let mut by_value: Vec<usize> = (0..rows.len()).collect();
+    by_value.sort_by(|&a, &b| rows[a].get(col).cmp(rows[b].get(col)));
+    let mut values: Vec<Value> = Vec::new();
+    let mut starts = Vec::new();
+    for (pos, &rid) in by_value.iter().enumerate() {
+        let v = rows[rid].get(col);
+        if values.last() != Some(v) {
+            values.push(v.clone());
+            starts.push(pos);
+        }
+    }
+    starts.push(by_value.len());
+    (values, starts, by_value)
+}
 
 /// An in-memory relation over the common schema.
 #[derive(Debug, Clone)]
@@ -218,11 +256,8 @@ impl Relation {
         if self.indexes.contains_key(&attr_idx) {
             return;
         }
-        let mut idx: SecondaryIndex = BTreeMap::new();
-        for (rid, row) in self.rows.iter().enumerate() {
-            idx.entry(row.get(attr_idx).clone()).or_default().push(rid);
-        }
-        self.indexes.insert(attr_idx, idx);
+        self.indexes
+            .insert(attr_idx, SecondaryIndex::build(&self.rows, attr_idx));
     }
 
     /// Builds the merge-attribute index (idempotent).
@@ -255,8 +290,9 @@ impl Relation {
                 });
             }
             None => {
+                let cond = cond.pred.bind(&self.schema)?;
                 for (rid, row) in self.rows.iter().enumerate() {
-                    if cond.eval(row, &self.schema)? {
+                    if cond.eval(row)? {
                         picked.add(rid);
                     }
                 }
@@ -296,12 +332,13 @@ impl Relation {
     /// Propagates predicate evaluation errors.
     pub fn semijoin_items(&self, cond: &Condition, bindings: &ItemSet) -> Result<SelectOutcome> {
         let bound = bindings.as_slice();
+        let cond = cond.pred.bind(&self.schema)?;
         let Some(merge_index) = &self.merge_index else {
             let mi = self.schema.merge_index();
             let mut kept = BitSet::new(bound.len());
             for row in &self.rows {
                 if let Some(i) = bindings.position_of(row.get(mi)) {
-                    if cond.eval(row, &self.schema)? {
+                    if cond.eval(row)? {
                         kept.insert(i);
                     }
                 }
@@ -316,8 +353,8 @@ impl Relation {
         for (i, rank) in merge_index.join(bound) {
             for &rid in merge_index.rows_of(rank) {
                 examined += 1;
-                if cond.eval(&self.rows[rid], &self.schema)? {
-                    out.push(bound[i].clone());
+                if cond.eval(&self.rows[rid])? {
+                    push_clone(&mut out, &bound[i]);
                     break;
                 }
             }
@@ -367,33 +404,30 @@ impl Relation {
 }
 
 /// Calls `take` with the row ids of every index entry satisfying
-/// `entry op value`, in index order. As in [`Predicate::eval`], a NULL
-/// entry satisfies no comparison (it sorts first, so only `<`, `<=` and
-/// `<>` could reach it).
+/// `entry op value` for a non-NULL `value`, in index order: one run of rows
+/// per range of keys. As in [`Predicate::eval`], a NULL entry satisfies no
+/// comparison; it sorts first, so the ranges that would reach it (`<`,
+/// `<=`, `<>`) start past it.
 fn for_each_indexed(
     index: &SecondaryIndex,
     op: CmpOp,
     value: &Value,
     mut take: impl FnMut(&[usize]),
 ) {
-    use std::ops::Bound::{Excluded, Included, Unbounded};
-    let range = match op {
-        CmpOp::Eq => (Included(value), Included(value)),
-        CmpOp::Lt => (Excluded(&Value::Null), Excluded(value)),
-        CmpOp::Le => (Excluded(&Value::Null), Included(value)),
-        CmpOp::Gt => (Excluded(value), Unbounded),
-        CmpOp::Ge => (Included(value), Unbounded),
+    let keys = &index.keys[..];
+    let first = usize::from(matches!(keys.first(), Some(Value::Null)));
+    let below = keys.partition_point(|k| k < value);
+    let through = below + keys[below..].partition_point(|k| k <= value);
+    match op {
+        CmpOp::Eq => take(index.rows_of(below..through)),
+        CmpOp::Lt => take(index.rows_of(first..below)),
+        CmpOp::Le => take(index.rows_of(first..through)),
+        CmpOp::Gt => take(index.rows_of(through..keys.len())),
+        CmpOp::Ge => take(index.rows_of(below..keys.len())),
         CmpOp::Ne => {
-            for (v, rids) in index {
-                if v != value && !matches!(v, Value::Null) {
-                    take(rids);
-                }
-            }
-            return;
+            take(index.rows_of(first..below));
+            take(index.rows_of(through..keys.len()));
         }
-    };
-    for (_, rids) in index.range::<Value, _>(range) {
-        take(rids);
     }
 }
 

@@ -3,13 +3,16 @@
 //! Merge keys such as `E0001234`, `J55`, ISBNs and licence numbers are a
 //! handful of bytes, yet every `∪`/`∩`/`−` step clones, compares and drops
 //! them by the thousand. [`Text`] stores up to [`Text::INLINE_CAP`] bytes
-//! inside the value itself, so those operations never reach the allocator
-//! or chase a pointer; longer strings live in a `Box<str>`.
+//! inside the value itself, in two aligned machine words, so those
+//! operations never reach the allocator or chase a pointer: a clone is a
+//! plain copy of whole words and a comparison is two integer compares.
+//! Longer strings live in a `Box<str>`.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
+use std::sync::Arc;
 
 /// An immutable UTF-8 string, stored inline when short.
 ///
@@ -22,27 +25,56 @@ use std::ops::Deref;
 #[derive(Clone)]
 pub struct Text(Repr);
 
-/// Invariant: `Inline` holds every string of at most `INLINE_CAP` bytes
-/// (`len` of them, the rest of `buf` zero), `Heap` only longer ones.
+/// Invariant: `Inline` holds every string of at most `INLINE_CAP` bytes,
+/// `Heap` only longer ones.
 #[derive(Clone)]
 enum Repr {
-    Inline {
-        len: u8,
-        buf: [u8; Text::INLINE_CAP],
-    },
-    Heap(Box<str>),
+    Inline(Inline),
+    Heap(Arc<str>),
+}
+
+/// A short string in two aligned words: the content in bytes `0..len`, zero
+/// padding after it, and `len` (at most `INLINE_CAP`) in the last byte.
+///
+/// The alignment is what makes a copy cheap. It puts the buffer at offset
+/// 8 of `Text` (and of `Value`), where the other variants keep their
+/// payload, so the compiler moves any variant as whole 8-byte words; a
+/// byte-aligned buffer starting next to the tag is instead cut at those
+/// word boundaries and pieced together through overlapping narrow stores
+/// and loads.
+#[derive(Clone, Copy)]
+#[repr(align(8))]
+struct Inline([u8; 16]);
+
+impl Inline {
+    fn len(&self) -> usize {
+        usize::from(self.0[Text::INLINE_CAP])
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.0[..self.len()]
+    }
+
+    /// The buffer as one big-endian integer — two machine words — which
+    /// orders as the strings do. The zero padding sorts a proper prefix
+    /// first, as `str` does; only a string that ends in NUL bytes has the
+    /// same fifteen content bytes as its prefix, and then the length, the
+    /// lowest byte, puts the shorter one — the prefix — first.
+    fn key(&self) -> u128 {
+        u128::from_be_bytes(self.0)
+    }
 }
 
 impl Text {
-    /// Longest string, in bytes, that is stored without an allocation.
-    /// With the length byte and the variant tag this makes `Text` as wide
-    /// as a `String`.
-    pub const INLINE_CAP: usize = 22;
+    /// Longest string, in bytes, that is stored without an allocation:
+    /// two words less the length byte. With the variant tag's word this
+    /// makes `Text` as wide as a `String`.
+    pub const INLINE_CAP: usize = 15;
 
     /// The contents as bytes.
     pub fn as_bytes(&self) -> &[u8] {
         match &self.0 {
-            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Inline(s) => s.bytes(),
             Repr::Heap(s) => s.as_bytes(),
         }
     }
@@ -50,8 +82,9 @@ impl Text {
     /// The contents as a string slice.
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            Repr::Inline { len, buf } => std::str::from_utf8(&buf[..usize::from(*len)])
-                .expect("Text is only ever built from a str"),
+            Repr::Inline(s) => {
+                std::str::from_utf8(s.bytes()).expect("Text is only ever built from a str")
+            }
             Repr::Heap(s) => s,
         }
     }
@@ -59,7 +92,7 @@ impl Text {
     /// Length in bytes.
     pub fn len(&self) -> usize {
         match &self.0 {
-            Repr::Inline { len, .. } => usize::from(*len),
+            Repr::Inline(s) => s.len(),
             Repr::Heap(s) => s.len(),
         }
     }
@@ -71,19 +104,36 @@ impl Text {
 
     /// True if the contents are stored inside the value (no allocation).
     pub fn is_inline(&self) -> bool {
-        matches!(self.0, Repr::Inline { .. })
+        matches!(self.0, Repr::Inline(_))
+    }
+
+    /// An inline string as the integer it compares by: the whole string,
+    /// so `a.cmp(b) == a.inline_key().cmp(&b.inline_key())` exactly and
+    /// [`Text::from_inline_key`] gives the string back. `None` for a
+    /// heap string.
+    #[inline]
+    pub(crate) fn inline_key(&self) -> Option<u128> {
+        match &self.0 {
+            Repr::Inline(s) => Some(s.key()),
+            Repr::Heap(_) => None,
+        }
+    }
+
+    /// The inline string `key` was taken from by [`Text::inline_key`]
+    /// (any other integer breaks the representation's invariant).
+    #[inline]
+    pub(crate) fn from_inline_key(key: u128) -> Text {
+        Text(Repr::Inline(Inline(key.to_be_bytes())))
     }
 }
 
 impl From<&str> for Text {
     fn from(s: &str) -> Text {
         if s.len() <= Text::INLINE_CAP {
-            let mut buf = [0u8; Text::INLINE_CAP];
+            let mut buf = [0u8; 16];
             buf[..s.len()].copy_from_slice(s.as_bytes());
-            Text(Repr::Inline {
-                len: s.len() as u8,
-                buf,
-            })
+            buf[Text::INLINE_CAP] = s.len() as u8;
+            Text(Repr::Inline(Inline(buf)))
         } else {
             Text(Repr::Heap(s.into()))
         }
@@ -95,7 +145,7 @@ impl From<String> for Text {
         if s.len() <= Text::INLINE_CAP {
             Text::from(s.as_str())
         } else {
-            Text(Repr::Heap(s.into_boxed_str()))
+            Text(Repr::Heap(s.into()))
         }
     }
 }
@@ -108,39 +158,33 @@ impl Deref for Text {
 }
 
 impl PartialEq for Text {
+    #[inline]
     fn eq(&self, other: &Text) -> bool {
-        self.as_bytes() == other.as_bytes()
+        match (&self.0, &other.0) {
+            (Repr::Inline(a), Repr::Inline(b)) => a.0 == b.0,
+            // An inline string is never as long as a heap one.
+            (Repr::Heap(a), Repr::Heap(b)) => a == b,
+            _ => false,
+        }
     }
 }
 
 impl Eq for Text {}
 
 impl PartialOrd for Text {
+    #[inline]
     fn partial_cmp(&self, other: &Text) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Text {
+    #[inline]
     fn cmp(&self, other: &Text) -> Ordering {
-        if let (Repr::Inline { len: la, buf: a }, Repr::Inline { len: lb, buf: b }) =
-            (&self.0, &other.0)
-        {
-            // Two inline strings compare as their zero-padded buffers: the
-            // padding sorts a proper prefix first, as `str` does, and only
-            // a string that ends in NUL bytes ties with its prefix — then
-            // the shorter one is the prefix. The first eight bytes go as
-            // one big-endian integer, which settles almost every pair of
-            // distinct short keys without a call to `memcmp`.
-            let head = |x: &[u8; Text::INLINE_CAP]| {
-                u64::from_be_bytes([x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]])
-            };
-            return head(a)
-                .cmp(&head(b))
-                .then_with(|| a[8..].cmp(&b[8..]))
-                .then(la.cmp(lb));
+        match (&self.0, &other.0) {
+            (Repr::Inline(a), Repr::Inline(b)) => a.key().cmp(&b.key()),
+            _ => self.as_bytes().cmp(other.as_bytes()),
         }
-        self.as_bytes().cmp(other.as_bytes())
     }
 }
 
@@ -177,7 +221,10 @@ mod tests {
 
     /// Strings around every boundary the representation has: empty,
     /// prefixes of one another, an embedded NUL (the inline padding byte),
-    /// multi-byte UTF-8, and both sides of the 22/23-byte inline limit.
+    /// multi-byte UTF-8, the 8-byte word seam, and both sides of the
+    /// 15/16-byte inline limit — among them a 15-byte string ending in NUL
+    /// beside its 14-byte prefix, and inline/heap pairs that share their
+    /// first 15 bytes.
     fn samples() -> Vec<String> {
         let mut v: Vec<String> = [
             "",
@@ -197,14 +244,22 @@ mod tests {
             "éa",
             "日本語のテキスト",
             "zß水🦀",
-            "🦀🦀🦀🦀🦀a",
-            "🦀🦀🦀🦀🦀ab",
-            "🦀🦀🦀🦀🦀🦀",
+            "🦀🦀🦀abc",
+            "🦀🦀🦀abcd",
+            "🦀🦀🦀ab🦀",
+            "🦀🦀🦀🦀",
+            "abcdefghijklmn",
+            "abcdefghijklmn\0",
+            "abcdefghijklmn\0\0",
+            "abcdefghijklmno",
+            "abcdefghijklmnop",
+            "abcdefghijklmno\0",
+            "abcdefghijklmn\u{7f}",
         ]
         .iter()
         .map(ToString::to_string)
         .collect();
-        for n in [21, 22, 23, 24, 64] {
+        for n in [7, 8, 9, 14, 15, 16, 17, 22, 23, 64] {
             v.push("x".repeat(n));
             v.push(format!("{}y", "x".repeat(n - 1)));
         }
@@ -212,14 +267,25 @@ mod tests {
     }
 
     #[test]
-    fn inline_heap_boundary_is_22_bytes() {
-        assert!(Text::from("x".repeat(22).as_str()).is_inline());
-        assert!(!Text::from("x".repeat(23).as_str()).is_inline());
-        assert!(Text::from("x".repeat(22)).is_inline());
-        assert!(!Text::from("x".repeat(23)).is_inline());
-        // 5 crabs + 2 ASCII = 22 bytes; one more byte spills.
-        assert!(Text::from("🦀🦀🦀🦀🦀ab").is_inline());
-        assert!(!Text::from("🦀🦀🦀🦀🦀abc").is_inline());
+    fn inline_heap_boundary_is_15_bytes() {
+        assert_eq!(Text::INLINE_CAP, 15);
+        assert!(Text::from("x".repeat(15).as_str()).is_inline());
+        assert!(!Text::from("x".repeat(16).as_str()).is_inline());
+        assert!(Text::from("x".repeat(15)).is_inline());
+        assert!(!Text::from("x".repeat(16)).is_inline());
+        // 3 crabs + 3 ASCII = 15 bytes; one more byte spills, and so does
+        // a character that starts inside the limit and ends past it.
+        for (s, inline) in [
+            ("🦀🦀🦀abc", true),
+            ("🦀🦀🦀abcd", false),
+            ("🦀🦀🦀ab🦀", false),
+            ("ééééééé", true),
+            ("éééééééa", true),
+            ("éééééééé", false),
+        ] {
+            assert_eq!(Text::from(s).is_inline(), inline, "{s:?}");
+            assert_eq!(Text::from(s.to_string()).is_inline(), inline, "{s:?}");
+        }
         assert!(Text::from("").is_inline());
         assert!(Text::from("").is_empty());
     }
@@ -266,5 +332,6 @@ mod tests {
     #[test]
     fn is_as_wide_as_a_string() {
         assert_eq!(std::mem::size_of::<Text>(), std::mem::size_of::<String>());
+        assert_eq!(std::mem::align_of::<Text>(), 8);
     }
 }

@@ -96,40 +96,79 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        match (self, other) {
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            _ => self.cmp_mixed(other) == Ordering::Equal,
+        }
     }
 }
 
 impl Eq for Value {}
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Value {
+    /// Merge keys are strings or integers, so those two pairings are
+    /// decided here, in the caller's loop body; every other pairing is one
+    /// call away.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            _ => self.cmp_mixed(other),
+        }
+    }
+}
+
+impl Value {
+    /// The total order in full: by type rank, numerics by exact value.
+    #[inline(never)]
+    fn cmp_mixed(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
-            (a, b) if Value::both_numeric(a, b) => {
-                let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
-                // NaN sorts above all other numerics.
-                match (x.is_nan(), y.is_nan()) {
-                    (true, true) => Ordering::Equal,
-                    (true, false) => Ordering::Greater,
-                    (false, true) => Ordering::Less,
-                    (false, false) => x.partial_cmp(&y).unwrap(),
-                }
-            }
+            (Float(a), Float(b)) => cmp_floats(*a, *b),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
     }
+}
+
+/// Floats in numeric order (`-0.0` equals `0.0`), every NaN equal to every
+/// other and above all else.
+fn cmp_floats(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// An integer against a float, exactly. Casting the integer to `f64`
+/// rounds beyond 2^53 — `2^53 + 1` would equal `2^53 as f64`, which equals
+/// `2^53`, which does not equal `2^53 + 1` — so compare the float's
+/// integral part as an `i64` and let its fraction break the tie.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() || f >= TWO_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_63 {
+        return Ordering::Greater;
+    }
+    // In `[-2^63, 2^63)` the cast is exact and the subtraction too.
+    let whole = f.trunc();
+    i.cmp(&(whole as i64)).then(cmp_floats(0.0, f - whole))
 }
 
 impl Hash for Value {
@@ -235,6 +274,22 @@ impl Item {
     /// The underlying value.
     pub fn value(&self) -> &Value {
         &self.0
+    }
+
+    /// The item as an integer that orders as it does, if it is a string
+    /// stored inline; see [`Text::inline_key`].
+    #[inline]
+    pub(crate) fn inline_key(&self) -> Option<u128> {
+        match &self.0 {
+            Value::Str(s) => s.inline_key(),
+            _ => None,
+        }
+    }
+
+    /// The string item `key` was taken from by [`Item::inline_key`].
+    #[inline]
+    pub(crate) fn from_inline_key(key: u128) -> Item {
+        Item(Value::Str(Text::from_inline_key(key)))
     }
 
     /// Estimated wire size in bytes when shipped in a semijoin set.
@@ -347,8 +402,25 @@ mod tests {
             std::mem::size_of::<Value>(),
             std::mem::size_of::<WithString>()
         );
-        assert!(std::mem::size_of::<Value>() <= 32);
+        assert_eq!(std::mem::size_of::<Value>(), 24);
         assert_eq!(std::mem::size_of::<Item>(), std::mem::size_of::<Value>());
+    }
+
+    #[test]
+    fn every_payload_starts_on_the_second_word() {
+        // What makes a clone three whole-word moves: the integer, the
+        // float and the inline string's bytes all sit at offset 8.
+        fn offset<T>(v: &Value, payload: *const T) -> usize {
+            payload as usize - std::ptr::from_ref(v) as usize
+        }
+        let (i, f, s) = (Value::Int(7), Value::Float(7.5), Value::str("E0001234"));
+        let (Value::Int(pi), Value::Float(pf), Value::Str(ps)) = (&i, &f, &s) else {
+            unreachable!()
+        };
+        assert_eq!(offset(&i, std::ptr::from_ref(pi)), 8);
+        assert_eq!(offset(&f, std::ptr::from_ref(pf)), 8);
+        assert_eq!(offset(&s, ps.as_bytes().as_ptr()), 8);
+        assert_eq!(std::mem::align_of::<Value>(), 8);
     }
 
     #[test]
@@ -368,12 +440,104 @@ mod tests {
         );
     }
 
+    /// Numerics where a cast to `f64` loses the integer: around ±2^53,
+    /// the ends of `i64`, ±2^63 as floats, zeros, infinities, NaN and
+    /// subnormals.
+    fn hostile_numerics() -> Vec<Value> {
+        const TWO_53: i64 = 1 << 53;
+        let mut v = Vec::new();
+        for base in [0, TWO_53, -TWO_53] {
+            for d in -2..=2i64 {
+                v.push(Value::Int(base + d));
+                v.push(Value::Float((base + d) as f64));
+            }
+        }
+        for i in [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX] {
+            v.push(Value::Int(i));
+        }
+        let two_63 = 9_223_372_036_854_775_808.0f64;
+        for f in [
+            two_63,
+            -two_63,
+            two_63 * 2.0,
+            -two_63 * 2.0,
+            // The floats next to ±2^63 towards zero.
+            f64::from_bits(two_63.to_bits() - 1),
+            -f64::from_bits(two_63.to_bits() - 1),
+            0.5,
+            -0.5,
+            TWO_53 as f64 + 2.0,
+            TWO_53 as f64 - 0.5,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            v.push(Value::Float(f));
+        }
+        v
+    }
+
     #[test]
-    fn large_int_ordering_against_floats() {
-        // i64::MAX is not exactly representable as f64; make sure ordering
-        // is still sane (approximate comparison through f64 is acceptable
-        // for cross-type ordering, exactness only matters within a type).
+    fn numeric_order_is_a_total_order_consistent_with_hash() {
+        let vals = hostile_numerics();
+        for a in &vals {
+            assert_eq!(a.cmp(a), Ordering::Equal, "{a:?}");
+            for b in &vals {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                assert_eq!(a == b, a.cmp(b) == Ordering::Equal, "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                }
+                for c in &vals {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                    if a == b {
+                        assert_eq!(a.cmp(c), b.cmp(c), "{a:?} == {b:?} vs {c:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integers_beyond_2_pow_53_keep_their_identity_against_floats() {
+        const TWO_53: i64 = 1 << 53;
+        let f = Value::Float(TWO_53 as f64);
+        assert_eq!(Value::Int(TWO_53), f);
+        assert!(Value::Int(TWO_53 + 1) > f);
+        assert!(Value::Int(TWO_53 - 1) < f);
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(
+            Value::Int(i64::MIN),
+            Value::Float(-9_223_372_036_854_775_808.0)
+        );
         assert!(Value::Int(i64::MAX) > Value::Float(1e10));
         assert!(Value::Int(i64::MIN) < Value::Float(-1e10));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Int(-3) > Value::Float(-3.5));
+        assert!(Value::Int(-3) < Value::Float(-2.5));
+    }
+
+    #[test]
+    fn from_items_of_hostile_numerics_ignores_input_order() {
+        // Under the cast-based order `Int(2^53 + 1)`, `Float(2^53)` and
+        // `Int(2^53)` gave a different set for each order they came in.
+        use crate::ItemSet;
+        let mut vals = hostile_numerics();
+        let want = ItemSet::from_items(vals.iter().cloned().map(Item));
+        assert!(want.iter().zip(want.iter().skip(1)).all(|(a, b)| a < b));
+        for turn in 0..vals.len() {
+            vals.rotate_left(1);
+            let rotated = ItemSet::from_items(vals.iter().cloned().map(Item));
+            assert_eq!(rotated, want, "rotation {turn}");
+            let reversed = ItemSet::from_items(vals.iter().rev().cloned().map(Item));
+            assert_eq!(reversed, want, "reversed rotation {turn}");
+        }
     }
 }

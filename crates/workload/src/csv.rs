@@ -268,11 +268,11 @@ mod tests {
 
     #[test]
     fn round_trip_of_long_and_quoted_strings() {
-        // Keys on both sides of `Text`'s 22-byte inline limit, with the
+        // Keys on both sides of `Text`'s inline limit, with the
         // characters that force quoting, and multi-byte UTF-8.
         let keys = [
-            "x".repeat(22),
-            "x".repeat(23),
+            "x".repeat(fusion_types::Text::INLINE_CAP),
+            "x".repeat(fusion_types::Text::INLINE_CAP + 1),
             format!("{}, \"quoted\" and long", "k".repeat(30)),
             "short,\"q\"".to_string(),
             "日本語のテキスト, 長い".to_string(),

@@ -13,6 +13,9 @@
 //! them equal, and the merge index shows the value of the first row that
 //! carries it), NULLs in the filtered attributes, empty relations, and
 //! relations without any index (what a `LocalSq` step sees after `lq`).
+//!
+//! The battery size scales with `DATA_PLANE_SEEDS` (the defaults are per
+//! test; CI widens them).
 
 mod common;
 
@@ -20,6 +23,14 @@ use common::{for_seeds, Gen, VIOLATIONS};
 use fusion::source::SourceEngine;
 use fusion::types::schema::dmv_schema;
 use fusion::types::{CmpOp, Condition, Item, ItemSet, Predicate, Relation, Tuple, Value};
+use std::collections::BTreeSet;
+
+fn seeds(default: u64) -> u64 {
+    std::env::var("DATA_PLANE_SEEDS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
 
 const OPS: [CmpOp; 6] = [
     CmpOp::Eq,
@@ -138,7 +149,7 @@ fn index_answers(cond: &Condition) -> bool {
 #[test]
 fn select_items_matches_collect_and_sort() {
     let schema = dmv_schema();
-    for_seeds(192, |g| {
+    for_seeds(seeds(192), |g| {
         let rows = rows(g);
         let v = views(&rows);
         for cond in conditions(g) {
@@ -182,7 +193,7 @@ fn semijoin_by_probing(rows: &[Tuple], cond: &Condition, bindings: &ItemSet) -> 
 #[test]
 fn semijoin_items_matches_probe_per_binding() {
     let schema = dmv_schema();
-    for_seeds(192, |g| {
+    for_seeds(seeds(192), |g| {
         let rows = rows(g);
         let v = views(&rows);
         let n_bindings = g.0.next_below(20);
@@ -250,7 +261,7 @@ fn semijoin_agrees_on_both_sides_of_the_sparse_threshold() {
 
 #[test]
 fn union_all_matches_a_fold_of_union() {
-    for_seeds(64, |g| {
+    for_seeds(seeds(64), |g| {
         for k in 0..=17usize {
             let sets: Vec<ItemSet> = (0..k)
                 .map(|_| match g.0.next_below(4) {
@@ -261,6 +272,154 @@ fn union_all_matches_a_fold_of_union() {
                 .collect();
             let want = sets.iter().fold(ItemSet::empty(), |acc, s| acc.union(s));
             assert_eq!(ItemSet::union_all(&sets), want, "k {k}");
+        }
+    });
+}
+
+/// Attribute values for the secondary-index battery: NULLs, duplicates,
+/// keys equal across types (`1990` and `1990.0` are one key) and a
+/// fraction between two integers.
+const INDEXED: [Value; 8] = [
+    Value::Null,
+    Value::Int(1990),
+    Value::Float(1990.0),
+    Value::Int(1992),
+    Value::Float(1992.5),
+    Value::Int(1994),
+    Value::Float(1994.0),
+    Value::Int(1996),
+];
+
+#[test]
+fn secondary_index_matches_a_full_scan() {
+    let schema = dmv_schema();
+    // Below, between, on (in either type) and above every key, an absent
+    // `=` constant, and constants of other types, which the cross-type
+    // order puts below or above all numbers.
+    let constants = [
+        Value::Int(1980),
+        Value::Float(1989.9),
+        Value::Int(1990),
+        Value::Float(1990.0),
+        Value::Int(1991),
+        Value::Float(1992.5),
+        Value::Int(1993),
+        Value::Float(1994.0),
+        Value::Int(1996),
+        Value::Float(1996.5),
+        Value::Int(2001),
+        Value::Bool(true),
+        Value::str("1992"),
+    ];
+    for_seeds(seeds(96), |g| {
+        let n = match g.0.next_below(8) {
+            0 => 0,
+            _ => g.0.next_below(40),
+        };
+        let rows: Vec<Tuple> = (0..n)
+            .map(|_| {
+                let d = g.0.choose(&INDEXED).clone();
+                Tuple::new(vec![merge_value(g), Value::str("dui"), d])
+            })
+            .collect();
+        let plain = Relation::from_rows(schema.clone(), rows.clone());
+        let mut unranked = plain.clone();
+        unranked.build_index(2);
+        let mut ranked = unranked.clone();
+        ranked.build_merge_index();
+        for constant in &constants {
+            for op in OPS {
+                let cond: Condition = Predicate::cmp("D", op, constant.clone()).into();
+                let hits: Vec<&Tuple> = rows.iter().filter(|r| qualifies(&cond, r)).collect();
+                let want = ItemSet::from_items(hits.iter().map(|r| r.item(&schema)));
+                let scanned = plain.select_items(&cond).unwrap();
+                assert_eq!(scanned.items, want, "scan {cond}");
+                assert_eq!(scanned.tuples_examined, rows.len(), "scan {cond}");
+                for (name, rel) in [("unranked", &unranked), ("ranked", &ranked)] {
+                    let got = rel.select_items(&cond).unwrap();
+                    assert_eq!(got.items, want, "{name} {cond}");
+                    assert_eq!(got.tuples_examined, hits.len(), "{name} {cond}");
+                }
+                // Without ranks the answer is collected in index order —
+                // keys ascending, a key's rows in insertion order — and
+                // sorted stably, which decides whether `2` or `2.0` shows.
+                let mut in_index_order = hits.clone();
+                in_index_order.sort_by(|a, b| a.get(2).cmp(b.get(2)));
+                let shown = ItemSet::from_items(in_index_order.iter().map(|r| r.item(&schema)));
+                assert_eq!(
+                    unranked.select_items(&cond).unwrap().items.to_string(),
+                    shown.to_string(),
+                    "{cond}"
+                );
+            }
+        }
+    });
+}
+
+/// An item from a pool that mixes every representation a set can hold:
+/// inline strings, heap strings that share an inline string's fifteen
+/// bytes, integers, floats equal to them, booleans and NULL. With
+/// `inline_only`, nothing but inline strings — among them a trailing NUL
+/// beside its prefix and the empty string — which is what sends a
+/// `union_all` of three or more sets through its integer-keyed rounds.
+fn mixed_item(g: &mut Gen, inline_only: bool) -> Item {
+    let n = g.0.next_below(6);
+    if inline_only {
+        return Item(match g.0.next_below(4) {
+            0 => Value::str(format!("k{n}")),
+            1 => Value::str(format!("k{n}\0")),
+            2 => Value::str(&"fifteen-bytes-k"[..3 * n]),
+            _ => Value::str(format!("E000123{n}")),
+        });
+    }
+    Item(match g.0.next_below(9) {
+        0 => Value::Null,
+        1 => Value::Bool(n < 3),
+        2 | 3 => Value::Int(n as i64),
+        4 => Value::Float(n as f64 / 2.0),
+        5 | 6 => Value::str(format!("k{n}")),
+        7 => Value::str("fifteen-bytes-k"),
+        _ => Value::str(format!("fifteen-bytes-k{n}")),
+    })
+}
+
+#[test]
+fn set_algebra_over_mixed_items_matches_a_btreeset() {
+    let listed = |s: &BTreeSet<Item>| ItemSet::from_sorted_unique(s.iter().cloned().collect());
+    for_seeds(seeds(64), |g| {
+        for k in 0..=17usize {
+            let inline_only = g.0.next_below(3) == 0;
+            let sets: Vec<ItemSet> = (0..k)
+                .map(|_| {
+                    (0..g.0.next_below(14))
+                        .map(|_| mixed_item(g, inline_only))
+                        .collect()
+                })
+                .collect();
+            let oracles: Vec<BTreeSet<Item>> =
+                sets.iter().map(|s| s.iter().cloned().collect()).collect();
+            let mut all = BTreeSet::new();
+            for o in &oracles {
+                // `insert` keeps the element already there, as a union
+                // keeps the earlier input's representative.
+                all.extend(o.iter().cloned());
+            }
+            let union = ItemSet::union_all(&sets);
+            assert_eq!(union, listed(&all), "k {k}");
+            assert_eq!(union.to_string(), listed(&all).to_string(), "k {k}");
+            for (i, (a, oa)) in sets.iter().zip(&oracles).enumerate() {
+                let (b, ob) = (&sets[(i + 1) % k], &oracles[(i + 1) % k]);
+                let both: BTreeSet<Item> = oa.intersection(ob).cloned().collect();
+                let only: BTreeSet<Item> = oa.difference(ob).cloned().collect();
+                assert_eq!(a.intersect(b), listed(&both), "{a} ∩ {b}");
+                assert_eq!(a.difference(b), listed(&only), "{a} − {b}");
+                assert_eq!(a.is_subset_of(b), oa.is_subset(ob), "{a} ⊆ {b}");
+                assert!(a.intersect(b).is_subset_of(a), "{a} ∩ {b} ⊆ {a}");
+                assert!(a.is_subset_of(&union), "{a} ⊆ ∪");
+                for item in a {
+                    assert_eq!(b.contains(item), ob.contains(item), "{item} ∈ {b}");
+                }
+            }
         }
     });
 }
