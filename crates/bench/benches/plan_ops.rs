@@ -8,8 +8,8 @@
 //! `BENCH_b6_plan_memo.json`.
 
 use fusion_bench::json::write_artifact;
-use fusion_bench::microbench::{BenchmarkId, Criterion};
-use fusion_cache::{subsumes, Harvest, HitKind, ResolvedHit};
+use fusion_bench::microbench::{BenchmarkGroup, BenchmarkId, Criterion};
+use fusion_cache::{subsumes, AnswerCache, Harvest, HitKind, ResolvedHit};
 use fusion_core::analyze::ensure_sound;
 use fusion_core::dataflow::{analyze_dataflow, stage_decomposition, SourceBounds};
 use fusion_core::optimizer::{ordering_search, RoundRule, PLAN_MEMO_CAPACITY};
@@ -19,10 +19,10 @@ use fusion_exec::{execute_plan_parallel, ParallelConfig};
 use fusion_source::SourceEngine;
 use fusion_stats::{estimate_selectivity, TableStats};
 use fusion_types::{
-    CmpOp, Condition, ItemSet, Predicate, Relation, Schema, SourceId, Tuple, Value,
+    CmpOp, Condition, Cost, ItemSet, Predicate, Relation, Schema, SourceId, Tuple, Value,
 };
 use fusion_workload::synth::{
-    condition_with_selectivity, synth_relations, synth_scenario, SynthSpec,
+    condition_with_selectivity, synth_relations, synth_scenario, synth_schema, SynthSpec,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -126,7 +126,82 @@ fn bench_data_plane(c: &mut Criterion) {
             b.iter(|| black_box(engines[0].semijoin(&other, &bindings)));
         });
     }
+    bench_record_path(&mut group);
     group.finish();
+}
+
+/// The record path of a cached-mode miss, on sources of `serve-churn`'s
+/// size (400 rows): the record selection at each of 8 sources; the first
+/// projection of one ≈ 100-row answer, handed over shuffled or already in
+/// merge order (a fresh harvest each time, so the rows' copy is in the
+/// row); a residual filter over a built order; admission into the cache.
+fn bench_record_path(group: &mut BenchmarkGroup<'_>) {
+    let spec = SynthSpec {
+        domain_size: 4_000,
+        rows_per_source: 400,
+        ..SynthSpec::default_with(8, 41)
+    };
+    let engines: Vec<SourceEngine> = synth_relations(&spec)
+        .into_iter()
+        .map(SourceEngine::new)
+        .collect();
+    for sel in [0.05, 0.25, 0.45] {
+        let cond = condition_with_selectivity(1, sel);
+        group.bench_with_input(BenchmarkId::new("select_records_x8", sel), &sel, |b, _| {
+            b.iter(|| {
+                for e in &engines {
+                    black_box(e.select_records(&cond).expect("well-typed condition"));
+                }
+            });
+        });
+    }
+    let schema = synth_schema();
+    let cached = condition_with_selectivity(1, 0.25);
+    let (mut merged, _) = engines[0]
+        .select_records(&cached)
+        .expect("well-typed condition");
+    merged.sort_by(|a, b| a.get(0).cmp(b.get(0)));
+    let n = merged.len();
+    let shuffled: Vec<Tuple> = (0..n).map(|i| merged[i * 7_919 % n].clone()).collect();
+    for (name, rows) in [("shuffled", &shuffled), ("merged", &merged)] {
+        group.bench_with_input(
+            BenchmarkId::new("harvest_first_projection", name),
+            &n,
+            |b, _| {
+                b.iter(|| {
+                    Harvest::new(rows.clone())
+                        .project(SourceId(0), &cached, &schema, false)
+                        .expect("well-formed rows")
+                });
+            },
+        );
+    }
+    // Residual sets a harvest remembers weigh at most its row count: fill
+    // that with empty answers first, so the timed condition is filtered
+    // on every call instead of remembered.
+    let harvest = Harvest::new(shuffled);
+    for k in 0..=n as i64 {
+        let empty: Condition = Predicate::cmp("A2", CmpOp::Lt, -1 - k).into();
+        harvest
+            .project(SourceId(0), &empty, &schema, true)
+            .expect("well-formed rows");
+    }
+    let residual = condition_with_selectivity(2, 0.5);
+    group.bench_with_input(BenchmarkId::new("residual_filter", n), &n, |b, _| {
+        b.iter(|| {
+            harvest
+                .project(SourceId(0), &residual, &schema, true)
+                .expect("well-formed rows")
+        });
+    });
+    let mut cache = AnswerCache::new(usize::MAX);
+    let shared = Arc::new(Harvest::new(merged));
+    group.bench_with_input(BenchmarkId::new("insert_harvest", n), &n, |b, _| {
+        b.iter(|| {
+            let key = cached.clone();
+            cache.insert_harvest(SourceId(0), key, Arc::clone(&shared), true, Cost::new(1.0));
+        });
+    });
 }
 
 /// Plan construction + validation at large n.

@@ -3,16 +3,19 @@
 //!
 //! A [`Harvest`] is what a cached-mode miss produces, what a share
 //! leader publishes, what a commit admits and what a lookup resolves to
-//! — one `Arc`, never a copy of the rows. The first projection sorts the
-//! rows' *indices* by merge item (stably, so values that compare equal —
-//! `Int(2)` and `Float(2.0)` — keep the representation of the first row
-//! that carries them, as `Relation`'s merge index and
-//! [`ItemSet::from_items`] both do) and keeps that order beside the
-//! deduplicated item set. Every later exact hit is a reference-count
-//! bump on that set; every residual hit is one filter pass in merge
-//! order, de-duplicating neighbours, with no sort — and the order keeps
-//! the sets it filtered out, so a narrower condition asked again is a
-//! reference-count bump too.
+//! — one `Arc`, never a copy of the rows, its wire bytes summed once,
+//! when it is made. The first projection sorts the rows' *indices* by
+//! merge item (stably, so values that compare equal — `Int(2)` and
+//! `Float(2.0)` — keep the representation of the first row that carries
+//! them, as `Relation`'s merge index and [`ItemSet::from_items`] both do)
+//! and keeps that order beside the deduplicated item set. Rows that
+//! already arrive in merge order — what an in-memory source's record
+//! selection returns — cost the stable sort one run check (n − 1
+//! compares) and move nothing. Every later exact hit is a
+//! reference-count bump on that set; every residual hit is one filter
+//! pass in merge order, de-duplicating neighbours, with no sort — and the
+//! order keeps the sets it filtered out, so a narrower condition asked
+//! again is a reference-count bump too.
 //!
 //! All of it is derived data, built with no lock held: the order is at
 //! most 36 bytes per row (a `u32` index and, for a row that starts a
@@ -27,6 +30,7 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use fusion_core::analyze::{MemoCounters, ProofMemoStats};
 use fusion_types::error::{FusionError, Result};
+use fusion_types::itemset::push_item_of;
 use fusion_types::{Condition, Item, ItemSet, Schema, SourceId, Tuple};
 
 /// Builds (`misses`) and reuses (`hits`) of merge orders, process-wide.
@@ -99,6 +103,8 @@ impl MergeOrder {
 #[derive(Debug)]
 pub struct Harvest {
     rows: Vec<Tuple>,
+    /// The rows' wire bytes, summed once.
+    wire_bytes: usize,
     /// Written once, by whichever projection finishes building first;
     /// racing builders produce equal orders, and a failed build writes
     /// nothing.
@@ -106,10 +112,11 @@ pub struct Harvest {
 }
 
 impl Harvest {
-    /// Wraps fetched records; nothing is derived until the first
-    /// projection.
+    /// Wraps fetched records and sums their wire bytes; nothing else is
+    /// derived until the first projection.
     pub fn new(rows: Vec<Tuple>) -> Harvest {
         Harvest {
+            wire_bytes: rows.iter().map(Tuple::wire_size).sum(),
             rows,
             order: OnceLock::new(),
         }
@@ -118,6 +125,13 @@ impl Harvest {
     /// The records, in the order the wrapper returned them.
     pub fn rows(&self) -> &[Tuple] {
         &self.rows
+    }
+
+    /// The sum of the records' [`Tuple::wire_size`]s: what the miss that
+    /// fetched them shipped (`MessageSize::records_response`) and the
+    /// entry's weight against the cache budget.
+    pub fn wire_bytes(&self) -> usize {
+        self.wire_bytes
     }
 
     /// The merge order for `schema`'s merge column: the remembered one,
@@ -157,7 +171,7 @@ impl Harvest {
         let mut items: Vec<Item> = Vec::with_capacity(by_item.len());
         for &i in &by_item {
             if items.last().is_none_or(|last| last.value() != key(i)) {
-                items.push(Item(key(i).clone()));
+                push_item_of(&mut items, key(i));
             }
         }
         items.shrink_to_fit();
@@ -203,6 +217,7 @@ impl Harvest {
         if let Some(known) = order.remembered(cond) {
             return Ok(known);
         }
+        let bound = cond.pred.bind(schema)?;
         let mut items: Vec<Item> = Vec::with_capacity(order.items.len());
         for &i in &order.by_item {
             let row = &self.rows[i as usize];
@@ -210,8 +225,8 @@ impl Harvest {
             if items.last().is_some_and(|last| last.value() == value) {
                 continue;
             }
-            if cond.eval(row, schema)? {
-                items.push(Item(value.clone()));
+            if bound.eval(row)? {
+                push_item_of(&mut items, value);
             }
         }
         items.shrink_to_fit();
@@ -237,6 +252,46 @@ mod tests {
 
     fn lt(v: i64) -> Condition {
         Predicate::cmp("A1", CmpOp::Lt, v).into()
+    }
+
+    #[test]
+    fn the_residual_filter_fails_on_an_unknown_attribute_even_when_empty() {
+        let unknown: [Condition; 2] = [
+            Predicate::eq("Z", 1i64).into(),
+            Predicate::And(vec![Predicate::Const(false), Predicate::eq("Z", 1i64)]).into(),
+        ];
+        let rows = vec![Tuple::new(vec![Value::str("m"), Value::Int(1)])];
+        for harvest in [Harvest::new(Vec::new()), Harvest::new(rows)] {
+            for cond in &unknown {
+                let err = harvest
+                    .project(SourceId(0), cond, &schema(), true)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, FusionError::UnknownAttribute { .. }),
+                    "{cond}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_in_merge_order_keep_their_order_and_project_alike() {
+        // `2` and `2.0` are one item; the first row carrying it shows.
+        let rows = vec![
+            Tuple::new(vec![Value::Int(1), Value::Int(9)]),
+            Tuple::new(vec![Value::Float(2.0), Value::Int(3)]),
+            Tuple::new(vec![Value::Int(2), Value::Int(1)]),
+            Tuple::new(vec![Value::str("a"), Value::Int(2)]),
+        ];
+        let bytes: usize = rows.iter().map(Tuple::wire_size).sum();
+        let harvest = Harvest::new(rows);
+        assert_eq!(harvest.wire_bytes(), bytes);
+        let exact = harvest.project(SourceId(0), &lt(100), &schema(), false);
+        assert_eq!(exact.unwrap().to_string(), "{1, 2.0, a}");
+        let order = harvest.order.get().expect("built");
+        assert_eq!(order.by_item, [0, 1, 2, 3]);
+        let narrow = harvest.project(SourceId(0), &lt(3), &schema(), true);
+        assert_eq!(narrow.unwrap().to_string(), "{2, a}");
     }
 
     #[test]

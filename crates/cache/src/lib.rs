@@ -384,12 +384,7 @@ impl AnswerCache {
         refetch: Cost,
     ) {
         self.clock += 1;
-        let bytes = harvest
-            .rows()
-            .iter()
-            .map(Tuple::wire_size)
-            .sum::<usize>()
-            .max(1);
+        let bytes = harvest.wire_bytes().max(1);
         let mut replaced = 0;
         self.entries.retain(|e| {
             let keep = !(e.source == source && e.cond == cond);

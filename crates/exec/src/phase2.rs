@@ -90,7 +90,7 @@ fn record_columns(schema: &Schema, attrs: &[usize]) -> Vec<usize> {
 
 /// Projects a full-schema row to the given column layout.
 fn project(row: &Tuple, cols: &[usize]) -> Tuple {
-    Tuple::new(cols.iter().map(|&c| row.get(c).clone()).collect())
+    cols.iter().map(|&c| row.get(c).clone()).collect()
 }
 
 /// Full records the answer cache can serve for `answer` items without
@@ -422,9 +422,7 @@ fn assemble(
                     values[out] = Some(row.get(src).clone());
                 }
             }
-            records.push(Tuple::new(
-                values.into_iter().map(|v| v.expect("covered")).collect(),
-            ));
+            records.push(values.into_iter().map(|v| v.expect("covered")).collect());
         }
     }
     records.sort_by(|a, b| a.values().cmp(b.values()));

@@ -403,7 +403,6 @@ pub(crate) fn exec_sq_records<E: Exchanger>(
     }
     let w = sources.get(d.source);
     let resp = w.select_records(cond)?;
-    let resp_bytes = MessageSize::tuples_response(&resp.payload);
     let n_rows = resp.payload.len();
     let harvest = Arc::new(Harvest::new(resp.payload));
     let items = harvest.project(d.source, cond, schema, false)?;
@@ -411,7 +410,7 @@ pub(crate) fn exec_sq_records<E: Exchanger>(
         kind,
         ExchangeKind::Selection,
         MessageSize::sq_request(cond),
-        resp_bytes,
+        MessageSize::records_response(harvest.wire_bytes()),
         proc_cost(w, resp.tuples_examined, n_rows),
         items.len(),
     );

@@ -48,7 +48,14 @@ impl MessageSize {
 
     /// Response bytes carrying full tuples (for `lq` and two-phase fetch).
     pub fn tuples_response(tuples: &[Tuple]) -> usize {
-        ENVELOPE_BYTES + tuples.iter().map(Tuple::wire_size).sum::<usize>()
+        MessageSize::records_response(tuples.iter().map(Tuple::wire_size).sum())
+    }
+
+    /// [`MessageSize::tuples_response`] of records whose
+    /// [`Tuple::wire_size`]s are already summed to `wire_bytes` — by a
+    /// cache harvest, which weighs its entry by the same sum.
+    pub fn records_response(wire_bytes: usize) -> usize {
+        ENVELOPE_BYTES + wire_bytes
     }
 
     /// Response bytes if an entire relation is shipped.
@@ -90,6 +97,7 @@ mod tests {
         let tuples = vec![tuple!["J55", "dui", 1993i64]];
         let sz = MessageSize::tuples_response(&tuples);
         assert_eq!(sz, ENVELOPE_BYTES + tuples[0].wire_size());
+        assert_eq!(sz, MessageSize::records_response(tuples[0].wire_size()));
     }
 
     #[test]

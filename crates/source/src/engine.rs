@@ -81,35 +81,37 @@ impl SourceEngine {
         })
     }
 
-    /// Selection returning full records: every tuple satisfying `cond`.
+    /// Selection returning full records: every tuple satisfying `cond`, in
+    /// merge order (see [`Relation::select_records`]), found through the
+    /// secondary index when one answers `cond`.
+    ///
+    /// The work reported is still the whole relation: a one-phase query
+    /// is priced as the scan the cost model charges for it, whatever the
+    /// engine used to answer it.
     ///
     /// # Errors
-    /// Propagates predicate evaluation errors.
+    /// Propagates predicate evaluation errors; an unknown attribute is
+    /// reported before the first row.
     pub fn select_records(&self, cond: &Condition) -> Result<(Vec<Tuple>, usize)> {
-        let schema = self.relation.schema();
-        let mut out = Vec::new();
-        for row in self.relation.rows() {
-            if cond.eval(row, schema)? {
-                out.push(row.clone());
-            }
-        }
-        Ok((out, self.relation.len()))
+        let rows = self.relation.select_records(cond)?;
+        Ok((rows, self.relation.len()))
     }
 
     /// Semijoin returning full records: every tuple satisfying `cond`
-    /// whose merge item is in `bindings`.
+    /// whose merge item is in `bindings`, in insertion order.
     ///
     /// # Errors
-    /// Propagates predicate evaluation errors.
+    /// Propagates predicate evaluation errors; an unknown attribute is
+    /// reported before the first row.
     pub fn semijoin_records(
         &self,
         cond: &Condition,
         bindings: &ItemSet,
     ) -> Result<(Vec<Tuple>, usize)> {
-        let schema = self.relation.schema();
+        let cond = cond.pred.bind(self.relation.schema())?;
         let mut out = Vec::new();
         for row in self.relation.rows_with_items(bindings) {
-            if cond.eval(row, schema)? {
+            if cond.eval(row)? {
                 out.push(row.clone());
             }
         }
@@ -136,7 +138,7 @@ impl SourceEngine {
         let out = self
             .relation
             .rows_with_items(items)
-            .map(|row| Tuple::new(attrs.iter().map(|&a| row.get(a).clone()).collect()))
+            .map(|row| attrs.iter().map(|&a| row.get(a).clone()).collect())
             .collect();
         (out, self.relation.len())
     }
@@ -146,7 +148,7 @@ impl SourceEngine {
 mod tests {
     use super::*;
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, Predicate};
+    use fusion_types::{tuple, FusionError, Predicate};
 
     fn engine() -> SourceEngine {
         SourceEngine::new(Relation::from_rows(
@@ -188,6 +190,24 @@ mod tests {
         let (tuples, _) = engine().fetch(&ItemSet::from_items(["J55"]));
         assert_eq!(tuples.len(), 1);
         assert_eq!(tuples[0], tuple!["J55", "dui", 1993i64]);
+    }
+
+    #[test]
+    fn record_paths_fail_on_an_unknown_attribute_even_when_empty() {
+        let unknown: [Condition; 2] = [
+            Predicate::eq("Z", 1i64).into(),
+            Predicate::Or(vec![Predicate::Const(true), Predicate::eq("Z", 1i64)]).into(),
+        ];
+        let bindings = ItemSet::from_items(["J55", "T21"]);
+        for e in [SourceEngine::new(Relation::empty(dmv_schema())), engine()] {
+            for cond in &unknown {
+                let want = e.select(cond).unwrap_err();
+                assert!(matches!(want, FusionError::UnknownAttribute { .. }));
+                assert_eq!(e.select_records(cond).unwrap_err(), want, "{cond}");
+                assert_eq!(e.semijoin_records(cond, &bindings).unwrap_err(), want);
+                assert_eq!(e.semijoin(cond, &bindings).unwrap_err(), want);
+            }
+        }
     }
 
     #[test]

@@ -169,12 +169,13 @@ impl Predicate {
     }
 
     /// Resolves every attribute name against `schema`, once, so that a
-    /// loop over rows does not look the names up again for each of them.
+    /// loop over rows does not look the names up again for each of them:
+    /// every product row loop evaluates through the [`Bound`] form.
     ///
     /// # Errors
     /// Fails if an attribute does not resolve — also one that evaluation
-    /// would have skipped on every row.
-    pub(crate) fn bind(&self, schema: &Schema) -> Result<Bound<'_>> {
+    /// would have skipped on every row, and also when there are no rows.
+    pub fn bind(&self, schema: &Schema) -> Result<Bound<'_>> {
         fn all<'a>(ps: &'a [Predicate], schema: &Schema) -> Result<Vec<Bound<'a>>> {
             ps.iter().map(|p| p.bind(schema)).collect()
         }
@@ -350,17 +351,29 @@ impl fmt::Display for Predicate {
 }
 
 /// A [`Predicate`] with its attribute names resolved to column positions
-/// of one schema; what [`Predicate::eval`] means is written here.
-pub(crate) enum Bound<'a> {
-    /// The constant is not NULL (a comparison with NULL binds to `Const`).
+/// of one schema ([`Predicate::bind`]); what [`Predicate::eval`] means is
+/// written here. Each variant mirrors the predicate's, a column position
+/// in place of the attribute name.
+#[derive(Debug)]
+pub enum Bound<'a> {
+    /// `col op value`; the constant is not NULL (a comparison with NULL
+    /// binds to `Const(false)`).
     Cmp(usize, CmpOp, &'a Value),
+    /// `col BETWEEN lo AND hi`.
     Between(usize, &'a Value, &'a Value),
+    /// `col IN (values)`.
     InList(usize, &'a [Value]),
+    /// `col LIKE pattern`.
     Like(usize, &'a str),
+    /// `col IS NULL`.
     IsNull(usize),
+    /// Conjunction; empty is TRUE.
     And(Vec<Bound<'a>>),
+    /// Disjunction; empty is FALSE.
     Or(Vec<Bound<'a>>),
+    /// Negation.
     Not(Box<Bound<'a>>),
+    /// Constant truth value.
     Const(bool),
 }
 
@@ -369,7 +382,7 @@ impl Bound<'_> {
     ///
     /// # Errors
     /// Fails if `LIKE` meets a value that is neither a string nor NULL.
-    pub(crate) fn eval(&self, tuple: &Tuple) -> Result<bool> {
+    pub fn eval(&self, tuple: &Tuple) -> Result<bool> {
         Ok(match self {
             Bound::Cmp(col, op, value) => {
                 let v = tuple.get(*col);

@@ -319,6 +319,14 @@ pub(crate) fn push_clone(out: &mut Vec<Item>, item: &Item) {
     out.extend_from_slice(std::slice::from_ref(item));
 }
 
+/// [`push_clone`] of the item a bare value makes (a merge column read off
+/// a row): the vector makes room first and the clone is built straight
+/// into it, never held across the call that may grow it.
+#[inline]
+pub fn push_item_of(out: &mut Vec<Item>, value: &Value) {
+    out.extend(std::iter::once(value).map(|v| Item(v.clone())));
+}
+
 impl fmt::Display for ItemSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;

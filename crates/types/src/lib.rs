@@ -35,7 +35,7 @@ pub mod tuple;
 pub mod value;
 
 pub use bloom::BloomFilter;
-pub use condition::{CmpOp, Condition, Predicate};
+pub use condition::{Bound, CmpOp, Condition, Predicate};
 pub use cost::Cost;
 pub use error::FusionError;
 pub use itemset::ItemSet;

@@ -275,33 +275,68 @@ impl Relation {
     /// index built, the answer comes out in merge order without a sort.
     ///
     /// # Errors
-    /// Propagates predicate evaluation errors.
+    /// Propagates predicate evaluation errors; an unknown attribute is
+    /// reported before the first row, also on an empty relation.
     pub fn select_items(&self, cond: &Condition) -> Result<SelectOutcome> {
         let mut picked = Picked::new(self);
-        let mut examined = self.rows.len();
-        match self.index_for(&cond.pred) {
-            Some((index, op, value)) => {
-                examined = 0;
-                for_each_indexed(index, op, value, |rids| {
-                    examined += rids.len();
-                    for &rid in rids {
-                        picked.add(rid);
-                    }
-                });
-            }
-            None => {
-                let cond = cond.pred.bind(&self.schema)?;
-                for (rid, row) in self.rows.iter().enumerate() {
-                    if cond.eval(row)? {
-                        picked.add(rid);
-                    }
-                }
-            }
-        }
+        let examined = self.for_each_match(cond, |rid| picked.add(rid))?;
         Ok(SelectOutcome {
             items: picked.finish(),
             tuples_examined: examined,
         })
+    }
+
+    /// The tuples satisfying `c` — a selection returning full records —
+    /// found as [`Relation::select_items`] finds its items. With the merge
+    /// index built they come out in merge order: rank ascending, and the
+    /// rows of one rank in insertion order, so the first row of every item
+    /// is the one that supplies its value (`2` or `2.0`). Without it they
+    /// come out in insertion order. Each is a reference to the stored row.
+    ///
+    /// # Errors
+    /// As [`Relation::select_items`].
+    pub fn select_records(&self, cond: &Condition) -> Result<Vec<Tuple>> {
+        let mut matched = BitSet::new(self.rows.len());
+        let mut count = 0;
+        self.for_each_match(cond, |rid| {
+            matched.insert(rid);
+            count += 1;
+        })?;
+        let mut out = Vec::with_capacity(count);
+        let mut take = |rid: usize| {
+            if matched.contains(rid) {
+                out.push(self.rows[rid].clone());
+            }
+        };
+        match &self.merge_index {
+            Some(index) => index.rows.iter().for_each(|&rid| take(rid)),
+            None => (0..self.rows.len()).for_each(take),
+        }
+        Ok(out)
+    }
+
+    /// The one matching routine behind both selections: calls `hit` with
+    /// the id of every row satisfying `cond`, once each, and returns the
+    /// number of rows examined. A secondary index that answers the
+    /// predicate on its own is walked (in index order, counting the
+    /// entries traversed); anything else is one scan in insertion order
+    /// with the attribute names resolved before the first row.
+    fn for_each_match(&self, cond: &Condition, mut hit: impl FnMut(usize)) -> Result<usize> {
+        if let Some((index, op, value)) = self.index_for(&cond.pred) {
+            let mut examined = 0;
+            for_each_indexed(index, op, value, |rids| {
+                examined += rids.len();
+                rids.iter().for_each(|&rid| hit(rid));
+            });
+            return Ok(examined);
+        }
+        let cond = cond.pred.bind(&self.schema)?;
+        for (rid, row) in self.rows.iter().enumerate() {
+            if cond.eval(row)? {
+                hit(rid);
+            }
+        }
+        Ok(self.rows.len())
     }
 
     /// The secondary index that answers `pred` on its own, if any: a single
@@ -477,6 +512,7 @@ pub struct SelectOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::FusionError;
     use crate::schema::dmv_schema;
     use crate::tuple;
 
@@ -645,6 +681,53 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_mismatch_panics() {
         Relation::from_rows(dmv_schema(), vec![tuple!["J55", "dui"]]);
+    }
+
+    #[test]
+    fn select_records_come_in_merge_order_through_the_index() {
+        let mut r = Relation::from_rows(
+            dmv_schema(),
+            vec![
+                tuple!["T80", "dui", 1993i64],
+                tuple!["J55", "dui", 1995i64],
+                tuple!["T21", "sp", 1994i64],
+                tuple!["J55", "dui", 1993i64],
+            ],
+        );
+        let dui: Condition = Predicate::eq("V", "dui").into();
+        let rows = |r: &Relation| r.select_records(&dui).unwrap();
+        // No merge index: insertion order.
+        assert_eq!(rows(&r), [0, 1, 3].map(|i| r.rows()[i].clone()));
+        r.build_index(1);
+        assert_eq!(rows(&r), [0, 1, 3].map(|i| r.rows()[i].clone()));
+        // Merge order: rank ascending, a rank's rows in insertion order.
+        r.build_merge_index();
+        assert_eq!(rows(&r), [1, 3, 0].map(|i| r.rows()[i].clone()));
+        // The records are the stored rows, shared.
+        assert!(std::ptr::eq(rows(&r)[0].values(), r.rows()[1].values()));
+    }
+
+    #[test]
+    fn an_unknown_attribute_fails_before_the_first_row() {
+        let unknown: [Condition; 2] = [
+            Predicate::eq("Z", 1i64).into(),
+            // Row-at-a-time evaluation would never reach `Z`.
+            Predicate::And(vec![Predicate::Const(false), Predicate::eq("Z", 1i64)]).into(),
+        ];
+        let mut indexed = r1();
+        indexed.build_index(1);
+        indexed.build_merge_index();
+        for r in [Relation::empty(dmv_schema()), r1(), indexed] {
+            for cond in &unknown {
+                let items = r.select_items(cond).unwrap_err();
+                let records = r.select_records(cond).unwrap_err();
+                assert!(
+                    matches!(items, FusionError::UnknownAttribute { .. }),
+                    "{cond}"
+                );
+                assert_eq!(records, items, "{cond}");
+            }
+        }
     }
 
     #[test]

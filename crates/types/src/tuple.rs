@@ -3,17 +3,29 @@
 use crate::schema::Schema;
 use crate::value::{Item, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A row of the common schema: one value per attribute.
+///
+/// The values sit behind one [`Arc`], so a copy of a row — a record
+/// selection's answer, a fetch, a load, a cached harvest, the relations a
+/// source set is built from — is a reference-count bump, not an
+/// allocation. A tuple is never changed in place, so the sharing cannot
+/// be observed: it hashes, compares and prints as the slice of its values.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
-    /// Creates a tuple from values in schema attribute order.
+    /// Creates a tuple from values in schema attribute order. The values
+    /// move into a fresh shared block — one allocation and copy more than
+    /// collecting them straight into a tuple (`FromIterator`), which code
+    /// that builds rows by the thousand uses.
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// The value at column `idx`.
@@ -42,6 +54,18 @@ impl Tuple {
     }
 }
 
+/// Collects values in schema attribute order. An iterator of known exact
+/// length — an array, a `map` over a slice or a range, a `chain` of those —
+/// writes its values straight into the shared block, one allocation per
+/// row.
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        Tuple {
+            values: values.into_iter().collect(),
+        }
+    }
+}
+
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
@@ -65,7 +89,9 @@ impl fmt::Display for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::Tuple::new(vec![$($crate::Value::from($v)),*])
+        <$crate::Tuple as ::std::iter::FromIterator<$crate::Value>>::from_iter([
+            $($crate::Value::from($v)),*
+        ])
     };
 }
 
@@ -73,6 +99,7 @@ macro_rules! tuple {
 mod tests {
     use super::*;
     use crate::schema::dmv_schema;
+    use std::hash::{BuildHasher, RandomState};
 
     #[test]
     fn tuple_macro_and_accessors() {
@@ -93,5 +120,29 @@ mod tests {
         let t = tuple!["J55", 1993i64];
         assert_eq!(t.to_string(), "('J55', 1993)");
         assert_eq!(t.wire_size(), (4 + 3) + 8);
+    }
+
+    #[test]
+    fn a_shared_row_is_two_words_and_looks_like_its_values() {
+        assert_eq!(std::mem::size_of::<Tuple>(), 16);
+        let values = vec![Value::str("J55"), Value::Null, Value::Float(2.0)];
+        let t = Tuple::new(values.clone());
+        // Hashes exactly as its values did when a tuple held a `Vec`.
+        let state = RandomState::new();
+        assert_eq!(state.hash_one(&t), state.hash_one(t.values()));
+        assert_eq!(state.hash_one(&t), state.hash_one(&values));
+        assert_eq!(
+            format!("{t:?}"),
+            r#"Tuple { values: [Str("J55"), Null, Float(2.0)] }"#
+        );
+        assert_eq!(format!("{t:?}"), format!("Tuple {{ values: {values:?} }}"));
+        // A copy shares the values.
+        let copy = t.clone();
+        assert!(std::ptr::eq(copy.values(), t.values()));
+        assert_eq!(copy, t);
+        // Collected, it is the same tuple.
+        let collected: Tuple = values.iter().cloned().collect();
+        assert_eq!(format!("{collected:?}"), format!("{t:?}"));
+        assert_eq!(tuple![], Tuple::new(Vec::new()));
     }
 }

@@ -69,7 +69,7 @@ pub fn biblio_relations(
                         pick -= w;
                     }
                     let year = rng.next_i64_range(1985, 1999);
-                    Tuple::new(vec![format!("D{d:05}").into(), kw.into(), year.into()])
+                    Tuple::from_iter([format!("D{d:05}").into(), kw.into(), year.into()])
                 })
                 .collect();
             Relation::from_rows(schema.clone(), rows)

@@ -124,12 +124,11 @@ pub fn synth_relations(spec: &SynthSpec) -> Vec<Relation> {
             let tuples: Vec<Tuple> = ids[..rows]
                 .iter()
                 .map(|&item| {
-                    let mut values = Vec::with_capacity(1 + NUM_ATTRS);
-                    values.push(Value::str(format!("E{item:07}")));
-                    for _ in 0..NUM_ATTRS {
-                        values.push(Value::Int(rng.next_i64_range(0, ATTR_RANGE)));
-                    }
-                    Tuple::new(values)
+                    let attrs =
+                        (0..NUM_ATTRS).map(|_| Value::Int(rng.next_i64_range(0, ATTR_RANGE)));
+                    std::iter::once(Value::str(format!("E{item:07}")))
+                        .chain(attrs)
+                        .collect()
                 })
                 .collect();
             Relation::from_rows(schema.clone(), tuples)

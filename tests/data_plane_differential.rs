@@ -7,6 +7,11 @@
 //! qualifying items and let `ItemSet::from_items` sort and deduplicate them;
 //! fold `union` over the inputs. Items **and** `tuples_examined` must agree.
 //!
+//! The record selection is held to the same definition row for row: the
+//! rows `Predicate::eval` keeps, in merge order (rank, then insertion), and
+//! a cache harvest of them projects exactly what a harvest of the rows in
+//! any other order projects.
+//!
 //! The generated relations carry what the rank bookkeeping could get wrong:
 //! several rows per merge value, NULL merge values, merge values that are
 //! equal across types (`Int(2)` and `Float(2.0)` are one item — sets compare
@@ -20,9 +25,10 @@
 mod common;
 
 use common::{for_seeds, Gen, VIOLATIONS};
+use fusion::cache::Harvest;
 use fusion::source::SourceEngine;
 use fusion::types::schema::dmv_schema;
-use fusion::types::{CmpOp, Condition, Item, ItemSet, Predicate, Relation, Tuple, Value};
+use fusion::types::{CmpOp, Condition, Item, ItemSet, Predicate, Relation, SourceId, Tuple, Value};
 use std::collections::BTreeSet;
 
 fn seeds(default: u64) -> u64 {
@@ -257,6 +263,101 @@ fn semijoin_agrees_on_both_sides_of_the_sparse_threshold() {
             assert_eq!(got.tuples_examined, examined, "n {n} start {start}");
         }
     }
+}
+
+/// Equal as lists *and* in representation (`2` and `2.0` compare equal).
+fn assert_same<T: PartialEq + std::fmt::Debug>(got: &T, want: &T, what: &str) {
+    assert_eq!(got, want, "{what}");
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+}
+
+/// `rows` in an order drawn from `g` (Fisher–Yates).
+fn shuffled(g: &mut Gen, rows: &[Tuple]) -> Vec<Tuple> {
+    let mut out = rows.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, g.0.next_below(i + 1));
+    }
+    out
+}
+
+/// The projection a harvest of `rows` must serve: the qualifying rows'
+/// items through `ItemSet::from_items`, in the rows' own order.
+fn projected(rows: &[Tuple], residual: Option<&Condition>) -> ItemSet {
+    let schema = dmv_schema();
+    let kept = rows
+        .iter()
+        .filter(|r| residual.is_none_or(|cond| qualifies(cond, r)));
+    ItemSet::from_items(kept.map(|r| r.item(&schema)))
+}
+
+#[test]
+fn select_records_matches_a_full_scan() {
+    let schema = dmv_schema();
+    for_seeds(seeds(64), |g| {
+        let mut rows = rows(g);
+        // Half the relations filter on `D` values that are one key across
+        // types (`1990` / `1990.0`).
+        if g.0.next_below(2) == 0 {
+            for r in &mut rows {
+                let d = g.0.choose(&INDEXED).clone();
+                *r = Tuple::new(vec![r.get(0).clone(), r.get(1).clone(), d]);
+            }
+        }
+        let v = views(&rows);
+        let bindings: ItemSet = (0..g.0.next_below(20))
+            .map(|_| Item(merge_value(g)))
+            .collect();
+        let mut conds = conditions(g);
+        conds.push(Predicate::cmp("D", CmpOp::Le, Value::Float(1992.5)).into());
+        conds.push(Predicate::cmp("D", CmpOp::Eq, Value::Float(1990.0)).into());
+        for cond in &conds {
+            let kept: Vec<Tuple> = rows
+                .iter()
+                .filter(|r| qualifies(cond, r))
+                .cloned()
+                .collect();
+            // Merge order: rank ascending, insertion order within a rank —
+            // a stable sort of the kept rows by merge value.
+            let mut merged = kept.clone();
+            merged.sort_by(|a, b| a.get(0).cmp(b.get(0)));
+            let (got, examined) = v.engine.select_records(cond).unwrap();
+            assert_same(&got, &merged, &format!("engine {cond}"));
+            assert_eq!(examined, rows.len(), "engine {cond}: priced as a scan");
+            let ranked = v.ranked.select_records(cond).unwrap();
+            assert_same(&ranked, &merged, &format!("ranked {cond}"));
+            let plain = v.plain.select_records(cond).unwrap();
+            assert_same(&plain, &kept, &format!("plain {cond}"));
+            let in_bindings = |r: &&Tuple| bindings.contains(&r.item(&schema));
+            let joined: Vec<Tuple> = kept.iter().filter(in_bindings).cloned().collect();
+            let (got_sj, examined) = v.engine.semijoin_records(cond, &bindings).unwrap();
+            assert_same(&got_sj, &joined, &format!("{cond} ⋉ {bindings}"));
+            assert_eq!(examined, rows.len());
+
+            // A harvest of the rows in insertion order (rows the sort
+            // moves), in merge order (one run it leaves in place) and
+            // shuffled projects the same sets with the same
+            // representatives: exactly, and through every residual
+            // condition.
+            let shuffled = shuffled(g, &kept);
+            let harvests = [&kept, &got, &shuffled].map(|rows| Harvest::new(rows.clone()));
+            for residual in std::iter::once(None).chain(conds.iter().map(Some)) {
+                let what = format!("{cond} then {residual:?}");
+                let serve = |h: &Harvest| {
+                    let cond = residual.unwrap_or(cond);
+                    h.project(SourceId(0), cond, &schema, residual.is_some())
+                        .unwrap()
+                };
+                let want = projected(&kept, residual);
+                assert_same(&*serve(&harvests[0]), &want, &what);
+                assert_same(&*serve(&harvests[1]), &want, &what);
+                assert_same(
+                    &*serve(&harvests[2]),
+                    &projected(&shuffled, residual),
+                    &what,
+                );
+            }
+        }
+    });
 }
 
 #[test]
