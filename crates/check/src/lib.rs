@@ -41,7 +41,7 @@ use fusion_core::sja_optimal;
 use fusion_exec::{
     execute_plan, execute_plan_replay, execute_plan_with, replay_plan_reopt, replay_serial, serve,
     verify_replay_parity, ExecutionOutcome, ReoptOutcome, ReplayOptions, RetryPolicy, ServerConfig,
-    TenantEvent,
+    ServerReport, TenantEvent,
 };
 use fusion_net::Network;
 use fusion_source::SourceSet;
@@ -256,7 +256,7 @@ fn explore(
 
 /// A seeded random linear extension of `graph` (Kahn's algorithm with an
 /// LCG choosing among the enabled events).
-pub fn random_linearization(graph: &EventGraph, seed: u64) -> Vec<Event> {
+fn random_linearization(graph: &EventGraph, seed: u64) -> Vec<Event> {
     let n = graph.events().len();
     let hb = graph.happens_before();
     let mut lcg = Lcg::new(seed);
@@ -283,11 +283,64 @@ fn fmt_round(tag: &str, out: &ExecutionOutcome, net: &Network) -> String {
     )
 }
 
-/// Replays `order` against fresh state and fingerprints everything a
-/// schedule could corrupt: the answer, the ledger, the completeness
-/// claim, the committed exchange trace, and — in cached mode — the cache
-/// statistics, per-source epochs, and the outcome of a second reference
-/// round probing the cache state the schedule left behind.
+/// One round of the executor under test: round index, a fresh network,
+/// the cache (if any) that persists across rounds.
+type Round<'a> =
+    dyn FnMut(usize, &mut Network, Option<&mut AnswerCache>) -> Result<ExecutionOutcome> + 'a;
+
+/// Fingerprints everything a run could corrupt: the answer, the ledger,
+/// the completeness claim and the committed exchange trace of each of
+/// `rounds` rounds (each on a fresh network), plus — with a cache — the
+/// cache statistics and per-source epochs after each round.
+/// `round(r, network, cache)` runs round `r` of whichever executor is
+/// under test: the checker's own fingerprints and the executor lattice
+/// of the integration tests are all built here, so they compare like
+/// for like.
+///
+/// Returns the fingerprint and each round's outcome.
+///
+/// # Errors
+/// Propagates the first error `round` returns.
+pub fn run_fingerprint(
+    make_network: &dyn Fn() -> Network,
+    mut cache: Option<&mut AnswerCache>,
+    rounds: usize,
+    round: &mut Round<'_>,
+) -> Result<(String, Vec<ExecutionOutcome>)> {
+    let mut fp = String::new();
+    let mut outs = Vec::with_capacity(rounds);
+    for r in 0..rounds {
+        let mut net = make_network();
+        let out = round(r, &mut net, cache.as_deref_mut())?;
+        fp.push_str(&fmt_round(&format!("round{}", r + 1), &out, &net));
+        if let Some(cache) = cache.as_deref() {
+            fp.push_str(&format!(
+                "cache: stats={:?} epochs={:?}\n",
+                cache.stats(),
+                cache.epochs(net.source_count())
+            ));
+        }
+        outs.push(out);
+    }
+    Ok((fp, outs))
+}
+
+/// [`run_fingerprint`] under `cfg`: one round, or — in cached mode — a
+/// round on a fresh cache of the configured budget and a second round
+/// probing the state the first left behind.
+fn checked_fingerprint(
+    make_network: &dyn Fn() -> Network,
+    cfg: &CheckConfig,
+    round: &mut Round<'_>,
+) -> Result<String> {
+    let mut cache = cfg.cache_budget.map(AnswerCache::new);
+    let rounds = if cache.is_some() { 2 } else { 1 };
+    run_fingerprint(make_network, cache.as_mut(), rounds, round).map(|(fp, _)| fp)
+}
+
+/// Replays `order` against fresh state and fingerprints it
+/// ([`run_fingerprint`]); in cached mode the second round is the
+/// sequential reference executor probing the cache the schedule left.
 ///
 /// # Errors
 /// Fails when the schedule is not a valid replay, or on the execution
@@ -301,41 +354,19 @@ pub fn schedule_fingerprint(
     cfg: &CheckConfig,
     order: &[Event],
 ) -> Result<String> {
-    let mut net = make_network();
-    let Some(budget) = cfg.cache_budget else {
-        let out = execute_plan_replay(
+    checked_fingerprint(make_network, cfg, &mut |r, net, cache| match r {
+        0 => execute_plan_replay(
             plan,
             query,
             sources,
-            &mut net,
+            net,
             policy,
-            None,
+            cache,
             order,
             &cfg.options,
-        )?;
-        return Ok(fmt_round("round1", &out, &net));
-    };
-    let mut cache = AnswerCache::new(budget);
-    let r1 = execute_plan_replay(
-        plan,
-        query,
-        sources,
-        &mut net,
-        policy,
-        Some(&mut cache),
-        order,
-        &cfg.options,
-    )?;
-    let mut fp = fmt_round("round1", &r1, &net);
-    let mut net2 = make_network();
-    let r2 = execute_plan_with(plan, query, sources, &mut net2, policy, Some(&mut cache))?;
-    fp.push_str(&fmt_round("round2", &r2, &net2));
-    fp.push_str(&format!(
-        "cache: stats={:?} epochs={:?}\n",
-        cache.stats(),
-        cache.epochs(plan.n_sources)
-    ));
-    Ok(fp)
+        ),
+        _ => execute_plan_with(plan, query, sources, net, policy, cache),
+    })
 }
 
 /// The fingerprint of the *sequential reference* executors on the same
@@ -352,23 +383,9 @@ pub fn reference_fingerprint(
     policy: Option<&RetryPolicy>,
     cfg: &CheckConfig,
 ) -> Result<String> {
-    let mut net = make_network();
-    let Some(budget) = cfg.cache_budget else {
-        let out = execute_plan_with(plan, query, sources, &mut net, policy, None)?;
-        return Ok(fmt_round("round1", &out, &net));
-    };
-    let mut cache = AnswerCache::new(budget);
-    let r1 = execute_plan_with(plan, query, sources, &mut net, policy, Some(&mut cache))?;
-    let mut fp = fmt_round("round1", &r1, &net);
-    let mut net2 = make_network();
-    let r2 = execute_plan_with(plan, query, sources, &mut net2, policy, Some(&mut cache))?;
-    fp.push_str(&fmt_round("round2", &r2, &net2));
-    fp.push_str(&format!(
-        "cache: stats={:?} epochs={:?}\n",
-        cache.stats(),
-        cache.epochs(plan.n_sources)
-    ));
-    Ok(fp)
+    checked_fingerprint(make_network, cfg, &mut |_, net, cache| {
+        execute_plan_with(plan, query, sources, net, policy, cache)
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -497,7 +514,7 @@ pub fn check_schedules(
 /// runs (they legitimately differ — that is the point of sharing);
 /// they are compared between the live run and its replay.
 ///
-/// Returns the number of queries compared.
+/// Returns the verified report: every one of its results was compared.
 ///
 /// # Errors
 /// Fails on any divergence — replay parity (answers, ledgers,
@@ -509,7 +526,7 @@ pub fn verify_merged_vs_isolated(
     domain_size: Option<f64>,
     tenants: &[Vec<TenantEvent>],
     config: &ServerConfig,
-) -> Result<usize> {
+) -> Result<ServerReport> {
     let report = serve(sources, make_network, domain_size, tenants, config)?;
     let (replayed, fp) = replay_serial(
         sources,
@@ -520,7 +537,6 @@ pub fn verify_merged_vs_isolated(
         &report.log,
     )?;
     verify_replay_parity(&report, &replayed, &fp)?;
-    let mut compared = 0;
     for r in &report.results {
         let TenantEvent::Query(q) = &tenants[r.tenant][r.index] else {
             return Err(FusionError::execution(format!(
@@ -544,9 +560,8 @@ pub fn verify_merged_vs_isolated(
                 r.tenant, r.index
             )));
         }
-        compared += 1;
     }
-    Ok(compared)
+    Ok(report)
 }
 
 /// Discharges the replay contract of an adaptively re-optimized run:
@@ -802,9 +817,10 @@ mod tests {
                 share,
                 ..ServerConfig::with_workers(2)
             };
-            let n = verify_merged_vs_isolated(&sources, &make_net, Some(1000.0), &tenants, &config)
-                .unwrap();
-            assert_eq!(n, 4, "share={share}");
+            let report =
+                verify_merged_vs_isolated(&sources, &make_net, Some(1000.0), &tenants, &config)
+                    .unwrap();
+            assert_eq!(report.results.len(), 4, "share={share}");
         }
     }
 

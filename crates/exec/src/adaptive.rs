@@ -76,7 +76,8 @@ impl AdaptiveOutcome {
 /// sources and the conditions whose rounds were degraded.
 ///
 /// # Errors
-/// Propagates wrapper and capability failures.
+/// Fails on a retry policy that fails [`RetryPolicy::check`]; propagates
+/// wrapper and capability failures.
 pub fn execute_adaptive<M: CostModel>(
     query: &FusionQuery,
     sources: &SourceSet,
@@ -84,6 +85,7 @@ pub fn execute_adaptive<M: CostModel>(
     model: &M,
     retry: Option<&RetryPolicy>,
 ) -> Result<AdaptiveOutcome> {
+    retry.map_or(Ok(()), RetryPolicy::check)?;
     if query.m() != model.n_conditions() || sources.len() != model.n_sources() {
         return Err(FusionError::invalid_plan(
             "cost model does not match query/sources",

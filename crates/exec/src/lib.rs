@@ -84,10 +84,7 @@ pub use adaptive::{execute_adaptive, AdaptiveOutcome, AdaptiveRound};
 pub use interp::{execute_plan, execute_plan_unchecked, execute_plan_with, ExecutionOutcome};
 pub use ledger::{CostLedger, LedgerEntry, StepKind};
 pub use parallel::{execute_plan_parallel, ParallelConfig, ParallelOutcome};
-pub use phase2::{
-    cached_phase2_rows, execute_fetch_plan, execute_fetch_plan_parallel, fetch_planned,
-    Phase2Outcome,
-};
+pub use phase2::{cached_phase2_rows, execute_fetch_plan, fetch_planned, Phase2Outcome};
 pub use piggyback::{execute_piggyback, fetch_first_records, PiggybackOutcome};
 pub use reopt::{
     execute_plan_reopt, replay_plan_reopt, ReoptConfig, ReoptOutcome, ReoptSession, SwitchRecord,

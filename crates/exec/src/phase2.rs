@@ -14,12 +14,6 @@
 //!   sources. Only coverage nothing can replace degrades the record
 //!   set to [`Completeness::Subset`], with the missing attributes named
 //!   per item.
-//! * [`execute_fetch_plan_parallel`] runs the assignments on the stage
-//!   pool's threads — sound without a scheduling proof because the
-//!   planner emits at most one assignment per source, so the per-source
-//!   serial queues are disjoint by construction — and commits the
-//!   shared network trace back to sequential order, byte-identical to
-//!   plain [`execute_fetch_plan`].
 //! * [`fetch_planned`] is the plan→certify→execute convenience the CLI,
 //!   the mediator server, and the parity battery share.
 //!
@@ -38,9 +32,7 @@ use std::sync::Arc;
 use crate::cached::{commit_inserts, PendingInsert};
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
-use crate::step::{
-    committing, proc_cost, run_stage, Attempted, Delivery, Exchanger, SharedExchanger, SourceFt,
-};
+use crate::step::{proc_cost, Attempted, Delivery, Exchanger, SourceFt};
 use fusion_cache::{AnswerCache, Harvest};
 use fusion_core::cost::NetworkCostModel;
 use fusion_core::phase2::{
@@ -464,81 +456,6 @@ fn harvest(schema: &Schema, executed: &[Executed]) -> Vec<PendingInsert> {
         .collect()
 }
 
-/// The shared tail of every executor: serve the cached items, assemble
-/// records, commit the harvest, and fold completeness.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    plan: &FetchPlan,
-    schema: &Schema,
-    n_sources: usize,
-    executed: &[Executed],
-    mut ledger: CostLedger,
-    next_step: usize,
-    extra_missing: &[(Item, Vec<usize>)],
-    dead: &[SourceId],
-    cache: Option<&mut AnswerCache>,
-) -> Result<Phase2Outcome> {
-    if !plan.cached.is_empty() && cache.is_none() {
-        return Err(FusionError::execution(
-            "fetch plan serves cached items but no answer cache was provided",
-        ));
-    }
-    let cached_rows = cache
-        .as_ref()
-        .map(|c| cached_phase2_rows(c, &plan.cached, schema))
-        .unwrap_or_default();
-    let (records, missing, cached_served) = assemble(
-        schema,
-        &plan.attrs,
-        executed,
-        &cached_rows,
-        &plan.cached,
-        &[&plan.missing, extra_missing],
-    );
-    if !plan.cached.is_empty() {
-        ledger.push(LedgerEntry {
-            step: next_step,
-            kind: StepKind::FetchCached,
-            source: None,
-            comm: Cost::ZERO,
-            proc: Cost::ZERO,
-            round_trips: 0,
-            items_out: cached_served,
-            attempts: 0,
-            failed_cost: Cost::ZERO,
-        });
-    }
-    let completeness = if missing.is_empty() {
-        Completeness::Exact
-    } else {
-        Completeness::Subset {
-            missing_sources: dead.to_vec(),
-            missing_conditions: Vec::new(),
-        }
-    };
-    if let Some(cache) = cache {
-        let mut failed = vec![false; n_sources];
-        for s in dead {
-            if let Some(f) = failed.get_mut(s.0) {
-                *f = true;
-            }
-        }
-        commit_inserts(
-            cache,
-            harvest(schema, executed),
-            completeness.is_exact(),
-            &failed,
-        );
-    }
-    Ok(Phase2Outcome {
-        records,
-        ledger,
-        completeness,
-        missing,
-        cached_served,
-    })
-}
-
 /// Executes a fetch plan's assignments in order. With `replan` — a
 /// retry policy plus the catalog and model the plan was made from —
 /// exchanges are retried, and when a source is given up on its
@@ -548,8 +465,9 @@ fn finish(
 /// is ever re-planned.
 ///
 /// # Errors
-/// Propagates wrapper failures; fails when the plan expects cached
-/// items but no cache is given.
+/// Propagates wrapper failures; fails on a retry policy that fails
+/// [`RetryPolicy::check`], and when the plan expects cached items but no
+/// cache is given.
 pub fn execute_fetch_plan(
     plan: &FetchPlan,
     schema: &Schema,
@@ -558,6 +476,7 @@ pub fn execute_fetch_plan(
     replan: Option<(&RetryPolicy, &CoverageCatalog, &NetworkCostModel)>,
     cache: Option<&mut AnswerCache>,
 ) -> Result<Phase2Outcome> {
+    replan.map_or(Ok(()), |(policy, ..)| policy.check())?;
     let mut fts = vec![SourceFt::default(); sources.len()];
     let mut live: Option<CoverageCatalog> = None;
     let mut queue: VecDeque<FetchAssignment> = plan.assignments.iter().cloned().collect();
@@ -600,82 +519,64 @@ pub fn execute_fetch_plan(
             queue.extend(sub.assignments);
         }
     }
-    let dead: Vec<SourceId> = dead.into_iter().collect();
-    finish(
-        plan,
+    // The tail: serve the cached items, assemble records, fold
+    // completeness, commit the harvest.
+    if !plan.cached.is_empty() && cache.is_none() {
+        return Err(FusionError::execution(
+            "fetch plan serves cached items but no answer cache was provided",
+        ));
+    }
+    let cached_rows = cache
+        .as_ref()
+        .map(|c| cached_phase2_rows(c, &plan.cached, schema))
+        .unwrap_or_default();
+    let (records, missing, cached_served) = assemble(
         schema,
-        sources.len(),
+        &plan.attrs,
         &executed,
-        ledger,
-        step,
-        &extra_missing,
-        &dead,
-        cache,
-    )
-}
-
-/// Executes a fetch plan with one thread per assignment.
-///
-/// Race freedom needs no schedule model-checking here: the certificate
-/// is that the assignments target pairwise-distinct sources (the greedy
-/// never picks a source twice — its residual gain is zero), so every
-/// per-source serial queue has at most one client. The shared trace is
-/// committed back to step order, making answer, ledger, and trace
-/// byte-identical to plain [`execute_fetch_plan`].
-///
-/// # Errors
-/// Propagates wrapper failures; rejects plans with two assignments at
-/// one source; fails when the plan expects cached items but no cache is
-/// given.
-pub fn execute_fetch_plan_parallel(
-    plan: &FetchPlan,
-    schema: &Schema,
-    sources: &SourceSet,
-    network: &mut Network,
-    cache: Option<&mut AnswerCache>,
-) -> Result<Phase2Outcome> {
-    let mut seen: BTreeSet<SourceId> = BTreeSet::new();
-    for asg in &plan.assignments {
-        if !seen.insert(asg.source) {
-            return Err(FusionError::execution(format!(
-                "parallel phase two requires one assignment per source; R{} has two",
-                asg.source.0 + 1
-            )));
+        &cached_rows,
+        &plan.cached,
+        &[&plan.missing, &extra_missing],
+    );
+    if !plan.cached.is_empty() {
+        ledger.push(LedgerEntry {
+            step,
+            kind: StepKind::FetchCached,
+            source: None,
+            comm: Cost::ZERO,
+            proc: Cost::ZERO,
+            round_trips: 0,
+            items_out: cached_served,
+            attempts: 0,
+            failed_cost: Cost::ZERO,
+        });
+    }
+    let completeness = if missing.is_empty() {
+        Completeness::Exact
+    } else {
+        Completeness::Subset {
+            missing_sources: dead.iter().copied().collect(),
+            missing_conditions: Vec::new(),
         }
+    };
+    if let Some(cache) = cache {
+        let failed: Vec<bool> = (0..sources.len())
+            .map(|j| dead.contains(&SourceId(j)))
+            .collect();
+        commit_inserts(
+            cache,
+            harvest(schema, &executed),
+            completeness.is_exact(),
+            &failed,
+        );
     }
-    let jobs: Vec<usize> = (0..plan.assignments.len()).collect();
-    let results = committing(network, |network| {
-        let net = &*network;
-        Ok(run_stage(jobs.len(), &jobs, |t| {
-            let asg = &plan.assignments[t];
-            let mut ex = SharedExchanger { net, step: t };
-            exec_assignment(
-                &mut Delivery::plain(&mut ex, t, asg.source),
-                asg,
-                schema,
-                sources,
-            )
-        }))
-    })?;
-    let mut ledger = CostLedger::new();
-    let mut executed = Vec::with_capacity(results.len());
-    for (_, r) in results {
-        let (e, entry, _) = r?;
-        ledger.push(entry);
-        executed.extend(e);
-    }
-    let next = plan.assignments.len();
-    finish(
-        plan,
-        schema,
-        sources.len(),
-        &executed,
+    Ok(Phase2Outcome {
+        records,
         ledger,
-        next,
-        &[],
-        &[],
-        cache,
-    )
+        completeness,
+        missing,
+        cached_served,
+    })
 }
 
 /// Plan → certify → execute, the surface the CLI, the mediator server,
@@ -939,35 +840,6 @@ mod tests {
                 .all(|(_, names)| names.contains(&"D".to_string())),
             "the lost attribute is named"
         );
-    }
-
-    #[test]
-    fn parallel_execution_is_byte_identical_to_sequential() {
-        let caps = [Capabilities::full(), Capabilities::full()];
-        let schema = dmv_schema();
-        let (sources, mut seq_net, rels) = world(&caps, &[0..40, 0..40]);
-        let answer = answer_of(&rels);
-        let model = model_of(&sources, &seq_net);
-        // Force a two-source split: disjoint attribute coverage.
-        let mut catalog = CoverageCatalog::new(2);
-        catalog.set(SourceId(0), [1].into(), answer.clone());
-        catalog.set(SourceId(1), [2].into(), answer.clone());
-        let plan = plan_fetch(
-            &answer,
-            &[1, 2],
-            &catalog,
-            &model,
-            schema.arity(),
-            &ItemSet::empty(),
-        );
-        assert_eq!(plan.assignments.len(), 2);
-        let seq = execute_fetch_plan(&plan, &schema, &sources, &mut seq_net, None, None).unwrap();
-        let (psources, mut par_net, _) = world(&caps, &[0..40, 0..40]);
-        let par =
-            execute_fetch_plan_parallel(&plan, &schema, &psources, &mut par_net, None).unwrap();
-        assert_eq!(par.records, seq.records);
-        assert_eq!(par.ledger, seq.ledger);
-        assert_eq!(par_net.trace(), seq_net.trace(), "byte-identical traces");
     }
 
     #[test]

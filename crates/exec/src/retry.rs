@@ -16,6 +16,7 @@
 //! plan by the BDD analyzer's droppability check).
 
 use fusion_stats::SplitMix64;
+use fusion_types::error::{FusionError, Result};
 use fusion_types::{CondId, Cost, SourceId};
 
 /// How the executor responds to injected faults.
@@ -66,29 +67,51 @@ impl RetryPolicy {
         }
     }
 
+    /// Rejects a policy [`RetryPolicy::backoff`] cannot price: the
+    /// executors call this on entry, so a bad policy is an error naming
+    /// the field, not a panic at the first transient failure.
+    ///
+    /// # Errors
+    /// If `max_attempts` or `breaker_threshold` is zero, `backoff_base`
+    /// or `jitter` is negative or non-finite, or `backoff_factor` is not
+    /// a finite number of at least 1.
+    pub fn check(&self) -> Result<()> {
+        let bad = |rule: &str| Err(FusionError::execution(format!("retry policy: {rule}")));
+        if self.max_attempts < 1 {
+            return bad("max_attempts must be at least 1");
+        }
+        if self.breaker_threshold < 1 {
+            return bad("breaker_threshold must be at least 1");
+        }
+        if !(self.backoff_base.is_finite() && self.backoff_base >= 0.0) {
+            return bad(&format!(
+                "backoff_base must be a non-negative finite number, got {}",
+                self.backoff_base
+            ));
+        }
+        if !(self.backoff_factor.is_finite() && self.backoff_factor >= 1.0) {
+            return bad(&format!(
+                "backoff_factor must be a finite number of at least 1, got {}",
+                self.backoff_factor
+            ));
+        }
+        if !(self.jitter.is_finite() && self.jitter >= 0.0) {
+            return bad(&format!(
+                "jitter must be a non-negative finite number, got {}",
+                self.jitter
+            ));
+        }
+        Ok(())
+    }
+
     /// Validates the policy, panicking on nonsense values.
     ///
     /// # Panics
-    /// If `max_attempts` or `breaker_threshold` is zero, a rate is
-    /// negative or non-finite, or `backoff_factor < 1`.
+    /// Where [`RetryPolicy::check`] fails.
     pub fn validated(self) -> RetryPolicy {
-        assert!(self.max_attempts >= 1, "max_attempts must be at least 1");
-        assert!(
-            self.breaker_threshold >= 1,
-            "breaker_threshold must be at least 1"
-        );
-        assert!(
-            self.backoff_base.is_finite() && self.backoff_base >= 0.0,
-            "backoff_base must be a non-negative finite number"
-        );
-        assert!(
-            self.backoff_factor.is_finite() && self.backoff_factor >= 1.0,
-            "backoff_factor must be at least 1"
-        );
-        assert!(
-            self.jitter.is_finite() && self.jitter >= 0.0,
-            "jitter must be a non-negative finite number"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
         self
     }
 

@@ -620,7 +620,8 @@ impl<'a> PlanRun<'a> {
     /// Starts a run of a validated `plan`. `records` marks a cached run.
     ///
     /// # Errors
-    /// Fails when the plan's shape does not match the query or sources.
+    /// Fails when the plan's shape does not match the query or sources,
+    /// or the retry policy fails [`RetryPolicy::check`].
     pub(crate) fn new(
         plan: &'a Plan,
         query: &'a FusionQuery,
@@ -629,6 +630,7 @@ impl<'a> PlanRun<'a> {
         retry: Option<&'a RetryPolicy>,
         records: bool,
     ) -> Result<PlanRun<'a>> {
+        retry.map_or(Ok(()), RetryPolicy::check)?;
         if query.m() != plan.n_conditions {
             return Err(FusionError::invalid_plan(format!(
                 "plan expects {} conditions, query has {}",
@@ -1133,7 +1135,7 @@ pub(crate) fn pace_sleep(pace: Option<f64>, cost: Cost) -> Result<()> {
 /// The cursor-and-barrier of the stage pool: runs `work` for every
 /// index of `jobs` on up to `threads` scoped workers and returns the
 /// results sorted by index.
-pub(crate) fn run_stage<T: Send>(
+fn run_stage<T: Send>(
     threads: usize,
     jobs: &[usize],
     work: impl Fn(usize) -> T + Sync,

@@ -2,22 +2,14 @@
 //! exactly or through a subsuming entry's residual filter — the served
 //! items must be byte-identical to evaluating the selection directly
 //! against the source relation. Driven by seeded random relations and
-//! condition pairs; the seed battery scales with `CACHE_BATTERY_SEEDS`
-//! (default 100).
+//! condition pairs; the width is `width("cache-subsumption")`.
 
 mod common;
 
-use common::for_seeds;
+use common::{for_seeds, width};
 use fusion::cache::{subsumes, AnswerCache};
 use fusion::types::schema::dmv_schema;
 use fusion::types::{Condition, Cost, ItemSet, Relation, Schema, SourceId};
-
-fn battery() -> u64 {
-    std::env::var("CACHE_BATTERY_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100)
-}
 
 /// What `sq(cond, rel)` returns: matching rows' items, deduplicated and
 /// sorted by the item-set algebra.
@@ -50,7 +42,7 @@ fn served_lookups_match_direct_evaluation() {
     let schema = dmv_schema();
     let mut exact_hits = 0u64;
     let mut residual_hits = 0u64;
-    for_seeds(battery(), |g| {
+    for_seeds(width("cache-subsumption"), |g| {
         let rel = g.relation();
         let cached_cond = g.condition();
         let probe = g.condition();
@@ -97,7 +89,7 @@ fn served_lookups_match_direct_evaluation() {
 fn proved_subsumption_implies_containment() {
     let schema = dmv_schema();
     let mut proofs = 0u64;
-    for_seeds(battery(), |g| {
+    for_seeds(width("cache-subsumption"), |g| {
         let rel = g.relation();
         let broad = g.condition();
         let narrow = g.condition();
@@ -122,7 +114,7 @@ fn proved_subsumption_implies_containment() {
 #[test]
 fn subset_entries_never_serve_any_probe() {
     let schema = dmv_schema();
-    for_seeds(battery(), |g| {
+    for_seeds(width("cache-subsumption"), |g| {
         let rel = g.relation();
         let cached_cond = g.condition();
         let probe = g.condition();

@@ -7,9 +7,10 @@
 
 #![allow(dead_code)]
 
+pub mod lattice;
 pub mod mutants;
 
-use fusion::core::plan::{Plan, SimplePlanSpec, SourceChoice, Step, VarId};
+use fusion::core::plan::{Plan, SimplePlanSpec, SourceChoice, VarId};
 use fusion::core::query::FusionQuery;
 use fusion::core::TableCostModel;
 use fusion::stats::SplitMix64;
@@ -20,6 +21,42 @@ use fusion::types::{
 
 /// Violation vocabulary used by the DMV-shaped generators.
 pub const VIOLATIONS: [&str; 3] = ["dui", "sp", "park"];
+
+/// Seeds per battery, `(battery, local, CI)`: `BATTERY_WIDTH=ci` selects
+/// the CI column for every battery at once.
+const WIDTHS: [(&str, u64, u64); 13] = [
+    ("cache-subsumption", 100, 400),
+    ("cache-parity", 100, 250),
+    ("concurrency", 8, 64),
+    ("isolation", 8, 32),
+    ("fault", 40, 200),
+    ("parallel", 24, 96),
+    ("fetch", 24, 32),
+    ("mqo", 4, 32),
+    ("reopt", 16, 32),
+    ("plan-memo", 40, 400),
+    // `select_items` / `semijoin_items`, the secondary index, and the
+    // records, `union_all` and mixed-item set algebra.
+    ("data-plane-items", 192, 1000),
+    ("data-plane-index", 96, 1000),
+    ("data-plane-sets", 64, 1000),
+];
+
+/// The seeds battery `name` of [`WIDTHS`] sweeps in this run.
+///
+/// # Panics
+/// On a name the table lacks, or `BATTERY_WIDTH` set to anything but `ci`.
+pub fn width(name: &str) -> u64 {
+    let &(_, local, ci) = WIDTHS
+        .iter()
+        .find(|w| w.0 == name)
+        .expect("a battery of WIDTHS");
+    match std::env::var("BATTERY_WIDTH") {
+        Err(std::env::VarError::NotPresent) => local,
+        Ok(v) if v == "ci" => ci,
+        other => panic!("BATTERY_WIDTH must be `ci` or unset, got {other:?}"),
+    }
+}
 
 /// A deterministic generator of test inputs, seeded per test case.
 pub struct Gen(pub SplitMix64);
@@ -199,62 +236,22 @@ pub fn for_seeds(cases: u64, mut body: impl FnMut(&mut Gen)) {
 /// selections, which share a dependency level (mirrors the executor's
 /// own regression).
 pub fn queue_order_plan() -> Plan {
+    use mutants::{intersect, sjq, sq, union};
     let mut plan = Plan::new(vec![], VarId(0), 2, 3);
-    let x0 = plan.fresh_var("X0");
-    let x1 = plan.fresh_var("X1");
-    let x2 = plan.fresh_var("X2");
-    let u1 = plan.fresh_var("U1");
-    let y0 = plan.fresh_var("Y0");
-    let y1 = plan.fresh_var("Y1");
-    let y2 = plan.fresh_var("Y2");
-    let y2r = plan.fresh_var("Y2R");
-    let r = plan.fresh_var("R");
+    for name in ["X0", "X1", "X2", "U1", "Y0", "Y1", "Y2", "Y2R", "R"] {
+        plan.fresh_var(name);
+    }
     plan.steps = vec![
-        Step::Sq {
-            out: x0,
-            cond: CondId(0),
-            source: SourceId(0),
-        },
-        Step::Sq {
-            out: x1,
-            cond: CondId(0),
-            source: SourceId(1),
-        },
-        Step::Sq {
-            out: x2,
-            cond: CondId(0),
-            source: SourceId(2),
-        },
-        Step::Union {
-            out: u1,
-            inputs: vec![x0, x1, x2],
-        },
-        Step::Sjq {
-            out: y0,
-            cond: CondId(1),
-            source: SourceId(0),
-            input: u1,
-        },
-        Step::Sjq {
-            out: y1,
-            cond: CondId(1),
-            source: SourceId(1),
-            input: u1,
-        },
-        Step::Sq {
-            out: y2,
-            cond: CondId(1),
-            source: SourceId(2),
-        },
-        Step::Intersect {
-            out: y2r,
-            inputs: vec![u1, y2],
-        },
-        Step::Union {
-            out: r,
-            inputs: vec![y0, y1, y2r],
-        },
+        sq(0, 0, 0),
+        sq(1, 0, 1),
+        sq(2, 0, 2),
+        union(3, &[0, 1, 2]),
+        sjq(4, 1, 0, 3),
+        sjq(5, 1, 1, 3),
+        sq(6, 1, 2),
+        intersect(7, &[3, 6]),
+        union(8, &[4, 5, 7]),
     ];
-    plan.result = r;
+    plan.result = VarId(8);
     plan
 }

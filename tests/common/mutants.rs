@@ -4,42 +4,81 @@
 use fusion::core::plan::{Plan, RelVar, Step, VarId};
 use fusion::types::{CondId, SourceId};
 
+/// `sq(c, R)` into variable `out`.
+pub fn sq(out: usize, cond: usize, source: usize) -> Step {
+    let (out, cond, source) = (VarId(out), CondId(cond), SourceId(source));
+    Step::Sq { out, cond, source }
+}
+
+/// `sjq(c, R, input)` into variable `out`.
+pub fn sjq(out: usize, cond: usize, source: usize, input: usize) -> Step {
+    let (out, cond, source, input) = (VarId(out), CondId(cond), SourceId(source), VarId(input));
+    Step::Sjq {
+        out,
+        cond,
+        source,
+        input,
+    }
+}
+
+fn vars(ids: &[usize]) -> Vec<VarId> {
+    ids.iter().copied().map(VarId).collect()
+}
+
+/// The union of `inputs` into `out`.
+pub fn union(out: usize, inputs: &[usize]) -> Step {
+    let (out, inputs) = (VarId(out), vars(inputs));
+    Step::Union { out, inputs }
+}
+
+/// The intersection of `inputs` into `out`.
+pub fn intersect(out: usize, inputs: &[usize]) -> Step {
+    let (out, inputs) = (VarId(out), vars(inputs));
+    Step::Intersect { out, inputs }
+}
+
+/// `left − right` into `out`.
+pub fn diff(out: usize, left: usize, right: usize) -> Step {
+    let (out, left, right) = (VarId(out), VarId(left), VarId(right));
+    Step::Diff { out, left, right }
+}
+
+fn lq(out: usize, source: usize) -> Step {
+    let (out, source) = (RelVar(out), SourceId(source));
+    Step::Lq { out, source }
+}
+
+fn local_sq(out: usize, cond: usize, rel: usize) -> Step {
+    let (out, cond, rel) = (VarId(out), CondId(cond), RelVar(rel));
+    Step::LocalSq { out, cond, rel }
+}
+
+/// The Bloom semijoins of round two of [`semijoin22`] (8-bit filters).
+fn blooms(s: &mut [Step]) {
+    for (t, j) in [(3usize, 0usize), (4, 1)] {
+        let (out, cond, source, input) = (VarId(t), CondId(1), SourceId(j), VarId(2));
+        let bits = 8;
+        s[t] = Step::SjqBloom {
+            out,
+            cond,
+            source,
+            input,
+            bits,
+        };
+    }
+}
+
 /// A correct FILTER-shaped plan for 2 conditions over 2 sources:
 /// `(sq(c1,R1) ∪ sq(c1,R2)) ∩ (sq(c2,R1) ∪ sq(c2,R2))`.
 pub fn filter22() -> (Vec<Step>, VarId) {
     let steps = vec![
-        Step::Sq {
-            out: VarId(0),
-            cond: CondId(0),
-            source: SourceId(0),
-        },
-        Step::Sq {
-            out: VarId(1),
-            cond: CondId(0),
-            source: SourceId(1),
-        },
-        Step::Union {
-            out: VarId(2),
-            inputs: vec![VarId(0), VarId(1)],
-        },
-        Step::Sq {
-            out: VarId(3),
-            cond: CondId(1),
-            source: SourceId(0),
-        },
-        Step::Sq {
-            out: VarId(4),
-            cond: CondId(1),
-            source: SourceId(1),
-        },
-        Step::Union {
-            out: VarId(5),
-            inputs: vec![VarId(3), VarId(4)],
-        },
-        Step::Intersect {
-            out: VarId(6),
-            inputs: vec![VarId(2), VarId(5)],
-        },
+        sq(0, 0, 0),
+        sq(1, 0, 1),
+        union(2, &[0, 1]),
+        sq(3, 1, 0),
+        sq(4, 1, 1),
+        union(5, &[3, 4]),
+        intersect(6, &[2, 5]),
     ];
     (steps, VarId(6))
 }
@@ -48,36 +87,12 @@ pub fn filter22() -> (Vec<Step>, VarId) {
 /// re-intersection is needed: exact semijoins narrow their input).
 pub fn semijoin22() -> (Vec<Step>, VarId) {
     let steps = vec![
-        Step::Sq {
-            out: VarId(0),
-            cond: CondId(0),
-            source: SourceId(0),
-        },
-        Step::Sq {
-            out: VarId(1),
-            cond: CondId(0),
-            source: SourceId(1),
-        },
-        Step::Union {
-            out: VarId(2),
-            inputs: vec![VarId(0), VarId(1)],
-        },
-        Step::Sjq {
-            out: VarId(3),
-            cond: CondId(1),
-            source: SourceId(0),
-            input: VarId(2),
-        },
-        Step::Sjq {
-            out: VarId(4),
-            cond: CondId(1),
-            source: SourceId(1),
-            input: VarId(2),
-        },
-        Step::Union {
-            out: VarId(5),
-            inputs: vec![VarId(3), VarId(4)],
-        },
+        sq(0, 0, 0),
+        sq(1, 0, 1),
+        union(2, &[0, 1]),
+        sjq(3, 1, 0, 2),
+        sjq(4, 1, 1, 2),
+        union(5, &[3, 4]),
     ];
     (steps, VarId(5))
 }
@@ -85,42 +100,14 @@ pub fn semijoin22() -> (Vec<Step>, VarId) {
 /// A correct plan that loads `R1` and applies both conditions locally.
 pub fn loaded22() -> (Vec<Step>, VarId) {
     let steps = vec![
-        Step::Lq {
-            out: RelVar(0),
-            source: SourceId(0),
-        },
-        Step::LocalSq {
-            out: VarId(0),
-            cond: CondId(0),
-            rel: RelVar(0),
-        },
-        Step::Sq {
-            out: VarId(1),
-            cond: CondId(0),
-            source: SourceId(1),
-        },
-        Step::Union {
-            out: VarId(2),
-            inputs: vec![VarId(0), VarId(1)],
-        },
-        Step::LocalSq {
-            out: VarId(3),
-            cond: CondId(1),
-            rel: RelVar(0),
-        },
-        Step::Sq {
-            out: VarId(4),
-            cond: CondId(1),
-            source: SourceId(1),
-        },
-        Step::Union {
-            out: VarId(5),
-            inputs: vec![VarId(3), VarId(4)],
-        },
-        Step::Intersect {
-            out: VarId(6),
-            inputs: vec![VarId(2), VarId(5)],
-        },
+        lq(0, 0),
+        local_sq(0, 0, 0),
+        sq(1, 0, 1),
+        union(2, &[0, 1]),
+        local_sq(3, 1, 0),
+        sq(4, 1, 1),
+        union(5, &[3, 4]),
+        intersect(6, &[2, 5]),
     ];
     (steps, VarId(6))
 }
@@ -132,219 +119,87 @@ pub fn mutant_corpus() -> Vec<(&'static str, Plan)> {
     let mut push = |name: &'static str, steps: Vec<Step>, result: VarId| {
         mutants.push((name, Plan::new(steps, result, 2, 2)));
     };
+    // `base` with the steps at the given indices replaced.
+    let with = |base: &[Step], edits: Vec<(usize, Step)>| {
+        let mut s = base.to_vec();
+        for (i, step) in edits {
+            s[i] = step;
+        }
+        s
+    };
+    // `base` with one step appended.
+    let plus = |base: &[Step], step: Step| [base.to_vec(), vec![step]].concat();
 
     // -- FILTER-shaped breakages ------------------------------------------
     let (f, fr) = filter22();
-    {
-        let mut s = f.clone();
-        s[2] = Step::Union {
-            out: VarId(2),
-            inputs: vec![VarId(0)],
-        };
-        push("union-drops-source-round1", s, fr);
-    }
-    {
-        let mut s = f.clone();
-        s[5] = Step::Union {
-            out: VarId(5),
-            inputs: vec![VarId(4)],
-        };
-        push("union-drops-source-round2", s, fr);
-    }
-    {
-        let mut s = f.clone();
-        s[6] = Step::Intersect {
-            out: VarId(6),
-            inputs: vec![VarId(2)],
-        };
-        push("intersect-drops-condition", s, fr);
-    }
-    {
-        let mut s = f.clone();
-        s[6] = Step::Union {
-            out: VarId(6),
-            inputs: vec![VarId(2), VarId(5)],
-        };
-        push("final-intersect-becomes-union", s, fr);
-    }
-    {
-        let mut s = f.clone();
-        s[2] = Step::Intersect {
-            out: VarId(2),
-            inputs: vec![VarId(0), VarId(1)],
-        };
-        push("round-union-becomes-intersect", s, fr);
-    }
-    {
-        let mut s = f.clone();
-        s[1] = Step::Sq {
-            out: VarId(1),
-            cond: CondId(1),
-            source: SourceId(1),
-        };
-        push("selection-queries-wrong-condition", s, fr);
-    }
-    {
-        let mut s = f.clone();
-        s[1] = Step::Sq {
-            out: VarId(1),
-            cond: CondId(0),
-            source: SourceId(0),
-        };
-        push("selection-queries-wrong-source", s, fr);
-    }
+    let e = |i, step| with(&f, vec![(i, step)]);
+    push("union-drops-source-round1", e(2, union(2, &[0])), fr);
+    push("union-drops-source-round2", e(5, union(5, &[4])), fr);
+    push("intersect-drops-condition", e(6, intersect(6, &[2])), fr);
+    push("final-intersect-becomes-union", e(6, union(6, &[2, 5])), fr);
+    push(
+        "round-union-becomes-intersect",
+        e(2, intersect(2, &[0, 1])),
+        fr,
+    );
+    push("selection-queries-wrong-condition", e(1, sq(1, 1, 1)), fr);
+    push("selection-queries-wrong-source", e(1, sq(1, 0, 0)), fr);
     push("result-is-intermediate-union", f.clone(), VarId(2));
-    {
-        let mut s = f.clone();
-        s.push(Step::Intersect {
-            out: VarId(7),
-            inputs: vec![VarId(6), VarId(0)],
-        });
-        push("over-intersection-with-one-source", s, VarId(7));
-    }
-    {
-        let mut s = f.clone();
-        s.push(Step::Union {
-            out: VarId(7),
-            inputs: vec![VarId(6), VarId(3)],
-        });
-        push("over-union-inflates-result", s, VarId(7));
-    }
-    {
-        let mut s = f.clone();
-        s.push(Step::Diff {
-            out: VarId(7),
-            left: VarId(6),
-            right: VarId(3),
-        });
-        push("spurious-difference-after-result", s, VarId(7));
-    }
-    {
-        let mut s = f.clone();
-        s[3] = Step::Sq {
-            out: VarId(3),
-            cond: CondId(0),
-            source: SourceId(0),
-        };
-        s[4] = Step::Sq {
-            out: VarId(4),
-            cond: CondId(0),
-            source: SourceId(1),
-        };
-        push("second-condition-never-queried", s, fr);
-    }
-    {
-        let mut s = f.clone();
-        s[6] = Step::Intersect {
-            out: VarId(6),
-            inputs: vec![VarId(2), VarId(2)],
-        };
-        push("intersect-operand-duplicated", s, fr);
-    }
-    {
-        let mut s = f.clone();
-        s[6] = Step::Intersect {
-            out: VarId(6),
-            inputs: vec![VarId(2), VarId(4)],
-        };
-        push("intersect-uses-raw-selection", s, fr);
-    }
-    {
-        let mut s = f.clone();
-        s[5] = Step::Union {
-            out: VarId(5),
-            inputs: vec![VarId(3), VarId(4), VarId(0)],
-        };
-        push("union-smuggles-foreign-operand", s, fr);
-    }
-    {
-        let mut s = f;
-        s[6] = Step::Diff {
-            out: VarId(6),
-            left: VarId(2),
-            right: VarId(5),
-        };
-        push("intersect-becomes-difference", s, fr);
-    }
+    let over = plus(&f, intersect(7, &[6, 0]));
+    push("over-intersection-with-one-source", over, VarId(7));
+    push(
+        "over-union-inflates-result",
+        plus(&f, union(7, &[6, 3])),
+        VarId(7),
+    );
+    push(
+        "spurious-difference-after-result",
+        plus(&f, diff(7, 6, 3)),
+        VarId(7),
+    );
+    let never = with(&f, vec![(3, sq(3, 0, 0)), (4, sq(4, 0, 1))]);
+    push("second-condition-never-queried", never, fr);
+    push(
+        "intersect-operand-duplicated",
+        e(6, intersect(6, &[2, 2])),
+        fr,
+    );
+    push(
+        "intersect-uses-raw-selection",
+        e(6, intersect(6, &[2, 4])),
+        fr,
+    );
+    push(
+        "union-smuggles-foreign-operand",
+        e(5, union(5, &[3, 4, 0])),
+        fr,
+    );
+    push("intersect-becomes-difference", e(6, diff(6, 2, 5)), fr);
 
     // -- semijoin-shaped breakages ----------------------------------------
     let (sj, sjr) = semijoin22();
-    {
-        let mut s = sj.clone();
-        s[4] = Step::Sjq {
-            out: VarId(4),
-            cond: CondId(1),
-            source: SourceId(1),
-            input: VarId(0),
-        };
-        push("semijoin-input-narrowed", s, sjr);
-    }
-    {
-        let mut s = sj.clone();
-        s[3] = Step::Sq {
-            out: VarId(3),
-            cond: CondId(1),
-            source: SourceId(0),
-        };
-        s[4] = Step::Sq {
-            out: VarId(4),
-            cond: CondId(1),
-            source: SourceId(1),
-        };
-        push("semijoins-degraded-to-selections", s, sjr);
-    }
-    {
-        let mut s = sj.clone();
-        for (t, j) in [(3usize, 0usize), (4, 1)] {
-            let (cond, source) = (CondId(1), SourceId(j));
-            s[t] = Step::SjqBloom {
-                out: VarId(t),
-                cond,
-                source,
-                input: VarId(2),
-                bits: 8,
-            };
-        }
-        push("bloom-superset-never-reintersected", s, sjr);
-    }
-    {
-        let mut s = sj;
-        for (t, j) in [(3usize, 0usize), (4, 1)] {
-            let (cond, source) = (CondId(1), SourceId(j));
-            s[t] = Step::SjqBloom {
-                out: VarId(t),
-                cond,
-                source,
-                input: VarId(2),
-                bits: 8,
-            };
-        }
-        s.push(Step::Intersect {
-            out: VarId(6),
-            inputs: vec![VarId(5), VarId(0)],
-        });
-        push("bloom-reintersected-with-wrong-set", s, VarId(6));
-    }
+    push(
+        "semijoin-input-narrowed",
+        with(&sj, vec![(4, sjq(4, 1, 1, 0))]),
+        sjr,
+    );
+    let degraded = with(&sj, vec![(3, sq(3, 1, 0)), (4, sq(4, 1, 1))]);
+    push("semijoins-degraded-to-selections", degraded, sjr);
+    let mut bloomed = sj;
+    blooms(&mut bloomed);
+    push("bloom-superset-never-reintersected", bloomed.clone(), sjr);
+    let wrong = plus(&bloomed, intersect(6, &[5, 0]));
+    push("bloom-reintersected-with-wrong-set", wrong, VarId(6));
 
     // -- loaded-source breakages ------------------------------------------
-    let (lq, lqr) = loaded22();
-    {
-        let mut s = lq.clone();
-        s[4] = Step::LocalSq {
-            out: VarId(3),
-            cond: CondId(0),
-            rel: RelVar(0),
-        };
-        push("local-selection-wrong-condition", s, lqr);
-    }
-    {
-        let mut s = lq;
-        s[0] = Step::Lq {
-            out: RelVar(0),
-            source: SourceId(1),
-        };
-        push("load-queries-wrong-source", s, lqr);
-    }
+    let (lq_plan, lqr) = loaded22();
+    let wrong_cond = with(&lq_plan, vec![(4, local_sq(3, 0, 0))]);
+    push("local-selection-wrong-condition", wrong_cond, lqr);
+    push(
+        "load-queries-wrong-source",
+        with(&lq_plan, vec![(0, lq(0, 1))]),
+        lqr,
+    );
 
     mutants
 }

@@ -19,24 +19,16 @@
 //! carries it), NULLs in the filtered attributes, empty relations, and
 //! relations without any index (what a `LocalSq` step sees after `lq`).
 //!
-//! The battery size scales with `DATA_PLANE_SEEDS` (the defaults are per
-//! test; CI widens them).
+//! The widths are `width("data-plane-…")` (per test; CI widens them).
 
 mod common;
 
-use common::{for_seeds, Gen, VIOLATIONS};
+use common::{for_seeds, width, Gen, VIOLATIONS};
 use fusion::cache::Harvest;
 use fusion::source::SourceEngine;
 use fusion::types::schema::dmv_schema;
 use fusion::types::{CmpOp, Condition, Item, ItemSet, Predicate, Relation, SourceId, Tuple, Value};
 use std::collections::BTreeSet;
-
-fn seeds(default: u64) -> u64 {
-    std::env::var("DATA_PLANE_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 const OPS: [CmpOp; 6] = [
     CmpOp::Eq,
@@ -155,7 +147,7 @@ fn index_answers(cond: &Condition) -> bool {
 #[test]
 fn select_items_matches_collect_and_sort() {
     let schema = dmv_schema();
-    for_seeds(seeds(192), |g| {
+    for_seeds(width("data-plane-items"), |g| {
         let rows = rows(g);
         let v = views(&rows);
         for cond in conditions(g) {
@@ -199,7 +191,7 @@ fn semijoin_by_probing(rows: &[Tuple], cond: &Condition, bindings: &ItemSet) -> 
 #[test]
 fn semijoin_items_matches_probe_per_binding() {
     let schema = dmv_schema();
-    for_seeds(seeds(192), |g| {
+    for_seeds(width("data-plane-items"), |g| {
         let rows = rows(g);
         let v = views(&rows);
         let n_bindings = g.0.next_below(20);
@@ -293,7 +285,7 @@ fn projected(rows: &[Tuple], residual: Option<&Condition>) -> ItemSet {
 #[test]
 fn select_records_matches_a_full_scan() {
     let schema = dmv_schema();
-    for_seeds(seeds(64), |g| {
+    for_seeds(width("data-plane-sets"), |g| {
         let mut rows = rows(g);
         // Half the relations filter on `D` values that are one key across
         // types (`1990` / `1990.0`).
@@ -362,7 +354,7 @@ fn select_records_matches_a_full_scan() {
 
 #[test]
 fn union_all_matches_a_fold_of_union() {
-    for_seeds(seeds(64), |g| {
+    for_seeds(width("data-plane-sets"), |g| {
         for k in 0..=17usize {
             let sets: Vec<ItemSet> = (0..k)
                 .map(|_| match g.0.next_below(4) {
@@ -412,7 +404,7 @@ fn secondary_index_matches_a_full_scan() {
         Value::Bool(true),
         Value::str("1992"),
     ];
-    for_seeds(seeds(96), |g| {
+    for_seeds(width("data-plane-index"), |g| {
         let n = match g.0.next_below(8) {
             0 => 0,
             _ => g.0.next_below(40),
@@ -487,7 +479,7 @@ fn mixed_item(g: &mut Gen, inline_only: bool) -> Item {
 #[test]
 fn set_algebra_over_mixed_items_matches_a_btreeset() {
     let listed = |s: &BTreeSet<Item>| ItemSet::from_sorted_unique(s.iter().cloned().collect());
-    for_seeds(seeds(64), |g| {
+    for_seeds(width("data-plane-sets"), |g| {
         for k in 0..=17usize {
             let inline_only = g.0.next_below(3) == 0;
             let sets: Vec<ItemSet> = (0..k)

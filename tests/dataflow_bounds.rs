@@ -201,8 +201,8 @@ fn boundary_predicates_stay_inside_seeded_intervals() {
 /// the summed bound and stay sound.
 #[test]
 fn union_key_constraint_caps_same_source_unions() {
-    use fusion::core::plan::{Step, VarId};
-    use fusion::types::{CondId, SourceId};
+    use common::mutants::{sq, union as unite};
+    use fusion::core::plan::VarId;
     for_seeds(SEEDS, |g| {
         let relations = g.relations(3);
         let d1 = relations[0].distinct_items().len() as f64;
@@ -212,27 +212,8 @@ fn union_key_constraint_caps_same_source_unions() {
         // Two tautologies: each selects all of R1's items.
         let conditions: Vec<Condition> =
             vec![Predicate::Const(true).into(), Predicate::Const(true).into()];
-        let plan = Plan::new(
-            vec![
-                Step::Sq {
-                    out: VarId(0),
-                    cond: CondId(0),
-                    source: SourceId(0),
-                },
-                Step::Sq {
-                    out: VarId(1),
-                    cond: CondId(1),
-                    source: SourceId(0),
-                },
-                Step::Union {
-                    out: VarId(2),
-                    inputs: vec![VarId(0), VarId(1)],
-                },
-            ],
-            VarId(2),
-            2,
-            3,
-        );
+        let steps = vec![sq(0, 0, 0), sq(1, 1, 0), unite(2, &[0, 1])];
+        let plan = Plan::new(steps, VarId(2), 2, 3);
         let bounds = SourceBounds::exact_from_relations(&conditions, &relations).unwrap();
         let model = g.model(2, 3);
         let df = analyze_dataflow(&plan, &model, &bounds).unwrap();
@@ -259,27 +240,8 @@ fn union_key_constraint_caps_same_source_unions() {
         );
 
         // Cross-source variant: the same two tautologies at R1 and R2.
-        let cross = Plan::new(
-            vec![
-                Step::Sq {
-                    out: VarId(0),
-                    cond: CondId(0),
-                    source: SourceId(0),
-                },
-                Step::Sq {
-                    out: VarId(1),
-                    cond: CondId(1),
-                    source: SourceId(1),
-                },
-                Step::Union {
-                    out: VarId(2),
-                    inputs: vec![VarId(0), VarId(1)],
-                },
-            ],
-            VarId(2),
-            2,
-            3,
-        );
+        let steps = vec![sq(0, 0, 0), sq(1, 1, 1), unite(2, &[0, 1])];
+        let cross = Plan::new(steps, VarId(2), 2, 3);
         let df = analyze_dataflow(&cross, &model, &bounds).unwrap();
         let observed = evaluate_plan_vars(&cross, &conditions, &relations).unwrap();
         let union = observed[2].as_ref().unwrap();
@@ -304,46 +266,20 @@ fn union_key_constraint_caps_same_source_unions() {
 /// bound sound against the reference interpreter.
 #[test]
 fn union_tightening_stays_sound_through_set_algebra() {
-    use fusion::core::plan::{Step, VarId};
-    use fusion::types::{CondId, SourceId};
+    use common::mutants::{diff, intersect, sjq, sq, union};
+    use fusion::core::plan::VarId;
     for_seeds(SEEDS, |g| {
         let relations = g.relations(2);
         let conditions = vec![g.condition(), g.condition()];
-        let plan = Plan::new(
-            vec![
-                Step::Sq {
-                    out: VarId(0),
-                    cond: CondId(0),
-                    source: SourceId(0),
-                },
-                Step::Sjq {
-                    out: VarId(1),
-                    cond: CondId(1),
-                    source: SourceId(1),
-                    input: VarId(0),
-                },
-                Step::Union {
-                    out: VarId(2),
-                    inputs: vec![VarId(0), VarId(1)],
-                },
-                Step::Intersect {
-                    out: VarId(3),
-                    inputs: vec![VarId(0), VarId(2)],
-                },
-                Step::Diff {
-                    out: VarId(4),
-                    left: VarId(2),
-                    right: VarId(1),
-                },
-                Step::Union {
-                    out: VarId(5),
-                    inputs: vec![VarId(3), VarId(4)],
-                },
-            ],
-            VarId(5),
-            2,
-            2,
-        );
+        let steps = vec![
+            sq(0, 0, 0),
+            sjq(1, 1, 1, 0),
+            union(2, &[0, 1]),
+            intersect(3, &[0, 2]),
+            diff(4, 2, 1),
+            union(5, &[3, 4]),
+        ];
+        let plan = Plan::new(steps, VarId(5), 2, 2);
         let observed = evaluate_plan_vars(&plan, &conditions, &relations).unwrap();
         let model = g.model(2, 2);
         for (name, bounds) in seedings(g, 2, 2, &conditions, &relations) {

@@ -1,94 +1,24 @@
 //! Fault-tolerance integration: deterministic replay, subset soundness
 //! under a seed battery, the single-source-outage acceptance criterion,
-//! and faults-off parity with the plain executor.
-//!
-//! The seed battery size scales with `FAULT_BATTERY_SEEDS` (default 40)
-//! so CI can run a heavier sweep than the local default.
+//! faults-off parity with the plain executor, and retry policies checked
+//! on entry. The cells are the lattice's (`common::lattice`); the width
+//! is `width("fault")`.
 
-use fusion::core::postopt::sja_plus;
-use fusion::core::{filter_plan, sja_optimal};
-use fusion::exec::{
-    execute_adaptive, execute_plan, execute_plan_reopt, execute_plan_with, Completeness,
-    ReoptConfig, ReoptOutcome, ReoptSession, RetryPolicy, StepKind,
-};
-use fusion::net::{FaultPlan, FaultSpec, Network};
+mod common;
+
+use common::lattice::{fixed, retried, storms, world, Cache, Case, Cell, Exec, Faults, Retry};
+use common::lattice::{Shape, World};
+use common::width;
+use fusion::core::phase2::{non_merge_attrs, CoverageCatalog};
+use fusion::exec::{execute_plan_with, fetch_planned, Completeness, RetryPolicy, StepKind};
+use fusion::net::FaultPlan;
 use fusion::types::{CondId, ItemSet, SourceId};
-use fusion::workload::synth::{synth_scenario, SynthSpec};
-use fusion::workload::{dmv, Scenario};
 
-fn battery() -> u64 {
-    std::env::var("FAULT_BATTERY_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40)
-}
-
-fn scenarios() -> Vec<Scenario> {
-    vec![
-        dmv::figure1_scenario(),
-        synth_scenario(&SynthSpec::default_with(6, 17), &[0.05, 0.4, 0.6]),
-    ]
-}
-
-/// A spec that exercises every fault kind at once (side rates shrink as
-/// the transient rate approaches 1 so the outcome mix stays valid).
-fn stormy(transient: f64) -> FaultSpec {
-    let side = (0.1f64).min((1.0 - transient) / 2.0);
-    FaultSpec {
-        transient_rate: transient,
-        timeout_rate: side,
-        slowdown_rate: side,
-        slowdown_factor: 3.0,
-        timeout_wait: 0.2,
-        outage_from: None,
+/// Checks `execs × faults` on `shape`'s plan over both fixed worlds.
+fn sweep(shape: Shape, execs: &[Exec], retry: Retry, faults: &[Faults]) {
+    for scenario in fixed() {
+        Case::new(&scenario, shape).sweep(execs, retry, faults, Cache::None);
     }
-    .validated()
-}
-
-fn run_ft(
-    scenario: &Scenario,
-    faults: FaultPlan,
-    policy: &RetryPolicy,
-) -> fusion::exec::ExecutionOutcome {
-    let model = scenario.cost_model();
-    let plan = sja_plus(&model).plan;
-    let mut network = scenario.network();
-    network.set_fault_plan(faults);
-    execute_plan_with(
-        &plan,
-        &scenario.query,
-        &scenario.sources,
-        &mut network,
-        Some(policy),
-        None,
-    )
-    .expect("fault-tolerant execution degrades instead of failing")
-}
-
-/// The SJA plan under certified re-optimization at point trust regions
-/// (every inexact observation re-opens the suffix search), sequentially,
-/// from a fresh session.
-fn run_reopt(
-    scenario: &Scenario,
-    network: &mut Network,
-    retry: Option<&RetryPolicy>,
-) -> (ReoptOutcome, ReoptSession) {
-    let model = scenario.cost_model();
-    let mut session = ReoptSession::new(scenario.m(), scenario.n(), 4096);
-    let out = execute_plan_reopt(
-        &sja_optimal(&model).spec,
-        &scenario.query,
-        &scenario.sources,
-        network,
-        &model,
-        None,
-        &mut session,
-        &ReoptConfig::every_round(),
-        None,
-        retry,
-    )
-    .expect("fault-tolerant re-optimization degrades instead of failing");
-    (out, session)
 }
 
 // ---------- determinism -----------------------------------------------------
@@ -97,32 +27,11 @@ fn run_reopt(
 /// ledger (attempts and failed costs included), and network trace.
 #[test]
 fn same_seed_replays_identically() {
-    for scenario in scenarios() {
-        let n = scenario.n();
-        let model = scenario.cost_model();
-        let plan = sja_plus(&model).plan;
-        let policy = RetryPolicy::default();
-        let run = || {
-            let mut network = scenario.network();
-            network.set_fault_plan(FaultPlan::uniform(n, 0xBAD, stormy(0.3)));
-            let out = execute_plan_with(
-                &plan,
-                &scenario.query,
-                &scenario.sources,
-                &mut network,
-                Some(&policy),
-                None,
-            )
-            .unwrap();
-            (out, network.trace().to_vec(), network.failed_count())
-        };
-        let (a, trace_a, failed_a) = run();
-        let (b, trace_b, failed_b) = run();
-        assert_eq!(a.answer, b.answer, "{}", scenario.name);
-        assert_eq!(a.completeness, b.completeness, "{}", scenario.name);
-        assert_eq!(a.ledger, b.ledger, "{}", scenario.name);
-        assert_eq!(trace_a, trace_b, "{}", scenario.name);
-        assert_eq!(failed_a, failed_b, "{}", scenario.name);
+    for scenario in fixed() {
+        let case = Case::new(&scenario, Shape::SjaPlus);
+        let storm = Faults::Stormy(0xBAD, 0.3);
+        let cell = Cell::of(Exec::With, retried(), storm, Cache::None);
+        assert_eq!(case.check(&[cell])[0].fp, case.run(cell).fp, "{}", case.tag);
     }
 }
 
@@ -130,20 +39,8 @@ fn same_seed_replays_identically() {
 /// survives retries does not depend on which attempts failed.
 #[test]
 fn fault_seed_never_changes_an_exact_answer() {
-    for scenario in scenarios() {
-        let n = scenario.n();
-        let exact = scenario.ground_truth().unwrap();
-        for seed in 0..battery().min(16) {
-            let out = run_ft(
-                &scenario,
-                FaultPlan::uniform(n, seed, stormy(0.2)),
-                &RetryPolicy::default(),
-            );
-            if out.completeness.is_exact() {
-                assert_eq!(out.answer, exact, "{} seed {seed}", scenario.name);
-            }
-        }
-    }
+    let storms = storms(width("fault").min(16), &[0.2]);
+    sweep(Shape::SjaPlus, &[Exec::With], retried(), &storms);
 }
 
 // ---------- subset soundness ------------------------------------------------
@@ -153,71 +50,16 @@ fn fault_seed_never_changes_an_exact_answer() {
 /// outcomes name at least one missing source.
 #[test]
 fn every_answer_is_a_sound_subset_of_the_exact_answer() {
-    for scenario in scenarios() {
-        let n = scenario.n();
-        let exact = scenario.ground_truth().unwrap();
-        for seed in 0..battery() {
-            for rate in [0.3, 0.6, 0.9] {
-                let out = run_ft(
-                    &scenario,
-                    FaultPlan::uniform(n, seed, stormy(rate)),
-                    &RetryPolicy::default(),
-                );
-                assert!(
-                    out.answer.is_subset_of(&exact),
-                    "{} seed {seed} rate {rate}: {} extra items",
-                    scenario.name,
-                    out.answer.difference(&exact).len()
-                );
-                match &out.completeness {
-                    Completeness::Exact => {
-                        assert_eq!(
-                            out.answer, exact,
-                            "{} seed {seed} rate {rate}",
-                            scenario.name
-                        );
-                    }
-                    Completeness::Subset {
-                        missing_sources, ..
-                    } => {
-                        assert!(!missing_sources.is_empty());
-                        assert!(missing_sources.iter().all(|s| s.0 < n));
-                    }
-                }
-            }
-        }
-    }
+    let storms = storms(width("fault"), &[0.3, 0.6, 0.9]);
+    sweep(Shape::SjaPlus, &[Exec::With], retried(), &storms);
 }
 
 /// The adaptive executor degrades just as soundly: dead sources are
 /// skipped during re-planning and the answer stays a subset.
 #[test]
 fn adaptive_execution_degrades_to_sound_subsets() {
-    for scenario in scenarios() {
-        let n = scenario.n();
-        let exact = scenario.ground_truth().unwrap();
-        let model = scenario.cost_model();
-        for seed in 0..battery().min(16) {
-            let mut network = scenario.network();
-            network.set_fault_plan(FaultPlan::uniform(n, seed, stormy(0.5)));
-            let out = execute_adaptive(
-                &scenario.query,
-                &scenario.sources,
-                &mut network,
-                &model,
-                Some(&RetryPolicy::default()),
-            )
-            .unwrap();
-            assert!(
-                out.answer.is_subset_of(&exact),
-                "{} seed {seed}",
-                scenario.name
-            );
-            if out.completeness.is_exact() {
-                assert_eq!(out.answer, exact, "{} seed {seed}", scenario.name);
-            }
-        }
-    }
+    let storms = storms(width("fault").min(16), &[0.5]);
+    sweep(Shape::Sja, &[Exec::Adaptive], retried(), &storms);
 }
 
 /// So does the re-optimizing driver under a retry policy: whatever it
@@ -226,38 +68,8 @@ fn adaptive_execution_degrades_to_sound_subsets() {
 /// under the same fault plan and policy.
 #[test]
 fn reopt_execution_degrades_to_sound_subsets() {
-    for scenario in scenarios() {
-        let n = scenario.n();
-        let exact = scenario.ground_truth().unwrap();
-        let model = scenario.cost_model();
-        let spec = sja_optimal(&model).spec;
-        let policy = RetryPolicy::default();
-        for seed in 0..battery().min(16) {
-            let faulty = || {
-                let mut network = scenario.network();
-                network.set_fault_plan(FaultPlan::uniform(n, seed, stormy(0.5)));
-                network
-            };
-            let (out, _) = run_reopt(&scenario, &mut faulty(), Some(&policy));
-            assert!(
-                out.outcome.answer.is_subset_of(&exact),
-                "{} seed {seed}",
-                scenario.name
-            );
-            if out.outcome.completeness.is_exact() {
-                assert_eq!(out.outcome.answer, exact, "{} seed {seed}", scenario.name);
-            }
-            fusion::check::verify_reopt_replay(
-                &out,
-                &spec,
-                &scenario.query,
-                &scenario.sources,
-                &faulty,
-                Some(&policy),
-            )
-            .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", scenario.name));
-        }
-    }
+    let storms = storms(width("fault").min(16), &[0.5]);
+    sweep(Shape::Sja, &[Exec::Reopt(None)], retried(), &storms);
 }
 
 /// A step the run dropped is not an observation. With one source down
@@ -268,49 +80,20 @@ fn reopt_execution_degrades_to_sound_subsets() {
 /// answer is the fusion over the survivors.
 #[test]
 fn a_dropped_step_is_not_an_observation() {
-    let scenario = synth_scenario(&SynthSpec::default_with(6, 17), &[0.05, 0.4, 0.6]);
+    let scenario = world(World::Synth6, 17);
     let (m, n) = (scenario.m(), scenario.n());
-    for dead in 0..n {
-        let mut network = scenario.network();
-        network.set_fault_plan(FaultPlan::none(n).with_outage(SourceId(dead), 0));
-        let (out, session) = run_reopt(&scenario, &mut network, Some(&RetryPolicy::default()));
-        let Completeness::Subset {
-            missing_sources, ..
-        } = &out.outcome.completeness
-        else {
-            panic!("R{} down: expected a subset answer", dead + 1);
-        };
-        assert_eq!(missing_sources.as_slice(), &[SourceId(dead)]);
-        let survivors: Vec<_> = (scenario.relations.iter().enumerate())
-            .filter(|(j, _)| *j != dead)
-            .map(|(_, r)| r.clone())
-            .collect();
-        assert_eq!(
-            out.outcome.answer,
-            scenario.query.naive_answer(&survivors).unwrap(),
-            "R{} down",
-            dead + 1
-        );
-        assert!(out.violations > 0, "R{} down: nothing re-planned", dead + 1);
+    let outages: Vec<Faults> = (0..n).map(Faults::Outage).collect();
+    let case = Case::new(&scenario, Shape::Sja);
+    let runs = case.sweep(&[Exec::Reopt(None)], retried(), &outages, Cache::None);
+    for (dead, run) in runs.iter().enumerate() {
+        let (out, session) = run.reopt.as_ref().expect("a reopt run");
+        let tag = format!("R{} down", dead + 1);
+        assert!(out.violations > 0, "{tag}: nothing re-planned");
         for i in 0..m {
-            assert_eq!(
-                session.feedback.observed(CondId(i), SourceId(dead)),
-                None,
-                "R{} down: c{} calibrated from a dropped step",
-                dead + 1,
-                i + 1
-            );
+            let observed = |j| session.feedback.observed(CondId(i), SourceId(j));
+            assert_eq!(observed(dead), None, "{tag}: c{} calibrated", i + 1);
             for live in (0..n).filter(|j| *j != dead) {
-                assert!(
-                    session
-                        .feedback
-                        .observed(CondId(i), SourceId(live))
-                        .is_some(),
-                    "R{} down: live cell c{}/R{} unobserved",
-                    dead + 1,
-                    i + 1,
-                    live + 1
-                );
+                assert!(observed(live).is_some(), "{tag}: c{}/R{live}", i + 1);
             }
         }
         // No switch was argued from a dead source's silence.
@@ -318,7 +101,7 @@ fn a_dropped_step_is_not_an_observation() {
             let entry = (out.outcome.ledger.entries().iter())
                 .find(|e| e.kind != StepKind::Reopt && e.step == sw.violating_step)
                 .expect("violating step executed");
-            assert_ne!(entry.source, Some(SourceId(dead)), "R{} down", dead + 1);
+            assert_ne!(entry.source, Some(SourceId(dead)), "{tag}");
         }
     }
 }
@@ -331,54 +114,11 @@ fn a_dropped_step_is_not_an_observation() {
 /// scenario, under both the FILTER and SJA plan shapes.
 #[test]
 fn single_source_outage_equals_fusion_over_survivors() {
-    for scenario in scenarios() {
-        let n = scenario.n();
-        let model = scenario.cost_model();
-        let plans = [
-            ("FILTER", filter_plan(&model).plan),
-            ("SJA", sja_optimal(&model).plan),
-        ];
-        for dead in 0..n {
-            let survivors: Vec<_> = scenario
-                .relations
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != dead)
-                .map(|(_, r)| r.clone())
-                .collect();
-            let expected = scenario.query.naive_answer(&survivors).unwrap();
-            for (name, plan) in &plans {
-                let mut network = scenario.network();
-                network.set_fault_plan(FaultPlan::none(n).with_outage(SourceId(dead), 0));
-                let out = execute_plan_with(
-                    plan,
-                    &scenario.query,
-                    &scenario.sources,
-                    &mut network,
-                    Some(&RetryPolicy::default()),
-                    None,
-                )
-                .unwrap();
-                let Completeness::Subset {
-                    missing_sources, ..
-                } = &out.completeness
-                else {
-                    panic!("{name} on {}: expected a subset answer", scenario.name);
-                };
-                assert_eq!(
-                    missing_sources.as_slice(),
-                    &[SourceId(dead)],
-                    "{name} on {}",
-                    scenario.name
-                );
-                assert_eq!(
-                    out.answer,
-                    expected,
-                    "{name} on {} with R{} down",
-                    scenario.name,
-                    dead + 1
-                );
-            }
+    for scenario in fixed() {
+        let outages: Vec<Faults> = (0..scenario.n()).map(Faults::Outage).collect();
+        for shape in [Shape::Filter, Shape::Sja] {
+            let case = Case::new(&scenario, shape);
+            case.sweep(&[Exec::With], retried(), &outages, Cache::None);
         }
     }
 }
@@ -387,13 +127,12 @@ fn single_source_outage_equals_fusion_over_survivors() {
 /// the executor still terminates with a (vacuously sound) subset.
 #[test]
 fn total_outage_returns_the_empty_subset() {
-    let scenario = dmv::figure1_scenario();
-    let n = scenario.n();
-    let mut faults = FaultPlan::none(n);
-    for j in 0..n {
-        faults = faults.with_outage(SourceId(j), 0);
-    }
-    let out = run_ft(&scenario, faults, &RetryPolicy::default());
+    let scenario = world(World::Figure1, 0);
+    let (query, sources, n) = (&scenario.query, &scenario.sources, scenario.n());
+    let plan = Case::new(&scenario, Shape::SjaPlus).plan;
+    let mut network = scenario.network();
+    network.set_fault_plan((0..n).fold(FaultPlan::none(n), |f, j| f.with_outage(SourceId(j), 0)));
+    let out = execute_plan_with(&plan, query, sources, &mut network, retried(), None).unwrap();
     assert_eq!(out.answer, ItemSet::empty());
     let Completeness::Subset {
         missing_sources, ..
@@ -408,100 +147,68 @@ fn total_outage_returns_the_empty_subset() {
 
 /// With no fault plan (or an all-`none` one), the fault-tolerant executor
 /// is byte-identical to the plain one: same answer, same ledger entry by
-/// entry, `Exact` completeness, zero failed cost.
+/// entry, `Exact` completeness, zero failed cost. The same pair for
+/// per-round re-planning (rounds included) and for certified
+/// re-optimization (switches, final spec and calibration included).
 #[test]
 fn faults_off_is_byte_identical_to_plain_execution() {
-    for scenario in scenarios() {
-        let model = scenario.cost_model();
-        for plan in [filter_plan(&model).plan, sja_plus(&model).plan] {
-            let mut plain_net = scenario.network();
-            let plain =
-                execute_plan(&plan, &scenario.query, &scenario.sources, &mut plain_net).unwrap();
-            for faults in [None, Some(FaultPlan::none(scenario.n()))] {
-                let mut ft_net = scenario.network();
-                if let Some(f) = faults {
-                    ft_net.set_fault_plan(f);
-                }
-                let ft = execute_plan_with(
-                    &plan,
-                    &scenario.query,
-                    &scenario.sources,
-                    &mut ft_net,
-                    Some(&RetryPolicy::default()),
-                    None,
-                )
-                .unwrap();
-                assert_eq!(ft.answer, plain.answer, "{}", scenario.name);
-                assert_eq!(ft.ledger, plain.ledger, "{}", scenario.name);
-                assert!(ft.completeness.is_exact(), "{}", scenario.name);
-                assert_eq!(ft.ledger.failed_total(), fusion::types::Cost::ZERO);
-                assert_eq!(ft_net.trace(), plain_net.trace(), "{}", scenario.name);
-            }
-        }
-        // The same pair for per-round re-planning: a retry policy with
-        // nothing to retry changes not a byte of an adaptive run.
-        let adaptive = |retry: Option<&RetryPolicy>| {
-            let mut net = scenario.network();
-            let out = execute_adaptive(&scenario.query, &scenario.sources, &mut net, &model, retry)
-                .unwrap();
-            (out, net)
-        };
-        let (plain, plain_net) = adaptive(None);
-        let (ft, ft_net) = adaptive(Some(&RetryPolicy::default()));
-        assert_eq!(ft.answer, plain.answer, "{}", scenario.name);
-        assert_eq!(ft.ledger, plain.ledger, "{}", scenario.name);
-        assert_eq!(ft.completeness, plain.completeness, "{}", scenario.name);
-        assert_eq!(ft_net.trace(), plain_net.trace(), "{}", scenario.name);
-        let rounds = |o: &fusion::exec::AdaptiveOutcome| -> Vec<_> {
-            o.rounds
-                .iter()
-                .map(|r| {
-                    (
-                        r.cond,
-                        r.choices.clone(),
-                        r.predicted_size.to_bits(),
-                        r.actual_size,
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(rounds(&ft), rounds(&plain), "{}", scenario.name);
-        // And for certified re-optimization, switches included.
-        let mut plain_net = scenario.network();
-        let (plain, plain_session) = run_reopt(&scenario, &mut plain_net, None);
-        let mut ft_net = scenario.network();
-        let (ft, ft_session) = run_reopt(&scenario, &mut ft_net, Some(&RetryPolicy::default()));
-        assert_eq!(ft.outcome.answer, plain.outcome.answer, "{}", scenario.name);
-        assert_eq!(ft.outcome.ledger, plain.outcome.ledger, "{}", scenario.name);
-        assert_eq!(
-            ft.outcome.completeness, plain.outcome.completeness,
-            "{}",
-            scenario.name
-        );
-        assert_eq!(ft.switches, plain.switches, "{}", scenario.name);
-        assert_eq!(ft.final_spec, plain.final_spec, "{}", scenario.name);
-        assert_eq!(
-            ft_session.feedback, plain_session.feedback,
-            "{}",
-            scenario.name
-        );
-        assert_eq!(ft_net.trace(), plain_net.trace(), "{}", scenario.name);
-    }
+    let quiet = [Faults::Off, Faults::Quiet];
+    sweep(Shape::Filter, &[Exec::With], retried(), &quiet);
+    sweep(Shape::SjaPlus, &[Exec::With], retried(), &quiet);
+    let adaptive = [Exec::Adaptive, Exec::Reopt(None)];
+    sweep(Shape::Sja, &adaptive, retried(), &quiet);
 }
 
 /// A no-retry policy under faults still never aborts: failures become
 /// drops, drops become subsets.
 #[test]
 fn no_retry_policy_degrades_without_error() {
-    let scenario = synth_scenario(&SynthSpec::default_with(5, 23), &[0.1, 0.5]);
-    let n = scenario.n();
-    let exact = scenario.ground_truth().unwrap();
-    for seed in 0..battery().min(16) {
-        let out = run_ft(
-            &scenario,
-            FaultPlan::uniform(n, seed, stormy(0.5)),
-            &RetryPolicy::no_retry(),
+    let scenario = world(World::Synth5, 23);
+    let once: &'static RetryPolicy = Box::leak(Box::new(RetryPolicy::no_retry()));
+    let storms = storms(width("fault").min(16), &[0.5]);
+    Case::new(&scenario, Shape::SjaPlus).sweep(&[Exec::With], Some(once), &storms, Cache::None);
+}
+
+/// A retry policy is public configuration: every executor that takes one
+/// refuses a policy it cannot price with an error naming the field,
+/// before the first exchange — never a panic at the first transient
+/// failure.
+#[test]
+fn hostile_retry_policy_is_an_error_at_every_entry() {
+    let scenario = world(World::Figure1, 0);
+    let case = Case::new(&scenario, Shape::Sja);
+    let storm = Faults::Stormy(1, 0.5);
+    let schema = scenario.query.schema();
+    let catalog = CoverageCatalog::from_relations(schema, &scenario.relations, &[true; 3]);
+    let (truth, attrs) = (scenario.ground_truth().unwrap(), non_merge_attrs(schema));
+    let bad = |f: fn(&mut RetryPolicy)| {
+        let mut policy = RetryPolicy::default();
+        f(&mut policy);
+        &*Box::leak(Box::new(policy))
+    };
+    for (field, policy) in [
+        ("max_attempts", bad(|p| p.max_attempts = 0)),
+        ("breaker_threshold", bad(|p| p.breaker_threshold = 0)),
+        ("backoff_base", bad(|p| p.backoff_base = -1.0)),
+        ("backoff_factor", bad(|p| p.backoff_factor = f64::NAN)),
+        ("jitter", bad(|p| p.jitter = f64::NAN)),
+    ] {
+        let execs = [Exec::With, Exec::Parallel(2), Exec::Replay, Exec::Adaptive];
+        let execs = execs
+            .into_iter()
+            .chain([Exec::Reopt(None), Exec::Reopt(Some(2))]);
+        let mut errors: Vec<String> = execs
+            .map(|exec| case.try_run(Cell::of(exec, Some(policy), storm, Cache::None)))
+            .map(|run| run.err().expect("a hostile policy ran").to_string())
+            .collect();
+        let (mut net, model) = (case.network(storm), scenario.cost_model());
+        let (src, retry) = (&scenario.sources, Some(policy));
+        let fetched = fetch_planned(
+            &truth, &attrs, &catalog, &model, schema, src, &mut net, None, retry,
         );
-        assert!(out.answer.is_subset_of(&exact), "seed {seed}");
+        errors.push(fetched.expect_err("phase two ran").to_string());
+        for e in errors {
+            assert!(e.contains(field), "{field}: {e}");
+        }
     }
 }

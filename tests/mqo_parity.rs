@@ -8,64 +8,39 @@
 //! bit-for-bit from its admission log, and every query must answer and
 //! complete exactly like an isolated cold run of the same query —
 //! fresh network, no cache, no co-tenants — at several worker counts.
-//!
-//! The battery size scales with `MQO_BATTERY_SEEDS` (default 4); CI
-//! runs a 32-seed sweep in release mode.
+//! The server cells are the lattice's (`common::lattice`); the width is
+//! `width("mqo")`.
 
-use fusion::check::verify_merged_vs_isolated;
-use fusion::exec::{replay_serial, serve, verify_replay_parity, ServerConfig, TenantEvent};
-use fusion::workload::session::{generate_session_for_tenant, SessionEvent, SessionSpec};
-use fusion::workload::synth::{synth_scenario, SynthSpec};
-use fusion::workload::Scenario;
+mod common;
 
-fn battery() -> u64 {
-    std::env::var("MQO_BATTERY_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-}
-
-const N_SOURCES: usize = 4;
-
-fn scenario(seed: u64) -> Scenario {
-    synth_scenario(
-        &SynthSpec {
-            n_sources: N_SOURCES,
-            domain_size: 1_000,
-            rows_per_source: 200,
-            seed,
-            ..SynthSpec::default_with(N_SOURCES, seed)
-        },
-        &[0.2, 0.2],
-    )
-}
-
-fn to_events(stream: &[SessionEvent]) -> Vec<TenantEvent> {
-    stream
-        .iter()
-        .map(|e| match e {
-            SessionEvent::Query { query, .. } => TenantEvent::Query(query.clone()),
-            SessionEvent::Update { source } => TenantEvent::Update(*source),
-        })
-        .collect()
-}
+use common::lattice::{serve_cells, streams, world, World};
+use common::width;
+use fusion::exec::{ServerConfig, TenantEvent};
+use fusion::workload::SessionSpec;
 
 /// Three tenants drawing from one small shared pool: heavy overlap, so
 /// co-admissions routinely carry equivalent and contained selections.
 fn tenant_streams(seed: u64) -> Vec<Vec<TenantEvent>> {
     let spec = SessionSpec {
         m: 2,
-        n_sources: N_SOURCES,
+        n_sources: 4,
         pool: 3,
         n_queries: 4,
         skew: 1.2,
         update_rate: 0.1,
         sel_range: (0.05, 0.4),
-        seed: seed ^ 0x3A7E,
+        seed: 0,
     };
-    (0..3)
-        .map(|t| to_events(&generate_session_for_tenant(&spec, t).events))
-        .collect()
+    let seed = seed ^ 0x3A7E;
+    streams(&spec, &[(seed, 0), (seed, 1), (seed, 2)])
+}
+
+fn paced(pace: f64) -> ServerConfig {
+    ServerConfig {
+        pace: Some(pace),
+        cache_budget: 1 << 22,
+        ..ServerConfig::default()
+    }
 }
 
 /// The battery: at every worker count, a share-on paced server run
@@ -73,26 +48,10 @@ fn tenant_streams(seed: u64) -> Vec<Vec<TenantEvent>> {
 /// runs of each query.
 #[test]
 fn merged_runs_match_isolated_runs_at_every_worker_count() {
-    for seed in 0..battery() {
-        let sc = scenario(2200 + seed);
+    for seed in 0..width("mqo") {
+        let scenario = world(World::Served(4, 200), 2200 + seed);
         let tenants = tenant_streams(seed);
-        let netf = || sc.network();
-        for workers in [1, 2, 4] {
-            let config = ServerConfig {
-                pace: Some(0.002),
-                cache_budget: 1 << 22,
-                ..ServerConfig::with_workers(workers)
-            };
-            let n = verify_merged_vs_isolated(
-                &sc.sources,
-                &netf,
-                Some(sc.domain_size),
-                &tenants,
-                &config,
-            )
-            .unwrap_or_else(|e| panic!("seed {seed} workers {workers}: {e}"));
-            assert!(n > 0, "seed {seed} workers {workers}: nothing compared");
-        }
+        serve_cells(&scenario, &tenants, &paced(0.002), &[1, 2, 4]);
     }
 }
 
@@ -101,37 +60,12 @@ fn merged_runs_match_isolated_runs_at_every_worker_count() {
 /// and the attaches stay byte-invisible and log-reproducible.
 #[test]
 fn sharing_engages_on_duplicate_streams_and_replays() {
-    let sc = scenario(7_777);
-    let query = match &tenant_streams(0)[0][0] {
-        TenantEvent::Query(q) => q.clone(),
-        TenantEvent::Update(_) => unreachable!("streams start with a query"),
-    };
-    let tenants: Vec<Vec<TenantEvent>> = (0..3)
-        .map(|_| vec![TenantEvent::Query(query.clone())])
-        .collect();
-    let netf = || sc.network();
-    let config = ServerConfig {
-        pace: Some(0.01),
-        ..ServerConfig::with_workers(3)
-    };
-    let report =
-        serve(&sc.sources, &netf, Some(sc.domain_size), &tenants, &config).expect("shared run");
+    let scenario = world(World::Served(4, 200), 7_777);
+    let first = tenant_streams(0)[0][0].clone();
+    let tenants = vec![vec![first]; 3];
+    let report = serve_cells(&scenario, &tenants, &paced(0.01), &[3]).remove(0);
     let shared: usize = report.results.iter().map(|r| r.shared).sum();
     assert!(shared > 0, "no co-admitted duplicate attached");
-    for r in &report.results {
-        assert_eq!(r.share_certificate.is_some(), r.shared > 0);
-        assert_eq!(&r.outcome.answer, &report.results[0].outcome.answer);
-    }
-    let (replayed, fp) = replay_serial(
-        &sc.sources,
-        &netf,
-        Some(sc.domain_size),
-        &tenants,
-        &config,
-        &report.log,
-    )
-    .expect("serial replay");
-    verify_replay_parity(&report, &replayed, &fp).expect("replay parity");
 }
 
 /// With sharing off, the same duplicate streams fall back to
@@ -140,21 +74,10 @@ fn sharing_engages_on_duplicate_streams_and_replays() {
 /// compares against is itself sound.
 #[test]
 fn share_off_baseline_never_attaches_and_stays_correct() {
-    let sc = scenario(7_777);
-    let tenants = tenant_streams(5);
-    let netf = || sc.network();
+    let scenario = world(World::Served(4, 200), 7_777);
     let config = ServerConfig {
-        pace: Some(0.002),
         share: false,
-        ..ServerConfig::with_workers(3)
+        ..paced(0.002)
     };
-    let report =
-        serve(&sc.sources, &netf, Some(sc.domain_size), &tenants, &config).expect("share-off run");
-    for r in &report.results {
-        assert_eq!(r.shared, 0, "sharing engaged while disabled");
-        assert!(r.share_certificate.is_none());
-    }
-    let n = verify_merged_vs_isolated(&sc.sources, &netf, Some(sc.domain_size), &tenants, &config)
-        .expect("share-off isolation parity");
-    assert!(n > 0);
+    serve_cells(&scenario, &tenant_streams(5), &config, &[3]);
 }

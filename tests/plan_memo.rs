@@ -11,7 +11,7 @@ mod common;
 
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-use common::Gen;
+use common::{width, Gen};
 use fusion::cache::{CacheSnapshot, CachedCostModel};
 use fusion::core::optimizer::{
     ordering_search, plan_memo_stats, reference_enumeration, RoundRule, PLAN_MEMO_CAPACITY,
@@ -38,16 +38,9 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn seeds() -> u64 {
-    std::env::var("PLAN_MEMO_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40)
-}
-
 /// What the plan memo's counters moved by while `ask` ran: `(misses,
 /// hits, entries)` — entries stored since the clear, if it filled up
-/// meanwhile (a wide `PLAN_MEMO_SEEDS` battery outgrows the capacity).
+/// meanwhile (a CI-width battery outgrows the capacity).
 fn moved(ask: impl FnOnce()) -> (u64, u64, i64) {
     let before = plan_memo_stats();
     ask();
@@ -136,7 +129,7 @@ const RULES: [RoundRule; 2] = [RoundRule::Uniform, RoundRule::PerSource];
 #[test]
 fn first_call_second_call_and_a_fresh_search_agree() {
     let _alone = serial();
-    for seed in 0..seeds() {
+    for seed in 0..width("plan-memo") {
         let mut g = Gen::new(0x9_1A40 ^ seed);
         let (m, n) = (1 + g.0.next_below(6), 2 + g.0.next_below(7));
         let table = g.model(m, n);
@@ -445,7 +438,7 @@ impl CostModel for Handwritten {
 #[test]
 fn decorators_and_user_models_move_no_counter() {
     let _alone = serial();
-    for seed in 0..seeds().min(24) {
+    for seed in 0..width("plan-memo").min(24) {
         let mut g = Gen::new(0xDEC0 ^ seed);
         let (m, n) = (2 + g.0.next_below(4), 2 + g.0.next_below(4));
         let table = g.model(m, n);

@@ -11,9 +11,8 @@
 //!   estimates the adaptive executor may splice certified plan
 //!   switches mid-flight, but every switched run must replay
 //!   bit-for-bit from its switch records, the parallel path must match
-//!   the sequential path byte-for-byte, and every answer must equal
-//!   the misestimate-locked plan's answer — adaptation changes costs,
-//!   never results.
+//!   the sequential path byte-for-byte, and every answer must be the
+//!   truth — adaptation changes costs, never results.
 //!
 //! A third test drives the mediator server with between-query feedback
 //! calibration on and proves its admission log still replays to byte
@@ -29,72 +28,30 @@
 //! observation can equal its estimate, and that round is not re-planned:
 //! DESIGN §15 has the counts.)
 //!
-//! The battery size scales with `REOPT_BATTERY_SEEDS` (default 16; CI
-//! runs 32 in release).
+//! The cells are the lattice's (`common::lattice`); the width is
+//! `width("reopt")`.
 
 mod common;
 
-use common::{for_seeds, Gen};
-use fusion::cache::AnswerCache;
-use fusion::check::verify_reopt_replay;
+use common::lattice::{serve_cells, world, Cache, Case, Cell, Exec, Faults, Run, Shape, World};
+use common::width;
 use fusion::core::optimizer::{reference_enumeration, RoundRule};
 use fusion::core::plan::SourceChoice;
-use fusion::core::query::FusionQuery;
-use fusion::core::{sja_optimal, TableCostModel};
-use fusion::exec::{
-    execute_adaptive, execute_plan, execute_plan_reopt, execute_plan_with, replay_plan_reopt,
-    replay_serial, serve, verify_replay_parity, ReoptConfig, ReoptSession, ServerConfig, StepKind,
-    TenantEvent,
-};
-use fusion::net::{LinkProfile, Network};
-use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
+use fusion::core::TableCostModel;
+use fusion::exec::{execute_adaptive, ReoptConfig, ServerConfig, StepKind, TenantEvent};
 use fusion::stats::SplitMix64;
-use fusion::types::{CondId, Condition, Relation, SourceId};
-use fusion::workload::synth::{
-    condition_with_selectivity, synth_scenario_for, synth_schema, CapabilityMix, SynthSpec,
-};
+use fusion::types::{CondId, SourceId};
 use fusion::workload::Scenario;
-
-const N_SOURCES: usize = 3;
-
-fn battery() -> u64 {
-    std::env::var("REOPT_BATTERY_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16)
-}
-
-fn wan() -> Network {
-    Network::uniform(N_SOURCES, LinkProfile::Wan.link())
-}
-
-fn sources_from(relations: Vec<Relation>) -> SourceSet {
-    SourceSet::new(
-        relations
-            .into_iter()
-            .enumerate()
-            .map(|(j, r)| {
-                Box::new(InMemoryWrapper::new(
-                    format!("R{}", j + 1),
-                    r,
-                    Capabilities::full(),
-                    ProcessingProfile::indexed_db(),
-                    j as u64,
-                )) as Box<dyn Wrapper>
-            })
-            .collect(),
-    )
-}
 
 /// A cost model whose per-cell cardinality estimates are the truth
 /// scaled by `factor` (1.0 = exact). Selection is priced at 50 while a
 /// semijoin pays 1 + 4/item, so underestimating the running set locks
 /// in semijoins that the observed cardinalities later disown.
-fn model_for(query: &FusionQuery, relations: &[Relation], factor: f64) -> TableCostModel {
-    let m = query.m();
-    let mut model = TableCostModel::uniform(m, N_SOURCES, 50.0, 1.0, 4.0, 1e9, 0.0, 25.0);
-    for (i, cond) in query.conditions().iter().enumerate() {
-        for (j, rel) in relations.iter().enumerate() {
+fn model_for(scenario: &Scenario, factor: f64) -> TableCostModel {
+    let n = scenario.n();
+    let mut model = TableCostModel::uniform(scenario.m(), n, 50.0, 1.0, 4.0, 1e9, 0.0, 25.0);
+    for (i, cond) in scenario.query.conditions().iter().enumerate() {
+        for (j, rel) in scenario.relations.iter().enumerate() {
             let truth = rel.select_items(cond).expect("selectable").items.len() as f64;
             model.set_est_sq_items(CondId(i), SourceId(j), truth * factor);
         }
@@ -102,216 +59,53 @@ fn model_for(query: &FusionQuery, relations: &[Relation], factor: f64) -> TableC
     model
 }
 
-/// One generated case: a 2–3 condition query over three random
-/// DMV-shaped relations, with the relations kept for truth-counting.
-fn generate(g: &mut Gen) -> (FusionQuery, Vec<Relation>) {
-    let m = 2 + g.0.next_below(2);
-    (g.query(m), g.relations(N_SOURCES))
+/// The reopt cells both statistics tests sweep at the default config —
+/// sequential, on two threads, and sequential from a cold cache — under
+/// a model whose estimates are the truth scaled by `factor`.
+fn reopt_runs(scenario: &Scenario, factor: f64) -> (Case<'_, TableCostModel>, Vec<(Cell, Run)>) {
+    let mut case = Case::with_model(scenario, model_for(scenario, factor), Shape::Sja);
+    case.reopt = ReoptConfig::default();
+    let cells = [
+        Cell::of(Exec::Reopt(None), None, Faults::Off, Cache::None),
+        Cell::of(Exec::Reopt(Some(2)), None, Faults::Off, Cache::None),
+        Cell::of(Exec::Reopt(None), None, Faults::Off, Cache::Cold),
+    ];
+    let runs = case.check(&cells);
+    (case, cells.into_iter().zip(runs).collect())
 }
 
 #[test]
 fn accurate_statistics_make_adaptation_invisible() {
-    for_seeds(battery(), |g| {
-        let (query, relations) = generate(g);
-        let model = model_for(&query, &relations, 1.0);
-        let sources = sources_from(relations);
-        let opt = sja_optimal(&model);
-        let config = ReoptConfig::default();
-
-        let mut net_off = wan();
-        let off = execute_plan(&opt.plan, &query, &sources, &mut net_off).unwrap();
-
-        let mut session = ReoptSession::new(query.m(), N_SOURCES, 1024);
-        let mut net_on = wan();
-        let on = execute_plan_reopt(
-            &opt.spec,
-            &query,
-            &sources,
-            &mut net_on,
-            &model,
-            None,
-            &mut session,
-            &config,
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(on.switches.is_empty(), "switch under exact statistics");
-        assert_eq!(on.violations, 0, "violation under exact statistics");
-        assert_eq!(on.outcome.answer, off.answer);
-        assert_eq!(on.outcome.ledger, off.ledger, "ledger not byte-identical");
-        assert_eq!(net_on.trace(), net_off.trace(), "trace not byte-identical");
-
-        // Parallel adaptive path: byte-identical to sequential adaptive.
-        let mut session = ReoptSession::new(query.m(), N_SOURCES, 1024);
-        let mut net_par = wan();
-        let par = execute_plan_reopt(
-            &opt.spec,
-            &query,
-            &sources,
-            &mut net_par,
-            &model,
-            None,
-            &mut session,
-            &config,
-            Some(2),
-            None,
-        )
-        .unwrap();
-        assert_eq!(par.outcome.ledger, on.outcome.ledger);
-        assert_eq!(net_par.trace(), net_on.trace());
-
-        // Cached path: adaptive-with-cache vs reopt-off-with-cache,
-        // both from cold caches.
-        let mut cache_off = AnswerCache::new(1 << 20);
-        let mut net_coff = wan();
-        let coff = execute_plan_with(
-            &opt.plan,
-            &query,
-            &sources,
-            &mut net_coff,
-            None,
-            Some(&mut cache_off),
-        )
-        .unwrap();
-        let mut cache_on = AnswerCache::new(1 << 20);
-        let mut session = ReoptSession::new(query.m(), N_SOURCES, 1024);
-        let mut net_con = wan();
-        let con = execute_plan_reopt(
-            &opt.spec,
-            &query,
-            &sources,
-            &mut net_con,
-            &model,
-            Some(&mut cache_on),
-            &mut session,
-            &config,
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(con.switches.is_empty());
-        assert_eq!(con.outcome.answer, coff.answer);
-        assert_eq!(con.outcome.ledger, coff.ledger, "cached ledger diverged");
-        assert_eq!(net_con.trace(), net_coff.trace());
-    });
+    for seed in 0..width("reopt") {
+        let scenario = world(World::Dmv3, seed);
+        let (case, runs) = reopt_runs(&scenario, 1.0);
+        for (cell, run) in runs {
+            let tag = format!("{} {cell:?}", case.tag);
+            let (out, _) = run.reopt.as_ref().expect("a reopt run");
+            assert!(out.switches.is_empty(), "{tag}: switched");
+            assert_eq!(out.violations, 0, "{tag}: violated");
+            let reopt_off = case.run(Cell::of(Exec::With, None, Faults::Off, cell.cache));
+            assert_eq!(
+                run.fp, reopt_off.fp,
+                "{tag}: not byte-identical to reopt-off"
+            );
+        }
+    }
 }
 
 #[test]
 fn misestimated_statistics_switch_without_changing_answers() {
     let mut switched_runs = 0u32;
-    for_seeds(battery(), |g| {
-        let (query, relations) = generate(g);
+    for seed in 0..width("reopt") {
+        let scenario = world(World::Dmv3, seed);
         // Deflate every cell estimate 8–64x: semijoins look cheap at
         // plan time, and the observed running sets disown the plan.
-        let factor = 1.0 / (8.0 * (1 << g.0.next_below(3)) as f64);
-        let model = model_for(&query, &relations, factor);
-        let sources = sources_from(relations);
-        let opt = sja_optimal(&model);
-        let config = ReoptConfig::default();
-
-        let mut net_locked = wan();
-        let locked = execute_plan(&opt.plan, &query, &sources, &mut net_locked).unwrap();
-
-        let mut session = ReoptSession::new(query.m(), N_SOURCES, 1024);
-        let mut net_on = wan();
-        let on = execute_plan_reopt(
-            &opt.spec,
-            &query,
-            &sources,
-            &mut net_on,
-            &model,
-            None,
-            &mut session,
-            &config,
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(
-            on.outcome.answer, locked.answer,
-            "adaptation changed the answer"
-        );
-        switched_runs += u32::from(!on.switches.is_empty());
-
-        // Bit-for-bit replay from the switch records.
-        let mut net_replay = wan();
-        let replayed = replay_plan_reopt(
-            &opt.spec,
-            &on.switches,
-            &query,
-            &sources,
-            &mut net_replay,
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(
-            replayed.outcome.ledger, on.outcome.ledger,
-            "replay diverged"
-        );
-        assert_eq!(replayed.outcome.answer, on.outcome.answer);
-        assert_eq!(replayed.final_spec, on.final_spec);
-        assert_eq!(net_replay.trace(), net_on.trace());
-
-        // Parallel adaptive run: same switches, same bytes.
-        let mut session = ReoptSession::new(query.m(), N_SOURCES, 1024);
-        let mut net_par = wan();
-        let par = execute_plan_reopt(
-            &opt.spec,
-            &query,
-            &sources,
-            &mut net_par,
-            &model,
-            None,
-            &mut session,
-            &config,
-            Some(2),
-            None,
-        )
-        .unwrap();
-        assert_eq!(par.switches, on.switches, "parallel switched differently");
-        assert_eq!(par.outcome.ledger, on.outcome.ledger);
-        assert_eq!(net_par.trace(), net_on.trace());
-
-        // Cached adaptive run from a cold cache: answers still agree,
-        // and the run replays bit-for-bit against a fresh cache.
-        let mut cache = AnswerCache::new(1 << 20);
-        let mut session = ReoptSession::new(query.m(), N_SOURCES, 1024);
-        let mut net_cached = wan();
-        let cached = execute_plan_reopt(
-            &opt.spec,
-            &query,
-            &sources,
-            &mut net_cached,
-            &model,
-            Some(&mut cache),
-            &mut session,
-            &config,
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(cached.outcome.answer, locked.answer);
-        let mut cache_replay = AnswerCache::new(1 << 20);
-        let mut net_creplay = wan();
-        let creplayed = replay_plan_reopt(
-            &opt.spec,
-            &cached.switches,
-            &query,
-            &sources,
-            &mut net_creplay,
-            Some(&mut cache_replay),
-            None,
-        )
-        .unwrap();
-        assert_eq!(creplayed.outcome.ledger, cached.outcome.ledger);
-        assert_eq!(net_creplay.trace(), net_cached.trace());
-    });
-    assert!(
-        switched_runs > 0,
-        "battery never exercised a certified switch"
-    );
+        let factor = 1.0 / (8.0 * (1 << SplitMix64::new(seed).next_below(3)) as f64);
+        let (_, runs) = reopt_runs(&scenario, factor);
+        let (out, _) = runs[0].1.reopt.as_ref().expect("a reopt run");
+        switched_runs += u32::from(!out.switches.is_empty());
+    }
+    assert!(switched_runs > 0, "no certified switch");
 }
 
 /// The server path: between-query feedback calibration keeps the
@@ -319,116 +113,32 @@ fn misestimated_statistics_switch_without_changing_answers() {
 /// every answer equal to an isolated adaptive-off execution.
 #[test]
 fn server_feedback_calibration_preserves_replay_parity() {
-    let mut g = Gen::new(0xE23_5EED);
-    let (query, relations) = generate(&mut g);
-    let (query2, _) = generate(&mut g);
-    let sources = sources_from(relations);
-    let tenants: Vec<Vec<TenantEvent>> = vec![
-        vec![
-            TenantEvent::Query(query.clone()),
-            TenantEvent::Query(query2.clone()),
-            TenantEvent::Query(query.clone()),
-        ],
-        vec![
-            TenantEvent::Query(query2),
-            TenantEvent::Update(SourceId(0)),
-            TenantEvent::Query(query),
-        ],
-    ];
-    for workers in [1, 2, 4] {
-        let config = ServerConfig {
-            reopt: true,
-            cache_budget: 1 << 20,
-            ..ServerConfig::with_workers(workers)
-        };
-        let netf = wan;
-        let report = serve(&sources, &netf, Some(25.0), &tenants, &config).unwrap();
-        assert_eq!(report.results.len(), 5, "workers {workers}");
-        let (replayed, fp) =
-            replay_serial(&sources, &netf, Some(25.0), &tenants, &config, &report.log).unwrap();
-        verify_replay_parity(&report, &replayed, &fp)
-            .unwrap_or_else(|e| panic!("workers {workers}: {e}"));
-        for r in &report.results {
-            let TenantEvent::Query(q) = &tenants[r.tenant][r.index] else {
-                panic!("result for a non-query event");
-            };
-            let model = fusion::core::NetworkCostModel::new(&sources, &wan(), q, Some(25.0));
-            let mut net = wan();
-            let iso = execute_plan(&sja_optimal(&model).plan, q, &sources, &mut net).unwrap();
-            assert_eq!(
-                r.outcome.answer, iso.answer,
-                "workers {workers}: tenant {} event {} diverged",
-                r.tenant, r.index
-            );
-        }
-    }
-}
-
-/// One seeded scenario of the every-round battery: m ∈ 2..=5 conditions
-/// drawn on 1–3 shared attributes (so most are correlated and the
-/// independence chain drifts), n ∈ 2..=6 sources of 250 rows, every
-/// third population half emulated-semijoin at batch 50, every second on
-/// mixed link profiles.
-fn correlated_scenario(seed: u64) -> Scenario {
-    let mut rng = SplitMix64::new(0xE14_E23 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let m = rng.next_range(2, 6);
-    let n = rng.next_range(2, 7);
-    let shared = rng.next_range(1, 4);
-    let conditions: Vec<Condition> = (0..m)
-        .map(|_| {
-            let attr = rng.next_range(1, shared + 1);
-            condition_with_selectivity(attr, rng.next_f64_range(0.05, 0.95))
-        })
-        .collect();
-    let mix = if seed.is_multiple_of(3) {
-        CapabilityMix::FractionEmulated {
-            frac: 0.5,
-            batch: 50,
-        }
-    } else {
-        CapabilityMix::AllFull
+    let scenario = world(World::Dmv3, 0xE23_5EED);
+    let q = TenantEvent::Query(scenario.query.clone());
+    let q2 = TenantEvent::Query(world(World::Dmv3, 0xE23_5EEE).query);
+    let update = TenantEvent::Update(SourceId(0));
+    let tenants = vec![vec![q.clone(), q2.clone(), q.clone()], vec![q2, update, q]];
+    let config = ServerConfig {
+        reopt: true,
+        cache_budget: 1 << 20,
+        ..ServerConfig::default()
     };
-    let spec = SynthSpec {
-        n_sources: n,
-        domain_size: 1_500,
-        rows_per_source: 250,
-        seed: 18_000 + seed,
-        capability_mix: mix,
-        link: seed.is_multiple_of(2).then_some(LinkProfile::Wan),
-        processing: ProcessingProfile::indexed_db(),
-    };
-    let query = FusionQuery::new(synth_schema(), conditions).expect("valid query");
-    synth_scenario_for(&spec, query)
+    serve_cells(&scenario, &tenants, &config, &[1, 2, 4]);
 }
 
 #[test]
 fn slack_one_reopt_replans_every_round_like_the_reference_enumeration() {
     let mut switched_runs = 0u32;
-    for seed in 0..battery() {
-        let scenario = correlated_scenario(seed);
+    for seed in 0..width("reopt") {
+        let scenario = world(World::Correlated, seed);
         let (m, n) = (scenario.m(), scenario.n());
-        let model = scenario.cost_model();
-        let opt = sja_optimal(&model);
-        let mut session = ReoptSession::new(m, n, 4096);
-        let mut net = scenario.network();
-        let out = execute_plan_reopt(
-            &opt.spec,
-            &scenario.query,
-            &scenario.sources,
-            &mut net,
-            &model,
-            None,
-            &mut session,
-            &ReoptConfig::every_round(),
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(
-            out.outcome.answer,
-            scenario.ground_truth().unwrap(),
-            "seed {seed}"
-        );
+        // Per-round re-planning, checked by the lattice: the answer is
+        // the truth and the run replays bit for bit from its switch
+        // records, each splice re-certified.
+        let case = Case::new(&scenario, Shape::Sja);
+        let cell = Cell::of(Exec::Reopt(None), None, Faults::Off, Cache::None);
+        let run = case.check(&[cell]).remove(0);
+        let (out, _) = run.reopt.as_ref().expect("a reopt run");
         switched_runs += u32::from(!out.switches.is_empty());
 
         // Round by round against Figures 3–4: the conditions still to
@@ -441,7 +151,7 @@ fn slack_one_reopt_replans_every_round_like_the_reference_enumeration() {
         let mut x: Option<f64> = None;
         for r in 0..m {
             let remaining: Vec<usize> = spec.order[r..].iter().map(|c| c.0).collect();
-            let want = reference_enumeration(&model, RoundRule::PerSource, &remaining, x);
+            let want = reference_enumeration(&case.model, RoundRule::PerSource, &remaining, x);
             assert_eq!(spec.order[r].0, want.order[0], "seed {seed} round {r}");
             assert_eq!(spec.choices[r], want.choices[0], "seed {seed} round {r}");
             let all_semijoin = spec.choices[r].iter().all(|c| *c == SourceChoice::Semijoin);
@@ -450,30 +160,11 @@ fn slack_one_reopt_replans_every_round_like_the_reference_enumeration() {
         }
         assert_eq!(closed, entries.len(), "seed {seed}: round layout");
 
-        // Something `execute_adaptive` cannot offer: the run replays bit
-        // for bit from its switch records, each splice re-certified.
-        let fresh = || scenario.network();
-        let verified = verify_reopt_replay(
-            &out,
-            &opt.spec,
-            &scenario.query,
-            &scenario.sources,
-            &fresh,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert_eq!(verified, out.switches.len());
-
         // And the direct differential against the per-round executor.
         let mut adaptive_net = scenario.network();
-        let adaptive = execute_adaptive(
-            &scenario.query,
-            &scenario.sources,
-            &mut adaptive_net,
-            &model,
-            None,
-        )
-        .unwrap();
+        let (query, sources) = (&scenario.query, &scenario.sources);
+        let adaptive =
+            execute_adaptive(query, sources, &mut adaptive_net, &case.model, None).unwrap();
         assert_eq!(
             adaptive.total_cost().value().to_bits(),
             out.total_cost().value().to_bits(),

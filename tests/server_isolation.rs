@@ -4,223 +4,79 @@
 //! updates — over one shared answer cache. The shared cache is allowed
 //! to *serve* another tenant's fetches (that is the point), but it must
 //! never change what a tenant's query *answers*: every answer is
-//! byte-compared against the same tenant running its stream **alone**,
-//! sequentially, and every concurrent run is byte-compared against the
-//! serial replay of its own admission log at several worker counts.
-//!
-//! The battery size scales with `CHECK_BATTERY_SEEDS` (default 8) so CI
-//! can run a heavier sweep in release mode.
+//! byte-compared against an isolated cold run of the same query, and
+//! every concurrent run is byte-compared against the serial replay of
+//! its own admission log at several worker counts. The server cells are
+//! the lattice's (`common::lattice`); the width is `width("isolation")`.
 
-use fusion::exec::{replay_serial, serve, verify_replay_parity, OpKind, ServerConfig, TenantEvent};
-use fusion::types::ItemSet;
-use fusion::workload::session::{generate_session_for_tenant, SessionEvent, SessionSpec};
-use fusion::workload::synth::{synth_scenario, SynthSpec};
-use fusion::workload::Scenario;
-use std::collections::HashMap;
+mod common;
 
-fn battery() -> u64 {
-    std::env::var("CHECK_BATTERY_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8)
-}
-
-const N_SOURCES: usize = 5;
-
-fn scenario(seed: u64) -> Scenario {
-    synth_scenario(
-        &SynthSpec {
-            n_sources: N_SOURCES,
-            domain_size: 1_000,
-            rows_per_source: 300,
-            seed,
-            ..SynthSpec::default_with(N_SOURCES, seed)
-        },
-        &[0.2, 0.2],
-    )
-}
-
-fn to_events(stream: &[SessionEvent]) -> Vec<TenantEvent> {
-    stream
-        .iter()
-        .map(|e| match e {
-            SessionEvent::Query { query, .. } => TenantEvent::Query(query.clone()),
-            SessionEvent::Update { source } => TenantEvent::Update(*source),
-        })
-        .collect()
-}
+use common::lattice::{serve_cells, streams, world, World};
+use common::width;
+use fusion::exec::{ServerConfig, TenantEvent};
+use fusion::workload::SessionSpec;
 
 /// Tenant streams for one battery seed: two tenants share a query pool
 /// (cross-tenant cache serving must happen and must stay correct) and a
 /// third draws from a fully disjoint pool (no overlap to hide behind).
 /// All three interleave update events.
 fn tenant_streams(seed: u64) -> Vec<Vec<TenantEvent>> {
-    let shared = SessionSpec {
+    let spec = SessionSpec {
         m: 2,
-        n_sources: N_SOURCES,
+        n_sources: 5,
         pool: 5,
         n_queries: 6,
         skew: 1.1,
         update_rate: 0.2,
         sel_range: (0.02, 0.45),
-        seed: seed ^ 0x5E55,
+        seed: 0,
     };
-    let disjoint = SessionSpec {
-        seed: seed ^ 0xD15_301A7,
-        ..shared
-    };
-    vec![
-        to_events(&generate_session_for_tenant(&shared, 0).events),
-        to_events(&generate_session_for_tenant(&shared, 1).events),
-        to_events(&generate_session_for_tenant(&disjoint, 0).events),
-    ]
+    let (shared, disjoint) = (seed ^ 0x5E55, seed ^ 0xD15_301A7);
+    streams(&spec, &[(shared, 0), (shared, 1), (disjoint, 0)])
 }
 
-/// Runs each tenant's stream alone (one worker, sequential, its own
-/// fresh cache) and returns the per-(tenant, index) answers.
-fn isolated_answers(
-    sc: &Scenario,
-    tenants: &[Vec<TenantEvent>],
-    config: &ServerConfig,
-) -> HashMap<(usize, usize), ItemSet> {
-    let netf = || sc.network();
-    let mut answers = HashMap::new();
-    for (t, stream) in tenants.iter().enumerate() {
-        let solo = ServerConfig {
-            workers: 1,
-            max_in_flight: 1,
-            ..config.clone()
-        };
-        let report = serve(
-            &sc.sources,
-            &netf,
-            Some(sc.domain_size),
-            std::slice::from_ref(stream),
-            &solo,
-        )
-        .expect("isolated run");
-        for r in report.results {
-            answers.insert((t, r.index), r.outcome.answer);
-        }
+fn config() -> ServerConfig {
+    ServerConfig {
+        cache_budget: 1 << 22,
+        ..ServerConfig::default()
     }
-    answers
 }
 
 /// The battery: concurrent shared-cache sessions with interleaved
-/// updates answer **byte-identically** to isolated sequential runs —
-/// cross-tenant cache serving never leaks a stale entry or another
-/// tenant's subset — and every run replays bit-for-bit from its
-/// admission log at every worker count.
+/// updates answer **byte-identically** to isolated runs — cross-tenant
+/// cache serving never leaks a stale entry or another tenant's subset —
+/// and every run replays bit-for-bit from its admission log at every
+/// worker count.
 #[test]
 fn concurrent_tenants_answer_exactly_like_isolated_sequential_runs() {
-    for seed in 0..battery() {
-        let sc = scenario(900 + seed);
-        let tenants = tenant_streams(seed);
+    for seed in 0..width("isolation") {
+        let scenario = world(World::Served(5, 300), 900 + seed);
         let config = ServerConfig {
-            cache_budget: 1 << 22,
-            n_shards: 4,
             per_source_limit: 2,
-            ..ServerConfig::with_workers(4)
+            ..config()
         };
-        let isolated = isolated_answers(&sc, &tenants, &config);
-        let netf = || sc.network();
-        for workers in [1, 4] {
-            let cfg = ServerConfig {
-                workers,
-                max_in_flight: workers,
-                ..config.clone()
-            };
-            let report = serve(&sc.sources, &netf, Some(sc.domain_size), &tenants, &cfg)
-                .expect("concurrent run");
-            let n_queries: usize = tenants
-                .iter()
-                .map(|s| {
-                    s.iter()
-                        .filter(|e| matches!(e, TenantEvent::Query(_)))
-                        .count()
-                })
-                .sum();
-            assert_eq!(report.results.len(), n_queries, "seed {seed}");
-            for r in &report.results {
-                let solo = &isolated[&(r.tenant, r.index)];
-                assert_eq!(
-                    &r.outcome.answer, solo,
-                    "seed {seed} workers {workers}: tenant {} query {} diverged \
-                     from its isolated sequential run",
-                    r.tenant, r.index
-                );
-            }
-            // And the concurrent run is bit-reproducible from its log.
-            let (replayed, fp) = replay_serial(
-                &sc.sources,
-                &netf,
-                Some(sc.domain_size),
-                &tenants,
-                &cfg,
-                &report.log,
-            )
-            .expect("serial replay");
-            verify_replay_parity(&report, &replayed, &fp).expect("replay parity");
-        }
+        serve_cells(&scenario, &tenant_streams(seed), &config, &[1, 4]);
     }
 }
 
 /// Update accounting: every update event bumps its source exactly once
-/// (updates are never shed and never lost under concurrency), so the
-/// final epochs equal the per-source update totals and the log carries
-/// one bump per update event.
+/// (updates are never shed and never lost under concurrency), so the log
+/// carries one bump per update event.
 #[test]
 fn interleaved_updates_are_never_lost() {
-    for seed in 0..battery() {
-        let sc = scenario(1700 + seed);
+    for seed in 0..width("isolation") {
+        let scenario = world(World::Served(5, 300), 1700 + seed);
         let tenants = tenant_streams(seed ^ 0xBEEF);
-        let netf = || sc.network();
-        let config = ServerConfig {
-            cache_budget: 1 << 22,
-            ..ServerConfig::with_workers(4)
-        };
-        let report = serve(&sc.sources, &netf, Some(sc.domain_size), &tenants, &config)
-            .expect("concurrent run");
-        let updates: usize = tenants
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .filter(|e| matches!(e, TenantEvent::Update(_)))
-                    .count()
-            })
-            .sum();
-        let bumps = report
-            .log
-            .iter()
-            .filter(|op| matches!(op.kind, OpKind::Bump { .. }))
-            .count();
-        assert_eq!(bumps, updates, "seed {seed}: a bump was lost or invented");
+        serve_cells(&scenario, &tenants, &config(), &[4]);
     }
 }
 
 /// Tenants with fully disjoint query pools get zero benefit from each
 /// other but must also suffer zero interference: the disjoint tenant's
-/// answers match its isolated run even while the two pool-sharing
-/// tenants hammer the same cache shards.
+/// answers match isolation even while the two pool-sharing tenants
+/// hammer the same cache shards.
 #[test]
 fn disjoint_pool_tenant_is_unaffected_by_neighbors() {
-    let seed = 4242;
-    let sc = scenario(seed);
-    let tenants = tenant_streams(seed);
-    let config = ServerConfig {
-        cache_budget: 1 << 22,
-        ..ServerConfig::with_workers(4)
-    };
-    let isolated = isolated_answers(&sc, &tenants, &config);
-    let netf = || sc.network();
-    let report =
-        serve(&sc.sources, &netf, Some(sc.domain_size), &tenants, &config).expect("concurrent run");
-    for r in report.results.iter().filter(|r| r.tenant == 2) {
-        assert_eq!(
-            &r.outcome.answer,
-            &isolated[&(2, r.index)],
-            "disjoint tenant perturbed at query {}",
-            r.index
-        );
-    }
+    let scenario = world(World::Served(5, 300), 4242);
+    serve_cells(&scenario, &tenant_streams(4242), &config(), &[4]);
 }

@@ -1,0 +1,182 @@
+//! Structure as tests: source-level invariants of the workspace that no
+//! behavioural test can see, checked by scanning the sources (paths are
+//! relative to the repository root). Every needle is assembled with
+//! `concat!` so that it never matches this file.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Every `.rs` file at or under `paths`, with its text.
+fn sources(paths: &[&str]) -> Vec<(PathBuf, String)> {
+    fn walk(path: PathBuf, out: &mut Vec<(PathBuf, String)>) {
+        if path.is_dir() {
+            let entries = fs::read_dir(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            for entry in entries {
+                walk(entry.unwrap().path(), out);
+            }
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            out.push((path, text));
+        }
+    }
+    let mut out = Vec::new();
+    for path in paths {
+        walk(Path::new(env!("CARGO_MANIFEST_DIR")).join(path), &mut out);
+    }
+    assert!(!out.is_empty(), "no sources at {paths:?}");
+    out
+}
+
+/// `file:line: text` of every line under `dirs` that `hit` accepts.
+fn lines(dirs: &[&str], hit: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut found = Vec::new();
+    for (path, text) in sources(dirs) {
+        for (i, line) in text.lines().enumerate().filter(|(_, l)| hit(l)) {
+            found.push(format!("{}:{}: {line}", path.display(), i + 1));
+        }
+    }
+    found
+}
+
+/// Every line under `dirs` containing `needle`.
+fn grep(dirs: &[&str], needle: &str) -> Vec<String> {
+    lines(dirs, |l| l.contains(needle))
+}
+
+/// Fails with the offending lines if any line under `dirs` holds `needle`.
+fn absent(dirs: &[&str], needle: &str) {
+    assert_eq!(grep(dirs, needle), Vec::<String>::new(), "{needle}");
+}
+
+/// Whether `needle` occurs in `line` as a whole word.
+fn word(line: &str, needle: &str) -> bool {
+    let is_word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    line.match_indices(needle).any(|(i, _)| {
+        !is_word(line[..i].chars().next_back()) && !is_word(line[i + needle.len()..].chars().next())
+    })
+}
+
+/// Lints are plain `…_findings` functions (DESIGN §6): no rule trait,
+/// registry or rule-generating macro comes back.
+#[test]
+fn lints_stay_plain_functions() {
+    absent(&["crates"], concat!("trait ", "Lint"));
+    absent(&["crates"], concat!("dyn ", "Lint"));
+    absent(&["crates"], concat!("Lint", "Registry"));
+    absent(&["crates"], concat!("macro_rules! ", "sharing_lint"));
+    absent(&["crates"], concat!("macro_rules! ", "graph_lint"));
+}
+
+/// The names of a stage-partition constructor, current and former.
+const STAGES: [&str; 2] = [
+    concat!("stage", "_decomposition"),
+    concat!("serial", "_queue_stages"),
+];
+
+/// A plan has one stage partition (DESIGN §8): one constructor, and
+/// `analyze_dataflow` neither builds nor proves one.
+#[test]
+fn one_stage_decomposition_constructor() {
+    let is_fn = |l: &str| STAGES.iter().any(|n| word(l, &format!("fn {n}")));
+    let found = lines(&["crates/core/src"], is_fn);
+    assert_eq!(found.len(), 1, "{found:?}");
+}
+
+#[test]
+fn analyze_dataflow_builds_no_stage_partition() {
+    let (_, text) = &sources(&["crates/core/src/dataflow/mod.rs"])[0];
+    let start = text.find(concat!("\npub fn ", "analyze_dataflow")).unwrap();
+    let body = &text[start..start + text[start..].find("\n}").unwrap()];
+    for name in STAGES {
+        assert!(!body.contains(name), "analyze_dataflow names {name}");
+    }
+}
+
+/// The m! enumeration of Figures 3–4 is the search's oracle: no product
+/// crate may call it.
+#[test]
+fn reference_enumeration_stays_out_of_product_crates() {
+    for krate in ["exec", "cache", "cli", "check"] {
+        absent(
+            &[&format!("crates/{krate}/src")],
+            concat!("reference", "_enumeration"),
+        );
+    }
+}
+
+/// Decorated cost models state no plan-memo key.
+#[test]
+fn no_decorator_states_a_plan_key() {
+    let dirs = ["crates/cache/src", "crates/cli/src"];
+    absent(&dirs, concat!("fn plan", "_key"));
+}
+
+/// Phase two keeps one queue loop: the retried twin's name stays gone.
+#[test]
+fn phase_two_keeps_one_queue_loop() {
+    let dirs = ["crates", "src", "tests", "examples"];
+    absent(&dirs, concat!("execute_fetch_plan", "_ft"));
+}
+
+/// The executor crate spawns from two scopes: the stage pool in
+/// `step.rs` and the worker pool in `server.rs`.
+#[test]
+fn executor_spawns_from_two_scopes() {
+    let found = grep(&["crates/exec/src"], concat!("thread::", "scope("));
+    assert_eq!(found.len(), 2, "{found:?}");
+}
+
+/// A cached answer's rows are projected by one routine.
+#[test]
+fn cache_has_one_projection_routine() {
+    let found = grep(&["crates/cache/src"], concat!("fn ", "project("));
+    assert_eq!(found.len(), 1, "{found:?}");
+}
+
+/// Outside tests, nothing under the cache or executor crates sorts rows
+/// into an item set: the one `from_items` left builds the emulated
+/// semijoin's binding batch.
+#[test]
+fn no_product_code_sorts_rows_into_item_sets() {
+    for (path, text) in sources(&["crates/cache/src", "crates/exec/src"]) {
+        let product = text.split(concat!("#[cfg", "(test)]")).next().unwrap();
+        let code = product
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"));
+        for line in code.filter(|l| l.contains(concat!("from", "_items"))) {
+            let batch = line.contains(concat!("let batch", " = "));
+            assert!(batch, "{}: {line}", path.display());
+        }
+    }
+}
+
+/// The server never copies a harvest.
+#[test]
+fn server_never_copies_a_harvest() {
+    absent(&["crates/exec/src/server.rs"], concat!("rows", ".clone()"));
+}
+
+/// Relations keep one secondary-index representation.
+#[test]
+fn relations_keep_one_index_representation() {
+    let relation = ["crates/types/src/relation.rs"];
+    absent(&relation, concat!("BTreeMap", "<Value"));
+}
+
+/// The data plane's layout needs no unsafe code, and says so.
+#[test]
+fn types_crate_forbids_unsafe_code() {
+    let found = lines(&["crates/types/src"], |l| word(l, concat!("un", "safe")));
+    assert_eq!(found, Vec::<String>::new());
+    let forbid = concat!("#![forbid(", "unsafe_code)]");
+    let found = lines(&["crates/types/src/lib.rs"], |l| l.starts_with(forbid));
+    assert_eq!(found.len(), 1, "{forbid} missing");
+}
+
+/// A row loop binds its condition once (`Predicate::bind`) and evaluates
+/// the bound form: no source or cache row loop resolves names per row.
+#[test]
+fn row_loops_bind_conditions_once() {
+    let dirs = ["crates/source/src", "crates/cache/src"];
+    absent(&dirs, concat!(".eval(", "row, schema)"));
+}
