@@ -219,7 +219,7 @@ mod tests {
             // gain threshold reproduces the per-round executor's cost to
             // the bit on both workloads (DESIGN §15).
             let mut network = scenario.network();
-            let mut session = fusion_exec::ReoptSession::new(scenario.m(), scenario.n(), 4096);
+            let mut feedback = fusion_stats::CardinalityFeedback::new(scenario.m(), scenario.n());
             let reopt = fusion_exec::execute_plan_reopt(
                 &sja_optimal(&model).spec,
                 &scenario.query,
@@ -227,7 +227,7 @@ mod tests {
                 &mut network,
                 &model,
                 None,
-                &mut session,
+                &mut feedback,
                 &fusion_exec::ReoptConfig::every_round(),
                 None,
                 None,

@@ -8,12 +8,12 @@
 //!   committed, violations and all;
 //! * **reopt** — the same plan started, but with the adaptive executor
 //!   watching round boundaries: observations that escape their believed
-//!   intervals re-open the suffix search under the session's budgeted
-//!   memo, and certified switches splice in mid-flight;
+//!   intervals re-open the exact search over the suffix, and certified
+//!   switches splice in mid-flight;
 //! * **oracle** — the plan SJA would have picked with exact statistics,
 //!   the floor any adaptation scheme is chasing.
 //!
-//! A fourth **warm** column re-plans the same query from the session's
+//! A fourth **warm** column re-plans the same query from the run's
 //! harvested feedback (the persistent-state half of the design): once
 //! the truths are observed, the very next optimization lands on the
 //! oracle plan without any mid-flight machinery.
@@ -33,18 +33,16 @@ use crate::table::{fmt3, fmtx, Table};
 use fusion_core::cost::{FeedbackCostModel, TableCostModel};
 use fusion_core::optimizer::sja_optimal;
 use fusion_core::query::FusionQuery;
-use fusion_exec::{execute_plan, execute_plan_reopt, replay_plan_reopt, ReoptConfig, ReoptSession};
+use fusion_exec::{execute_plan, execute_plan_reopt, replay_plan_reopt, ReoptConfig};
 use fusion_net::{LinkProfile, Network};
 use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
+use fusion_stats::CardinalityFeedback;
 use fusion_types::schema::dmv_schema;
 use fusion_types::{tuple, CondId, ItemSet, Predicate, Relation, SourceId};
 use std::time::Instant;
 
 /// Distortion factors swept; 1 is the accuracy anchor.
 pub const FACTORS: [f64; 4] = [1.0, 8.0, 32.0, 128.0];
-
-/// Suffix-search node budget per session.
-const BUDGET: usize = 4096;
 
 /// Entities matching the first condition, per source (the true cell).
 const DUI_PER: usize = 2;
@@ -65,7 +63,7 @@ pub struct ReoptRow {
     pub reopt: f64,
     /// Executed cost of the exact-statistics plan.
     pub oracle: f64,
-    /// Executed cost of a second query planned from session feedback.
+    /// Executed cost of a second query planned from the run's feedback.
     pub warm: f64,
     /// Interval violations observed by the adaptive run.
     pub violations: usize,
@@ -164,7 +162,7 @@ pub fn run_point(factor: f64) -> ReoptRow {
     let oracle = execute_plan(&oracle_opt.plan, &q, &srcs, &mut net).expect("oracle run");
     assert_eq!(oracle.answer, locked.answer, "plans disagree on the answer");
 
-    let mut session = ReoptSession::new(2, 3, BUDGET);
+    let mut feedback = CardinalityFeedback::new(2, 3);
     let mut net_on = wan();
     let out = execute_plan_reopt(
         &opt.spec,
@@ -173,7 +171,7 @@ pub fn run_point(factor: f64) -> ReoptRow {
         &mut net_on,
         &distorted,
         None,
-        &mut session,
+        &mut feedback,
         &ReoptConfig::default(),
         None,
         None,
@@ -207,8 +205,8 @@ pub fn run_point(factor: f64) -> ReoptRow {
     }
 
     // The persistent half: re-plan the same query from the harvested
-    // feedback — the session now knows the truths it observed.
-    let fb = FeedbackCostModel::new(&distorted, &session.feedback);
+    // feedback — the store now holds the truths the run observed.
+    let fb = FeedbackCostModel::new(&distorted, &feedback);
     let warm_opt = sja_optimal(&fb);
     let mut net_w = wan();
     let warm = execute_plan(&warm_opt.plan, &q, &srcs, &mut net_w).expect("warm run");
@@ -315,7 +313,6 @@ fn micro_json(m: &UnionMicro) -> Json {
 fn artifact(rows: &[ReoptRow], micros: &[UnionMicro]) -> Json {
     Json::obj([
         ("experiment", Json::Str("e23-reopt".into())),
-        ("memo_budget", Json::Int(BUDGET as i64)),
         ("rows", Json::Arr(rows.iter().map(row_json).collect())),
         (
             "union_all_micro",

@@ -826,7 +826,8 @@ mod tests {
 
     #[test]
     fn reopt_replay_verifies_switched_and_unswitched_runs() {
-        use fusion_exec::{execute_plan_reopt, ReoptConfig, ReoptSession};
+        use fusion_exec::{execute_plan_reopt, ReoptConfig};
+        use fusion_stats::CardinalityFeedback;
         let sources = dmv_sources();
         let q = dmv_query();
         let make_net = || Network::uniform(3, LinkProfile::Wan.link());
@@ -836,7 +837,7 @@ mod tests {
         for est in [1000.0, 2.0] {
             let model = TableCostModel::uniform(2, 3, 50.0, 1.0, 0.5, 1e9, est, 4.0 * est);
             let opt = sja_optimal(&model);
-            let mut session = ReoptSession::new(2, 3, 256);
+            let mut feedback = CardinalityFeedback::new(2, 3);
             let mut net = make_net();
             let out = execute_plan_reopt(
                 &opt.spec,
@@ -845,7 +846,7 @@ mod tests {
                 &mut net,
                 &model,
                 None,
-                &mut session,
+                &mut feedback,
                 &ReoptConfig::default(),
                 None,
                 None,
@@ -859,13 +860,14 @@ mod tests {
 
     #[test]
     fn reopt_replay_rejects_a_tampered_outcome() {
-        use fusion_exec::{execute_plan_reopt, ReoptConfig, ReoptSession};
+        use fusion_exec::{execute_plan_reopt, ReoptConfig};
+        use fusion_stats::CardinalityFeedback;
         let sources = dmv_sources();
         let q = dmv_query();
         let make_net = || Network::uniform(3, LinkProfile::Wan.link());
         let model = TableCostModel::uniform(2, 3, 50.0, 1.0, 0.5, 1e9, 1000.0, 4000.0);
         let opt = sja_optimal(&model);
-        let mut session = ReoptSession::new(2, 3, 256);
+        let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net = make_net();
         let mut out = execute_plan_reopt(
             &opt.spec,
@@ -874,7 +876,7 @@ mod tests {
             &mut net,
             &model,
             None,
-            &mut session,
+            &mut feedback,
             &ReoptConfig::default(),
             None,
             None,

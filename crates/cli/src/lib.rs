@@ -35,7 +35,7 @@ use fusion_exec::{
 };
 use fusion_net::{FaultPlan, FaultSpec, Link, LinkProfile, Network};
 use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet};
-use fusion_stats::TableStats;
+use fusion_stats::{CardinalityFeedback, TableStats};
 use fusion_types::error::{FusionError, Result};
 use fusion_types::{Attribute, Predicate, Relation, Schema, SourceId, Tuple, ValueType};
 
@@ -792,7 +792,7 @@ executed cost {} with per-round re-optimization:",
     fn cmd_reopt(&mut self, arg: &str) -> Result<String> {
         let (factor, sql) = match arg.split_once(char::is_whitespace) {
             Some((head, rest)) if head.starts_with('x') => match head[1..].parse::<f64>() {
-                Ok(f) if f > 0.0 => (f, rest.trim()),
+                Ok(f) if f > 0.0 && f.is_finite() => (f, rest.trim()),
                 _ => {
                     return Err(FusionError::parse(format!(
                         "bad distortion `{head}` (use e.g. x16)"
@@ -808,7 +808,7 @@ executed cost {} with per-round re-optimization:",
             factor,
         };
         let opt = sja_optimal(&model);
-        let mut session = fusion_exec::ReoptSession::new(query.m(), sources.len(), 4096);
+        let mut feedback = CardinalityFeedback::new(query.m(), sources.len());
         let faults_on = self.faults.is_some();
         let policy = faults_on.then(RetryPolicy::default);
         let out = fusion_exec::execute_plan_reopt(
@@ -818,7 +818,7 @@ executed cost {} with per-round re-optimization:",
             &mut network,
             &model,
             None,
-            &mut session,
+            &mut feedback,
             &fusion_exec::ReoptConfig::default(),
             None,
             policy.as_ref(),
@@ -870,16 +870,9 @@ executed cost {} with per-round re-optimization:",
                 sw.certificate,
             ));
         }
-        let stats = session.memo.stats();
         text.push_str(&format!(
-            "\nmemo: {} invocation{}, {} expansions, {} resumed, {} exhausted hits; \
-             feedback: {} cells observed; replay: {} switch{} re-certified bit-for-bit",
-            stats.invocations,
-            if stats.invocations == 1 { "" } else { "s" },
-            stats.expansions,
-            stats.resumed,
-            stats.exhausted_hits,
-            session.feedback.observed_cells(),
+            "\nfeedback: {} cells observed; replay: {} switch{} re-certified bit-for-bit",
+            feedback.observed_cells(),
             verified,
             if verified == 1 { "" } else { "es" },
         ));
@@ -2248,7 +2241,7 @@ mod tests {
         let mut s = Session::new();
         run(&mut s, "\\scenario dmv");
         // Undistorted estimates: the answer comes back and nothing
-        // needs to switch (the report still shows the memo/replay line).
+        // needs to switch (the report still shows the feedback/replay line).
         let out = run(&mut s, &format!("\\reopt {DMV_SQL}"));
         assert!(out.contains("{J55, T21}"), "{out}");
         assert!(out.contains("0 certified switches"), "{out}");
@@ -2261,6 +2254,12 @@ mod tests {
         assert!(out.contains("violation"), "{out}");
         let out = run(&mut s, "\\reopt xq SELECT u1.L FROM U u1");
         assert!(out.contains("bad distortion"), "{out}");
+        // A factor that is not a finite positive number is refused before
+        // anything runs: `inf` parses, and so does an overflowing literal.
+        for head in ["x0", "x-1", "xinf", "x1e400", "xNaN"] {
+            let out = run(&mut s, &format!("\\reopt {head} {DMV_SQL}"));
+            assert!(out.contains(&format!("bad distortion `{head}`")), "{out}");
+        }
         // Under \faults the run retries and degrades like plain
         // execution does, and still replays from its switch records.
         run(&mut s, "\\faults seed=7 outage=3@0");

@@ -9,30 +9,28 @@
 //!
 //! There is **one ordering search** (`search.rs`, DESIGN §20), and every
 //! exact optimizer calls it: [`sj_optimal`] / [`sja_optimal`] over all
-//! conditions ([`ordering_search`] adds its counts), [`ReoptMemo::search`]
-//! over a plan suffix under a budget, [`adaptive_next`] over the
-//! remainder after each executed round. [`reference_enumeration`] —
-//! Figures 3–4 literally — is the **reference** it is tested and timed
-//! against, not a product path. [`sja_response_optimal`] minimizes
-//! makespan, which does not decompose by prefix, and enumerates.
+//! conditions ([`ordering_search`] adds its counts), [`suffix_search`]
+//! over the conditions still to run, from an observed running set — the
+//! re-optimizer's re-plan and the round-at-a-time executor's next round.
+//! [`reference_enumeration`] — Figures 3–4 literally — is the
+//! **reference** it is tested and timed against, not a product path.
+//! [`sja_response_optimal`] minimizes makespan, which does not decompose
+//! by prefix, and enumerates.
 
-mod adaptive;
 mod filter;
 mod greedy;
-mod memo;
 pub mod perm;
 mod plan_memo;
 mod response;
 mod search;
 
-pub use adaptive::{adaptive_next, NextRound};
 pub use filter::filter_plan;
 pub use greedy::greedy_sja;
-pub use memo::{MemoKey, MemoStats, ReoptMemo, SuffixPlan};
 pub use plan_memo::{plan_memo_stats, PLAN_MEMO_CAPACITY};
 pub use response::{estimate_makespan, sja_response_optimal, ResponseOptimized};
 pub use search::{
-    ordering_search, reference_enumeration, sj_optimal, sja_optimal, BnbStats, RoundRule,
+    ordering_search, reference_enumeration, sj_optimal, sja_optimal, suffix_search, BnbStats,
+    RoundRule, SuffixPlan,
 };
 
 use crate::cost::CostModel;

@@ -4,16 +4,17 @@
 //! conditions", loop B "per round, selection or semijoin" — held once:
 //! one round-pricing rule ([`price_round`], a running total in source
 //! order, so a prefix priced round by round is bit-equal to
-//! [`price_ordering`] pricing it from scratch) and one bounded, resumable
-//! depth-first search ([`SearchState`]) that [`sj_optimal`] /
-//! [`sja_optimal`], `ReoptMemo::search` and `adaptive_next` all call.
+//! [`price_ordering`] pricing it from scratch) and one stateless
+//! branch-and-bound depth-first search ([`search`]) with two entry points:
+//! [`ordering_search`] over a whole query (behind [`sj_optimal`] /
+//! [`sja_optimal`]) and [`suffix_search`] over the conditions a re-plan or
+//! the round-at-a-time executor still has to run.
 //! [`reference_enumeration`] is Figures 3–4 *literally*: the oracle the
 //! differential tests and E18 hold the search to, not a product path.
 //!
 //! [`remaining_cost_lower_bound`]: crate::dataflow::remaining_cost_lower_bound
 
 use super::greedy::selectivity_order;
-use super::memo::SuffixPlan;
 use super::perm::for_each_permutation;
 use super::plan_memo::planned;
 use super::{improves, ordering_tie_tolerance, OptimizedPlan};
@@ -215,127 +216,99 @@ impl BnbStats {
     }
 }
 
-/// A depth-first search over the orderings of a candidate set — a prefix
-/// tree, children in ascending condition order — suspended between runs.
-/// A subtree is cut only when prefix cost plus the admissible bound
-/// ([`remaining_cost_lower_bound`]) is *strictly* worse than the
-/// incumbent: one that only ties may hold an ordering the shared
-/// tie-break ([`improves`]) prefers. The state is structure only, never a
-/// cost: every run re-prices it under the model it is given. Subtrees cut
-/// under an earlier model's bound are not revisited — a drained search is
-/// exact for the model it finished under, a strong heuristic after drift.
+/// The best ordering of a candidate set and its pricing: a suffix plan
+/// from [`suffix_search`], or the reference's answer for any `x0`.
 #[derive(Debug, Clone)]
-pub(crate) struct SearchState {
-    /// The incumbent: the seed until a complete ordering improves on it.
-    pub(crate) best: Vec<usize>,
-    /// The node the search stands on.
-    prefix: Vec<usize>,
-    /// `cursors[d]` is the position, among the ascending candidates, of
-    /// the next child to try below `prefix[..d]`. One longer than
-    /// `prefix` while suspended; empty once the space is drained.
-    cursors: Vec<usize>,
+pub struct SuffixPlan {
+    /// Condition order (indices into the query's conditions).
+    pub order: Vec<usize>,
+    /// Per-round, per-source choices.
+    pub choices: Vec<Vec<SourceChoice>>,
+    /// Cost under the model the search was given.
+    pub cost: Cost,
+    /// Estimated `|X|` after each round.
+    pub sizes: Vec<f64>,
 }
 
-impl SearchState {
-    /// A search not yet started; `seed` orders all candidates.
-    pub(crate) fn new(seed: Vec<usize>) -> SearchState {
-        let mut cursors = Vec::with_capacity(seed.len());
+/// The one depth-first search over the orderings of the ascending
+/// candidates `cands` from running set `x0` — a prefix tree, children in
+/// ascending condition order — starting from the incumbent `seed`, an
+/// ordering of all candidates. A subtree is cut only when prefix cost
+/// plus the admissible bound ([`remaining_cost_lower_bound`]) is
+/// *strictly* worse than the incumbent: one that only ties may hold an
+/// ordering the shared tie-break ([`improves`]) prefers. Returns the
+/// exact optimum under that tie-break, priced, with the search's counts
+/// (every child priced, leaves and cut children included).
+fn search<M: CostModel>(
+    model: &M,
+    rule: RoundRule,
+    cands: &[usize],
+    x0: Option<f64>,
+    seed: Vec<usize>,
+) -> (Vec<usize>, Priced, BnbStats) {
+    let model = &PricedOnce::new(model, cands);
+    let mut best = seed;
+    let mut priced = price_ordering(model, rule, &best, x0);
+    let (mut best_cost, mut moved) = (priced.1, false);
+    let mut used = vec![true; model.n_conditions()];
+    cands.iter().for_each(|&c| used[c] = false);
+    // The node the search stands on; `cursors[d]` is the position, among
+    // the candidates, of the next child to try below `prefix[..d]`, and
+    // `path[d]` the cost of, and running set after, `prefix[..d]`.
+    let mut prefix = Vec::with_capacity(cands.len());
+    let mut cursors = vec![0];
+    let mut path = vec![(Cost::ZERO, x0)];
+    let mut stats = BnbStats::default();
+    while let Some(cursor) = cursors.last_mut() {
+        let Some(at) = (*cursor..cands.len()).find(|&i| !used[cands[i]]) else {
+            // Every child tried: back to the parent.
+            cursors.pop();
+            path.pop();
+            if let Some(c) = prefix.pop() {
+                used[c] = false;
+            }
+            continue;
+        };
+        *cursor = at + 1;
+        let cand = cands[at];
+        stats.prefixes_explored += 1;
+        prefix.push(cand);
+        // On the incumbent's own path there is nothing to learn: its
+        // leaf is the incumbent, and no admissible bound cuts it.
+        let on_best = best.starts_with(&prefix);
+        let leaf = prefix.len() == cands.len();
+        if leaf && on_best {
+            prefix.pop();
+            continue;
+        }
+        let (mut cost, x) = path[path.len() - 1];
+        price_round(model, rule, cand, x, &mut cost, None);
+        if leaf {
+            if improves(cost, &prefix, best_cost, &best) {
+                best_cost = best_cost.min(cost);
+                best.clone_from(&prefix);
+                moved = true;
+            }
+            prefix.pop();
+            continue;
+        }
+        let next = size_after(model, cand, x);
+        if !on_best {
+            let bound = cost + remaining_cost_lower_bound(model, &used, cand, next);
+            if bound.value() > best_cost.value() + ordering_tie_tolerance(best_cost) {
+                stats.prunes += 1;
+                prefix.pop();
+                continue;
+            }
+        }
+        used[cand] = true;
+        path.push((cost, Some(next)));
         cursors.push(0);
-        SearchState {
-            prefix: Vec::with_capacity(seed.len()),
-            cursors,
-            best: seed,
-        }
     }
-
-    /// True once every ordering has been visited or soundly cut.
-    pub(crate) fn exhausted(&self) -> bool {
-        self.cursors.is_empty()
+    if moved {
+        priced = price_ordering(model, rule, &best, x0);
     }
-
-    /// Runs (or resumes) the search over the ascending candidates `cands`
-    /// from running set `x0`, pricing at most `budget` prefixes — leaves
-    /// and cut children included — and returns the incumbent priced under
-    /// `model`, with this run's counts.
-    pub(crate) fn run<M: CostModel>(
-        &mut self,
-        model: &M,
-        rule: RoundRule,
-        cands: &[usize],
-        x0: Option<f64>,
-        budget: usize,
-    ) -> (Priced, BnbStats) {
-        let model = &PricedOnce::new(model, cands);
-        // Re-price what was stored — the incumbent and the path to the
-        // suspended node — under the model of *this* run.
-        let mut best = price_ordering(model, rule, &self.best, x0);
-        let (mut best_cost, mut moved) = (best.1, false);
-        let mut used = vec![true; model.n_conditions()];
-        cands.iter().for_each(|&c| used[c] = false);
-        // `path[d]`: cost of, and running set after, `prefix[..d]`.
-        let mut path = Vec::with_capacity(cands.len());
-        path.push((Cost::ZERO, x0));
-        for &c in &self.prefix {
-            let (mut cost, x) = path[path.len() - 1];
-            price_round(model, rule, c, x, &mut cost, None);
-            path.push((cost, Some(size_after(model, c, x))));
-            used[c] = true;
-        }
-        let mut stats = BnbStats::default();
-        while stats.prefixes_explored < budget {
-            let Some(cursor) = self.cursors.last_mut() else {
-                break;
-            };
-            let Some(at) = (*cursor..cands.len()).find(|&i| !used[cands[i]]) else {
-                // Every child tried: back to the parent.
-                self.cursors.pop();
-                path.pop();
-                if let Some(c) = self.prefix.pop() {
-                    used[c] = false;
-                }
-                continue;
-            };
-            *cursor = at + 1;
-            let cand = cands[at];
-            stats.prefixes_explored += 1;
-            self.prefix.push(cand);
-            // On the incumbent's own path there is nothing to learn: its
-            // leaf is the incumbent, and no admissible bound cuts it.
-            let on_best = self.best.starts_with(&self.prefix);
-            let leaf = self.prefix.len() == cands.len();
-            if leaf && on_best {
-                self.prefix.pop();
-                continue;
-            }
-            let (mut cost, x) = path[path.len() - 1];
-            price_round(model, rule, cand, x, &mut cost, None);
-            if leaf {
-                if improves(cost, &self.prefix, best_cost, &self.best) {
-                    best_cost = best_cost.min(cost);
-                    self.best.clone_from(&self.prefix);
-                    moved = true;
-                }
-                self.prefix.pop();
-                continue;
-            }
-            let next = size_after(model, cand, x);
-            if !on_best {
-                let bound = cost + remaining_cost_lower_bound(model, &used, cand, next);
-                if bound.value() > best_cost.value() + ordering_tie_tolerance(best_cost) {
-                    stats.prunes += 1;
-                    self.prefix.pop();
-                    continue;
-                }
-            }
-            used[cand] = true;
-            path.push((cost, Some(next)));
-            self.cursors.push(0);
-        }
-        if moved {
-            best = price_ordering(model, rule, &self.best, x0);
-        }
-        (best, stats)
-    }
+    (best, priced, stats)
 }
 
 /// The exact optimum over all condition orderings under `rule`, with the
@@ -351,10 +324,38 @@ pub fn ordering_search<M: CostModel>(model: &M, rule: RoundRule) -> (OptimizedPl
     let m = model.n_conditions();
     assert!(m > 0, "a fusion query has at least one condition");
     let all: Vec<usize> = (0..m).collect();
-    let mut state = SearchState::new(selectivity_order(model));
-    let (priced, stats) = state.run(model, rule, &all, None, usize::MAX);
-    let plan = OptimizedPlan::from_ordering(state.best, priced, model.n_sources());
+    let (order, priced, stats) = search(model, rule, &all, None, selectivity_order(model));
+    let plan = OptimizedPlan::from_ordering(order, priced, model.n_sources());
     (plan, stats)
+}
+
+/// The exact SJA optimum over the orderings of `candidates` — the
+/// conditions a query still has to run — from a running set of `x0`
+/// items (`None` before the first round: selections everywhere), under
+/// Figure 4's per-source rule. Every round, a suffix's first included,
+/// may semijoin against the set in hand. Mid-query re-planning and the
+/// round-at-a-time executor ask it afresh at every boundary; it keeps
+/// nothing between calls.
+///
+/// # Panics
+/// Panics if `candidates` is empty or names a condition twice.
+pub fn suffix_search<M: CostModel>(model: &M, candidates: &[usize], x0: Option<f64>) -> SuffixPlan {
+    let mut cands = candidates.to_vec();
+    cands.sort_unstable();
+    assert!(!cands.is_empty(), "no conditions to order");
+    assert!(
+        cands.windows(2).all(|w| w[0] < w[1]),
+        "suffix names a condition twice"
+    );
+    // The ascending seed: pruning has an incumbent from the first child.
+    let seed = cands.clone();
+    let (order, (choices, cost, sizes), _) = search(model, RoundRule::PerSource, &cands, x0, seed);
+    SuffixPlan {
+        order,
+        choices,
+        cost,
+        sizes,
+    }
 }
 
 /// Finds the optimal *semijoin plan* (§2.5 class 2): Figure 3's space —
@@ -382,9 +383,9 @@ pub fn sja_optimal<M: CostModel>(model: &M) -> OptimizedPlan {
 }
 
 /// Figures 3–4 literally, `O(m!·m·n)`: prices every ordering of
-/// `candidates` from `x0` (`None` for a whole query), keeps the cheapest
-/// under the shared tie-break, counts the orderings in `spent`. The
-/// **reference** the search is tested and timed against.
+/// `candidates` from `x0` (`None` for a whole query) and keeps the
+/// cheapest under the shared tie-break. The **reference** the search is
+/// tested and timed against.
 ///
 /// # Panics
 /// Panics if `candidates` is empty.
@@ -397,11 +398,9 @@ pub fn reference_enumeration<M: CostModel>(
     let mut cands = candidates.to_vec();
     cands.sort_unstable();
     let mut best: Option<(Vec<usize>, Priced)> = None;
-    let mut spent = 0;
     for_each_permutation(cands.len(), |perm| {
         let order: Vec<usize> = perm.iter().map(|&i| cands[i]).collect();
         let priced = price_ordering(model, rule, &order, x0);
-        spent += 1;
         match &best {
             Some((o, p)) if !improves(priced.1, &order, p.1, o) => {}
             _ => best = Some((order, priced)),
@@ -413,8 +412,6 @@ pub fn reference_enumeration<M: CostModel>(
         choices,
         cost,
         sizes,
-        exhausted: true,
-        spent,
     }
 }
 
@@ -701,6 +698,26 @@ mod tests {
             stats.prefixes_explored
         );
         assert!(stats.prunes > 0);
+    }
+
+    #[test]
+    fn observed_sizes_flip_a_suffix_choice() {
+        let mut m = TableCostModel::uniform(3, 2, 10.0, 1.0, 0.1, 1e9, 5.0, 1000.0);
+        m.set_est_sq_items(CondId(0), SourceId(0), 2.0);
+        m.set_est_sq_items(CondId(0), SourceId(1), 2.0);
+        // A tiny observed set → semijoins everywhere in the suffix's
+        // first round; a huge one (sjq = 1 + 0.1·500 = 51 > 10) →
+        // selections.
+        let small = suffix_search(&m, &[2, 1], Some(3.0));
+        assert_eq!(small.choices[0], vec![SourceChoice::Semijoin; 2]);
+        let big = suffix_search(&m, &[2, 1], Some(500.0));
+        assert_eq!(big.choices[0], vec![SourceChoice::Selection; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no conditions to order")]
+    fn empty_suffix_is_rejected() {
+        suffix_search(&random_model(2, 2, 3), &[], Some(1.0));
     }
 
     #[test]

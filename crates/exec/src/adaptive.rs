@@ -4,11 +4,11 @@
 //! The static pipeline commits to a whole plan from estimates; under
 //! correlated conditions those estimates drift (experiment E13) and the
 //! committed strategies can be wrong. [`execute_adaptive`] interleaves
-//! planning and execution instead: each round is chosen by
-//! [`adaptive_next`] from the *observed* running-set size, executed
-//! against the wrappers, and folded into the running result — the same
-//! correctness argument as condition-at-a-time simple plans, with truth
-//! instead of estimates in the cost comparisons.
+//! planning and execution instead: each round is the first round of
+//! [`suffix_search`] over the conditions left, from the *observed*
+//! running-set size, executed against the wrappers, and folded into the
+//! running result — the same correctness argument as condition-at-a-time
+//! simple plans, with truth instead of estimates in the cost comparisons.
 //!
 //! [`crate::execute_plan_reopt`] under [`crate::ReoptConfig::every_round`]
 //! is its certified, replayable counterpart and bit-equal to it wherever
@@ -20,7 +20,7 @@
 use crate::ledger::{CostLedger, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
 use crate::step::{exec_sq, run_semijoin, Delivery, SourceFt, StepValue};
-use fusion_core::optimizer::adaptive_next;
+use fusion_core::optimizer::suffix_search;
 use fusion_core::plan::SourceChoice;
 use fusion_core::query::FusionQuery;
 use fusion_core::CostModel;
@@ -92,7 +92,7 @@ pub fn execute_adaptive<M: CostModel>(
         ));
     }
     let conditions = query.conditions();
-    let mut remaining: Vec<CondId> = (0..query.m()).map(CondId).collect();
+    let mut remaining: Vec<usize> = (0..query.m()).collect();
     let mut current: Option<ItemSet> = None;
     let mut ledger = CostLedger::new();
     let mut rounds = Vec::with_capacity(query.m());
@@ -100,12 +100,13 @@ pub fn execute_adaptive<M: CostModel>(
     let mut missing_conds: Vec<CondId> = Vec::new();
     let mut step = 0usize;
     while !remaining.is_empty() {
-        let next = adaptive_next(model, &remaining, current.as_ref().map(|s| s.len() as f64));
-        let cond = &conditions[next.cond.0];
+        let mut next = suffix_search(model, &remaining, current.as_ref().map(|s| s.len() as f64));
+        let (cond_id, choices) = (CondId(next.order[0]), next.choices.swap_remove(0));
+        let cond = &conditions[cond_id.0];
         let mut round_union = ItemSet::empty();
         let mut any_selection = false;
         let mut round_degraded = false;
-        for (j, choice) in next.choices.iter().enumerate() {
+        for (j, choice) in choices.iter().enumerate() {
             let mut d = Delivery {
                 net: &mut *network,
                 step,
@@ -148,7 +149,7 @@ pub fn execute_adaptive<M: CostModel>(
             step += 1;
         }
         if round_degraded {
-            missing_conds.push(next.cond);
+            missing_conds.push(cond_id);
         }
         current = Some(match current {
             None => round_union,
@@ -159,12 +160,12 @@ pub fn execute_adaptive<M: CostModel>(
             Some(_) => round_union,
         });
         rounds.push(AdaptiveRound {
-            cond: next.cond,
-            choices: next.choices,
-            predicted_size: next.predicted_size,
+            cond: cond_id,
+            choices,
+            predicted_size: next.sizes[0],
             actual_size: current.as_ref().expect("just set").len(),
         });
-        remaining.retain(|c| *c != next.cond);
+        remaining.retain(|&c| c != cond_id.0);
     }
     let completeness = if missing_conds.is_empty() {
         Completeness::Exact

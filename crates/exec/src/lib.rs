@@ -32,8 +32,8 @@
 //!   - [`execute_plan_reopt`] (and [`replay_plan_reopt`]) — round by
 //!     round (optionally each round on worker threads), watching
 //!     observed cardinalities: when one escapes its certified believed
-//!     interval the remaining suffix is re-searched under a budgeted
-//!     persistent memo ([`ReoptSession`]) and spliced in — only if
+//!     interval the remaining suffix is re-searched by the planner's own
+//!     exact search ([`suffix_search`]) and spliced in — only if
 //!     [`certify_switch`] proves the splice sound. Switches land in the
 //!     ledger as [`StepKind::Reopt`] markers so the replay reproduces
 //!     switched runs bit for bit. Takes `retry` and `cache` as
@@ -45,10 +45,11 @@
 //!     operation log ([`replay_serial`] / [`verify_replay_parity`] prove
 //!     byte-parity with a serial run).
 //! * Beside the plan drivers: [`execute_adaptive`] plans each round from
-//!   the *observed* running-set size instead of executing a plan (it
-//!   calls the same fetch primitives; [`ReoptConfig::every_round`] is
-//!   its certified counterpart wherever no estimate is exact, DESIGN.md
-//!   §15); [`CostLedger`] records the actual cost of every step;
+//!   the *observed* running-set size instead of executing a plan (by the
+//!   same [`suffix_search`], through the same fetch primitives;
+//!   [`ReoptConfig::every_round`] is its certified counterpart wherever
+//!   no estimate is exact, DESIGN.md §15); [`CostLedger`] records the
+//!   actual cost of every step;
 //!   [`response_time`] replays an executed plan under a parallel
 //!   execution model (§6); [`fetch_records`] is the broadcast "second
 //!   phase" of two-phase processing (§1) and [`fetch_planned`] its
@@ -59,6 +60,8 @@
 //! [`FaultPlan`]: fusion_net::FaultPlan
 //!
 //! [`certify_switch`]: fusion_core::dataflow::certify_switch
+//!
+//! [`suffix_search`]: fusion_core::optimizer::suffix_search
 //!
 //! [`Network`]: fusion_net::Network
 
@@ -86,9 +89,7 @@ pub use ledger::{CostLedger, LedgerEntry, StepKind};
 pub use parallel::{execute_plan_parallel, ParallelConfig, ParallelOutcome};
 pub use phase2::{cached_phase2_rows, execute_fetch_plan, fetch_planned, Phase2Outcome};
 pub use piggyback::{execute_piggyback, fetch_first_records, PiggybackOutcome};
-pub use reopt::{
-    execute_plan_reopt, replay_plan_reopt, ReoptConfig, ReoptOutcome, ReoptSession, SwitchRecord,
-};
+pub use reopt::{execute_plan_reopt, replay_plan_reopt, ReoptConfig, ReoptOutcome, SwitchRecord};
 pub use replay::{execute_plan_replay, ReplayOptions};
 pub use retry::{Completeness, RetryPolicy};
 pub use schedule::{

@@ -6,17 +6,17 @@
 //! way the paper's §6 gestures at: execute the *optimized* plan, watch
 //! what every exchange actually returns, and only when an observation
 //! **leaves its certified believed interval** re-open the search — over
-//! the undone suffix only, under a budgeted persistent memo — and splice
-//! the winner in, gated by [`certify_switch`]'s three proofs (prefix
-//! identity, BDD semantics, race-free stages).
+//! the undone suffix only ([`suffix_search`]) — and splice the winner in,
+//! gated by [`certify_switch`]'s three proofs (prefix identity, BDD
+//! semantics, race-free stages).
 //!
 //! # The feedback loop
 //!
 //! * Every remote step's `items_out` is folded into a
 //!   [`CardinalityFeedback`] store: selections (and cache hits) record
 //!   exact per-cell cardinalities, semijoins record observed
-//!   selectivities. The store persists in the [`ReoptSession`] across
-//!   queries — repeated queries start with calibrated estimates.
+//!   selectivities. The caller's store persists across queries —
+//!   repeated queries start with calibrated estimates.
 //! * At plan start the believed bounds
 //!   ([`SourceBounds::believed_from_model`], slack-widened trust
 //!   regions) are propagated through the plan's dataflow
@@ -29,8 +29,8 @@
 //!   cardinality escaped its interval arms a re-optimization: the
 //!   remaining conditions are re-searched from the *observed* running
 //!   set size under the feedback-calibrated model
-//!   ([`FeedbackCostModel`]), resuming the [`ReoptMemo`]'s budgeted
-//!   branch-and-bound where the last invocation left off.
+//!   ([`FeedbackCostModel`]) by the planner's own exact search, asked
+//!   afresh.
 //! * A candidate suffix only replaces the committed one when it is at
 //!   least `min_gain` cheaper *and* [`certify_switch`] proves the splice
 //!   sound. A certified switch is recorded in the ledger as a free
@@ -56,7 +56,7 @@ use fusion_core::cost::FeedbackCostModel;
 use fusion_core::dataflow::{
     analyze_dataflow, certify_switch, Dataflow, Interval, SourceBounds, SwitchCertificate,
 };
-use fusion_core::optimizer::{price_suffix, ReoptMemo};
+use fusion_core::optimizer::{price_suffix, suffix_search};
 use fusion_core::plan::{Plan, SimplePlanSpec, SourceChoice, Step, VarId};
 use fusion_core::query::FusionQuery;
 use fusion_core::CostModel;
@@ -99,30 +99,6 @@ impl ReoptConfig {
         ReoptConfig {
             slack: 1.0,
             min_gain: 0.0,
-        }
-    }
-}
-
-/// Optimizer state that persists across queries: the budgeted suffix
-/// memo (partial plan-space exploration resumes where it left off) and
-/// the cardinality feedback store (observed truths calibrate every
-/// later estimate).
-#[derive(Debug, Clone)]
-pub struct ReoptSession {
-    /// Budgeted suffix search memo, keyed by (remaining-condition mask,
-    /// running-set magnitude bucket).
-    pub memo: ReoptMemo,
-    /// Observed per-cell cardinalities and semijoin selectivities.
-    pub feedback: CardinalityFeedback,
-}
-
-impl ReoptSession {
-    /// A fresh session for `m`-condition, `n`-source queries with a
-    /// per-invocation exploration budget of `budget` node expansions.
-    pub fn new(m: usize, n: usize, budget: usize) -> ReoptSession {
-        ReoptSession {
-            memo: ReoptMemo::new(budget),
-            feedback: CardinalityFeedback::new(m, n),
         }
     }
 }
@@ -311,7 +287,7 @@ fn check_shapes<M: CostModel>(
     query: &FusionQuery,
     sources: &SourceSet,
     model: &M,
-    session: &ReoptSession,
+    feedback: &CardinalityFeedback,
 ) -> Result<()> {
     let m = spec.order.len();
     let n = sources.len();
@@ -325,11 +301,11 @@ fn check_shapes<M: CostModel>(
             n
         )));
     }
-    if session.feedback.n_conditions() != m || session.feedback.n_sources() != n {
+    if feedback.n_conditions() != m || feedback.n_sources() != n {
         return Err(FusionError::invalid_plan(format!(
-            "reopt session is calibrated for {}x{} queries, not {}x{}",
-            session.feedback.n_conditions(),
-            session.feedback.n_sources(),
+            "reopt feedback is calibrated for {}x{} queries, not {}x{}",
+            feedback.n_conditions(),
+            feedback.n_sources(),
             m,
             n
         )));
@@ -356,9 +332,10 @@ fn check_config(config: &ReoptConfig) -> Result<()> {
 }
 
 /// Executes `spec` with runtime adaptive re-optimization: observed
-/// cardinalities calibrate the session's feedback store, and interval
-/// violations at round boundaries re-open the suffix search under the
-/// session's budgeted memo. Certified switches are spliced mid-flight
+/// cardinalities calibrate the caller's `feedback` store (updated when
+/// the run succeeds), and interval violations at round boundaries re-open
+/// the exact search over the suffix ([`suffix_search`]) from the observed
+/// running set. Certified switches are spliced mid-flight
 /// and recorded as [`StepKind::Reopt`] ledger markers. With a cache
 /// attached, selections are served/admitted exactly as
 /// [`crate::execute_plan_with`] does. With `threads`, each round's
@@ -366,7 +343,7 @@ fn check_config(config: &ReoptConfig) -> Result<()> {
 /// outcome (see the module docs' determinism contract). With `retry`,
 /// exchanges are retried and a source given up on has its steps dropped
 /// exactly as [`crate::execute_plan_with`] does; a dropped step is not
-/// an observation (it neither calibrates the session nor counts as a
+/// an observation (it neither calibrates `feedback` nor counts as a
 /// violation), and with no fault plan on the network the run is
 /// byte-identical to `retry: None`.
 ///
@@ -389,13 +366,13 @@ pub fn execute_plan_reopt<M: CostModel>(
     network: &mut Network,
     model: &M,
     mut cache: Option<&mut AnswerCache>,
-    session: &mut ReoptSession,
+    feedback: &mut CardinalityFeedback,
     config: &ReoptConfig,
     threads: Option<usize>,
     retry: Option<&RetryPolicy>,
 ) -> Result<ReoptOutcome> {
     check_config(config)?;
-    check_shapes(spec, query, sources, model, session)?;
+    check_shapes(spec, query, sources, model, feedback)?;
     let n = sources.len();
     let m = spec.order.len();
     let mut spec = spec.clone();
@@ -407,8 +384,8 @@ pub fn execute_plan_reopt<M: CostModel>(
         fusion_core::dataflow::stage_decomposition(&plan)?;
     }
     let mut run = PlanRun::new(&plan, query, sources, network, retry, cache.is_some())?;
-    let mut feedback = session.feedback.clone();
-    let mut df = derive_df(&plan, model, &feedback, config.slack)?;
+    let mut calibrated = feedback.clone();
+    let mut df = derive_df(&plan, model, &calibrated, config.slack)?;
     let mut rounds = round_layout(&spec, n);
     debug_assert_eq!(rounds.last().map_or(0, |r| r.1), plan.steps.len());
     let mut switches: Vec<SwitchRecord> = Vec::new();
@@ -440,12 +417,12 @@ pub fn execute_plan_reopt<M: CostModel>(
                 }
             }
             // A dropped step observed nothing: its entry neither
-            // calibrates the session nor is tested against its interval.
+            // calibrates the store nor is tested against its interval.
             let entries = (start..end)
                 .filter(|&idx| !run.was_dropped(idx))
                 .map(|idx| run.entry(idx).expect("round executed"));
             for entry in entries.clone() {
-                record_observation(&mut feedback, &run, entry);
+                record_observation(&mut calibrated, &run, entry);
             }
             // Round boundary: did any observation escape its believed
             // interval? (Checking every step of the round — not just the
@@ -467,12 +444,9 @@ pub fn execute_plan_reopt<M: CostModel>(
                 .expect("a round ends in a set operation");
             let x0 = run.var_len(x_var).unwrap_or(0) as f64;
             let remaining: Vec<usize> = spec.order[r + 1..].iter().map(|c| c.0).collect();
-            let (old_suffix_cost, cand) = {
-                let fbm = FeedbackCostModel::new(model, &feedback);
-                let cur = price_suffix(&fbm, &remaining, &spec.choices[r + 1..], x0);
-                let cand = session.memo.search(&fbm, &remaining, x0);
-                (cur, cand)
-            };
+            let fbm = FeedbackCostModel::new(model, &calibrated);
+            let old_suffix_cost = price_suffix(&fbm, &remaining, &spec.choices[r + 1..], x0);
+            let cand = suffix_search(&fbm, &remaining, Some(x0));
             if cand.cost.value() >= old_suffix_cost.value() * (1.0 - config.min_gain) {
                 continue;
             }
@@ -504,12 +478,12 @@ pub fn execute_plan_reopt<M: CostModel>(
             spec = new_spec;
             rounds = round_layout(&spec, n);
             debug_assert_eq!(rounds.last().map_or(0, |r| r.1), run.plan().steps.len());
-            df = derive_df(run.plan(), model, &feedback, config.slack)?;
+            df = derive_df(run.plan(), model, &calibrated, config.slack)?;
         }
         Ok(())
     })?;
     let outcome = run.finish_committing(network, cache);
-    session.feedback = feedback;
+    *feedback = calibrated;
     Ok(ReoptOutcome {
         outcome,
         final_spec: spec,
@@ -522,7 +496,7 @@ pub fn execute_plan_reopt<M: CostModel>(
 /// the same spec executes sequentially, and at each recorded
 /// `at_step` the recorded suffix is spliced in — after independently
 /// re-running [`certify_switch`], so a tampered switch record fails
-/// the replay rather than executing. No intervals, feedback, or memo
+/// the replay rather than executing. No intervals, feedback, or search
 /// are consulted: the ledger (markers included), answer, and
 /// completeness come out bit-for-bit identical to the live run on the
 /// same sources and network — under the live run's `retry` policy and
@@ -676,7 +650,7 @@ mod tests {
         let opt = sja_optimal(&model);
         let mut net_off = Network::uniform(3, LinkProfile::Wan.link());
         let off = execute_plan(&opt.plan, &q, &sources, &mut net_off).unwrap();
-        let mut session = ReoptSession::new(2, 3, 256);
+        let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net_on = Network::uniform(3, LinkProfile::Wan.link());
         let on = execute_plan_reopt(
             &opt.spec,
@@ -685,7 +659,7 @@ mod tests {
             &mut net_on,
             &model,
             None,
-            &mut session,
+            &mut feedback,
             &ReoptConfig::default(),
             None,
             None,
@@ -696,10 +670,10 @@ mod tests {
         assert_eq!(on.outcome.answer, off.answer);
         assert_eq!(on.outcome.ledger, off.ledger);
         assert_eq!(net_on.trace(), net_off.trace());
-        // The session learned the true cardinalities.
-        assert!(!session.feedback.is_empty());
+        // The store learned the true cardinalities.
+        assert!(!feedback.is_empty());
         assert_eq!(
-            session.feedback.observed(CondId(0), SourceId(2)),
+            feedback.observed(CondId(0), SourceId(2)),
             Some(CardObservation::Exact(0.0))
         );
     }
@@ -717,7 +691,7 @@ mod tests {
             .all(|c| *c == SourceChoice::Selection));
         let mut net_locked = Network::uniform(3, LinkProfile::Wan.link());
         let locked = execute_plan(&opt.plan, &q, &sources, &mut net_locked).unwrap();
-        let mut session = ReoptSession::new(2, 3, 256);
+        let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net = Network::uniform(3, LinkProfile::Wan.link());
         let out = execute_plan_reopt(
             &opt.spec,
@@ -726,7 +700,7 @@ mod tests {
             &mut net,
             &model,
             None,
-            &mut session,
+            &mut feedback,
             &ReoptConfig::default(),
             None,
             None,
@@ -751,8 +725,6 @@ mod tests {
             locked.ledger.total()
         );
         assert_eq!(out.outcome.ledger.count_kind(StepKind::Reopt), 1);
-        // Memo state persisted: the suffix search ran under a budget.
-        assert!(session.memo.stats().invocations >= 1);
     }
 
     #[test]
@@ -761,7 +733,7 @@ mod tests {
         let sources = skewed_sources();
         let model = misestimated_model();
         let opt = sja_optimal(&model);
-        let mut session = ReoptSession::new(2, 3, 256);
+        let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net = Network::uniform(3, LinkProfile::Wan.link());
         let live = execute_plan_reopt(
             &opt.spec,
@@ -770,7 +742,7 @@ mod tests {
             &mut net,
             &model,
             None,
-            &mut session,
+            &mut feedback,
             &ReoptConfig::default(),
             None,
             None,
@@ -818,7 +790,7 @@ mod tests {
         let sources = dmv_sources(Capabilities::full());
         for model in [accurate_model(), misestimated_model()] {
             let opt = sja_optimal(&model);
-            let mut s_seq = ReoptSession::new(2, 3, 256);
+            let mut fb_seq = CardinalityFeedback::new(2, 3);
             let mut net_seq = Network::uniform(3, LinkProfile::Wan.link());
             let seq = execute_plan_reopt(
                 &opt.spec,
@@ -827,13 +799,13 @@ mod tests {
                 &mut net_seq,
                 &model,
                 None,
-                &mut s_seq,
+                &mut fb_seq,
                 &ReoptConfig::default(),
                 None,
                 None,
             )
             .unwrap();
-            let mut s_par = ReoptSession::new(2, 3, 256);
+            let mut fb_par = CardinalityFeedback::new(2, 3);
             let mut net_par = Network::uniform(3, LinkProfile::Wan.link());
             let par = execute_plan_reopt(
                 &opt.spec,
@@ -842,7 +814,7 @@ mod tests {
                 &mut net_par,
                 &model,
                 None,
-                &mut s_par,
+                &mut fb_par,
                 &ReoptConfig::default(),
                 Some(4),
                 None,
@@ -852,7 +824,7 @@ mod tests {
             assert_eq!(par.outcome.ledger, seq.outcome.ledger);
             assert_eq!(par.switches, seq.switches);
             assert_eq!(net_par.trace(), net_seq.trace());
-            assert_eq!(s_par.feedback, s_seq.feedback);
+            assert_eq!(fb_par, fb_seq);
         }
     }
 
@@ -862,7 +834,7 @@ mod tests {
         let sources = dmv_sources(Capabilities::full());
         let model = misestimated_model();
         let opt = sja_optimal(&model);
-        let mut session = ReoptSession::new(2, 3, 256);
+        let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net1 = Network::uniform(3, LinkProfile::Wan.link());
         let first = execute_plan_reopt(
             &opt.spec,
@@ -871,7 +843,7 @@ mod tests {
             &mut net1,
             &model,
             None,
-            &mut session,
+            &mut feedback,
             &ReoptConfig::default(),
             None,
             None,
@@ -881,7 +853,7 @@ mod tests {
         // Second run of the same query: plan directly under the
         // calibrated model — the fed-back optimum needs no mid-flight
         // switch at all.
-        let fbm = FeedbackCostModel::new(&model, &session.feedback);
+        let fbm = FeedbackCostModel::new(&model, &feedback);
         let opt2 = sja_optimal(&fbm);
         let mut net2 = Network::uniform(3, LinkProfile::Wan.link());
         let second = execute_plan_reopt(
@@ -891,7 +863,7 @@ mod tests {
             &mut net2,
             &model,
             None,
-            &mut session,
+            &mut feedback,
             &ReoptConfig::default(),
             None,
             None,
@@ -935,8 +907,8 @@ mod tests {
         let sources = dmv_sources(Capabilities::full());
         let model = accurate_model();
         let opt = sja_optimal(&model);
-        // Session calibrated for a different shape.
-        let mut session = ReoptSession::new(3, 3, 64);
+        // Feedback calibrated for a different shape.
+        let mut feedback = CardinalityFeedback::new(3, 3);
         let mut net = Network::uniform(3, LinkProfile::Wan.link());
         let err = execute_plan_reopt(
             &opt.spec,
@@ -945,13 +917,13 @@ mod tests {
             &mut net,
             &model,
             None,
-            &mut session,
+            &mut feedback,
             &ReoptConfig::default(),
             None,
             None,
         )
         .unwrap_err();
-        assert!(err.to_string().contains("session"), "{err}");
+        assert!(err.to_string().contains("feedback is calibrated"), "{err}");
     }
 
     #[test]
@@ -961,7 +933,7 @@ mod tests {
         let model = accurate_model();
         let opt = sja_optimal(&model);
         let run = |slack: f64, min_gain: f64| {
-            let mut session = ReoptSession::new(2, 3, 64);
+            let mut feedback = CardinalityFeedback::new(2, 3);
             let mut net = Network::uniform(3, LinkProfile::Wan.link());
             execute_plan_reopt(
                 &opt.spec,
@@ -970,7 +942,7 @@ mod tests {
                 &mut net,
                 &model,
                 None,
-                &mut session,
+                &mut feedback,
                 &ReoptConfig { slack, min_gain },
                 None,
                 None,
@@ -1009,7 +981,7 @@ mod tests {
             net.set_fault_plan(FaultPlan::none(3).with_outage(dead, 0));
             net
         };
-        let mut session = ReoptSession::new(2, 3, 256);
+        let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net = faulty();
         let live = execute_plan_reopt(
             &opt.spec,
@@ -1018,7 +990,7 @@ mod tests {
             &mut net,
             &model,
             None,
-            &mut session,
+            &mut feedback,
             &ReoptConfig::default(),
             None,
             Some(&policy),
@@ -1038,7 +1010,7 @@ mod tests {
             }
         );
         for cond in [CondId(0), CondId(1)] {
-            assert_eq!(session.feedback.observed(cond, dead), None);
+            assert_eq!(feedback.observed(cond, dead), None);
         }
         // Each live source holds one entity with both violations.
         assert_eq!(live.outcome.answer, ItemSet::from_items(["D10", "D20"]));

@@ -25,11 +25,11 @@ use fusion::exec::{
     execute_adaptive, execute_plan_parallel, execute_plan_reopt, execute_plan_with, fetch_planned,
     fetch_records, replay_plan_reopt, stage_schedule, verify_stage_trace, Completeness,
     ExecutionOutcome, OpKind, ParallelConfig, ParallelOutcome, Phase2Outcome, ReoptConfig,
-    ReoptOutcome, ReoptSession, RetryPolicy, ServerConfig, ServerReport, TenantEvent,
+    ReoptOutcome, RetryPolicy, ServerConfig, ServerReport, TenantEvent,
 };
 use fusion::net::{FaultPlan, FaultSpec, LinkProfile, Network};
 use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
-use fusion::stats::SplitMix64;
+use fusion::stats::{CardinalityFeedback, SplitMix64};
 use fusion::types::error::Result;
 use fusion::types::schema::dmv_schema;
 use fusion::types::{ItemSet, Predicate, Relation, SourceId};
@@ -58,6 +58,8 @@ pub enum World {
     Served(usize, usize),
     /// 2–5 mostly correlated conditions over 2–6 sources of 250 rows.
     Correlated,
+    /// `Correlated`, with eight conditions.
+    Correlated8,
     /// 2–3 DMV conditions over three random DMV relations.
     Dmv3,
 }
@@ -85,9 +87,14 @@ pub fn world(kind: World, seed: u64) -> Scenario {
             synth(mixed_links, &sels)
         }
         World::Served(n, rows) => synth(spec(n, 1_000, rows), &[0.2, 0.2]),
-        World::Correlated => {
+        World::Correlated | World::Correlated8 => {
             let mut rng = SplitMix64::new(0xE14_E23 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let (m, n) = (rng.next_range(2, 6), rng.next_range(2, 7));
+            let m = if matches!(kind, World::Correlated8) {
+                8
+            } else {
+                m
+            };
             let shared = rng.next_range(1, 4);
             let mut cond = || {
                 let attr = rng.next_range(1, shared + 1);
@@ -274,7 +281,8 @@ pub struct Run {
     pub decisions: String,
     pub rounds: Vec<ExecutionOutcome>,
     pub cache: Option<AnswerCache>,
-    pub reopt: Option<(ReoptOutcome, ReoptSession)>,
+    /// A reopt run's outcome and the feedback store it calibrated.
+    pub reopt: Option<(ReoptOutcome, CardinalityFeedback)>,
 }
 
 impl Run {
@@ -403,14 +411,14 @@ impl<'a, M: CostModel> Case<'a, M> {
                 Ok(par.outcome)
             }
             Exec::Reopt(threads) => {
-                let mut session = ReoptSession::new(q.m(), s.len(), 4096);
+                let mut feedback = CardinalityFeedback::new(q.m(), s.len());
                 let (spec, model, cfg) = (&self.spec, &self.model, &self.reopt);
-                let sess = &mut session;
-                let out = execute_plan_reopt(spec, q, s, net, model, c, sess, cfg, threads, retry)?;
+                let fb = &mut feedback;
+                let out = execute_plan_reopt(spec, q, s, net, model, c, fb, cfg, threads, retry)?;
                 decisions = format!("{:?} {:?}", out.switches, out.final_spec);
-                decisions += &format!(" {:?}", session.feedback);
+                decisions += &format!(" {feedback:?}");
                 let outcome = out.outcome.clone();
-                reopt = Some((out, session));
+                reopt = Some((out, feedback));
                 Ok(outcome)
             }
             Exec::Adaptive => {

@@ -75,9 +75,9 @@ fn reopt_execution_degrades_to_sound_subsets() {
 /// A step the run dropped is not an observation. With one source down
 /// from its first exchange, every one of its steps is dropped before
 /// any round boundary is reached: the violations that follow come from
-/// live sources only, the session learns nothing about the dead one —
-/// its `items_out = 0` must never calibrate a later query — and the
-/// answer is the fusion over the survivors.
+/// live sources only, the feedback store learns nothing about the dead
+/// one — its `items_out = 0` must never calibrate a later query — and
+/// the answer is the fusion over the survivors.
 #[test]
 fn a_dropped_step_is_not_an_observation() {
     let scenario = world(World::Synth6, 17);
@@ -86,11 +86,11 @@ fn a_dropped_step_is_not_an_observation() {
     let case = Case::new(&scenario, Shape::Sja);
     let runs = case.sweep(&[Exec::Reopt(None)], retried(), &outages, Cache::None);
     for (dead, run) in runs.iter().enumerate() {
-        let (out, session) = run.reopt.as_ref().expect("a reopt run");
+        let (out, feedback) = run.reopt.as_ref().expect("a reopt run");
         let tag = format!("R{} down", dead + 1);
         assert!(out.violations > 0, "{tag}: nothing re-planned");
         for i in 0..m {
-            let observed = |j| session.feedback.observed(CondId(i), SourceId(j));
+            let observed = |j| feedback.observed(CondId(i), SourceId(j));
             assert_eq!(observed(dead), None, "{tag}: c{} calibrated", i + 1);
             for live in (0..n).filter(|j| *j != dead) {
                 assert!(observed(live).is_some(), "{tag}: c{}/R{live}", i + 1);

@@ -231,20 +231,20 @@ fn assert_plans_match_reference<M: CostModel>(model: &M, what: &str) {
 
 /// The optimizers' one ordering search against Figures 3–4 taken
 /// literally: plan identity for whole queries on every model shape the
-/// product plans under, and suffix identity for the two callers that
-/// search from an observed running set.
+/// product plans under, and suffix identity for the re-plan and the
+/// round-at-a-time executor, which search from an observed running set.
 #[test]
 fn bnb_matches_exhaustive() {
     use fusion::cache::{CacheSnapshot, CachedCostModel};
-    use fusion::core::optimizer::{adaptive_next, reference_enumeration, ReoptMemo, RoundRule};
-    use fusion::core::{FeedbackCostModel, NetworkCostModel};
+    use fusion::core::optimizer::{reference_enumeration, suffix_search, RoundRule};
+    use fusion::core::{FeedbackCostModel, NetworkCostModel, TableCostModel};
     use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
     use fusion::stats::CardinalityFeedback;
 
     // Costs and estimates drawn from a few values each, so exactly tied
     // orderings are the norm, not the exception.
     let quantised = |g: &mut common::Gen, m: usize, n: usize| {
-        let mut model = fusion::core::TableCostModel::uniform(m, n, 1.0, 1.0, 0.0, 1e6, 1.0, 64.0);
+        let mut model = TableCostModel::uniform(m, n, 1.0, 1.0, 0.0, 1e6, 1.0, 64.0);
         for i in 0..m {
             for j in 0..n {
                 let (c, s) = (CondId(i), SourceId(j));
@@ -312,9 +312,25 @@ fn bnb_matches_exhaustive() {
         }
     }
 
-    // Suffix searches: every non-empty subset of five conditions, from
-    // running sets of every magnitude.
-    let rule = RoundRule::PerSource;
+    // Suffix searches, before the first round and from running sets of
+    // every magnitude.
+    let xs = [None, Some(0.0), Some(1.0), Some(40.0), Some(4_000.0)];
+    let suffix_matches = |model: &TableCostModel, subset: &[usize]| {
+        for x in xs {
+            let want = reference_enumeration(model, RoundRule::PerSource, subset, x);
+            let got = suffix_search(model, subset, x);
+            let ctx = format!("subset {subset:?}, x {x:?}");
+            assert_eq!(got.order, want.order, "{ctx}");
+            assert_eq!(got.choices, want.choices, "{ctx}");
+            assert_eq!(
+                got.cost.value().to_bits(),
+                want.cost.value().to_bits(),
+                "{ctx}"
+            );
+            assert_eq!(bits(&got.sizes), bits(&want.sizes), "{ctx}");
+        }
+    };
+    // Every non-empty subset of five conditions.
     for_seeds(4, |g| {
         let model = if g.0.next_below(2) == 0 {
             g.model(5, 3)
@@ -323,48 +339,16 @@ fn bnb_matches_exhaustive() {
         };
         for mask in 1u32..32 {
             let subset: Vec<usize> = (0..5).filter(|c| mask & (1 << c) != 0).collect();
-            let conds: Vec<CondId> = subset.iter().map(|&c| CondId(c)).collect();
-            for x0 in [0.0, 1.0, 40.0, 4_000.0] {
-                let want = reference_enumeration(&model, rule, &subset, Some(x0));
-                // The memo, in one go and resumed across small budgets.
-                for budget in [usize::MAX, 1, 7, 64] {
-                    let mut memo = ReoptMemo::new(budget);
-                    let mut got = memo.search(&model, &subset, x0);
-                    while !got.exhausted {
-                        got = memo.search(&model, &subset, x0);
-                    }
-                    let ctx = format!("subset {subset:?}, x0 {x0}, budget {budget}");
-                    assert_eq!(got.order, want.order, "{ctx}");
-                    assert_eq!(got.choices, want.choices, "{ctx}");
-                    assert_eq!(
-                        got.cost.value().to_bits(),
-                        want.cost.value().to_bits(),
-                        "{ctx}"
-                    );
-                    assert_eq!(bits(&got.sizes), bits(&want.sizes), "{ctx}");
-                }
-                // The round-at-a-time planner keeps the first round.
-                for (x, want) in [
-                    (Some(x0), &want),
-                    (None, &reference_enumeration(&model, rule, &subset, None)),
-                ] {
-                    let next = adaptive_next(&model, &conds, x);
-                    let ctx = format!("subset {subset:?}, x {x:?}");
-                    assert_eq!(next.cond.0, want.order[0], "{ctx}");
-                    assert_eq!(next.choices, want.choices[0], "{ctx}");
-                    assert_eq!(
-                        next.predicted_size.to_bits(),
-                        want.sizes[0].to_bits(),
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        next.remainder_cost.value().to_bits(),
-                        want.cost.value().to_bits(),
-                        "{ctx}"
-                    );
-                }
-            }
+            suffix_matches(&model, &subset);
         }
+    });
+    // Seven of eight conditions — a suffix only a query of eight or more
+    // conditions has: 5 040 orderings per case in the reference.
+    for_seeds(3, |g| {
+        let done = g.0.next_below(8);
+        let subset: Vec<usize> = (0..8).filter(|&c| c != done).collect();
+        suffix_matches(&g.model(8, 3), &subset);
+        suffix_matches(&quantised(g, 8, 3), &subset);
     });
 }
 

@@ -28,6 +28,10 @@
 //! observation can equal its estimate, and that round is not re-planned:
 //! DESIGN §15 has the counts.)
 //!
+//! A fifth holds an eight-condition query at that config to the same
+//! enumeration: a suffix of seven conditions is the one search a node
+//! budget could once cut short, and it now re-plans to the exact optimum.
+//!
 //! The cells are the lattice's (`common::lattice`); the width is
 //! `width("reopt")`.
 
@@ -37,9 +41,9 @@ use common::lattice::{serve_cells, world, Cache, Case, Cell, Exec, Faults, Run, 
 use common::width;
 use fusion::core::optimizer::{reference_enumeration, RoundRule};
 use fusion::core::plan::SourceChoice;
-use fusion::core::TableCostModel;
+use fusion::core::{FeedbackCostModel, TableCostModel};
 use fusion::exec::{execute_adaptive, ReoptConfig, ServerConfig, StepKind, TenantEvent};
-use fusion::stats::SplitMix64;
+use fusion::stats::{CardinalityFeedback, SplitMix64};
 use fusion::types::{CondId, SourceId};
 use fusion::workload::Scenario;
 
@@ -179,4 +183,35 @@ fn slack_one_reopt_replans_every_round_like_the_reference_enumeration() {
         assert_eq!(rounds, executed, "seed {seed}: executed rounds");
     }
     assert!(switched_runs > 0, "battery never exercised a switch");
+}
+
+#[test]
+fn eight_condition_reopt_switches_to_the_reference_suffix() {
+    // Six worlds: enough that one first-round re-plan switches (most
+    // keep the committed suffix), few enough for a debug run.
+    let mut seven = 0u32;
+    for seed in 0..6 {
+        let scenario = world(World::Correlated8, seed);
+        let (m, n) = (scenario.m(), scenario.n());
+        let case = Case::new(&scenario, Shape::Sja);
+        let cell = Cell::of(Exec::Reopt(None), None, Faults::Off, Cache::None);
+        let run = case.check(&[cell]).remove(0);
+        let (out, _) = run.reopt.as_ref().expect("a reopt run");
+        // A re-plan prices only unplaced conditions, whose cells nothing
+        // has observed yet: under the feedback decorator they are the
+        // model's own.
+        let unobserved = CardinalityFeedback::new(m, n);
+        let model = FeedbackCostModel::new(&case.model, &unobserved);
+        for sw in &out.switches {
+            let remaining: Vec<usize> = sw.suffix_order.iter().map(|c| c.0).collect();
+            let want = reference_enumeration(&model, RoundRule::PerSource, &remaining, Some(sw.x0));
+            let tag = format!("seed {seed}, after round {}", sw.rounds_done);
+            assert_eq!(remaining, want.order, "{tag}");
+            assert_eq!(sw.suffix_choices, want.choices, "{tag}");
+            let (got, want) = (sw.new_suffix_cost.value(), want.cost.value());
+            assert_eq!(got.to_bits(), want.to_bits(), "{tag}");
+            seven += u32::from(remaining.len() == 7);
+        }
+    }
+    assert!(seven > 0, "no seven-condition suffix was re-planned");
 }

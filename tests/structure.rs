@@ -180,3 +180,145 @@ fn row_loops_bind_conditions_once() {
     let dirs = ["crates/source/src", "crates/cache/src"];
     absent(&dirs, concat!(".eval(", "row, schema)"));
 }
+
+/// Re-planning asks the planner's one search afresh (DESIGN §20): the
+/// budgeted suffix memo, its session wrapper and the second round-at-a-time
+/// front end stay gone, and one function under the optimizer counts the
+/// prefixes it prices.
+#[test]
+fn one_ordering_search() {
+    let dirs = ["crates", "tests", "examples"];
+    for name in [
+        concat!("Reopt", "Memo"),
+        concat!("Memo", "Key"),
+        concat!("Reopt", "Session"),
+        concat!("adaptive", "_next"),
+        concat!("Next", "Round"),
+    ] {
+        absent(&dirs, name);
+    }
+    let found = grep(
+        &["crates/core/src/optimizer"],
+        concat!("prefixes_explored", " +="),
+    );
+    assert_eq!(found.len(), 1, "{found:?}");
+}
+
+/// The crates whose `pub` items are the product's surface: the umbrella
+/// and the ten crates it re-exports.
+const PRODUCT: [&str; 11] = [
+    "src",
+    "crates/cache/src",
+    "crates/check/src",
+    "crates/core/src",
+    "crates/exec/src",
+    "crates/net/src",
+    "crates/source/src",
+    "crates/sql/src",
+    "crates/stats/src",
+    "crates/types/src",
+    "crates/workload/src",
+];
+
+/// The type an `impl` header line implements for: the last path segment
+/// after the generics and any `Trait for`.
+fn impl_type(line: &str) -> String {
+    let mut rest = &line["impl".len()..];
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        for (i, c) in rest.char_indices() {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            if depth == 0 {
+                rest = &rest[i + 1..];
+                break;
+            }
+        }
+    }
+    let ty = rest.rsplit(" for ").next().unwrap().trim_start();
+    let path = ty.split(['<', ' ', '{']).next().unwrap();
+    path.rsplit("::").next().unwrap().to_string()
+}
+
+/// `(kind, name)` of a `pub` declaration, given the text after `pub `;
+/// `None` for a field or a re-export.
+fn item(rest: &str) -> Option<(&str, &str)> {
+    const KINDS: [&str; 9] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+    ];
+    let (mut kind, mut name) = rest.split_once(' ')?;
+    if matches!(kind, "const" | "unsafe") && name.starts_with("fn ") {
+        (kind, name) = ("fn", &name["fn ".len()..]);
+    }
+    let end = name
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(name.len());
+    KINDS.contains(&kind).then_some((kind, &name[..end]))
+}
+
+/// `crate: kind name` for every `pub` item above the first `#[cfg(test)]`
+/// of each product source file, sorted; a method or associated item is
+/// named `Type::name` after the `impl` block it sits in.
+fn public_api() -> String {
+    let mut found = Vec::new();
+    for dir in PRODUCT {
+        for (_, text) in sources(&[dir]) {
+            let product = text.split(concat!("#[cfg", "(test)]")).next().unwrap();
+            let mut owner = None;
+            for line in product.lines() {
+                if line.starts_with("impl") {
+                    owner = Some(impl_type(line));
+                } else if line.starts_with('}') {
+                    owner = None;
+                }
+                let Some(rest) = line.trim_start().strip_prefix("pub ") else {
+                    continue;
+                };
+                let Some((kind, name)) = item(rest) else {
+                    continue;
+                };
+                found.push(match &owner {
+                    Some(ty) => format!("{dir}: {kind} {ty}::{name}"),
+                    None => format!("{dir}: {kind} {name}"),
+                });
+            }
+        }
+    }
+    found.sort();
+    found.iter().map(|l| format!("{l}\n")).collect()
+}
+
+/// The product's `pub` surface is a reviewed list: a new or removed item
+/// is a diff of `tests/golden/public_api.txt`. `BLESS=1` rewrites it.
+#[test]
+fn public_api_matches_golden() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/public_api.txt");
+    let rendered = public_api();
+    if std::env::var("BLESS").is_ok() {
+        fs::write(&golden, &rendered).unwrap();
+        return;
+    }
+    let want = fs::read_to_string(&golden)
+        .expect("missing tests/golden/public_api.txt — run with BLESS=1 to create it");
+    assert!(
+        rendered == want,
+        "the public surface changed; if intentional, re-bless with \
+         BLESS=1 cargo test --test structure public_api"
+    );
+}
+
+/// The design documents cannot grow unreviewed: raising a ceiling is a
+/// diff of this file.
+#[test]
+fn documents_stay_within_their_byte_ceilings() {
+    for (doc, ceiling) in [("DESIGN.md", 109_114), ("OPTIMIZATION.md", 95_492)] {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(doc);
+        let bytes = fs::metadata(&path)
+            .unwrap_or_else(|e| panic!("{doc}: {e}"))
+            .len();
+        assert!(bytes <= ceiling, "{doc}: {bytes} bytes, ceiling {ceiling}");
+    }
+}
