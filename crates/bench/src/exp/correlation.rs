@@ -14,9 +14,11 @@ use crate::exp::executed_cost;
 use crate::table::{fmt3, Table};
 use fusion_core::query::FusionQuery;
 use fusion_core::sampler::random_simple_plan;
-use fusion_core::sja_optimal;
+use fusion_core::{sja_optimal, NetworkCostModel};
+use fusion_exec::{execute_plan_reopt, ReoptConfig, ReoptOutcome};
 use fusion_net::LinkProfile;
 use fusion_source::ProcessingProfile;
+use fusion_stats::CardinalityFeedback;
 use fusion_types::Condition;
 use fusion_workload::synth::{
     condition_with_selectivity, synth_scenario_for, synth_schema, SynthSpec,
@@ -129,12 +131,34 @@ fn e14_workloads() -> Vec<(&'static str, Vec<Condition>)> {
     ]
 }
 
+/// `scenario`'s SJA plan, re-planned at every round boundary.
+fn every_round(scenario: &Scenario, model: &NetworkCostModel) -> ReoptOutcome {
+    let (query, sources) = (&scenario.query, &scenario.sources);
+    let mut network = scenario.network();
+    let mut feedback = CardinalityFeedback::new(scenario.m(), scenario.n());
+    let (spec, config) = (sja_optimal(model).spec, ReoptConfig::every_round());
+    let fb = &mut feedback;
+    execute_plan_reopt(
+        &spec,
+        query,
+        sources,
+        &mut network,
+        model,
+        None,
+        fb,
+        &config,
+        None,
+        None,
+    )
+    .expect("re-optimized run executes")
+}
+
 /// E14 (extension): mid-query re-optimization vs the static SJA plan.
 ///
 /// Static SJA chains cardinalities under independence; with nested
 /// conditions the running set is *much larger* than predicted, so the
-/// committed semijoin strategies ship the wrong amounts. The adaptive
-/// executor (`fusion-exec::execute_adaptive`) re-plans after every round
+/// committed semijoin strategies ship the wrong amounts. The
+/// re-optimizer at [`ReoptConfig::every_round`] re-plans after every round
 /// from the observed size (Kabra–DeWitt-style mid-query
 /// re-optimization), repairing exactly that drift.
 pub fn e14_adaptive() {
@@ -152,17 +176,9 @@ pub fn e14_adaptive() {
         let scenario = scenario_with(conditions, 13_999);
         let model = scenario.cost_model();
         let static_cost = executed_cost(&scenario, &sja_optimal(&model).plan);
-        let mut network = scenario.network();
-        let out = fusion_exec::execute_adaptive(
-            &scenario.query,
-            &scenario.sources,
-            &mut network,
-            &model,
-            None,
-        )
-        .expect("adaptive executes");
+        let out = every_round(&scenario, &model);
         assert_eq!(
-            out.answer,
+            out.outcome.answer,
             scenario.ground_truth().expect("evaluation succeeds"),
             "{name}: adaptive answer must be exact"
         );
@@ -192,6 +208,7 @@ pub fn e14_adaptive() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusion_core::CostModel;
 
     #[test]
     fn adaptive_never_loses_badly_and_wins_under_drift() {
@@ -200,45 +217,24 @@ mod tests {
             let scenario = scenario_with(conditions, 13_999);
             let model = scenario.cost_model();
             let static_cost = executed_cost(&scenario, &sja_optimal(&model).plan);
-            let mut network = scenario.network();
-            let out = fusion_exec::execute_adaptive(
-                &scenario.query,
-                &scenario.sources,
-                &mut network,
-                &model,
-                None,
-            )
-            .unwrap();
+            let out = every_round(&scenario, &model);
             let adaptive_cost = out.total_cost().value();
             assert!(
                 adaptive_cost <= static_cost * 1.10,
                 "{name}: adaptive {adaptive_cost:.3} vs static {static_cost:.3}"
             );
             savings.push(1.0 - adaptive_cost / static_cost);
-            // The certified re-optimizer at point trust regions and no
-            // gain threshold reproduces the per-round executor's cost to
-            // the bit on both workloads (DESIGN §15).
-            let mut network = scenario.network();
-            let mut feedback = fusion_stats::CardinalityFeedback::new(scenario.m(), scenario.n());
-            let reopt = fusion_exec::execute_plan_reopt(
-                &sja_optimal(&model).spec,
-                &scenario.query,
-                &scenario.sources,
-                &mut network,
-                &model,
-                None,
-                &mut feedback,
-                &fusion_exec::ReoptConfig::every_round(),
-                None,
-                None,
-            )
-            .unwrap();
-            assert_eq!(
-                reopt.total_cost().value().to_bits(),
-                adaptive_cost.to_bits(),
-                "{name}: reopt {} vs adaptive {adaptive_cost}",
-                reopt.total_cost()
-            );
+            // Every round after the first was re-planned from the |X| the
+            // one before it left.
+            for pair in out.rounds.windows(2) {
+                let gsel = model.gsel(pair[1].cond);
+                let chained = pair[0].actual_size as f64 * gsel;
+                assert_eq!(
+                    pair[1].predicted_size.to_bits(),
+                    chained.to_bits(),
+                    "{name}"
+                );
+            }
         }
         // On the nested workload the drift flips decisions: adaptive must
         // show a real saving there.

@@ -744,23 +744,36 @@ impl Session {
         Ok(out)
     }
 
-    /// Executes with mid-query re-optimization and reports the rounds.
+    /// Executes with mid-query re-optimization at every round and reports
+    /// the rounds.
     fn cmd_adaptive(&mut self, sql: &str) -> Result<String> {
         let (query, sources, mut network) = self.materialize(sql)?;
         let model = NetworkCostModel::new(&sources, &network, &query, None);
+        let mut feedback = CardinalityFeedback::new(query.m(), sources.len());
         let faults_on = self.faults.is_some();
         let policy = faults_on.then(RetryPolicy::default);
-        let out =
-            fusion_exec::execute_adaptive(&query, &sources, &mut network, &model, policy.as_ref())?;
+        let out = fusion_exec::execute_plan_reopt(
+            &sja_optimal(&model).spec,
+            &query,
+            &sources,
+            &mut network,
+            &model,
+            None,
+            &mut feedback,
+            &fusion_exec::ReoptConfig::every_round(),
+            None,
+            policy.as_ref(),
+        )?;
+        let answer = &out.outcome.answer;
         let mut text = format!(
             "answer ({} items): {}
 executed cost {} with per-round re-optimization:",
-            out.answer.len(),
-            out.answer,
+            answer.len(),
+            answer,
             out.total_cost()
         );
         if faults_on {
-            text.push_str(&format!("\ncompleteness: {}", out.completeness));
+            text.push_str(&format!("\ncompleteness: {}", out.outcome.completeness));
         }
         for round in &out.rounds {
             let kinds: Vec<&str> = round
@@ -790,16 +803,18 @@ executed cost {} with per-round re-optimization:",
     /// the locked-in plan misestimates and the switch machinery is
     /// visible on demand.
     fn cmd_reopt(&mut self, arg: &str) -> Result<String> {
-        let (factor, sql) = match arg.split_once(char::is_whitespace) {
+        // The factor is echoed as typed: `x1e308` prints as such, not as
+        // its 309 decimal digits.
+        let (factor, head, sql) = match arg.split_once(char::is_whitespace) {
             Some((head, rest)) if head.starts_with('x') => match head[1..].parse::<f64>() {
-                Ok(f) if f > 0.0 && f.is_finite() => (f, rest.trim()),
+                Ok(f) if f > 0.0 && f.is_finite() => (f, head, rest.trim()),
                 _ => {
                     return Err(FusionError::parse(format!(
                         "bad distortion `{head}` (use e.g. x16)"
                     )));
                 }
             },
-            _ => (1.0, arg),
+            _ => (1.0, "x1", arg),
         };
         let (query, sources, mut network) = self.materialize(sql)?;
         let base = NetworkCostModel::new(&sources, &network, &query, None);
@@ -851,7 +866,7 @@ executed cost {} with per-round re-optimization:",
             if out.switches.len() == 1 { "" } else { "es" },
         );
         if factor != 1.0 {
-            text.push_str(&format!(" (estimates distorted x{factor})"));
+            text.push_str(&format!(" (estimates distorted {head})"));
         }
         if faults_on {
             text.push_str(&format!("\ncompleteness: {}", out.outcome.completeness));
@@ -1752,12 +1767,13 @@ commands:
          parallel stage schedule
   \\trace <sql>                           raw network exchange trace of
          executing the SJA+ plan
-  \\adaptive <sql>                        execute with mid-query
-         re-optimization and report each round
+  \\adaptive <sql>                        \\reopt re-planning at every round
+         boundary (point trust regions, no gain threshold); reports each
+         round's predicted and observed |X|
   \\reopt [xF] <sql>                      execute with certified runtime
-         re-optimization: observed cardinalities are checked against
-         believed intervals at every round boundary; a violation
-         re-searches the remaining suffix under a budgeted memo and
+         re-optimization: observed cardinalities and the running set are
+         checked against believed intervals at every round boundary; a
+         violation re-searches the remaining suffix and
          splices the winner in only if the switch certifies (prefix
          identity, BDD semantics, race-free stages). The run is then
          replayed bit-for-bit from its switch records. xF inflates
@@ -2234,6 +2250,7 @@ mod tests {
         let out = run(&mut s, &format!("\\adaptive {DMV_SQL}"));
         assert!(out.contains("{J55, T21}"), "{out}");
         assert!(out.contains("observed"), "{out}");
+        assert_eq!(out.matches("predicted |X|").count(), 2, "{out}");
     }
 
     #[test]
@@ -2259,6 +2276,14 @@ mod tests {
         for head in ["x0", "x-1", "xinf", "x1e400", "xNaN"] {
             let out = run(&mut s, &format!("\\reopt {head} {DMV_SQL}"));
             assert!(out.contains(&format!("bad distortion `{head}`")), "{out}");
+        }
+        // A factor is echoed as typed, however many digits it stands for.
+        for head in ["x1e308", "x1e-320", "x16.0"] {
+            let out = run(&mut s, &format!("\\reopt {head} {DMV_SQL}"));
+            assert!(
+                out.contains(&format!("(estimates distorted {head})")),
+                "{out}"
+            );
         }
         // Under \faults the run retries and degrades like plain
         // execution does, and still replays from its switch records.

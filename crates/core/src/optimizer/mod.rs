@@ -11,7 +11,7 @@
 //! exact optimizer calls it: [`sj_optimal`] / [`sja_optimal`] over all
 //! conditions ([`ordering_search`] adds its counts), [`suffix_search`]
 //! over the conditions still to run, from an observed running set — the
-//! re-optimizer's re-plan and the round-at-a-time executor's next round.
+//! re-optimizer's re-plan (at every round, per-round re-planning).
 //! [`reference_enumeration`] — Figures 3–4 literally — is the
 //! **reference** it is tested and timed against, not a product path.
 //! [`sja_response_optimal`] minimizes makespan, which does not decompose

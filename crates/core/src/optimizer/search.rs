@@ -7,8 +7,8 @@
 //! [`price_ordering`] pricing it from scratch) and one stateless
 //! branch-and-bound depth-first search ([`search`]) with two entry points:
 //! [`ordering_search`] over a whole query (behind [`sj_optimal`] /
-//! [`sja_optimal`]) and [`suffix_search`] over the conditions a re-plan or
-//! the round-at-a-time executor still has to run.
+//! [`sja_optimal`]) and [`suffix_search`] over the conditions a mid-query
+//! re-plan still has to run.
 //! [`reference_enumeration`] is Figures 3–4 *literally*: the oracle the
 //! differential tests and E18 hold the search to, not a product path.
 //!
@@ -333,9 +333,8 @@ pub fn ordering_search<M: CostModel>(model: &M, rule: RoundRule) -> (OptimizedPl
 /// conditions a query still has to run — from a running set of `x0`
 /// items (`None` before the first round: selections everywhere), under
 /// Figure 4's per-source rule. Every round, a suffix's first included,
-/// may semijoin against the set in hand. Mid-query re-planning and the
-/// round-at-a-time executor ask it afresh at every boundary; it keeps
-/// nothing between calls.
+/// may semijoin against the set in hand. Mid-query re-planning asks it
+/// afresh at every boundary it re-plans; it keeps nothing between calls.
 ///
 /// # Panics
 /// Panics if `candidates` is empty or names a condition twice.

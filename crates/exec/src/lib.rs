@@ -31,25 +31,23 @@
 //!     order, the semantics the schedule model-checker explores.
 //!   - [`execute_plan_reopt`] (and [`replay_plan_reopt`]) — round by
 //!     round (optionally each round on worker threads), watching
-//!     observed cardinalities: when one escapes its certified believed
-//!     interval the remaining suffix is re-searched by the planner's own
-//!     exact search ([`suffix_search`]) and spliced in — only if
-//!     [`certify_switch`] proves the splice sound. Switches land in the
-//!     ledger as [`StepKind::Reopt`] markers so the replay reproduces
-//!     switched runs bit for bit. Takes `retry` and `cache` as
-//!     [`execute_plan_with`] does; a dropped step is not an observation.
+//!     observed cardinalities and the running set: when one escapes its
+//!     believed interval the remaining suffix is re-searched by the
+//!     planner's own exact search ([`suffix_search`]) and spliced in —
+//!     only if [`certify_switch`] proves the splice sound. Switches land
+//!     in the ledger as [`StepKind::Reopt`] markers so the replay
+//!     reproduces switched runs bit for bit. Takes `retry` and `cache`
+//!     as [`execute_plan_with`] does; a dropped step is not an
+//!     observation. At [`ReoptConfig::every_round`] it is per-round
+//!     re-planning from the observed running set (DESIGN.md §15).
 //!   - [`serve`] — the multi-tenant mediator server: a worker pool
 //!     interleaves many tenants' sessions over one shared, sharded
 //!     answer cache with admission control, per-source concurrency
 //!     limits, cross-query fetch sharing, and a certified replayable
 //!     operation log ([`replay_serial`] / [`verify_replay_parity`] prove
 //!     byte-parity with a serial run).
-//! * Beside the plan drivers: [`execute_adaptive`] plans each round from
-//!   the *observed* running-set size instead of executing a plan (by the
-//!   same [`suffix_search`], through the same fetch primitives;
-//!   [`ReoptConfig::every_round`] is its certified counterpart wherever
-//!   no estimate is exact, DESIGN.md §15); [`CostLedger`] records the
-//!   actual cost of every step;
+//! * Beside the plan drivers: [`CostLedger`] records the actual cost of
+//!   every step;
 //!   [`response_time`] replays an executed plan under a parallel
 //!   execution model (§6); [`fetch_records`] is the broadcast "second
 //!   phase" of two-phase processing (§1) and [`fetch_planned`] its
@@ -67,7 +65,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod cached;
 pub mod interp;
 pub mod ledger;
@@ -83,13 +80,14 @@ mod share;
 mod step;
 pub mod two_phase;
 
-pub use adaptive::{execute_adaptive, AdaptiveOutcome, AdaptiveRound};
 pub use interp::{execute_plan, execute_plan_unchecked, execute_plan_with, ExecutionOutcome};
 pub use ledger::{CostLedger, LedgerEntry, StepKind};
 pub use parallel::{execute_plan_parallel, ParallelConfig, ParallelOutcome};
 pub use phase2::{cached_phase2_rows, execute_fetch_plan, fetch_planned, Phase2Outcome};
 pub use piggyback::{execute_piggyback, fetch_first_records, PiggybackOutcome};
-pub use reopt::{execute_plan_reopt, replay_plan_reopt, ReoptConfig, ReoptOutcome, SwitchRecord};
+pub use reopt::{
+    execute_plan_reopt, replay_plan_reopt, ReoptConfig, ReoptOutcome, RoundRecord, SwitchRecord,
+};
 pub use replay::{execute_plan_replay, ReplayOptions};
 pub use retry::{Completeness, RetryPolicy};
 pub use schedule::{

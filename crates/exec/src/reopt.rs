@@ -1,14 +1,14 @@
 //! Runtime adaptive re-optimization fed by observed cardinalities.
 //!
-//! The static pipeline commits to a whole plan from estimates; the
-//! greedy [`crate::adaptive`] executor re-plans every round but trusts
-//! the model blindly and certifies nothing. This module is the middle
-//! way the paper's §6 gestures at: execute the *optimized* plan, watch
-//! what every exchange actually returns, and only when an observation
-//! **leaves its certified believed interval** re-open the search — over
-//! the undone suffix only ([`suffix_search`]) — and splice the winner in,
-//! gated by [`certify_switch`]'s three proofs (prefix identity, BDD
-//! semantics, race-free stages).
+//! The static pipeline commits to a whole plan from estimates. This
+//! module is the middle way the paper's §6 gestures at: execute the
+//! *optimized* plan, watch what every exchange returns and how large the
+//! running set grows, and only when an observation **leaves its believed
+//! interval** re-open the search over the undone suffix
+//! ([`suffix_search`]) and splice the winner in, gated by
+//! [`certify_switch`]'s three proofs (prefix identity, BDD semantics,
+//! race-free stages). At [`ReoptConfig::every_round`] that is per-round
+//! re-planning.
 //!
 //! # The feedback loop
 //!
@@ -23,19 +23,21 @@
 //!   ([`fusion_core::dataflow::analyze_dataflow`]). Propagation is
 //!   sound: seeds containing the true cell cardinalities yield step
 //!   bounds containing every true step cardinality — so accurate
-//!   estimates never trigger a spurious switch, and reopt-on execution
-//!   is **byte-identical** to reopt-off execution.
-//! * At each round boundary, any step of the round whose observed
-//!   cardinality escaped its interval arms a re-optimization: the
-//!   remaining conditions are re-searched from the *observed* running
-//!   set size under the feedback-calibrated model
-//!   ([`FeedbackCostModel`]) by the planner's own exact search, asked
-//!   afresh.
-//! * A candidate suffix only replaces the committed one when it is at
-//!   least `min_gain` cheaper *and* [`certify_switch`] proves the splice
-//!   sound. A certified switch is recorded in the ledger as a free
+//!   estimates never arm a re-plan from a step, and while the running
+//!   set also stays in its trust region reopt-on execution is
+//!   **byte-identical** to reopt-off execution.
+//! * At each round boundary, a step of the round whose observed
+//!   cardinality escaped its interval arms a re-optimization; so does a
+//!   running set `|X|` outside `[x̂/slack, x̂·slack]`, `x̂` being the size
+//!   the committed suffix was priced to leave (every cell can be exact
+//!   while correlated conditions break the `·gsel` chain). The remaining
+//!   conditions are re-searched from the observed `|X|` under the
+//!   feedback-calibrated model ([`FeedbackCostModel`]).
+//! * The search's winner replaces the committed suffix when it differs,
+//!   costs at most `1 − min_gain` times as much *and* [`certify_switch`]
+//!   proves the splice sound; it lands in the ledger as a free
 //!   [`StepKind::Reopt`] marker, so [`replay_plan_reopt`] reproduces the
-//!   switched run bit for bit from the ledger's own evidence.
+//!   switched run bit for bit.
 //!
 //! # Determinism contract
 //!
@@ -91,10 +93,11 @@ impl Default for ReoptConfig {
 
 impl ReoptConfig {
     /// Point trust regions and no gain threshold: every round boundary
-    /// with an observation off its estimate re-opens the suffix search,
-    /// and any strictly cheaper suffix is spliced in. For a model known
-    /// to be wrong in shape (correlated conditions), where this is
-    /// per-round re-planning as a certified, replayable run.
+    /// whose running set or any observation is off its estimate re-opens
+    /// the suffix search, and the search's winner is spliced in unless it
+    /// is the committed suffix — per-round re-planning from the observed
+    /// running set, as a certified, replayable run. For a model known to
+    /// be wrong in shape (correlated conditions).
     pub fn every_round() -> ReoptConfig {
         ReoptConfig {
             slack: 1.0,
@@ -111,7 +114,8 @@ pub struct SwitchRecord {
     pub at_step: usize,
     /// Rounds fully executed before the switch (the shared prefix).
     pub rounds_done: usize,
-    /// The step whose observation violated its believed interval.
+    /// The step whose observation violated its believed interval: the
+    /// round's closing set operation when the running set escaped.
     pub violating_step: usize,
     /// The observed cardinality that escaped.
     pub observed: usize,
@@ -132,6 +136,19 @@ pub struct SwitchRecord {
     pub certificate: SwitchCertificate,
 }
 
+/// One executed round, for post-mortem analysis.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundRecord {
+    /// The condition processed.
+    pub cond: CondId,
+    /// Per-source strategies used.
+    pub choices: Vec<SourceChoice>,
+    /// `x̂`: the `|X|` the committed plan was priced to leave here.
+    pub predicted_size: f64,
+    /// What it actually left.
+    pub actual_size: usize,
+}
+
 /// The outcome of an adaptively re-optimized execution.
 #[derive(Debug, Clone)]
 pub struct ReoptOutcome {
@@ -142,6 +159,9 @@ pub struct ReoptOutcome {
     pub final_spec: SimplePlanSpec,
     /// Certified switches, in execution order.
     pub switches: Vec<SwitchRecord>,
+    /// The rounds, in execution order; empty from [`replay_plan_reopt`],
+    /// which prices nothing.
+    pub rounds: Vec<RoundRecord>,
     /// Interval violations observed (a violation without a worthwhile
     /// certified alternative does not switch).
     pub violations: usize,
@@ -197,6 +217,17 @@ fn derive_df<M: CostModel>(
     let fbm = FeedbackCostModel::new(model, feedback);
     let bounds = SourceBounds::believed_from_model(&fbm, slack);
     analyze_dataflow(plan, &fbm, &bounds)
+}
+
+/// The `|X|` each round of `order` is priced to leave, chained from `x`
+/// (`None` before a query's first round) as [`suffix_search`] chains it:
+/// the condition's union, then `·gsel`.
+fn size_chain<M: CostModel>(model: &M, order: &[CondId], mut x: Option<f64>) -> Vec<f64> {
+    let mut chain = |&c| {
+        let next = x.map_or_else(|| model.est_condition_union(c), |k| k * model.gsel(c));
+        *x.insert(next)
+    };
+    order.iter().map(&mut chain).collect()
 }
 
 /// The cardinality observation one executed step's ledger entry
@@ -260,7 +291,7 @@ fn record_observation(feedback: &mut CardinalityFeedback, run: &PlanRun<'_>, ent
 /// observations reconstruct their input size from the ledger entry of
 /// the step that defined the input variable. The ledger must come from
 /// a run that dropped no step (the server delivers plainly).
-pub fn harvest_observations(
+pub(crate) fn harvest_observations(
     plan: &Plan,
     conditions: &[Condition],
     ledger: &CostLedger,
@@ -333,9 +364,10 @@ fn check_config(config: &ReoptConfig) -> Result<()> {
 
 /// Executes `spec` with runtime adaptive re-optimization: observed
 /// cardinalities calibrate the caller's `feedback` store (updated when
-/// the run succeeds), and interval violations at round boundaries re-open
-/// the exact search over the suffix ([`suffix_search`]) from the observed
-/// running set. Certified switches are spliced mid-flight
+/// the run succeeds), and interval violations at round boundaries — a
+/// step's or the running set's — re-open the exact search over the
+/// suffix ([`suffix_search`]) from the observed running set. Certified
+/// switches are spliced mid-flight
 /// and recorded as [`StepKind::Reopt`] ledger markers. With a cache
 /// attached, selections are served/admitted exactly as
 /// [`crate::execute_plan_with`] does. With `threads`, each round's
@@ -347,10 +379,11 @@ fn check_config(config: &ReoptConfig) -> Result<()> {
 /// violation), and with no fault plan on the network the run is
 /// byte-identical to `retry: None`.
 ///
-/// When every observation stays inside its believed interval — in
-/// particular whenever the model's estimates are accurate within
-/// `config.slack` — the outcome is byte-identical to the reopt-off
-/// executor on the same inputs.
+/// When every observation and running set stays inside its believed
+/// interval — in particular whenever the model's estimates, and the
+/// independence chain over them, are accurate within `config.slack` —
+/// the outcome is byte-identical to the reopt-off executor on the same
+/// inputs.
 ///
 /// # Errors
 /// Fails on a `config` whose `slack` is not finite or below 1 or whose
@@ -386,9 +419,10 @@ pub fn execute_plan_reopt<M: CostModel>(
     let mut run = PlanRun::new(&plan, query, sources, network, retry, cache.is_some())?;
     let mut calibrated = feedback.clone();
     let mut df = derive_df(&plan, model, &calibrated, config.slack)?;
+    let mut xhat = size_chain(&FeedbackCostModel::new(model, feedback), &spec.order, None);
     let mut rounds = round_layout(&spec, n);
     debug_assert_eq!(rounds.last().map_or(0, |r| r.1), plan.steps.len());
-    let mut switches: Vec<SwitchRecord> = Vec::new();
+    let (mut switches, mut log) = (Vec::new(), Vec::with_capacity(m));
     let mut violations = 0usize;
 
     committing(network, |network| {
@@ -424,61 +458,72 @@ pub fn execute_plan_reopt<M: CostModel>(
             for entry in entries.clone() {
                 record_observation(&mut calibrated, &run, entry);
             }
-            // Round boundary: did any observation escape its believed
-            // interval? (Checking every step of the round — not just the
-            // round result — catches per-cell misestimates the intersect
-            // would mask.)
+            let closing = run.plan().steps[end - 1].defined_var();
+            let x = closing.and_then(|v| run.var_len(v)).unwrap_or(0);
+            log.push(RoundRecord {
+                cond: spec.order[r],
+                choices: spec.choices[r].clone(),
+                predicted_size: xhat[r],
+                actual_size: x,
+            });
             if r + 1 >= m {
                 continue;
             }
-            let Some((violating_step, observed)) = entries
-                .map(|e| (e.step, e.items_out))
-                .find(|(idx, items)| !df.step_bounds[*idx].contains(*items as f64))
+            // Round boundary: did any observation escape its believed
+            // interval? Every step (the intersect could mask a cell), then
+            // the running set without propagated bounds' slop: at slack 1
+            // any `|X| ≠ x̂` re-plans, so `x̂` chains from observed sizes.
+            let drift = Interval::new(xhat[r] / config.slack, xhat[r] * config.slack);
+            let Some((violating_step, observed, expected)) = entries
+                .map(|e| (e.step, e.items_out, df.step_bounds[e.step]))
+                .find(|(_, items, believed)| !believed.contains(*items as f64))
+                .or_else(|| {
+                    let within = (drift.lo..=drift.hi).contains(&(x as f64));
+                    (!within).then_some((end - 1, x, drift))
+                })
             else {
                 continue;
             };
             violations += 1;
-            let executed = end;
-            let x_var = run.plan().steps[executed - 1]
-                .defined_var()
-                .expect("a round ends in a set operation");
-            let x0 = run.var_len(x_var).unwrap_or(0) as f64;
+            let x0 = x as f64;
             let remaining: Vec<usize> = spec.order[r + 1..].iter().map(|c| c.0).collect();
             let fbm = FeedbackCostModel::new(model, &calibrated);
             let old_suffix_cost = price_suffix(&fbm, &remaining, &spec.choices[r + 1..], x0);
             let cand = suffix_search(&fbm, &remaining, Some(x0));
-            if cand.cost.value() >= old_suffix_cost.value() * (1.0 - config.min_gain) {
-                continue;
+            let differs = cand.order != remaining || cand.choices[..] != spec.choices[r + 1..];
+            if differs && cand.cost.value() <= old_suffix_cost.value() * (1.0 - config.min_gain) {
+                let mut new_spec = SimplePlanSpec {
+                    order: spec.order[..=r].to_vec(),
+                    choices: spec.choices[..=r].to_vec(),
+                };
+                new_spec.order.extend(cand.order.iter().map(|&c| CondId(c)));
+                new_spec.choices.extend(cand.choices.iter().cloned());
+                let new_plan = new_spec.build(n)?;
+                // Certification may refuse the splice: the plan stays.
+                if let Ok(certificate) = certify_switch(run.plan(), &new_plan, end) {
+                    switches.push(SwitchRecord {
+                        at_step: end,
+                        rounds_done: r + 1,
+                        violating_step,
+                        observed,
+                        expected,
+                        x0,
+                        old_suffix_cost,
+                        new_suffix_cost: cand.cost,
+                        suffix_order: cand.order.iter().map(|&c| CondId(c)).collect(),
+                        suffix_choices: cand.choices,
+                        certificate,
+                    });
+                    run.splice(new_plan, reopt_marker(end, observed));
+                    spec = new_spec;
+                    rounds = round_layout(&spec, n);
+                    debug_assert_eq!(rounds.last().map_or(0, |r| r.1), run.plan().steps.len());
+                    df = derive_df(run.plan(), model, &calibrated, config.slack)?;
+                }
             }
-            let mut new_spec = SimplePlanSpec {
-                order: spec.order[..=r].to_vec(),
-                choices: spec.choices[..=r].to_vec(),
-            };
-            new_spec.order.extend(cand.order.iter().map(|&c| CondId(c)));
-            new_spec.choices.extend(cand.choices.iter().cloned());
-            let new_plan = new_spec.build(n)?;
-            let Ok(certificate) = certify_switch(run.plan(), &new_plan, executed) else {
-                // Certification refused the splice: keep the plan we have.
-                continue;
-            };
-            switches.push(SwitchRecord {
-                at_step: executed,
-                rounds_done: r + 1,
-                violating_step,
-                observed,
-                expected: df.step_bounds[violating_step],
-                x0,
-                old_suffix_cost,
-                new_suffix_cost: cand.cost,
-                suffix_order: cand.order.iter().map(|&c| CondId(c)).collect(),
-                suffix_choices: cand.choices.clone(),
-                certificate,
-            });
-            run.splice(new_plan, reopt_marker(executed, observed));
-            spec = new_spec;
-            rounds = round_layout(&spec, n);
-            debug_assert_eq!(rounds.last().map_or(0, |r| r.1), run.plan().steps.len());
-            df = derive_df(run.plan(), model, &calibrated, config.slack)?;
+            // Switched or not, `x̂` re-chains from `x0` along the committed order.
+            xhat.truncate(r + 1);
+            xhat.extend(size_chain(&fbm, &spec.order[r + 1..], Some(x0)));
         }
         Ok(())
     })?;
@@ -488,6 +533,7 @@ pub fn execute_plan_reopt<M: CostModel>(
         outcome,
         final_spec: spec,
         switches,
+        rounds: log,
         violations,
     })
 }
@@ -575,6 +621,7 @@ pub fn replay_plan_reopt(
         outcome,
         final_spec: spec,
         switches: replayed,
+        rounds: Vec::new(),
         violations,
     })
 }
@@ -589,7 +636,7 @@ mod tests {
     use fusion_net::LinkProfile;
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, ItemSet, Relation};
+    use fusion_types::{tuple, ItemSet, Predicate, Relation};
     use fusion_workload::dmv::figure1_relations;
 
     /// A skewed instance: per source, "dui" matches 2 entities while
@@ -924,6 +971,148 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("feedback is calibrated"), "{err}");
+        // A model priced for another query.
+        let wide = TableCostModel::uniform(5, 3, 1.0, 1.0, 0.1, 1e9, 2.0, 10.0);
+        let mut feedback = CardinalityFeedback::new(2, 3);
+        let err = execute_plan_reopt(
+            &opt.spec,
+            &q,
+            &sources,
+            &mut net,
+            &wide,
+            None,
+            &mut feedback,
+            &ReoptConfig::every_round(),
+            None,
+            None,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("reopt shapes disagree"), "{err}");
+    }
+
+    /// Runs `spec` sequentially, uncached and without retries, on a fresh
+    /// uniform WAN with a fresh feedback store.
+    fn run_fresh<M: CostModel>(
+        spec: &SimplePlanSpec,
+        q: &FusionQuery,
+        sources: &SourceSet,
+        model: &M,
+        config: &ReoptConfig,
+    ) -> ReoptOutcome {
+        let mut feedback = CardinalityFeedback::new(q.m(), sources.len());
+        let mut net = Network::uniform(sources.len(), LinkProfile::Wan.link());
+        let (fb, n) = (&mut feedback, &mut net);
+        execute_plan_reopt(spec, q, sources, n, model, None, fb, config, None, None).unwrap()
+    }
+
+    #[test]
+    fn empty_bindings_semijoin_costs_zero_and_estimator_agrees() {
+        // Conditions that match nothing: round 1's selections leave an
+        // empty running set, so round 2 — re-planned from it — semijoins
+        // and ships nothing; the executor's no-op must cost zero, and the
+        // static estimator must price the same shape identically.
+        let sources = dmv_sources(Capabilities::full());
+        let conds = ["nosuch-a", "nosuch-b"].map(|v| Predicate::eq("V", v).into());
+        let q = FusionQuery::new(dmv_schema(), conds.to_vec()).unwrap();
+        let model = fusion_core::NetworkCostModel::new(&sources, &crate::testkit::net(), &q, None);
+        let spec = sja_optimal(&model).spec;
+        let out = run_fresh(&spec, &q, &sources, &model, &ReoptConfig::every_round());
+        assert!(out.outcome.answer.is_empty());
+        assert_eq!(out.rounds[0].actual_size, 0);
+        let round2 = &out.rounds[1];
+        assert!(
+            round2.choices.iter().all(|c| *c == SourceChoice::Semijoin),
+            "{:?}",
+            round2.choices
+        );
+        let remote: Vec<_> = (out.outcome.ledger.entries().iter())
+            .filter(|e| e.source.is_some())
+            .collect();
+        for entry in &remote[3..] {
+            assert_eq!(entry.kind, StepKind::Semijoin);
+            assert_eq!(entry.total(), Cost::ZERO, "entry {entry:?}");
+        }
+        // The estimator prices the same shape the same way: with the
+        // running set estimated empty, every semijoin step is free.
+        let mut est_model = TableCostModel::uniform(2, 3, 10.0, 1.0, 0.1, 1e9, 5.0, 1000.0);
+        for i in 0..2 {
+            for j in 0..3 {
+                est_model.set_est_sq_items(CondId(i), SourceId(j), 0.0);
+            }
+        }
+        let plan = out.final_spec.build(3).unwrap();
+        let est = fusion_core::estimate_plan_cost(&plan, &est_model);
+        for (step, cost) in plan.steps.iter().zip(&est.step_costs) {
+            if matches!(step, Step::Sjq { .. }) {
+                assert_eq!(*cost, Cost::ZERO, "estimator charges for the no-op");
+            }
+        }
+        // Both sides agree: everything after round 1 is free.
+        assert_eq!(est.cost, Cost::new(30.0)); // round 1's three selections only
+    }
+
+    #[test]
+    fn running_set_drift_alone_replans_at_the_default_config() {
+        // Five identical sources, each holding the same five licenses with
+        // both violations. Every cell estimate is exact (5 items), but the
+        // union chain assumes the sources independent and prices round 1
+        // to leave ~25 — five times the 5 it leaves, beyond slack 4 — so
+        // round 2 was committed to selections (a semijoin of 25 bindings
+        // pays 101 > 50) that the observed set makes a bad deal.
+        let s = dmv_schema();
+        let rows: Vec<_> = (0..5)
+            .flat_map(|k| {
+                let l = format!("L{k}");
+                [tuple![l.clone(), "dui", 1993i64], tuple![l, "sp", 1994i64]]
+            })
+            .collect();
+        let sources = SourceSet::new(
+            (0..5u64)
+                .map(|j| {
+                    Box::new(InMemoryWrapper::new(
+                        format!("R{}", j + 1),
+                        Relation::from_rows(s.clone(), rows.clone()),
+                        Capabilities::full(),
+                        ProcessingProfile::indexed_db(),
+                        j,
+                    )) as Box<dyn fusion_source::Wrapper>
+                })
+                .collect(),
+        );
+        let model = TableCostModel::uniform(2, 5, 50.0, 1.0, 4.0, 1e9, 5.0, 1e6);
+        let opt = sja_optimal(&model);
+        assert!(opt.spec.choices[1]
+            .iter()
+            .all(|c| *c == SourceChoice::Selection));
+        let out = run_fresh(
+            &opt.spec,
+            &dmv_query(),
+            &sources,
+            &model,
+            &ReoptConfig::default(),
+        );
+        // Every cell observation matched its estimate exactly ...
+        for entry in out.outcome.ledger.entries() {
+            if entry.kind == StepKind::Selection {
+                assert_eq!(entry.items_out, 5, "{entry:?}");
+            }
+        }
+        // ... and the running set alone re-planned round 2, violating at
+        // round 1's closing union (step #5).
+        let x_hat = out.rounds[0].predicted_size;
+        assert!(x_hat > 4.0 * 5.0, "{x_hat}");
+        assert_eq!(out.rounds[0].actual_size, 5);
+        assert_eq!(out.violations, 1);
+        assert_eq!(out.switches.len(), 1, "{:?}", out.rounds);
+        let sw = &out.switches[0];
+        assert_eq!((sw.rounds_done, sw.violating_step, sw.observed), (1, 5, 5));
+        assert_eq!(sw.expected, Interval::new(x_hat / 4.0, x_hat * 4.0));
+        assert!(sw.suffix_choices[0]
+            .iter()
+            .all(|c| *c == SourceChoice::Semijoin));
+        assert!(sw.new_suffix_cost < sw.old_suffix_cost);
+        let licenses: Vec<String> = (0..5).map(|k| format!("L{k}")).collect();
+        assert_eq!(out.outcome.answer, ItemSet::from_items(licenses));
     }
 
     #[test]

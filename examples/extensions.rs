@@ -8,9 +8,10 @@
 use fusion::core::optimizer::{estimate_makespan, sja_response_optimal};
 use fusion::core::postopt::{sja_plus_with, PostOptConfig};
 use fusion::core::sja_optimal;
-use fusion::exec::{execute_adaptive, execute_plan};
+use fusion::exec::{execute_plan, execute_plan_reopt, ReoptConfig};
 use fusion::net::LinkProfile;
 use fusion::source::ProcessingProfile;
+use fusion::stats::CardinalityFeedback;
 use fusion::workload::synth::{condition_with_selectivity, synth_query, synth_scenario, SynthSpec};
 use fusion::workload::CapabilityMix;
 
@@ -98,8 +99,9 @@ fn main() {
     println!("(the RT plan pays extra total work to overlap the straggler)\n");
 
     // ---- 3. Mid-query re-optimization ------------------------------------
-    // Nested conditions break the independence assumption; the adaptive
-    // executor re-plans each round from the observed cardinality.
+    // Nested conditions break the independence assumption; the
+    // re-optimizer at point trust regions re-plans each round from the
+    // observed cardinality.
     println!("== Mid-query re-optimization under correlated conditions ==\n");
     let nested = vec![
         condition_with_selectivity(1, 0.30),
@@ -125,9 +127,21 @@ fn main() {
     let static_out = execute_plan(&static_plan.plan, &corr.query, &corr.sources, &mut network)
         .expect("static executes");
     let mut network = corr.network();
-    let adaptive_out = execute_adaptive(&corr.query, &corr.sources, &mut network, &model, None)
-        .expect("adaptive executes");
-    assert_eq!(static_out.answer, adaptive_out.answer);
+    let mut feedback = CardinalityFeedback::new(corr.m(), corr.n());
+    let adaptive_out = execute_plan_reopt(
+        &static_plan.spec,
+        &corr.query,
+        &corr.sources,
+        &mut network,
+        &model,
+        None,
+        &mut feedback,
+        &ReoptConfig::every_round(),
+        None,
+        None,
+    )
+    .expect("adaptive executes");
+    assert_eq!(static_out.answer, adaptive_out.outcome.answer);
     println!(
         "static SJA: {}   adaptive: {}   ({:.1}% saved)",
         static_out.total_cost(),

@@ -22,10 +22,10 @@ use fusion::core::phase2::{non_merge_attrs, CoverageCatalog, FetchCertificate, F
 use fusion::core::plan::{Plan, SimplePlanSpec};
 use fusion::core::{filter_plan, sja_optimal, sja_plus, CostModel, FusionQuery, NetworkCostModel};
 use fusion::exec::{
-    execute_adaptive, execute_plan_parallel, execute_plan_reopt, execute_plan_with, fetch_planned,
-    fetch_records, replay_plan_reopt, stage_schedule, verify_stage_trace, Completeness,
-    ExecutionOutcome, OpKind, ParallelConfig, ParallelOutcome, Phase2Outcome, ReoptConfig,
-    ReoptOutcome, RetryPolicy, ServerConfig, ServerReport, TenantEvent,
+    execute_plan_parallel, execute_plan_reopt, execute_plan_with, fetch_planned, fetch_records,
+    replay_plan_reopt, stage_schedule, verify_stage_trace, Completeness, ExecutionOutcome, OpKind,
+    ParallelConfig, ParallelOutcome, Phase2Outcome, ReoptConfig, ReoptOutcome, RetryPolicy,
+    ServerConfig, ServerReport, TenantEvent,
 };
 use fusion::net::{FaultPlan, FaultSpec, LinkProfile, Network};
 use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
@@ -185,8 +185,6 @@ pub enum Exec {
     /// `check_certified`: every certified schedule through
     /// `execute_plan_replay`; uncached or warm.
     Replay,
-    /// `execute_adaptive` under the case's model; uncached.
-    Adaptive,
 }
 
 /// `execute_plan_parallel` at 1, 2 and 8 threads.
@@ -276,8 +274,8 @@ impl Cell {
 pub struct Run {
     /// `fusion_check::run_fingerprint` of the run.
     pub fp: String,
-    /// What `reopt` (switches, final spec, calibration) and `adaptive`
-    /// (rounds) decide beyond their outcome.
+    /// What `reopt` decides beyond its outcome: switches, rounds, final
+    /// spec and calibration.
     pub decisions: String,
     pub rounds: Vec<ExecutionOutcome>,
     pub cache: Option<AnswerCache>,
@@ -305,8 +303,8 @@ fn check_stages(plan: &Plan, par: &ParallelOutcome, tag: &str) -> Result<()> {
 }
 
 /// The cell `cell` must be byte-equal to, if any. With faults off, the
-/// reference interpretation (`reopt` and `adaptive`: themselves without
-/// retry policy or threads); with faults on, the retried `With` cell for
+/// reference interpretation (`reopt`: itself without retry policy or
+/// threads); with faults on, the retried `With` cell for
 /// a parallel or replay cell.
 fn reference(cell: Cell) -> Option<Cell> {
     let Cell {
@@ -318,7 +316,6 @@ fn reference(cell: Cell) -> Option<Cell> {
     if !faults.on() {
         let exec = match exec {
             Exec::Reopt(_) => Exec::Reopt(None),
-            Exec::Adaptive => Exec::Adaptive,
             _ => Exec::With,
         };
         return Some(Cell::of(exec, None, Faults::Off, cache));
@@ -415,22 +412,12 @@ impl<'a, M: CostModel> Case<'a, M> {
                 let (spec, model, cfg) = (&self.spec, &self.model, &self.reopt);
                 let fb = &mut feedback;
                 let out = execute_plan_reopt(spec, q, s, net, model, c, fb, cfg, threads, retry)?;
-                decisions = format!("{:?} {:?}", out.switches, out.final_spec);
+                decisions = format!("{:?} {:?}", out.switches, out.rounds);
+                decisions += &format!(" {:?}", out.final_spec);
                 decisions += &format!(" {feedback:?}");
                 let outcome = out.outcome.clone();
                 reopt = Some((out, feedback));
                 Ok(outcome)
-            }
-            Exec::Adaptive => {
-                assert!(c.is_none(), "{}: adaptive runs uncached", self.tag);
-                let out = execute_adaptive(q, s, net, &self.model, retry)?;
-                decisions = format!("{:?}", out.rounds);
-                let (answer, ledger, completeness) = (out.answer, out.ledger, out.completeness);
-                Ok(ExecutionOutcome {
-                    answer,
-                    ledger,
-                    completeness,
-                })
             }
             Exec::Replay => unreachable!("checked above"),
         };

@@ -9,9 +9,10 @@ use fusion::core::evaluate_plan;
 use fusion::core::postopt::apply_bloom;
 use fusion::core::query::FusionQuery;
 use fusion::core::{sja_optimal, NetworkCostModel, TableCostModel};
-use fusion::exec::execute_adaptive;
+use fusion::exec::{execute_plan_reopt, ReoptConfig};
 use fusion::net::{LinkProfile, Network};
 use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet};
+use fusion::stats::CardinalityFeedback;
 use fusion::types::schema::dmv_schema;
 use fusion::types::{BloomFilter, Condition, ItemSet};
 use fusion::workload::csv::{parse_csv, to_csv};
@@ -72,8 +73,9 @@ fn bloom_rewrite_preserves_semantics() {
     });
 }
 
-/// Adaptive execution computes exactly the naive answer on arbitrary
-/// populations and conditions.
+/// Adaptive execution — the SJA plan re-planned at every round boundary
+/// — computes exactly the naive answer on arbitrary populations and
+/// conditions, one recorded round per condition.
 #[test]
 fn adaptive_matches_naive_semantics() {
     for_seeds(96, |g| {
@@ -99,8 +101,12 @@ fn adaptive_matches_naive_semantics() {
         );
         let mut network = Network::uniform(rels.len(), LinkProfile::Wan.link());
         let model = NetworkCostModel::new(&sources, &network, &query, None);
-        let out = execute_adaptive(&query, &sources, &mut network, &model, None).unwrap();
-        assert_eq!(out.answer, truth);
+        let mut feedback = CardinalityFeedback::new(m, n);
+        let (spec, config) = (sja_optimal(&model).spec, ReoptConfig::every_round());
+        let (q, s, net, fb) = (&query, &sources, &mut network, &mut feedback);
+        let out = execute_plan_reopt(&spec, q, s, net, &model, None, fb, &config, None, None);
+        let out = out.unwrap();
+        assert_eq!(out.outcome.answer, truth);
         assert_eq!(out.rounds.len(), query.m());
     });
 }

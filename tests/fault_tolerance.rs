@@ -54,18 +54,11 @@ fn every_answer_is_a_sound_subset_of_the_exact_answer() {
     sweep(Shape::SjaPlus, &[Exec::With], retried(), &storms);
 }
 
-/// The adaptive executor degrades just as soundly: dead sources are
-/// skipped during re-planning and the answer stays a subset.
-#[test]
-fn adaptive_execution_degrades_to_sound_subsets() {
-    let storms = storms(width("fault").min(16), &[0.5]);
-    sweep(Shape::Sja, &[Exec::Adaptive], retried(), &storms);
-}
-
-/// So does the re-optimizing driver under a retry policy: whatever it
-/// switches to around the faults, the answer stays a subset, and every
-/// run — degraded or not — replays bit for bit from its switch records
-/// under the same fault plan and policy.
+/// The re-optimizing driver degrades just as soundly — at the lattice's
+/// `every_round()`, per-round re-planning around dead sources: whatever
+/// it switches to around the faults, the answer stays a subset, and
+/// every run — degraded or not — replays bit for bit from its switch
+/// records under the same fault plan and policy.
 #[test]
 fn reopt_execution_degrades_to_sound_subsets() {
     let storms = storms(width("fault").min(16), &[0.5]);
@@ -148,15 +141,14 @@ fn total_outage_returns_the_empty_subset() {
 /// With no fault plan (or an all-`none` one), the fault-tolerant executor
 /// is byte-identical to the plain one: same answer, same ledger entry by
 /// entry, `Exact` completeness, zero failed cost. The same pair for
-/// per-round re-planning (rounds included) and for certified
-/// re-optimization (switches, final spec and calibration included).
+/// certified per-round re-optimization (switches, rounds, final spec and
+/// calibration included).
 #[test]
 fn faults_off_is_byte_identical_to_plain_execution() {
     let quiet = [Faults::Off, Faults::Quiet];
     sweep(Shape::Filter, &[Exec::With], retried(), &quiet);
     sweep(Shape::SjaPlus, &[Exec::With], retried(), &quiet);
-    let adaptive = [Exec::Adaptive, Exec::Reopt(None)];
-    sweep(Shape::Sja, &adaptive, retried(), &quiet);
+    sweep(Shape::Sja, &[Exec::Reopt(None)], retried(), &quiet);
 }
 
 /// A no-retry policy under faults still never aborts: failures become
@@ -193,7 +185,7 @@ fn hostile_retry_policy_is_an_error_at_every_entry() {
         ("backoff_factor", bad(|p| p.backoff_factor = f64::NAN)),
         ("jitter", bad(|p| p.jitter = f64::NAN)),
     ] {
-        let execs = [Exec::With, Exec::Parallel(2), Exec::Replay, Exec::Adaptive];
+        let execs = [Exec::With, Exec::Parallel(2), Exec::Replay];
         let execs = execs
             .into_iter()
             .chain([Exec::Reopt(None), Exec::Reopt(Some(2))]);

@@ -231,8 +231,8 @@ fn assert_plans_match_reference<M: CostModel>(model: &M, what: &str) {
 
 /// The optimizers' one ordering search against Figures 3–4 taken
 /// literally: plan identity for whole queries on every model shape the
-/// product plans under, and suffix identity for the re-plan and the
-/// round-at-a-time executor, which search from an observed running set.
+/// product plans under, and suffix identity for the re-plan, which
+/// searches from an observed running set.
 #[test]
 fn bnb_matches_exhaustive() {
     use fusion::cache::{CacheSnapshot, CachedCostModel};
