@@ -11,11 +11,11 @@
 //! * **first-fetches/rest-hit** (`share=off`) — the PR-7 behavior:
 //!   co-admitted duplicates each pay for their own fetch, later
 //!   admissions are served from the committed cache;
-//! * **merged** (`share=on`) — the sharing analyzer proves equivalence
-//!   and containment between the in-flight plans inside the admission
-//!   critical section and certifies a merged schedule: one exchange
-//!   per equivalence class, fan-out to waiting queries, residual
-//!   filters for proper containments.
+//! * **merged** (`share=on`) — the share rule
+//!   (`fusion_core::dataflow::share_schedule`) lets each admission's
+//!   uncached selections ride an earlier in-flight fetch that provably
+//!   equals (fan-out) or contains (residual filter) them, inside the
+//!   admission critical section; every attach is re-proved there.
 //!
 //! Correctness is asserted, not assumed, at every measured point: the
 //! run replays bit-for-bit from its admission log
@@ -36,7 +36,7 @@ use crate::json::{write_artifact, Json};
 use crate::table::{fmt3, fmtx, Table};
 use fusion_core::{sja_optimal, NetworkCostModel};
 use fusion_exec::{
-    execute_plan, replay_serial, serve, verify_replay_parity, ServerConfig, TenantEvent,
+    execute_plan, replay_serial, serve, verify_replay_parity, OpKind, ServerConfig, TenantEvent,
 };
 use fusion_workload::session::{generate_session_for_tenant, SessionSpec};
 use fusion_workload::synth::{synth_scenario, SynthSpec};
@@ -161,7 +161,22 @@ pub fn run_mqo(
             "completeness diverged for tenant {} event {}",
             r.tenant, r.index
         );
-        assert_eq!(r.share_certificate.is_some(), r.shared > 0);
+        let shares = report
+            .log
+            .iter()
+            .find_map(|op| match &op.kind {
+                OpKind::Admit { shares, .. } if op.ticket == r.ticket => Some(shares),
+                _ => None,
+            })
+            .expect("every result has a logged admission");
+        assert_eq!(
+            shares.len(),
+            r.shared,
+            "shares logged for ticket {}",
+            r.ticket
+        );
+        let residual = shares.iter().filter(|s| s.residual).count();
+        assert_eq!(residual, r.shared_residual, "residual shares logged");
     }
     MqoRow {
         workers,

@@ -19,8 +19,8 @@
 use fusion_cache::{subsumes, AnswerCache, CachedCostModel};
 use fusion_check::{check_certified, CheckConfig};
 use fusion_core::dataflow::{
-    duplicate_inflight_findings, sharing_report, stage_decomposition, unshared_subsumed_findings,
-    unsound_merge_findings, EdgeKind, EventGraph, InFlightPlan, Resource,
+    duplicate_inflight_findings, share_schedule, stage_decomposition, unshared_subsumed_findings,
+    unsound_merge_findings, EventGraph, Resource, ShareStep,
 };
 use fusion_core::optimizer::sja_response_optimal;
 use fusion_core::postopt::sja_plus;
@@ -1194,11 +1194,12 @@ executed cost {} with per-round re-optimization:",
         ))
     }
 
-    /// `\share`: static cross-query sharing analysis of the
-    /// co-admission front — the first query of every tenant in the
-    /// `\sessions` workload, planned as the server would plan it,
-    /// analyzed as one in-flight batch. Prints the BDD-proved sharing
-    /// graph, the certified merged schedule, and the sharing lints.
+    /// `\share`: the server's share rule over the co-admission front —
+    /// the first query of every tenant in the `\sessions` workload,
+    /// planned as the server would plan it and admitted in ticket
+    /// (tenant) order with nothing cached. Prints what each selection
+    /// does (fetch, or ride an earlier fetch), the exchange count, and
+    /// the sharing lints over that schedule.
     fn cmd_share(&mut self, arg: &str) -> Result<String> {
         if !arg.is_empty() {
             return Err(FusionError::parse(format!(
@@ -1222,81 +1223,47 @@ executed cost {} with per-round re-optimization:",
             );
             batch.push((t as u64 + 1, sja_optimal(&model).plan, q.clone()));
         }
-        let plans: Vec<InFlightPlan<'_>> = batch
-            .iter()
-            .map(|(qid, p, q)| InFlightPlan {
-                qid: *qid,
-                plan: p,
-                conditions: q.conditions(),
-            })
-            .collect();
-        let prover = |b: &Predicate, n: &Predicate| subsumes(b, n);
-        let report = sharing_report(&plans, &prover)?;
-        let g = &report.graph;
-        let mut out = vec![format!(
-            "sharing analysis over {} co-admitted plans: {} remote steps, \
-             {} predicate classes",
-            plans.len(),
-            g.nodes.len(),
-            g.n_pred_classes,
-        )];
-        if g.edges.is_empty() {
-            out.push("no cross-query relations proved".into());
-        } else {
-            out.push(format!("proved edges ({}):", g.edges.len()));
-            for e in &g.edges {
-                let (a, b) = (&g.nodes[e.from], &g.nodes[e.to]);
-                out.push(match e.kind {
-                    EdgeKind::Equivalent => {
-                        format!("  {} == {}  equivalent", a.label(), b.label())
-                    }
-                    EdgeKind::Contains => format!("  {} >= {}  contains", a.label(), b.label()),
-                });
-            }
-        }
-        out.push(format!(
-            "merged schedule: {} exchanges for {} selections",
-            report.schedule.fetches.len(),
-            g.nodes.iter().filter(|n| !n.probe).count(),
-        ));
-        for f in &report.schedule.fetches {
-            let leader = &g.nodes[f.leader];
-            let mut line = format!(
-                "  R{} class {}: {} fetches",
-                f.source.0 + 1,
-                f.class,
-                leader.label()
+        let prove = |b: &Predicate, n: &Predicate| subsumes(b, n);
+        let epochs = vec![0; scenario.sources.len()];
+        let mut schedule: Vec<ShareStep<'_>> = Vec::new();
+        for (ticket, plan, q) in &batch {
+            let uncached = vec![false; plan.steps.len()];
+            let steps = share_schedule(
+                &schedule,
+                *ticket,
+                plan,
+                q.conditions(),
+                &uncached,
+                &epochs,
+                &prove,
             );
-            if !f.followers.is_empty() {
-                let fan: Vec<String> = f
-                    .followers
-                    .iter()
-                    .map(|x| {
-                        let n = &g.nodes[x.node];
-                        if x.residual {
-                            format!("{}+residual", n.label())
-                        } else {
-                            n.label()
-                        }
-                    })
-                    .collect();
-                line.push_str(&format!(", serves {}", fan.join(" ")));
-            }
-            out.push(line);
+            schedule.extend(steps);
         }
-        if !g.probe_batches.is_empty() {
-            out.push(format!("batchable probe groups: {}", g.probe_batches.len()));
+        let exchanges = schedule.iter().filter(|s| s.leader.is_none()).count();
+        let mut out = vec![format!(
+            "share schedule over {} co-admitted plans: {exchanges} exchanges \
+             for {} selections; attaches:",
+            batch.len(),
+            schedule.len(),
+        )];
+        for s in &schedule {
+            let Some((t, step)) = s.leader else {
+                continue;
+            };
+            out.push(format!(
+                "  q{}#{} sq(c{}, R{}) rides q{t}#{}{}",
+                s.ticket,
+                s.step + 1,
+                s.cond.0 + 1,
+                s.source.0 + 1,
+                step + 1,
+                if s.residual { " + residual" } else { "" }
+            ));
         }
-        let c = &report.certificate;
-        out.push(format!(
-            "certificate: {} exchanges, {} served ({} residual), \
-             {} containments proved, {} conflicting pairs ordered by fan-out",
-            c.exchanges, c.served, c.residuals, c.containments_proved, c.ordered_pairs,
-        ));
-        let findings: Vec<Diagnostic> = duplicate_inflight_findings(&plans, g, &report.schedule)
+        let findings: Vec<Diagnostic> = duplicate_inflight_findings(&schedule, &prove)
             .into_iter()
-            .chain(unshared_subsumed_findings(&plans, g, &report.schedule))
-            .chain(unsound_merge_findings(&plans, g, &report.schedule, &prover))
+            .chain(unshared_subsumed_findings(&schedule, &prove))
+            .chain(unsound_merge_findings(&schedule, &prove))
             .collect();
         if findings.is_empty() {
             out.push(
@@ -1800,14 +1767,15 @@ commands:
          over one shared answer cache (budget N bytes, at most L
          in-flight exchanges per source); share=on (the default) merges
          provably equivalent or contained selections of co-admitted
-         queries into one certified fetch with fan-out. The admission
+         queries into one fetch with fan-out (the \\share rule). The admission
          log is then replayed serially and every answer and ledger
          byte-compared before reporting.
-  \\share                                 static cross-query sharing
-         analysis of the co-admission front (the first query of every
-         tenant): the BDD-proved sharing graph, the certified merged
-         schedule — one exchange per equivalence class, residual
-         filters for proper containments — and the sharing lints.
+  \\share                                 the server's share rule over
+         the co-admission front (the first query of every tenant,
+         admitted in tenant order, nothing cached): which selections
+         fetch and which ride an earlier fetch — exactly, or through a
+         residual filter for a proper containment — the exchange
+         count, and the sharing lints.
   \\help                                  this text
   \\quit                                  exit
 anything else is parsed as a fusion query and executed with SJA+";
@@ -2533,17 +2501,32 @@ mod tests {
     }
 
     #[test]
-    fn share_prints_the_certified_sharing_analysis() {
+    fn share_prints_the_schedule_the_server_runs() {
         let mut s = Session::new();
         run(&mut s, "\\sessions tenants=3 queries=4 seed=11");
         let out = run(&mut s, "\\share");
         assert!(
-            out.contains("sharing analysis over 3 co-admitted plans"),
+            out.starts_with(
+                "share schedule over 3 co-admitted plans: 15 exchanges for 30 selections"
+            ),
             "{out}"
         );
-        assert!(out.contains("merged schedule:"), "{out}");
-        assert!(out.contains("certificate:"), "{out}");
-        assert!(out.contains("lints quiet"), "{out}");
+        assert!(
+            out.contains("\n  q2#1 sq(c1, R1) rides q1#1 + residual\n"),
+            "{out}"
+        );
+        assert!(out.contains("\n  q3#7 sq(c2, R1) rides q2#7\n"), "{out}");
+        // Tenant 1's narrower c2 fetches were admitted before tenant 2's
+        // broader ones, which ticket order forbids them to ride.
+        assert!(
+            out.contains(
+                "lint unshared-subsumed-step: q1#7 exchanges sq(c2, R1) although \
+                 q2#7's sq(c2, R1) provably contains it"
+            ),
+            "{out}"
+        );
+        assert!(!out.contains("lint unsound-merge-residual"), "{out}");
+        assert!(!out.contains("lint duplicate-inflight-step"), "{out}");
         assert!(run(&mut s, "\\share bogus").starts_with("error:"));
     }
 

@@ -60,10 +60,6 @@ pub enum Resource {
     /// epoch counters, LRU clock, and statistics of every source with
     /// `source % n_shards == k`, guarded by one lock.
     Shard(usize),
-    /// The shared-fetch slot of merged exchange class `c` against
-    /// source `j`: the published harvest one leader writes and every
-    /// fan-out follower reads (see the `sharing` module).
-    SharedFetch(usize, usize),
 }
 
 impl std::fmt::Display for Resource {
@@ -77,9 +73,6 @@ impl std::fmt::Display for Resource {
             Resource::Epoch(j) => write!(f, "R{}'s epoch counter", j + 1),
             Resource::LedgerSlot(t) => write!(f, "ledger slot #{}", t + 1),
             Resource::Shard(k) => write!(f, "cache shard #{}", k + 1),
-            Resource::SharedFetch(j, c) => {
-                write!(f, "shared-fetch slot (R{}, class {c})", j + 1)
-            }
         }
     }
 }
@@ -122,12 +115,12 @@ impl Footprint {
 }
 
 /// The footprint of executing plan step `idx` (the step body only; the
-/// cache events around a cached run have their own [`event_footprint`]s).
+/// cache events around a cached run have their own `event_footprint`s).
 ///
 /// Remote steps read-modify-write their source's network shard (the
 /// exchange appends a trace segment and advances the positional fault
 /// cursor); every step writes its SSA output and its ledger slot.
-pub fn step_footprint(plan: &Plan, idx: usize) -> Footprint {
+pub(crate) fn step_footprint(plan: &Plan, idx: usize) -> Footprint {
     let mut f = Footprint {
         reads: Vec::new(),
         writes: vec![Resource::LedgerSlot(idx)],
@@ -172,7 +165,7 @@ pub fn step_footprint(plan: &Plan, idx: usize) -> Footprint {
 }
 
 /// The footprints of every step of `plan`, in step order.
-pub fn plan_footprints(plan: &Plan) -> Vec<Footprint> {
+pub(crate) fn plan_footprints(plan: &Plan) -> Vec<Footprint> {
     (0..plan.steps.len())
         .map(|t| step_footprint(plan, t))
         .collect()
@@ -187,7 +180,7 @@ pub enum Event {
         /// The `sq` step being looked up.
         step: usize,
     },
-    /// Executing step `step` (footprint: [`step_footprint`]).
+    /// Executing step `step` (footprint: `step_footprint`).
     Exec {
         /// The step index.
         step: usize,
@@ -222,7 +215,7 @@ impl std::fmt::Display for Event {
 /// # Panics
 /// Panics when a `Lookup`/`Commit` event names a step that is not a
 /// selection — those events only exist for `sq` steps.
-pub fn event_footprint(plan: &Plan, event: Event) -> Footprint {
+pub(crate) fn event_footprint(plan: &Plan, event: Event) -> Footprint {
     match event {
         Event::Exec { step } => step_footprint(plan, step),
         Event::Lookup { step } => {
@@ -723,7 +716,7 @@ pub struct ServerOp {
 
 /// The footprint of a server critical section: a read-modify-write of
 /// every shard it held.
-pub fn server_event_footprint(op: &ServerOp) -> Footprint {
+pub(crate) fn server_event_footprint(op: &ServerOp) -> Footprint {
     let shards: Vec<Resource> = op
         .shard_seqs
         .iter()
@@ -748,7 +741,7 @@ pub fn server_event_footprint(op: &ServerOp) -> Footprint {
 ///   applied *before* an earlier-ticket one) shows up as a decrease.
 ///
 /// Shard-disjoint operations may take tickets in either order; their
-/// footprints ([`server_event_footprint`]) are disjoint, so they
+/// footprints (`server_event_footprint`) are disjoint, so they
 /// commute and any serial replay in ticket order reproduces the shard
 /// states bit for bit. This is the always-on guard behind the server's
 /// replay-parity contract.

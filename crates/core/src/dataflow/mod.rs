@@ -59,10 +59,10 @@ mod lint;
 mod reopt;
 mod sharing;
 
+pub(crate) use interference::plan_footprints;
 pub use interference::{
     cache_commit_race_findings, conflicting_footprint_findings, epoch_read_before_bump_findings,
-    event_footprint, interference_report, plan_footprints, server_commuting_pairs,
-    server_event_footprint, step_footprint, verify_server_log, Event, EventGraph, Footprint,
+    interference_report, server_commuting_pairs, verify_server_log, Event, EventGraph, Footprint,
     Interference, Resource, ServerEvent, ServerOp, Witness,
 };
 pub use lint::{
@@ -71,10 +71,8 @@ pub use lint::{
 };
 pub use reopt::{certify_switch, SwitchCertificate};
 pub use sharing::{
-    duplicate_inflight_findings, merged_schedule, sharing_report, unshared_subsumed_findings,
-    unsound_merge_findings, verify_merged_schedule, verify_share_windows, EdgeKind, FanOut,
-    InFlightPlan, MergeCertificate, MergedFetch, MergedSchedule, Prover, ShareLink, SharingEdge,
-    SharingGraph, SharingReport, StepNode,
+    duplicate_inflight_findings, share_schedule, unshared_subsumed_findings,
+    unsound_merge_findings, verify_share_windows, Prover, ShareLink, ShareStep,
 };
 
 use crate::analyze::analyze_plan;
@@ -447,7 +445,7 @@ pub struct Dataflow {
     /// result sooner than this, even at guaranteed-minimum step costs.
     pub response_lb: f64,
     /// Per-step read/write footprints over the executors' shared state
-    /// (see [`step_footprint`]).
+    /// (see `step_footprint`).
     pub footprints: Vec<Footprint>,
 }
 

@@ -49,10 +49,9 @@ pub use cost::{
     calibrate, CalibratedCostModel, CostModel, FeedbackCostModel, NetworkCostModel, TableCostModel,
 };
 pub use dataflow::{
-    analyze_dataflow, certify_switch, dataflow_lint_plan, interference_report, plan_footprints,
-    stage_decomposition, step_footprint, verify_stage_decomposition, CostInterval, Dataflow, Event,
-    EventGraph, Footprint, Interference, Interval, Resource, SourceBounds, StageDecomposition,
-    SwitchCertificate, Witness,
+    analyze_dataflow, certify_switch, dataflow_lint_plan, interference_report, stage_decomposition,
+    verify_stage_decomposition, CostInterval, Dataflow, Event, EventGraph, Footprint, Interference,
+    Interval, Resource, SourceBounds, StageDecomposition, SwitchCertificate, Witness,
 };
 pub use estimate::{estimate_plan_cost, PlanEstimate};
 pub use evaluate::{evaluate_plan, evaluate_plan_vars};

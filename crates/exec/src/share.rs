@@ -1,28 +1,24 @@
 //! Cross-query fetch sharing in the mediator server.
 //!
 //! The [`ShareTable`] is the operational half of
-//! [`fusion_core::dataflow::sharing`]: while a query's admission
-//! critical section holds every cache shard lock, it consults the table
-//! of **in-flight leader fetches** — selections another admitted query
-//! is about to (or just did) exchange with a source, registered here
-//! before the leader's commit — and either
+//! [`fusion_core::dataflow::share_schedule`]: while a query's admission
+//! critical section holds every cache shard lock, it hands the table of
+//! **in-flight leader fetches** — selections another admitted query is
+//! about to (or just did) exchange with a source, registered here before
+//! the leader's commit — to that one rule, and then
 //!
-//! * **attaches** a selection step to a leader whose predicate provably
-//!   contains its own (BDD prover: [`fusion_cache::subsumes`]), to be
-//!   served from the leader's harvest through the same projection (and,
-//!   for a proper containment, residual filter) an answer-cache hit
-//!   uses; or
-//! * **registers** the step as a new leader, publishing a
-//!   [`FetchSlot`] every later admission may attach to until the
-//!   leader commits.
+//! * for each step the rule **attaches**, hands out the leader's slot,
+//!   to be served from the leader's harvest through the same projection
+//!   (and, for a proper containment, residual filter) an answer-cache
+//!   hit uses; and
+//! * for each step the rule leaves to **fetch**, registers a new leader
+//!   and publishes a [`FetchSlot`] every later admission may attach to
+//!   until the leader commits.
 //!
-//! Every admission that attaches is certified inside the critical
-//! section: the registered leader plans plus the new plan are handed to
-//! the static analyzer ([`sharing_report`]), which re-proves each
-//! containment and checks the merged schedule's fan-out discipline via
-//! shared-fetch interference footprints. An attach without a matching
-//! proved edge in the sharing graph is a hard error, never a silent
-//! fallback.
+//! Every admission that attaches is checked inside the critical section
+//! against the error rule `unsound-merge-residual`
+//! ([`unsound_merge_findings`]), which re-proves each attach against its
+//! leader; a finding fails the admission, never a silent fallback.
 //!
 //! Discipline (why this cannot deadlock or change any byte):
 //!
@@ -31,7 +27,8 @@
 //! * A leader registers only cache-miss selection steps, which in the
 //!   server's non-fault-tolerant executor always either publish their
 //!   harvest or fail the run; the error path fails every slot, so no
-//!   follower waits forever.
+//!   follower waits forever, and a failed slot is no longer offered to
+//!   the rule.
 //! * Only **exact** harvests are ever published: the server executor
 //!   has no degraded (`Subset`-completeness) path, and a failed fetch
 //!   fails the slot instead. A follower can therefore never observe a
@@ -49,10 +46,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use fusion_cache::{subsumes, Harvest};
-use fusion_core::dataflow::{sharing_report, EdgeKind, InFlightPlan, MergeCertificate};
-use fusion_core::plan::{Plan, Step};
+use fusion_core::dataflow::{share_schedule, unsound_merge_findings, Prover, ShareStep};
+use fusion_core::plan::Plan;
 use fusion_types::error::{FusionError, Result};
-use fusion_types::{Condition, Predicate, SourceId};
+use fusion_types::{CondId, Condition, Predicate, SourceId};
 
 /// One logged share of a server admission: `step` of the admitted plan
 /// is served from the in-flight fetch `leader` performs at its
@@ -174,8 +171,6 @@ pub(crate) struct ShareCtx {
     pub(crate) leads: Vec<Option<Arc<FetchSlot>>>,
     /// The logged links, for the admission's log entry.
     pub(crate) refs: Vec<ShareRef>,
-    /// The static certificate issued when this admission attached.
-    pub(crate) certificate: Option<MergeCertificate>,
 }
 
 impl ShareCtx {
@@ -204,13 +199,13 @@ impl ShareCtx {
             attach,
             leads: vec![None; n_steps],
             refs: shares.to_vec(),
-            certificate: None,
         })
     }
 }
 
 struct ShareEntry {
     source: SourceId,
+    cond: CondId,
     pred: Predicate,
     /// Epoch of `source` at the leader's admission.
     epoch: u64,
@@ -221,10 +216,20 @@ struct ShareEntry {
     slot: Arc<FetchSlot>,
 }
 
-struct TableState {
-    entries: Vec<ShareEntry>,
-    /// Plans of the in-flight leaders, for the static certificate.
-    plans: HashMap<u64, (Plan, Vec<Condition>)>,
+impl ShareEntry {
+    /// The entry as the share rule sees it: an in-flight fetch.
+    fn fetch(&self) -> ShareStep<'_> {
+        ShareStep {
+            ticket: self.ticket,
+            step: self.step,
+            source: self.source,
+            cond: self.cond,
+            pred: &self.pred,
+            epoch: self.epoch,
+            leader: None,
+            residual: false,
+        }
+    }
 }
 
 /// The registry of in-flight leader fetches. Locked only while the
@@ -232,28 +237,26 @@ struct TableState {
 /// them, commit at least one), so table operations are totally ordered
 /// with the cache's critical sections.
 pub(crate) struct ShareTable {
-    inner: Mutex<TableState>,
+    entries: Mutex<Vec<ShareEntry>>,
 }
 
 impl ShareTable {
     pub(crate) fn new() -> ShareTable {
         ShareTable {
-            inner: Mutex::new(TableState {
-                entries: Vec::new(),
-                plans: HashMap::new(),
-            }),
+            entries: Mutex::new(Vec::new()),
         }
     }
 
-    /// Resolves one admission against the table: cache-miss selection
-    /// steps attach to a proved in-flight container or register as new
-    /// leaders. Runs inside the admission critical section. When the
-    /// admission attached, the static analyzer certifies the merged
-    /// schedule over every in-flight leader plan plus this one.
+    /// Resolves one admission against the table: the share rule
+    /// ([`share_schedule`]) decides, over the live (not failed) leaders
+    /// in ticket order, which cache-miss selections attach and which
+    /// fetch; fetching steps register as new leaders. Runs inside the
+    /// admission critical section.
     ///
     /// # Errors
-    /// Fails when an attach has no matching proved edge in the sharing
-    /// graph, or when the analyzer's own certificate fails.
+    /// Fails when an attach breaks `unsound-merge-residual`: its leader
+    /// is no selection fetch on its source, or a containment (both ways,
+    /// for an exact attach) does not re-prove.
     pub(crate) fn admit(
         &self,
         ticket: u64,
@@ -262,84 +265,59 @@ impl ShareTable {
         cache_served: &[bool],
         epochs: &[u64],
     ) -> Result<ShareCtx> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let prove: Prover<'_> = &subsumes;
+        let live: Vec<ShareStep<'_>> = entries
+            .iter()
+            .filter(|e| !e.slot.is_failed())
+            .map(ShareEntry::fetch)
+            .collect();
+        let steps = share_schedule(&live, ticket, plan, conditions, cache_served, epochs, prove);
+        if steps.iter().any(|s| s.leader.is_some()) {
+            let schedule: Vec<ShareStep<'_>> = live.iter().chain(&steps).copied().collect();
+            if let Some(d) = unsound_merge_findings(&schedule, prove).first() {
+                return Err(FusionError::execution(format!(
+                    "share certificate: admission {ticket}: {d}"
+                )));
+            }
+        }
         let n = plan.steps.len();
-        let mut attach: Vec<Option<ShareAttach>> = vec![None; n];
-        let mut leads: Vec<Option<Arc<FetchSlot>>> = vec![None; n];
-        let mut refs: Vec<ShareRef> = Vec::new();
-        for (idx, step) in plan.steps.iter().enumerate() {
-            let Step::Sq { cond, source, .. } = step else {
-                continue;
-            };
-            if cache_served[idx] {
-                continue;
-            }
-            let pred = &conditions[cond.0].pred;
-            // First proved exact leader wins; else the first proved
-            // container (table order is ticket order — deterministic,
-            // and logged either way).
-            let mut chosen: Option<(usize, bool)> = None;
-            for (ei, e) in inner.entries.iter().enumerate() {
-                if e.ticket == ticket
-                    || e.source != *source
-                    || e.epoch != epochs[source.0]
-                    || e.slot.is_failed()
-                    || !subsumes(&e.pred, pred)
-                {
-                    continue;
-                }
-                if subsumes(pred, &e.pred) {
-                    chosen = Some((ei, false));
-                    break;
-                }
-                if chosen.is_none() {
-                    chosen = Some((ei, true));
-                }
-            }
-            match chosen {
-                Some((ei, residual)) => {
-                    let e = &inner.entries[ei];
-                    attach[idx] = Some(ShareAttach {
-                        slot: e.slot.clone(),
-                        residual,
-                    });
-                    refs.push(ShareRef {
-                        step: idx,
-                        leader: e.ticket,
-                        leader_step: e.step,
-                        residual,
-                    });
-                }
-                None => {
-                    let slot = Arc::new(FetchSlot::new());
-                    inner.entries.push(ShareEntry {
-                        source: *source,
-                        pred: pred.clone(),
-                        epoch: epochs[source.0],
-                        ticket,
-                        step: idx,
-                        slot: slot.clone(),
-                    });
-                    leads[idx] = Some(slot);
-                }
-            }
-        }
-        if leads.iter().any(Option::is_some) {
-            inner
-                .plans
-                .insert(ticket, (plan.clone(), conditions.to_vec()));
-        }
-        let certificate = if refs.is_empty() {
-            None
-        } else {
-            Some(certify(&inner, ticket, plan, conditions, &refs)?)
+        let mut ctx = ShareCtx {
+            attach: vec![None; n],
+            leads: vec![None; n],
+            refs: Vec::new(),
         };
-        Ok(ShareCtx {
-            attach,
-            leads,
-            refs,
-            certificate,
-        })
+        for s in steps {
+            if let Some((leader, leader_step)) = s.leader {
+                let e = entries
+                    .iter()
+                    .find(|e| (e.ticket, e.step) == (leader, leader_step))
+                    .expect("the rule attaches only to listed leaders");
+                ctx.attach[s.step] = Some(ShareAttach {
+                    slot: e.slot.clone(),
+                    residual: s.residual,
+                });
+                ctx.refs.push(ShareRef {
+                    step: s.step,
+                    leader,
+                    leader_step,
+                    residual: s.residual,
+                });
+            } else {
+                let slot = Arc::new(FetchSlot::new());
+                entries.push(ShareEntry {
+                    source: s.source,
+                    cond: s.cond,
+                    pred: s.pred.clone(),
+                    epoch: s.epoch,
+                    ticket,
+                    step: s.step,
+                    slot: slot.clone(),
+                });
+                ctx.leads[s.step] = Some(slot);
+            }
+        }
+        Ok(ctx)
     }
 
     /// Retires a query's leader entries: still-pending slots fail (no
@@ -349,91 +327,18 @@ impl ShareTable {
     /// follower's ticket precedes the commit ticket) and on the error
     /// path unconditionally.
     pub(crate) fn retire(&self, ticket: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        for e in inner.entries.iter().filter(|e| e.ticket == ticket) {
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        for e in entries.iter().filter(|e| e.ticket == ticket) {
             e.slot.fail();
         }
-        inner.entries.retain(|e| e.ticket != ticket);
-        inner.plans.remove(&ticket);
+        entries.retain(|e| e.ticket != ticket);
     }
-}
-
-/// The static half of an attach: rebuilds the sharing graph over every
-/// in-flight leader plan plus the attaching one, verifies the
-/// analyzer's merged schedule (certificate), and checks that each live
-/// attach is backed by a proved edge of the right kind.
-fn certify(
-    inner: &TableState,
-    ticket: u64,
-    plan: &Plan,
-    conditions: &[Condition],
-    refs: &[ShareRef],
-) -> Result<MergeCertificate> {
-    let mut flights: Vec<(u64, &Plan, &[Condition])> = inner
-        .plans
-        .iter()
-        .map(|(t, (p, c))| (*t, p, c.as_slice()))
-        .collect();
-    flights.push((ticket, plan, conditions));
-    flights.sort_by_key(|f| f.0);
-    let inflight: Vec<InFlightPlan<'_>> = flights
-        .iter()
-        .map(|&(qid, p, c)| InFlightPlan {
-            qid,
-            plan: p,
-            conditions: c,
-        })
-        .collect();
-    let report = sharing_report(&inflight, &|b, n| subsumes(b, n))?;
-    let find = |qid: u64, step: usize| {
-        report
-            .graph
-            .nodes
-            .iter()
-            .position(|nd| nd.qid == qid && nd.step == step)
-    };
-    for r in refs {
-        let (Some(li), Some(mi)) = (find(r.leader, r.leader_step), find(ticket, r.step)) else {
-            return Err(FusionError::execution(format!(
-                "share certificate: admission {ticket} step {} attached to \
-                 q{}#{} which the sharing graph does not know",
-                r.step + 1,
-                r.leader,
-                r.leader_step + 1
-            )));
-        };
-        let want = if r.residual {
-            EdgeKind::Contains
-        } else {
-            EdgeKind::Equivalent
-        };
-        let proved = report.graph.edges.iter().any(|e| {
-            e.kind == want
-                && ((e.from == li && e.to == mi)
-                    || (want == EdgeKind::Equivalent && e.from == mi && e.to == li))
-        });
-        if !proved {
-            return Err(FusionError::execution(format!(
-                "share certificate: admission {ticket} step {} attached to \
-                 q{}#{} without a proved {} edge in the sharing graph",
-                r.step + 1,
-                r.leader,
-                r.leader_step + 1,
-                if r.residual {
-                    "containment"
-                } else {
-                    "equivalence"
-                }
-            )));
-        }
-    }
-    Ok(report.certificate)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_core::plan::VarId;
+    use fusion_core::plan::{Step, VarId};
     use fusion_types::{CmpOp, CondId, Tuple, Value};
 
     fn ge(v: i64) -> Condition {
@@ -474,7 +379,6 @@ mod tests {
         let r = b.refs[0];
         assert_eq!((r.leader, r.leader_step, r.residual), (1, 0, false));
         assert!(b.leads[0].is_none());
-        assert!(b.certificate.is_some(), "attach must be certified");
         // The leader publishes; the follower's slot serves the rows.
         a.leads[0].as_ref().unwrap().publish(rows(1993));
         let got = b.attach[0].as_ref().unwrap().slot.wait().unwrap();
@@ -492,7 +396,29 @@ mod tests {
             .unwrap();
         assert_eq!(b.refs.len(), 1);
         assert!(b.refs[0].residual, "proper containment needs a residual");
-        assert!(b.certificate.is_some());
+    }
+
+    #[test]
+    fn a_broad_query_never_rides_an_earlier_narrow_fetch() {
+        // Narrow, then broad, then a duplicate of the narrow one: two
+        // exchanges, and the duplicate rides the narrow fetch exactly.
+        let table = ShareTable::new();
+        let plan = sq_plan(0);
+        let admit = |ticket, y| {
+            table
+                .admit(ticket, &plan, &[ge(y)], &[false], &[0])
+                .unwrap()
+        };
+        let (q1, q2, q3) = (admit(1, 1994), admit(2, 1990), admit(3, 1994));
+        assert!(q1.refs.is_empty() && q1.leads[0].is_some());
+        assert!(q2.refs.is_empty() && q2.leads[0].is_some());
+        assert!(q3.leads[0].is_none());
+        assert_eq!(q3.refs.len(), 1);
+        let r = q3.refs[0];
+        assert_eq!(
+            (r.step, r.leader, r.leader_step, r.residual),
+            (0, 1, 0, false)
+        );
     }
 
     #[test]

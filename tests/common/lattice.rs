@@ -580,7 +580,19 @@ pub fn serve_cells(
             .filter(|op| matches!(op.kind, OpKind::Bump { .. }));
         assert_eq!(bumps.count(), updates, "{tag}: a bump was lost or invented");
         for r in &report.results {
-            assert_eq!(r.share_certificate.is_some(), r.shared > 0, "{tag}");
+            // `shared` / `shared_residual` are exactly what the admission
+            // logged: the attaches the server ran.
+            let shares = report
+                .log
+                .iter()
+                .find_map(|op| match &op.kind {
+                    OpKind::Admit { shares, .. } if op.ticket == r.ticket => Some(shares),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("{tag}: ticket {} was never admitted", r.ticket));
+            assert_eq!(shares.len(), r.shared, "{tag}");
+            let residual = shares.iter().filter(|s| s.residual).count();
+            assert_eq!(residual, r.shared_residual, "{tag}");
             assert!(
                 config.share || r.shared == 0,
                 "{tag}: sharing engaged while off"

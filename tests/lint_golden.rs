@@ -11,12 +11,11 @@ use fusion::cache::{stale_cache_findings, subsumes, CacheSnapshot};
 use fusion::core::dataflow::{
     cache_commit_race_findings, conflicting_footprint_findings, dataflow_lint_plan,
     duplicate_inflight_findings, epoch_read_before_bump_findings, unshared_subsumed_findings,
-    unsound_merge_findings, Event, EventGraph, FanOut, InFlightPlan, Interval, MergedFetch,
-    MergedSchedule, SharingGraph, SourceBounds,
+    unsound_merge_findings, Event, EventGraph, Interval, ShareStep, SourceBounds,
 };
 use fusion::core::plan::{SimplePlanSpec, Step, VarId};
 use fusion::core::{Diagnostic, Plan, TableCostModel};
-use fusion::types::{CmpOp, CondId, Condition, Predicate, SourceId};
+use fusion::types::{CmpOp, CondId, Predicate, SourceId};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lint_corpus.json");
 
@@ -253,98 +252,54 @@ fn interference_rows() -> Vec<(String, Diagnostic)> {
 }
 
 /// Findings for the three cross-query sharing lints, each triggered by
-/// a hand-built *mutant* merged schedule over a real sharing graph.
-/// The analyzer's own schedules are provably quiet (its certificate
-/// rejects exactly these defects); the mutants re-introduce them, and
-/// the witness schedules in the messages show the divergence. The
-/// prover is the production BDD subsumption prover.
+/// a hand-built *mutant* schedule: a list of executed attaches and
+/// fetches of one-selection queries `q1` and `q2` on `R1`. The share
+/// rule's own schedules are quiet on `unsound-merge-residual` (every
+/// attaching admission is checked against it); the mutants introduce
+/// each defect, and the witness schedules in the messages show the
+/// divergence. The prover is the production BDD subsumption prover.
 fn sharing_rows() -> Vec<(String, Diagnostic)> {
     let prover = |b: &Predicate, n: &Predicate| subsumes(b, n);
-    let year = |y: i64| vec![Condition::from(Predicate::cmp("D", CmpOp::Ge, y))];
-    let (plan_a, plan_b) = (single_sq_plan(), single_sq_plan());
-    fn inflight<'a>(qid: u64, plan: &'a Plan, conditions: &'a [Condition]) -> InFlightPlan<'a> {
-        InFlightPlan {
-            qid,
-            plan,
-            conditions,
-        }
-    }
-    fn fetch(class: usize, leader: usize, followers: Vec<FanOut>) -> MergedFetch {
-        MergedFetch {
-            class,
-            source: SourceId(0),
-            leader,
-            followers,
-        }
-    }
+    let year = |y: i64| Predicate::cmp("D", CmpOp::Ge, y);
+    // `q{ticket}#1 := sq(c1, R1)`, fetching or riding `q{leader}#1`.
+    let step = |ticket: u64, pred, leader: Option<u64>, residual| ShareStep {
+        ticket,
+        step: 0,
+        source: SourceId(0),
+        cond: CondId(0),
+        pred,
+        epoch: 0,
+        leader: leader.map(|t| (t, 0)),
+        residual,
+    };
+    let (y1990, y1995, dui) = (year(1990), year(1995), Predicate::eq("V", "dui"));
     let mut rows = Vec::new();
-    // duplicate-inflight-step: two provably equivalent selections, the
-    // schedule mutated to fetch once per query instead of once per
-    // class.
-    {
-        let (ca, cb) = (year(1990), year(1990));
-        let plans = [inflight(1, &plan_a, &ca), inflight(2, &plan_b, &cb)];
-        let graph = SharingGraph::build(&plans, &prover).unwrap();
-        let split = MergedSchedule {
-            fetches: vec![fetch(0, 0, vec![]), fetch(0, 1, vec![])],
-        };
-        for d in duplicate_inflight_findings(&plans, &graph, &split) {
-            rows.push(("split-duplicate-schedule".to_string(), d));
-        }
+    // duplicate-inflight-step: two provably equivalent selections, each
+    // fetched by its own query.
+    let split = [step(1, &y1990, None, false), step(2, &y1990, None, false)];
+    for d in duplicate_inflight_findings(&split, &prover) {
+        rows.push(("split-duplicate-schedule".to_string(), d));
     }
-    // unshared-subsumed-step: the narrower class fetches for itself
-    // beside the broader class that provably contains it.
-    {
-        let (ca, cb) = (year(1990), year(1995));
-        let plans = [inflight(1, &plan_a, &ca), inflight(2, &plan_b, &cb)];
-        let graph = SharingGraph::build(&plans, &prover).unwrap();
-        let split = MergedSchedule {
-            fetches: vec![fetch(0, 0, vec![]), fetch(1, 1, vec![])],
-        };
-        for d in unshared_subsumed_findings(&plans, &graph, &split) {
-            rows.push(("unshared-containment-schedule".to_string(), d));
-        }
+    // unshared-subsumed-step: the narrower selection fetches for itself
+    // beside the broader one that provably contains it.
+    let split = [step(1, &y1990, None, false), step(2, &y1995, None, false)];
+    for d in unshared_subsumed_findings(&split, &prover) {
+        rows.push(("unshared-containment-schedule".to_string(), d));
     }
     // unsound-merge-residual, first shape: a proper containment served
     // with its residual filter dropped.
-    {
-        let (ca, cb) = (year(1990), year(1995));
-        let plans = [inflight(1, &plan_a, &ca), inflight(2, &plan_b, &cb)];
-        let graph = SharingGraph::build(&plans, &prover).unwrap();
-        let dropped = MergedSchedule {
-            fetches: vec![fetch(
-                0,
-                0,
-                vec![FanOut {
-                    node: 1,
-                    residual: false,
-                }],
-            )],
-        };
-        for d in unsound_merge_findings(&plans, &graph, &dropped, &prover) {
-            rows.push(("dropped-residual-schedule".to_string(), d));
-        }
+    let dropped = [
+        step(1, &y1990, None, false),
+        step(2, &y1995, Some(1), false),
+    ];
+    for d in unsound_merge_findings(&dropped, &prover) {
+        rows.push(("dropped-residual-schedule".to_string(), d));
     }
-    // unsound-merge-residual, second shape: a fan-out edge the prover
-    // cannot discharge at all.
-    {
-        let ca = year(1990);
-        let cb = vec![Condition::from(Predicate::eq("V", "dui"))];
-        let plans = [inflight(1, &plan_a, &ca), inflight(2, &plan_b, &cb)];
-        let graph = SharingGraph::build(&plans, &prover).unwrap();
-        let unproved = MergedSchedule {
-            fetches: vec![fetch(
-                0,
-                0,
-                vec![FanOut {
-                    node: 1,
-                    residual: true,
-                }],
-            )],
-        };
-        for d in unsound_merge_findings(&plans, &graph, &unproved, &prover) {
-            rows.push(("unproved-fanout-schedule".to_string(), d));
-        }
+    // unsound-merge-residual, second shape: an attach the prover cannot
+    // discharge at all.
+    let unproved = [step(1, &y1990, None, false), step(2, &dui, Some(1), true)];
+    for d in unsound_merge_findings(&unproved, &prover) {
+        rows.push(("unproved-fanout-schedule".to_string(), d));
     }
     rows
 }
