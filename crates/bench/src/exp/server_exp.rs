@@ -2,7 +2,7 @@
 //!
 //! N tenants replay Zipf-skewed sessions (same query pool, per-tenant
 //! event streams, occasional source updates) through the worker-pool
-//! mediator server of `fusion_exec::server`. Remote exchanges are
+//! mediator server of `fusion_exec::serve`. Remote exchanges are
 //! *paced* into wall clock (`pace` seconds per simulated cost unit), so
 //! the measured queries/second and latency quantiles reflect the
 //! simulated economics instead of raw in-memory speed.

@@ -29,16 +29,8 @@ impl CacheSnapshot {
         CacheSnapshot { covered, epochs }
     }
 
-    /// A cold snapshot: nothing covered, all epochs zero.
-    pub fn cold(n_conditions: usize, n_sources: usize) -> CacheSnapshot {
-        CacheSnapshot {
-            covered: vec![vec![false; n_sources]; n_conditions],
-            epochs: vec![0; n_sources],
-        }
-    }
-
     /// True when `sq(cond, source)` would be served from cache.
-    pub fn covers(&self, cond: CondId, source: SourceId) -> bool {
+    pub(crate) fn covers(&self, cond: CondId, source: SourceId) -> bool {
         self.covered
             .get(cond.0)
             .and_then(|row| row.get(source.0))
@@ -52,7 +44,7 @@ impl CacheSnapshot {
     }
 
     /// Source epochs at snapshot time.
-    pub fn epochs(&self) -> &[u64] {
+    pub(crate) fn epochs(&self) -> &[u64] {
         &self.epochs
     }
 }
@@ -161,7 +153,7 @@ mod tests {
 
     #[test]
     fn cold_snapshot_is_transparent() {
-        let snap = CacheSnapshot::cold(2, 2);
+        let snap = CacheSnapshot::new(vec![vec![false; 2]; 2], vec![0; 2]);
         let m = CachedCostModel::new(&Flat, &snap);
         for i in 0..2 {
             for j in 0..2 {

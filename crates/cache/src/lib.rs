@@ -29,10 +29,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cost;
-pub mod harvest;
-pub mod lint;
-pub mod shared;
+mod cost;
+mod harvest;
+mod lint;
+mod shared;
 pub mod subsume;
 
 pub use cost::{CacheSnapshot, CachedCostModel};
@@ -198,7 +198,7 @@ impl AnswerCache {
     }
 
     /// Guard-applied operations so far (see [`crate::shared`]).
-    pub fn op_seq(&self) -> u64 {
+    pub(crate) fn op_seq(&self) -> u64 {
         self.op_seq
     }
 
@@ -286,7 +286,7 @@ impl AnswerCache {
 
     /// True when a lookup for `(source, cond)` would be served — the
     /// side-effect-free probe the optimizer snapshot uses.
-    pub fn would_serve(&self, source: SourceId, cond: &Condition) -> bool {
+    pub(crate) fn would_serve(&self, source: SourceId, cond: &Condition) -> bool {
         self.find_servable(source, cond).is_some()
     }
 
@@ -320,7 +320,7 @@ impl AnswerCache {
     /// here, but the per-tuple projection/filter work is deferred to
     /// [`ResolvedHit::serve`]. This is the half a shared cache runs
     /// under its shard lock.
-    pub fn resolve(&mut self, source: SourceId, cond: &Condition) -> Option<ResolvedHit> {
+    pub(crate) fn resolve(&mut self, source: SourceId, cond: &Condition) -> Option<ResolvedHit> {
         self.clock += 1;
         let Some((idx, kind)) = self.find_servable(source, cond) else {
             self.stats.misses += 1;

@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn uncovered_steps_never_fire() {
         let plan = SimplePlanSpec::filter(2, 2).build(2).unwrap();
-        let snap = CacheSnapshot::cold(2, 2);
+        let snap = CacheSnapshot::new(vec![vec![false; 2]; 2], vec![0; 2]);
         assert!(stale_cache_findings(&plan, &snap, &[9, 9]).is_empty());
     }
 

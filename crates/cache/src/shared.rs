@@ -24,8 +24,8 @@
 //!   saw them; two that are shard-disjoint commute. Replaying the
 //!   ticket-ordered operation log serially against a fresh
 //!   [`SharedAnswerCache`] reproduces every shard's mutation sequence
-//!   bit for bit — the byte-parity contract `fusion-exec::server`
-//!   checks.
+//!   bit for bit — the byte-parity contract that
+//!   `fusion_exec::verify_replay_parity` checks.
 //! * The per-tuple half of serving a warm hit — building the entry's
 //!   merge order on its first projection, running the residual filter —
 //!   happens **outside** the locks: [`AnswerCache::resolve`] hands out
@@ -80,13 +80,8 @@ impl SharedAnswerCache {
     }
 
     /// The shard owning `source`'s entries and epoch counter.
-    pub fn shard_of(&self, source: SourceId) -> usize {
+    pub(crate) fn shard_of(&self, source: SourceId) -> usize {
         source.0 % self.shards.len()
-    }
-
-    /// Tickets drawn so far (the length of the operation log).
-    pub fn tickets_issued(&self) -> u64 {
-        self.ticket.load(Ordering::SeqCst)
     }
 
     /// Locks every shard for one admission-class critical section: a
@@ -138,31 +133,6 @@ impl SharedAnswerCache {
             total.invalidations += s.invalidations;
         }
         total
-    }
-
-    /// Total resident entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-
-    /// True when no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total resident wire bytes across all shards.
-    pub fn bytes_used(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .bytes_used()
-            })
-            .sum()
     }
 
     /// Epochs for sources `0..n`, each read from its owning shard.
@@ -222,11 +192,6 @@ impl CacheGuard<'_> {
             .binary_search_by_key(&idx, |(i, _)| *i)
             .unwrap_or_else(|_| panic!("shard {idx} not locked by this guard"));
         &self.guards[pos].1
-    }
-
-    /// Shard indices this guard holds, ascending.
-    pub fn held_shards(&self) -> Vec<usize> {
-        self.guards.iter().map(|(i, _)| *i).collect()
     }
 
     /// Draws the operation's ticket from the global counter. Called
@@ -393,11 +358,13 @@ mod tests {
         }
         {
             let mut g = shared.lock_sources(&[SourceId(1)]);
-            assert_eq!(g.held_shards(), vec![1]);
+            assert_eq!(g.shard_seqs().len(), 1);
+            assert_eq!(g.shard_seqs()[0].0, 1);
             g.bump_epoch(SourceId(1));
         }
         assert_eq!(shared.epochs(3), vec![0, 1, 0]);
-        assert_eq!(shared.len(), 2);
+        let resident = |j: usize| shared.shards[j].read().unwrap().len();
+        assert_eq!((0..3).map(resident).sum::<usize>(), 2);
         assert_eq!(shared.stats().invalidations, 1);
     }
 
@@ -409,11 +376,8 @@ mod tests {
             let g = shared.lock_sources(&[SourceId(j % 2)]);
             tickets.push(g.take_ticket());
         }
-        let mut sorted = tickets.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 6);
-        assert_eq!(shared.tickets_issued(), 6);
+        tickets.sort_unstable();
+        assert_eq!(tickets, (0..6).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic schedule model-checking for fusion query executors.
 //!
 //! The static interference analysis
-//! ([`fusion_core::dataflow::interference`]) claims that a plan's
+//! ([`fusion_core::dataflow::interference_report`]) claims that a plan's
 //! certified stage schedule is conflict-free: every pair of events that
 //! touches the same shared resource (a variable slot, a source's network
 //! shard, a cache key, an epoch counter) is ordered by happens-before.
@@ -27,9 +27,9 @@
 //! interleavings: the per-event code is the same code the production
 //! executors run, so an ordering is exactly the freedom a real scheduler
 //! has. Retry deadlines are the one caveat (see
-//! [`fusion_exec::replay`]): with a deadline set, "cost spent so far"
-//! legitimately depends on schedule, so checking is restricted to
-//! deadline-free policies.
+//! [`fusion_exec::execute_plan_replay`]): with a deadline set, "cost
+//! spent so far" legitimately depends on schedule, so checking is
+//! restricted to deadline-free policies.
 
 use fusion_cache::AnswerCache;
 use fusion_core::cost::NetworkCostModel;
@@ -375,7 +375,7 @@ pub fn schedule_fingerprint(
 ///
 /// # Errors
 /// Fails on the execution errors the underlying executors report.
-pub fn reference_fingerprint(
+pub(crate) fn reference_fingerprint(
     plan: &Plan,
     query: &FusionQuery,
     sources: &SourceSet,

@@ -85,7 +85,7 @@ impl BddManager {
     }
 
     /// Number of variables allocated so far.
-    pub fn n_vars(&self) -> u32 {
+    pub(crate) fn n_vars(&self) -> u32 {
         self.n_vars
     }
 
@@ -196,7 +196,7 @@ impl BddManager {
     }
 
     /// `f ⊕ g` — nonempty exactly when `f` and `g` disagree somewhere.
-    pub fn xor(&mut self, f: NodeId, g: NodeId) -> NodeId {
+    pub(crate) fn xor(&mut self, f: NodeId, g: NodeId) -> NodeId {
         self.apply(BinOp::Xor, f, g)
     }
 
@@ -220,21 +220,21 @@ impl BddManager {
     }
 
     /// `f ∧ ¬g` (set difference on indicator functions).
-    pub fn diff(&mut self, f: NodeId, g: NodeId) -> NodeId {
+    pub(crate) fn diff(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let ng = self.not(g);
         self.and(f, ng)
     }
 
     /// True iff `f ⇒ g` (i.e. the item set of `f` is contained in that
     /// of `g` in every world).
-    pub fn implies(&mut self, f: NodeId, g: NodeId) -> bool {
+    pub(crate) fn implies(&mut self, f: NodeId, g: NodeId) -> bool {
         self.diff(f, g) == FALSE
     }
 
     /// One satisfying assignment of `f` (values for the variables on the
     /// chosen root-to-`TRUE` path; variables not mentioned are don't-care
     /// and may be taken as `false`). `None` iff `f` is unsatisfiable.
-    pub fn sat_one(&self, f: NodeId) -> Option<Vec<(BVar, bool)>> {
+    pub(crate) fn sat_one(&self, f: NodeId) -> Option<Vec<(BVar, bool)>> {
         if f == FALSE {
             return None;
         }
@@ -256,7 +256,7 @@ impl BddManager {
     }
 
     /// Evaluates `f` under a total assignment (indexed by variable).
-    pub fn eval(&self, f: NodeId, assignment: &[bool]) -> bool {
+    pub(crate) fn eval(&self, f: NodeId, assignment: &[bool]) -> bool {
         let mut cur = f;
         loop {
             if cur == TRUE {
@@ -275,7 +275,7 @@ impl BddManager {
     }
 
     /// The set of variables `f` depends on.
-    pub fn support(&self, f: NodeId) -> Vec<BVar> {
+    pub(crate) fn support(&self, f: NodeId) -> Vec<BVar> {
         let mut seen = std::collections::HashSet::new();
         let mut vars = std::collections::BTreeSet::new();
         let mut stack = vec![f];

@@ -7,12 +7,12 @@
 //! from the plan (and the analysis it reads) to structured
 //! [`Diagnostic`]s with a severity and a 1-based step number, so the CLI
 //! and the optimizer's debug checks can render them uniformly;
-//! [`lint_plan`] runs the five base rules and sorts them once.
+//! `dataflow_lint_plan` runs these five base rules with the dataflow
+//! rules and sorts them once.
 
-use super::{analyze_plan, Analysis};
+use super::Analysis;
 use crate::dataflow::{dependencies, liveness};
 use crate::plan::{Plan, RelVar, Step, VarId};
-use fusion_types::error::Result;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -56,28 +56,11 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// Concatenates per-rule findings in run order and stable-sorts them by
-/// `(step, rule)` — the one ordering every composed entry point
-/// ([`lint_plan`], `dataflow_lint_plan`) returns.
+/// `(step, rule)` — the ordering `dataflow_lint_plan` returns.
 pub(crate) fn merge_sorted(rules: impl IntoIterator<Item = Vec<Diagnostic>>) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = rules.into_iter().flatten().collect();
     out.sort_by_key(|d| (d.step, d.rule));
     out
-}
-
-/// Analyzes a plan and runs the five base rules, returning findings
-/// sorted by step then rule.
-///
-/// # Errors
-/// Propagates structural validation failure from the analysis.
-pub fn lint_plan(plan: &Plan) -> Result<Vec<Diagnostic>> {
-    let mut analysis = analyze_plan(plan)?;
-    Ok(merge_sorted([
-        dead_step_findings(plan),
-        duplicate_query_findings(plan, &analysis),
-        superset_semijoin_input_findings(plan, &mut analysis),
-        loaded_unused_findings(plan),
-        bloom_not_reintersected_findings(plan, &analysis),
-    ]))
 }
 
 /// `dead-step`: a step whose output never reaches the result.
@@ -265,6 +248,7 @@ pub(crate) fn bloom_not_reintersected_findings(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::analyze_plan;
     use crate::plan::{SimplePlanSpec, SourceChoice};
     use fusion_types::{CondId, SourceId};
 
@@ -272,8 +256,16 @@ mod tests {
         SimplePlanSpec::filter(2, 2).build(2).unwrap()
     }
 
+    /// The five base rules, merged as `dataflow_lint_plan` merges them.
     fn diags(plan: &Plan) -> Vec<Diagnostic> {
-        lint_plan(plan).unwrap()
+        let mut analysis = analyze_plan(plan).unwrap();
+        merge_sorted([
+            dead_step_findings(plan),
+            duplicate_query_findings(plan, &analysis),
+            superset_semijoin_input_findings(plan, &mut analysis),
+            loaded_unused_findings(plan),
+            bloom_not_reintersected_findings(plan, &analysis),
+        ])
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub(crate) use lint::{
     bloom_not_reintersected_findings, dead_step_findings, duplicate_query_findings,
     loaded_unused_findings, merge_sorted, superset_semijoin_input_findings,
 };
-pub use lint::{lint_plan, Diagnostic, Severity};
+pub use lint::{Diagnostic, Severity};
 pub(crate) use memo::SharedMemo;
 pub use memo::{ensure_sound, proof_memo_stats, MemoCounters, ProofMemoStats, PROOF_MEMO_CAPACITY};
 
@@ -513,24 +513,24 @@ impl Analysis {
 
     /// The membership predicate of a variable (`None` for out-of-range
     /// ids; variables the plan never assigns read as the empty set).
-    pub fn value(&self, v: VarId) -> Option<NodeId> {
+    pub(crate) fn value(&self, v: VarId) -> Option<NodeId> {
         self.values.get(v.0).copied()
     }
 
     /// The source a relation variable was loaded from, if any.
-    pub fn loaded_source(&self, rel: crate::plan::RelVar) -> Option<usize> {
+    pub(crate) fn loaded_source(&self, rel: crate::plan::RelVar) -> Option<usize> {
         self.rel_source.get(rel.0).copied().flatten()
     }
 
     /// True when `a`'s set is contained in `b`'s in every world.
-    pub fn is_subset(&mut self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn is_subset(&mut self, a: NodeId, b: NodeId) -> bool {
         self.mgr.implies(a, b)
     }
 
     /// True when the result still depends on the Bloom collision atom of
     /// step `t` (0-based) — i.e. a filter false positive can leak into
     /// the answer because the raw superset was never re-intersected.
-    pub fn result_tainted_by_bloom(&self, t: usize) -> bool {
+    pub(crate) fn result_tainted_by_bloom(&self, t: usize) -> bool {
         match self.atoms.bloom.get(t).copied().flatten() {
             Some(beta) => self.mgr.support(self.result_value).contains(&beta),
             None => false,
@@ -540,7 +540,7 @@ impl Analysis {
     /// Re-interprets the plan with step `t`'s semijoin input replaced by
     /// `z`, returning the new result predicate. Hash-consing makes this
     /// cheap: unchanged prefixes reuse existing nodes.
-    pub fn result_with_semijoin_input(&mut self, plan: &Plan, t: usize, z: VarId) -> NodeId {
+    pub(crate) fn result_with_semijoin_input(&mut self, plan: &Plan, t: usize, z: VarId) -> NodeId {
         let (values, _) = interpret(plan, &mut self.mgr, &self.atoms, Some((t, z)), &[], None);
         values[plan.result.0]
     }
@@ -550,7 +550,7 @@ impl Analysis {
     /// Equality with [`result_value`](Analysis::result_value) proves the
     /// reordering semantics-preserving in every possible world — the
     /// machine check behind the dataflow stage certificate.
-    pub fn result_with_step_order(&mut self, plan: &Plan, order: &[usize]) -> NodeId {
+    pub(crate) fn result_with_step_order(&mut self, plan: &Plan, order: &[usize]) -> NodeId {
         let (values, _) = interpret(plan, &mut self.mgr, &self.atoms, None, &[], Some(order));
         values[plan.result.0]
     }
@@ -558,7 +558,7 @@ impl Analysis {
     /// Re-interprets the plan with the listed steps producing the empty
     /// set — the abstraction of a fault-tolerant executor that drops the
     /// steps of a dead source — and returns the new result predicate.
-    pub fn result_with_steps_empty(&mut self, plan: &Plan, dropped: &[usize]) -> NodeId {
+    pub(crate) fn result_with_steps_empty(&mut self, plan: &Plan, dropped: &[usize]) -> NodeId {
         let (values, _) = interpret(plan, &mut self.mgr, &self.atoms, None, dropped, None);
         values[plan.result.0]
     }
@@ -574,13 +574,8 @@ impl Analysis {
     }
 
     /// The result variable's membership predicate.
-    pub fn result_value(&self) -> NodeId {
+    pub(crate) fn result_value(&self) -> NodeId {
         self.result_value
-    }
-
-    /// The fusion-query predicate the result is compared against.
-    pub fn target(&self) -> NodeId {
-        self.target
     }
 }
 
@@ -864,7 +859,7 @@ mod tests {
         let plan = SimplePlanSpec::filter(2, 2).build(2).unwrap();
         let mut a = analyze_plan(&plan).unwrap();
         let result = a.result_value();
-        let target = a.target();
+        let target = a.target;
         assert!(a.is_subset(result, target));
         assert!(a.is_subset(target, result));
     }
@@ -894,7 +889,7 @@ mod tests {
         assert!(a.droppable(&plan, &all));
         // And the degraded result must be strictly below the target.
         let degraded = a.result_with_steps_empty(&plan, &steps_at(&plan, SourceId(0)));
-        let target = a.target();
+        let target = a.target;
         assert!(a.is_subset(degraded, target));
         assert!(!a.is_subset(target, degraded));
     }

@@ -39,11 +39,6 @@ impl<'a, M: CostModel> FeedbackCostModel<'a, M> {
         );
         FeedbackCostModel { inner, feedback }
     }
-
-    /// The wrapped model.
-    pub fn inner(&self) -> &M {
-        self.inner
-    }
 }
 
 impl<M: CostModel> CostModel for FeedbackCostModel<'_, M> {

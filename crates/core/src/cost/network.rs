@@ -103,7 +103,7 @@ impl NetworkCostModel {
     }
 
     /// The capability record the model snapshotted for `source`.
-    pub fn source_capabilities(&self, source: SourceId) -> &Capabilities {
+    pub(crate) fn source_capabilities(&self, source: SourceId) -> &Capabilities {
         &self.profile(source).caps
     }
 
@@ -114,7 +114,13 @@ impl NetworkCostModel {
     /// record when the source accepts projection lists, full tuples
     /// otherwise. `Cost::INFINITE` when the source cannot serve record
     /// fetches at all.
-    pub fn fetch_cost(&self, source: SourceId, k: usize, attrs: usize, arity: usize) -> Cost {
+    pub(crate) fn fetch_cost(
+        &self,
+        source: SourceId,
+        k: usize,
+        attrs: usize,
+        arity: usize,
+    ) -> Cost {
         let p = self.profile(source);
         if !p.caps.record_fetch {
             return Cost::INFINITE;
@@ -147,7 +153,7 @@ impl NetworkCostModel {
     /// work) dropped. Any feasible assignment that covers the pair at
     /// this source pays at least this much, so summing the per-pair
     /// minimum over sources lower-bounds every covering plan.
-    pub fn fetch_attr_floor(&self, source: SourceId, arity: usize) -> f64 {
+    pub(crate) fn fetch_attr_floor(&self, source: SourceId, arity: usize) -> f64 {
         let p = self.profile(source);
         if !p.caps.record_fetch {
             return f64::INFINITY;

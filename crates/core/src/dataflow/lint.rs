@@ -28,7 +28,10 @@ use fusion_types::error::Result;
 /// proves. A step whose source-suffix is *not* droppable (an antitone
 /// use, e.g. feeding the right side of a difference) can make a retried
 /// partial answer unsound, so it is flagged.
-pub fn retry_non_idempotent_findings(plan: &Plan, analysis: &mut Analysis) -> Vec<Diagnostic> {
+pub(crate) fn retry_non_idempotent_findings(
+    plan: &Plan,
+    analysis: &mut Analysis,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (t, s) in plan.steps.iter().enumerate() {
         let Some(src) = s.source() else { continue };
@@ -60,7 +63,7 @@ pub fn retry_non_idempotent_findings(plan: &Plan, analysis: &mut Analysis) -> Ve
 /// upper bound *exceeds* the bound of the narrowed set it descends from
 /// — the difference bought nothing for this shipment and the union is
 /// paying transfer for items the difference already excluded.
-pub fn narrow_then_widen_findings(plan: &Plan, df: &Dataflow) -> Vec<Diagnostic> {
+pub(crate) fn narrow_then_widen_findings(plan: &Plan, df: &Dataflow) -> Vec<Diagnostic> {
     let mut findings = Vec::new();
     for (t, s) in plan.steps.iter().enumerate() {
         let (Step::Sjq { input, .. } | Step::SjqBloom { input, .. }) = s else {
@@ -115,7 +118,7 @@ pub fn narrow_then_widen_findings(plan: &Plan, df: &Dataflow) -> Vec<Diagnostic>
 /// querying one source already exceeds the flat `lq` cost of loading the
 /// whole relation — the §4 extended space provably contains a cheaper
 /// plan that loads the source once and selects locally for free.
-pub fn transfer_exceeds_load_findings<M: CostModel>(
+pub(crate) fn transfer_exceeds_load_findings<M: CostModel>(
     plan: &Plan,
     model: &M,
     df: &Dataflow,

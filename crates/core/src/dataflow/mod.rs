@@ -65,10 +65,7 @@ pub use interference::{
     interference_report, server_commuting_pairs, verify_server_log, Event, EventGraph, Footprint,
     Interference, Resource, ServerEvent, ServerOp, Witness,
 };
-pub use lint::{
-    dataflow_lint_plan, narrow_then_widen_findings, retry_non_idempotent_findings,
-    transfer_exceeds_load_findings,
-};
+pub use lint::dataflow_lint_plan;
 pub use reopt::{certify_switch, SwitchCertificate};
 pub use sharing::{
     duplicate_inflight_findings, share_schedule, unshared_subsumed_findings,
@@ -130,16 +127,10 @@ pub struct CostInterval {
 
 impl CostInterval {
     /// The zero interval.
-    pub const ZERO: CostInterval = CostInterval {
+    pub(crate) const ZERO: CostInterval = CostInterval {
         lo: Cost::ZERO,
         hi: Cost::ZERO,
     };
-
-    /// True when `c` lies inside (with float tolerance).
-    pub fn contains(&self, c: Cost) -> bool {
-        let tol = 1e-9 * self.hi.value().abs().max(1.0);
-        c.value() >= self.lo.value() - tol && c.value() <= self.hi.value() + tol
-    }
 }
 
 impl std::fmt::Display for CostInterval {
@@ -872,7 +863,7 @@ fn response_lower_bound(
 /// it preserves exactness ([`ordering_search`]).
 ///
 /// [`ordering_search`]: crate::optimizer::ordering_search
-pub fn remaining_cost_lower_bound<M: CostModel>(
+pub(crate) fn remaining_cost_lower_bound<M: CostModel>(
     model: &M,
     used: &[bool],
     placing: usize,
@@ -907,6 +898,12 @@ mod tests {
     use crate::postopt::build_with_difference;
     use fusion_types::schema::dmv_schema;
     use fusion_types::{tuple, CondId, Value};
+
+    /// True when `c` lies inside `i` (with float tolerance).
+    fn cost_within(i: &CostInterval, c: Cost) -> bool {
+        let tol = 1e-9 * i.hi.value().abs().max(1.0);
+        c.value() >= i.lo.value() - tol && c.value() <= i.hi.value() + tol
+    }
 
     fn model() -> TableCostModel {
         TableCostModel::uniform(3, 2, 10.0, 1.0, 0.1, 100.0, 5.0, 1000.0)
@@ -1074,7 +1071,7 @@ mod tests {
         let df = analyze_dataflow(&opt.plan, &m, &bounds).unwrap();
         let est = crate::estimate::estimate_plan_cost(&opt.plan, &m);
         assert!(
-            df.total_cost.contains(est.cost),
+            cost_within(&df.total_cost, est.cost),
             "estimate {} outside {}",
             est.cost,
             df.total_cost

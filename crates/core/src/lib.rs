@@ -17,10 +17,12 @@
 //!   variants the paper attributes to its extended version \[24\].
 //! * [`postopt`] — the SJA+ postoptimizations of §4: semijoin-set pruning
 //!   with set difference and whole-source loading.
-//! * [`estimate`] — optimizer-side cost/cardinality estimation for any
-//!   plan, used both during search and for estimated-vs-actual studies.
-//! * [`evaluate`] — a pure reference interpreter of plans over in-memory
-//!   relations, used to prove plan transformations semantics-preserving.
+//! * [`estimate_plan_cost`] — optimizer-side cost/cardinality estimation
+//!   for any plan, used both during search and for estimated-vs-actual
+//!   studies.
+//! * [`evaluate_plan`] — a pure reference interpreter of plans over
+//!   in-memory relations, used to prove plan transformations
+//!   semantics-preserving.
 //! * [`sampler`] — a generator of random *correct* simple plans, used to
 //!   validate the optimality theorem empirically.
 //! * [`analyze`] — the semantic plan analyzer: an abstract interpreter
@@ -34,9 +36,9 @@
 pub mod analyze;
 pub mod cost;
 pub mod dataflow;
-pub mod estimate;
-pub mod evaluate;
-pub mod explain;
+mod estimate;
+mod evaluate;
+mod explain;
 pub mod optimizer;
 pub mod phase2;
 pub mod plan;
@@ -44,7 +46,7 @@ pub mod postopt;
 pub mod query;
 pub mod sampler;
 
-pub use analyze::{analyze_plan, lint_plan, Analysis, Counterexample, Diagnostic, Verdict};
+pub use analyze::{analyze_plan, Analysis, Counterexample, Diagnostic, Verdict};
 pub use cost::{
     calibrate, CalibratedCostModel, CostModel, FeedbackCostModel, NetworkCostModel, TableCostModel,
 };

@@ -19,7 +19,7 @@
 
 mod filter;
 mod greedy;
-pub mod perm;
+mod perm;
 mod plan_memo;
 mod response;
 mod search;
@@ -154,7 +154,7 @@ pub(crate) mod testutil {
     /// (semijoin costs are input-independent) and orderings starting with
     /// `c2` or `c3` are strictly worse; the shared tie-break keeps the
     /// lexicographically least, `[c1, c2, c3]` — the figure's ordering.
-    pub fn figure2_model() -> TableCostModel {
+    pub(crate) fn figure2_model() -> TableCostModel {
         use fusion_types::{CondId, SourceId};
         let mut m = TableCostModel::uniform(3, 2, 10.0, 100.0, 10.0, 1e6, 5.0, 1000.0);
         // c1 is the most selective condition and cheap to push.

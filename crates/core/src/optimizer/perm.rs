@@ -7,7 +7,7 @@
 /// `[c_{o_1}, ..., c_{o_m}]` of the conditions" (Figures 3–4); `m` is the
 /// number of query conditions, which the paper argues is small in
 /// realistic scenarios.
-pub fn for_each_permutation<F: FnMut(&[usize])>(m: usize, mut f: F) {
+pub(crate) fn for_each_permutation<F: FnMut(&[usize])>(m: usize, mut f: F) {
     if m == 0 {
         return;
     }

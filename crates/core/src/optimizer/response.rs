@@ -6,7 +6,7 @@
 //! variant of SJA:
 //!
 //! * the execution model matches the executor's scheduler
-//!   (`fusion_exec::schedule::response_time` — `fusion-core` sits below
+//!   (`fusion_exec::response_time` — `fusion-core` sits below
 //!   the executor, so no intra-doc link): one queue per source, rounds
 //!   coupled only through semijoin inputs — *selection* queries of any
 //!   round may start immediately, semijoin queries must wait for the

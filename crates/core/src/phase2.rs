@@ -13,10 +13,10 @@
 //! - [`plan_fetch`] computes the cheapest covering assignment — every
 //!   surviving item gets every requested attribute from exactly one
 //!   source — by greedy weighted set cover over the (item, attribute)
-//!   universe, priced by [`NetworkCostModel::fetch_cost`] (batched round
+//!   universe, priced by `NetworkCostModel::fetch_cost` (batched round
 //!   trips, projection support, paid-per-query fees);
 //! - every plan carries an admissible lower bound
-//!   ([`NetworkCostModel::fetch_attr_floor`], SPJU-style payload size
+//!   (`NetworkCostModel::fetch_attr_floor`, SPJU-style payload size
 //!   reasoning: any covering plan must at least ship each assigned
 //!   attribute value once), and [`certify_fetch_plan`] checks the
 //!   partition discipline, batch bounds, and the bound itself;
@@ -38,7 +38,7 @@ use fusion_types::{Cost, Item, ItemSet, Relation, Schema, SourceId};
 /// attribute indexes and the items it holds. An empty entry means the
 /// source cannot participate (no fetch support, or simply no data).
 #[derive(Debug, Clone, Default)]
-pub struct SourceCoverage {
+pub(crate) struct SourceCoverage {
     /// Non-merge schema indexes the source can supply.
     pub attrs: BTreeSet<usize>,
     /// Items the source holds records for.
@@ -128,17 +128,17 @@ impl CoverageCatalog {
     }
 
     /// Number of sources the catalog describes.
-    pub fn n_sources(&self) -> usize {
+    pub(crate) fn n_sources(&self) -> usize {
         self.entries.len()
     }
 
     /// The coverage entry of `source`.
-    pub fn entry(&self, source: SourceId) -> &SourceCoverage {
+    pub(crate) fn entry(&self, source: SourceId) -> &SourceCoverage {
         &self.entries[source.0]
     }
 
     /// Whether `source` can supply attribute `attr` for `item`.
-    pub fn covers(&self, source: SourceId, item: &Item, attr: usize) -> bool {
+    pub(crate) fn covers(&self, source: SourceId, item: &Item, attr: usize) -> bool {
         let e = &self.entries[source.0];
         e.attrs.contains(&attr) && e.items.contains(item)
     }
@@ -186,13 +186,6 @@ pub struct FetchPlan {
     /// Admissible lower bound on *any* covering plan's cost (cached
     /// items contribute zero).
     pub lower_bound: f64,
-}
-
-impl FetchPlan {
-    /// Whether the plan covers the whole universe (nothing missing).
-    pub fn is_complete(&self) -> bool {
-        self.missing.is_empty()
-    }
 }
 
 /// Plans the cheapest covering assignment for `answer`: every item not
@@ -588,7 +581,7 @@ mod tests {
             schema.arity(),
             &ItemSet::empty(),
         );
-        assert!(plan.is_complete());
+        assert!(plan.missing.is_empty());
         assert_eq!(plan.assignments.len(), 1, "one replica suffices");
         let cert = certify_fetch_plan(&plan, &answer, &catalog, &model).unwrap();
         assert_eq!(cert.pairs_covered, answer.len() * 2);
@@ -616,7 +609,7 @@ mod tests {
             schema.arity(),
             &ItemSet::empty(),
         );
-        assert!(plan.is_complete());
+        assert!(plan.missing.is_empty());
         assert_eq!(plan.assignments.len(), 2);
         certify_fetch_plan(&plan, &answer, &catalog, &model).unwrap();
         // No single source covers both attributes: the split is forced,
@@ -642,7 +635,7 @@ mod tests {
             schema.arity(),
             &ItemSet::empty(),
         );
-        assert!(!plan.is_complete());
+        assert!(!plan.missing.is_empty());
         assert_eq!(plan.missing.len(), answer.len());
         assert!(plan.missing.iter().all(|(_, a)| a == &vec![2]));
         certify_fetch_plan(&plan, &answer, &catalog, &model).unwrap();

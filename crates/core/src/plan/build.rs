@@ -50,11 +50,6 @@ impl SimplePlanSpec {
         }
     }
 
-    /// Number of rounds (= conditions).
-    pub fn rounds(&self) -> usize {
-        self.order.len()
-    }
-
     /// Checks the structural invariants of the specification.
     ///
     /// # Errors

@@ -245,13 +245,8 @@ impl Plan {
     }
 
     /// The display name of a relation variable.
-    pub fn rel_name(&self, r: RelVar) -> &str {
+    pub(crate) fn rel_name(&self, r: RelVar) -> &str {
         &self.rel_names[r.0]
-    }
-
-    /// Number of remote operations (the steps that cost money).
-    pub fn remote_ops(&self) -> usize {
-        self.steps.iter().filter(|s| s.is_remote()).count()
     }
 
     /// Number of steps of each remote kind `(sq, sjq, lq)`.
@@ -414,7 +409,6 @@ mod tests {
     #[test]
     fn op_counts() {
         let p = tiny_filter();
-        assert_eq!(p.remote_ops(), 2);
         assert_eq!(p.remote_op_counts(), (2, 0, 0));
     }
 

@@ -98,7 +98,7 @@ pub fn sja_plus_with<M: CostModel>(model: &M, config: PostOptConfig) -> SjaPlusP
 }
 
 /// Postoptimizes an already-found condition-at-a-time plan.
-pub fn postoptimize<M: CostModel>(
+pub(crate) fn postoptimize<M: CostModel>(
     base: OptimizedPlan,
     model: &M,
     config: PostOptConfig,
@@ -329,7 +329,7 @@ pub fn apply_bloom<M: CostModel>(plan: &Plan, model: &M, bits: u8) -> Plan {
 /// Applies the source-loading postoptimization: for every source whose
 /// queries cost more than one `lq`, loads it once and answers its queries
 /// locally. Returns the transformed plan and the loaded sources.
-pub fn apply_loading<M: CostModel>(plan: Plan, model: &M) -> (Plan, Vec<SourceId>) {
+pub(crate) fn apply_loading<M: CostModel>(plan: Plan, model: &M) -> (Plan, Vec<SourceId>) {
     let est = estimate_plan_cost(&plan, model);
     let mut to_load: Vec<SourceId> = Vec::new();
     for j in 0..plan.n_sources {

@@ -164,7 +164,7 @@ mod tests {
     use fusion_types::{tuple, Predicate};
 
     /// Figure 1 of the paper: three DMV relations.
-    pub fn figure1_sources() -> Vec<Relation> {
+    pub(super) fn figure1_sources() -> Vec<Relation> {
         let s = dmv_schema();
         vec![
             Relation::from_rows(

@@ -16,7 +16,7 @@
 //! superset of the final answer, so no qualifying item is lost, and every
 //! round intersects with the running result.
 
-use crate::plan::{Plan, SourceChoice, Step, VarId};
+use crate::plan::{Plan, Step, VarId};
 use fusion_stats::SplitMix64;
 use fusion_types::{CondId, SourceId};
 
@@ -126,23 +126,6 @@ fn build_sampled(order: &[usize], choices: &[Vec<Option<usize>>], n: usize) -> P
     plan
 }
 
-/// Converts a sampled shape into the equivalent [`SourceChoice`] row for
-/// reporting (any semijoin, regardless of its input round, counts as a
-/// semijoin choice).
-pub fn choice_kinds(choices: &[Vec<Option<usize>>]) -> Vec<Vec<SourceChoice>> {
-    choices
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|c| match c {
-                    None => SourceChoice::Selection,
-                    Some(_) => SourceChoice::Semijoin,
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,17 +206,5 @@ mod tests {
                 sampled.plan
             );
         }
-    }
-
-    #[test]
-    fn choice_kinds_maps_correctly() {
-        let kinds = choice_kinds(&[vec![None, Some(0)], vec![Some(1), None]]);
-        assert_eq!(
-            kinds,
-            vec![
-                vec![SourceChoice::Selection, SourceChoice::Semijoin],
-                vec![SourceChoice::Semijoin, SourceChoice::Selection],
-            ]
-        );
     }
 }

@@ -89,7 +89,7 @@ pub fn execute_plan_unchecked(
 /// query. Every step of a dead source is dropped: it contributes ∅ (for
 /// a dropped load, an empty relation) and a zero-cost ledger entry, so
 /// the ledger still matches the plan step-for-step and
-/// [`crate::schedule`] can replay it. Before dropping, the plan's BDD
+/// [`crate::schedule()`] can replay it. Before dropping, the plan's BDD
 /// analysis confirms the degraded plan still computes a subset of the
 /// fusion answer in every world
 /// ([`fusion_core::analyze::Analysis::droppable`]); if it cannot — e.g.
@@ -102,9 +102,8 @@ pub fn execute_plan_unchecked(
 /// **`cache`** — selections are served from the cache where possible
 /// (free `sq(cache)` / `sq(residual)` entries, immune to faults: a hit
 /// is looked up before its source can be found dead), misses fetch full
-/// records, and fresh answers are admitted once the run completes — see
-/// [`crate::cached`] for the contract. Answer and completeness are
-/// byte-identical to `cache: None`.
+/// records, and fresh answers are admitted once the run completes.
+/// Answer and completeness are byte-identical to `cache: None`.
 ///
 /// # Errors
 /// As [`execute_plan`], plus source failures whose steps are not

@@ -90,13 +90,8 @@ pub struct LedgerEntry {
 
 impl LedgerEntry {
     /// Total cost of the step, failed attempts included.
-    pub fn total(&self) -> Cost {
+    pub(crate) fn total(&self) -> Cost {
         self.comm + self.proc + self.failed_cost
-    }
-
-    /// Failed attempts (attempts that did not complete a round trip).
-    pub fn failed_attempts(&self) -> usize {
-        self.attempts.saturating_sub(self.round_trips)
     }
 }
 
@@ -108,12 +103,12 @@ pub struct CostLedger {
 
 impl CostLedger {
     /// Creates an empty ledger.
-    pub fn new() -> CostLedger {
+    pub(crate) fn new() -> CostLedger {
         CostLedger::default()
     }
 
     /// Records one step.
-    pub fn push(&mut self, entry: LedgerEntry) {
+    pub(crate) fn push(&mut self, entry: LedgerEntry) {
         self.entries.push(entry);
     }
 
@@ -214,7 +209,6 @@ mod tests {
         let mut e = entry(0, StepKind::Selection, Some(0), 1.0, 0.5);
         e.attempts = 3;
         e.failed_cost = Cost::new(0.75);
-        assert_eq!(e.failed_attempts(), 2);
         assert_eq!(e.total(), Cost::new(2.25));
         let mut l = CostLedger::new();
         l.push(e);

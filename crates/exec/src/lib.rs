@@ -21,7 +21,7 @@
 //!     retried, and when a source stays down its steps are dropped —
 //!     guarded by the analyzer's droppability check — for a partial
 //!     answer tagged [`Completeness::Subset`]), `cache` serves and
-//!     admits selections through a semantic answer cache ([`cached`]).
+//!     admits selections through a semantic answer cache.
 //!   - [`execute_plan_parallel`] — the certified stage decomposition on
 //!     real threads, one serial queue per source, results merged at
 //!     stage barriers: answers, ledgers, and network traces
@@ -65,20 +65,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cached;
-pub mod interp;
-pub mod ledger;
-pub mod parallel;
-pub mod phase2;
-pub mod piggyback;
-pub mod reopt;
-pub mod replay;
-pub mod retry;
-pub mod schedule;
-pub mod server;
+mod cached;
+mod interp;
+mod ledger;
+mod parallel;
+mod phase2;
+mod piggyback;
+mod reopt;
+mod replay;
+mod retry;
+mod schedule;
+mod server;
 mod share;
 mod step;
-pub mod two_phase;
+mod two_phase;
 
 pub use interp::{execute_plan, execute_plan_unchecked, execute_plan_with, ExecutionOutcome};
 pub use ledger::{CostLedger, LedgerEntry, StepKind};

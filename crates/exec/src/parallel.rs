@@ -1,7 +1,7 @@
 //! True multi-threaded execution of certified stage schedules.
 //!
 //! [`execute_plan_parallel`] turns the simulated parallel execution
-//! model of [`crate::schedule`] into real concurrency: the plan's
+//! model of [`crate::schedule()`] into real concurrency: the plan's
 //! certified stage schedule
 //! ([`fusion_core::dataflow::stage_decomposition`]) — dependency levels
 //! with one *serial queue per source*, because autonomous Internet
@@ -121,13 +121,6 @@ pub struct ParallelOutcome {
     /// the model's prediction of what `wall / pace` should be with enough
     /// threads.
     pub makespan: f64,
-}
-
-impl ParallelOutcome {
-    /// Total executed (simulated) cost — the sequential total work.
-    pub fn total_cost(&self) -> Cost {
-        self.outcome.ledger.total()
-    }
 }
 
 /// Executes `plan` concurrently, producing an outcome byte-identical to

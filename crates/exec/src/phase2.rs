@@ -466,7 +466,7 @@ fn harvest(schema: &Schema, executed: &[Executed]) -> Vec<PendingInsert> {
 ///
 /// # Errors
 /// Propagates wrapper failures; fails on a retry policy that fails
-/// [`RetryPolicy::check`], and when the plan expects cached items but no
+/// `RetryPolicy::check`, and when the plan expects cached items but no
 /// cache is given.
 pub fn execute_fetch_plan(
     plan: &FetchPlan,

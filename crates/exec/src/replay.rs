@@ -2,7 +2,7 @@
 //!
 //! [`execute_plan_replay`] runs a plan one *event* at a time in an
 //! explicit caller-chosen order — the operational semantics the schedule
-//! model-checker ([`fusion-check`]) explores. The event alphabet is the
+//! model-checker (`fusion-check`) explores. The event alphabet is the
 //! one the static interference analysis reasons over
 //! ([`fusion_core::dataflow::Event`]): cache lookups, step executions,
 //! fault-recovery epoch bumps, and cache admissions. Replaying every

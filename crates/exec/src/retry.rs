@@ -75,7 +75,7 @@ impl RetryPolicy {
     /// If `max_attempts` or `breaker_threshold` is zero, `backoff_base`
     /// or `jitter` is negative or non-finite, or `backoff_factor` is not
     /// a finite number of at least 1.
-    pub fn check(&self) -> Result<()> {
+    pub(crate) fn check(&self) -> Result<()> {
         let bad = |rule: &str| Err(FusionError::execution(format!("retry policy: {rule}")));
         if self.max_attempts < 1 {
             return bad("max_attempts must be at least 1");
@@ -104,17 +104,6 @@ impl RetryPolicy {
         Ok(())
     }
 
-    /// Validates the policy, panicking on nonsense values.
-    ///
-    /// # Panics
-    /// Where [`RetryPolicy::check`] fails.
-    pub fn validated(self) -> RetryPolicy {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-        self
-    }
-
     /// The backoff cost charged before retry number `retry` (1-based) of
     /// an exchange against `source`. Deterministic in
     /// `(seed, source, attempt)`, so replays are exact.
@@ -123,7 +112,7 @@ impl RetryPolicy {
     /// so nothing is waited for. (Callers are expected to pass 1-based
     /// retry numbers; the debug assert flags the slip, but release builds
     /// must not wrap `retry - 1` into a garbage `powi` exponent.)
-    pub fn backoff(&self, source: SourceId, retry: usize) -> Cost {
+    pub(crate) fn backoff(&self, source: SourceId, retry: usize) -> Cost {
         debug_assert!(retry >= 1);
         if retry == 0 || self.backoff_base == 0.0 {
             return Cost::ZERO;
@@ -234,29 +223,32 @@ mod tests {
 
     #[test]
     fn no_retry_policy_is_free() {
-        let p = RetryPolicy::no_retry().validated();
+        let p = RetryPolicy::no_retry();
+        p.check().unwrap();
         assert_eq!(p.max_attempts, 1);
         assert_eq!(p.backoff(SourceId(3), 1), Cost::ZERO);
     }
 
     #[test]
-    #[should_panic(expected = "max_attempts")]
     fn zero_attempts_rejected() {
-        let _ = RetryPolicy {
+        let err = RetryPolicy {
             max_attempts: 0,
             ..RetryPolicy::default()
         }
-        .validated();
+        .check()
+        .unwrap_err();
+        assert!(err.to_string().contains("max_attempts"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "backoff_factor")]
     fn shrinking_backoff_rejected() {
-        let _ = RetryPolicy {
+        let err = RetryPolicy {
             backoff_factor: 0.5,
             ..RetryPolicy::default()
         }
-        .validated();
+        .check()
+        .unwrap_err();
+        assert!(err.to_string().contains("backoff_factor"), "{err}");
     }
 
     #[test]

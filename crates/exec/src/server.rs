@@ -19,7 +19,7 @@
 //!    draws a global *ticket* while holding its shard locks and logs
 //!    the per-shard operation counts it observed. The ticket-sorted log
 //!    is certified linearizable by
-//!    [`verify_server_log`](fusion_core::dataflow::verify_server_log)
+//!    [`fusion_core::dataflow::verify_server_log`]
 //!    (always on, release mode included), and [`replay_serial`] re-runs
 //!    it one ticket at a time against a fresh shared cache:
 //!    [`verify_replay_parity`] checks every answer and ledger is

@@ -90,23 +90,6 @@ impl FaultSpec {
         .validated()
     }
 
-    /// A source that is down from the given per-source attempt index
-    /// (`0` = down from the start).
-    pub fn outage_from(attempt: usize) -> FaultSpec {
-        FaultSpec {
-            outage_from: Some(attempt),
-            ..FaultSpec::none()
-        }
-    }
-
-    /// True when this spec can never fail or slow an attempt.
-    pub fn is_none(&self) -> bool {
-        self.transient_rate == 0.0
-            && self.timeout_rate == 0.0
-            && self.slowdown_rate == 0.0
-            && self.outage_from.is_none()
-    }
-
     /// Checks the spec's invariants and returns it.
     ///
     /// # Panics
@@ -176,19 +159,11 @@ impl FaultPlan {
         }
     }
 
-    /// A plan with an explicit per-source spec list.
-    pub fn new(seed: u64, specs: Vec<FaultSpec>) -> FaultPlan {
-        FaultPlan {
-            seed,
-            specs: specs.into_iter().map(FaultSpec::validated).collect(),
-        }
-    }
-
     /// Replaces one source's spec.
     ///
     /// # Panics
     /// Panics if `source` is out of range or the spec is invalid.
-    pub fn with_spec(mut self, source: SourceId, spec: FaultSpec) -> FaultPlan {
+    pub(crate) fn with_spec(mut self, source: SourceId, spec: FaultSpec) -> FaultPlan {
         self.specs[source.0] = spec.validated();
         self
     }
@@ -206,13 +181,8 @@ impl FaultPlan {
         self.with_spec(source, spec)
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Number of sources covered.
-    pub fn n_sources(&self) -> usize {
+    pub(crate) fn n_sources(&self) -> usize {
         self.specs.len()
     }
 
@@ -220,13 +190,8 @@ impl FaultPlan {
     ///
     /// # Panics
     /// Panics if `source` is out of range.
-    pub fn spec(&self, source: SourceId) -> &FaultSpec {
+    pub(crate) fn spec(&self, source: SourceId) -> &FaultSpec {
         &self.specs[source.0]
-    }
-
-    /// True when no source can ever fail or slow down.
-    pub fn is_trivial(&self) -> bool {
-        self.specs.iter().all(FaultSpec::is_none)
     }
 
     /// Decides the fate of per-source attempt `attempt` at `source`.
@@ -236,7 +201,7 @@ impl FaultPlan {
     ///
     /// # Panics
     /// Panics if `source` is out of range.
-    pub fn decide(&self, source: SourceId, attempt: usize) -> FaultDecision {
+    pub(crate) fn decide(&self, source: SourceId, attempt: usize) -> FaultDecision {
         let spec = &self.specs[source.0];
         if spec.outage_from.is_some_and(|from| attempt >= from) {
             return FaultDecision::Fail(FaultKind::Outage);
@@ -272,7 +237,6 @@ mod tests {
     #[test]
     fn trivial_plan_always_delivers() {
         let p = FaultPlan::none(3);
-        assert!(p.is_trivial());
         for j in 0..3 {
             for n in 0..50 {
                 assert_eq!(
@@ -333,7 +297,6 @@ mod tests {
             p.decide(SourceId(0), 0),
             FaultDecision::Deliver { cost_factor: 4.0 }
         );
-        assert!(!p.is_trivial());
     }
 
     #[test]

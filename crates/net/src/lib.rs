@@ -18,10 +18,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod fault;
-pub mod link;
+mod fault;
+mod link;
 pub mod message;
-pub mod network;
+mod network;
 
 pub use fault::{FaultDecision, FaultKind, FaultPlan, FaultSpec};
 pub use link::{Link, LinkProfile};

@@ -33,7 +33,7 @@ impl Link {
     /// # Panics
     /// Panics if any parameter is non-finite, negative, or the bandwidth is
     /// not strictly positive.
-    pub fn new(latency: f64, bandwidth: f64, overhead: f64) -> Link {
+    pub(crate) fn new(latency: f64, bandwidth: f64, overhead: f64) -> Link {
         assert!(
             latency.is_finite() && latency >= 0.0,
             "latency must be finite and non-negative"
@@ -57,12 +57,6 @@ impl Link {
     pub fn exchange_cost(&self, req_bytes: usize, resp_bytes: usize) -> Cost {
         let transfer = (req_bytes + resp_bytes) as f64 / self.bandwidth;
         Cost::new(self.overhead + 2.0 * self.latency + transfer)
-    }
-
-    /// Cost of shipping `bytes` in one direction, excluding fixed charges.
-    /// Used for incremental "what does one more item cost" reasoning.
-    pub fn per_byte_cost(&self, bytes: usize) -> Cost {
-        Cost::new(bytes as f64 / self.bandwidth)
     }
 }
 
@@ -152,11 +146,5 @@ mod tests {
     #[should_panic(expected = "bandwidth")]
     fn zero_bandwidth_rejected() {
         let _ = Link::new(0.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn per_byte_cost() {
-        let l = Link::new(0.0, 2048.0, 0.0);
-        assert!((l.per_byte_cost(1024).value() - 0.5).abs() < 1e-12);
     }
 }

@@ -1,6 +1,6 @@
 //! Wire-size estimation for the messages fusion query processing ships.
 
-use fusion_types::{Condition, ItemSet, Relation, Tuple};
+use fusion_types::{Condition, ItemSet, Tuple};
 
 /// Fixed envelope size of any request or response (headers, framing).
 pub const ENVELOPE_BYTES: usize = 64;
@@ -23,12 +23,6 @@ impl MessageSize {
     /// plus the serialized semijoin set.
     pub fn sjq_request(cond: &Condition, bindings: &ItemSet) -> usize {
         ENVELOPE_BYTES + cond.pred.wire_size() + bindings.wire_size()
-    }
-
-    /// Request bytes of a semijoin request carrying an *estimated* number
-    /// of items (optimizer-side mirror of [`MessageSize::sjq_request`]).
-    pub fn sjq_request_estimated(cond: &Condition, est_items: f64, item_bytes: f64) -> f64 {
-        (ENVELOPE_BYTES + cond.pred.wire_size()) as f64 + est_items.max(0.0) * item_bytes
     }
 
     /// Request bytes of a full-load query `lq(R)`.
@@ -57,11 +51,6 @@ impl MessageSize {
     pub fn records_response(wire_bytes: usize) -> usize {
         ENVELOPE_BYTES + wire_bytes
     }
-
-    /// Response bytes if an entire relation is shipped.
-    pub fn relation_response(rel: &Relation) -> usize {
-        ENVELOPE_BYTES + rel.wire_size()
-    }
 }
 
 #[cfg(test)]
@@ -83,17 +72,7 @@ mod tests {
     }
 
     #[test]
-    fn estimated_mirrors_actual_for_uniform_items() {
-        let cond: Condition = Predicate::eq("V", "dui").into();
-        let items = ItemSet::from_items(["aaa", "bbb", "ccc"]);
-        let item_bytes = items.wire_size() as f64 / items.len() as f64;
-        let actual = MessageSize::sjq_request(&cond, &items) as f64;
-        let est = MessageSize::sjq_request_estimated(&cond, items.len() as f64, item_bytes);
-        assert!((actual - est).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tuple_and_relation_responses() {
+    fn tuple_responses() {
         let tuples = vec![tuple!["J55", "dui", 1993i64]];
         let sz = MessageSize::tuples_response(&tuples);
         assert_eq!(sz, ENVELOPE_BYTES + tuples[0].wire_size());
@@ -102,9 +81,6 @@ mod tests {
 
     #[test]
     fn negative_estimates_clamp_to_zero() {
-        let cond: Condition = Predicate::eq("V", "dui").into();
-        let base = (ENVELOPE_BYTES + cond.pred.wire_size()) as f64;
-        assert_eq!(MessageSize::sjq_request_estimated(&cond, -5.0, 8.0), base);
         assert_eq!(
             MessageSize::items_response_estimated(-1.0, 8.0),
             ENVELOPE_BYTES as f64

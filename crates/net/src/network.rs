@@ -54,7 +54,7 @@ pub enum ExchangeStatus {
 
 impl ExchangeStatus {
     /// True for delivered exchanges.
-    pub fn is_ok(self) -> bool {
+    pub(crate) fn is_ok(self) -> bool {
         matches!(self, ExchangeStatus::Ok)
     }
 }
@@ -179,16 +179,6 @@ impl Network {
             self.links.len()
         );
         self.faults = Some(plan);
-    }
-
-    /// Removes the fault plan; every later attempt succeeds.
-    pub fn clear_fault_plan(&mut self) {
-        self.faults = None;
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
     }
 
     /// Performs (accounts for) one exchange and returns its cost.
@@ -364,14 +354,6 @@ impl Network {
         n
     }
 
-    /// Exchanges buffered behind [`SourceHandle`]s and not yet committed.
-    pub fn pending_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("network shard lock poisoned").pending.len())
-            .sum()
-    }
-
     /// Every exchange so far, in order.
     pub fn trace(&self) -> &[Exchange] {
         &self.trace
@@ -396,11 +378,6 @@ impl Network {
         self.trace.iter().filter(|e| e.kind == kind).count()
     }
 
-    /// Number of failed attempts in the trace.
-    pub fn failed_count(&self) -> usize {
-        self.trace.iter().filter(|e| !e.status.is_ok()).count()
-    }
-
     /// Number of failed attempts against one source in the committed
     /// trace. Cached executors compare this before and after a run to
     /// decide which sources went through fault recovery (and must have
@@ -410,15 +387,6 @@ impl Network {
             .iter()
             .filter(|e| e.source == source && !e.status.is_ok())
             .count()
-    }
-
-    /// Total cost charged by failed attempts.
-    pub fn failed_cost(&self) -> Cost {
-        self.trace
-            .iter()
-            .filter(|e| !e.status.is_ok())
-            .map(|e| e.cost)
-            .sum()
     }
 
     /// Clears the trace, accumulated totals, pending shard buffers, and
@@ -454,16 +422,6 @@ pub struct SourceHandle<'a> {
 }
 
 impl SourceHandle<'_> {
-    /// The source this handle reaches.
-    pub fn source(&self) -> SourceId {
-        self.source
-    }
-
-    /// The link to this source.
-    pub fn link(&self) -> &Link {
-        &self.net.links[self.source.0]
-    }
-
     /// Shared-access [`Network::exchange`]: accounts for one infallible
     /// exchange performed by `step`, buffering it in the source's shard.
     pub fn exchange(
@@ -528,7 +486,7 @@ mod tests {
         assert_eq!(n.cost_for_source(SourceId(1)), c2);
         assert_eq!(n.count_kind(ExchangeKind::Selection), 1);
         assert_eq!(n.count_kind(ExchangeKind::Load), 0);
-        assert_eq!(n.failed_count(), 0);
+        assert_eq!(n.failed_count_for(SourceId(0)), 0);
     }
 
     #[test]
@@ -608,8 +566,7 @@ mod tests {
             ExchangeStatus::Failed(FaultKind::Outage)
         );
         assert_eq!(n.trace()[0].resp_bytes, 0, "nothing came back");
-        assert_eq!(n.failed_count(), 1);
-        assert_eq!(n.failed_cost(), err.cost);
+        assert_eq!(n.failed_count_for(SourceId(0)), 1);
         assert_eq!(n.total_cost(), err.cost);
         assert_eq!(n.cost_for_source(SourceId(0)), err.cost);
         // The healthy source is unaffected.
@@ -692,10 +649,9 @@ mod tests {
                 .exchange(step, ExchangeKind::Selection, 100 + step, 50);
         }
         assert!(par.trace().is_empty(), "buffered until commit");
-        assert_eq!(par.pending_count(), 4);
         assert_eq!(par.total_cost(), Cost::ZERO);
         assert_eq!(par.commit(), 4);
-        assert_eq!(par.pending_count(), 0);
+        assert_eq!(par.commit(), 0, "nothing left pending");
         assert_eq!(par.trace(), seq.trace());
         assert_eq!(par.total_cost(), seq.total_cost());
         assert_eq!(
@@ -779,7 +735,7 @@ mod tests {
             .try_exchange(0, ExchangeKind::Selection, 50, 50)
             .is_ok();
         n.reset();
-        assert_eq!(n.pending_count(), 0, "pending cleared without commit");
+        assert_eq!(n.commit(), 0, "pending cleared without commit");
         let replay = n
             .handle(SourceId(0))
             .try_exchange(0, ExchangeKind::Selection, 50, 50)

@@ -94,18 +94,6 @@ impl Capabilities {
         }
     }
 
-    /// True if a semijoin query can be answered at all (natively or by
-    /// emulation).
-    pub fn can_semijoin(&self) -> bool {
-        self.native_semijoin || self.passed_bindings
-    }
-
-    /// Returns a copy with Bloom-semijoin support toggled.
-    pub fn with_bloom(mut self, bloom: bool) -> Capabilities {
-        self.bloom_semijoin = bloom;
-        self
-    }
-
     /// Returns a copy with record-fetch support toggled.
     pub fn with_fetch(mut self, fetch: bool) -> Capabilities {
         self.record_fetch = fetch;
@@ -148,16 +136,6 @@ impl Capabilities {
             k.div_ceil(self.fetch_batch.max(1))
         }
     }
-
-    /// Number of emulated probe round trips needed for `k` bindings.
-    /// Meaningful only when `native_semijoin` is false.
-    pub fn probes_for(&self, k: usize) -> usize {
-        if k == 0 {
-            0
-        } else {
-            k.div_ceil(self.binding_batch.max(1))
-        }
-    }
 }
 
 impl Default for Capabilities {
@@ -188,7 +166,7 @@ impl ProcessingProfile {
     ///
     /// # Panics
     /// Panics on negative or non-finite parameters.
-    pub fn new(fixed: f64, per_tuple_examined: f64, per_item_returned: f64) -> Self {
+    pub(crate) fn new(fixed: f64, per_tuple_examined: f64, per_item_returned: f64) -> Self {
         for (name, v) in [
             ("fixed", fixed),
             ("per_tuple_examined", per_tuple_examined),
@@ -240,11 +218,11 @@ mod tests {
     #[test]
     fn capability_constructors() {
         let f = Capabilities::full();
-        assert!(f.native_semijoin && f.full_load && f.can_semijoin());
+        assert!(f.native_semijoin && f.full_load);
         let e = Capabilities::emulated(10);
-        assert!(!e.native_semijoin && e.can_semijoin());
+        assert!(!e.native_semijoin && e.passed_bindings);
         let s = Capabilities::selection_only();
-        assert!(!s.can_semijoin());
+        assert!(!s.native_semijoin && !s.passed_bindings);
         assert!(!s.full_load);
         assert!(f.record_fetch && f.projection);
         assert!(e.record_fetch && !e.projection);
@@ -271,18 +249,6 @@ mod tests {
     #[should_panic(expected = "fetch batch must be at least 1")]
     fn zero_fetch_batch_rejected() {
         let _ = Capabilities::full().with_fetch_batch(0);
-    }
-
-    #[test]
-    fn probes_for_batches() {
-        let e = Capabilities::emulated(10);
-        assert_eq!(e.probes_for(0), 0);
-        assert_eq!(e.probes_for(1), 1);
-        assert_eq!(e.probes_for(10), 1);
-        assert_eq!(e.probes_for(11), 2);
-        assert_eq!(e.probes_for(95), 10);
-        let single = Capabilities::emulated(1);
-        assert_eq!(single.probes_for(7), 7);
     }
 
     #[test]

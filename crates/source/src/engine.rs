@@ -25,18 +25,8 @@ impl SourceEngine {
     }
 
     /// The underlying relation.
-    pub fn relation(&self) -> &Relation {
+    pub(crate) fn relation(&self) -> &Relation {
         &self.relation
-    }
-
-    /// Number of stored tuples.
-    pub fn len(&self) -> usize {
-        self.relation.len()
-    }
-
-    /// True if the relation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.relation.is_empty()
     }
 
     /// Evaluates a selection query `sq(c, R)`.
@@ -61,7 +51,7 @@ impl SourceEngine {
     ///
     /// # Errors
     /// Propagates predicate evaluation errors.
-    pub fn bloom_semijoin(
+    pub(crate) fn bloom_semijoin(
         &self,
         cond: &Condition,
         filter: &fusion_types::BloomFilter,
@@ -119,7 +109,7 @@ impl SourceEngine {
     }
 
     /// Evaluates a full load `lq(R)`: every tuple, plus the scan work.
-    pub fn load(&self) -> (Vec<Tuple>, usize) {
+    pub(crate) fn load(&self) -> (Vec<Tuple>, usize) {
         (self.relation.rows().to_vec(), self.relation.len())
     }
 
@@ -213,8 +203,7 @@ mod tests {
     #[test]
     fn empty_engine() {
         let e = SourceEngine::new(Relation::empty(dmv_schema()));
-        assert!(e.is_empty());
-        assert_eq!(e.len(), 0);
+        assert!(e.relation().is_empty());
         let out = e.select(&Predicate::eq("V", "dui").into()).unwrap();
         assert!(out.items.is_empty());
     }

@@ -20,10 +20,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod capability;
-pub mod engine;
-pub mod registry;
-pub mod wrapper;
+mod capability;
+mod engine;
+mod registry;
+mod wrapper;
 
 pub use capability::{Capabilities, ProcessingProfile};
 pub use engine::SourceEngine;

@@ -39,11 +39,6 @@ impl SourceSet {
             .enumerate()
             .map(|(i, w)| (SourceId(i), w.as_ref()))
     }
-
-    /// All source ids.
-    pub fn ids(&self) -> impl Iterator<Item = SourceId> {
-        (0..self.wrappers.len()).map(SourceId)
-    }
 }
 
 impl std::fmt::Debug for SourceSet {
@@ -78,7 +73,7 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.get(SourceId(0)).name(), "CA-DMV");
         assert_eq!(s.get(SourceId(1)).name(), "NV-DMV");
-        let ids: Vec<SourceId> = s.ids().collect();
+        let ids: Vec<SourceId> = s.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![SourceId(0), SourceId(1)]);
         let names: Vec<&str> = s.iter().map(|(_, w)| w.name()).collect();
         assert_eq!(names, vec!["CA-DMV", "NV-DMV"]);

@@ -4,7 +4,7 @@ use crate::capability::{Capabilities, ProcessingProfile};
 use crate::engine::SourceEngine;
 use fusion_stats::TableStats;
 use fusion_types::error::{FusionError, Result};
-use fusion_types::{Condition, ItemSet, Predicate, Relation, Tuple, Value};
+use fusion_types::{Condition, ItemSet, Relation, Tuple};
 
 /// A wrapper's answer: the payload plus how much work producing it took.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,11 +164,6 @@ impl InMemoryWrapper {
             ProcessingProfile::default(),
             0,
         )
-    }
-
-    /// Access to the underlying engine (for tests and diagnostics).
-    pub fn engine(&self) -> &SourceEngine {
-        &self.engine
     }
 }
 
@@ -330,24 +325,11 @@ impl Wrapper for InMemoryWrapper {
     }
 }
 
-/// Builds the equivalent selection predicate of an emulated semijoin probe
-/// (`cond AND M IN (batch)`), for display and wire-size accounting.
-pub fn probe_predicate(cond: &Condition, merge_attr: &str, batch: &ItemSet) -> Predicate {
-    let values: Vec<Value> = batch.iter().map(|i| i.value().clone()).collect();
-    Predicate::And(vec![
-        cond.pred.clone(),
-        Predicate::InList {
-            attr: merge_attr.to_string(),
-            values,
-        },
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fusion_types::schema::dmv_schema;
-    use fusion_types::tuple;
+    use fusion_types::{tuple, Predicate};
 
     fn rel() -> Relation {
         Relation::from_rows(
@@ -447,7 +429,14 @@ mod tests {
         let cond: Condition = Predicate::eq("V", "dui").into();
         let batch = ItemSet::from_items(["J55", "T21"]);
         let probe = w.probe(&cond, &batch).unwrap().payload;
-        let explicit: Condition = probe_predicate(&cond, "L", &batch).into();
+        let explicit: Condition = Predicate::And(vec![
+            cond.pred.clone(),
+            Predicate::InList {
+                attr: "L".to_string(),
+                values: batch.iter().map(|i| i.value().clone()).collect(),
+            },
+        ])
+        .into();
         let select = w.select(&explicit).unwrap().payload;
         assert_eq!(probe, select);
     }

@@ -83,7 +83,7 @@ pub struct ParsedQuery {
 
 impl Expr {
     /// Query variables referenced anywhere in this expression.
-    pub fn referenced_vars(&self) -> Vec<usize> {
+    pub(crate) fn referenced_vars(&self) -> Vec<usize> {
         let mut out = Vec::new();
         self.collect_vars(&mut out);
         out.sort_unstable();

@@ -5,7 +5,7 @@ use fusion_types::CmpOp;
 
 /// A lexical token with its byte offset in the input.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Token kind and payload.
     pub kind: TokenKind,
     /// Byte offset of the token's first character.
@@ -14,7 +14,7 @@ pub struct Token {
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (keywords are recognized by the parser,
     /// case-insensitively).
     Ident(String),
@@ -42,7 +42,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// True if this is the identifier `word`, case-insensitively.
-    pub fn is_kw(&self, word: &str) -> bool {
+    pub(crate) fn is_kw(&self, word: &str) -> bool {
         matches!(self, TokenKind::Ident(s) if s.eq_ignore_ascii_case(word))
     }
 }
@@ -52,7 +52,7 @@ impl TokenKind {
 /// # Errors
 /// Fails on unterminated strings, malformed numbers, and unexpected
 /// characters, reporting the byte offset.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

@@ -19,10 +19,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod ast;
-pub mod lexer;
-pub mod parser;
-pub mod shape;
+mod ast;
+mod lexer;
+mod parser;
+mod shape;
 
 pub use ast::{Expr, ParsedQuery};
 pub use parser::parse_query;

@@ -24,25 +24,6 @@ pub fn union_estimate(contributions: &[f64], domain: f64) -> f64 {
     domain * (1.0 - miss)
 }
 
-/// Expected size of the intersection of a set of size `lhs` with an
-/// independent uniform subset covering `frac` of the domain.
-pub fn intersect_estimate(lhs: f64, frac: f64) -> f64 {
-    lhs * frac.clamp(0.0, 1.0)
-}
-
-/// Chains per-condition global selectivities: the expected `|X_k|` after
-/// conditions with global selectivities `gsels[..k]` have been applied to
-/// a domain of `domain` items.
-///
-/// `gsel_i` is the probability that a domain item satisfies condition `i`
-/// at *some* source — i.e. `union_estimate(...) / domain` for that
-/// condition.
-pub fn chain_estimate(domain: f64, gsels: &[f64]) -> f64 {
-    gsels
-        .iter()
-        .fold(domain.max(0.0), |acc, &g| acc * g.clamp(0.0, 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,15 +66,5 @@ mod tests {
     #[test]
     fn degenerate_domain() {
         assert_eq!(union_estimate(&[5.0], 0.0), 0.0);
-        assert_eq!(chain_estimate(-3.0, &[0.5]), 0.0);
-    }
-
-    #[test]
-    fn intersect_and_chain() {
-        assert!((intersect_estimate(40.0, 0.25) - 10.0).abs() < 1e-9);
-        assert!((chain_estimate(1000.0, &[0.1, 0.5]) - 50.0).abs() < 1e-9);
-        assert_eq!(chain_estimate(1000.0, &[]), 1000.0);
-        // Out-of-range selectivities clamp.
-        assert!((chain_estimate(10.0, &[2.0]) - 10.0).abs() < 1e-9);
     }
 }

@@ -5,7 +5,7 @@ use fusion_types::{CmpOp, Predicate, Value};
 
 /// Floor applied to every leaf estimate so downstream cardinality products
 /// never collapse to exactly zero (a source can always surprise us).
-pub const MIN_SELECTIVITY: f64 = 1e-6;
+pub(crate) const MIN_SELECTIVITY: f64 = 1e-6;
 
 /// Estimates the fraction of a relation's tuples satisfying `pred`, from
 /// statistics alone.

@@ -28,7 +28,7 @@ pub enum CardObservation {
 
 impl CardObservation {
     /// The implied `|sq(c, R)|` estimate in a `domain`-item universe.
-    pub fn est_items(&self, domain: f64) -> f64 {
+    pub(crate) fn est_items(&self, domain: f64) -> f64 {
         match *self {
             CardObservation::Exact(v) => v,
             CardObservation::Selectivity(s) => (s * domain).clamp(0.0, domain.max(0.0)),
@@ -126,27 +126,6 @@ impl CardinalityFeedback {
     pub fn is_empty(&self) -> bool {
         self.observed_cells() == 0
     }
-
-    /// Folds another table into this one, cell by cell: an exact
-    /// observation beats a selectivity sample; between observations of
-    /// the same kind, `other`'s (the newer run's) wins.
-    pub fn merge(&mut self, other: &CardinalityFeedback) {
-        assert!(
-            self.m == other.m && self.n == other.n,
-            "feedback shape mismatch: {}×{} vs {}×{}",
-            self.m,
-            self.n,
-            other.m,
-            other.n
-        );
-        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
-            match (&mine, theirs) {
-                (_, None) => {}
-                (Some(CardObservation::Exact(_)), Some(CardObservation::Selectivity(_))) => {}
-                _ => *mine = *theirs,
-            }
-        }
-    }
 }
 
 /// Cross-query cardinality feedback, keyed by the *semantic*
@@ -167,16 +146,6 @@ impl ConditionFeedback {
         ConditionFeedback::default()
     }
 
-    /// True when nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Number of observed `(condition, source)` cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Records one observation under the same dominance rule as
     /// [`CardinalityFeedback`]: an exact count always lands (newer
     /// exact beats older — sources drift), a selectivity sample never
@@ -189,11 +158,6 @@ impl ConditionFeedback {
                 self.cells.insert(key, obs);
             }
         }
-    }
-
-    /// The current belief for a `(condition, source)` cell.
-    pub fn observed(&self, cond: &Condition, source: SourceId) -> Option<CardObservation> {
-        self.cells.get(&(cond.clone(), source)).copied()
     }
 
     /// Projects the store onto one query's positional table: cell
@@ -260,46 +224,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_prefers_exact_then_newest() {
-        let mut a = CardinalityFeedback::new(1, 3);
-        a.record_exact(CondId(0), SourceId(0), 5.0);
-        a.record_semijoin(CondId(0), SourceId(1), 1.0, 2.0);
-        let mut b = CardinalityFeedback::new(1, 3);
-        b.record_semijoin(CondId(0), SourceId(0), 1.0, 10.0); // loses to a's exact
-        b.record_exact(CondId(0), SourceId(1), 9.0); // beats a's sample
-        b.record_semijoin(CondId(0), SourceId(2), 3.0, 4.0); // fills a hole
-        a.merge(&b);
-        assert_eq!(
-            a.observed(CondId(0), SourceId(0)),
-            Some(CardObservation::Exact(5.0))
-        );
-        assert_eq!(
-            a.observed(CondId(0), SourceId(1)),
-            Some(CardObservation::Exact(9.0))
-        );
-        assert_eq!(
-            a.observed(CondId(0), SourceId(2)),
-            Some(CardObservation::Selectivity(0.75))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn merge_rejects_shape_mismatch() {
-        let mut a = CardinalityFeedback::new(1, 2);
-        a.merge(&CardinalityFeedback::new(2, 1));
-    }
-
-    #[test]
     fn condition_feedback_projects_by_semantic_key() {
         use fusion_types::Predicate;
         let dui: Condition = Predicate::eq("V", "dui").into();
         let sp: Condition = Predicate::eq("V", "sp").into();
         let mut fb = ConditionFeedback::new();
-        assert!(fb.is_empty());
+        assert!(fb.project(&[dui.clone(), sp.clone()], 2).is_empty());
         fb.record(&dui, SourceId(0), CardObservation::Exact(2.0));
         fb.record(&sp, SourceId(1), CardObservation::Selectivity(0.25));
-        assert_eq!(fb.len(), 2);
+        assert_eq!(
+            fb.project(&[dui.clone(), sp.clone()], 2).observed_cells(),
+            2
+        );
         // A query carrying the same conditions in the *opposite* order
         // still gets the right cells.
         let table = fb.project(&[sp.clone(), dui.clone()], 2);
@@ -325,12 +261,14 @@ mod tests {
         fb.record(&dui, SourceId(0), CardObservation::Exact(5.0));
         fb.record(&dui, SourceId(0), CardObservation::Selectivity(0.9));
         assert_eq!(
-            fb.observed(&dui, SourceId(0)),
+            fb.project(&[dui.clone()], 1)
+                .observed(CondId(0), SourceId(0)),
             Some(CardObservation::Exact(5.0))
         );
         fb.record(&dui, SourceId(0), CardObservation::Exact(3.0));
         assert_eq!(
-            fb.observed(&dui, SourceId(0)),
+            fb.project(&[dui.clone()], 1)
+                .observed(CondId(0), SourceId(0)),
             Some(CardObservation::Exact(3.0))
         );
     }

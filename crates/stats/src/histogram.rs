@@ -5,13 +5,13 @@ use fusion_types::{Relation, Value};
 use std::collections::HashMap;
 
 /// Number of equi-depth buckets built for numeric attributes.
-pub const DEFAULT_BUCKETS: usize = 32;
+pub(crate) const DEFAULT_BUCKETS: usize = 32;
 
 /// Number of most-common values tracked per attribute.
-pub const DEFAULT_MCVS: usize = 16;
+pub(crate) const DEFAULT_MCVS: usize = 16;
 
 /// Default size of the retained value sample per attribute.
-pub const DEFAULT_SAMPLE: usize = 256;
+pub(crate) const DEFAULT_SAMPLE: usize = 256;
 
 /// An equi-depth histogram over the numeric view of an attribute.
 ///
@@ -29,7 +29,7 @@ pub struct NumericHistogram {
 impl NumericHistogram {
     /// Builds an equi-depth histogram from (unsorted) numeric values.
     /// Returns `None` when there are no values.
-    pub fn build(mut values: Vec<f64>, buckets: usize) -> Option<NumericHistogram> {
+    pub(crate) fn build(mut values: Vec<f64>, buckets: usize) -> Option<NumericHistogram> {
         if values.is_empty() || buckets == 0 {
             return None;
         }
@@ -55,7 +55,7 @@ impl NumericHistogram {
     }
 
     /// Number of buckets.
-    pub fn buckets(&self) -> usize {
+    pub(crate) fn buckets(&self) -> usize {
         self.bounds.len() - 1
     }
 
@@ -71,7 +71,7 @@ impl NumericHistogram {
 
     /// Estimated fraction of values `< x` (linear interpolation within the
     /// containing bucket).
-    pub fn fraction_below(&self, x: f64) -> f64 {
+    pub(crate) fn fraction_below(&self, x: f64) -> f64 {
         if x <= self.min() {
             return 0.0;
         }
@@ -116,7 +116,7 @@ impl NumericHistogram {
     }
 
     /// Estimated selectivity of `lo <= v <= hi`.
-    pub fn range_selectivity(&self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range_selectivity(&self, lo: f64, hi: f64) -> f64 {
         if hi < lo {
             return 0.0;
         }
@@ -150,7 +150,7 @@ pub struct ColumnStats {
 
 impl ColumnStats {
     /// Builds statistics from a column of values.
-    pub fn build(values: &[&Value], seed: u64) -> ColumnStats {
+    pub(crate) fn build(values: &[&Value], seed: u64) -> ColumnStats {
         let mut counts: HashMap<&Value, usize> = HashMap::new();
         let mut nulls = 0usize;
         let mut numerics: Vec<f64> = Vec::new();
@@ -197,12 +197,12 @@ impl ColumnStats {
     }
 
     /// Total values observed, null or not.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.non_null + self.nulls
     }
 
     /// Frequency of `v` among all values, if `v` is a tracked MCV.
-    pub fn mcv_frequency(&self, v: &Value) -> Option<f64> {
+    pub(crate) fn mcv_frequency(&self, v: &Value) -> Option<f64> {
         let total = self.total().max(1) as f64;
         self.mcv
             .iter()
@@ -211,7 +211,7 @@ impl ColumnStats {
     }
 
     /// Combined frequency mass of all tracked MCVs.
-    pub fn mcv_mass(&self) -> f64 {
+    pub(crate) fn mcv_mass(&self) -> f64 {
         let total = self.total().max(1) as f64;
         self.mcv.iter().map(|(_, c)| *c as f64).sum::<f64>() / total
     }

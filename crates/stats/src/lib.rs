@@ -10,7 +10,7 @@
 //! * [`estimate_selectivity`] — predicate selectivity estimation over those
 //!   statistics (histogram interpolation for numeric ranges, MCV lookup for
 //!   point predicates, sample evaluation as the general fallback).
-//! * [`union_estimate`] / [`chain_estimate`] — cardinality arithmetic for
+//! * [`union_estimate`] — cardinality arithmetic for
 //!   the semijoin-set sizes `|X_i|` the SJ/SJA algorithms need.
 //! * [`CostCalibration`] — least-squares fitting of per-source cost
 //!   coefficients from observed exchanges, in the spirit of the query
@@ -20,15 +20,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod calibration;
-pub mod cardinality;
-pub mod estimator;
-pub mod feedback;
-pub mod histogram;
-pub mod sample;
+mod calibration;
+mod cardinality;
+mod estimator;
+mod feedback;
+mod histogram;
+mod sample;
 
 pub use calibration::{CostCalibration, Observation};
-pub use cardinality::{chain_estimate, intersect_estimate, union_estimate};
+pub use cardinality::union_estimate;
 pub use estimator::estimate_selectivity;
 pub use feedback::{CardObservation, CardinalityFeedback, ConditionFeedback};
 pub use histogram::{ColumnStats, NumericHistogram, TableStats};

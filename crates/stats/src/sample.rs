@@ -76,7 +76,7 @@ impl SplitMix64 {
 
 /// Reservoir-samples up to `k` elements from `iter`, deterministically
 /// under `seed` (Algorithm R).
-pub fn reservoir_sample<T: Clone, I: IntoIterator<Item = T>>(
+pub(crate) fn reservoir_sample<T: Clone, I: IntoIterator<Item = T>>(
     iter: I,
     k: usize,
     seed: u64,

@@ -51,7 +51,7 @@ impl BloomFilter {
     }
 
     /// Inserts one item.
-    pub fn insert(&mut self, item: &Item) {
+    pub(crate) fn insert(&mut self, item: &Item) {
         let (h1, h2) = self.hash_pair(item);
         for i in 0..self.n_hashes {
             let bit = self.index(h1, h2, i);
@@ -82,15 +82,6 @@ impl BloomFilter {
     /// Number of hash functions.
     pub fn n_hashes(&self) -> u32 {
         self.n_hashes
-    }
-
-    /// Expected false-positive rate for the standard formula
-    /// `(1 − e^{−kn/m})^k` given `n` inserted items.
-    pub fn expected_fpr(&self, n_items: usize) -> f64 {
-        let k = self.n_hashes as f64;
-        let m = self.n_bits as f64;
-        let n = n_items as f64;
-        (1.0 - (-k * n / m).exp()).powf(k)
     }
 
     /// Double hashing: two independent 64-bit hashes per item.
@@ -141,7 +132,7 @@ mod tests {
             }
         }
         let rate = fp as f64 / probes as f64;
-        let expected = f.expected_fpr(1_000);
+        let expected = expected_fpr_for_bits(10.0);
         assert!(rate < 0.05, "rate {rate} too high");
         assert!(
             (rate - expected).abs() < 0.03,

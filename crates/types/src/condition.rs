@@ -41,18 +41,6 @@ impl CmpOp {
             CmpOp::Ge => ord != Less,
         }
     }
-
-    /// The operator with operand order flipped (`a op b` ⇔ `b op.flip() a`).
-    pub fn flip(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-        }
-    }
 }
 
 impl fmt::Display for CmpOp {
@@ -260,30 +248,6 @@ impl Predicate {
         }
     }
 
-    /// Names of all attributes referenced by this predicate, deduplicated.
-    pub fn referenced_attributes(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_attrs(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_attrs(&self, out: &mut Vec<String>) {
-        match self {
-            Predicate::Cmp { attr, .. }
-            | Predicate::Between { attr, .. }
-            | Predicate::InList { attr, .. }
-            | Predicate::Like { attr, .. }
-            | Predicate::IsNull { attr } => out.push(attr.clone()),
-            Predicate::And(ps) | Predicate::Or(ps) => {
-                ps.iter().for_each(|p| p.collect_attrs(out));
-            }
-            Predicate::Not(p) => p.collect_attrs(out),
-            Predicate::Const(_) => {}
-        }
-    }
-
     /// Estimated wire size in bytes of the predicate text when shipped to a
     /// source as part of a query.
     pub fn wire_size(&self) -> usize {
@@ -441,7 +405,7 @@ pub struct Condition {
 
 impl Condition {
     /// Wraps a predicate as a condition.
-    pub fn new(pred: Predicate) -> Condition {
+    pub(crate) fn new(pred: Predicate) -> Condition {
         Condition { pred }
     }
 
@@ -680,25 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn referenced_attributes_dedup() {
-        let p = Predicate::And(vec![
-            Predicate::eq("V", "dui"),
-            Predicate::eq("V", "sp"),
-            Predicate::cmp("D", CmpOp::Lt, 1995i64),
-        ]);
-        assert_eq!(
-            p.referenced_attributes(),
-            vec!["D".to_string(), "V".to_string()]
-        );
-    }
-
-    #[test]
-    fn cmp_op_flip_and_holds() {
+    fn cmp_op_holds() {
         use std::cmp::Ordering::*;
         assert!(CmpOp::Le.holds(Equal));
         assert!(CmpOp::Le.holds(Less));
         assert!(!CmpOp::Le.holds(Greater));
-        assert_eq!(CmpOp::Lt.flip(), CmpOp::Gt);
-        assert_eq!(CmpOp::Eq.flip(), CmpOp::Eq);
     }
 }

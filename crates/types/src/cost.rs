@@ -34,15 +34,6 @@ impl Cost {
         Cost(v)
     }
 
-    /// Creates a cost, returning `None` for negative or NaN inputs.
-    pub fn try_new(v: f64) -> Option<Cost> {
-        if v.is_nan() || v < 0.0 {
-            None
-        } else {
-            Some(Cost(v))
-        }
-    }
-
     /// The underlying number (`f64::INFINITY` for [`Cost::INFINITE`]).
     pub fn value(self) -> f64 {
         self.0
@@ -172,13 +163,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_cost_rejected() {
         let _ = Cost::new(-1.0);
-    }
-
-    #[test]
-    fn try_new_filters_bad_values() {
-        assert!(Cost::try_new(f64::NAN).is_none());
-        assert!(Cost::try_new(-0.5).is_none());
-        assert_eq!(Cost::try_new(0.5), Some(Cost::new(0.5)));
     }
 
     #[test]

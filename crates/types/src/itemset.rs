@@ -61,7 +61,7 @@ impl ItemSet {
 
     /// Position of the item equal to `value`, by binary search on the
     /// borrowed value (no [`Item`] has to be built to ask).
-    pub fn position_of(&self, value: &Value) -> Option<usize> {
+    pub(crate) fn position_of(&self, value: &Value) -> Option<usize> {
         self.items.binary_search_by(|it| it.value().cmp(value)).ok()
     }
 
@@ -319,7 +319,7 @@ pub(crate) fn push_clone(out: &mut Vec<Item>, item: &Item) {
     out.extend_from_slice(std::slice::from_ref(item));
 }
 
-/// [`push_clone`] of the item a bare value makes (a merge column read off
+/// `push_clone` of the item a bare value makes (a merge column read off
 /// a row): the vector makes room first and the clone is built straight
 /// into it, never held across the call that may grow it.
 #[inline]

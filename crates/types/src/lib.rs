@@ -25,14 +25,14 @@
 
 pub mod bloom;
 pub mod condition;
-pub mod cost;
+mod cost;
 pub mod error;
 pub mod itemset;
-pub mod relation;
+mod relation;
 pub mod schema;
-pub mod text;
-pub mod tuple;
-pub mod value;
+mod text;
+mod tuple;
+mod value;
 
 pub use bloom::BloomFilter;
 pub use condition::{Bound, CmpOp, Condition, Predicate};

@@ -240,17 +240,6 @@ impl Relation {
         &self.rows
     }
 
-    /// Appends a tuple, invalidating indexes.
-    ///
-    /// # Panics
-    /// Panics if the tuple's arity does not match the schema.
-    pub fn push(&mut self, t: Tuple) {
-        assert_eq!(t.arity(), self.schema.arity(), "tuple arity mismatch");
-        self.rows.push(t);
-        self.indexes.clear();
-        self.merge_index = None;
-    }
-
     /// Builds a secondary index over attribute `attr_idx` (idempotent).
     pub fn build_index(&mut self, attr_idx: usize) {
         if self.indexes.contains_key(&attr_idx) {
@@ -666,15 +655,6 @@ mod tests {
         assert_eq!(r.distinct_items().len(), 3);
         assert_eq!(r.len(), 3);
         assert!(r.wire_size() > 0);
-    }
-
-    #[test]
-    fn push_invalidates_indexes() {
-        let mut r = r1();
-        r.build_index(1);
-        r.push(tuple!["A00", "dui", 1999i64]);
-        let out = r.select_items(&Predicate::eq("V", "dui").into()).unwrap();
-        assert_eq!(out.items, ItemSet::from_items(["A00", "J55", "T80"]));
     }
 
     #[test]

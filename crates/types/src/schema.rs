@@ -39,7 +39,7 @@ impl fmt::Display for ValueType {
 impl ValueType {
     /// True if a value of this type can be compared with one of `other`
     /// (numeric types are mutually comparable).
-    pub fn comparable_with(self, other: ValueType) -> bool {
+    pub(crate) fn comparable_with(self, other: ValueType) -> bool {
         use ValueType::*;
         match (self, other) {
             (Int, Float) | (Float, Int) => true,
@@ -124,7 +124,7 @@ impl Schema {
     ///
     /// # Errors
     /// Fails with [`FusionError::UnknownAttribute`] if absent.
-    pub fn index_of(&self, name: &str) -> Result<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> Result<usize> {
         self.attrs
             .iter()
             .position(|a| a.name == name)

@@ -102,11 +102,6 @@ impl Text {
         self.len() == 0
     }
 
-    /// True if the contents are stored inside the value (no allocation).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.0, Repr::Inline(_))
-    }
-
     /// An inline string as the integer it compares by: the whole string,
     /// so `a.cmp(b) == a.inline_key().cmp(&b.inline_key())` exactly and
     /// [`Text::from_inline_key`] gives the string back. `None` for a
@@ -213,6 +208,11 @@ mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
 
+    /// True if the contents are stored inside the value (no allocation).
+    fn is_inline(t: &Text) -> bool {
+        matches!(t.0, Repr::Inline(_))
+    }
+
     fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
@@ -269,10 +269,10 @@ mod tests {
     #[test]
     fn inline_heap_boundary_is_15_bytes() {
         assert_eq!(Text::INLINE_CAP, 15);
-        assert!(Text::from("x".repeat(15).as_str()).is_inline());
-        assert!(!Text::from("x".repeat(16).as_str()).is_inline());
-        assert!(Text::from("x".repeat(15)).is_inline());
-        assert!(!Text::from("x".repeat(16)).is_inline());
+        assert!(is_inline(&Text::from("x".repeat(15).as_str())));
+        assert!(!is_inline(&Text::from("x".repeat(16).as_str())));
+        assert!(is_inline(&Text::from("x".repeat(15))));
+        assert!(!is_inline(&Text::from("x".repeat(16))));
         // 3 crabs + 3 ASCII = 15 bytes; one more byte spills, and so does
         // a character that starts inside the limit and ends past it.
         for (s, inline) in [
@@ -283,10 +283,10 @@ mod tests {
             ("éééééééa", true),
             ("éééééééé", false),
         ] {
-            assert_eq!(Text::from(s).is_inline(), inline, "{s:?}");
-            assert_eq!(Text::from(s.to_string()).is_inline(), inline, "{s:?}");
+            assert_eq!(is_inline(&Text::from(s)), inline, "{s:?}");
+            assert_eq!(is_inline(&Text::from(s.to_string())), inline, "{s:?}");
         }
-        assert!(Text::from("").is_inline());
+        assert!(is_inline(&Text::from("")));
         assert!(Text::from("").is_empty());
     }
 
@@ -298,7 +298,7 @@ mod tests {
                 assert_eq!(&*t, s.as_str());
                 assert_eq!(t.as_bytes(), s.as_bytes());
                 assert_eq!(t.len(), s.len());
-                assert_eq!(t.is_inline(), s.len() <= Text::INLINE_CAP);
+                assert_eq!(is_inline(&t), s.len() <= Text::INLINE_CAP);
                 assert_eq!(t.to_string(), s);
                 assert_eq!(format!("{t:?}"), format!("{s:?}"));
                 assert_eq!(t.clone(), t);

@@ -31,7 +31,7 @@ pub enum Value {
 
 impl Value {
     /// Returns the [`ValueType`](crate::schema::ValueType) tag of this value.
-    pub fn value_type(&self) -> crate::schema::ValueType {
+    pub(crate) fn value_type(&self) -> crate::schema::ValueType {
         use crate::schema::ValueType;
         match self {
             Value::Null => ValueType::Null,
@@ -49,7 +49,7 @@ impl Value {
 
     /// Estimated wire size in bytes when shipped between mediator and
     /// source (used by the network cost simulator).
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         match self {
             Value::Null => 1,
             Value::Bool(_) => 1,
@@ -57,11 +57,6 @@ impl Value {
             Value::Float(_) => 8,
             Value::Str(s) => 4 + s.len(),
         }
-    }
-
-    /// True if both values are numeric (`Int` or `Float`).
-    pub fn both_numeric(a: &Value, b: &Value) -> bool {
-        matches!(a, Value::Int(_) | Value::Float(_)) && matches!(b, Value::Int(_) | Value::Float(_))
     }
 
     /// Numeric view of the value, if it is numeric.
@@ -293,7 +288,7 @@ impl Item {
     }
 
     /// Estimated wire size in bytes when shipped in a semijoin set.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         self.0.wire_size()
     }
 }

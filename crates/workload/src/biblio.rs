@@ -15,7 +15,7 @@ use fusion_stats::SplitMix64;
 use fusion_types::{Attribute, Condition, Predicate, Relation, Schema, Tuple, ValueType};
 
 /// Keyword vocabulary, most common first.
-pub const KEYWORDS: [&str; 10] = [
+pub(crate) const KEYWORDS: [&str; 10] = [
     "database",
     "systems",
     "query",
@@ -44,7 +44,7 @@ pub fn biblio_schema() -> Schema {
 /// Generates keyword-record relations for `n_libraries` libraries over
 /// `documents` distinct documents, `rows_per_library` records each.
 /// Keyword frequencies are Zipf-like over [`KEYWORDS`].
-pub fn biblio_relations(
+pub(crate) fn biblio_relations(
     n_libraries: usize,
     documents: usize,
     rows_per_library: usize,
@@ -79,7 +79,7 @@ pub fn biblio_relations(
 
 /// A fusion query: documents carrying all the given keywords (each
 /// possibly recorded at a different library).
-pub fn keyword_query(keywords: &[&str]) -> FusionQuery {
+pub(crate) fn keyword_query(keywords: &[&str]) -> FusionQuery {
     let conditions: Vec<Condition> = keywords
         .iter()
         .map(|kw| Predicate::eq("KW", *kw).into())

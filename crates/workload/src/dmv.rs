@@ -83,7 +83,7 @@ pub const VIOLATIONS: [&str; 6] = ["sp", "park", "signal", "dui", "reckless", "h
 /// licenses, `rows_per_state` violation records per state, deterministic
 /// under `seed`. Violations are skewed: earlier codes in [`VIOLATIONS`]
 /// are more frequent.
-pub fn scaled_dmv_relations(
+pub(crate) fn scaled_dmv_relations(
     n_states: usize,
     drivers: usize,
     rows_per_state: usize,

@@ -16,7 +16,7 @@
 //! * [`session`] — multi-query session streams with Zipf-skewed query
 //!   reuse and source-update events, the workload the answer-cache
 //!   experiments replay;
-//! * [`scenario`] — the bundle (query + relations + wrappers + network)
+//! * [`Scenario`] — the bundle (query + relations + wrappers + network)
 //!   every experiment and example consumes.
 //!
 //! Everything is seeded and exactly reproducible.
@@ -26,7 +26,7 @@
 pub mod biblio;
 pub mod csv;
 pub mod dmv;
-pub mod scenario;
+mod scenario;
 pub mod session;
 pub mod synth;
 

@@ -17,7 +17,7 @@ use crate::synth::{synth_query, NUM_ATTRS};
 /// Parameters of a session workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
-    /// Conditions per query (1..=[`NUM_ATTRS`]).
+    /// Conditions per query (1..=8, one per synthetic attribute).
     pub m: usize,
     /// Sources the scenario has (update events pick among these).
     pub n_sources: usize,
@@ -34,23 +34,6 @@ pub struct SessionSpec {
     pub sel_range: (f64, f64),
     /// Master seed.
     pub seed: u64,
-}
-
-impl SessionSpec {
-    /// A default session over `n_sources` sources: 2-condition queries,
-    /// a pool of 8, 40 query events, skew 1.2, no updates.
-    pub fn default_with(n_sources: usize, seed: u64) -> SessionSpec {
-        SessionSpec {
-            m: 2,
-            n_sources,
-            pool: 8,
-            n_queries: 40,
-            skew: 1.2,
-            update_rate: 0.0,
-            sel_range: (0.05, 0.4),
-            seed,
-        }
-    }
 }
 
 /// One step of a session.
@@ -83,39 +66,11 @@ pub struct Session {
     pub events: Vec<SessionEvent>,
 }
 
-impl Session {
-    /// Query events in the session.
-    pub fn n_queries(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, SessionEvent::Query { .. }))
-            .count()
-    }
-
-    /// Update events in the session.
-    pub fn n_updates(&self) -> usize {
-        self.events.len() - self.n_queries()
-    }
-
-    /// A compact fingerprint of the event stream: pool index for a
-    /// query event, `-(source + 1)` for an update event. Two sessions
-    /// with equal fingerprints over the same spec are identical.
-    pub fn fingerprint(&self) -> Vec<i64> {
-        self.events
-            .iter()
-            .map(|e| match e {
-                SessionEvent::Query { index, .. } => *index as i64,
-                SessionEvent::Update { source } => -((source.0 as i64) + 1),
-            })
-            .collect()
-    }
-}
-
 /// Generates the session a spec describes. Deterministic: the stream is
 /// a pure function of the spec.
 ///
 /// # Panics
-/// Panics if `m` is outside `1..=`[`NUM_ATTRS`], the pool is empty,
+/// Panics if `m` is outside `1..=8`, the pool is empty,
 /// `n_sources` is zero with a positive update rate, or the selectivity
 /// range is inverted.
 pub fn generate_session(spec: &SessionSpec) -> Session {
@@ -192,6 +147,39 @@ pub fn generate_session_for_tenant(spec: &SessionSpec, tenant: u64) -> Session {
 mod tests {
     use super::*;
 
+    /// A session over `n_sources` sources: 2-condition queries, a pool of
+    /// 8, 40 query events, skew 1.2, no updates.
+    fn default_with(n_sources: usize, seed: u64) -> SessionSpec {
+        SessionSpec {
+            m: 2,
+            n_sources,
+            pool: 8,
+            n_queries: 40,
+            skew: 1.2,
+            update_rate: 0.0,
+            sel_range: (0.05, 0.4),
+            seed,
+        }
+    }
+
+    /// The event stream, compactly: pool index for a query event,
+    /// `-(source + 1)` for an update event.
+    fn fingerprint(session: &Session) -> Vec<i64> {
+        session
+            .events
+            .iter()
+            .map(|e| match e {
+                SessionEvent::Query { index, .. } => *index as i64,
+                SessionEvent::Update { source } => -((source.0 as i64) + 1),
+            })
+            .collect()
+    }
+
+    fn n_updates(session: &Session) -> usize {
+        let is_update = |e: &&SessionEvent| matches!(e, SessionEvent::Update { .. });
+        session.events.iter().filter(is_update).count()
+    }
+
     fn counts(session: &Session, pool: usize) -> Vec<usize> {
         let mut c = vec![0usize; pool];
         for e in &session.events {
@@ -206,14 +194,14 @@ mod tests {
     fn same_seed_same_session() {
         let spec = SessionSpec {
             update_rate: 0.2,
-            ..SessionSpec::default_with(4, 7)
+            ..default_with(4, 7)
         };
         let a = generate_session(&spec);
         let b = generate_session(&spec);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_eq!(a.sels, b.sels);
         let other = SessionSpec { seed: 8, ..spec };
-        assert_ne!(generate_session(&other).fingerprint(), a.fingerprint());
+        assert_ne!(fingerprint(&generate_session(&other)), fingerprint(&a));
     }
 
     #[test]
@@ -221,15 +209,14 @@ mod tests {
         let spec = SessionSpec {
             n_queries: 400,
             skew: 1.5,
-            ..SessionSpec::default_with(4, 3)
+            ..default_with(4, 3)
         };
         let s = generate_session(&spec);
         let c = counts(&s, spec.pool);
         // Rank 0 dominates the tail decisively at skew 1.5.
         assert!(c[0] > c[spec.pool - 1] * 2, "{c:?}");
         assert_eq!(c.iter().sum::<usize>(), 400);
-        assert_eq!(s.n_queries(), 400);
-        assert_eq!(s.n_updates(), 0);
+        assert_eq!(n_updates(&s), 0);
     }
 
     #[test]
@@ -238,7 +225,7 @@ mod tests {
             n_queries: 800,
             skew: 0.0,
             pool: 4,
-            ..SessionSpec::default_with(4, 11)
+            ..default_with(4, 11)
         };
         let c = counts(&generate_session(&spec), 4);
         for &n in &c {
@@ -251,10 +238,10 @@ mod tests {
         let spec = SessionSpec {
             n_queries: 300,
             update_rate: 0.3,
-            ..SessionSpec::default_with(5, 13)
+            ..default_with(5, 13)
         };
         let s = generate_session(&spec);
-        let updates = s.n_updates();
+        let updates = n_updates(&s);
         assert!((40..=150).contains(&updates), "{updates}");
         for e in &s.events {
             if let SessionEvent::Update { source } = e {
@@ -267,11 +254,11 @@ mod tests {
     fn tenant_zero_matches_single_tenant_generator() {
         let spec = SessionSpec {
             update_rate: 0.2,
-            ..SessionSpec::default_with(4, 99)
+            ..default_with(4, 99)
         };
         let single = generate_session(&spec);
         let t0 = generate_session_for_tenant(&spec, 0);
-        assert_eq!(single.fingerprint(), t0.fingerprint());
+        assert_eq!(fingerprint(&single), fingerprint(&t0));
         assert_eq!(single.sels, t0.sels);
     }
 
@@ -280,22 +267,22 @@ mod tests {
         let spec = SessionSpec {
             n_queries: 60,
             update_rate: 0.1,
-            ..SessionSpec::default_with(4, 17)
+            ..default_with(4, 17)
         };
         let a = generate_session_for_tenant(&spec, 1);
         let b = generate_session_for_tenant(&spec, 2);
         // Same pool, bit for bit: cross-tenant reuse is possible.
         assert_eq!(a.sels, b.sels);
         // Independent event streams.
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(fingerprint(&a), fingerprint(&b));
         // And each tenant is itself deterministic.
         let a2 = generate_session_for_tenant(&spec, 1);
-        assert_eq!(a.fingerprint(), a2.fingerprint());
+        assert_eq!(fingerprint(&a), fingerprint(&a2));
     }
 
     #[test]
     fn pool_queries_are_well_formed() {
-        let spec = SessionSpec::default_with(3, 21);
+        let spec = default_with(3, 21);
         let s = generate_session(&spec);
         assert_eq!(s.pool.len(), spec.pool);
         assert_eq!(s.sels.len(), spec.pool);

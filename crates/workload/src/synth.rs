@@ -18,7 +18,7 @@ use fusion_types::{
 
 /// Number of independent numeric attributes in the synthetic schema
 /// (bounding the number of mutually independent conditions).
-pub const NUM_ATTRS: usize = 8;
+pub(crate) const NUM_ATTRS: usize = 8;
 
 /// Range of each numeric attribute: uniform in `0..ATTR_RANGE`.
 pub const ATTR_RANGE: i64 = 10_000;
@@ -74,7 +74,7 @@ impl SynthSpec {
     }
 }
 
-/// The synthetic schema: merge attribute `M` plus [`NUM_ATTRS`] numeric
+/// The synthetic schema: merge attribute `M` plus eight numeric
 /// attributes `A1..A8`.
 pub fn synth_schema() -> Schema {
     let mut attrs = vec![Attribute::new("M", ValueType::Str)];
@@ -137,7 +137,7 @@ pub fn synth_relations(spec: &SynthSpec) -> Vec<Relation> {
 }
 
 /// Capabilities of source `j` of `n` under a mix.
-pub fn capabilities_for(mix: CapabilityMix, j: usize, n: usize) -> Capabilities {
+pub(crate) fn capabilities_for(mix: CapabilityMix, j: usize, n: usize) -> Capabilities {
     match mix {
         CapabilityMix::AllFull => Capabilities::full(),
         CapabilityMix::FractionEmulated { frac, batch } => {

@@ -45,7 +45,7 @@ const BUDGET: usize = 1 << 22;
 
 /// The worlds the batteries sweep, all built by [`world`].
 #[derive(Clone, Copy, Debug)]
-pub enum World {
+pub(crate) enum World {
     /// The paper's Figure 1 (the seed is unused).
     Figure1,
     /// Selectivities 0.05, 0.4, 0.6 over six WAN sources of 2 000 rows.
@@ -65,7 +65,7 @@ pub enum World {
 }
 
 /// The one seeded case generator.
-pub fn world(kind: World, seed: u64) -> Scenario {
+pub(crate) fn world(kind: World, seed: u64) -> Scenario {
     let mut rng = SplitMix64::new(seed ^ 0xCAC4E);
     let spec = |n, domain_size, rows_per_source| SynthSpec {
         domain_size,
@@ -131,12 +131,16 @@ pub fn world(kind: World, seed: u64) -> Scenario {
 }
 
 /// The two worlds the fault and parallel batteries sweep.
-pub fn fixed() -> [Scenario; 2] {
+pub(crate) fn fixed() -> [Scenario; 2] {
     [World::Figure1, World::Synth6].map(|w| world(w, 17))
 }
 
 /// Wrappers `R1..Rn` over `rels` with capabilities `caps`.
-pub fn in_memory(rels: &[Relation], caps: &[Capabilities], pp: ProcessingProfile) -> SourceSet {
+pub(crate) fn in_memory(
+    rels: &[Relation],
+    caps: &[Capabilities],
+    pp: ProcessingProfile,
+) -> SourceSet {
     let wrap = |(j, (r, c)): (usize, (&Relation, &Capabilities))| {
         let name = format!("R{}", j + 1);
         Box::new(InMemoryWrapper::new(name, r.clone(), *c, pp, j as u64)) as Box<dyn Wrapper>
@@ -146,14 +150,14 @@ pub fn in_memory(rels: &[Relation], caps: &[Capabilities], pp: ProcessingProfile
 
 /// The plan a case runs.
 #[derive(Clone, Copy, Debug)]
-pub enum Shape {
+pub(crate) enum Shape {
     Filter,
     Sja,
     SjaPlus,
 }
 
 /// A world, the cost model its plans are made under, and one plan.
-pub struct Case<'a, M = NetworkCostModel> {
+pub(crate) struct Case<'a, M = NetworkCostModel> {
     pub scenario: &'a Scenario,
     pub model: M,
     pub plan: Plan,
@@ -166,7 +170,7 @@ pub struct Case<'a, M = NetworkCostModel> {
 
 impl Case<'_> {
     /// `shape`'s plan under the world's own network cost model.
-    pub fn new(scenario: &Scenario, shape: Shape) -> Case<'_> {
+    pub(crate) fn new(scenario: &Scenario, shape: Shape) -> Case<'_> {
         Case::with_model(scenario, scenario.cost_model(), shape)
     }
 }
@@ -175,7 +179,7 @@ impl Case<'_> {
 
 /// Which executor interprets the plan.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Exec {
+pub(crate) enum Exec {
     /// `execute_plan_with`: the reference interpretation.
     With,
     /// `execute_plan_parallel` on this many threads.
@@ -188,11 +192,11 @@ pub enum Exec {
 }
 
 /// `execute_plan_parallel` at 1, 2 and 8 threads.
-pub const PARALLEL: [Exec; 3] = [Exec::Parallel(1), Exec::Parallel(2), Exec::Parallel(8)];
+pub(crate) const PARALLEL: [Exec; 3] = [Exec::Parallel(1), Exec::Parallel(2), Exec::Parallel(8)];
 
 /// The network's fault schedule.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Faults {
+pub(crate) enum Faults {
     /// No fault plan.
     Off,
     /// A fault plan that fails nothing (`FaultPlan::none`).
@@ -210,7 +214,7 @@ impl Faults {
 }
 
 /// `rate`-stormy schedules for each of the first `seeds` seeds.
-pub fn storms(seeds: u64, rates: &[f64]) -> Vec<Faults> {
+pub(crate) fn storms(seeds: u64, rates: &[f64]) -> Vec<Faults> {
     let at = |seed| rates.iter().map(move |&rate| Faults::Stormy(seed, rate));
     (0..seeds).flat_map(at).collect()
 }
@@ -218,7 +222,7 @@ pub fn storms(seeds: u64, rates: &[f64]) -> Vec<Faults> {
 /// A fault spec with `transient` retryable failures plus timeouts and
 /// slowdowns (side rates shrink as `transient` nears 1 so the outcome mix
 /// stays valid).
-pub fn stormy(transient: f64) -> FaultSpec {
+pub(crate) fn stormy(transient: f64) -> FaultSpec {
     let side = (0.1f64).min((1.0 - transient) / 2.0);
     FaultSpec {
         transient_rate: transient,
@@ -234,25 +238,25 @@ pub fn stormy(transient: f64) -> FaultSpec {
 /// The answer cache a cell runs with: none, one round on a fresh cache,
 /// or two rounds on one cache (cold, then warm).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Cache {
+pub(crate) enum Cache {
     None,
     Cold,
     Warm,
 }
 
 /// A cell's retry policy.
-pub type Retry = Option<&'static RetryPolicy>;
+pub(crate) type Retry = Option<&'static RetryPolicy>;
 
 /// The default retry policy.
 #[allow(clippy::unnecessary_wraps)] // the value of a cell's retry axis
-pub fn retried() -> Retry {
+pub(crate) fn retried() -> Retry {
     static DEFAULT: LazyLock<RetryPolicy> = LazyLock::new(RetryPolicy::default);
     Some(&DEFAULT)
 }
 
 /// One point of the lattice.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Cell {
+pub(crate) struct Cell {
     pub exec: Exec,
     pub retry: Retry,
     pub faults: Faults,
@@ -260,7 +264,7 @@ pub struct Cell {
 }
 
 impl Cell {
-    pub const fn of(exec: Exec, retry: Retry, faults: Faults, cache: Cache) -> Cell {
+    pub(crate) const fn of(exec: Exec, retry: Retry, faults: Faults, cache: Cache) -> Cell {
         Cell {
             exec,
             retry,
@@ -271,7 +275,7 @@ impl Cell {
 }
 
 /// What one cell did.
-pub struct Run {
+pub(crate) struct Run {
     /// `fusion_check::run_fingerprint` of the run.
     pub fp: String,
     /// What `reopt` decides beyond its outcome: switches, rounds, final
@@ -284,7 +288,7 @@ pub struct Run {
 }
 
 impl Run {
-    pub fn last(&self) -> &ExecutionOutcome {
+    pub(crate) fn last(&self) -> &ExecutionOutcome {
         self.rounds.last().expect("a run has a round")
     }
 }
@@ -336,7 +340,7 @@ fn missing(completeness: &Completeness) -> &[SourceId] {
 
 impl<'a, M: CostModel> Case<'a, M> {
     /// `shape`'s plan under `model`.
-    pub fn with_model(scenario: &'a Scenario, model: M, shape: Shape) -> Case<'a, M> {
+    pub(crate) fn with_model(scenario: &'a Scenario, model: M, shape: Shape) -> Case<'a, M> {
         let opt = sja_optimal(&model);
         let plan = match shape {
             Shape::Filter => filter_plan(&model).plan,
@@ -356,7 +360,7 @@ impl<'a, M: CostModel> Case<'a, M> {
     }
 
     /// A fresh network under `faults`.
-    pub fn network(&self, faults: Faults) -> Network {
+    pub(crate) fn network(&self, faults: Faults) -> Network {
         let n = self.scenario.n();
         let mut net = self.scenario.network();
         match faults {
@@ -370,7 +374,7 @@ impl<'a, M: CostModel> Case<'a, M> {
         net
     }
 
-    pub fn run(&self, cell: Cell) -> Run {
+    pub(crate) fn run(&self, cell: Cell) -> Run {
         (self.try_run(cell)).unwrap_or_else(|e| panic!("{} {cell:?}: {e}", self.tag))
     }
 
@@ -378,7 +382,7 @@ impl<'a, M: CostModel> Case<'a, M> {
     ///
     /// # Errors
     /// What the cell's executor reports.
-    pub fn try_run(&self, cell: Cell) -> Result<Run> {
+    pub(crate) fn try_run(&self, cell: Cell) -> Result<Run> {
         let make_net = || self.network(cell.faults);
         let (q, s, plan) = (&self.scenario.query, &self.scenario.sources, &self.plan);
         if cell.exec == Exec::Replay {
@@ -441,14 +445,20 @@ impl<'a, M: CostModel> Case<'a, M> {
     }
 
     /// Checks every `execs × faults` cell under one retry policy and cache.
-    pub fn sweep(&self, execs: &[Exec], retry: Retry, faults: &[Faults], cache: Cache) -> Vec<Run> {
+    pub(crate) fn sweep(
+        &self,
+        execs: &[Exec],
+        retry: Retry,
+        faults: &[Faults],
+        cache: Cache,
+    ) -> Vec<Run> {
         let row = |&e| faults.iter().map(move |&f| Cell::of(e, retry, f, cache));
         self.check(&execs.iter().flat_map(row).collect::<Vec<_>>())
     }
 
     /// Runs every cell and holds it to the lattice's rules (module docs).
     /// Returns the runs in `cells` order, for a test's own assertions.
-    pub fn check(&self, cells: &[Cell]) -> Vec<Run> {
+    pub(crate) fn check(&self, cells: &[Cell]) -> Vec<Run> {
         let (truth, n) = (self.scenario.ground_truth().unwrap(), self.scenario.n());
         let mut runs = Vec::new();
         for &cell in cells {
@@ -536,7 +546,7 @@ impl<'a, M: CostModel> Case<'a, M> {
 
 /// Tenant streams from one session generator: tenant `t` of `spec`
 /// reseeded to `seed`, for each `(seed, t)`.
-pub fn streams(spec: &SessionSpec, picks: &[(u64, u64)]) -> Vec<Vec<TenantEvent>> {
+pub(crate) fn streams(spec: &SessionSpec, picks: &[(u64, u64)]) -> Vec<Vec<TenantEvent>> {
     let event = |e: &SessionEvent| match e {
         SessionEvent::Query { query, .. } => TenantEvent::Query(query.clone()),
         SessionEvent::Update { source } => TenantEvent::Update(*source),
@@ -553,7 +563,7 @@ pub fn streams(spec: &SessionSpec, picks: &[(u64, u64)]) -> Vec<Vec<TenantEvent>
 /// replay and to isolated cold runs of its queries. Every query answers,
 /// every update bumps its source exactly once, and a result carries a
 /// share certificate exactly when it attached (never with sharing off).
-pub fn serve_cells(
+pub(crate) fn serve_cells(
     world: &Scenario,
     tenants: &[Vec<TenantEvent>],
     config: &ServerConfig,
@@ -607,14 +617,14 @@ pub fn serve_cells(
 
 /// A phase-two world: sources holding slices of one consistent table,
 /// so any source's rows for an item agree with any other's.
-pub struct FetchWorld {
+pub(crate) struct FetchWorld {
     pub rels: Vec<Relation>,
     pub caps: Vec<Capabilities>,
 }
 
 impl FetchWorld {
     /// The union of every source's items.
-    pub fn answer(&self) -> ItemSet {
+    pub(crate) fn answer(&self) -> ItemSet {
         let items = self.rels.iter().map(Relation::distinct_items);
         items.fold(ItemSet::empty(), |a, b| a.union(&b))
     }
@@ -629,7 +639,7 @@ impl FetchWorld {
 
     /// `fetch_planned` of every non-merge attribute of the answer on fresh
     /// sources, source `down` out from its first exchange.
-    pub fn planned(
+    pub(crate) fn planned(
         &self,
         cache: Option<&mut AnswerCache>,
         retry: Option<&RetryPolicy>,
@@ -654,7 +664,7 @@ impl FetchWorld {
     /// broadcast `fetch_records` record set exactly, at no more than its
     /// cost and no less than its certified bound. Returns the planned
     /// outcome and the broadcast cost.
-    pub fn check(&self, tag: &str) -> (Phase2Outcome, f64) {
+    pub(crate) fn check(&self, tag: &str) -> (Phase2Outcome, f64) {
         let (plan, cert, out, _) = self.planned(None, None, None);
         let (sources, mut network) = self.rebuild();
         let broadcast = fetch_records(&self.answer(), &sources, &mut network).unwrap();

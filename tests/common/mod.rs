@@ -7,8 +7,8 @@
 
 #![allow(dead_code)]
 
-pub mod lattice;
-pub mod mutants;
+pub(crate) mod lattice;
+pub(crate) mod mutants;
 
 use fusion::core::plan::{Plan, SimplePlanSpec, SourceChoice, VarId};
 use fusion::core::query::FusionQuery;
@@ -20,7 +20,7 @@ use fusion::types::{
 };
 
 /// Violation vocabulary used by the DMV-shaped generators.
-pub const VIOLATIONS: [&str; 3] = ["dui", "sp", "park"];
+pub(crate) const VIOLATIONS: [&str; 3] = ["dui", "sp", "park"];
 
 /// Seeds per battery, `(battery, local, CI)`: `BATTERY_WIDTH=ci` selects
 /// the CI column for every battery at once.
@@ -46,7 +46,7 @@ const WIDTHS: [(&str, u64, u64); 13] = [
 ///
 /// # Panics
 /// On a name the table lacks, or `BATTERY_WIDTH` set to anything but `ci`.
-pub fn width(name: &str) -> u64 {
+pub(crate) fn width(name: &str) -> u64 {
     let &(_, local, ci) = WIDTHS
         .iter()
         .find(|w| w.0 == name)
@@ -59,16 +59,16 @@ pub fn width(name: &str) -> u64 {
 }
 
 /// A deterministic generator of test inputs, seeded per test case.
-pub struct Gen(pub SplitMix64);
+pub(crate) struct Gen(pub SplitMix64);
 
 impl Gen {
-    pub fn new(seed: u64) -> Gen {
+    pub(crate) fn new(seed: u64) -> Gen {
         Gen(SplitMix64::new(seed))
     }
 
     /// An item set of up to 30 integer items drawn from `0..40` (small
     /// domain to force overlap).
-    pub fn items(&mut self) -> ItemSet {
+    pub(crate) fn items(&mut self) -> ItemSet {
         let len = self.0.next_below(30);
         (0..len)
             .map(|_| self.0.next_i64_range(0, 40))
@@ -79,7 +79,7 @@ impl Gen {
 
     /// A DMV-like tuple: license from a small pool (to force overlap),
     /// violation from a fixed vocabulary, year in the 90s.
-    pub fn tuple(&mut self) -> Tuple {
+    pub(crate) fn tuple(&mut self) -> Tuple {
         let l = self.0.next_below(25);
         let v = *self.0.choose(&VIOLATIONS);
         let d = self.0.next_i64_range(1990, 2000);
@@ -91,19 +91,19 @@ impl Gen {
     }
 
     /// A DMV-schema relation of up to 24 rows.
-    pub fn relation(&mut self) -> Relation {
+    pub(crate) fn relation(&mut self) -> Relation {
         let rows = self.0.next_below(25);
         Relation::from_rows(dmv_schema(), (0..rows).map(|_| self.tuple()).collect())
     }
 
     /// `count` relations.
-    pub fn relations(&mut self, count: usize) -> Vec<Relation> {
+    pub(crate) fn relations(&mut self, count: usize) -> Vec<Relation> {
         (0..count).map(|_| self.relation()).collect()
     }
 
     /// A random condition over the DMV schema: an equality on `V`, a
     /// range on `D`, or a BETWEEN on `D`.
-    pub fn condition(&mut self) -> Condition {
+    pub(crate) fn condition(&mut self) -> Condition {
         match self.0.next_below(3) {
             0 => Predicate::eq("V", *self.0.choose(&VIOLATIONS)).into(),
             1 => Predicate::cmp("D", CmpOp::Lt, self.0.next_i64_range(1990, 2000)).into(),
@@ -123,7 +123,7 @@ impl Gen {
     /// Like [`Gen::condition`], plus the shapes whose SQL text needs
     /// care: `IN` lists, `LIKE` patterns, and string literals holding
     /// quotes, keywords, digits and `uN.`-like prefixes.
-    pub fn sql_condition(&mut self) -> Condition {
+    pub(crate) fn sql_condition(&mut self) -> Condition {
         const AWKWARD: [&str; 6] = ["it's", "a AND b", "NULL", "u2.V", "1990", "x''y"];
         match self.0.next_below(6) {
             0 => Predicate::eq("V", *self.0.choose(&AWKWARD)).into(),
@@ -152,13 +152,13 @@ impl Gen {
     }
 
     /// A fusion query with `m` random conditions.
-    pub fn query(&mut self, m: usize) -> FusionQuery {
+    pub(crate) fn query(&mut self, m: usize) -> FusionQuery {
         let conds = (0..m).map(|_| self.condition()).collect();
         FusionQuery::new(dmv_schema(), conds).expect("generated query is valid")
     }
 
     /// A random table cost model with finite positive costs.
-    pub fn model(&mut self, m: usize, n: usize) -> TableCostModel {
+    pub(crate) fn model(&mut self, m: usize, n: usize) -> TableCostModel {
         let mut model = TableCostModel::uniform(m, n, 1.0, 1.0, 0.1, 1e6, 1.0, 200.0);
         for i in 0..m {
             for j in 0..n {
@@ -177,7 +177,7 @@ impl Gen {
     /// A random condition-at-a-time spec for `m` conditions, `n` sources:
     /// shuffled condition order, each (round, source) cell independently
     /// a selection or (past round 0) a semijoin.
-    pub fn spec(&mut self, m: usize, n: usize) -> SimplePlanSpec {
+    pub(crate) fn spec(&mut self, m: usize, n: usize) -> SimplePlanSpec {
         let mut order: Vec<usize> = (0..m).collect();
         for i in (1..m).rev() {
             let j = self.0.next_below(i + 1);
@@ -203,7 +203,7 @@ impl Gen {
     }
 
     /// A random item: an integer or a short alphanumeric string.
-    pub fn item(&mut self) -> Item {
+    pub(crate) fn item(&mut self) -> Item {
         if self.0.next_below(2) == 0 {
             Item::new(self.0.next_u64() as i64)
         } else {
@@ -219,7 +219,7 @@ impl Gen {
 }
 
 /// Runs `body` once per seed in `0..cases`, reporting the failing seed.
-pub fn for_seeds(cases: u64, mut body: impl FnMut(&mut Gen)) {
+pub(crate) fn for_seeds(cases: u64, mut body: impl FnMut(&mut Gen)) {
     for seed in 0..cases {
         // Decorrelate consecutive seeds through the generator itself.
         let mut g = Gen::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed));
@@ -235,7 +235,7 @@ pub fn for_seeds(cases: u64, mut body: impl FnMut(&mut Gen)) {
 /// same-source race unless the serial queues separate the two R3
 /// selections, which share a dependency level (mirrors the executor's
 /// own regression).
-pub fn queue_order_plan() -> Plan {
+pub(crate) fn queue_order_plan() -> Plan {
     use mutants::{intersect, sjq, sq, union};
     let mut plan = Plan::new(vec![], VarId(0), 2, 3);
     for name in ["X0", "X1", "X2", "U1", "Y0", "Y1", "Y2", "Y2R", "R"] {

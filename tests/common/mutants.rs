@@ -5,13 +5,13 @@ use fusion::core::plan::{Plan, RelVar, Step, VarId};
 use fusion::types::{CondId, SourceId};
 
 /// `sq(c, R)` into variable `out`.
-pub fn sq(out: usize, cond: usize, source: usize) -> Step {
+pub(crate) fn sq(out: usize, cond: usize, source: usize) -> Step {
     let (out, cond, source) = (VarId(out), CondId(cond), SourceId(source));
     Step::Sq { out, cond, source }
 }
 
 /// `sjq(c, R, input)` into variable `out`.
-pub fn sjq(out: usize, cond: usize, source: usize, input: usize) -> Step {
+pub(crate) fn sjq(out: usize, cond: usize, source: usize, input: usize) -> Step {
     let (out, cond, source, input) = (VarId(out), CondId(cond), SourceId(source), VarId(input));
     Step::Sjq {
         out,
@@ -26,19 +26,19 @@ fn vars(ids: &[usize]) -> Vec<VarId> {
 }
 
 /// The union of `inputs` into `out`.
-pub fn union(out: usize, inputs: &[usize]) -> Step {
+pub(crate) fn union(out: usize, inputs: &[usize]) -> Step {
     let (out, inputs) = (VarId(out), vars(inputs));
     Step::Union { out, inputs }
 }
 
 /// The intersection of `inputs` into `out`.
-pub fn intersect(out: usize, inputs: &[usize]) -> Step {
+pub(crate) fn intersect(out: usize, inputs: &[usize]) -> Step {
     let (out, inputs) = (VarId(out), vars(inputs));
     Step::Intersect { out, inputs }
 }
 
 /// `left − right` into `out`.
-pub fn diff(out: usize, left: usize, right: usize) -> Step {
+pub(crate) fn diff(out: usize, left: usize, right: usize) -> Step {
     let (out, left, right) = (VarId(out), VarId(left), VarId(right));
     Step::Diff { out, left, right }
 }
@@ -70,7 +70,7 @@ fn blooms(s: &mut [Step]) {
 
 /// A correct FILTER-shaped plan for 2 conditions over 2 sources:
 /// `(sq(c1,R1) ∪ sq(c1,R2)) ∩ (sq(c2,R1) ∪ sq(c2,R2))`.
-pub fn filter22() -> (Vec<Step>, VarId) {
+pub(crate) fn filter22() -> (Vec<Step>, VarId) {
     let steps = vec![
         sq(0, 0, 0),
         sq(1, 0, 1),
@@ -85,7 +85,7 @@ pub fn filter22() -> (Vec<Step>, VarId) {
 
 /// A correct all-semijoin plan for 2 conditions over 2 sources (no final
 /// re-intersection is needed: exact semijoins narrow their input).
-pub fn semijoin22() -> (Vec<Step>, VarId) {
+pub(crate) fn semijoin22() -> (Vec<Step>, VarId) {
     let steps = vec![
         sq(0, 0, 0),
         sq(1, 0, 1),
@@ -98,7 +98,7 @@ pub fn semijoin22() -> (Vec<Step>, VarId) {
 }
 
 /// A correct plan that loads `R1` and applies both conditions locally.
-pub fn loaded22() -> (Vec<Step>, VarId) {
+pub(crate) fn loaded22() -> (Vec<Step>, VarId) {
     let steps = vec![
         lq(0, 0),
         local_sq(0, 0, 0),
@@ -114,7 +114,7 @@ pub fn loaded22() -> (Vec<Step>, VarId) {
 
 /// The hand-broken corpus: every named mutation of a correct plan that the
 /// analyzer must refute. Each entry is (name, broken plan).
-pub fn mutant_corpus() -> Vec<(&'static str, Plan)> {
+pub(crate) fn mutant_corpus() -> Vec<(&'static str, Plan)> {
     let mut mutants: Vec<(&'static str, Plan)> = Vec::new();
     let mut push = |name: &'static str, steps: Vec<Step>, result: VarId| {
         mutants.push((name, Plan::new(steps, result, 2, 2)));
