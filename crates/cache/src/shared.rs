@@ -202,8 +202,8 @@ impl CacheGuard<'_> {
     }
 
     /// The per-shard operation sequence numbers of the held shards,
-    /// `(shard, ops applied so far)` — the raw material of the
-    /// linearizability certificate (`verify_server_log`).
+    /// `(shard, ops applied so far)` — logged by the server and read
+    /// as written by its linearizability certificate (`verify_server_log`).
     pub fn shard_seqs(&self) -> Vec<(usize, u64)> {
         self.guards.iter().map(|(i, c)| (*i, c.op_seq())).collect()
     }

@@ -28,14 +28,13 @@
 //! The three `*_findings` rules report the interference classes the
 //! executors must stay free of: conflicting same-stage step footprints,
 //! cache commits racing epoch bumps, and epoch reads (cache lookups)
-//! racing epoch bumps.
-
-use std::collections::HashMap;
+//! racing epoch bumps. The analysis is plan-level: the server's critical
+//! sections are certified over its own operation log, in `fusion-exec`.
 
 use super::{dependencies, stage_levels};
 use crate::analyze::{Diagnostic, Severity};
 use crate::plan::{Plan, Step};
-use fusion_types::error::{FusionError, Result};
+use fusion_types::error::Result;
 
 /// One unit of shared executor state an event can read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,10 +55,6 @@ pub enum Resource {
     Epoch(usize),
     /// The step's slot in the cost ledger.
     LedgerSlot(usize),
-    /// Shard `k` of the server's shared answer cache: the entries,
-    /// epoch counters, LRU clock, and statistics of every source with
-    /// `source % n_shards == k`, guarded by one lock.
-    Shard(usize),
 }
 
 impl std::fmt::Display for Resource {
@@ -72,7 +67,6 @@ impl std::fmt::Display for Resource {
             Resource::CacheLru => write!(f, "cache LRU clock"),
             Resource::Epoch(j) => write!(f, "R{}'s epoch counter", j + 1),
             Resource::LedgerSlot(t) => write!(f, "ledger slot #{}", t + 1),
-            Resource::Shard(k) => write!(f, "cache shard #{}", k + 1),
         }
     }
 }
@@ -653,195 +647,6 @@ pub fn epoch_read_before_bump_findings(plan: &Plan, graph: &EventGraph) -> Vec<D
     out
 }
 
-// ---------------------------------------------------------------------
-// Shared-cache server events
-// ---------------------------------------------------------------------
-//
-// The mediator server interleaves many queries over one sharded answer
-// cache. Its atomic units are not plan steps but whole critical
-// sections over cache shards, so they get their own event type. The
-// footprint model is coarse by design — a critical section
-// read-modify-writes every shard it locks — because that is exactly the
-// granularity at which the server's replay-parity argument works: two
-// critical sections that share a shard are ordered by that shard's
-// lock, two that don't commute.
-
-/// One critical section of the multi-query mediator server against the
-/// shared answer cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServerEvent {
-    /// Admission of query `query`: the planning snapshot plus lookup
-    /// resolution, holding every shard for a consistent coverage view.
-    Admit {
-        /// Server-assigned query id.
-        query: usize,
-    },
-    /// Commit of query `query`'s pending cache admissions, holding only
-    /// the shards owning its fetched sources.
-    Commit {
-        /// Server-assigned query id.
-        query: usize,
-    },
-    /// An update bump of `source`'s epoch, holding only its owning
-    /// shard.
-    Bump {
-        /// The updated source.
-        source: usize,
-    },
-}
-
-impl std::fmt::Display for ServerEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServerEvent::Admit { query } => write!(f, "admit(q{query})"),
-            ServerEvent::Commit { query } => write!(f, "commit(q{query})"),
-            ServerEvent::Bump { source } => write!(f, "bump[R{}]", source + 1),
-        }
-    }
-}
-
-/// One logged critical section: the event, the global ticket drawn
-/// while its shard locks were held, and the per-shard operation counts
-/// observed at release — the raw material of [`verify_server_log`].
-#[derive(Debug, Clone)]
-pub struct ServerOp {
-    /// Ticket drawn inside the critical section (global total order).
-    pub ticket: u64,
-    /// What the critical section did.
-    pub event: ServerEvent,
-    /// `(shard, guard-applied operations so far)` for every held shard,
-    /// ascending by shard, observed while the locks were still held.
-    pub shard_seqs: Vec<(usize, u64)>,
-}
-
-/// The footprint of a server critical section: a read-modify-write of
-/// every shard it held.
-pub(crate) fn server_event_footprint(op: &ServerOp) -> Footprint {
-    let shards: Vec<Resource> = op
-        .shard_seqs
-        .iter()
-        .map(|&(k, _)| Resource::Shard(k))
-        .collect();
-    Footprint {
-        reads: shards.clone(),
-        writes: shards,
-    }
-    .normalized()
-}
-
-/// Verifies that a server operation log is a valid linearization: the
-/// ticket order must agree with the order every shard actually applied
-/// its critical sections. Concretely, after sorting by ticket:
-///
-/// * tickets are unique,
-/// * an `Admit` holds every shard, a `Bump` exactly its source's owning
-///   shard (`source % n_shards`),
-/// * per shard, the observed operation counts are non-decreasing — an
-///   inversion (a later-ticket critical section whose mutations a shard
-///   applied *before* an earlier-ticket one) shows up as a decrease.
-///
-/// Shard-disjoint operations may take tickets in either order; their
-/// footprints (`server_event_footprint`) are disjoint, so they
-/// commute and any serial replay in ticket order reproduces the shard
-/// states bit for bit. This is the always-on guard behind the server's
-/// replay-parity contract.
-///
-/// # Errors
-/// Fails with the violated invariant.
-pub fn verify_server_log(ops: &[ServerOp], n_shards: usize) -> Result<()> {
-    let fail = |msg: String| {
-        Err(FusionError::invalid_plan(format!(
-            "server log certificate: {msg}"
-        )))
-    };
-    let mut sorted: Vec<&ServerOp> = ops.iter().collect();
-    sorted.sort_by_key(|op| op.ticket);
-    for pair in sorted.windows(2) {
-        if pair[0].ticket == pair[1].ticket {
-            return fail(format!(
-                "{} and {} share ticket {}",
-                pair[0].event, pair[1].event, pair[0].ticket
-            ));
-        }
-    }
-    let mut last_seq: Vec<Option<u64>> = vec![None; n_shards];
-    for op in sorted {
-        let held: Vec<usize> = op.shard_seqs.iter().map(|&(k, _)| k).collect();
-        match op.event {
-            ServerEvent::Admit { query } => {
-                if held != (0..n_shards).collect::<Vec<_>>() {
-                    return fail(format!(
-                        "admit(q{query}) held shards {held:?}, admission must \
-                         hold all {n_shards} for a consistent snapshot"
-                    ));
-                }
-            }
-            ServerEvent::Bump { source } => {
-                if held != [source % n_shards] {
-                    return fail(format!(
-                        "bump[R{}] held shards {held:?}, expected exactly \
-                         shard {}",
-                        source + 1,
-                        source % n_shards
-                    ));
-                }
-            }
-            ServerEvent::Commit { query } => {
-                if held.is_empty() {
-                    return fail(format!("commit(q{query}) held no shard"));
-                }
-            }
-        }
-        for &(k, seq) in &op.shard_seqs {
-            if k >= n_shards {
-                return fail(format!("{} held unknown shard {k}", op.event));
-            }
-            if let Some(prev) = last_seq[k] {
-                if seq < prev {
-                    return fail(format!(
-                        "shard {k} applied {} (ticket {}) before an \
-                         earlier-ticket critical section: op count went \
-                         {prev} -> {seq}; ticket order is not a valid \
-                         linearization",
-                        op.event, op.ticket
-                    ));
-                }
-            }
-            last_seq[k] = Some(seq);
-        }
-    }
-    Ok(())
-}
-
-/// Counts the pairs of logged critical sections that commute (disjoint
-/// shard footprints, [`Footprint::conflicts_with`] is `None`) — the
-/// concurrency the sharding actually bought, reported by `\sessions`.
-///
-/// Ops holding the same shards have the same footprint, and a log has few
-/// distinct shard sets (every admission holds them all), so the count is
-/// taken per footprint class — `O(L + k²)` for `L` ops in `k` classes —
-/// and equals the pair-by-pair count.
-pub fn server_commuting_pairs(ops: &[ServerOp]) -> usize {
-    let mut classes: HashMap<Footprint, usize> = HashMap::new();
-    for op in ops {
-        *classes.entry(server_event_footprint(op)).or_default() += 1;
-    }
-    let classes: Vec<(Footprint, usize)> = classes.into_iter().collect();
-    let mut n = 0;
-    for (i, (a, na)) in classes.iter().enumerate() {
-        // Two ops of one class commute only when the class holds no shard.
-        if a.conflicts_with(a).is_none() {
-            n += na * (na - 1) / 2;
-        }
-        for (b, nb) in &classes[i + 1..] {
-            if a.conflicts_with(b).is_none() {
-                n += na * nb;
-            }
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1125,125 +930,6 @@ mod tests {
         assert!(epoch_read_before_bump_findings(&plan, &good).is_empty());
         assert!(cache_commit_race_findings(&plan, &good).is_empty());
         assert!(conflicting_footprint_findings(&plan, &good).is_empty());
-    }
-
-    fn admit(ticket: u64, query: usize, seqs: &[(usize, u64)]) -> ServerOp {
-        ServerOp {
-            ticket,
-            event: ServerEvent::Admit { query },
-            shard_seqs: seqs.to_vec(),
-        }
-    }
-
-    #[test]
-    fn valid_server_log_certifies() {
-        // Two shards: admit q0 (resolves on both), commit q0 on shard 0,
-        // bump R2 (shard 1), admit q1. Shard-disjoint commit/bump may
-        // take tickets in either order relative to each other.
-        let ops = vec![
-            admit(0, 0, &[(0, 1), (1, 1)]),
-            ServerOp {
-                ticket: 2,
-                event: ServerEvent::Bump { source: 1 },
-                shard_seqs: vec![(1, 2)],
-            },
-            ServerOp {
-                ticket: 1,
-                event: ServerEvent::Commit { query: 0 },
-                shard_seqs: vec![(0, 2)],
-            },
-            admit(3, 1, &[(0, 3), (1, 3)]),
-        ];
-        verify_server_log(&ops, 2).unwrap();
-        // The commit and the bump are the one commuting pair.
-        assert_eq!(server_commuting_pairs(&ops), 1);
-        let f = server_event_footprint(&ops[1]);
-        assert_eq!(f.writes, vec![Resource::Shard(1)]);
-    }
-
-    #[test]
-    fn commuting_pairs_by_class_match_the_nested_loop() {
-        // Seeded logs in the server's own mix: admissions hold every
-        // shard, bumps one, commits a random non-empty subset — plus an
-        // occasional op holding none, which commutes with everything,
-        // itself included.
-        for n_shards in [1usize, 4, 7] {
-            for seed in 0..32u64 {
-                let mut rng = fusion_stats::SplitMix64::new(seed * 31 + n_shards as u64);
-                let len = rng.next_below(120);
-                let ops: Vec<ServerOp> = (0..len)
-                    .map(|t| {
-                        let held: Vec<usize> = match rng.next_below(8) {
-                            0..=2 => (0..n_shards).collect(),
-                            3 | 4 => vec![rng.next_below(n_shards)],
-                            5 | 6 => {
-                                let mut s: Vec<usize> =
-                                    (0..n_shards).filter(|_| rng.next_below(2) == 0).collect();
-                                if s.is_empty() {
-                                    s.push(rng.next_below(n_shards));
-                                }
-                                s
-                            }
-                            _ => Vec::new(),
-                        };
-                        ServerOp {
-                            ticket: t as u64,
-                            event: ServerEvent::Commit { query: t },
-                            shard_seqs: held.into_iter().map(|k| (k, t as u64)).collect(),
-                        }
-                    })
-                    .collect();
-                let foots: Vec<Footprint> = ops.iter().map(server_event_footprint).collect();
-                let mut nested = 0;
-                for (i, a) in foots.iter().enumerate() {
-                    for b in &foots[i + 1..] {
-                        nested += usize::from(a.conflicts_with(b).is_none());
-                    }
-                }
-                assert_eq!(
-                    server_commuting_pairs(&ops),
-                    nested,
-                    "n_shards {n_shards} seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn server_log_inversions_are_caught() {
-        // A shard that applied a later-ticket admit before an
-        // earlier-ticket one: op counts decrease in ticket order.
-        let inverted = vec![
-            admit(0, 0, &[(0, 2), (1, 2)]),
-            admit(1, 1, &[(0, 1), (1, 1)]),
-        ];
-        let err = verify_server_log(&inverted, 2).unwrap_err();
-        assert!(
-            err.to_string().contains("not a valid linearization"),
-            "{err}"
-        );
-
-        // An admission that failed to hold every shard.
-        let partial = vec![admit(0, 0, &[(0, 1)])];
-        let err = verify_server_log(&partial, 2).unwrap_err();
-        assert!(err.to_string().contains("hold all"), "{err}");
-
-        // A bump holding the wrong shard.
-        let wrong = vec![ServerOp {
-            ticket: 0,
-            event: ServerEvent::Bump { source: 0 },
-            shard_seqs: vec![(1, 1)],
-        }];
-        let err = verify_server_log(&wrong, 2).unwrap_err();
-        assert!(err.to_string().contains("expected exactly"), "{err}");
-
-        // Duplicate tickets.
-        let dup = vec![
-            admit(5, 0, &[(0, 1), (1, 1)]),
-            admit(5, 1, &[(0, 2), (1, 2)]),
-        ];
-        let err = verify_server_log(&dup, 2).unwrap_err();
-        assert!(err.to_string().contains("share ticket"), "{err}");
     }
 
     #[test]

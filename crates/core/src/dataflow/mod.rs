@@ -62,14 +62,13 @@ mod sharing;
 pub(crate) use interference::plan_footprints;
 pub use interference::{
     cache_commit_race_findings, conflicting_footprint_findings, epoch_read_before_bump_findings,
-    interference_report, server_commuting_pairs, verify_server_log, Event, EventGraph, Footprint,
-    Interference, Resource, ServerEvent, ServerOp, Witness,
+    interference_report, Event, EventGraph, Footprint, Interference, Resource, Witness,
 };
 pub use lint::dataflow_lint_plan;
 pub use reopt::{certify_switch, SwitchCertificate};
 pub use sharing::{
     duplicate_inflight_findings, share_schedule, unshared_subsumed_findings,
-    unsound_merge_findings, verify_share_windows, Prover, ShareLink, ShareStep,
+    unsound_merge_findings, Prover, ShareStep,
 };
 
 use crate::analyze::analyze_plan;

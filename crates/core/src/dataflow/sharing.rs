@@ -29,14 +29,9 @@
 //! admission; `duplicate-inflight-step` and `unshared-subsumed-step`
 //! (warnings) report exchanges the ticket order left unshared. The
 //! golden corpus makes each fire on a hand-built mutant schedule.
-//!
-//! [`verify_share_windows`] is the dynamic half's always-on guard: a
-//! follower may only have attached to a leader that was admitted before
-//! it and still uncommitted at its admission.
 
 use crate::analyze::{Diagnostic, Severity};
 use crate::plan::{Plan, Step};
-use fusion_types::error::{FusionError, Result};
 use fusion_types::{CondId, Condition, Predicate, SourceId};
 
 /// A containment prover: `prove(broad, narrow)` must return `true` only
@@ -276,63 +271,6 @@ pub fn unsound_merge_findings(schedule: &[ShareStep<'_>], prove: Prover<'_>) -> 
         });
     }
     out
-}
-
-/// One logged share link of a server run: a follower admission that
-/// attached to a leader's in-flight fetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShareLink {
-    /// The follower's admission ticket.
-    pub follower: u64,
-    /// The leader's admission ticket.
-    pub leader: u64,
-}
-
-/// Verifies the share windows of a server run: every logged share link
-/// must attach a follower to a query that was **admitted before it**
-/// (`leader admit < follower admit`) and **still uncommitted at its
-/// admission** (`follower admit < leader commit`, when the leader
-/// committed). `admits` holds every admission ticket, `commits` maps
-/// admission tickets to commit tickets. Returns the number of links
-/// checked — the always-on dynamic guard behind the fan-out discipline.
-///
-/// # Errors
-/// Fails with the violated window.
-pub fn verify_share_windows(
-    links: &[ShareLink],
-    admits: &[u64],
-    commits: &[(u64, u64)],
-) -> Result<usize> {
-    let fail = |msg: String| {
-        Err(FusionError::invalid_plan(format!(
-            "share-window certificate: {msg}"
-        )))
-    };
-    for l in links {
-        if !admits.contains(&l.leader) {
-            return fail(format!(
-                "ticket {} served from unknown admission {}",
-                l.follower, l.leader
-            ));
-        }
-        if l.leader >= l.follower {
-            return fail(format!(
-                "ticket {} served from leader {} admitted at or after it — \
-                 followers may only attach to earlier admissions",
-                l.follower, l.leader
-            ));
-        }
-        if let Some(&(_, ct)) = commits.iter().find(|&&(a, _)| a == l.leader) {
-            if ct <= l.follower {
-                return fail(format!(
-                    "ticket {} attached to leader {} after its commit \
-                     (ticket {ct}) — the fetch slot was already drained",
-                    l.follower, l.leader
-                ));
-            }
-        }
-    }
-    Ok(links.len())
 }
 
 #[cfg(test)]
@@ -622,38 +560,5 @@ mod tests {
             "q7#1, which fetches no selection",
         );
         assert!(unsound_merge_findings(&chained, &hand_prover).is_empty());
-    }
-
-    #[test]
-    fn share_windows_enforce_admit_and_commit_order() {
-        let links = |f: u64, l: u64| {
-            vec![ShareLink {
-                follower: f,
-                leader: l,
-            }]
-        };
-        let admits = vec![1, 3, 5];
-        let commits = vec![(1, 7), (3, 4)];
-        // Leader admitted first, follower admitted before its commit.
-        assert_eq!(
-            verify_share_windows(&links(3, 1), &admits, &commits).unwrap(),
-            1
-        );
-        assert_eq!(
-            verify_share_windows(&links(5, 1), &admits, &commits).unwrap(),
-            1
-        );
-        // Follower admitted after the leader's commit: the slot was
-        // already drained.
-        let err = verify_share_windows(&links(5, 3), &admits, &commits).unwrap_err();
-        assert!(err.to_string().contains("after its commit"), "{err}");
-        // Leader admitted after the follower.
-        let err = verify_share_windows(&links(1, 3), &admits, &commits).unwrap_err();
-        assert!(err.to_string().contains("earlier admissions"), "{err}");
-        // Unknown leader ticket.
-        let err = verify_share_windows(&links(3, 2), &admits, &commits).unwrap_err();
-        assert!(err.to_string().contains("unknown admission"), "{err}");
-        // Empty logs always certify.
-        assert_eq!(verify_share_windows(&[], &[], &[]).unwrap(), 0);
     }
 }

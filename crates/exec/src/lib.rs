@@ -68,6 +68,7 @@
 mod cached;
 mod interp;
 mod ledger;
+mod log;
 mod parallel;
 mod phase2;
 mod piggyback;
@@ -82,6 +83,7 @@ mod two_phase;
 
 pub use interp::{execute_plan, execute_plan_unchecked, execute_plan_with, ExecutionOutcome};
 pub use ledger::{CostLedger, LedgerEntry, StepKind};
+pub use log::{LoggedOp, OpKind};
 pub use parallel::{execute_plan_parallel, ParallelConfig, ParallelOutcome};
 pub use phase2::{cached_phase2_rows, execute_fetch_plan, fetch_planned, Phase2Outcome};
 pub use piggyback::{execute_piggyback, fetch_first_records, PiggybackOutcome};
@@ -94,8 +96,8 @@ pub use schedule::{
     response_time, schedule, stage_schedule, verify_stage_trace, ScheduledStep, StageTraceEntry,
 };
 pub use server::{
-    replay_serial, serve, verify_replay_parity, LoggedOp, OpKind, QueryResult, ReplayedQuery,
-    ServerConfig, ServerReport, ShareRef, ShedQuery, TenantEvent,
+    replay_serial, serve, verify_replay_parity, QueryResult, ReplayedQuery, ServerConfig,
+    ServerReport, ShareRef, ShedQuery, TenantEvent,
 };
 pub use two_phase::fetch_records;
 

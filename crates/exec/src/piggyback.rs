@@ -17,14 +17,16 @@
 //!
 //! [`fetch_first_records`]: crate::piggyback::fetch_first_records
 
-use crate::ledger::{CostLedger, LedgerEntry, StepKind};
+use std::collections::HashSet;
+
+use crate::ledger::{CostLedger, StepKind};
 use crate::phase2::fetch_full_records;
-use crate::step::{exec_sq, run_semijoin, Delivery, StepValue};
+use crate::step::{proc_cost, Delivery, PlanRun};
 use fusion_core::plan::{SimplePlanSpec, SourceChoice};
 use fusion_core::query::FusionQuery;
 use fusion_net::{ExchangeKind, MessageSize, Network};
 use fusion_source::SourceSet;
-use fusion_types::error::{FusionError, Result};
+use fusion_types::error::Result;
 use fusion_types::{Cost, ItemSet, SourceId, Tuple};
 
 /// The outcome of a piggybacked execution.
@@ -47,117 +49,82 @@ impl PiggybackOutcome {
 }
 
 /// Executes a condition-at-a-time spec with the final round returning
-/// full records.
+/// full records: rounds `0..m−1` run as the steps of `spec.build(n)`,
+/// then the final round's queries ship records in place of items.
 ///
 /// # Errors
-/// Fails on malformed specs, capability violations (record semijoins
-/// require native semijoin support), and evaluation errors.
+/// Fails on malformed or unsound specs, capability violations (record
+/// semijoins require native semijoin support), and evaluation errors.
 pub fn execute_piggyback(
     spec: &SimplePlanSpec,
     query: &FusionQuery,
     sources: &SourceSet,
     network: &mut Network,
 ) -> Result<PiggybackOutcome> {
-    spec.validate(sources.len())?;
-    if spec.order.len() != query.m() {
-        return Err(FusionError::invalid_plan(format!(
-            "spec covers {} conditions, query has {}",
-            spec.order.len(),
-            query.m()
-        )));
-    }
-    let conditions = query.conditions();
+    let n = sources.len();
+    let plan = spec.build(n)?;
+    fusion_core::analyze::ensure_sound(&plan)?;
+    let mut run = PlanRun::new(&plan, query, sources, network, None, false)?;
+    // The final round is the plan's tail: n remote steps, a union, and an
+    // intersect unless the round is all semijoins (or the only one).
     let m = spec.order.len();
-    let mut ledger = CostLedger::new();
-    let mut current: Option<ItemSet> = None;
-    let mut step = 0usize;
-    // All rounds but the last: plain item processing.
-    for r in 0..m - 1 {
-        let cond = &conditions[spec.order[r].0];
-        let mut round_union = ItemSet::empty();
-        let mut any_selection = false;
-        for (j, choice) in spec.choices[r].iter().enumerate() {
-            let source = SourceId(j);
-            let mut d = Delivery::plain(network, step, source);
-            let done = match choice {
-                SourceChoice::Selection => {
-                    any_selection = true;
-                    exec_sq(&mut d, cond, sources)?
-                }
-                SourceChoice::Semijoin => {
-                    let bindings = current
-                        .as_ref()
-                        .expect("validated: round 0 has no semijoins");
-                    run_semijoin(&mut d, cond, bindings, sources)?
-                }
-            };
-            ledger.push(done.entry);
-            let StepValue::Items(items) = done.value else {
-                unreachable!("plain delivery never drops a step");
-            };
-            round_union = round_union.union(&items);
-            step += 1;
-        }
-        current = Some(match current {
-            None => round_union,
-            Some(prev) if any_selection => prev.intersect(&round_union),
-            Some(_) => round_union,
-        });
+    let choices = &spec.choices[m - 1];
+    let any_selection = choices.contains(&SourceChoice::Selection);
+    let first = plan.steps.len() - n - 1 - usize::from(m > 1 && any_selection);
+    for idx in 0..first {
+        run.step(idx, network, None)?;
     }
-    // Final round: record-returning queries.
-    let cond = &conditions[spec.order[m - 1].0];
-    let prev = current;
+    let mut ledger = CostLedger::new();
+    for entry in (0..first).filter_map(|idx| run.entry(idx)) {
+        ledger.push(entry.clone());
+    }
+    // The running set the final round reads: the previous round's result.
+    let prev = first
+        .checked_sub(1)
+        .and_then(|idx| plan.steps[idx].defined_var())
+        .map(|v| run.var(v));
+    let cond = &query.conditions()[spec.order[m - 1].0];
     let mut records: Vec<Tuple> = Vec::new();
-    let mut any_selection = false;
-    for (j, choice) in spec.choices[m - 1].iter().enumerate() {
+    for (j, choice) in choices.iter().enumerate() {
         let source = SourceId(j);
         let w = sources.get(source);
-        let (resp, kind) = match choice {
-            SourceChoice::Selection => {
-                any_selection = true;
-                (w.select_records(cond)?, StepKind::Selection)
-            }
-            SourceChoice::Semijoin => {
-                let bindings = prev.as_ref().expect("validated").clone();
-                (w.semijoin_records(cond, &bindings)?, StepKind::Semijoin)
+        let mut d = Delivery::plain(&mut *network, first + j, source);
+        let (resp, kind, exchange, req) = match (choice, prev) {
+            (SourceChoice::Selection, _) => (
+                w.select_records(cond)?,
+                StepKind::Selection,
+                ExchangeKind::Selection,
+                MessageSize::sq_request(cond),
+            ),
+            (SourceChoice::Semijoin, Some(bindings)) if !bindings.is_empty() => (
+                w.semijoin_records(cond, bindings)?,
+                StepKind::Semijoin,
+                ExchangeKind::Semijoin,
+                MessageSize::sjq_request(cond, bindings),
+            ),
+            // X ⋉ ∅ = ∅ at the mediator: free, as in the item plan.
+            (SourceChoice::Semijoin, _) => {
+                ledger.push(d.blank(StepKind::Semijoin));
+                continue;
             }
         };
-        let req = match choice {
-            SourceChoice::Selection => MessageSize::sq_request(cond),
-            SourceChoice::Semijoin => {
-                MessageSize::sjq_request(cond, prev.as_ref().expect("validated"))
-            }
-        };
-        let resp_bytes = MessageSize::tuples_response(&resp.payload);
-        let exchange_kind = match kind {
-            StepKind::Semijoin => ExchangeKind::Semijoin,
-            _ => ExchangeKind::Selection,
-        };
-        let comm = network.exchange(source, exchange_kind, req, resp_bytes);
-        let proc = Cost::new(
-            w.processing()
-                .cost(resp.tuples_examined, resp.payload.len()),
-        );
-        ledger.push(LedgerEntry {
-            step,
+        // Plain delivery never drops a step.
+        let (Ok(entry) | Err(entry)) = d.once(
             kind,
-            source: Some(source),
-            comm,
-            proc,
-            round_trips: 1,
-            items_out: resp.payload.len(),
-            attempts: 1,
-            failed_cost: Cost::ZERO,
-        });
+            exchange,
+            req,
+            MessageSize::tuples_response(&resp.payload),
+            proc_cost(w, resp.tuples_examined, resp.payload.len()),
+            resp.payload.len(),
+        );
+        ledger.push(entry);
         records.extend(resp.payload);
-        step += 1;
     }
     let schema = query.schema();
     let round_items: ItemSet = records.iter().map(|t| t.item(schema)).collect();
     let answer = match prev {
-        None => round_items,
         Some(prev) if any_selection => prev.intersect(&round_items),
-        Some(_) => round_items,
+        _ => round_items,
     };
     records.retain(|t| answer.contains(&t.item(schema)));
     records.sort_by(|a, b| a.values().cmp(b.values()));
@@ -196,16 +163,14 @@ pub fn fetch_first_records(
         let (rows, entry) = fetch_full_records(&uncovered, id, step, schema, sources, network)?;
         cost += entry.total();
         // Keep one record per newly covered item.
-        let mut newly: Vec<Tuple> = Vec::new();
+        let mut newly = HashSet::new();
         for t in rows {
             let item = t.item(schema);
-            if uncovered.contains(&item) && !newly.iter().any(|x| x.item(schema) == item) {
-                newly.push(t);
+            if uncovered.contains(&item) && newly.insert(item) {
+                records.push(t);
             }
         }
-        let newly_items: ItemSet = newly.iter().map(|t| t.item(schema)).collect();
-        uncovered = uncovered.difference(&newly_items);
-        records.extend(newly);
+        uncovered = uncovered.difference(&newly.into_iter().collect());
     }
     records.sort_by(|a, b| a.values().cmp(b.values()));
     Ok((records, cost))
@@ -244,6 +209,36 @@ mod tests {
                 "{t} fails the last condition"
             );
         }
+    }
+
+    #[test]
+    fn an_empty_final_semijoin_is_free() {
+        use crate::execute_plan;
+        use fusion_core::plan::SimplePlanSpec;
+        use fusion_types::schema::dmv_schema;
+        use fusion_types::Predicate;
+
+        // No row has `V = 'nope'`: the final round semijoins an empty
+        // running set, which the item plan prices at zero.
+        let scenario = dmv::figure1_scenario();
+        let query = FusionQuery::new(
+            dmv_schema(),
+            vec![
+                Predicate::eq("V", "nope").into(),
+                Predicate::eq("V", "sp").into(),
+            ],
+        )
+        .unwrap();
+        let spec = SimplePlanSpec::all_semijoin(2, 3);
+        let mut plan_net = scenario.network();
+        let plan = spec.build(3).unwrap();
+        let items = execute_plan(&plan, &query, &scenario.sources, &mut plan_net).unwrap();
+        let mut network = scenario.network();
+        let out = execute_piggyback(&spec, &query, &scenario.sources, &mut network).unwrap();
+        assert!(out.answer.is_empty() && out.records.is_empty());
+        assert_eq!(network.trace().len(), 3, "the three selections only");
+        assert_eq!(network.trace(), plan_net.trace());
+        assert_eq!(out.total_cost(), items.total_cost());
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! * Entries are retired inside the leader's commit critical section,
 //!   so every follower's admission ticket provably precedes the
 //!   leader's commit ticket — the share-window certificate
-//!   ([`fusion_core::dataflow::verify_share_windows`]) checks exactly
-//!   this on every server run.
+//!   (`verify_share_windows`, reading the server's log as written)
+//!   checks exactly this on every server run.
 //! * Epoch guard: a step only attaches when the leader registered
 //!   under the **current** epoch of its source, mirroring the cache's
 //!   commit-withholding rule for updates that raced the fetch.

@@ -282,7 +282,7 @@ impl<'a, E: Exchanger> Delivery<'a, E> {
 
     /// The whole of a one-round-trip step: `Ok` with the delivered
     /// step's entry, `Err` with the dropped step's.
-    fn once(
+    pub(crate) fn once(
         &mut self,
         kind: StepKind,
         exchange: ExchangeKind,
@@ -767,7 +767,8 @@ impl<'a> PlanRun<'a> {
         self.vars[v.0].as_ref().expect("validated: def before use")
     }
 
-    fn var(&self, v: VarId) -> &ItemSet {
+    /// The value of a bound variable.
+    pub(crate) fn var(&self, v: VarId) -> &ItemSet {
         self.var_shared(v)
     }
 
