@@ -140,7 +140,7 @@ fn answer_of(rels: &[Relation]) -> ItemSet {
 fn overlap_items(rels: &[Relation]) -> usize {
     let mut seen = std::collections::BTreeMap::new();
     for r in rels {
-        for item in r.distinct_items().iter() {
+        for item in &r.distinct_items() {
             *seen.entry(item.clone()).or_insert(0usize) += 1;
         }
     }

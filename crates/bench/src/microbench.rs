@@ -98,12 +98,12 @@ impl BenchmarkGroup<'_> {
     /// Runs one parameterized benchmark of the group.
     pub fn bench_with_input<I, F: FnMut(&mut Bencher, &I)>(
         &mut self,
-        id: BenchmarkId,
+        BenchmarkId(id): BenchmarkId,
         input: &I,
         mut f: F,
     ) {
         self.records
-            .extend(run_one(&self.prefix, &id.0, self.sample_size, &mut |b| {
+            .extend(run_one(&self.prefix, &id, self.sample_size, &mut |b| {
                 f(b, input);
             }));
     }

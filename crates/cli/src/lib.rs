@@ -163,7 +163,7 @@ impl Session {
         let out = if let Some(rest) = line.strip_prefix('\\') {
             self.command(rest)
         } else {
-            self.query(line, QueryMode::Execute)
+            self.query(line, &QueryMode::Execute)
         };
         (
             out.unwrap_or_else(|e| format!("error: {e}")),
@@ -1342,7 +1342,7 @@ executed cost {} with per-round re-optimization:",
             (None, arg)
         };
         let Some(threads) = threads else {
-            return self.query(sql, QueryMode::Execute);
+            return self.query(sql, &QueryMode::Execute);
         };
         if sql.is_empty() {
             return Err(FusionError::execution("empty query"));
@@ -1450,7 +1450,7 @@ executed cost {} with per-round re-optimization:",
             }
             rest = parts.next().unwrap_or("").trim();
         }
-        self.query(rest, QueryMode::Fetch(opts))
+        self.query(rest, &QueryMode::Fetch(opts))
     }
 
     /// Resolves requested attribute names to ascending schema indexes;
@@ -1496,7 +1496,7 @@ executed cost {} with per-round re-optimization:",
         ))
     }
 
-    fn query(&mut self, sql: &str, mode: QueryMode) -> Result<String> {
+    fn query(&mut self, sql: &str, mode: &QueryMode) -> Result<String> {
         if sql.is_empty() {
             return Err(FusionError::execution("empty query"));
         }
@@ -1550,7 +1550,7 @@ executed cost {} with per-round re-optimization:",
                         outcome.ledger.failed_total()
                     ));
                 }
-                if let QueryMode::Fetch(opts) = &mode {
+                if let QueryMode::Fetch(opts) = mode {
                     if outcome.answer.is_empty() {
                         out.push_str("\nnothing to fetch: the answer is empty");
                     } else if opts.broadcast {

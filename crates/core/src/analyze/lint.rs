@@ -355,7 +355,7 @@ mod tests {
             .unwrap();
         // Build a mutated plan shipping the union of input with an extra
         // full selection — strictly looser, result unchanged.
-        let mut q = p.clone();
+        let mut q = p;
         let extra = q.fresh_var("WIDE1");
         let wide = q.fresh_var("WIDE");
         q.steps.insert(

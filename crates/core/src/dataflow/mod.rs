@@ -1004,7 +1004,7 @@ mod tests {
                 ],
             ),
             Relation::from_rows(
-                s.clone(),
+                s,
                 vec![tuple!["T21", "dui", 1996i64], tuple!["J55", "sp", 1996i64]],
             ),
         ];
@@ -1042,7 +1042,7 @@ mod tests {
                 ],
             ),
             Relation::from_rows(
-                s.clone(),
+                s,
                 vec![tuple!["A1", "sp", 1993i64], tuple!["A4", "sp", 1994i64]],
             ),
         ];
@@ -1101,7 +1101,7 @@ mod tests {
     fn stats_seeds_are_sound_and_tighter_than_model_seeds() {
         let s = dmv_schema();
         let rel = Relation::from_rows(
-            s.clone(),
+            s,
             (0..100)
                 .map(|i| {
                     tuple![

@@ -571,8 +571,7 @@ mod tests {
         let rows = global_rows(40);
         let rel = Relation::from_rows(schema.clone(), rows);
         let answer = rel.distinct_items();
-        let catalog =
-            CoverageCatalog::from_relations(&schema, &[rel.clone(), rel.clone()], &[true, true]);
+        let catalog = CoverageCatalog::from_relations(&schema, &[rel.clone(), rel], &[true, true]);
         let plan = plan_fetch(
             &answer,
             &non_merge_attrs(&schema),
@@ -620,7 +619,7 @@ mod tests {
     #[test]
     fn uncoverable_attributes_are_named_missing() {
         let caps = [Capabilities::full()];
-        let (sources, network) = world(&caps, &[0..40]);
+        let (sources, network) = world(&caps, std::slice::from_ref(&(0..40)));
         let model = model_of(&sources, &network);
         let schema = dmv_schema();
         let rel = Relation::from_rows(schema.clone(), global_rows(40));
@@ -644,12 +643,12 @@ mod tests {
     #[test]
     fn cached_items_are_excluded_and_priced_zero() {
         let caps = [Capabilities::full()];
-        let (sources, network) = world(&caps, &[0..40]);
+        let (sources, network) = world(&caps, std::slice::from_ref(&(0..40)));
         let model = model_of(&sources, &network);
         let schema = dmv_schema();
         let rel = Relation::from_rows(schema.clone(), global_rows(40));
         let answer = rel.distinct_items();
-        let catalog = CoverageCatalog::from_relations(&schema, &[rel.clone()], &[true]);
+        let catalog = CoverageCatalog::from_relations(&schema, &[rel], &[true]);
         let cached: ItemSet = answer.iter().take(20).cloned().collect();
         let cold = plan_fetch(
             &answer,
@@ -675,8 +674,7 @@ mod tests {
         let schema = dmv_schema();
         let rel = Relation::from_rows(schema.clone(), global_rows(40));
         let answer = rel.distinct_items();
-        let catalog =
-            CoverageCatalog::from_relations(&schema, &[rel.clone(), rel.clone()], &[true, true]);
+        let catalog = CoverageCatalog::from_relations(&schema, &[rel.clone(), rel], &[true, true]);
         let plan = plan_fetch(
             &answer,
             &[1, 2],
@@ -701,8 +699,7 @@ mod tests {
         let schema = dmv_schema();
         let rel = Relation::from_rows(schema.clone(), global_rows(40));
         let answer = rel.distinct_items();
-        let catalog =
-            CoverageCatalog::from_relations(&schema, &[rel.clone(), rel.clone()], &[true, true]);
+        let catalog = CoverageCatalog::from_relations(&schema, &[rel.clone(), rel], &[true, true]);
         let sane = plan_fetch(
             &answer,
             &[1, 2],
@@ -731,9 +728,9 @@ mod tests {
                 },
                 FetchAssignment {
                     source: SourceId(1),
-                    items: one.clone(),
+                    items: one,
                     attrs: vec![2],
-                    covers: vec![(item.clone(), vec![2])],
+                    covers: vec![(item, vec![2])],
                     batches: 1,
                     est_cost: Cost::new(1.0),
                 },
@@ -776,12 +773,12 @@ mod tests {
     #[test]
     fn undercut_lower_bound_mutant_fails_certification() {
         let caps = [Capabilities::full()];
-        let (sources, network) = world(&caps, &[0..40]);
+        let (sources, network) = world(&caps, std::slice::from_ref(&(0..40)));
         let model = model_of(&sources, &network);
         let schema = dmv_schema();
         let rel = Relation::from_rows(schema.clone(), global_rows(40));
         let answer = rel.distinct_items();
-        let catalog = CoverageCatalog::from_relations(&schema, &[rel.clone()], &[true]);
+        let catalog = CoverageCatalog::from_relations(&schema, &[rel], &[true]);
         let mut plan = plan_fetch(
             &answer,
             &[1, 2],

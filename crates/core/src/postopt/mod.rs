@@ -521,7 +521,7 @@ mod tests {
         let mut m = figure5_model();
         m.set_lq_cost(SourceId(2), 1.0);
         let base = crate::optimizer::sja_optimal(&m);
-        let (plan, loaded) = apply_loading(base.plan.clone(), &m);
+        let (plan, loaded) = apply_loading(base.plan, &m);
         assert_eq!(loaded, vec![SourceId(2)]);
         plan.validate().unwrap();
         let listing = plan.listing();

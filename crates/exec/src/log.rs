@@ -260,7 +260,7 @@ pub(crate) fn verify_share_windows(log: &[LoggedOp]) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{serve, ServerConfig, TenantEvent};
+    use crate::server::{replay_serial, serve, verify_replay_parity, ServerConfig, TenantEvent};
     use crate::testkit::{dmv_query, dmv_sources, net};
     use fusion_source::Capabilities;
 
@@ -435,16 +435,12 @@ mod tests {
         assert_eq!(verify_share_windows(&[]).unwrap(), 0);
     }
 
-    /// The server's own log certifies as written, and each certificate
-    /// rejects its mutant of it with its own error text.
-    #[test]
-    fn a_live_server_log_certifies_and_rejects_its_mutants() {
-        let sources = dmv_sources(Capabilities::full());
-        // Two tenants fire the same cold query concurrently (pacing keeps
-        // the first in flight past the second's admission, so the second
-        // rides its fetches), then update R1 and R3 — bumps of disjoint
-        // shards — and ask again.
-        let tenants: Vec<Vec<TenantEvent>> = (0..2)
+    /// Two tenants fire the same cold query concurrently (pacing keeps
+    /// the first in flight past the second's admission, so the second
+    /// rides its fetches), then update R1 and R3 — bumps of disjoint
+    /// shards — and ask again: 2 workers, paced, sharing on.
+    fn shared_run() -> (Vec<Vec<TenantEvent>>, ServerConfig) {
+        let tenants = (0..2)
             .map(|t| {
                 vec![
                     TenantEvent::Query(dmv_query()),
@@ -458,6 +454,15 @@ mod tests {
             ..ServerConfig::with_workers(2)
         };
         assert!(config.share);
+        (tenants, config)
+    }
+
+    /// The server's own log certifies as written, and each certificate
+    /// rejects its mutant of it with its own error text.
+    #[test]
+    fn a_live_server_log_certifies_and_rejects_its_mutants() {
+        let sources = dmv_sources(Capabilities::full());
+        let (tenants, config) = shared_run();
         let report = serve(&sources, &net, Some(1000.0), &tenants, &config).unwrap();
         let log = report.log;
         let n_shards = config.n_shards;
@@ -513,5 +518,89 @@ mod tests {
         share.leader = last_admit;
         let err = verify_share_windows(&later).unwrap_err();
         assert!(err.to_string().contains("earlier admissions"), "{err}");
+    }
+
+    /// Replay re-decides every admission's shares through its own share
+    /// table, so the live log replays with parity and each malformed
+    /// mutant of it is rejected with its error text — never a panic.
+    #[test]
+    fn replay_rejects_malformed_logs_with_typed_errors() {
+        let sources = dmv_sources(Capabilities::full());
+        let (tenants, config) = shared_run();
+        let report = serve(&sources, &net, Some(1000.0), &tenants, &config).unwrap();
+        let replay =
+            |log: &[LoggedOp]| replay_serial(&sources, &net, Some(1000.0), &tenants, &config, log);
+        let (replayed, fp) = replay(&report.log).unwrap();
+        verify_replay_parity(&report, &replayed, &fp).unwrap();
+
+        let log = report.log;
+        let sharer = log
+            .iter()
+            .position(|op| matches!(&op.kind, OpKind::Admit { shares, .. } if !shares.is_empty()))
+            .expect("nothing shared");
+        let admit = log
+            .iter()
+            .position(|op| matches!(op.kind, OpKind::Admit { .. }))
+            .unwrap();
+        let commit = log
+            .iter()
+            .position(|op| matches!(op.kind, OpKind::Commit { .. }))
+            .expect("nothing committed");
+        let unheld = log.iter().map(|op| op.ticket).max().unwrap() + 1;
+        let mutant = |at: usize, edit: &dyn Fn(&mut OpKind)| {
+            let mut log = log.clone();
+            edit(&mut log[at].kind);
+            log
+        };
+        let shares = |edit: fn(&mut Vec<ShareRef>, u64)| {
+            mutant(sharer, &|kind: &mut OpKind| {
+                if let OpKind::Admit { shares, .. } = kind {
+                    edit(shares, unheld);
+                }
+            })
+        };
+        let mut twice = log.clone();
+        twice.push(LoggedOp {
+            ticket: unheld,
+            ..log[commit].clone()
+        });
+        for (bad, expected) in [
+            (shares(|s, _| s[0].step = 99), "shares diverged"),
+            (shares(|s, t| s[0].leader = t), "shares diverged"),
+            (
+                shares(|s, _| {
+                    s.pop();
+                }),
+                "shares diverged",
+            ),
+            (
+                mutant(commit, &|kind: &mut OpKind| {
+                    if let OpKind::Commit { admit_ticket, .. } = kind {
+                        *admit_ticket = unheld;
+                    }
+                }),
+                "precedes its admission",
+            ),
+            (twice, "precedes its admission"),
+            (
+                mutant(admit, &|kind: &mut OpKind| {
+                    if let OpKind::Admit { index, .. } = kind {
+                        *index = 1;
+                    }
+                }),
+                "is not a query event",
+            ),
+            (
+                mutant(admit, &|kind: &mut OpKind| {
+                    if let OpKind::Admit { tenant, .. } = kind {
+                        *tenant = 2;
+                    }
+                }),
+                "unknown event",
+            ),
+        ] {
+            let err = replay(&bad).unwrap_err();
+            assert!(err.to_string().contains(expected), "{expected}: {err}");
+        }
     }
 }

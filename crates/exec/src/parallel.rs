@@ -384,7 +384,7 @@ mod tests {
                     assert_eq!(par_net.trace(), seq_net.trace(), "seed {seed}");
                 }
                 (Err(se), Err(pe)) => {
-                    assert_eq!(se.to_string(), pe.to_string(), "seed {seed}")
+                    assert_eq!(se.to_string(), pe.to_string(), "seed {seed}");
                 }
                 (seq, par) => panic!("divergent outcomes at seed {seed}: {seq:?} vs {par:?}"),
             }

@@ -709,7 +709,7 @@ mod tests {
     fn harvest_then_warm_run_serves_from_cache_at_zero_cost() {
         let caps = [Capabilities::full()];
         let schema = dmv_schema();
-        let (sources, mut network, rels) = world(&caps, &[0..40]);
+        let (sources, mut network, rels) = world(&caps, std::slice::from_ref(&(0..40)));
         let answer = answer_of(&rels);
         let model = model_of(&sources, &network);
         let catalog = CoverageCatalog::from_relations(&schema, &rels, &[true]);
@@ -847,7 +847,7 @@ mod tests {
         // The replica assumption promises items R2 does not hold.
         let caps = [Capabilities::full()];
         let schema = dmv_schema();
-        let (sources, mut network, rels) = world(&caps, &[0..20]);
+        let (sources, mut network, rels) = world(&caps, std::slice::from_ref(&(0..20)));
         let model = model_of(&sources, &network);
         let answer = {
             let rows = global_rows(40);
@@ -875,7 +875,7 @@ mod tests {
     fn projected_fetch_is_cheaper_than_full_rows_for_narrow_requests() {
         let schema = dmv_schema();
         let proj = [Capabilities::full()];
-        let (sources, mut network, rels) = world(&proj, &[0..40]);
+        let (sources, mut network, rels) = world(&proj, std::slice::from_ref(&(0..40)));
         let answer = answer_of(&rels);
         let model = model_of(&sources, &network);
         let catalog = CoverageCatalog::from_relations(&schema, &rels, &[true]);
@@ -892,7 +892,7 @@ mod tests {
         )
         .unwrap();
         let noproj = [Capabilities::full().with_projection(false)];
-        let (fsources, mut fnet, frels) = world(&noproj, &[0..40]);
+        let (fsources, mut fnet, frels) = world(&noproj, std::slice::from_ref(&(0..40)));
         let fmodel = model_of(&fsources, &fnet);
         let fcatalog = CoverageCatalog::from_relations(&schema, &frels, &[true]);
         let (_, _, full) = fetch_planned(

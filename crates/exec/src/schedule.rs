@@ -358,13 +358,13 @@ mod tests {
         // serial share of it.
         let total = out.total_cost().value();
         assert!(makespan <= total + 1e-9, "makespan {makespan} > {total}");
-        let mut per_source = vec![0.0f64; 4];
+        let mut per_source = [0.0f64; 4];
         for e in out.ledger.entries() {
             if let Some(src) = e.source {
                 per_source[src.0] += e.total().value();
             }
         }
-        let busiest = per_source.iter().cloned().fold(0.0, f64::max);
+        let busiest = per_source.iter().copied().fold(0.0, f64::max);
         assert!(
             makespan >= busiest - 1e-9,
             "makespan {makespan} < {busiest}"

@@ -41,8 +41,11 @@
 //! * Epoch guard: a step only attaches when the leader registered
 //!   under the **current** epoch of its source, mirroring the cache's
 //!   commit-withholding rule for updates that raced the fetch.
+//!
+//! The serial replay admits through a table of its own and re-decides
+//! the logged shares: the table at ticket `t` depends only on earlier
+//! tickets, and every replayed leader ran at its own admission.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use fusion_cache::{subsumes, Harvest};
@@ -88,15 +91,6 @@ impl FetchSlot {
     fn new() -> FetchSlot {
         FetchSlot {
             state: Mutex::new(SlotState::Pending),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// A slot born ready — the serial replay path, where the leader's
-    /// harvest is already known from its replayed execution.
-    pub(crate) fn ready(rows: Arc<Harvest>) -> FetchSlot {
-        FetchSlot {
-            state: Mutex::new(SlotState::Ready(rows)),
             cv: Condvar::new(),
         }
     }
@@ -171,36 +165,6 @@ pub(crate) struct ShareCtx {
     pub(crate) leads: Vec<Option<Arc<FetchSlot>>>,
     /// The logged links, for the admission's log entry.
     pub(crate) refs: Vec<ShareRef>,
-}
-
-impl ShareCtx {
-    /// Rebuilds a context from a logged admission for the serial
-    /// replay: every share is pre-resolved from the leader's replayed
-    /// harvest, and nothing is led (replay is serial).
-    pub(crate) fn from_log(
-        n_steps: usize,
-        shares: &[ShareRef],
-        fetched: &HashMap<(u64, usize), Arc<Harvest>>,
-    ) -> Result<ShareCtx> {
-        let mut attach: Vec<Option<ShareAttach>> = vec![None; n_steps];
-        for r in shares {
-            let rows = fetched.get(&(r.leader, r.leader_step)).ok_or_else(|| {
-                FusionError::execution(format!(
-                    "replay share references unknown fetch: leader {} step {}",
-                    r.leader, r.leader_step
-                ))
-            })?;
-            attach[r.step] = Some(ShareAttach {
-                slot: Arc::new(FetchSlot::ready(rows.clone())),
-                residual: r.residual,
-            });
-        }
-        Ok(ShareCtx {
-            attach,
-            leads: vec![None; n_steps],
-            refs: shares.to_vec(),
-        })
-    }
 }
 
 struct ShareEntry {
@@ -478,29 +442,5 @@ mod tests {
         // But nobody can attach to the committed leader anymore.
         let c = table.admit(3, &plan, &conds, &[false], &[0]).unwrap();
         assert!(c.refs.is_empty());
-    }
-
-    #[test]
-    fn replay_contexts_resolve_from_logged_fetches() {
-        let mut fetched = HashMap::new();
-        fetched.insert((7u64, 0usize), rows(1993));
-        let refs = [ShareRef {
-            step: 0,
-            leader: 7,
-            leader_step: 0,
-            residual: true,
-        }];
-        let ctx = ShareCtx::from_log(1, &refs, &fetched).unwrap();
-        let att = ctx.attach[0].as_ref().unwrap();
-        assert!(att.residual);
-        assert_eq!(att.slot.wait().unwrap().rows().len(), 1);
-        // A log referencing a fetch that never happened is rejected.
-        let bad = [ShareRef {
-            step: 0,
-            leader: 9,
-            leader_step: 0,
-            residual: false,
-        }];
-        assert!(ShareCtx::from_log(1, &bad, &fetched).is_err());
     }
 }

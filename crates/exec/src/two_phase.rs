@@ -175,7 +175,7 @@ mod tests {
     fn duplicate_records_are_deduplicated() {
         // Same record at both sources (replicated data).
         let s = dmv_schema();
-        let rel = Relation::from_rows(s.clone(), vec![tuple!["X1", "dui", 2000i64]]);
+        let rel = Relation::from_rows(s, vec![tuple!["X1", "dui", 2000i64]]);
         let sources = SourceSet::new(vec![
             Box::new(InMemoryWrapper::fully_capable("A", rel.clone())),
             Box::new(InMemoryWrapper::fully_capable("B", rel)),
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn fetch_incapable_sources_are_skipped() {
         let s = dmv_schema();
-        let rel = Relation::from_rows(s.clone(), vec![tuple!["X1", "dui", 2000i64]]);
+        let rel = Relation::from_rows(s, vec![tuple!["X1", "dui", 2000i64]]);
         let sources = SourceSet::new(vec![
             Box::new(InMemoryWrapper::new(
                 "A",
@@ -222,7 +222,7 @@ mod tests {
         let rows: Vec<_> = (0..7)
             .map(|i| tuple![format!("X{i}"), "dui", 2000i64])
             .collect();
-        let rel = Relation::from_rows(s.clone(), rows);
+        let rel = Relation::from_rows(s, rows);
         let answer = rel.distinct_items();
         let sources = SourceSet::new(vec![Box::new(InMemoryWrapper::new(
             "A",

@@ -430,7 +430,7 @@ mod tests {
         let batch = ItemSet::from_items(["J55", "T21"]);
         let probe = w.probe(&cond, &batch).unwrap().payload;
         let explicit: Condition = Predicate::And(vec![
-            cond.pred.clone(),
+            cond.pred,
             Predicate::InList {
                 attr: "L".to_string(),
                 values: batch.iter().map(|i| i.value().clone()).collect(),

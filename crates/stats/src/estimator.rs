@@ -219,7 +219,7 @@ mod tests {
         let b = Predicate::cmp("D", CmpOp::Lt, 1990i64);
         let and = estimate_selectivity(&Predicate::And(vec![a.clone(), b.clone()]), &st);
         assert!((and - 0.05).abs() < 0.02, "got {and}");
-        let or = estimate_selectivity(&Predicate::Or(vec![a.clone(), b.clone()]), &st);
+        let or = estimate_selectivity(&Predicate::Or(vec![a.clone(), b]), &st);
         assert!((or - 0.55).abs() < 0.05, "got {or}");
         let not = estimate_selectivity(&Predicate::Not(Box::new(a)), &st);
         assert!((not - 0.9).abs() < 0.02, "got {not}");

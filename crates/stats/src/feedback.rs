@@ -261,13 +261,13 @@ mod tests {
         fb.record(&dui, SourceId(0), CardObservation::Exact(5.0));
         fb.record(&dui, SourceId(0), CardObservation::Selectivity(0.9));
         assert_eq!(
-            fb.project(&[dui.clone()], 1)
+            fb.project(std::slice::from_ref(&dui), 1)
                 .observed(CondId(0), SourceId(0)),
             Some(CardObservation::Exact(5.0))
         );
         fb.record(&dui, SourceId(0), CardObservation::Exact(3.0));
         assert_eq!(
-            fb.project(&[dui.clone()], 1)
+            fb.project(std::slice::from_ref(&dui), 1)
                 .observed(CondId(0), SourceId(0)),
             Some(CardObservation::Exact(3.0))
         );

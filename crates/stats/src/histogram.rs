@@ -346,7 +346,7 @@ mod tests {
         // 40 distinct values, more than DEFAULT_MCVS, with counts that tie
         // in blocks of four: the kept list must not depend on hash order.
         let vals: Vec<Value> = (0..40i64)
-            .flat_map(|v| std::iter::repeat(Value::Int(v)).take(1 + (v / 4) as usize))
+            .flat_map(|v| std::iter::repeat_n(Value::Int(v), 1 + (v / 4) as usize))
             .collect();
         let refs: Vec<&Value> = vals.iter().collect();
         let cs = ColumnStats::build(&refs, 3);

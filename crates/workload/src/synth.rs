@@ -241,7 +241,7 @@ mod tests {
         let rels = synth_relations(&spec);
         let c1 = condition_with_selectivity(1, 0.5);
         let c2 = condition_with_selectivity(2, 0.5);
-        let both: Condition = Predicate::And(vec![c1.pred.clone(), c2.pred.clone()]).into();
+        let both: Condition = Predicate::And(vec![c1.pred, c2.pred]).into();
         let p12 = rels[0].select_items(&both).unwrap().items.len() as f64 / rels[0].len() as f64;
         assert!((p12 - 0.25).abs() < 0.05, "joint {p12} ≉ 0.25");
     }

@@ -270,7 +270,7 @@ fn bnb_matches_exhaustive() {
                 assert_plans_match_reference(&table, "random table");
                 assert_plans_match_reference(&quantised(g, m, n), "quantised table");
 
-                // The two shapes `admit_query` plans under: a snapshot
+                // The two shapes `ServerCore::admit` plans under: a snapshot
                 // with hits (zero-cost cells), and observed cardinalities
                 // over it.
                 let covered = (0..m)
