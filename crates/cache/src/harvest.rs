@@ -19,14 +19,17 @@
 //!
 //! All of it is derived data, built with no lock held: the order is at
 //! most 36 bytes per row (a `u32` index and, for a row that starts a
-//! new item, the 32-byte item) and written once; the remembered
-//! residual sets together never hold more items than the harvest has
-//! rows (one that would push them past that is served and not kept), so
-//! at most 32 bytes per row more. None of it is counted against the
-//! cache's byte budget, which weighs wire bytes only.
+//! new item, the 32-byte item) and written once; the residual sets it
+//! owns together never hold more items than the harvest has rows, so at
+//! most 32 bytes per row more. One that would push them past that is
+//! remembered by `Weak` — asked again, it is the same set while anyone
+//! still holds it (the server's memo of derived sets keys on that
+//! identity) — and is pruned by the next insert once the last holder
+//! lets go. None of it is counted against the cache's byte budget, which
+//! weighs wire bytes only.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, Weak};
 
 use fusion_core::analyze::{MemoCounters, ProofMemoStats};
 use fusion_types::error::{FusionError, Result};
@@ -58,41 +61,58 @@ struct MergeOrder {
 }
 
 /// The residual sets one order remembers, by the condition that
-/// filtered them. A set weighs its items plus one (an empty set is not
-/// free); the sets' total weight stays within the order's row count.
+/// filtered them. An owned set weighs its items plus one (an empty set
+/// is not free); the owned sets' total weight stays within the order's
+/// row count. A set past that bound is remembered by [`Weak`]: asked
+/// again, it is the same set while anyone still holds it.
 #[derive(Debug, Default)]
 struct Residuals {
     sets: HashMap<Condition, Arc<ItemSet>>,
     weight: usize,
+    /// Sets that did not fit; dead ones are pruned on every insert.
+    spare: HashMap<Condition, Weak<ItemSet>>,
+}
+
+impl Residuals {
+    /// The set remembered for `cond`, owned or still held elsewhere.
+    fn get(&self, cond: &Condition) -> Option<Arc<ItemSet>> {
+        match self.sets.get(cond) {
+            Some(kept) => Some(Arc::clone(kept)),
+            None => self.spare.get(cond).and_then(Weak::upgrade),
+        }
+    }
 }
 
 impl MergeOrder {
     /// The remembered answer of `cond`, if any. Poison recovery (here
-    /// and in `remember`) is sound: a writer touches the map and the
+    /// and in `remember`) is sound: a writer touches the maps and the
     /// weight with steps that cannot panic in between.
     fn remembered(&self, cond: &Condition) -> Option<Arc<ItemSet>> {
         let memo = self
             .residuals
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        memo.sets.get(cond).cloned()
+        memo.get(cond)
     }
 
-    /// Keeps `items` as the answer of `cond` while the row-count bound
-    /// has room for it, and returns the set to serve: a racing reader's,
-    /// if one got here first.
+    /// Keeps `items` as the answer of `cond` — owned while the row-count
+    /// bound has room for it, else by [`Weak`] — and returns the set to
+    /// serve: a racing reader's, if one got here first.
     fn remember(&self, cond: &Condition, items: Arc<ItemSet>) -> Arc<ItemSet> {
         let weight = items.len() + 1;
         let mut memo = self
             .residuals
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(kept) = memo.sets.get(cond) {
-            return Arc::clone(kept);
+        if let Some(kept) = memo.get(cond) {
+            return kept;
         }
+        memo.spare.retain(|_, set| set.strong_count() > 0);
         if memo.weight + weight <= self.by_item.len() {
             memo.sets.insert(cond.clone(), Arc::clone(&items));
             memo.weight += weight;
+        } else {
+            memo.spare.insert(cond.clone(), Arc::downgrade(&items));
         }
         items
     }
@@ -307,20 +327,47 @@ mod tests {
         };
         // Asked again, a narrower condition gets the very set back.
         assert!(Arc::ptr_eq(&serve(5), &serve(5)));
-        // A sweep of distinct conditions stays inside the bound and
-        // every answer stays right, remembered or not.
+        // A sweep of distinct conditions stays inside the bound, every
+        // answer stays right, remembered or not, and a set past the bound
+        // (inserted by `Weak`) leaves no dead entry beside it.
+        let memo = || {
+            harvest
+                .order
+                .get()
+                .expect("built")
+                .residuals
+                .read()
+                .unwrap()
+        };
         for v in (0..60).chain(0..60) {
             let want = ItemSet::from_items(
                 rows.iter()
                     .filter(|t| lt(v).eval(t, &schema()).unwrap())
                     .map(|t| t.item(&schema())),
             );
-            assert_eq!(*serve(v), want, "A1 < {v}");
-            let order = harvest.order.get().expect("built by the first serve");
-            let memo = order.residuals.read().unwrap();
-            let held: usize = memo.sets.values().map(|s| s.len() + 1).sum();
-            assert_eq!(memo.weight, held);
-            assert!(held <= rows.len(), "{held} items and sets remembered");
+            let got = serve(v);
+            assert_eq!(*got, want, "A1 < {v}");
+            let memo = memo();
+            let owned: usize = memo.sets.values().map(|s| s.len() + 1).sum();
+            assert_eq!(memo.weight, owned);
+            assert!(owned <= rows.len(), "{owned} items and sets owned");
+            if !memo.sets.contains_key(&lt(v)) {
+                assert!(
+                    memo.spare.values().all(|s| s.strong_count() > 0),
+                    "A1 < {v}"
+                );
+            }
         }
+        // Past the bound, a set is the same one while a clone is held,
+        // and a fresh one once every clone is gone.
+        assert!(!memo().sets.contains_key(&lt(50)));
+        let held = serve(50);
+        assert!(Arc::ptr_eq(&held, &serve(50)));
+        let gone = Arc::downgrade(&held);
+        drop(held);
+        let again = serve(50);
+        assert!(gone.upgrade().is_none());
+        assert!(!std::ptr::eq(gone.as_ptr(), Arc::as_ptr(&again)));
+        assert_eq!(memo().spare.len(), 1);
     }
 }

@@ -295,24 +295,23 @@ impl AnswerCache {
     }
 
     /// Index of the entry a lookup would use: an exact match if one
-    /// exists, else the smallest subsuming entry (fewest residual
-    /// tuples to filter).
+    /// exists — looked for first, so no containment is proved when it
+    /// does — else the smallest subsuming entry (fewest residual tuples
+    /// to filter).
     fn find_servable(&self, source: SourceId, cond: &Condition) -> Option<(usize, HitKind)> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.source != source || !self.servable(e) {
-                continue;
-            }
-            if e.cond == *cond {
-                return Some((i, HitKind::Exact));
-            }
-            if subsume::subsumes(&e.cond.pred, &cond.pred)
-                && best.is_none_or(|(_, n)| e.tuples().len() < n)
-            {
-                best = Some((i, e.tuples().len()));
-            }
+        let candidates = || {
+            self.entries
+                .iter()
+                .enumerate()
+                .filter(move |(_, e)| e.source == source && self.servable(e))
+        };
+        if let Some((i, _)) = candidates().find(|(_, e)| e.cond == *cond) {
+            return Some((i, HitKind::Exact));
         }
-        best.map(|(i, _)| (i, HitKind::Subsumed))
+        candidates()
+            .filter(|(_, e)| subsume::subsumes(&e.cond.pred, &cond.pred))
+            .min_by_key(|(_, e)| e.tuples().len())
+            .map(|(i, _)| (i, HitKind::Subsumed))
     }
 
     /// Resolves a lookup for `(source, cond)` without projecting: the
@@ -529,6 +528,37 @@ mod tests {
         let (idx, kind) = c.find_servable(s, &lt(50)).unwrap();
         assert_eq!(kind, HitKind::Subsumed);
         assert_eq!(c.entries[idx].cond, lt(100));
+    }
+
+    #[test]
+    fn an_exact_entry_wins_over_subsuming_entries_ahead_of_it() {
+        let s = SourceId(0);
+        let rows = || vec![row("a", 5), row("b", 50)];
+        let mut exact_only = AnswerCache::new(1 << 20);
+        let mut crowded = AnswerCache::new(1 << 20);
+        let mut wide = rows();
+        wide.push(row("c", 700));
+        crowded.insert(s, lt(1000), wide, true, Cost::new(1.0));
+        for v in [500, 200] {
+            crowded.insert(s, lt(v), rows(), true, Cost::new(1.0));
+        }
+        for c in [&mut exact_only, &mut crowded] {
+            c.insert(s, lt(100), rows(), true, Cost::new(1.0));
+        }
+        assert_eq!(
+            crowded.find_servable(s, &lt(100)),
+            Some((3, HitKind::Exact))
+        );
+        let want = exact_only.lookup(s, &lt(100), &schema()).unwrap().unwrap();
+        let got = crowded.lookup(s, &lt(100), &schema()).unwrap().unwrap();
+        assert_eq!((got.kind, &got.items), (HitKind::Exact, &want.items));
+        let counts = |c: &AnswerCache| (c.stats().hits, c.stats().residual_hits, c.stats().misses);
+        assert_eq!(counts(&crowded), counts(&exact_only));
+        // With no exact entry, the smallest subsuming one, first of equals.
+        let (idx, kind) = crowded.find_servable(s, &lt(50)).unwrap();
+        assert_eq!((kind, idx), (HitKind::Subsumed, 1));
+        let (idx, kind) = crowded.find_servable(s, &lt(600)).unwrap();
+        assert_eq!((kind, idx), (HitKind::Subsumed, 0));
     }
 
     #[test]

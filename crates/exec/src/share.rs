@@ -81,7 +81,8 @@ enum SlotState {
     Failed,
 }
 
-/// The rendezvous between one leader fetch and its followers.
+/// The rendezvous between one leader fetch and its followers. Poison
+/// recovery on its lock is sound: the state changes by one assignment.
 pub(crate) struct FetchSlot {
     state: Mutex<SlotState>,
     cv: Condvar,
@@ -246,6 +247,10 @@ impl ShareTable {
             }
         }
         let n = plan.steps.len();
+        // The table changes only after the last step that can panic, so
+        // a panicking admission leaves it as it found it: poison recovery
+        // here and in `retire` (one `retain`) is sound.
+        let mut fresh = Vec::new();
         let mut ctx = ShareCtx {
             attach: vec![None; n],
             leads: vec![None; n],
@@ -269,7 +274,7 @@ impl ShareTable {
                 });
             } else {
                 let slot = Arc::new(FetchSlot::new());
-                entries.push(ShareEntry {
+                fresh.push(ShareEntry {
                     source: s.source,
                     cond: s.cond,
                     pred: s.pred.clone(),
@@ -281,6 +286,7 @@ impl ShareTable {
                 ctx.leads[s.step] = Some(slot);
             }
         }
+        entries.extend(fresh);
         Ok(ctx)
     }
 

@@ -763,7 +763,8 @@ impl<'a> PlanRun<'a> {
         self.vars[out.0] = Some(hit.items);
     }
 
-    fn var_shared(&self, v: VarId) -> &Arc<ItemSet> {
+    /// The shared set a bound variable holds.
+    pub(crate) fn var_shared(&self, v: VarId) -> &Arc<ItemSet> {
         self.vars[v.0].as_ref().expect("validated: def before use")
     }
 
@@ -773,7 +774,8 @@ impl<'a> PlanRun<'a> {
     }
 
     /// Runs mediator-local step `idx` (`LocalSq`, `Union`, `Intersect`,
-    /// `Diff`). Free.
+    /// `Diff`): [`PlanRun::compute_local`], then [`PlanRun::bind_local`].
+    /// Free.
     ///
     /// # Errors
     /// Propagates predicate evaluation errors.
@@ -781,36 +783,67 @@ impl<'a> PlanRun<'a> {
     /// # Panics
     /// Panics if called with a remote step.
     pub(crate) fn local(&mut self, idx: usize) -> Result<()> {
-        let (out, value) = match &self.plan.steps[idx] {
-            Step::LocalSq { out, cond, rel } => {
-                if self.rel_dropped[rel.0] {
-                    self.missing_conds.push(*cond);
-                }
+        let value = self.compute_local(idx)?;
+        self.bind_local(idx, value);
+        Ok(())
+    }
+
+    /// The value of mediator-local step `idx`, computed from its bound
+    /// inputs and bound nowhere.
+    ///
+    /// # Errors
+    /// Propagates predicate evaluation errors.
+    ///
+    /// # Panics
+    /// Panics if called with a remote step.
+    pub(crate) fn compute_local(&self, idx: usize) -> Result<Arc<ItemSet>> {
+        Ok(match &self.plan.steps[idx] {
+            Step::LocalSq { cond, rel, .. } => {
                 let relation = self.rels[rel.0]
                     .as_ref()
                     .expect("validated: loaded before use");
-                let r = relation.select_items(&self.query.conditions()[cond.0])?;
-                (*out, Arc::new(r.items))
+                Arc::new(
+                    relation
+                        .select_items(&self.query.conditions()[cond.0])?
+                        .items,
+                )
             }
-            Step::Union { out, inputs } => (
-                *out,
-                Arc::new(ItemSet::union_all(inputs.iter().map(|v| self.var(*v)))),
-            ),
-            Step::Intersect { out, inputs } => {
+            Step::Union { inputs, .. } => {
+                Arc::new(ItemSet::union_all(inputs.iter().map(|v| self.var(*v))))
+            }
+            Step::Intersect { inputs, .. } => {
                 let mut sets = inputs.iter().map(|v| self.var_shared(*v));
                 let first = sets.next().expect("validated");
-                let acc = match sets.next() {
+                match sets.next() {
                     Some(second) => {
                         Arc::new(sets.fold(first.intersect(second), |acc, s| acc.intersect(s)))
                     }
                     None => Arc::clone(first),
-                };
-                (*out, acc)
+                }
             }
-            Step::Diff { out, left, right } => {
-                (*out, Arc::new(self.var(*left).difference(self.var(*right))))
+            Step::Diff { left, right, .. } => {
+                Arc::new(self.var(*left).difference(self.var(*right)))
             }
             remote => panic!("PlanRun::local called with remote step {remote:?}"),
+        })
+    }
+
+    /// Binds mediator-local step `idx` to `value` — computed, or recalled
+    /// by a driver that has seen the same inputs before — and fills its
+    /// ledger slot: the one place a [`StepKind::Local`] entry is built.
+    ///
+    /// # Panics
+    /// Panics if called with a remote step.
+    pub(crate) fn bind_local(&mut self, idx: usize, value: Arc<ItemSet>) {
+        let out = match &self.plan.steps[idx] {
+            Step::LocalSq { out, cond, rel } => {
+                if self.rel_dropped[rel.0] {
+                    self.missing_conds.push(*cond);
+                }
+                *out
+            }
+            Step::Union { out, .. } | Step::Intersect { out, .. } | Step::Diff { out, .. } => *out,
+            remote => panic!("PlanRun::bind_local called with remote step {remote:?}"),
         };
         self.entries[idx] = Some(LedgerEntry {
             step: idx,
@@ -824,7 +857,6 @@ impl<'a> PlanRun<'a> {
             failed_cost: Cost::ZERO,
         });
         self.vars[out.0] = Some(value);
-        Ok(())
     }
 
     /// Fetches remote step `idx` over `ex` — the single step dispatch of

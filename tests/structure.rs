@@ -310,6 +310,48 @@ fn one_server_core() {
     );
 }
 
+/// The executor keeps no process-wide state (ROADMAP item 8): no `static`
+/// and no lazily built global under `crates/exec/src` — what lives for a
+/// run, like the server's memo of derived sets, is a field of the run.
+#[test]
+fn executor_keeps_no_globals() {
+    let found = lines(&["crates/exec/src"], |l| {
+        let code = l.split("//").next().unwrap_or("");
+        let code = code.replace(concat!("'sta", "tic"), "");
+        word(&code, concat!("sta", "tic")) || code.contains(concat!("Lazy", "Lock"))
+    });
+    assert_eq!(found, Vec::<String>::new());
+}
+
+/// One function builds a local step's ledger entry (DESIGN §13), so a set
+/// step the server recalls is accounted by the code that accounts a
+/// computed one.
+#[test]
+fn one_local_ledger_writer() {
+    let local = concat!("StepKind::", "Local");
+    let mut writers = Vec::new();
+    for (path, text) in sources(&["crates/exec/src"]) {
+        let product = text
+            .split(concat!("#[cfg(", "test)]\nmod tests"))
+            .next()
+            .unwrap_or("");
+        let mut func = "";
+        for line in product.lines() {
+            let code = line.split("//").next().unwrap_or("");
+            if let Some((_, rest)) = code.split_once("fn ") {
+                func = rest.split('(').next().unwrap_or(rest);
+            }
+            let read =
+                code.contains(&format!("== {local}")) || code.contains(&format!("{local} =>"));
+            if word(code, local) && !read {
+                writers.push(format!("{}: {func}", path.display()));
+            }
+        }
+    }
+    assert_eq!(writers.len(), 1, "{writers:?}");
+    assert!(writers[0].ends_with("step.rs: bind_local"), "{writers:?}");
+}
+
 /// The crates whose `pub` items are the product's surface: the umbrella
 /// and the ten crates it re-exports.
 const PRODUCT: [&str; 11] = [
@@ -472,7 +514,7 @@ fn every_public_fn_and_mod_is_named_outside_its_crate() {
 /// diff of this file.
 #[test]
 fn documents_stay_within_their_byte_ceilings() {
-    for (doc, ceiling) in [("DESIGN.md", 107_583), ("OPTIMIZATION.md", 86_920)] {
+    for (doc, ceiling) in [("DESIGN.md", 107_574), ("OPTIMIZATION.md", 86_829)] {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(doc);
         let bytes = fs::metadata(&path)
             .unwrap_or_else(|e| panic!("{doc}: {e}"))
