@@ -15,7 +15,7 @@ use fusion_core::dataflow::{analyze_dataflow, stage_decomposition, SourceBounds}
 use fusion_core::optimizer::{ordering_search, RoundRule, PLAN_MEMO_CAPACITY};
 use fusion_core::plan::SimplePlanSpec;
 use fusion_core::{sja_optimal, CostModel, NetworkCostModel};
-use fusion_exec::{execute_plan_parallel, ParallelConfig};
+use fusion_exec::{run, RunOptions, Schedule, Target};
 use fusion_source::SourceEngine;
 use fusion_stats::{estimate_selectivity, TableStats};
 use fusion_types::{
@@ -370,20 +370,19 @@ fn bench_stage_schedule(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("stage_decomposition", &id), &m, |b, _| {
             b.iter(|| stage_decomposition(black_box(&plan)).expect("certified"));
         });
-        let config = ParallelConfig::with_threads(1);
+        let (q, sources) = (&scenario.query, &scenario.sources);
         group.bench_with_input(BenchmarkId::new("execute_parallel_1t", &id), &m, |b, _| {
             b.iter(|| {
                 let mut net = scenario.network();
-                execute_plan_parallel(
-                    &plan,
-                    &scenario.query,
-                    &scenario.sources,
-                    &mut net,
-                    None,
-                    None,
-                    &config,
-                )
-                .expect("certified plan executes")
+                let options = RunOptions {
+                    schedule: Schedule::Stages {
+                        threads: 1,
+                        pace: None,
+                    },
+                    ..RunOptions::default()
+                };
+                run(Target::Plan(&plan), q, sources, &mut net, options)
+                    .expect("certified plan executes")
             });
         });
     }

@@ -9,7 +9,7 @@
 use crate::json::{write_artifact, Json};
 use crate::table::{fmt3, Table};
 use fusion_core::postopt::sja_plus;
-use fusion_exec::{execute_plan_with, Completeness, ExecutionOutcome, RetryPolicy};
+use fusion_exec::{run, Completeness, ExecutionOutcome, RetryPolicy, RunOptions, Target};
 use fusion_net::{FaultPlan, FaultSpec};
 use fusion_types::{ItemSet, SourceId};
 use fusion_workload::synth::{synth_scenario, SynthSpec};
@@ -28,15 +28,20 @@ fn run_under(scenario: &Scenario, faults: FaultPlan) -> ExecutionOutcome {
     let plus = sja_plus(&model);
     let mut network = scenario.network();
     network.set_fault_plan(faults);
-    execute_plan_with(
-        &plus.plan,
-        &scenario.query,
-        &scenario.sources,
+    let options = RunOptions {
+        retry: Some(&RetryPolicy::default()),
+        ..RunOptions::default()
+    };
+    let (query, sources) = (&scenario.query, &scenario.sources);
+    run(
+        Target::Plan(&plus.plan),
+        query,
+        sources,
         &mut network,
-        Some(&RetryPolicy::default()),
-        None,
+        options,
     )
     .expect("fault-tolerant execution degrades instead of failing")
+    .outcome
 }
 
 /// Fraction of the exact answer a (subset) answer retains.

@@ -27,7 +27,7 @@ use crate::table::{fmt3, fmtx, Table};
 use fusion_cache::{AnswerCache, CachedCostModel};
 use fusion_core::cost::NetworkCostModel;
 use fusion_core::sja_optimal;
-use fusion_exec::{execute_plan, execute_plan_with};
+use fusion_exec::{execute_plan, run, RunOptions, Target};
 use fusion_workload::session::{generate_session, SessionEvent, SessionSpec};
 use fusion_workload::synth::{synth_scenario, SynthSpec};
 use fusion_workload::Scenario;
@@ -119,15 +119,14 @@ pub fn run_session(skew: f64, update_rate: f64, seed: u64) -> SessionRow {
                     replanned += 1;
                 }
                 let mut network = scenario.network();
-                let warm_out = execute_plan_with(
-                    &warm_plan,
-                    query,
-                    &scenario.sources,
-                    &mut network,
-                    None,
-                    Some(&mut cache),
-                )
-                .expect("session queries execute");
+                let options = RunOptions {
+                    cache: Some(&mut cache),
+                    ..RunOptions::default()
+                };
+                let target = Target::Plan(&warm_plan);
+                let warm_out = run(target, query, &scenario.sources, &mut network, options)
+                    .expect("session queries execute")
+                    .outcome;
                 warm += warm_out.total_cost().value();
                 assert_eq!(
                     warm_out.answer, cold_out.answer,

@@ -15,7 +15,7 @@ use crate::table::{fmt3, Table};
 use fusion_core::query::FusionQuery;
 use fusion_core::sampler::random_simple_plan;
 use fusion_core::{sja_optimal, NetworkCostModel};
-use fusion_exec::{execute_plan_reopt, ReoptConfig, ReoptOutcome};
+use fusion_exec::{run, ExecutionOutcome, ReoptConfig, ReoptReport, ReoptRule, RunOptions, Target};
 use fusion_net::LinkProfile;
 use fusion_source::ProcessingProfile;
 use fusion_stats::CardinalityFeedback;
@@ -132,25 +132,26 @@ fn e14_workloads() -> Vec<(&'static str, Vec<Condition>)> {
 }
 
 /// `scenario`'s SJA plan, re-planned at every round boundary.
-fn every_round(scenario: &Scenario, model: &NetworkCostModel) -> ReoptOutcome {
+fn every_round(scenario: &Scenario, model: &NetworkCostModel) -> (ExecutionOutcome, ReoptReport) {
     let (query, sources) = (&scenario.query, &scenario.sources);
     let mut network = scenario.network();
     let mut feedback = CardinalityFeedback::new(scenario.m(), scenario.n());
-    let (spec, config) = (sja_optimal(model).spec, ReoptConfig::every_round());
-    let fb = &mut feedback;
-    execute_plan_reopt(
-        &spec,
+    let rule = ReoptRule::Live {
+        model,
+        feedback: &mut feedback,
+        config: &ReoptConfig::every_round(),
+    };
+    let spec = sja_optimal(model).spec;
+    let options = RunOptions::default();
+    let out = run(
+        Target::Spec(&spec, rule),
         query,
         sources,
         &mut network,
-        model,
-        None,
-        fb,
-        &config,
-        None,
-        None,
+        options,
     )
-    .expect("re-optimized run executes")
+    .expect("re-optimized run executes");
+    (out.outcome, out.reopt.expect("a spec run reports"))
 }
 
 /// E14 (extension): mid-query re-optimization vs the static SJA plan.
@@ -176,15 +177,15 @@ pub fn e14_adaptive() {
         let scenario = scenario_with(conditions, 13_999);
         let model = scenario.cost_model();
         let static_cost = executed_cost(&scenario, &sja_optimal(&model).plan);
-        let out = every_round(&scenario, &model);
+        let (out, report) = every_round(&scenario, &model);
         assert_eq!(
-            out.outcome.answer,
+            out.answer,
             scenario.ground_truth().expect("evaluation succeeds"),
             "{name}: adaptive answer must be exact"
         );
         let adaptive_cost = out.total_cost().value();
         // The largest predicted-vs-actual divergence across rounds.
-        let drift = out
+        let drift = report
             .rounds
             .iter()
             .max_by(|a, b| {
@@ -217,7 +218,7 @@ mod tests {
             let scenario = scenario_with(conditions, 13_999);
             let model = scenario.cost_model();
             let static_cost = executed_cost(&scenario, &sja_optimal(&model).plan);
-            let out = every_round(&scenario, &model);
+            let (out, report) = every_round(&scenario, &model);
             let adaptive_cost = out.total_cost().value();
             assert!(
                 adaptive_cost <= static_cost * 1.10,
@@ -226,7 +227,7 @@ mod tests {
             savings.push(1.0 - adaptive_cost / static_cost);
             // Every round after the first was re-planned from the |X| the
             // one before it left.
-            for pair in out.rounds.windows(2) {
+            for pair in report.rounds.windows(2) {
                 let gsel = model.gsel(pair[1].cond);
                 let chained = pair[0].actual_size as f64 * gsel;
                 assert_eq!(

@@ -25,7 +25,7 @@ use crate::json::{write_artifact, Json};
 use crate::table::{fmt3, Table};
 use fusion_core::filter_plan;
 use fusion_core::postopt::sja_plus;
-use fusion_exec::{execute_plan, execute_plan_parallel, ParallelConfig, ParallelOutcome};
+use fusion_exec::{execute_plan, run, CostLedger, RunOptions, Schedule, StageReport, Target};
 use fusion_workload::synth::{synth_scenario, SynthSpec};
 use fusion_workload::{dmv, Scenario};
 
@@ -57,18 +57,22 @@ fn paced_run(
     plan: &fusion_core::plan::Plan,
     pace: f64,
     threads: usize,
-) -> ParallelOutcome {
+) -> (CostLedger, StageReport) {
     let mut network = s.scenario.network();
-    execute_plan_parallel(
-        plan,
-        &s.scenario.query,
-        &s.scenario.sources,
-        &mut network,
-        None,
-        None,
-        &ParallelConfig::with_threads(threads).paced(pace),
+    let options = RunOptions {
+        schedule: Schedule::Stages {
+            threads,
+            pace: Some(pace),
+        },
+        ..RunOptions::default()
+    };
+    let (q, sources) = (&s.scenario.query, &s.scenario.sources);
+    let out = run(Target::Plan(plan), q, sources, &mut network, options)
+        .expect("experiment plans execute");
+    (
+        out.outcome.ledger,
+        out.stages.expect("a staged run reports"),
     )
-    .expect("experiment plans execute")
 }
 
 /// One measured (scenario, plan shape, thread count) cell of the E19
@@ -128,17 +132,17 @@ pub fn sweep_rows() -> Vec<ParallelRow> {
                 .expect("experiment plans execute");
             let work = seq.total_cost().value();
             let pace = TARGET_SECS / work;
-            let solo = paced_run(&s, &plan, pace, 1);
-            assert_eq!(solo.outcome.ledger, seq.ledger, "paced parity broke");
+            let (solo_ledger, solo) = paced_run(&s, &plan, pace, 1);
+            assert_eq!(solo_ledger, seq.ledger, "paced parity broke");
             let predicted = solo.makespan;
             for threads in [1usize, 2, 8] {
-                let run = if threads == 1 {
-                    None
+                let wall = if threads == 1 {
+                    solo.wall
                 } else {
-                    Some(paced_run(&s, &plan, pace, threads))
+                    let (ledger, run) = paced_run(&s, &plan, pace, threads);
+                    assert_eq!(ledger, seq.ledger, "paced parity broke");
+                    run.wall
                 };
-                let run = run.as_ref().unwrap_or(&solo);
-                assert_eq!(run.outcome.ledger, seq.ledger, "paced parity broke");
                 rows.push(ParallelRow {
                     scenario: s.label.clone(),
                     plan: shape.to_string(),
@@ -146,7 +150,7 @@ pub fn sweep_rows() -> Vec<ParallelRow> {
                     total_work: work,
                     pred_makespan: predicted,
                     pace,
-                    wall_secs: run.wall.as_secs_f64(),
+                    wall_secs: wall.as_secs_f64(),
                     solo_wall_secs: solo.wall.as_secs_f64(),
                 });
             }
@@ -243,10 +247,10 @@ mod tests {
         let seq =
             execute_plan(&plan, &s.scenario.query, &s.scenario.sources, &mut seq_net).unwrap();
         let pace = 0.2 / seq.total_cost().value();
-        let solo = paced_run(&s, &plan, pace, 1);
-        let wide = paced_run(&s, &plan, pace, 8);
-        assert_eq!(solo.outcome.ledger, wide.outcome.ledger);
-        assert_eq!(wide.outcome.ledger, seq.ledger);
+        let (solo_ledger, solo) = paced_run(&s, &plan, pace, 1);
+        let (wide_ledger, wide) = paced_run(&s, &plan, pace, 8);
+        assert_eq!(solo_ledger, wide_ledger);
+        assert_eq!(wide_ledger, seq.ledger);
         assert!(
             wide.wall < solo.wall,
             "8 threads {:?} !< 1 thread {:?}",

@@ -33,7 +33,7 @@ use crate::table::{fmt3, fmtx, Table};
 use fusion_core::cost::{FeedbackCostModel, TableCostModel};
 use fusion_core::optimizer::sja_optimal;
 use fusion_core::query::FusionQuery;
-use fusion_exec::{execute_plan, execute_plan_reopt, replay_plan_reopt, ReoptConfig};
+use fusion_exec::{execute_plan, run, ReoptConfig, ReoptRule, RunOptions, Target};
 use fusion_net::{LinkProfile, Network};
 use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
 use fusion_stats::CardinalityFeedback;
@@ -164,42 +164,43 @@ pub fn run_point(factor: f64) -> ReoptRow {
 
     let mut feedback = CardinalityFeedback::new(2, 3);
     let mut net_on = wan();
-    let out = execute_plan_reopt(
-        &opt.spec,
-        &q,
-        &srcs,
-        &mut net_on,
-        &distorted,
-        None,
-        &mut feedback,
-        &ReoptConfig::default(),
-        None,
-        None,
-    )
-    .expect("adaptive run");
+    let rule = ReoptRule::Live {
+        model: &distorted,
+        feedback: &mut feedback,
+        config: &ReoptConfig::default(),
+    };
+    let spec_run = |rule, net: &mut Network, what: &str| {
+        let ran = run(
+            Target::Spec(&opt.spec, rule),
+            &q,
+            &srcs,
+            net,
+            RunOptions::default(),
+        );
+        let ran = ran.expect(what);
+        (ran.outcome, ran.reopt.expect(what))
+    };
+    let (out, report) = spec_run(rule, &mut net_on, "adaptive run");
     assert_eq!(
-        out.outcome.answer, locked.answer,
+        out.answer, locked.answer,
         "adaptation changed the answer at factor {factor}"
     );
 
     // Every adaptive run must reproduce bit-for-bit from its switch
     // records, with each switch independently re-certified.
     let mut net_r = wan();
-    let replayed = replay_plan_reopt(&opt.spec, &out.switches, &q, &srcs, &mut net_r, None, None)
-        .expect("switch replay");
-    assert_eq!(
-        replayed.outcome.ledger, out.outcome.ledger,
-        "replay diverged"
-    );
-    assert_eq!(replayed.outcome.answer, out.outcome.answer);
+    let replay = ReoptRule::Replay(&report.switches);
+    let (replayed, _) = spec_run(replay, &mut net_r, "switch replay");
+    assert_eq!(replayed.ledger, out.ledger, "replay diverged");
+    assert_eq!(replayed.answer, out.answer);
     assert_eq!(net_r.trace(), net_on.trace(), "replay trace diverged");
 
     if (factor - 1.0).abs() < f64::EPSILON {
         // Accuracy anchor: with exact estimates adaptation is invisible.
-        assert!(out.switches.is_empty(), "switch under exact statistics");
-        assert_eq!(out.violations, 0, "violation under exact statistics");
+        assert!(report.switches.is_empty(), "switch under exact statistics");
+        assert_eq!(report.violations, 0, "violation under exact statistics");
         assert_eq!(
-            out.outcome.ledger, locked.ledger,
+            out.ledger, locked.ledger,
             "factor-1 run is not byte-identical to reopt-off"
         );
     }
@@ -225,8 +226,8 @@ pub fn run_point(factor: f64) -> ReoptRow {
         reopt: reopt_cost,
         oracle: oracle_cost,
         warm: warm.total_cost().value(),
-        violations: out.violations,
-        switches: out.switches.len(),
+        violations: report.violations,
+        switches: report.switches.len(),
         recovered: (gap > 1e-9).then(|| (locked_cost - reopt_cost) / gap),
     }
 }

@@ -8,8 +8,8 @@
 //! This crate discharges that claim *operationally*: it enumerates the
 //! linearizations of the certified event graph — with a persistent-set
 //! style reduction that only branches where two enabled events actually
-//! conflict — replays each one through the single-event replay executor
-//! ([`fusion_exec::execute_plan_replay`]), and asserts that every
+//! conflict — replays each one one event at a time
+//! ([`fusion_exec::Schedule::Order`]), and asserts that every
 //! schedule produces the byte-identical answer, ledger, completeness,
 //! exchange trace, and cache state as the sequential reference
 //! executors. An interference-free graph therefore is not merely
@@ -27,7 +27,7 @@
 //! interleavings: the per-event code is the same code the production
 //! executors run, so an ordering is exactly the freedom a real scheduler
 //! has. Retry deadlines are the one caveat (see
-//! [`fusion_exec::execute_plan_replay`]): with a deadline set, "cost
+//! [`fusion_exec::Schedule::Order`]): with a deadline set, "cost
 //! spent so far" legitimately depends on schedule, so checking is
 //! restricted to deadline-free policies.
 
@@ -39,9 +39,8 @@ use fusion_core::plan::SimplePlanSpec;
 use fusion_core::query::FusionQuery;
 use fusion_core::sja_optimal;
 use fusion_exec::{
-    execute_plan, execute_plan_replay, execute_plan_with, replay_plan_reopt, replay_serial, serve,
-    verify_replay_parity, ExecutionOutcome, ReoptOutcome, ReplayOptions, RetryPolicy, ServerConfig,
-    ServerReport, TenantEvent,
+    execute_plan, replay_serial, run, serve, verify_replay_parity, ExecutionOutcome, ReoptRule,
+    RetryPolicy, RunOptions, RunOutcome, Schedule, ServerConfig, ServerReport, Target, TenantEvent,
 };
 use fusion_net::Network;
 use fusion_source::SourceSet;
@@ -63,9 +62,10 @@ pub struct CheckConfig {
     /// replays against a fresh cache of this byte budget, then a second
     /// reference round probes the cache state the schedule left behind.
     pub cache_budget: Option<usize>,
-    /// Replay options; `guard_commits: false` runs mutant admission
-    /// semantics (see [`ReplayOptions`]).
-    pub options: ReplayOptions,
+    /// `false` replays the mutant admission semantics in which an
+    /// admission races its source's fault-recovery epoch bump (see
+    /// [`Schedule::Order`]).
+    pub guard_commits: bool,
 }
 
 impl Default for CheckConfig {
@@ -75,7 +75,7 @@ impl Default for CheckConfig {
             extra_linearizations: 16,
             seed: 0x5eed_cafe,
             cache_budget: None,
-            options: ReplayOptions::default(),
+            guard_commits: true,
         }
     }
 }
@@ -85,13 +85,6 @@ impl CheckConfig {
     #[must_use]
     pub fn cached(mut self, budget: usize) -> CheckConfig {
         self.cache_budget = Some(budget);
-        self
-    }
-
-    /// Replaces the replay options (e.g. to disable the commit guard).
-    #[must_use]
-    pub fn with_options(mut self, options: ReplayOptions) -> CheckConfig {
-        self.options = options;
         self
     }
 }
@@ -354,18 +347,15 @@ pub fn schedule_fingerprint(
     cfg: &CheckConfig,
     order: &[Event],
 ) -> Result<String> {
-    checked_fingerprint(make_network, cfg, &mut |r, net, cache| match r {
-        0 => execute_plan_replay(
-            plan,
-            query,
-            sources,
-            net,
-            policy,
-            cache,
-            order,
-            &cfg.options,
-        ),
-        _ => execute_plan_with(plan, query, sources, net, policy, cache),
+    checked_fingerprint(make_network, cfg, &mut |r, net, cache| {
+        let schedule = match r {
+            0 => Schedule::Order {
+                events: order,
+                guard_commits: cfg.guard_commits,
+            },
+            _ => Schedule::Sequential,
+        };
+        run_plan(plan, query, sources, net, schedule, policy, cache)
     })
 }
 
@@ -384,8 +374,27 @@ pub(crate) fn reference_fingerprint(
     cfg: &CheckConfig,
 ) -> Result<String> {
     checked_fingerprint(make_network, cfg, &mut |_, net, cache| {
-        execute_plan_with(plan, query, sources, net, policy, cache)
+        let schedule = Schedule::Sequential;
+        run_plan(plan, query, sources, net, schedule, policy, cache)
     })
+}
+
+/// [`run`] of `plan` under `schedule`, `retry` and `cache`.
+fn run_plan(
+    plan: &Plan,
+    query: &FusionQuery,
+    sources: &SourceSet,
+    net: &mut Network,
+    schedule: Schedule<'_>,
+    retry: Option<&RetryPolicy>,
+    cache: Option<&mut AnswerCache>,
+) -> Result<ExecutionOutcome> {
+    let options = RunOptions {
+        schedule,
+        retry,
+        cache,
+    };
+    run(Target::Plan(plan), query, sources, net, options).map(|r| r.outcome)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -565,7 +574,7 @@ pub fn verify_merged_vs_isolated(
 }
 
 /// Discharges the replay contract of an adaptively re-optimized run:
-/// re-executes `spec` through [`fusion_exec::replay_plan_reopt`] with
+/// re-executes `spec` under [`ReoptRule::Replay`] with
 /// the recorded switches (each independently re-certified by
 /// [`fusion_core::dataflow::certify_switch`] during the replay) and
 /// byte-compares the answer, ledger (markers included), completeness,
@@ -579,58 +588,66 @@ pub fn verify_merged_vs_isolated(
 /// Returns the number of switches verified.
 ///
 /// # Errors
-/// Fails on any divergence, on a switch record that no longer
-/// certifies, and on execution errors.
+/// Fails on an outcome without a reopt report, on any divergence, on a
+/// switch record that no longer certifies, and on execution errors.
 pub fn verify_reopt_replay(
-    outcome: &ReoptOutcome,
+    live: &RunOutcome,
     spec: &SimplePlanSpec,
     query: &FusionQuery,
     sources: &SourceSet,
     make_network: &dyn Fn() -> Network,
     retry: Option<&RetryPolicy>,
 ) -> Result<usize> {
-    let mut net = make_network();
-    let replayed = replay_plan_reopt(
-        spec,
-        &outcome.switches,
+    let (outcome, report) = match &live.reopt {
+        Some(report) => (&live.outcome, report),
+        None => return Err(FusionError::execution("reopt replay: not a reopt run")),
+    };
+    let rule = ReoptRule::Replay(&report.switches);
+    let options = RunOptions {
+        retry,
+        ..RunOptions::default()
+    };
+    let replayed = run(
+        Target::Spec(spec, rule),
         query,
         sources,
-        &mut net,
-        None,
-        retry,
+        &mut make_network(),
+        options,
     )?;
-    if replayed.outcome.answer != outcome.outcome.answer {
+    let replayed_spec = replayed.reopt.map(|r| r.final_spec);
+    let replayed = replayed.outcome;
+    if replayed.answer != outcome.answer {
         return Err(FusionError::execution(
             "reopt replay: answer diverged from the live run",
         ));
     }
-    if replayed.outcome.ledger != outcome.outcome.ledger {
+    if replayed.ledger != outcome.ledger {
         return Err(FusionError::execution(
             "reopt replay: ledger diverged from the live run",
         ));
     }
-    if replayed.outcome.completeness != outcome.outcome.completeness {
+    if replayed.completeness != outcome.completeness {
         return Err(FusionError::execution(
             "reopt replay: completeness diverged from the live run",
         ));
     }
-    if replayed.final_spec != outcome.final_spec {
+    if replayed_spec.as_ref() != Some(&report.final_spec) {
         return Err(FusionError::execution(
             "reopt replay: final spliced spec diverged from the live run",
         ));
     }
-    if outcome.outcome.completeness.is_exact() {
-        let final_plan = outcome.final_spec.build(sources.len())?;
+    if outcome.completeness.is_exact() {
+        let final_plan = report.final_spec.build(sources.len())?;
         let mut cold_net = make_network();
         let cold = execute_plan(&final_plan, query, sources, &mut cold_net)?;
-        if cold.answer != outcome.outcome.answer {
+        if cold.answer != outcome.answer {
             return Err(FusionError::execution(
                 "reopt replay: the final spliced spec's cold answer diverges — \
                  switching was not semantically invisible",
             ));
         }
     }
-    Ok(outcome.switches.len())
+    Ok(report.switches.len())
 }
 
 #[cfg(test)]
@@ -824,9 +841,26 @@ mod tests {
         }
     }
 
+    /// A live reopt run of `spec` under `model` at the default config.
+    fn live(
+        spec: &SimplePlanSpec,
+        model: &TableCostModel,
+        feedback: &mut fusion_stats::CardinalityFeedback,
+        (q, sources): (&FusionQuery, &SourceSet),
+        net: &mut Network,
+    ) -> RunOutcome {
+        let config = fusion_exec::ReoptConfig::default();
+        let rule = ReoptRule::Live {
+            model,
+            feedback,
+            config: &config,
+        };
+        let options = RunOptions::default();
+        run(Target::Spec(spec, rule), q, sources, net, options).unwrap()
+    }
+
     #[test]
     fn reopt_replay_verifies_switched_and_unswitched_runs() {
-        use fusion_exec::{execute_plan_reopt, ReoptConfig};
         use fusion_stats::CardinalityFeedback;
         let sources = dmv_sources();
         let q = dmv_query();
@@ -839,28 +873,16 @@ mod tests {
             let opt = sja_optimal(&model);
             let mut feedback = CardinalityFeedback::new(2, 3);
             let mut net = make_net();
-            let out = execute_plan_reopt(
-                &opt.spec,
-                &q,
-                &sources,
-                &mut net,
-                &model,
-                None,
-                &mut feedback,
-                &ReoptConfig::default(),
-                None,
-                None,
-            )
-            .unwrap();
+            let out = live(&opt.spec, &model, &mut feedback, (&q, &sources), &mut net);
             let switches =
                 verify_reopt_replay(&out, &opt.spec, &q, &sources, &make_net, None).unwrap();
-            assert_eq!(switches, out.switches.len(), "est={est}");
+            let report = out.reopt.unwrap();
+            assert_eq!(switches, report.switches.len(), "est={est}");
         }
     }
 
     #[test]
     fn reopt_replay_rejects_a_tampered_outcome() {
-        use fusion_exec::{execute_plan_reopt, ReoptConfig};
         use fusion_stats::CardinalityFeedback;
         let sources = dmv_sources();
         let q = dmv_query();
@@ -869,20 +891,9 @@ mod tests {
         let opt = sja_optimal(&model);
         let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net = make_net();
-        let mut out = execute_plan_reopt(
-            &opt.spec,
-            &q,
-            &sources,
-            &mut net,
-            &model,
-            None,
-            &mut feedback,
-            &ReoptConfig::default(),
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(!out.switches.is_empty(), "fixture stopped switching");
+        let mut out = live(&opt.spec, &model, &mut feedback, (&q, &sources), &mut net);
+        let switches = out.reopt.as_ref().map(|r| r.switches.len());
+        assert_ne!(switches, Some(0), "fixture stopped switching");
         // Forge the answer: the byte-compare must catch it.
         out.outcome.answer = fusion_types::ItemSet::from_items(["bogus"]);
         let err = verify_reopt_replay(&out, &opt.spec, &q, &sources, &make_net, None).unwrap_err();

@@ -30,8 +30,8 @@ use fusion_core::{
     Dataflow, Diagnostic, NetworkCostModel, Plan, SourceBounds, Verdict,
 };
 use fusion_exec::{
-    execute_plan, execute_plan_with, fetch_records, replay_serial, serve, verify_replay_parity,
-    ParallelConfig, RetryPolicy, ServerConfig, TenantEvent,
+    execute_plan, fetch_records, replay_serial, run, serve, verify_replay_parity, ReoptConfig,
+    ReoptRule, RetryPolicy, RunOptions, Schedule, ServerConfig, Target, TenantEvent,
 };
 use fusion_net::{FaultPlan, FaultSpec, Link, LinkProfile, Network};
 use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet};
@@ -163,7 +163,7 @@ impl Session {
         let out = if let Some(rest) = line.strip_prefix('\\') {
             self.command(rest)
         } else {
-            self.query(line, &QueryMode::Execute)
+            self.query(line, &QueryMode::Execute(None))
         };
         (
             out.unwrap_or_else(|e| format!("error: {e}")),
@@ -752,30 +752,29 @@ impl Session {
         let mut feedback = CardinalityFeedback::new(query.m(), sources.len());
         let faults_on = self.faults.is_some();
         let policy = faults_on.then(RetryPolicy::default);
-        let out = fusion_exec::execute_plan_reopt(
-            &sja_optimal(&model).spec,
-            &query,
-            &sources,
-            &mut network,
-            &model,
-            None,
-            &mut feedback,
-            &fusion_exec::ReoptConfig::every_round(),
-            None,
-            policy.as_ref(),
-        )?;
+        let rule = ReoptRule::Live {
+            model: &model,
+            feedback: &mut feedback,
+            config: &ReoptConfig::every_round(),
+        };
+        let target = Target::Spec(&sja_optimal(&model).spec, rule);
+        let options = RunOptions {
+            retry: policy.as_ref(),
+            ..RunOptions::default()
+        };
+        let out = run(target, &query, &sources, &mut network, options)?;
         let answer = &out.outcome.answer;
         let mut text = format!(
             "answer ({} items): {}
 executed cost {} with per-round re-optimization:",
             answer.len(),
             answer,
-            out.total_cost()
+            out.outcome.total_cost()
         );
         if faults_on {
             text.push_str(&format!("\ncompleteness: {}", out.outcome.completeness));
         }
-        for round in &out.rounds {
+        for round in out.reopt.iter().flat_map(|r| &r.rounds) {
             let kinds: Vec<&str> = round
                 .choices
                 .iter()
@@ -826,17 +825,21 @@ executed cost {} with per-round re-optimization:",
         let mut feedback = CardinalityFeedback::new(query.m(), sources.len());
         let faults_on = self.faults.is_some();
         let policy = faults_on.then(RetryPolicy::default);
-        let out = fusion_exec::execute_plan_reopt(
-            &opt.spec,
+        let rule = ReoptRule::Live {
+            model: &model,
+            feedback: &mut feedback,
+            config: &ReoptConfig::default(),
+        };
+        let options = RunOptions {
+            retry: policy.as_ref(),
+            ..RunOptions::default()
+        };
+        let out = run(
+            Target::Spec(&opt.spec, rule),
             &query,
             &sources,
             &mut network,
-            &model,
-            None,
-            &mut feedback,
-            &fusion_exec::ReoptConfig::default(),
-            None,
-            policy.as_ref(),
+            options,
         )?;
         // Independently re-certify and re-execute from the recorded
         // switches before reporting anything.
@@ -855,15 +858,17 @@ executed cost {} with per-round re-optimization:",
             &make_net,
             policy.as_ref(),
         )?;
+        let switches = out.reopt.as_ref().map_or(&[][..], |r| &r.switches[..]);
+        let violations = out.reopt.as_ref().map_or(0, |r| r.violations);
         let mut text = format!(
             "answer ({} items): {}\nexecuted cost {}; {} interval violation{}, {} certified switch{}",
             out.outcome.answer.len(),
             out.outcome.answer,
-            out.total_cost(),
-            out.violations,
-            if out.violations == 1 { "" } else { "s" },
-            out.switches.len(),
-            if out.switches.len() == 1 { "" } else { "es" },
+            out.outcome.total_cost(),
+            violations,
+            if violations == 1 { "" } else { "s" },
+            switches.len(),
+            if switches.len() == 1 { "" } else { "es" },
         );
         if factor != 1.0 {
             text.push_str(&format!(" (estimates distorted {head})"));
@@ -871,7 +876,7 @@ executed cost {} with per-round re-optimization:",
         if faults_on {
             text.push_str(&format!("\ncompleteness: {}", out.outcome.completeness));
         }
-        for sw in &out.switches {
+        for sw in switches {
             text.push_str(&format!(
                 "\n  after round {}: step #{} returned {} items, believed {} — \
                  re-searched suffix from |X|={:.0}: {} → {} ({})",
@@ -1324,7 +1329,9 @@ executed cost {} with per-round re-optimization:",
                 None => (rest, ""),
             };
             let threads = match spec.strip_prefix('=') {
-                None if spec.is_empty() => ParallelConfig::default().threads,
+                None if spec.is_empty() => {
+                    std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+                }
                 Some(t) => t.parse::<usize>().map_err(|_| {
                     FusionError::execution(format!("bad thread count `{t}` in --parallel={t}"))
                 })?,
@@ -1341,70 +1348,7 @@ executed cost {} with per-round re-optimization:",
         } else {
             (None, arg)
         };
-        let Some(threads) = threads else {
-            return self.query(sql, &QueryMode::Execute);
-        };
-        if sql.is_empty() {
-            return Err(FusionError::execution("empty query"));
-        }
-        let (query, sources, mut network) = self.materialize(sql)?;
-        let model = NetworkCostModel::new(&sources, &network, &query, None);
-        let faults_on = self.faults.is_some();
-        let n_sources = self.sources.len();
-        let config = ParallelConfig::with_threads(threads);
-        let policy = faults_on.then(RetryPolicy::default);
-        let plan = match &self.cache {
-            Some(cache) => {
-                let snap = cache.snapshot(query.conditions(), n_sources);
-                // SJA, not SJA+, for the same reason as `query`: load-based
-                // postoptimized plans would bypass the cache entirely.
-                sja_optimal(&CachedCostModel::new(&model, &snap)).plan
-            }
-            None => sja_plus(&model).plan,
-        };
-        let before = self.cache.as_ref().map(|c| *c.stats());
-        let par = fusion_exec::execute_plan_parallel(
-            &plan,
-            &query,
-            &sources,
-            &mut network,
-            policy.as_ref(),
-            self.cache.as_mut(),
-            &config,
-        )?;
-        let cache_line = self.cache_delta_line(before);
-        let outcome = &par.outcome;
-        let total = outcome.total_cost();
-        let mut out = format!(
-            "answer ({} items): {}\nexecuted cost {} over {} round trips\n\
-             parallel: {} threads over {} stages, simulated makespan {:.3} \
-             ({:.2}x over total work), wall clock {:.1} ms",
-            outcome.answer.len(),
-            outcome.answer,
-            total,
-            outcome.ledger.round_trips(),
-            par.threads,
-            par.stages,
-            par.makespan,
-            total.value() / par.makespan.max(f64::MIN_POSITIVE),
-            par.wall.as_secs_f64() * 1e3,
-        );
-        if let Some(line) = cache_line {
-            out.push_str(&line);
-        }
-        if faults_on {
-            out.push_str(&format!(
-                "\ncompleteness: {}\nattempts {} ({} failed), failed-attempt cost {}",
-                outcome.completeness,
-                outcome.ledger.attempts_total(),
-                outcome
-                    .ledger
-                    .attempts_total()
-                    .saturating_sub(outcome.ledger.round_trips()),
-                outcome.ledger.failed_total()
-            ));
-        }
-        Ok(out)
+        self.query(sql, &QueryMode::Execute(threads))
     }
 
     /// The session's fault plan for `n` sources, if faults are on.
@@ -1503,7 +1447,7 @@ executed cost {} with per-round re-optimization:",
         let (query, sources, mut network) = self.materialize(sql)?;
         let model = NetworkCostModel::new(&sources, &network, &query, None);
         match mode {
-            QueryMode::Execute | QueryMode::Fetch(_) => {
+            QueryMode::Execute(_) | QueryMode::Fetch(_) => {
                 let faults_on = self.faults.is_some();
                 let n_sources = self.sources.len();
                 let policy = faults_on.then(RetryPolicy::default);
@@ -1519,22 +1463,40 @@ executed cost {} with per-round re-optimization:",
                     None => sja_plus(&model).plan,
                 };
                 let before = self.cache.as_ref().map(|c| *c.stats());
-                let outcome = execute_plan_with(
-                    &plan,
-                    &query,
-                    &sources,
-                    &mut network,
-                    policy.as_ref(),
-                    self.cache.as_mut(),
-                )?;
+                let schedule = match mode {
+                    QueryMode::Execute(Some(threads)) => Schedule::Stages {
+                        threads: *threads,
+                        pace: None,
+                    },
+                    _ => Schedule::Sequential,
+                };
+                let options = RunOptions {
+                    schedule,
+                    retry: policy.as_ref(),
+                    cache: self.cache.as_mut(),
+                };
+                let ran = run(Target::Plan(&plan), &query, &sources, &mut network, options)?;
+                let outcome = &ran.outcome;
                 let cache_line = self.cache_delta_line(before);
+                let total = outcome.total_cost();
                 let mut out = format!(
                     "answer ({} items): {}\nexecuted cost {} over {} round trips",
                     outcome.answer.len(),
                     outcome.answer,
-                    outcome.total_cost(),
+                    total,
                     outcome.ledger.round_trips()
                 );
+                if let Some(st) = &ran.stages {
+                    out.push_str(&format!(
+                        "\nparallel: {} threads over {} stages, simulated makespan {:.3} \
+                         ({:.2}x over total work), wall clock {:.1} ms",
+                        st.threads,
+                        st.stages,
+                        st.makespan,
+                        total.value() / st.makespan.max(f64::MIN_POSITIVE),
+                        st.wall.as_secs_f64() * 1e3,
+                    ));
+                }
                 if let Some(line) = cache_line {
                     out.push_str(&line);
                 }
@@ -1782,7 +1744,8 @@ anything else is parsed as a fusion query and executed with SJA+";
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum QueryMode {
-    Execute,
+    /// Sequentially, or (`Some(threads)`) on the certified stages.
+    Execute(Option<usize>),
     Fetch(FetchOpts),
 }
 

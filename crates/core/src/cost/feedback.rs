@@ -17,12 +17,12 @@ use fusion_types::{CondId, Cost, SourceId};
 /// A [`CostModel`] whose cardinality estimates defer to runtime
 /// observations where available.
 #[derive(Debug, Clone)]
-pub struct FeedbackCostModel<'a, M: CostModel> {
+pub struct FeedbackCostModel<'a, M: CostModel + ?Sized> {
     inner: &'a M,
     feedback: &'a CardinalityFeedback,
 }
 
-impl<'a, M: CostModel> FeedbackCostModel<'a, M> {
+impl<'a, M: CostModel + ?Sized> FeedbackCostModel<'a, M> {
     /// Wraps `inner`, overriding cells `feedback` has observed.
     ///
     /// # Panics
@@ -41,7 +41,7 @@ impl<'a, M: CostModel> FeedbackCostModel<'a, M> {
     }
 }
 
-impl<M: CostModel> CostModel for FeedbackCostModel<'_, M> {
+impl<M: CostModel + ?Sized> CostModel for FeedbackCostModel<'_, M> {
     fn n_conditions(&self) -> usize {
         self.inner.n_conditions()
     }

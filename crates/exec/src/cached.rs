@@ -1,33 +1,21 @@
 //! Cache-aware plan execution: the contract and its shared pieces.
 //!
-//! Every plan driver takes its [`AnswerCache`] as an `Option`
-//! ([`crate::execute_plan_with`], [`crate::execute_plan_parallel`],
-//! [`crate::execute_plan_reopt`], [`crate::execute_plan_replay`]); what
-//! a cache may and may not change is the same for all of them:
-//! **answers and completeness are byte-identical to cold execution** —
-//! the cache only changes what things cost, never what they compute:
+//! Whatever the schedule or reopt rule, [`crate::RunOptions::cache`]
+//! changes what things cost, never what they compute — **answers and
+//! completeness are byte-identical to cold execution** (DESIGN.md §10):
 //!
-//! * A selection the cache can serve (exactly, or by residual-filtering
-//!   a subsuming entry) never touches the network. Its ledger entry has
-//!   kind [`StepKind::CacheHit`] / [`StepKind::CacheResidual`], zero
-//!   communication and processing cost, and zero round trips — local
-//!   mediator work is free (§2.4).
-//! * A miss fetches the *full records* instead of the bare item set
-//!   (`select_records`, sized with `tuples_response`), so the answer can
-//!   be admitted to the cache and residual-filtered by narrower
-//!   conditions later. This is the investment a semantic cache makes:
-//!   a cached-mode miss pays more communication than a cold `sq`, and
-//!   the cost model's re-fetch price is exactly what admission and
-//!   eviction weigh.
-//! * Inserts are deferred until the run completes, so the cache is
-//!   constant during execution and sequential/parallel lookup sequences
-//!   agree. Entries from a run that degraded to
-//!   [`Completeness::Subset`](crate::retry::Completeness) are inserted
-//!   as non-exact and are never served.
-//! * Fault recovery invalidates: any source that failed at least one
-//!   exchange during a retried run gets its epoch bumped (its
-//!   pre-existing entries die) and its fresh answers are *not* admitted
-//!   — data fetched around a fault window predates recovery.
+//! * A selection the cache serves (exactly, or by residual-filtering a
+//!   subsuming entry) never touches the network: a free
+//!   [`StepKind::CacheHit`] / [`StepKind::CacheResidual`] entry.
+//! * A miss fetches the *full records* (`select_records`), paying more
+//!   than a cold `sq` so the answer can be admitted and residual-filtered
+//!   later; that price is the entry's eviction weight.
+//! * Inserts wait until the run completes, so the cache is constant while
+//!   it runs and every schedule makes the same lookups; a run that
+//!   degraded to a subset admits non-exact entries, never served.
+//! * A source that failed an exchange during a retried run has its epoch
+//!   bumped (its older entries die) and its fresh answers withheld: data
+//!   fetched around a fault window predates recovery.
 
 use crate::ledger::{LedgerEntry, StepKind};
 use fusion_cache::{AnswerCache, Harvest, HitKind, Served};
@@ -95,15 +83,33 @@ pub(crate) fn commit_inserts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{execute_plan, execute_plan_with};
+    use crate::interp::execute_plan;
     use crate::retry::RetryPolicy;
     use crate::testkit::{dmv_query, dmv_sources, net};
+    use crate::{ExecutionOutcome, RunOptions, Target};
     use fusion_core::plan::SimplePlanSpec;
     use fusion_core::query::FusionQuery;
     use fusion_net::{FaultPlan, FaultSpec};
     use fusion_source::Capabilities;
     use fusion_types::schema::dmv_schema;
     use fusion_types::Predicate;
+
+    /// `plan` in plan order under `retry` and `cache`.
+    fn sequential(
+        plan: &fusion_core::plan::Plan,
+        query: &FusionQuery,
+        sources: &fusion_source::SourceSet,
+        network: &mut fusion_net::Network,
+        retry: Option<&RetryPolicy>,
+        cache: Option<&mut AnswerCache>,
+    ) -> fusion_types::error::Result<ExecutionOutcome> {
+        let options = RunOptions {
+            retry,
+            cache,
+            ..RunOptions::default()
+        };
+        crate::run(Target::Plan(plan), query, sources, network, options).map(|r| r.outcome)
+    }
 
     #[test]
     fn warm_run_serves_hits_and_matches_cold_answer() {
@@ -113,14 +119,12 @@ mod tests {
         let cold = execute_plan(&plan, &q, &sources, &mut net()).unwrap();
 
         let mut cache = AnswerCache::new(1 << 20);
-        let first =
-            execute_plan_with(&plan, &q, &sources, &mut net(), None, Some(&mut cache)).unwrap();
+        let first = sequential(&plan, &q, &sources, &mut net(), None, Some(&mut cache)).unwrap();
         assert_eq!(first.answer, cold.answer);
         assert_eq!(cache.stats().misses, 6);
         assert_eq!(cache.len(), 6);
 
-        let second =
-            execute_plan_with(&plan, &q, &sources, &mut net(), None, Some(&mut cache)).unwrap();
+        let second = sequential(&plan, &q, &sources, &mut net(), None, Some(&mut cache)).unwrap();
         assert_eq!(second.answer, cold.answer);
         assert_eq!(second.completeness, cold.completeness);
         assert_eq!(second.ledger.count_kind(StepKind::CacheHit), 6);
@@ -156,11 +160,11 @@ mod tests {
         .unwrap();
         let plan = SimplePlanSpec::filter(2, 3).build(3).unwrap();
         let mut cache = AnswerCache::new(1 << 20);
-        execute_plan_with(&plan, &broad, &sources, &mut net(), None, Some(&mut cache)).unwrap();
+        sequential(&plan, &broad, &sources, &mut net(), None, Some(&mut cache)).unwrap();
 
         let cold = execute_plan(&plan, &narrow, &sources, &mut net()).unwrap();
-        let warm = execute_plan_with(&plan, &narrow, &sources, &mut net(), None, Some(&mut cache))
-            .unwrap();
+        let warm =
+            sequential(&plan, &narrow, &sources, &mut net(), None, Some(&mut cache)).unwrap();
         assert_eq!(warm.answer, cold.answer);
         // c1 (D ≥ 1994 ⊆ D ≥ 1900) is residual-served at all 3 sources;
         // c2 is an exact hit at all 3.
@@ -179,9 +183,8 @@ mod tests {
         let mut c1 = AnswerCache::new(1 << 20);
         let mut c2 = AnswerCache::new(1 << 20);
         for _ in 0..2 {
-            let a =
-                execute_plan_with(&plan, &q, &sources, &mut net(), None, Some(&mut c1)).unwrap();
-            let b = execute_plan_with(
+            let a = sequential(&plan, &q, &sources, &mut net(), None, Some(&mut c1)).unwrap();
+            let b = sequential(
                 &plan,
                 &q,
                 &sources,
@@ -206,7 +209,7 @@ mod tests {
         let mut cache = AnswerCache::new(1 << 20);
 
         // Warm every pair fault-free.
-        execute_plan_with(
+        sequential(
             &plan,
             &q,
             &sources,
@@ -223,7 +226,7 @@ mod tests {
         // entries.
         let mut network = net();
         network.set_fault_plan(FaultPlan::none(3).with_outage(SourceId(1), 0));
-        let out = execute_plan_with(
+        let out = sequential(
             &plan,
             &q,
             &sources,
@@ -243,7 +246,7 @@ mod tests {
         cache.clear();
         let mut network = net();
         network.set_fault_plan(FaultPlan::none(3).with_outage(SourceId(1), 0));
-        let out = execute_plan_with(
+        let out = sequential(
             &plan,
             &q,
             &sources,
@@ -256,7 +259,7 @@ mod tests {
         assert_eq!(cache.epoch(SourceId(1)), epochs_before[1] + 1);
         // Entries from the degraded run were admitted non-exact (R1, R3)
         // or withheld (R2): none serve.
-        let warm = execute_plan_with(
+        let warm = sequential(
             &plan,
             &q,
             &sources,
@@ -282,13 +285,12 @@ mod tests {
             let faults = FaultPlan::uniform(3, seed, FaultSpec::transient(0.4));
             let mut cold_net = net();
             cold_net.set_fault_plan(faults.clone());
-            let cold =
-                execute_plan_with(&plan, &q, &sources, &mut cold_net, Some(&policy), None).unwrap();
+            let cold = sequential(&plan, &q, &sources, &mut cold_net, Some(&policy), None).unwrap();
 
             let mut cache = AnswerCache::new(1 << 20);
             let mut warm_net = net();
             warm_net.set_fault_plan(faults);
-            let warm = execute_plan_with(
+            let warm = sequential(
                 &plan,
                 &q,
                 &sources,

@@ -1,59 +1,25 @@
-//! Runtime adaptive re-optimization fed by observed cardinalities.
+//! Runtime adaptive re-optimization fed by observed cardinalities
+//! (DESIGN.md §15): run the *optimized* spec round by round, and only
+//! when an observation **leaves its believed interval** re-open the
+//! search over the undone suffix ([`suffix_search`]) and splice the
+//! winner in, gated by [`certify_switch`].
 //!
-//! The static pipeline commits to a whole plan from estimates. This
-//! module is the middle way the paper's §6 gestures at: execute the
-//! *optimized* plan, watch what every exchange returns and how large the
-//! running set grows, and only when an observation **leaves its believed
-//! interval** re-open the search over the undone suffix
-//! ([`suffix_search`]) and splice the winner in, gated by
-//! [`certify_switch`]'s three proofs (prefix identity, BDD semantics,
-//! race-free stages). At [`ReoptConfig::every_round`] that is per-round
-//! re-planning.
-//!
-//! # The feedback loop
-//!
-//! * Every remote step's `items_out` is folded into a
-//!   [`CardinalityFeedback`] store: selections (and cache hits) record
-//!   exact per-cell cardinalities, semijoins record observed
-//!   selectivities. The caller's store persists across queries —
-//!   repeated queries start with calibrated estimates.
-//! * At plan start the believed bounds
-//!   ([`SourceBounds::believed_from_model`], slack-widened trust
-//!   regions) are propagated through the plan's dataflow
-//!   ([`fusion_core::dataflow::analyze_dataflow`]). Propagation is
-//!   sound: seeds containing the true cell cardinalities yield step
-//!   bounds containing every true step cardinality — so accurate
-//!   estimates never arm a re-plan from a step, and while the running
-//!   set also stays in its trust region reopt-on execution is
-//!   **byte-identical** to reopt-off execution.
-//! * At each round boundary, a step of the round whose observed
-//!   cardinality escaped its interval arms a re-optimization; so does a
-//!   running set `|X|` outside `[x̂/slack, x̂·slack]`, `x̂` being the size
-//!   the committed suffix was priced to leave (every cell can be exact
-//!   while correlated conditions break the `·gsel` chain). The remaining
-//!   conditions are re-searched from the observed `|X|` under the
-//!   feedback-calibrated model ([`FeedbackCostModel`]).
-//! * The search's winner replaces the committed suffix when it differs,
-//!   costs at most `1 − min_gain` times as much *and* [`certify_switch`]
-//!   proves the splice sound; it lands in the ledger as a free
-//!   [`StepKind::Reopt`] marker, so [`replay_plan_reopt`] reproduces the
-//!   switched run bit for bit.
-//!
-//! # Determinism contract
-//!
-//! With `threads: Some(_)`, [`execute_plan_reopt`] runs each round's
-//! remote steps on scoped worker threads (per-source serial queues via
-//! shared [`fusion_net::SourceHandle`]s) and folds results at the round
-//! barrier in step order — answers, ledgers, and network traces
-//! byte-identical to `threads: None` by construction. Round boundaries
-//! are exactly where switch decisions happen, so parallelism never
-//! observes a half-switched plan.
+//! * Executed, not dropped steps calibrate a [`CardinalityFeedback`]
+//!   store that persists across queries.
+//! * Believed bounds ([`SourceBounds::believed_from_model`]) propagate
+//!   soundly through the dataflow; a round also arms a re-plan when the
+//!   running set leaves `[x̂/slack, x̂·slack]`, `x̂` the size the committed
+//!   suffix was priced to leave (every cell can be exact while correlated
+//!   conditions break the `·gsel` chain). While nothing arms, the run is
+//!   **byte-identical** to the spec's plan.
+//! * An armed boundary re-searches from the observed `|X|` under the
+//!   calibrated model ([`FeedbackCostModel`]); a winner that differs,
+//!   saves at least `min_gain` and certifies is spliced in behind a free
+//!   [`StepKind::Reopt`] marker, so [`ReoptRule::Replay`] reproduces it.
 
-use crate::interp::ExecutionOutcome;
+use crate::interp::Schedule;
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
-use crate::retry::RetryPolicy;
-use crate::step::{committing, PlanRun};
-use fusion_cache::AnswerCache;
+use crate::step::PlanRun;
 use fusion_core::cost::FeedbackCostModel;
 use fusion_core::dataflow::{
     analyze_dataflow, certify_switch, Dataflow, Interval, SourceBounds, SwitchCertificate,
@@ -62,11 +28,11 @@ use fusion_core::optimizer::{price_suffix, suffix_search};
 use fusion_core::plan::{Plan, SimplePlanSpec, SourceChoice, Step, VarId};
 use fusion_core::query::FusionQuery;
 use fusion_core::CostModel;
-use fusion_net::Network;
 use fusion_source::SourceSet;
 use fusion_stats::{CardObservation, CardinalityFeedback};
 use fusion_types::error::{FusionError, Result};
 use fusion_types::{CondId, Condition, Cost, SourceId};
+use std::ops::Range;
 
 /// Tuning knobs for adaptive re-optimization.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,12 +58,9 @@ impl Default for ReoptConfig {
 }
 
 impl ReoptConfig {
-    /// Point trust regions and no gain threshold: every round boundary
-    /// whose running set or any observation is off its estimate re-opens
-    /// the suffix search, and the search's winner is spliced in unless it
-    /// is the committed suffix — per-round re-planning from the observed
-    /// running set, as a certified, replayable run. For a model known to
-    /// be wrong in shape (correlated conditions).
+    /// Point trust regions and no gain threshold: per-round re-planning
+    /// from the observed running set, as a certified, replayable run —
+    /// for a model known to be wrong in shape (correlated conditions).
     pub fn every_round() -> ReoptConfig {
         ReoptConfig {
             slack: 1.0,
@@ -149,29 +112,38 @@ pub struct RoundRecord {
     pub actual_size: usize,
 }
 
-/// The outcome of an adaptively re-optimized execution.
+/// What decides a reopt run's round boundaries.
+pub enum ReoptRule<'a> {
+    /// The feedback loop of the module docs; `feedback` is updated when
+    /// the run succeeds, and a dropped step is not an observation.
+    Live {
+        /// The model the spec was planned under.
+        model: &'a dyn CostModel,
+        /// Observed cardinalities, across queries.
+        feedback: &'a mut CardinalityFeedback,
+        /// Trust region and gain threshold.
+        config: &'a ReoptConfig,
+    },
+    /// A live run's switches spliced in at their `at_step`, each
+    /// re-proved by [`certify_switch`] (a tampered record fails the run):
+    /// no interval, feedback or search is consulted, and the outcome is
+    /// the live run's bit for bit on the same inputs and fault plan.
+    Replay(&'a [SwitchRecord]),
+}
+
+/// What a reopt run's rule decided.
 #[derive(Debug, Clone)]
-pub struct ReoptOutcome {
-    /// Answer, ledger (including [`StepKind::Reopt`] markers), and
-    /// completeness.
-    pub outcome: ExecutionOutcome,
+pub struct ReoptReport {
     /// The spec actually executed after all switches.
     pub final_spec: SimplePlanSpec,
     /// Certified switches, in execution order.
     pub switches: Vec<SwitchRecord>,
-    /// The rounds, in execution order; empty from [`replay_plan_reopt`],
-    /// which prices nothing.
+    /// The rounds, in execution order; empty under
+    /// [`ReoptRule::Replay`], which prices nothing.
     pub rounds: Vec<RoundRecord>,
     /// Interval violations observed (a violation without a worthwhile
     /// certified alternative does not switch).
     pub violations: usize,
-}
-
-impl ReoptOutcome {
-    /// Total executed cost (markers are free).
-    pub fn total_cost(&self) -> Cost {
-        self.outcome.ledger.total()
-    }
 }
 
 /// The free ledger marker recording a certified switch fired before
@@ -208,9 +180,9 @@ fn round_layout(spec: &SimplePlanSpec, n: usize) -> Vec<(usize, usize)> {
 
 /// Derives the believed dataflow intervals of `plan` under the
 /// feedback-calibrated model.
-fn derive_df<M: CostModel>(
+fn derive_df(
     plan: &Plan,
-    model: &M,
+    model: &dyn CostModel,
     feedback: &CardinalityFeedback,
     slack: f64,
 ) -> Result<Dataflow> {
@@ -313,11 +285,11 @@ pub(crate) fn harvest_observations(
     out
 }
 
-fn check_shapes<M: CostModel>(
+fn check_shapes(
     spec: &SimplePlanSpec,
     query: &FusionQuery,
     sources: &SourceSet,
-    model: &M,
+    model: &dyn CostModel,
     feedback: &CardinalityFeedback,
 ) -> Result<()> {
     let m = spec.order.len();
@@ -362,282 +334,316 @@ fn check_config(config: &ReoptConfig) -> Result<()> {
     Ok(())
 }
 
-/// Executes `spec` with runtime adaptive re-optimization: observed
-/// cardinalities calibrate the caller's `feedback` store (updated when
-/// the run succeeds), and interval violations at round boundaries — a
-/// step's or the running set's — re-open the exact search over the
-/// suffix ([`suffix_search`]) from the observed running set. Certified
-/// switches are spliced mid-flight
-/// and recorded as [`StepKind::Reopt`] ledger markers. With a cache
-/// attached, selections are served/admitted exactly as
-/// [`crate::execute_plan_with`] does. With `threads`, each round's
-/// remote steps run on that many scoped worker threads — byte-identical
-/// outcome (see the module docs' determinism contract). With `retry`,
-/// exchanges are retried and a source given up on has its steps dropped
-/// exactly as [`crate::execute_plan_with`] does; a dropped step is not
-/// an observation (it neither calibrates `feedback` nor counts as a
-/// violation), and with no fault plan on the network the run is
-/// byte-identical to `retry: None`.
-///
-/// When every observation and running set stays inside its believed
-/// interval — in particular whenever the model's estimates, and the
-/// independence chain over them, are accurate within `config.slack` —
-/// the outcome is byte-identical to the reopt-off executor on the same
-/// inputs.
-///
-/// # Errors
-/// Fails on a `config` whose `slack` is not finite or below 1 or whose
-/// `min_gain` is outside `[0, 1)`, on shape mismatches, structurally or
-/// semantically unsound plans, capability violations, predicate
-/// evaluation errors, and a source failure whose step cannot be soundly
-/// dropped.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_reopt<M: CostModel>(
-    spec: &SimplePlanSpec,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    model: &M,
-    mut cache: Option<&mut AnswerCache>,
-    feedback: &mut CardinalityFeedback,
-    config: &ReoptConfig,
-    threads: Option<usize>,
-    retry: Option<&RetryPolicy>,
-) -> Result<ReoptOutcome> {
-    check_config(config)?;
-    check_shapes(spec, query, sources, model, feedback)?;
-    let n = sources.len();
-    let m = spec.order.len();
-    let mut spec = spec.clone();
-    let plan = spec.build(n)?;
-    fusion_core::analyze::ensure_sound(&plan)?;
-    if threads.is_some() {
-        // The parallel path runs rounds on worker threads; re-verify the
-        // stage certificate up front like the stage-parallel executor.
-        fusion_core::dataflow::stage_decomposition(&plan)?;
-    }
-    let mut run = PlanRun::new(&plan, query, sources, network, retry, cache.is_some())?;
-    let mut calibrated = feedback.clone();
-    let mut df = derive_df(&plan, model, &calibrated, config.slack)?;
-    let mut xhat = size_chain(&FeedbackCostModel::new(model, feedback), &spec.order, None);
-    let mut rounds = round_layout(&spec, n);
-    debug_assert_eq!(rounds.last().map_or(0, |r| r.1), plan.steps.len());
-    let (mut switches, mut log) = (Vec::new(), Vec::with_capacity(m));
-    let mut violations = 0usize;
-
-    committing(network, |network| {
-        for r in 0..m {
-            let (start, end) = rounds[r];
-            match threads {
-                None => {
-                    for idx in start..end {
-                        run.step(idx, network, cache.as_deref_mut())?;
-                    }
-                }
-                Some(threads) => {
-                    // Cache lookups resolve on the calling thread in step
-                    // order — exactly the lookup sequence (stats, LRU
-                    // touches) the sequential path performs.
-                    if let Some(cache) = cache.as_deref_mut() {
-                        for idx in start..end {
-                            if let Some(hit) = run.lookup(idx, cache)? {
-                                run.serve(idx, hit, false);
-                            }
-                        }
-                    }
-                    let steps: Vec<usize> = (start..end).collect();
-                    let spent = run.spent();
-                    run.stage(&steps, network, threads, None, spent)?;
-                }
-            }
-            // A dropped step observed nothing: its entry neither
-            // calibrates the store nor is tested against its interval.
-            let entries = (start..end)
-                .filter(|&idx| !run.was_dropped(idx))
-                .map(|idx| run.entry(idx).expect("round executed"));
-            for entry in entries.clone() {
-                record_observation(&mut calibrated, &run, entry);
-            }
-            let closing = run.plan().steps[end - 1].defined_var();
-            let x = closing.and_then(|v| run.var_len(v)).unwrap_or(0);
-            log.push(RoundRecord {
-                cond: spec.order[r],
-                choices: spec.choices[r].clone(),
-                predicted_size: xhat[r],
-                actual_size: x,
-            });
-            if r + 1 >= m {
-                continue;
-            }
-            // Round boundary: did any observation escape its believed
-            // interval? Every step (the intersect could mask a cell), then
-            // the running set without propagated bounds' slop: at slack 1
-            // any `|X| ≠ x̂` re-plans, so `x̂` chains from observed sizes.
-            let drift = Interval::new(xhat[r] / config.slack, xhat[r] * config.slack);
-            let Some((violating_step, observed, expected)) = entries
-                .map(|e| (e.step, e.items_out, df.step_bounds[e.step]))
-                .find(|(_, items, believed)| !believed.contains(*items as f64))
-                .or_else(|| {
-                    let within = (drift.lo..=drift.hi).contains(&(x as f64));
-                    (!within).then_some((end - 1, x, drift))
-                })
-            else {
-                continue;
-            };
-            violations += 1;
-            let x0 = x as f64;
-            let remaining: Vec<usize> = spec.order[r + 1..].iter().map(|c| c.0).collect();
-            let fbm = FeedbackCostModel::new(model, &calibrated);
-            let old_suffix_cost = price_suffix(&fbm, &remaining, &spec.choices[r + 1..], x0);
-            let cand = suffix_search(&fbm, &remaining, Some(x0));
-            let differs = cand.order != remaining || cand.choices[..] != spec.choices[r + 1..];
-            if differs && cand.cost.value() <= old_suffix_cost.value() * (1.0 - config.min_gain) {
-                let mut new_spec = SimplePlanSpec {
-                    order: spec.order[..=r].to_vec(),
-                    choices: spec.choices[..=r].to_vec(),
-                };
-                new_spec.order.extend(cand.order.iter().map(|&c| CondId(c)));
-                new_spec.choices.extend(cand.choices.iter().cloned());
-                let new_plan = new_spec.build(n)?;
-                // Certification may refuse the splice: the plan stays.
-                if let Ok(certificate) = certify_switch(run.plan(), &new_plan, end) {
-                    switches.push(SwitchRecord {
-                        at_step: end,
-                        rounds_done: r + 1,
-                        violating_step,
-                        observed,
-                        expected,
-                        x0,
-                        old_suffix_cost,
-                        new_suffix_cost: cand.cost,
-                        suffix_order: cand.order.iter().map(|&c| CondId(c)).collect(),
-                        suffix_choices: cand.choices,
-                        certificate,
-                    });
-                    run.splice(new_plan, reopt_marker(end, observed));
-                    spec = new_spec;
-                    rounds = round_layout(&spec, n);
-                    debug_assert_eq!(rounds.last().map_or(0, |r| r.1), run.plan().steps.len());
-                    df = derive_df(run.plan(), model, &calibrated, config.slack)?;
-                }
-            }
-            // Switched or not, `x̂` re-chains from `x0` along the committed order.
-            xhat.truncate(r + 1);
-            xhat.extend(size_chain(&fbm, &spec.order[r + 1..], Some(x0)));
-        }
-        Ok(())
-    })?;
-    let outcome = run.finish_committing(network, cache);
-    *feedback = calibrated;
-    Ok(ReoptOutcome {
-        outcome,
-        final_spec: spec,
-        switches,
-        rounds: log,
-        violations,
-    })
+/// A live rule's calibrated store, believed step intervals and `x̂`s.
+struct Belief {
+    calibrated: CardinalityFeedback,
+    df: Dataflow,
+    xhat: Vec<f64>,
 }
 
-/// Replays an adaptively re-optimized run from its recorded switches:
-/// the same spec executes sequentially, and at each recorded
-/// `at_step` the recorded suffix is spliced in — after independently
-/// re-running [`certify_switch`], so a tampered switch record fails
-/// the replay rather than executing. No intervals, feedback, or search
-/// are consulted: the ledger (markers included), answer, and
-/// completeness come out bit-for-bit identical to the live run on the
-/// same sources and network — under the live run's `retry` policy and
-/// fault plan when it had them.
-///
-/// # Errors
-/// Fails on shape mismatches, unsound plans or splices, capability
-/// violations, and predicate evaluation errors.
-pub fn replay_plan_reopt(
+/// `spec`'s first `done` rounds, then `order` with `choices`.
+fn respec(
     spec: &SimplePlanSpec,
-    switches: &[SwitchRecord],
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    mut cache: Option<&mut AnswerCache>,
-    retry: Option<&RetryPolicy>,
-) -> Result<ReoptOutcome> {
-    let n = sources.len();
-    if query.m() != spec.order.len() {
-        return Err(FusionError::invalid_plan(format!(
-            "spec has {} rounds, query {} conditions",
-            spec.order.len(),
-            query.m()
-        )));
+    done: usize,
+    order: &[CondId],
+    choices: &[Vec<SourceChoice>],
+) -> SimplePlanSpec {
+    SimplePlanSpec {
+        order: [&spec.order[..done], order].concat(),
+        choices: [&spec.choices[..done], choices].concat(),
     }
-    let mut spec = spec.clone();
-    let plan = spec.build(n)?;
-    fusion_core::analyze::ensure_sound(&plan)?;
-    let mut run = PlanRun::new(&plan, query, sources, network, retry, cache.is_some())?;
-    let mut next_switch = switches.iter().peekable();
-    let mut replayed: Vec<SwitchRecord> = Vec::new();
-    let mut idx = 0usize;
-    while idx < run.plan().steps.len() {
-        if let Some(sw) = next_switch.next_if(|sw| sw.at_step == idx) {
-            if sw.rounds_done == 0 || sw.rounds_done > spec.order.len() {
-                return Err(FusionError::invalid_plan(format!(
-                    "switch record splices after {} of {} rounds",
-                    sw.rounds_done,
-                    spec.order.len()
-                )));
+}
+
+/// The segments and boundaries of [`crate::run`] under a [`ReoptRule`].
+pub(crate) struct Rounds<'a> {
+    /// The spec being run, and each of its rounds' steps `[start, end)`.
+    spec: SimplePlanSpec,
+    layout: Vec<(usize, usize)>,
+    rule: ReoptRule<'a>,
+    /// `Some` under a live rule.
+    belief: Option<Belief>,
+    switches: Vec<SwitchRecord>,
+    log: Vec<RoundRecord>,
+    violations: usize,
+}
+
+impl<'a> Rounds<'a> {
+    /// Builds `spec`'s plan, checking `rule` against `schedule` and the
+    /// run's shapes.
+    ///
+    /// # Errors
+    /// On a schedule the rule does not run on, a bad live config, and
+    /// shape mismatches.
+    pub(crate) fn new(
+        spec: &SimplePlanSpec,
+        rule: ReoptRule<'a>,
+        schedule: Schedule<'_>,
+        query: &FusionQuery,
+        sources: &SourceSet,
+    ) -> Result<(Rounds<'a>, Plan)> {
+        match (&rule, schedule) {
+            (_, Schedule::Sequential)
+            | (ReoptRule::Live { .. }, Schedule::Stages { pace: None, .. }) => {}
+            _ => {
+                return Err(FusionError::execution(
+                    "reopt: a live rule runs sequentially or on unpaced stages, \
+                     a replayed one sequentially",
+                ))
             }
-            if sw.suffix_order.len() != spec.order.len() - sw.rounds_done {
-                return Err(FusionError::invalid_plan(format!(
-                    "switch record's suffix covers {} rounds, {} remain",
-                    sw.suffix_order.len(),
-                    spec.order.len() - sw.rounds_done
-                )));
-            }
-            let mut new_spec = SimplePlanSpec {
-                order: spec.order[..sw.rounds_done].to_vec(),
-                choices: spec.choices[..sw.rounds_done].to_vec(),
-            };
-            new_spec.order.extend(sw.suffix_order.iter().copied());
-            new_spec.choices.extend(sw.suffix_choices.iter().cloned());
-            let new_plan = new_spec.build(n)?;
-            let certificate = certify_switch(run.plan(), &new_plan, idx)?;
-            replayed.push(SwitchRecord {
-                certificate,
-                ..sw.clone()
-            });
-            run.splice(new_plan, reopt_marker(idx, sw.observed));
-            spec = new_spec;
-            continue;
         }
-        run.step(idx, network, cache.as_deref_mut())?;
-        idx += 1;
+        let plan = spec.build(sources.len())?;
+        let belief = match &rule {
+            ReoptRule::Live {
+                model,
+                feedback,
+                config,
+            } => {
+                check_config(config)?;
+                check_shapes(spec, query, sources, *model, feedback)?;
+                Some(Belief {
+                    calibrated: CardinalityFeedback::clone(feedback),
+                    df: derive_df(&plan, *model, feedback, config.slack)?,
+                    xhat: size_chain(&FeedbackCostModel::new(*model, feedback), &spec.order, None),
+                })
+            }
+            ReoptRule::Replay(_) if query.m() != spec.order.len() => {
+                return Err(FusionError::invalid_plan(format!(
+                    "spec has {} rounds, query {} conditions",
+                    spec.order.len(),
+                    query.m()
+                )));
+            }
+            ReoptRule::Replay(_) => None,
+        };
+        let rounds = Rounds {
+            spec: spec.clone(),
+            layout: round_layout(spec, sources.len()),
+            rule,
+            belief,
+            switches: Vec::new(),
+            log: Vec::new(),
+            violations: 0,
+        };
+        Ok((rounds, plan))
     }
-    if next_switch.peek().is_some() {
-        return Err(FusionError::invalid_plan(
-            "switch record points past the end of the plan",
-        ));
+
+    /// The steps of round `r`.
+    pub(crate) fn segment(&self, r: usize) -> Range<usize> {
+        let (start, end) = self.layout[r];
+        start..end
     }
-    let outcome = run.finish_committing(network, cache);
-    let violations = replayed.len();
-    Ok(ReoptOutcome {
-        outcome,
-        final_spec: spec,
-        switches: replayed,
-        rounds: Vec::new(),
-        violations,
-    })
+
+    /// The boundary after round `r`: what the rule decides, and whether a
+    /// round follows.
+    ///
+    /// # Errors
+    /// On a switch that cannot be built or analysed, and on a replayed
+    /// record that is malformed, does not certify, or is left over.
+    pub(crate) fn boundary(&mut self, r: usize, run: &mut PlanRun<'_>) -> Result<bool> {
+        let more = r + 1 < self.spec.order.len();
+        let end = self.layout[r].1;
+        let switch = match &mut self.rule {
+            ReoptRule::Live { model, config, .. } => {
+                let (model, config) = (*model, *config);
+                self.observe(r, run, model, config)?
+            }
+            ReoptRule::Replay(pending) => {
+                let all: &'a [SwitchRecord] = pending;
+                match all.split_first() {
+                    Some(_) if !more => {
+                        return Err(FusionError::invalid_plan(
+                            "switch record points past the end of the plan",
+                        ));
+                    }
+                    Some((sw, rest)) if sw.at_step == end => {
+                        *pending = rest;
+                        Some(self.recorded(sw, run)?)
+                    }
+                    _ => None,
+                }
+            }
+        };
+        if let Some((spec, plan, record)) = switch {
+            run.splice(plan, reopt_marker(end, record.observed));
+            self.layout = round_layout(&spec, run.plan().n_sources);
+            self.spec = spec;
+            self.switches.push(record);
+        }
+        Ok(more)
+    }
+
+    /// A replayed switch record's spec and plan, re-certified.
+    fn recorded(
+        &mut self,
+        sw: &SwitchRecord,
+        run: &PlanRun<'_>,
+    ) -> Result<(SimplePlanSpec, Plan, SwitchRecord)> {
+        let m = self.spec.order.len();
+        if sw.rounds_done == 0 || sw.rounds_done > m {
+            return Err(FusionError::invalid_plan(format!(
+                "switch record splices after {} of {m} rounds",
+                sw.rounds_done
+            )));
+        }
+        if sw.suffix_order.len() != m - sw.rounds_done {
+            return Err(FusionError::invalid_plan(format!(
+                "switch record's suffix covers {} rounds, {} remain",
+                sw.suffix_order.len(),
+                m - sw.rounds_done
+            )));
+        }
+        let (order, choices) = (&sw.suffix_order, &sw.suffix_choices);
+        let spec = respec(&self.spec, sw.rounds_done, order, choices);
+        let plan = spec.build(run.plan().n_sources)?;
+        let certificate = certify_switch(run.plan(), &plan, sw.at_step)?;
+        self.violations += 1;
+        let record = SwitchRecord {
+            certificate,
+            ..sw.clone()
+        };
+        Ok((spec, plan, record))
+    }
+
+    /// A live rule after round `r`: calibrate, record the round, and —
+    /// before another — the certified re-plan of the suffix, if an
+    /// observation escaped its believed interval.
+    fn observe(
+        &mut self,
+        r: usize,
+        run: &PlanRun<'_>,
+        model: &dyn CostModel,
+        config: &ReoptConfig,
+    ) -> Result<Option<(SimplePlanSpec, Plan, SwitchRecord)>> {
+        let Belief {
+            calibrated,
+            df,
+            xhat,
+        } = self.belief.as_mut().expect("a live rule has beliefs");
+        let (spec, (start, end)) = (&self.spec, self.layout[r]);
+        // A dropped step observed nothing: its entry neither calibrates
+        // the store nor is tested against its interval.
+        let entries = (start..end)
+            .filter(|&idx| !run.was_dropped(idx))
+            .map(|idx| run.entry(idx).expect("round executed"));
+        for entry in entries.clone() {
+            record_observation(calibrated, run, entry);
+        }
+        let closing = run.plan().steps[end - 1].defined_var();
+        let x = closing.and_then(|v| run.var_len(v)).unwrap_or(0);
+        self.log.push(RoundRecord {
+            cond: spec.order[r],
+            choices: spec.choices[r].clone(),
+            predicted_size: xhat[r],
+            actual_size: x,
+        });
+        if r + 1 >= spec.order.len() {
+            return Ok(None);
+        }
+        // Did any observation escape its believed interval? Every step
+        // (the intersect could mask a cell), then the running set without
+        // propagated bounds' slop: at slack 1 any `|X| ≠ x̂` re-plans.
+        let drift = Interval::new(xhat[r] / config.slack, xhat[r] * config.slack);
+        let Some((violating_step, observed, expected)) = entries
+            .map(|e| (e.step, e.items_out, df.step_bounds[e.step]))
+            .find(|(_, items, believed)| !believed.contains(*items as f64))
+            .or_else(|| {
+                let within = (drift.lo..=drift.hi).contains(&(x as f64));
+                (!within).then_some((end - 1, x, drift))
+            })
+        else {
+            return Ok(None);
+        };
+        self.violations += 1;
+        let x0 = x as f64;
+        let remaining: Vec<usize> = spec.order[r + 1..].iter().map(|c| c.0).collect();
+        let fbm = FeedbackCostModel::new(model, calibrated);
+        let old_suffix_cost = price_suffix(&fbm, &remaining, &spec.choices[r + 1..], x0);
+        let cand = suffix_search(&fbm, &remaining, Some(x0));
+        let differs = cand.order != remaining || cand.choices[..] != spec.choices[r + 1..];
+        let mut switch = None;
+        if differs && cand.cost.value() <= old_suffix_cost.value() * (1.0 - config.min_gain) {
+            let suffix_order: Vec<CondId> = cand.order.iter().map(|&c| CondId(c)).collect();
+            let new_spec = respec(spec, r + 1, &suffix_order, &cand.choices);
+            let plan = new_spec.build(run.plan().n_sources)?;
+            // Certification may refuse the splice: the plan stays.
+            if let Ok(certificate) = certify_switch(run.plan(), &plan, end) {
+                *df = derive_df(&plan, model, calibrated, config.slack)?;
+                let record = SwitchRecord {
+                    at_step: end,
+                    rounds_done: r + 1,
+                    violating_step,
+                    observed,
+                    expected,
+                    x0,
+                    old_suffix_cost,
+                    new_suffix_cost: cand.cost,
+                    suffix_order,
+                    suffix_choices: cand.choices,
+                    certificate,
+                };
+                switch = Some((new_spec, plan, record));
+            }
+        }
+        // Switched or not, `x̂` re-chains from `x0` along the committed order.
+        let order = &switch.as_ref().map_or(spec, |s| &s.0).order[r + 1..];
+        xhat.truncate(r + 1);
+        xhat.extend(size_chain(&fbm, order, Some(x0)));
+        Ok(switch)
+    }
+
+    /// What the rule decided; a live rule's calibration becomes the
+    /// caller's feedback store.
+    pub(crate) fn finish(self) -> ReoptReport {
+        if let (ReoptRule::Live { feedback, .. }, Some(belief)) = (self.rule, self.belief) {
+            *feedback = belief.calibrated;
+        }
+        ReoptReport {
+            final_spec: self.spec,
+            switches: self.switches,
+            rounds: self.log,
+            violations: self.violations,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::execute_plan;
+    use crate::interp::{execute_plan, ExecutionOutcome};
     use crate::testkit::{dmv_query, dmv_sources};
+    use crate::{run, RetryPolicy, RunOptions, Target};
     use fusion_core::cost::TableCostModel;
     use fusion_core::optimizer::sja_optimal;
     use fusion_net::LinkProfile;
+    use fusion_net::Network;
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
     use fusion_types::schema::dmv_schema;
     use fusion_types::{tuple, ItemSet, Predicate, Relation};
     use fusion_workload::dmv::figure1_relations;
+
+    /// `spec` under `rule` with `options`: the outcome and the report.
+    fn reopt(
+        spec: &SimplePlanSpec,
+        rule: ReoptRule<'_>,
+        (q, sources): (&FusionQuery, &SourceSet),
+        net: &mut Network,
+        options: RunOptions<'_>,
+    ) -> Result<(ExecutionOutcome, ReoptReport)> {
+        let out = run(Target::Spec(spec, rule), q, sources, net, options)?;
+        Ok((out.outcome, out.reopt.expect("a spec run reports its rule")))
+    }
+
+    fn live_rule<'a>(
+        model: &'a dyn CostModel,
+        feedback: &'a mut CardinalityFeedback,
+        config: &'a ReoptConfig,
+    ) -> ReoptRule<'a> {
+        ReoptRule::Live {
+            model,
+            feedback,
+            config,
+        }
+    }
 
     /// A skewed instance: per source, "dui" matches 2 entities while
     /// "sp" matches 31 — so a locked-in round-1 selection sweep is
@@ -699,23 +705,18 @@ mod tests {
         let off = execute_plan(&opt.plan, &q, &sources, &mut net_off).unwrap();
         let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net_on = Network::uniform(3, LinkProfile::Wan.link());
-        let on = execute_plan_reopt(
+        let (on_out, on) = reopt(
             &opt.spec,
-            &q,
-            &sources,
+            live_rule(&model, &mut feedback, &ReoptConfig::default()),
+            (&q, &sources),
             &mut net_on,
-            &model,
-            None,
-            &mut feedback,
-            &ReoptConfig::default(),
-            None,
-            None,
+            RunOptions::default(),
         )
         .unwrap();
         assert!(on.switches.is_empty(), "spurious switch: {:?}", on.switches);
         assert_eq!(on.violations, 0);
-        assert_eq!(on.outcome.answer, off.answer);
-        assert_eq!(on.outcome.ledger, off.ledger);
+        assert_eq!(on_out.answer, off.answer);
+        assert_eq!(on_out.ledger, off.ledger);
         assert_eq!(net_on.trace(), net_off.trace());
         // The store learned the true cardinalities.
         assert!(!feedback.is_empty());
@@ -740,20 +741,15 @@ mod tests {
         let locked = execute_plan(&opt.plan, &q, &sources, &mut net_locked).unwrap();
         let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net = Network::uniform(3, LinkProfile::Wan.link());
-        let out = execute_plan_reopt(
+        let (ran, out) = reopt(
             &opt.spec,
-            &q,
-            &sources,
+            live_rule(&model, &mut feedback, &ReoptConfig::default()),
+            (&q, &sources),
             &mut net,
-            &model,
-            None,
-            &mut feedback,
-            &ReoptConfig::default(),
-            None,
-            None,
+            RunOptions::default(),
         )
         .unwrap();
-        assert_eq!(out.outcome.answer, locked.answer);
+        assert_eq!(ran.answer, locked.answer);
         assert_eq!(out.switches.len(), 1, "violations={}", out.violations);
         let sw = &out.switches[0];
         assert_eq!(sw.rounds_done, 1);
@@ -766,12 +762,12 @@ mod tests {
         assert_eq!(sw.certificate.shared_prefix, sw.at_step);
         // The switched run beats the locked-in plan on executed cost.
         assert!(
-            out.total_cost() < locked.ledger.total(),
+            ran.total_cost() < locked.ledger.total(),
             "reopt {} >= locked {}",
-            out.total_cost(),
+            ran.total_cost(),
             locked.ledger.total()
         );
-        assert_eq!(out.outcome.ledger.count_kind(StepKind::Reopt), 1);
+        assert_eq!(ran.ledger.count_kind(StepKind::Reopt), 1);
     }
 
     #[test]
@@ -782,33 +778,26 @@ mod tests {
         let opt = sja_optimal(&model);
         let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net = Network::uniform(3, LinkProfile::Wan.link());
-        let live = execute_plan_reopt(
+        let (live_out, live) = reopt(
             &opt.spec,
-            &q,
-            &sources,
+            live_rule(&model, &mut feedback, &ReoptConfig::default()),
+            (&q, &sources),
             &mut net,
-            &model,
-            None,
-            &mut feedback,
-            &ReoptConfig::default(),
-            None,
-            None,
+            RunOptions::default(),
         )
         .unwrap();
         assert!(!live.switches.is_empty());
         let mut replay_net = Network::uniform(3, LinkProfile::Wan.link());
-        let replayed = replay_plan_reopt(
+        let (replayed_out, replayed) = reopt(
             &opt.spec,
-            &live.switches,
-            &q,
-            &sources,
+            ReoptRule::Replay(&live.switches),
+            (&q, &sources),
             &mut replay_net,
-            None,
-            None,
+            RunOptions::default(),
         )
         .unwrap();
-        assert_eq!(replayed.outcome.answer, live.outcome.answer);
-        assert_eq!(replayed.outcome.ledger, live.outcome.ledger);
+        assert_eq!(replayed_out.answer, live_out.answer);
+        assert_eq!(replayed_out.ledger, live_out.ledger);
         assert_eq!(replayed.final_spec, live.final_spec);
         assert_eq!(replay_net.trace(), net.trace());
         // A tampered switch record fails validation instead of
@@ -818,61 +807,15 @@ mod tests {
         let mut forged = live.switches.clone();
         forged[0].suffix_order = vec![done];
         let mut forged_net = Network::uniform(3, LinkProfile::Wan.link());
-        let err = replay_plan_reopt(
+        let err = reopt(
             &opt.spec,
-            &forged,
-            &q,
-            &sources,
+            ReoptRule::Replay(&forged),
+            (&q, &sources),
             &mut forged_net,
-            None,
-            None,
+            RunOptions::default(),
         )
         .unwrap_err();
         assert!(err.to_string().contains("permutation"), "{err}");
-    }
-
-    #[test]
-    fn parallel_reopt_is_byte_identical_to_sequential() {
-        let q = dmv_query();
-        let sources = dmv_sources(Capabilities::full());
-        for model in [accurate_model(), misestimated_model()] {
-            let opt = sja_optimal(&model);
-            let mut fb_seq = CardinalityFeedback::new(2, 3);
-            let mut net_seq = Network::uniform(3, LinkProfile::Wan.link());
-            let seq = execute_plan_reopt(
-                &opt.spec,
-                &q,
-                &sources,
-                &mut net_seq,
-                &model,
-                None,
-                &mut fb_seq,
-                &ReoptConfig::default(),
-                None,
-                None,
-            )
-            .unwrap();
-            let mut fb_par = CardinalityFeedback::new(2, 3);
-            let mut net_par = Network::uniform(3, LinkProfile::Wan.link());
-            let par = execute_plan_reopt(
-                &opt.spec,
-                &q,
-                &sources,
-                &mut net_par,
-                &model,
-                None,
-                &mut fb_par,
-                &ReoptConfig::default(),
-                Some(4),
-                None,
-            )
-            .unwrap();
-            assert_eq!(par.outcome.answer, seq.outcome.answer);
-            assert_eq!(par.outcome.ledger, seq.outcome.ledger);
-            assert_eq!(par.switches, seq.switches);
-            assert_eq!(net_par.trace(), net_seq.trace());
-            assert_eq!(fb_par, fb_seq);
-        }
     }
 
     #[test]
@@ -883,17 +826,12 @@ mod tests {
         let opt = sja_optimal(&model);
         let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net1 = Network::uniform(3, LinkProfile::Wan.link());
-        let first = execute_plan_reopt(
+        let (first_out, first) = reopt(
             &opt.spec,
-            &q,
-            &sources,
+            live_rule(&model, &mut feedback, &ReoptConfig::default()),
+            (&q, &sources),
             &mut net1,
-            &model,
-            None,
-            &mut feedback,
-            &ReoptConfig::default(),
-            None,
-            None,
+            RunOptions::default(),
         )
         .unwrap();
         assert!(!first.switches.is_empty());
@@ -903,23 +841,18 @@ mod tests {
         let fbm = FeedbackCostModel::new(&model, &feedback);
         let opt2 = sja_optimal(&fbm);
         let mut net2 = Network::uniform(3, LinkProfile::Wan.link());
-        let second = execute_plan_reopt(
+        let (second_out, second) = reopt(
             &opt2.spec,
-            &q,
-            &sources,
+            live_rule(&model, &mut feedback, &ReoptConfig::default()),
+            (&q, &sources),
             &mut net2,
-            &model,
-            None,
-            &mut feedback,
-            &ReoptConfig::default(),
-            None,
-            None,
+            RunOptions::default(),
         )
         .unwrap();
-        assert_eq!(second.outcome.answer, first.outcome.answer);
+        assert_eq!(second_out.answer, first_out.answer);
         assert!(second.switches.is_empty(), "{:?}", second.switches);
         // The calibrated plan costs no more than the first, adapted run.
-        assert!(second.total_cost() <= first.total_cost());
+        assert!(second_out.total_cost() <= first_out.total_cost());
     }
 
     #[test]
@@ -957,34 +890,24 @@ mod tests {
         // Feedback calibrated for a different shape.
         let mut feedback = CardinalityFeedback::new(3, 3);
         let mut net = Network::uniform(3, LinkProfile::Wan.link());
-        let err = execute_plan_reopt(
+        let err = reopt(
             &opt.spec,
-            &q,
-            &sources,
+            live_rule(&model, &mut feedback, &ReoptConfig::default()),
+            (&q, &sources),
             &mut net,
-            &model,
-            None,
-            &mut feedback,
-            &ReoptConfig::default(),
-            None,
-            None,
+            RunOptions::default(),
         )
         .unwrap_err();
         assert!(err.to_string().contains("feedback is calibrated"), "{err}");
         // A model priced for another query.
         let wide = TableCostModel::uniform(5, 3, 1.0, 1.0, 0.1, 1e9, 2.0, 10.0);
         let mut feedback = CardinalityFeedback::new(2, 3);
-        let err = execute_plan_reopt(
+        let err = reopt(
             &opt.spec,
-            &q,
-            &sources,
+            live_rule(&wide, &mut feedback, &ReoptConfig::every_round()),
+            (&q, &sources),
             &mut net,
-            &wide,
-            None,
-            &mut feedback,
-            &ReoptConfig::every_round(),
-            None,
-            None,
+            RunOptions::default(),
         )
         .unwrap_err();
         assert!(err.to_string().contains("reopt shapes disagree"), "{err}");
@@ -998,11 +921,18 @@ mod tests {
         sources: &SourceSet,
         model: &M,
         config: &ReoptConfig,
-    ) -> ReoptOutcome {
+    ) -> (ExecutionOutcome, ReoptReport) {
         let mut feedback = CardinalityFeedback::new(q.m(), sources.len());
         let mut net = Network::uniform(sources.len(), LinkProfile::Wan.link());
         let (fb, n) = (&mut feedback, &mut net);
-        execute_plan_reopt(spec, q, sources, n, model, None, fb, config, None, None).unwrap()
+        reopt(
+            spec,
+            live_rule(model, fb, config),
+            (q, sources),
+            n,
+            RunOptions::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1016,8 +946,8 @@ mod tests {
         let q = FusionQuery::new(dmv_schema(), conds.to_vec()).unwrap();
         let model = fusion_core::NetworkCostModel::new(&sources, &crate::testkit::net(), &q, None);
         let spec = sja_optimal(&model).spec;
-        let out = run_fresh(&spec, &q, &sources, &model, &ReoptConfig::every_round());
-        assert!(out.outcome.answer.is_empty());
+        let (ran, out) = run_fresh(&spec, &q, &sources, &model, &ReoptConfig::every_round());
+        assert!(ran.answer.is_empty());
         assert_eq!(out.rounds[0].actual_size, 0);
         let round2 = &out.rounds[1];
         assert!(
@@ -1025,7 +955,7 @@ mod tests {
             "{:?}",
             round2.choices
         );
-        let remote: Vec<_> = (out.outcome.ledger.entries().iter())
+        let remote: Vec<_> = (ran.ledger.entries().iter())
             .filter(|e| e.source.is_some())
             .collect();
         for entry in &remote[3..] {
@@ -1084,7 +1014,7 @@ mod tests {
         assert!(opt.spec.choices[1]
             .iter()
             .all(|c| *c == SourceChoice::Selection));
-        let out = run_fresh(
+        let (ran, out) = run_fresh(
             &opt.spec,
             &dmv_query(),
             &sources,
@@ -1092,7 +1022,7 @@ mod tests {
             &ReoptConfig::default(),
         );
         // Every cell observation matched its estimate exactly ...
-        for entry in out.outcome.ledger.entries() {
+        for entry in ran.ledger.entries() {
             if entry.kind == StepKind::Selection {
                 assert_eq!(entry.items_out, 5, "{entry:?}");
             }
@@ -1112,7 +1042,7 @@ mod tests {
             .all(|c| *c == SourceChoice::Semijoin));
         assert!(sw.new_suffix_cost < sw.old_suffix_cost);
         let licenses: Vec<String> = (0..5).map(|k| format!("L{k}")).collect();
-        assert_eq!(out.outcome.answer, ItemSet::from_items(licenses));
+        assert_eq!(ran.answer, ItemSet::from_items(licenses));
     }
 
     #[test]
@@ -1124,17 +1054,14 @@ mod tests {
         let run = |slack: f64, min_gain: f64| {
             let mut feedback = CardinalityFeedback::new(2, 3);
             let mut net = Network::uniform(3, LinkProfile::Wan.link());
-            execute_plan_reopt(
+            let config = ReoptConfig { slack, min_gain };
+            let rule = live_rule(&model, &mut feedback, &config);
+            reopt(
                 &opt.spec,
-                &q,
-                &sources,
+                rule,
+                (&q, &sources),
                 &mut net,
-                &model,
-                None,
-                &mut feedback,
-                &ReoptConfig { slack, min_gain },
-                None,
-                None,
+                RunOptions::default(),
             )
         };
         for slack in [0.5, 0.0, -4.0, f64::NAN, f64::INFINITY] {
@@ -1172,27 +1099,25 @@ mod tests {
         };
         let mut feedback = CardinalityFeedback::new(2, 3);
         let mut net = faulty();
-        let live = execute_plan_reopt(
+        let (live_out, live) = reopt(
             &opt.spec,
-            &q,
-            &sources,
+            live_rule(&model, &mut feedback, &ReoptConfig::default()),
+            (&q, &sources),
             &mut net,
-            &model,
-            None,
-            &mut feedback,
-            &ReoptConfig::default(),
-            None,
-            Some(&policy),
+            RunOptions {
+                retry: Some(&policy),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
         // R1's round-0 selection is dropped, the live sources' round-0
         // observations force the switch to semijoins, and R1's spliced
         // semijoin is dropped against the *new* plan.
         assert_eq!(live.switches.len(), 1);
-        let violating = &live.outcome.ledger.entries()[live.switches[0].violating_step];
+        let violating = &live_out.ledger.entries()[live.switches[0].violating_step];
         assert_ne!(violating.source, Some(dead));
         assert_eq!(
-            live.outcome.completeness,
+            live_out.completeness,
             Completeness::Subset {
                 missing_sources: vec![dead],
                 missing_conditions: vec![CondId(0), CondId(1)],
@@ -1202,21 +1127,22 @@ mod tests {
             assert_eq!(feedback.observed(cond, dead), None);
         }
         // Each live source holds one entity with both violations.
-        assert_eq!(live.outcome.answer, ItemSet::from_items(["D10", "D20"]));
+        assert_eq!(live_out.answer, ItemSet::from_items(["D10", "D20"]));
         let mut replay_net = faulty();
-        let replayed = replay_plan_reopt(
+        let (replayed_out, _) = reopt(
             &opt.spec,
-            &live.switches,
-            &q,
-            &sources,
+            ReoptRule::Replay(&live.switches),
+            (&q, &sources),
             &mut replay_net,
-            None,
-            Some(&policy),
+            RunOptions {
+                retry: Some(&policy),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
-        assert_eq!(replayed.outcome.answer, live.outcome.answer);
-        assert_eq!(replayed.outcome.ledger, live.outcome.ledger);
-        assert_eq!(replayed.outcome.completeness, live.outcome.completeness);
+        assert_eq!(replayed_out.answer, live_out.answer);
+        assert_eq!(replayed_out.ledger, live_out.ledger);
+        assert_eq!(replayed_out.completeness, live_out.completeness);
         assert_eq!(replay_net.trace(), net.trace());
     }
 }

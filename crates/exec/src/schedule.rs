@@ -188,7 +188,7 @@ impl std::fmt::Display for StageTraceEntry {
 /// as its slowest step. Within a stage, concurrency is safe by the
 /// machine-checked certificate — no two steps of a stage touch the same
 /// source or exchange data. These are the stages
-/// [`crate::execute_plan_parallel`] runs. The trace is deterministic and
+/// [`crate::Schedule::Stages`] runs. The trace is deterministic and
 /// replayable: re-deriving it from the same plan and ledger reproduces
 /// it bit for bit ([`verify_stage_trace`]).
 ///

@@ -16,8 +16,8 @@
 //!    one cache-commit tail.
 //! 3. **One stage pool** ([`PlanRun::stage`] over [`run_stage`]): a
 //!    stage's remote steps on scoped workers, folded at the barrier in
-//!    step order, with [`committing`] merging the shared network trace
-//!    on every exit path.
+//!    step order; [`crate::run`] merges the shared network trace on every
+//!    exit path.
 
 use crate::cached::{commit_inserts, served_entry, PendingInsert};
 use crate::interp::ExecutionOutcome;
@@ -1031,7 +1031,7 @@ impl<'a> PlanRun<'a> {
     /// to `threads` workers sharing `net`, folded at the barrier in step
     /// order no matter which worker finished first; then the stage's
     /// local steps. `pace` makes each worker [`pace_sleep`] after its
-    /// step. The caller must [`committing`] the network.
+    /// step. The caller commits the network.
     ///
     /// # Errors
     /// The error of the lowest-indexed failing step.
@@ -1193,16 +1193,4 @@ fn run_stage<T: Send>(
     let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     results.sort_by_key(|(idx, _)| *idx);
     results
-}
-
-/// Runs `body`, then merges every exchange buffered behind shared
-/// handles into the network trace — on every exit path, so a failed
-/// stage's exchanges stay accounted.
-pub(crate) fn committing<R>(
-    network: &mut Network,
-    body: impl FnOnce(&mut Network) -> Result<R>,
-) -> Result<R> {
-    let out = body(network);
-    network.commit();
-    out
 }

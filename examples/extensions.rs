@@ -8,7 +8,7 @@
 use fusion::core::optimizer::{estimate_makespan, sja_response_optimal};
 use fusion::core::postopt::{sja_plus_with, PostOptConfig};
 use fusion::core::sja_optimal;
-use fusion::exec::{execute_plan, execute_plan_reopt, ReoptConfig};
+use fusion::exec::{execute_plan, ReoptConfig, ReoptRule, RunOptions, Target};
 use fusion::net::LinkProfile;
 use fusion::source::ProcessingProfile;
 use fusion::stats::CardinalityFeedback;
@@ -128,27 +128,27 @@ fn main() {
         .expect("static executes");
     let mut network = corr.network();
     let mut feedback = CardinalityFeedback::new(corr.m(), corr.n());
-    let adaptive_out = execute_plan_reopt(
-        &static_plan.spec,
-        &corr.query,
-        &corr.sources,
-        &mut network,
-        &model,
-        None,
-        &mut feedback,
-        &ReoptConfig::every_round(),
-        None,
-        None,
-    )
-    .expect("adaptive executes");
-    assert_eq!(static_out.answer, adaptive_out.outcome.answer);
+    let rule = ReoptRule::Live {
+        model: &model,
+        feedback: &mut feedback,
+        config: &ReoptConfig::every_round(),
+    };
+    let target = Target::Spec(&static_plan.spec, rule);
+    let (query, sources) = (&corr.query, &corr.sources);
+    let adaptive = fusion::exec::run(target, query, sources, &mut network, RunOptions::default())
+        .expect("adaptive executes");
+    let (adaptive_out, report) = (
+        adaptive.outcome,
+        adaptive.reopt.expect("a spec run reports"),
+    );
+    assert_eq!(static_out.answer, adaptive_out.answer);
     println!(
         "static SJA: {}   adaptive: {}   ({:.1}% saved)",
         static_out.total_cost(),
         adaptive_out.total_cost(),
         (1.0 - adaptive_out.total_cost().value() / static_out.total_cost().value()) * 100.0
     );
-    for round in &adaptive_out.rounds {
+    for round in &report.rounds {
         println!(
             "  round {}: predicted |X| ≈ {:.0}, observed {}",
             round.cond, round.predicted_size, round.actual_size

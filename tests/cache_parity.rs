@@ -8,11 +8,11 @@
 
 mod common;
 
-use common::lattice::{retried, world, Cache, Case, Cell, Exec, Faults, Shape, World};
+use common::lattice::{retried, stages, world, Cache, Case, Cell, Faults, Shape, World, SEQ};
 use common::width;
 use fusion::cache::CachedCostModel;
 use fusion::core::sja_optimal;
-use fusion::exec::{execute_plan_with, Completeness};
+use fusion::exec::{run, Completeness, RunOptions, Target};
 
 /// Cold, then warm, on the sequential and the two-thread parallel path:
 /// both rounds answer the truth, byte-identically to the sequential
@@ -24,16 +24,24 @@ fn warm_execution_matches_cold_answers() {
         let scenario = world(World::Small, seed);
         let (query, sources) = (&scenario.query, &scenario.sources);
         let case = Case::new(&scenario, Shape::Sja);
-        let execs = [Exec::With, Exec::Parallel(2)];
-        let mut runs = case.sweep(&execs, None, &[Faults::Off], Cache::Warm);
+        let schedules = [SEQ, stages(2)];
+        let mut runs = case.sweep((&schedules, false), None, &[Faults::Off], Cache::Warm);
         let mut cache = runs[0].cache.take().expect("a cached run");
         let snap = cache.snapshot(query.conditions(), scenario.n());
         assert!(snap.any_covered(), "seed {seed}: nothing covered");
         let plan = sja_optimal(&CachedCostModel::new(&case.model, &snap)).plan;
         let mut net = scenario.network();
-        let replanned = execute_plan_with(&plan, query, sources, &mut net, None, Some(&mut cache));
+        let options = RunOptions {
+            cache: Some(&mut cache),
+            ..RunOptions::default()
+        };
+        let replanned = run(Target::Plan(&plan), query, sources, &mut net, options);
         let truth = scenario.ground_truth().unwrap();
-        assert_eq!(replanned.unwrap().answer, truth, "seed {seed} replanned");
+        assert_eq!(
+            replanned.unwrap().outcome.answer,
+            truth,
+            "seed {seed} replanned"
+        );
     }
 }
 
@@ -46,12 +54,7 @@ fn faulty_cached_runs_match_cold_completeness() {
     let mut subsets = 0u32;
     for seed in 0..width("cache-parity") {
         let scenario = world(World::Small, seed);
-        let cell = Cell::of(
-            Exec::With,
-            retried(),
-            Faults::Stormy(seed, 0.35),
-            Cache::Cold,
-        );
+        let cell = Cell::of(SEQ, retried(), Faults::Stormy(seed, 0.35), Cache::Cold);
         let runs = Case::new(&scenario, Shape::Sja).check(&[cell]);
         subsets += u32::from(!runs[0].last().completeness.is_exact());
     }
@@ -66,21 +69,19 @@ fn outage_subset_parity_then_recovery() {
     let scenario = world(World::Figure1, 0);
     let (query, sources) = (&scenario.query, &scenario.sources);
     let case = Case::new(&scenario, Shape::Sja);
-    let cell = Cell::of(Exec::With, retried(), Faults::Outage(2), Cache::Cold);
+    let cell = Cell::of(SEQ, retried(), Faults::Outage(2), Cache::Cold);
     let mut cache = case.check(&[cell]).remove(0).cache.expect("a cached run");
 
     // Faults gone: the next cached run is exact, matches the truth, and
     // leaves the cache fully warm.
     let mut net = scenario.network();
-    let healed = execute_plan_with(
-        &case.plan,
-        query,
-        sources,
-        &mut net,
-        retried(),
-        Some(&mut cache),
-    );
-    let healed = healed.unwrap();
+    let options = RunOptions {
+        retry: retried(),
+        cache: Some(&mut cache),
+        ..RunOptions::default()
+    };
+    let healed = run(Target::Plan(&case.plan), query, sources, &mut net, options);
+    let healed = healed.unwrap().outcome;
     assert_eq!(healed.answer, scenario.ground_truth().unwrap());
     assert_eq!(healed.completeness, Completeness::Exact);
     assert!(cache

@@ -16,21 +16,17 @@ mod common;
 
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
-use common::{for_seeds, Gen, VIOLATIONS};
+use common::{for_seeds, Gen, Hooked, VIOLATIONS};
 use fusion::cache::{projection_memo_stats, AnswerCache, Harvest, HitKind, ResolvedHit};
-use fusion::core::plan::SimplePlanSpec;
+use fusion::core::plan::{Plan, SimplePlanSpec};
 use fusion::core::query::FusionQuery;
-use fusion::exec::{cached_phase2_rows, execute_plan, execute_plan_with};
+use fusion::exec::{cached_phase2_rows, execute_plan, run, ExecutionOutcome, RunOptions, Target};
 use fusion::net::{LinkProfile, Network};
-use fusion::source::{
-    Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper, WrapperResponse,
-};
-use fusion::stats::TableStats;
-use fusion::types::error::Result;
+use fusion::source::{InMemoryWrapper, SourceSet, Wrapper, WrapperResponse};
 use fusion::types::schema::dmv_schema;
 use fusion::types::{
-    Attribute, BloomFilter, Condition, Cost, Item, ItemSet, Predicate, Relation, Schema, SourceId,
-    Tuple, Value, ValueType,
+    Attribute, Condition, Cost, Item, ItemSet, Predicate, Relation, Schema, SourceId, Tuple, Value,
+    ValueType,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -181,9 +177,24 @@ fn racing_first_readers_agree() {
     });
 }
 
-/// A source that answers record queries as a *bag*: every row twice.
-struct BagWrapper(InMemoryWrapper);
+/// `plan` in plan order over a three-source WAN, through `cache`.
+fn cached(
+    plan: &Plan,
+    q: &FusionQuery,
+    sources: &SourceSet,
+    cache: &mut AnswerCache,
+) -> ExecutionOutcome {
+    let options = RunOptions {
+        cache: Some(cache),
+        ..RunOptions::default()
+    };
+    let mut net = Network::uniform(3, LinkProfile::Wan.link());
+    run(Target::Plan(plan), q, sources, &mut net, options)
+        .unwrap()
+        .outcome
+}
 
+/// A bag: every record twice.
 fn twice(resp: WrapperResponse<Vec<Tuple>>) -> WrapperResponse<Vec<Tuple>> {
     WrapperResponse {
         payload: resp
@@ -192,63 +203,6 @@ fn twice(resp: WrapperResponse<Vec<Tuple>>) -> WrapperResponse<Vec<Tuple>> {
             .flat_map(|t| [t.clone(), t])
             .collect(),
         tuples_examined: resp.tuples_examined,
-    }
-}
-
-impl Wrapper for BagWrapper {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn capabilities(&self) -> &Capabilities {
-        self.0.capabilities()
-    }
-    fn processing(&self) -> &ProcessingProfile {
-        self.0.processing()
-    }
-    fn stats(&self) -> &TableStats {
-        self.0.stats()
-    }
-    fn schema(&self) -> &Schema {
-        self.0.schema()
-    }
-    fn select(&self, cond: &Condition) -> Result<WrapperResponse<ItemSet>> {
-        self.0.select(cond)
-    }
-    fn semijoin(&self, cond: &Condition, bindings: &ItemSet) -> Result<WrapperResponse<ItemSet>> {
-        self.0.semijoin(cond, bindings)
-    }
-    fn bloom_semijoin(
-        &self,
-        cond: &Condition,
-        filter: &BloomFilter,
-    ) -> Result<WrapperResponse<ItemSet>> {
-        self.0.bloom_semijoin(cond, filter)
-    }
-    fn probe(&self, cond: &Condition, batch: &ItemSet) -> Result<WrapperResponse<ItemSet>> {
-        self.0.probe(cond, batch)
-    }
-    fn select_records(&self, cond: &Condition) -> Result<WrapperResponse<Vec<Tuple>>> {
-        self.0.select_records(cond).map(twice)
-    }
-    fn semijoin_records(
-        &self,
-        cond: &Condition,
-        bindings: &ItemSet,
-    ) -> Result<WrapperResponse<Vec<Tuple>>> {
-        self.0.semijoin_records(cond, bindings).map(twice)
-    }
-    fn load(&self) -> Result<WrapperResponse<Vec<Tuple>>> {
-        self.0.load().map(twice)
-    }
-    fn fetch(&self, items: &ItemSet) -> Result<WrapperResponse<Vec<Tuple>>> {
-        self.0.fetch(items).map(twice)
-    }
-    fn fetch_projected(
-        &self,
-        items: &ItemSet,
-        attrs: &[usize],
-    ) -> Result<WrapperResponse<Vec<Tuple>>> {
-        self.0.fetch_projected(items, attrs).map(twice)
     }
 }
 
@@ -270,7 +224,12 @@ fn bag_returning_wrappers_change_no_served_set() {
                     .map(|(j, r)| {
                         let w = InMemoryWrapper::fully_capable(format!("R{}", j + 1), r.clone());
                         if bag {
-                            Box::new(BagWrapper(w)) as Box<dyn Wrapper>
+                            let (on_cond, rows) = (Box::new(|_: &Condition| ()), twice);
+                            Box::new(Hooked {
+                                inner: w,
+                                on_cond,
+                                rows,
+                            }) as Box<dyn Wrapper>
                         } else {
                             Box::new(w) as Box<dyn Wrapper>
                         }
@@ -288,10 +247,8 @@ fn bag_returning_wrappers_change_no_served_set() {
         for conds in [&broad, &broad, &narrow] {
             let q = FusionQuery::new(dmv_schema(), conds.to_vec()).unwrap();
             let cold = execute_plan(&plan, &q, &plain, &mut net()).unwrap();
-            let a = execute_plan_with(&plan, &q, &plain, &mut net(), None, Some(&mut set_cache))
-                .unwrap();
-            let b = execute_plan_with(&plan, &q, &bags, &mut net(), None, Some(&mut bag_cache))
-                .unwrap();
+            let a = cached(&plan, &q, &plain, &mut set_cache);
+            let b = cached(&plan, &q, &bags, &mut bag_cache);
             assert_eq!(a.answer, cold.answer);
             assert_same(&b.answer, &a.answer, "answer over bags");
             for (x, y) in a.ledger.entries().iter().zip(b.ledger.entries()) {
@@ -542,11 +499,10 @@ fn counters_show_one_build_per_harvest() {
     )
     .unwrap();
     let plan = SimplePlanSpec::filter(2, 3).build(3).unwrap();
-    let net = || Network::uniform(3, LinkProfile::Wan.link());
     let mut cache = AnswerCache::new(1 << 20);
     let before = projection_memo_stats();
-    execute_plan_with(&plan, &q, &sources, &mut net(), None, Some(&mut cache)).unwrap();
+    cached(&plan, &q, &sources, &mut cache);
     assert_eq!(delta(before), (6, 0));
-    execute_plan_with(&plan, &q, &sources, &mut net(), None, Some(&mut cache)).unwrap();
+    cached(&plan, &q, &sources, &mut cache);
     assert_eq!(delta(before), (6, 6));
 }

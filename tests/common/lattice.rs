@@ -2,7 +2,8 @@
 //!
 //! The paper makes one correctness statement: every plan computes
 //! ⋂_i ⋃_j sq(c_i,R_j). A [`Cell`] is one interpretation of a case's plan
-//! — executor × retry policy × fault schedule × answer cache — and
+//! — schedule × reopt × retry policy × fault schedule × answer cache, the
+//! `RunOptions` of one `fusion::exec::run` — and
 //! [`Case::check`] holds every cell to one set of rules, comparing runs by
 //! `fusion_check::run_fingerprint`: with faults off, byte-equal to the
 //! reference ([`reference`]) and answering the truth; with faults on, a
@@ -22,10 +23,9 @@ use fusion::core::phase2::{non_merge_attrs, CoverageCatalog, FetchCertificate, F
 use fusion::core::plan::{Plan, SimplePlanSpec};
 use fusion::core::{filter_plan, sja_optimal, sja_plus, CostModel, FusionQuery, NetworkCostModel};
 use fusion::exec::{
-    execute_plan_parallel, execute_plan_reopt, execute_plan_with, fetch_planned, fetch_records,
-    replay_plan_reopt, stage_schedule, verify_stage_trace, Completeness, ExecutionOutcome, OpKind,
-    ParallelConfig, ParallelOutcome, Phase2Outcome, ReoptConfig, ReoptOutcome, RetryPolicy,
-    ServerConfig, ServerReport, TenantEvent,
+    fetch_planned, fetch_records, run, stage_schedule, verify_stage_trace, Completeness,
+    ExecutionOutcome, OpKind, Phase2Outcome, ReoptConfig, ReoptRule, RetryPolicy, RunOptions,
+    RunOutcome, Schedule, ServerConfig, ServerReport, StageReport, Target, TenantEvent,
 };
 use fusion::net::{FaultPlan, FaultSpec, LinkProfile, Network};
 use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
@@ -177,22 +177,24 @@ impl Case<'_> {
 
 // ---------- cells -----------------------------------------------------------
 
-/// Which executor interprets the plan.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum Exec {
-    /// `execute_plan_with`: the reference interpretation.
-    With,
-    /// `execute_plan_parallel` on this many threads.
-    Parallel(usize),
-    /// `execute_plan_reopt` from the case's SJA spec, rounds on `threads`.
-    Reopt(Option<usize>),
-    /// `check_certified`: every certified schedule through
-    /// `execute_plan_replay`; uncached or warm.
-    Replay,
-}
+/// In plan order: the reference interpretation.
+pub(crate) const SEQ: Schedule<'static> = Schedule::Sequential;
 
-/// `execute_plan_parallel` at 1, 2 and 8 threads.
-pub(crate) const PARALLEL: [Exec; 3] = [Exec::Parallel(1), Exec::Parallel(2), Exec::Parallel(8)];
+/// `check_certified`: every certified event order of the plan, replayed
+/// under `Schedule::Order` with the commit guard on (the cell carries no
+/// events of its own); uncached or warm, never with reopt.
+pub(crate) const REPLAY: Schedule<'static> = Schedule::Order {
+    events: &[],
+    guard_commits: true,
+};
+
+/// The certified stages on `threads` workers, unpaced.
+pub(crate) const fn stages(threads: usize) -> Schedule<'static> {
+    Schedule::Stages {
+        threads,
+        pace: None,
+    }
+}
 
 /// The network's fault schedule.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -257,18 +259,44 @@ pub(crate) fn retried() -> Retry {
 /// One point of the lattice.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Cell {
-    pub exec: Exec,
+    pub schedule: Schedule<'static>,
+    /// The case's SJA spec under a live reopt rule, not its plan.
+    pub reopt: bool,
     pub retry: Retry,
     pub faults: Faults,
     pub cache: Cache,
 }
 
 impl Cell {
-    pub(crate) const fn of(exec: Exec, retry: Retry, faults: Faults, cache: Cache) -> Cell {
+    /// The case's plan under `schedule`, `retry`, `faults` and `cache`.
+    pub(crate) const fn of(
+        schedule: Schedule<'static>,
+        retry: Retry,
+        faults: Faults,
+        cache: Cache,
+    ) -> Cell {
         Cell {
-            exec,
+            schedule,
+            reopt: false,
             retry,
             faults,
+            cache,
+        }
+    }
+
+    /// The cell with the case's spec run under a live reopt rule.
+    pub(crate) const fn reopt(self) -> Cell {
+        Cell {
+            reopt: true,
+            ..self
+        }
+    }
+
+    /// The cell's options, with `cache`.
+    fn options(self, cache: Option<&mut AnswerCache>) -> RunOptions<'_> {
+        RunOptions {
+            schedule: self.schedule,
+            retry: self.retry,
             cache,
         }
     }
@@ -284,7 +312,7 @@ pub(crate) struct Run {
     pub rounds: Vec<ExecutionOutcome>,
     pub cache: Option<AnswerCache>,
     /// A reopt run's outcome and the feedback store it calibrated.
-    pub reopt: Option<(ReoptOutcome, CardinalityFeedback)>,
+    pub reopt: Option<(RunOutcome, CardinalityFeedback)>,
 }
 
 impl Run {
@@ -296,8 +324,8 @@ impl Run {
 /// What a parallel run reports is the schedule it ran: the stage trace
 /// its ledger re-derives verifies, has its stage count and makespan, and
 /// never takes longer than the total work.
-fn check_stages(plan: &Plan, par: &ParallelOutcome, tag: &str) -> Result<()> {
-    let ledger = &par.outcome.ledger;
+fn check_stages(plan: &Plan, out: &ExecutionOutcome, par: &StageReport, tag: &str) -> Result<()> {
+    let ledger = &out.ledger;
     let (trace, makespan) = stage_schedule(plan, ledger)?;
     verify_stage_trace(plan, ledger, &trace)?;
     assert_eq!(trace.len(), par.stages, "{tag}");
@@ -307,25 +335,22 @@ fn check_stages(plan: &Plan, par: &ParallelOutcome, tag: &str) -> Result<()> {
 }
 
 /// The cell `cell` must be byte-equal to, if any. With faults off, the
-/// reference interpretation (`reopt`: itself without retry policy or
-/// threads); with faults on, the retried `With` cell for
-/// a parallel or replay cell.
+/// reference interpretation (in plan order without retry policy,
+/// reopt or not as the cell); with faults on, the retried `SEQ` cell for
+/// a staged or replay cell of the plan.
 fn reference(cell: Cell) -> Option<Cell> {
     let Cell {
-        exec,
+        schedule,
+        reopt,
         retry,
         faults,
         cache,
     } = cell;
     if !faults.on() {
-        let exec = match exec {
-            Exec::Reopt(_) => Exec::Reopt(None),
-            _ => Exec::With,
-        };
-        return Some(Cell::of(exec, None, Faults::Off, cache));
+        let base = Cell::of(SEQ, None, Faults::Off, cache);
+        return Some(if reopt { base.reopt() } else { base });
     }
-    let parallel = matches!(exec, Exec::Parallel(_) | Exec::Replay);
-    parallel.then(|| Cell::of(Exec::With, retry, faults, cache))
+    (schedule != SEQ && !reopt).then(|| Cell::of(SEQ, retry, faults, cache))
 }
 
 /// The `Subset` tag's missing sources (none when exact).
@@ -385,7 +410,7 @@ impl<'a, M: CostModel> Case<'a, M> {
     pub(crate) fn try_run(&self, cell: Cell) -> Result<Run> {
         let make_net = || self.network(cell.faults);
         let (q, s, plan) = (&self.scenario.query, &self.scenario.sources, &self.plan);
-        if cell.exec == Exec::Replay {
+        if cell.schedule == REPLAY {
             let cfg = match cell.cache {
                 Cache::None => CheckConfig::default(),
                 Cache::Warm => CheckConfig::default().cached(BUDGET),
@@ -395,35 +420,37 @@ impl<'a, M: CostModel> Case<'a, M> {
             let divergence = &report.divergence;
             assert!(report.linearizable(), "{}: {divergence:?}", self.tag);
             // Every schedule reproduced the reference byte for byte.
-            return self.try_run(Cell::of(Exec::With, cell.retry, cell.faults, cell.cache));
+            return self.try_run(Cell::of(SEQ, cell.retry, cell.faults, cell.cache));
         }
         let mut cache = (cell.cache != Cache::None).then(|| AnswerCache::new(BUDGET));
         let rounds = if cell.cache == Cache::Warm { 2 } else { 1 };
-        let (mut reopt, mut decisions, retry) = (None, String::new(), cell.retry);
-        let mut round = |_, net: &mut Network, c: Option<&mut AnswerCache>| match cell.exec {
-            Exec::With => execute_plan_with(plan, q, s, net, retry, c),
-            Exec::Parallel(threads) => {
-                let config = ParallelConfig::with_threads(threads);
-                let par = execute_plan_parallel(plan, q, s, net, retry, c, &config)?;
-                assert_eq!(par.threads, threads, "{}", self.tag);
-                if !cell.faults.on() {
-                    check_stages(plan, &par, &self.tag)?;
+        let (mut reopt, mut decisions) = (None, String::new());
+        let mut round = |_, net: &mut Network, c: Option<&mut AnswerCache>| {
+            if !cell.reopt {
+                let out = run(Target::Plan(plan), q, s, net, cell.options(c))?;
+                if let Schedule::Stages { threads, .. } = cell.schedule {
+                    let par = out.stages.as_ref().expect("a staged plan run reports");
+                    assert_eq!(par.threads, threads, "{}", self.tag);
+                    if !cell.faults.on() {
+                        check_stages(plan, &out.outcome, par, &self.tag)?;
+                    }
                 }
-                Ok(par.outcome)
+                return Ok(out.outcome);
             }
-            Exec::Reopt(threads) => {
-                let mut feedback = CardinalityFeedback::new(q.m(), s.len());
-                let (spec, model, cfg) = (&self.spec, &self.model, &self.reopt);
-                let fb = &mut feedback;
-                let out = execute_plan_reopt(spec, q, s, net, model, c, fb, cfg, threads, retry)?;
-                decisions = format!("{:?} {:?}", out.switches, out.rounds);
-                decisions += &format!(" {:?}", out.final_spec);
-                decisions += &format!(" {feedback:?}");
-                let outcome = out.outcome.clone();
-                reopt = Some((out, feedback));
-                Ok(outcome)
-            }
-            Exec::Replay => unreachable!("checked above"),
+            let mut feedback = CardinalityFeedback::new(q.m(), s.len());
+            let rule = ReoptRule::Live {
+                model: &self.model,
+                feedback: &mut feedback,
+                config: &self.reopt,
+            };
+            let out = run(Target::Spec(&self.spec, rule), q, s, net, cell.options(c))?;
+            let report = out.reopt.as_ref().expect("a spec run reports");
+            decisions = format!("{:?} {:?}", report.switches, report.rounds);
+            decisions += &format!(" {:?}", report.final_spec);
+            decisions += &format!(" {feedback:?}");
+            let outcome = out.outcome.clone();
+            reopt = Some((out, feedback));
+            Ok(outcome)
         };
         let (fp, rounds) = run_fingerprint(&make_net, cache.as_mut(), rounds, &mut round)?;
         Ok(Run {
@@ -444,16 +471,21 @@ impl<'a, M: CostModel> Case<'a, M> {
         runs.len() - 1
     }
 
-    /// Checks every `execs × faults` cell under one retry policy and cache.
+    /// Checks every `schedules × faults` cell under one retry policy and
+    /// cache, each of the plan or (`reopt`) of the spec.
     pub(crate) fn sweep(
         &self,
-        execs: &[Exec],
+        (schedules, reopt): (&[Schedule<'static>], bool),
         retry: Retry,
         faults: &[Faults],
         cache: Cache,
     ) -> Vec<Run> {
-        let row = |&e| faults.iter().map(move |&f| Cell::of(e, retry, f, cache));
-        self.check(&execs.iter().flat_map(row).collect::<Vec<_>>())
+        let cell = |schedule, f| Cell {
+            reopt,
+            ..Cell::of(schedule, retry, f, cache)
+        };
+        let row = |&e| faults.iter().map(move |&f| cell(e, f));
+        self.check(&schedules.iter().flat_map(row).collect::<Vec<_>>())
     }
 
     /// Runs every cell and holds it to the lattice's rules (module docs).
@@ -496,7 +528,10 @@ impl<'a, M: CostModel> Case<'a, M> {
                 assert_eq!(got.decisions, want.decisions, "{tag} vs {base:?}");
             }
             if cell.cache == Cache::Cold && on {
-                let uncached = Cell::of(cell.exec, cell.retry, cell.faults, Cache::None);
+                let uncached = Cell {
+                    cache: Cache::None,
+                    ..cell
+                };
                 let (i, j) = (self.memo(&mut runs, cell), self.memo(&mut runs, uncached));
                 let (got, want) = (runs[i].1.last(), runs[j].1.last());
                 assert_eq!(got.answer, want.answer, "{tag}: vs uncached");
@@ -525,13 +560,15 @@ impl<'a, M: CostModel> Case<'a, M> {
 
     /// A `reopt` run replays byte for byte from its switch records (each
     /// splice re-certified), and — uncached — `verify_reopt_replay` holds.
-    fn check_reopt_replay(&self, cell: Cell, out: &ReoptOutcome, fp: &str, tag: &str) {
-        let (q, s, switches) = (&self.scenario.query, &self.scenario.sources, &out.switches);
+    fn check_reopt_replay(&self, cell: Cell, out: &RunOutcome, fp: &str, tag: &str) {
+        let (q, s) = (&self.scenario.query, &self.scenario.sources);
+        let switches = &out.reopt.as_ref().expect("a spec run reports").switches;
         let make_net = || self.network(cell.faults);
         let mut cache = (cell.cache != Cache::None).then(|| AnswerCache::new(BUDGET));
         let mut round = |_, net: &mut Network, c: Option<&mut AnswerCache>| {
-            let replayed = replay_plan_reopt(&self.spec, switches, q, s, net, c, cell.retry);
-            replayed.map(|r| r.outcome)
+            let target = Target::Spec(&self.spec, ReoptRule::Replay(switches));
+            let replay = Cell::of(SEQ, cell.retry, cell.faults, cell.cache);
+            run(target, q, s, net, replay.options(c)).map(|r| r.outcome)
         };
         let replayed = run_fingerprint(&make_net, cache.as_mut(), 1, &mut round);
         assert_eq!(replayed.unwrap().0, fp, "{tag}: the replay diverged");

@@ -13,10 +13,13 @@ pub(crate) mod mutants;
 use fusion::core::plan::{Plan, SimplePlanSpec, SourceChoice, VarId};
 use fusion::core::query::FusionQuery;
 use fusion::core::TableCostModel;
-use fusion::stats::SplitMix64;
+use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, Wrapper, WrapperResponse};
+use fusion::stats::{SplitMix64, TableStats};
+use fusion::types::error::Result;
 use fusion::types::schema::dmv_schema;
 use fusion::types::{
-    CmpOp, CondId, Condition, Item, ItemSet, Predicate, Relation, SourceId, Tuple, Value,
+    BloomFilter, CmpOp, CondId, Condition, Item, ItemSet, Predicate, Relation, Schema, SourceId,
+    Tuple, Value,
 };
 
 /// Violation vocabulary used by the DMV-shaped generators.
@@ -254,4 +257,72 @@ pub(crate) fn queue_order_plan() -> Plan {
     ];
     plan.result = VarId(8);
     plan
+}
+
+/// Records as a source answered them.
+type Rows = WrapperResponse<Vec<Tuple>>;
+
+/// An in-memory source with two hooks: `on_cond` sees the condition of
+/// every selection, semijoin and probe before it runs (a test may panic
+/// there), and `rows` rewrites every record response (a test may answer
+/// with a bag).
+pub(crate) struct Hooked {
+    pub inner: InMemoryWrapper,
+    pub on_cond: Box<dyn Fn(&Condition) + Send + Sync>,
+    pub rows: fn(Rows) -> Rows,
+}
+
+impl Wrapper for Hooked {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn capabilities(&self) -> &Capabilities {
+        self.inner.capabilities()
+    }
+    fn processing(&self) -> &ProcessingProfile {
+        self.inner.processing()
+    }
+    fn stats(&self) -> &TableStats {
+        self.inner.stats()
+    }
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+    fn select(&self, cond: &Condition) -> Result<WrapperResponse<ItemSet>> {
+        (self.on_cond)(cond);
+        self.inner.select(cond)
+    }
+    fn semijoin(&self, cond: &Condition, bindings: &ItemSet) -> Result<WrapperResponse<ItemSet>> {
+        (self.on_cond)(cond);
+        self.inner.semijoin(cond, bindings)
+    }
+    fn bloom_semijoin(
+        &self,
+        cond: &Condition,
+        bits: &BloomFilter,
+    ) -> Result<WrapperResponse<ItemSet>> {
+        (self.on_cond)(cond);
+        self.inner.bloom_semijoin(cond, bits)
+    }
+    fn probe(&self, cond: &Condition, batch: &ItemSet) -> Result<WrapperResponse<ItemSet>> {
+        (self.on_cond)(cond);
+        self.inner.probe(cond, batch)
+    }
+    fn select_records(&self, cond: &Condition) -> Result<Rows> {
+        (self.on_cond)(cond);
+        self.inner.select_records(cond).map(self.rows)
+    }
+    fn semijoin_records(&self, cond: &Condition, bindings: &ItemSet) -> Result<Rows> {
+        (self.on_cond)(cond);
+        self.inner.semijoin_records(cond, bindings).map(self.rows)
+    }
+    fn load(&self) -> Result<Rows> {
+        self.inner.load().map(self.rows)
+    }
+    fn fetch(&self, items: &ItemSet) -> Result<Rows> {
+        self.inner.fetch(items).map(self.rows)
+    }
+    fn fetch_projected(&self, items: &ItemSet, attrs: &[usize]) -> Result<Rows> {
+        self.inner.fetch_projected(items, attrs).map(self.rows)
+    }
 }

@@ -8,8 +8,8 @@
 
 mod common;
 
-use common::lattice::{in_memory, retried, storms, world, Cache, Case, Cell, Exec, Faults};
-use common::lattice::{Shape, World};
+use common::lattice::{in_memory, retried, stages, storms, world, Cache, Case, Cell, Faults};
+use common::lattice::{Shape, World, REPLAY};
 use common::mutants::sq;
 use common::{queue_order_plan, width};
 use fusion::cache::AnswerCache;
@@ -21,7 +21,7 @@ use fusion::core::dataflow::{
 };
 use fusion::core::plan::{Plan, VarId};
 use fusion::core::FusionQuery;
-use fusion::exec::{execute_plan_with, ReplayOptions};
+use fusion::exec::{run, RunOptions, Target};
 use fusion::net::{FaultPlan, FaultSpec, LinkProfile, Network};
 use fusion::source::{Capabilities, ProcessingProfile};
 use fusion::types::schema::dmv_schema;
@@ -43,8 +43,8 @@ fn certified_schedules_are_conflict_free_and_linearizable() {
                 "analyzer: certified must be conflict-free"
             );
         }
-        case.check(&[Cell::of(Exec::Replay, None, Faults::Off, Cache::None)]);
-        case.sweep(&[Exec::Replay], retried(), &storms, Cache::Warm);
+        case.check(&[Cell::of(REPLAY, None, Faults::Off, Cache::None)]);
+        case.sweep((&[REPLAY], false), retried(), &storms, Cache::Warm);
     }
 }
 
@@ -148,9 +148,10 @@ fn seeded_mutant_is_caught_by_analyzer_and_checker() {
         ProcessingProfile::indexed_db(),
     );
     let query = FusionQuery::new(dmv_schema(), vec![Predicate::eq("V", "dui").into()]).unwrap();
-    let guard_commits = false;
-    let cfg = CheckConfig::default().cached(1 << 20);
-    let cfg = cfg.with_options(ReplayOptions { guard_commits });
+    let cfg = CheckConfig {
+        guard_commits: false,
+        ..CheckConfig::default().cached(1 << 20)
+    };
     let policy = retried();
     let mut caught = None;
     for seed in 0..64u64 {
@@ -158,8 +159,12 @@ fn seeded_mutant_is_caught_by_analyzer_and_checker() {
         // Only seeds where the single exchange actually fails once can
         // expose the race; skip the quiet ones.
         let (mut probe, mut probe_cache) = (make_net(), AnswerCache::new(1 << 20));
-        let cache = Some(&mut probe_cache);
-        execute_plan_with(&plan, &query, &sources, &mut probe, policy, cache).unwrap();
+        let options = RunOptions {
+            retry: policy,
+            cache: Some(&mut probe_cache),
+            ..RunOptions::default()
+        };
+        run(Target::Plan(&plan), &query, &sources, &mut probe, options).unwrap();
         if probe.failed_count_for(SourceId(0)) == 0 {
             continue;
         }
@@ -218,5 +223,5 @@ fn parallel_cached_ft_parity_battery() {
     let scenario = world(World::Figure1, 0);
     let storms = storms(width("concurrency"), &[0.4]);
     let case = Case::new(&scenario, Shape::Sja);
-    case.sweep(&[Exec::Parallel(4)], retried(), &storms, Cache::Warm);
+    case.sweep((&[stages(4)], false), retried(), &storms, Cache::Warm);
 }

@@ -9,7 +9,7 @@ use fusion::core::evaluate_plan;
 use fusion::core::postopt::apply_bloom;
 use fusion::core::query::FusionQuery;
 use fusion::core::{sja_optimal, NetworkCostModel, TableCostModel};
-use fusion::exec::{execute_plan_reopt, ReoptConfig};
+use fusion::exec::{run, ReoptConfig, ReoptRule, RunOptions, Target};
 use fusion::net::{LinkProfile, Network};
 use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet};
 use fusion::stats::CardinalityFeedback;
@@ -102,12 +102,16 @@ fn adaptive_matches_naive_semantics() {
         let mut network = Network::uniform(rels.len(), LinkProfile::Wan.link());
         let model = NetworkCostModel::new(&sources, &network, &query, None);
         let mut feedback = CardinalityFeedback::new(m, n);
-        let (spec, config) = (sja_optimal(&model).spec, ReoptConfig::every_round());
-        let (q, s, net, fb) = (&query, &sources, &mut network, &mut feedback);
-        let out = execute_plan_reopt(&spec, q, s, net, &model, None, fb, &config, None, None);
-        let out = out.unwrap();
+        let rule = ReoptRule::Live {
+            model: &model,
+            feedback: &mut feedback,
+            config: &ReoptConfig::every_round(),
+        };
+        let target = Target::Spec(&sja_optimal(&model).spec, rule);
+        let options = RunOptions::default();
+        let out = run(target, &query, &sources, &mut network, options).unwrap();
         assert_eq!(out.outcome.answer, truth);
-        assert_eq!(out.rounds.len(), query.m());
+        assert_eq!(out.reopt.unwrap().rounds.len(), query.m());
     });
 }
 

@@ -6,18 +6,19 @@
 
 mod common;
 
-use common::lattice::{fixed, retried, storms, world, Cache, Case, Cell, Exec, Faults, Retry};
-use common::lattice::{Shape, World};
+use common::lattice::{fixed, retried, stages, storms, world, Cache, Case, Cell, Faults, Retry};
+use common::lattice::{Shape, World, REPLAY, SEQ};
 use common::width;
 use fusion::core::phase2::{non_merge_attrs, CoverageCatalog};
-use fusion::exec::{execute_plan_with, fetch_planned, Completeness, RetryPolicy, StepKind};
+use fusion::exec::{fetch_planned, run, Completeness, RetryPolicy, RunOptions, StepKind, Target};
 use fusion::net::FaultPlan;
 use fusion::types::{CondId, ItemSet, SourceId};
 
-/// Checks `execs × faults` on `shape`'s plan over both fixed worlds.
-fn sweep(shape: Shape, execs: &[Exec], retry: Retry, faults: &[Faults]) {
+/// Checks `faults` in plan order on `shape`'s plan, or (`reopt`) its
+/// spec, over both fixed worlds.
+fn sweep(shape: Shape, reopt: bool, retry: Retry, faults: &[Faults]) {
     for scenario in fixed() {
-        Case::new(&scenario, shape).sweep(execs, retry, faults, Cache::None);
+        Case::new(&scenario, shape).sweep((&[SEQ], reopt), retry, faults, Cache::None);
     }
 }
 
@@ -30,7 +31,7 @@ fn same_seed_replays_identically() {
     for scenario in fixed() {
         let case = Case::new(&scenario, Shape::SjaPlus);
         let storm = Faults::Stormy(0xBAD, 0.3);
-        let cell = Cell::of(Exec::With, retried(), storm, Cache::None);
+        let cell = Cell::of(SEQ, retried(), storm, Cache::None);
         assert_eq!(case.check(&[cell])[0].fp, case.run(cell).fp, "{}", case.tag);
     }
 }
@@ -40,7 +41,7 @@ fn same_seed_replays_identically() {
 #[test]
 fn fault_seed_never_changes_an_exact_answer() {
     let storms = storms(width("fault").min(16), &[0.2]);
-    sweep(Shape::SjaPlus, &[Exec::With], retried(), &storms);
+    sweep(Shape::SjaPlus, false, retried(), &storms);
 }
 
 // ---------- subset soundness ------------------------------------------------
@@ -51,7 +52,7 @@ fn fault_seed_never_changes_an_exact_answer() {
 #[test]
 fn every_answer_is_a_sound_subset_of_the_exact_answer() {
     let storms = storms(width("fault"), &[0.3, 0.6, 0.9]);
-    sweep(Shape::SjaPlus, &[Exec::With], retried(), &storms);
+    sweep(Shape::SjaPlus, false, retried(), &storms);
 }
 
 /// The re-optimizing driver degrades just as soundly — at the lattice's
@@ -62,7 +63,7 @@ fn every_answer_is_a_sound_subset_of_the_exact_answer() {
 #[test]
 fn reopt_execution_degrades_to_sound_subsets() {
     let storms = storms(width("fault").min(16), &[0.5]);
-    sweep(Shape::Sja, &[Exec::Reopt(None)], retried(), &storms);
+    sweep(Shape::Sja, true, retried(), &storms);
 }
 
 /// A step the run dropped is not an observation. With one source down
@@ -77,9 +78,10 @@ fn a_dropped_step_is_not_an_observation() {
     let (m, n) = (scenario.m(), scenario.n());
     let outages: Vec<Faults> = (0..n).map(Faults::Outage).collect();
     let case = Case::new(&scenario, Shape::Sja);
-    let runs = case.sweep(&[Exec::Reopt(None)], retried(), &outages, Cache::None);
+    let runs = case.sweep((&[SEQ], true), retried(), &outages, Cache::None);
     for (dead, run) in runs.iter().enumerate() {
-        let (out, feedback) = run.reopt.as_ref().expect("a reopt run");
+        let (ran, feedback) = run.reopt.as_ref().expect("a reopt run");
+        let out = ran.reopt.as_ref().expect("a spec run reports");
         let tag = format!("R{} down", dead + 1);
         assert!(out.violations > 0, "{tag}: nothing re-planned");
         for i in 0..m {
@@ -91,7 +93,7 @@ fn a_dropped_step_is_not_an_observation() {
         }
         // No switch was argued from a dead source's silence.
         for sw in &out.switches {
-            let entry = (out.outcome.ledger.entries().iter())
+            let entry = (ran.outcome.ledger.entries().iter())
                 .find(|e| e.kind != StepKind::Reopt && e.step == sw.violating_step)
                 .expect("violating step executed");
             assert_ne!(entry.source, Some(SourceId(dead)), "{tag}");
@@ -111,7 +113,7 @@ fn single_source_outage_equals_fusion_over_survivors() {
         let outages: Vec<Faults> = (0..scenario.n()).map(Faults::Outage).collect();
         for shape in [Shape::Filter, Shape::Sja] {
             let case = Case::new(&scenario, shape);
-            case.sweep(&[Exec::With], retried(), &outages, Cache::None);
+            case.sweep((&[SEQ], false), retried(), &outages, Cache::None);
         }
     }
 }
@@ -125,7 +127,12 @@ fn total_outage_returns_the_empty_subset() {
     let plan = Case::new(&scenario, Shape::SjaPlus).plan;
     let mut network = scenario.network();
     network.set_fault_plan((0..n).fold(FaultPlan::none(n), |f, j| f.with_outage(SourceId(j), 0)));
-    let out = execute_plan_with(&plan, query, sources, &mut network, retried(), None).unwrap();
+    let options = RunOptions {
+        retry: retried(),
+        ..RunOptions::default()
+    };
+    let out = run(Target::Plan(&plan), query, sources, &mut network, options);
+    let out = out.unwrap().outcome;
     assert_eq!(out.answer, ItemSet::empty());
     let Completeness::Subset {
         missing_sources, ..
@@ -146,9 +153,9 @@ fn total_outage_returns_the_empty_subset() {
 #[test]
 fn faults_off_is_byte_identical_to_plain_execution() {
     let quiet = [Faults::Off, Faults::Quiet];
-    sweep(Shape::Filter, &[Exec::With], retried(), &quiet);
-    sweep(Shape::SjaPlus, &[Exec::With], retried(), &quiet);
-    sweep(Shape::Sja, &[Exec::Reopt(None)], retried(), &quiet);
+    sweep(Shape::Filter, false, retried(), &quiet);
+    sweep(Shape::SjaPlus, false, retried(), &quiet);
+    sweep(Shape::Sja, true, retried(), &quiet);
 }
 
 /// A no-retry policy under faults still never aborts: failures become
@@ -158,7 +165,8 @@ fn no_retry_policy_degrades_without_error() {
     let scenario = world(World::Synth5, 23);
     let once: &'static RetryPolicy = Box::leak(Box::new(RetryPolicy::no_retry()));
     let storms = storms(width("fault").min(16), &[0.5]);
-    Case::new(&scenario, Shape::SjaPlus).sweep(&[Exec::With], Some(once), &storms, Cache::None);
+    let case = Case::new(&scenario, Shape::SjaPlus);
+    case.sweep((&[SEQ], false), Some(once), &storms, Cache::None);
 }
 
 /// A retry policy is public configuration: every executor that takes one
@@ -185,12 +193,10 @@ fn hostile_retry_policy_is_an_error_at_every_entry() {
         ("backoff_factor", bad(|p| p.backoff_factor = f64::NAN)),
         ("jitter", bad(|p| p.jitter = f64::NAN)),
     ] {
-        let execs = [Exec::With, Exec::Parallel(2), Exec::Replay];
-        let execs = execs
-            .into_iter()
-            .chain([Exec::Reopt(None), Exec::Reopt(Some(2))]);
-        let mut errors: Vec<String> = execs
-            .map(|exec| case.try_run(Cell::of(exec, Some(policy), storm, Cache::None)))
+        let cells = [SEQ, stages(2), REPLAY].map(|s| Cell::of(s, Some(policy), storm, Cache::None));
+        let reopt = [SEQ, stages(2)].map(|s| Cell::of(s, Some(policy), storm, Cache::None).reopt());
+        let mut errors: Vec<String> = (cells.into_iter().chain(reopt))
+            .map(|cell| case.try_run(cell))
             .map(|run| run.err().expect("a hostile policy ran").to_string())
             .collect();
         let (mut net, model) = (case.network(storm), scenario.cost_model());

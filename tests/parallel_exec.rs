@@ -7,16 +7,20 @@
 
 mod common;
 
-use common::lattice::{fixed, in_memory, retried, storms, Cache, Case, Exec, Faults, Shape};
-use common::lattice::{Cell, PARALLEL};
+use common::lattice::{
+    fixed, in_memory, retried, stages, storms, Cache, Case, Cell, Faults, Shape,
+};
 use common::{for_seeds, queue_order_plan, width};
 use fusion::core::plan::Plan;
 use fusion::core::query::FusionQuery;
 use fusion::core::{filter_plan, greedy_sja, sj_optimal, sja_optimal, sja_plus};
-use fusion::exec::{execute_plan_parallel, stage_schedule, ParallelConfig};
+use fusion::exec::{run, stage_schedule, RunOptions, Schedule, Target};
 use fusion::net::{LinkProfile, Network};
 use fusion::source::{Capabilities, ProcessingProfile, SourceSet};
 use fusion::workload::dmv;
+
+/// The certified stages at 1, 2 and 8 threads.
+const STAGED: [Schedule<'static>; 3] = [stages(1), stages(2), stages(8)];
 
 // ---------- faults off ------------------------------------------------------
 
@@ -26,7 +30,7 @@ use fusion::workload::dmv;
 fn parallel_is_byte_identical_to_sequential() {
     for scenario in fixed() {
         for shape in [Shape::Filter, Shape::Sja, Shape::SjaPlus] {
-            Case::new(&scenario, shape).sweep(&PARALLEL, None, &[Faults::Off], Cache::None);
+            Case::new(&scenario, shape).sweep((&STAGED, false), None, &[Faults::Off], Cache::None);
         }
     }
 }
@@ -37,7 +41,7 @@ fn parallel_is_byte_identical_to_sequential() {
 #[test]
 fn parallel_ledger_replays_and_verifies() {
     for scenario in fixed() {
-        let cell = Cell::of(Exec::Parallel(4), None, Faults::Off, Cache::None);
+        let cell = Cell::of(stages(4), None, Faults::Off, Cache::None);
         Case::new(&scenario, Shape::Sja).check(&[cell]);
     }
 }
@@ -51,10 +55,13 @@ fn parallel_ledger_replays_and_verifies() {
 fn reported_schedule_is_the_executed_schedule() {
     let check = |plan: &Plan, query: &FusionQuery, sources: &SourceSet, tag: &str| {
         let mut net = Network::uniform(sources.len(), LinkProfile::Wan.link());
-        let config = ParallelConfig::with_threads(2);
-        let par =
-            execute_plan_parallel(plan, query, sources, &mut net, None, None, &config).unwrap();
-        let (trace, makespan) = stage_schedule(plan, &par.outcome.ledger).unwrap();
+        let options = RunOptions {
+            schedule: stages(2),
+            ..RunOptions::default()
+        };
+        let out = run(Target::Plan(plan), query, sources, &mut net, options).unwrap();
+        let (trace, makespan) = stage_schedule(plan, &out.outcome.ledger).unwrap();
+        let par = out.stages.unwrap();
         assert_eq!(trace.len(), par.stages, "{tag}");
         assert_eq!(makespan.to_bits(), par.makespan.to_bits(), "{tag}");
         let mut last_stage = vec![None; sources.len()];
@@ -114,7 +121,12 @@ fn reported_schedule_is_the_executed_schedule() {
 fn parallel_ft_matches_sequential_across_fault_battery() {
     let storms = storms(width("parallel"), &[0.3, 0.7]);
     for scenario in fixed() {
-        Case::new(&scenario, Shape::SjaPlus).sweep(&PARALLEL, retried(), &storms, Cache::None);
+        Case::new(&scenario, Shape::SjaPlus).sweep(
+            (&STAGED, false),
+            retried(),
+            &storms,
+            Cache::None,
+        );
     }
 }
 
@@ -126,10 +138,10 @@ fn same_seed_parallel_replay_is_deterministic() {
     let storm = [Faults::Stormy(0xBAD, 0.4)];
     for scenario in fixed() {
         let case = Case::new(&scenario, Shape::SjaPlus);
-        let runs = case.sweep(&PARALLEL, retried(), &storm, Cache::None);
-        for (exec, run) in PARALLEL.into_iter().zip(runs) {
-            let again = case.run(Cell::of(exec, retried(), storm[0], Cache::None));
-            assert_eq!(again.fp, run.fp, "{} {exec:?}", case.tag);
+        let runs = case.sweep((&STAGED, false), retried(), &storm, Cache::None);
+        for (schedule, run) in STAGED.into_iter().zip(runs) {
+            let again = case.run(Cell::of(schedule, retried(), storm[0], Cache::None));
+            assert_eq!(again.fp, run.fp, "{} {schedule:?}", case.tag);
         }
     }
 }
@@ -141,6 +153,6 @@ fn parallel_outage_degrades_identically() {
     for scenario in fixed() {
         let outages: Vec<Faults> = (0..scenario.n()).map(Faults::Outage).collect();
         let case = Case::new(&scenario, Shape::Sja);
-        case.sweep(&[Exec::Parallel(8)], retried(), &outages, Cache::None);
+        case.sweep((&[stages(8)], false), retried(), &outages, Cache::None);
     }
 }

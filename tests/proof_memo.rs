@@ -18,7 +18,7 @@ use fusion::cache::{containment_memo_stats, subsumes};
 use fusion::core::analyze::{ensure_sound, proof_memo_stats, ProofMemoStats, PROOF_MEMO_CAPACITY};
 use fusion::core::plan::{Plan, SimplePlanSpec, Step, VarId};
 use fusion::core::{analyze_plan, sja_optimal};
-use fusion::exec::{execute_plan, execute_plan_parallel, ParallelConfig, RetryPolicy};
+use fusion::exec::{execute_plan, run, RetryPolicy, RunOptions, Schedule, Target};
 use fusion::net::FaultPlan;
 use fusion::types::{
     Attribute, CmpOp, CondId, Predicate, Schema, SourceId, Tuple, Value, ValueType,
@@ -169,32 +169,36 @@ fn a_staged_run_proves_nothing_until_a_step_is_dropped() {
     let subtrahend_at = 8;
     let plan = Plan::new(steps, VarId(10), 2, 2);
     ensure_sound(&plan).unwrap();
-    let config = ParallelConfig::with_threads(2);
+    let (q, sources) = (&scenario.query, &scenario.sources);
+    let staged = |retry| RunOptions {
+        schedule: Schedule::Stages {
+            threads: 2,
+            pace: None,
+        },
+        retry,
+        cache: None,
+    };
     let delta = moved(proof_memo_stats, || {
-        let out = execute_plan_parallel(
-            &plan,
-            &scenario.query,
-            &scenario.sources,
+        let out = run(
+            Target::Plan(&plan),
+            q,
+            sources,
             &mut scenario.network(),
-            None,
-            None,
-            &config,
-        )
-        .unwrap();
-        assert_eq!(out.outcome.answer, truth);
+            staged(None),
+        );
+        assert_eq!(out.unwrap().outcome.answer, truth);
     });
     assert_eq!(delta, (0, 1, 0), "one memo hit, no proof");
     // R1 answers its first three queries and goes dark before the fourth.
     let mut network = scenario.network();
     network.set_fault_plan(FaultPlan::none(2).with_outage(SourceId(0), 3));
-    let err = execute_plan_parallel(
-        &plan,
-        &scenario.query,
-        &scenario.sources,
+    let retry = RetryPolicy::default();
+    let err = run(
+        Target::Plan(&plan),
+        q,
+        sources,
         &mut network,
-        Some(&RetryPolicy::default()),
-        None,
-        &config,
+        staged(Some(&retry)),
     )
     .unwrap_err();
     assert_eq!(

@@ -36,12 +36,13 @@
 
 mod common;
 
-use common::lattice::{serve_cells, world, Cache, Case, Cell, Exec, Faults, Run, Shape, World};
+use common::lattice::SEQ;
+use common::lattice::{serve_cells, stages, world, Cache, Case, Cell, Faults, Run, Shape, World};
 use common::width;
 use fusion::core::optimizer::{reference_enumeration, RoundRule};
 use fusion::core::plan::SourceChoice;
 use fusion::core::{FeedbackCostModel, TableCostModel};
-use fusion::exec::{ReoptConfig, ServerConfig, StepKind, TenantEvent};
+use fusion::exec::{ReoptConfig, ReoptReport, ServerConfig, StepKind, TenantEvent};
 use fusion::stats::{CardinalityFeedback, SplitMix64};
 use fusion::types::{CondId, SourceId};
 use fusion::workload::Scenario;
@@ -69,12 +70,18 @@ fn reopt_runs(scenario: &Scenario, factor: f64) -> (Case<'_, TableCostModel>, Ve
     let mut case = Case::with_model(scenario, model_for(scenario, factor), Shape::Sja);
     case.reopt = ReoptConfig::default();
     let cells = [
-        Cell::of(Exec::Reopt(None), None, Faults::Off, Cache::None),
-        Cell::of(Exec::Reopt(Some(2)), None, Faults::Off, Cache::None),
-        Cell::of(Exec::Reopt(None), None, Faults::Off, Cache::Cold),
+        Cell::of(SEQ, None, Faults::Off, Cache::None).reopt(),
+        Cell::of(stages(2), None, Faults::Off, Cache::None).reopt(),
+        Cell::of(SEQ, None, Faults::Off, Cache::Cold).reopt(),
     ];
     let runs = case.check(&cells);
     (case, cells.into_iter().zip(runs).collect())
+}
+
+/// What a reopt cell's rule decided.
+fn report(run: &Run) -> &ReoptReport {
+    let (out, _) = run.reopt.as_ref().expect("a reopt run");
+    out.reopt.as_ref().expect("a spec run reports")
 }
 
 #[test]
@@ -84,10 +91,10 @@ fn accurate_statistics_make_adaptation_invisible() {
         let (case, runs) = reopt_runs(&scenario, 1.0);
         for (cell, run) in runs {
             let tag = format!("{} {cell:?}", case.tag);
-            let (out, _) = run.reopt.as_ref().expect("a reopt run");
+            let out = report(&run);
             assert!(out.switches.is_empty(), "{tag}: switched");
             assert_eq!(out.violations, 0, "{tag}: violated");
-            let reopt_off = case.run(Cell::of(Exec::With, None, Faults::Off, cell.cache));
+            let reopt_off = case.run(Cell::of(SEQ, None, Faults::Off, cell.cache));
             assert_eq!(
                 run.fp, reopt_off.fp,
                 "{tag}: not byte-identical to reopt-off"
@@ -105,8 +112,7 @@ fn misestimated_statistics_switch_without_changing_answers() {
         // plan time, and the observed running sets disown the plan.
         let factor = 1.0 / (8.0 * (1 << SplitMix64::new(seed).next_below(3)) as f64);
         let (_, runs) = reopt_runs(&scenario, factor);
-        let (out, _) = runs[0].1.reopt.as_ref().expect("a reopt run");
-        switched_runs += u32::from(!out.switches.is_empty());
+        switched_runs += u32::from(!report(&runs[0].1).switches.is_empty());
     }
     assert!(switched_runs > 0, "no certified switch");
 }
@@ -140,16 +146,16 @@ fn slack_one_reopt_replans_every_round_like_the_reference_enumeration() {
         // the truth and the run replays bit for bit from its switch
         // records, each splice re-certified.
         let case = Case::new(&scenario, Shape::Sja);
-        let cell = Cell::of(Exec::Reopt(None), None, Faults::Off, Cache::None);
+        let cell = Cell::of(SEQ, None, Faults::Off, Cache::None).reopt();
         let run = case.check(&[cell]).remove(0);
-        let (out, _) = run.reopt.as_ref().expect("a reopt run");
+        let out = report(&run);
         switched_runs += u32::from(!out.switches.is_empty());
 
         // Round by round against Figures 3–4: the conditions still to
         // run, from the size the previous round actually left behind —
         // which is also where the round's predicted `|X|` chains from.
         let spec = &out.final_spec;
-        let entries: Vec<_> = (out.outcome.ledger.entries().iter())
+        let entries: Vec<_> = (run.last().ledger.entries().iter())
             .filter(|e| e.kind != StepKind::Reopt)
             .collect();
         assert_eq!(out.rounds.len(), m, "{seed}: rounds");
@@ -184,9 +190,9 @@ fn eight_condition_reopt_switches_to_the_reference_suffix() {
         let scenario = world(World::Correlated8, seed);
         let (m, n) = (scenario.m(), scenario.n());
         let case = Case::new(&scenario, Shape::Sja);
-        let cell = Cell::of(Exec::Reopt(None), None, Faults::Off, Cache::None);
+        let cell = Cell::of(SEQ, None, Faults::Off, Cache::None).reopt();
         let run = case.check(&[cell]).remove(0);
-        let (out, _) = run.reopt.as_ref().expect("a reopt run");
+        let out = report(&run);
         // A re-plan prices only unplaced conditions, whose cells nothing
         // has observed yet: under the feedback decorator they are the
         // model's own.

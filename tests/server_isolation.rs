@@ -11,10 +11,18 @@
 
 mod common;
 
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
+
 use common::lattice::{serve_cells, streams, world, World};
-use common::width;
-use fusion::exec::{ServerConfig, TenantEvent};
-use fusion::workload::SessionSpec;
+use common::{width, Hooked};
+use fusion::core::query::FusionQuery;
+use fusion::exec::{serve, ServerConfig, TenantEvent};
+use fusion::net::{LinkProfile, Network};
+use fusion::source::{InMemoryWrapper, SourceSet, Wrapper};
+use fusion::types::schema::dmv_schema;
+use fusion::types::{Condition, Predicate};
+use fusion::workload::{dmv, SessionSpec};
 
 /// Tenant streams for one battery seed: two tenants share a query pool
 /// (cross-tenant cache serving must happen and must stay correct) and a
@@ -79,4 +87,58 @@ fn interleaved_updates_are_never_lost() {
 fn disjoint_pool_tenant_is_unaffected_by_neighbors() {
     let scenario = world(World::Served(5, 300), 4242);
     serve_cells(&scenario, &tenant_streams(4242), &config(), &[4]);
+}
+
+/// A query that panics inside a worker comes out of `serve` as that
+/// panic, at every worker count: the worker fails the scheduler and its
+/// fetch slots on the way out, and a source permit held across the
+/// panicking fetch is given back — no other worker waits forever on the
+/// dead query's tenant, its leader slots or its permit.
+#[test]
+fn a_panicking_query_propagates_instead_of_hanging() {
+    for workers in [1, 2, 4] {
+        let (done, watchdog) = channel::<()>();
+        let server = std::thread::spawn(move || {
+            let cond = |v: &str| Condition::from(Predicate::eq("V", v));
+            let boom = cond("boom");
+            // Every source panics on every request for `boom`: a wrapper
+            // bug the server must surface, not swallow.
+            let wrap = |(j, r)| {
+                let inner = InMemoryWrapper::fully_capable(format!("R{}", j + 1), r);
+                let boom = boom.clone();
+                let on_cond = Box::new(move |c: &Condition| assert!(*c != boom, "wrapper bug"));
+                Box::new(Hooked {
+                    inner,
+                    on_cond,
+                    rows: |r| r,
+                }) as Box<dyn Wrapper>
+            };
+            let rels = dmv::figure1_relations().into_iter().enumerate();
+            let sources = SourceSet::new(rels.map(wrap).collect());
+            let query = |v: &str| {
+                let q = FusionQuery::new(dmv_schema(), vec![cond("dui"), cond(v)]);
+                TenantEvent::Query(q.expect("a valid query"))
+            };
+            let fine = || vec![query("sp"), query("sp"), query("sp")];
+            let tenants = vec![fine(), vec![query("boom")], fine(), fine()];
+            let config = ServerConfig {
+                per_source_limit: 1,
+                ..ServerConfig::with_workers(workers)
+            };
+            let net = || Network::uniform(3, LinkProfile::Wan.link());
+            let _ = serve(&sources, &net, Some(1000.0), &tenants, &config);
+            drop(done);
+        });
+        // Nothing is sent: the sender drops when `serve` returns or unwinds.
+        let waited = watchdog.recv_timeout(Duration::from_secs(30));
+        assert_eq!(
+            waited,
+            Err(RecvTimeoutError::Disconnected),
+            "workers {workers}: hung"
+        );
+        assert!(
+            server.join().is_err(),
+            "workers {workers}: the panic was swallowed"
+        );
+    }
 }
