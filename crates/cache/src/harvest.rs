@@ -15,7 +15,9 @@
 //! reference-count bump on that set; every residual hit is one filter
 //! pass in merge order, de-duplicating neighbours, with no sort — and the
 //! order keeps the sets it filtered out, so a narrower condition asked
-//! again is a reference-count bump too.
+//! again is a reference-count bump too. Both show as identity, not as a
+//! count: an exact hit's set is the harvest's remembered `Arc`, and a
+//! repeated residual hit's set the `Arc` the first one returned.
 //!
 //! All of it is derived data, built with no lock held: the order is at
 //! most 36 bytes per row (a `u32` index and, for a row that starts a
@@ -31,20 +33,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, Weak};
 
-use fusion_core::analyze::{MemoCounters, ProofMemoStats};
 use fusion_types::error::{FusionError, Result};
 use fusion_types::itemset::push_item_of;
 use fusion_types::{Condition, Item, ItemSet, Schema, SourceId, Tuple};
-
-/// Builds (`misses`) and reuses (`hits`) of merge orders, process-wide.
-static COUNTERS: MemoCounters = MemoCounters::new();
-
-/// Merge-order builds (`misses`) and reuses (`hits`) since the process
-/// started. Orders live and die with their harvests, so `entries` and
-/// `resets` stay zero.
-pub fn projection_memo_stats() -> ProofMemoStats {
-    COUNTERS.stats(0)
-}
 
 /// The rows of one harvest in merge order, and the set they project to.
 #[derive(Debug)]
@@ -166,10 +157,8 @@ impl Harvest {
     ) -> Result<Arc<MergeOrder>> {
         let mi = schema.merge_index();
         if let Some(order) = self.order.get().filter(|o| o.merge_index == mi) {
-            COUNTERS.hit();
             return Ok(Arc::clone(order));
         }
-        COUNTERS.miss();
         if let Some(short) = self.rows.iter().find(|r| r.arity() <= mi) {
             return Err(FusionError::execution(format!(
                 "cached answer of `{cond}` at R{} holds a row of arity {}, \

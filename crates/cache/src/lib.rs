@@ -6,8 +6,9 @@
 //! **full records** a selection returned, so a later query can be
 //! answered locally — either exactly (same condition) or by
 //! *subsumption*: a cached broader condition answers a narrower one
-//! after a local residual filter, with containment proved by the
-//! [`subsume`] module's BDD + order-theory prover.
+//! after a local residual filter, with containment proved by
+//! [`subsumes`] — `fusion_core`'s BDD + order-theory prover behind the
+//! process default [`Memos`].
 //!
 //! Three mechanisms keep reuse honest:
 //!
@@ -33,18 +34,24 @@ mod cost;
 mod harvest;
 mod lint;
 mod shared;
-pub mod subsume;
 
 pub use cost::{CacheSnapshot, CachedCostModel};
-pub use harvest::{projection_memo_stats, Harvest};
+pub use harvest::Harvest;
 pub use lint::stale_cache_findings;
 pub use shared::{CacheGuard, SharedAnswerCache};
-pub use subsume::{containment_memo_stats, subsumes};
 
 use std::sync::Arc;
 
+use fusion_core::analyze::Memos;
 use fusion_types::error::Result;
-use fusion_types::{Condition, Cost, ItemSet, Schema, SourceId, Tuple};
+use fusion_types::{Condition, Cost, ItemSet, Predicate, Schema, SourceId, Tuple};
+
+/// Decides whether `narrow ⊆ broad` ([`Memos::subsumes`]) on
+/// [`Memos::shared`]: each distinct ordered pair is proved once per
+/// process. Sound — `true` is a proof; `false` only means "not proved".
+pub fn subsumes(broad: &Predicate, narrow: &Predicate) -> bool {
+    Memos::shared().subsumes(broad, narrow)
+}
 
 /// One cached selection answer: the full records `sq(c, R)` returned.
 #[derive(Debug, Clone)]
@@ -309,7 +316,7 @@ impl AnswerCache {
             return Some((i, HitKind::Exact));
         }
         candidates()
-            .filter(|(_, e)| subsume::subsumes(&e.cond.pred, &cond.pred))
+            .filter(|(_, e)| subsumes(&e.cond.pred, &cond.pred))
             .min_by_key(|(_, e)| e.tuples().len())
             .map(|(i, _)| (i, HitKind::Subsumed))
     }

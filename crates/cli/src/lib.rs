@@ -18,6 +18,7 @@
 
 use fusion_cache::{subsumes, AnswerCache, CachedCostModel};
 use fusion_check::{check_certified, CheckConfig};
+use fusion_core::analyze::Memos;
 use fusion_core::dataflow::{
     duplicate_inflight_findings, share_schedule, stage_decomposition, unshared_subsumed_findings,
     unsound_merge_findings, EventGraph, Resource, ShareStep,
@@ -1195,7 +1196,7 @@ executed cost {} with per-round re-optimization:",
             if config.share { "on" } else { "off" },
             report.log.len(),
             report.commuting_pairs,
-            proof_memo_lines(),
+            Memos::shared().stats(),
         ))
     }
 
@@ -1315,7 +1316,7 @@ executed cost {} with per-round re-optimization:",
             s.evictions,
             s.rejections,
             s.invalidations,
-            proof_memo_lines()
+            Memos::shared().stats()
         )
     }
 
@@ -1812,20 +1813,6 @@ impl<M: fusion_core::CostModel> fusion_core::CostModel for DistortedModel<'_, M>
         // cells do not saturate into indistinguishability.
         self.inner.domain_size() * self.factor.max(1.0)
     }
-}
-
-/// One line per process-wide memo, for `\cache` and `\serve`.
-fn proof_memo_lines() -> String {
-    let orders = fusion_cache::projection_memo_stats();
-    format!(
-        "plan-proof memo: {}\ncontainment memo: {}\nmerge-order memo: reuses {}, builds {}\n\
-         plan memo: {}",
-        fusion_core::analyze::proof_memo_stats(),
-        fusion_cache::containment_memo_stats(),
-        orders.hits,
-        orders.misses,
-        fusion_core::optimizer::plan_memo_stats()
-    )
 }
 
 /// Splits leading `--flag` tokens off a command argument.
@@ -2360,7 +2347,6 @@ mod tests {
         assert!(status.contains("misses 6"), "{status}");
         assert!(status.contains("\nplan-proof memo: hits "), "{status}");
         assert!(status.contains("\ncontainment memo: hits "), "{status}");
-        assert!(status.contains("\nmerge-order memo: reuses "), "{status}");
         assert!(status.contains("\nplan memo: hits "), "{status}");
         // Parallel execution uses the cache too.
         let par = run(&mut s, &format!("\\exec --parallel=2 {DMV_SQL}"));
@@ -2451,7 +2437,6 @@ mod tests {
         assert!(out.contains("selections served warm"), "{out}");
         assert!(out.contains("\nplan-proof memo: hits "), "{out}");
         assert!(out.contains("\ncontainment memo: hits "), "{out}");
-        assert!(out.contains("\nmerge-order memo: reuses "), "{out}");
         assert!(out.contains("\nplan memo: hits "), "{out}");
         let off = run(&mut s, "\\serve workers=2 share=off");
         assert!(

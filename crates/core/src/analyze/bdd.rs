@@ -14,17 +14,17 @@ use std::collections::HashMap;
 /// A Boolean variable, identified by its position in the global order
 /// (smaller = closer to the root).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BVar(pub u32);
+pub(crate) struct BVar(pub u32);
 
 /// A node reference in a [`BddManager`]. `FALSE` and `TRUE` are the two
 /// terminals; every other reference is an internal decision node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeId(pub u32);
+pub(crate) struct NodeId(pub u32);
 
 /// The constant-false function.
-pub const FALSE: NodeId = NodeId(0);
+pub(crate) const FALSE: NodeId = NodeId(0);
 /// The constant-true function.
-pub const TRUE: NodeId = NodeId(1);
+pub(crate) const TRUE: NodeId = NodeId(1);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Node {
@@ -44,7 +44,7 @@ enum BinOp {
 
 /// The shared store of hash-consed BDD nodes for one analysis.
 #[derive(Debug, Default)]
-pub struct BddManager {
+pub(crate) struct BddManager {
     nodes: Vec<Node>,
     unique: HashMap<Node, NodeId>,
     bin_cache: HashMap<(BinOp, NodeId, NodeId), NodeId>,
@@ -54,7 +54,7 @@ pub struct BddManager {
 
 impl BddManager {
     /// Creates an empty manager.
-    pub fn new() -> BddManager {
+    pub(crate) fn new() -> BddManager {
         BddManager {
             // Slots 0/1 are the terminals; their `Node` payloads are
             // placeholders that are never inspected.
@@ -78,7 +78,7 @@ impl BddManager {
     }
 
     /// Allocates the next variable in the global order.
-    pub fn fresh_var(&mut self) -> BVar {
+    pub(crate) fn fresh_var(&mut self) -> BVar {
         let v = BVar(self.n_vars);
         self.n_vars += 1;
         v
@@ -90,7 +90,7 @@ impl BddManager {
     }
 
     /// The single-variable function `v`.
-    pub fn var(&mut self, v: BVar) -> NodeId {
+    pub(crate) fn var(&mut self, v: BVar) -> NodeId {
         self.mk(v, FALSE, TRUE)
     }
 
@@ -186,12 +186,12 @@ impl BddManager {
     }
 
     /// `f ∧ g`.
-    pub fn and(&mut self, f: NodeId, g: NodeId) -> NodeId {
+    pub(crate) fn and(&mut self, f: NodeId, g: NodeId) -> NodeId {
         self.apply(BinOp::And, f, g)
     }
 
     /// `f ∨ g`.
-    pub fn or(&mut self, f: NodeId, g: NodeId) -> NodeId {
+    pub(crate) fn or(&mut self, f: NodeId, g: NodeId) -> NodeId {
         self.apply(BinOp::Or, f, g)
     }
 
@@ -201,7 +201,7 @@ impl BddManager {
     }
 
     /// `¬f`.
-    pub fn not(&mut self, f: NodeId) -> NodeId {
+    pub(crate) fn not(&mut self, f: NodeId) -> NodeId {
         if f == FALSE {
             return TRUE;
         }

@@ -24,7 +24,7 @@
 //!
 //! Each item-set variable is interpreted as a Boolean function over
 //! these atoms — its *membership predicate* — represented canonically
-//! as a [hash-consed ROBDD](bdd). The transfer function mirrors §2.1/§4
+//! as a hash-consed ROBDD (`bdd.rs`). The transfer function mirrors §2.1/§4
 //! exactly:
 //!
 //! | step                | membership predicate            |
@@ -48,17 +48,19 @@
 //! selection), and Bloom steps (supersets requiring re-intersection)
 //! all fall out of the same transfer function; no special cases.
 
-pub mod bdd;
+pub(crate) mod bdd;
 mod lint;
 mod memo;
+mod subsume;
 
 pub(crate) use lint::{
     bloom_not_reintersected_findings, dead_step_findings, duplicate_query_findings,
     loaded_unused_findings, merge_sorted, superset_semijoin_input_findings,
 };
 pub use lint::{Diagnostic, Severity};
-pub(crate) use memo::SharedMemo;
-pub use memo::{ensure_sound, proof_memo_stats, MemoCounters, ProofMemoStats, PROOF_MEMO_CAPACITY};
+pub(crate) use memo::Table;
+pub use memo::{ensure_sound, MemoStats, Memos, ProofMemoStats, PROOF_MEMO_CAPACITY};
+pub use subsume::{CONTAINMENT_MEMO_PREDICATES, CONTAINMENT_MEMO_VERDICTS};
 
 use crate::plan::{Plan, Step, VarId};
 use bdd::{BVar, BddManager, NodeId, FALSE};

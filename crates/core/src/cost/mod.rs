@@ -100,8 +100,9 @@ pub trait CostModel {
 
     /// Appends, as bit patterns, **every input this model's answers are a
     /// function of** and returns `true`; [`sj_optimal`] / [`sja_optimal`]
-    /// then plan once per distinct key and answer a repeat from a
-    /// process-wide memo (the memo adds the model's type, `m` and `n`).
+    /// then plan once per distinct key and answer a repeat from the plan
+    /// table of [`Memos::shared`](crate::analyze::Memos::shared) (the
+    /// memo adds the model's type, `m` and `n`).
     /// Two models of one type whose words are equal must answer every
     /// method alike, and the encoding must be unambiguous for a given
     /// `m × n`.

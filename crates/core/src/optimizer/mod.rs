@@ -26,7 +26,8 @@ mod search;
 
 pub use filter::filter_plan;
 pub use greedy::greedy_sja;
-pub use plan_memo::{plan_memo_stats, PLAN_MEMO_CAPACITY};
+pub(crate) use plan_memo::Plans;
+pub use plan_memo::PLAN_MEMO_CAPACITY;
 pub use response::{estimate_makespan, sja_response_optimal, ResponseOptimized};
 pub use search::{
     ordering_search, reference_enumeration, sj_optimal, sja_optimal, suffix_search, BnbStats,

@@ -16,8 +16,8 @@
 
 use super::greedy::selectivity_order;
 use super::perm::for_each_permutation;
-use super::plan_memo::planned;
 use super::{improves, ordering_tie_tolerance, OptimizedPlan};
+use crate::analyze::Memos;
 use crate::cost::CostModel;
 use crate::dataflow::remaining_cost_lower_bound;
 use crate::plan::SourceChoice;
@@ -360,12 +360,13 @@ pub fn suffix_search<M: CostModel>(model: &M, candidates: &[usize], x0: Option<f
 /// Finds the optimal *semijoin plan* (§2.5 class 2): Figure 3's space —
 /// per condition, `n` selection queries or `n` semijoin queries by their
 /// summed costs — searched exactly by [`ordering_search`], once per
-/// distinct [`CostModel::plan_key`].
+/// distinct [`CostModel::plan_key`] ([`Memos::optimal`] on
+/// [`Memos::shared`]).
 ///
 /// # Panics
 /// Panics if the model has no conditions.
 pub fn sj_optimal<M: CostModel>(model: &M) -> OptimizedPlan {
-    planned(model, RoundRule::Uniform)
+    Memos::shared().optimal(model, RoundRule::Uniform)
 }
 
 /// Finds the optimal *semijoin-adaptive plan* (§2.5 class 3): Figure 4's
@@ -378,7 +379,7 @@ pub fn sj_optimal<M: CostModel>(model: &M) -> OptimizedPlan {
 /// # Panics
 /// Panics if the model has no conditions.
 pub fn sja_optimal<M: CostModel>(model: &M) -> OptimizedPlan {
-    planned(model, RoundRule::PerSource)
+    Memos::shared().optimal(model, RoundRule::PerSource)
 }
 
 /// Figures 3–4 literally, `O(m!·m·n)`: prices every ordering of

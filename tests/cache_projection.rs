@@ -8,16 +8,13 @@
 //! source's own `select`, on the data that makes a remembered order
 //! dangerous: several rows per item, NULL merge values, `Int`/`Float`
 //! items that compare equal, heap-length strings, duplicated rows.
-//!
-//! The projection counters are process-wide, so every test here holds
-//! [`SERIAL`] (as `tests/proof_memo.rs` does for the proof memos).
 
 mod common;
 
-use std::sync::{Arc, Barrier, Mutex, PoisonError};
+use std::sync::{Arc, Barrier};
 
 use common::{for_seeds, Gen, Hooked, VIOLATIONS};
-use fusion::cache::{projection_memo_stats, AnswerCache, Harvest, HitKind, ResolvedHit};
+use fusion::cache::{AnswerCache, Harvest, HitKind, ResolvedHit};
 use fusion::core::plan::{Plan, SimplePlanSpec};
 use fusion::core::query::FusionQuery;
 use fusion::exec::{cached_phase2_rows, execute_plan, run, ExecutionOutcome, RunOptions, Target};
@@ -28,12 +25,6 @@ use fusion::types::{
     Attribute, Condition, Cost, Item, ItemSet, Predicate, Relation, Schema, SourceId, Tuple, Value,
     ValueType,
 };
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The sort-per-hit projection the cache ran before orders were
 /// remembered — kept here as the reference.
@@ -98,7 +89,6 @@ fn narrowed(cached: &Condition, extra: &Condition) -> Condition {
 /// cache and against the source's own `select`.
 #[test]
 fn memoised_serve_matches_the_sort_per_hit_oracle_and_the_source() {
-    let _serial = serial();
     let schema = dmv_schema();
     let s = SourceId(0);
     let (mut exact, mut residual) = (0u64, 0u64);
@@ -139,7 +129,6 @@ fn memoised_serve_matches_the_sort_per_hit_oracle_and_the_source() {
 /// the one remembered set.
 #[test]
 fn racing_first_readers_agree() {
-    let _serial = serial();
     let schema = dmv_schema();
     let s = SourceId(1);
     for_seeds(40, |g| {
@@ -211,7 +200,6 @@ fn twice(resp: WrapperResponse<Vec<Tuple>>) -> WrapperResponse<Vec<Tuple>> {
 /// answer — cold, filling the cache, and warm.
 #[test]
 fn bag_returning_wrappers_change_no_served_set() {
-    let _serial = serial();
     let net = || Network::uniform(3, LinkProfile::Wan.link());
     let plan = SimplePlanSpec::filter(2, 3).build(3).unwrap();
     let (mut exact, mut residual) = (0usize, 0usize);
@@ -275,7 +263,6 @@ fn bag_returning_wrappers_change_no_served_set() {
 /// asked first.
 #[test]
 fn two_merge_indexes_over_one_entry_each_get_their_own_answer() {
-    let _serial = serial();
     let by_l = dmv_schema();
     let by_d = Schema::new(
         vec![
@@ -319,7 +306,6 @@ fn two_merge_indexes_over_one_entry_each_get_their_own_answer() {
 /// previous rows' order.
 #[test]
 fn reinsert_and_bump_epoch_never_serve_an_old_order() {
-    let _serial = serial();
     let schema = dmv_schema();
     let s = SourceId(3);
     for_seeds(60, |g| {
@@ -377,7 +363,6 @@ fn reinsert_and_bump_epoch_never_serve_an_old_order() {
 /// deduplicated — exactly as computed from the rows as inserted.
 #[test]
 fn cached_phase2_rows_are_unchanged_by_remembered_orders() {
-    let _serial = serial();
     let schema = dmv_schema();
     let mut served = 0usize;
     for_seeds(40, |g| {
@@ -434,12 +419,12 @@ fn cached_phase2_rows_are_unchanged_by_remembered_orders() {
     assert!(served > 40, "battery served only {served} items");
 }
 
-/// One build per harvest, a reuse per later hit — and a miss's own
-/// projection is that build, so a cache filled by execution serves its
-/// first hit without sorting.
+/// One merge order per harvest, seen by identity: an exact hit's set is
+/// the harvest's remembered `Arc`, and a repeated residual hit's set is
+/// the `Arc` the first one returned — asked of a harvest, of the cache,
+/// and of the entries a cached run filled.
 #[test]
-fn counters_show_one_build_per_harvest() {
-    let _serial = serial();
+fn one_merge_order_per_harvest() {
     let schema = dmv_schema();
     let s = SourceId(0);
     let rows = vec![
@@ -453,25 +438,37 @@ fn counters_show_one_build_per_harvest() {
     }
     .into();
     let narrow: Condition = Predicate::eq("V", "sp").into();
+    let same = |a: &Arc<ItemSet>, b: &Arc<ItemSet>| Arc::ptr_eq(a, b);
+
+    let harvest = Arc::new(Harvest::new(rows.clone()));
+    let remembered = harvest.project(s, &cond, &schema, false).unwrap();
+    let exact = ResolvedHit::from_harvest(Arc::clone(&harvest), s, HitKind::Exact);
+    assert!(same(
+        &exact.serve(&cond, &schema).unwrap().items,
+        &remembered
+    ));
+    assert!(same(
+        &exact.serve(&cond, &schema).unwrap().items,
+        &remembered
+    ));
+    let residual = ResolvedHit::from_harvest(harvest, s, HitKind::Subsumed);
+    let first = residual.serve(&narrow, &schema).unwrap().items;
+    assert!(same(
+        &residual.serve(&narrow, &schema).unwrap().items,
+        &first
+    ));
+
     let mut cache = AnswerCache::new(1 << 20);
     cache.insert(s, cond.clone(), rows, true, Cost::new(1.0));
-
-    let before = projection_memo_stats();
-    let delta = |since: fusion::core::analyze::ProofMemoStats| {
-        let now = projection_memo_stats();
-        (now.misses - since.misses, now.hits - since.hits)
+    let served = |cache: &mut AnswerCache, source, cond: &Condition| {
+        cache.lookup(source, cond, &schema).unwrap().unwrap().items
     };
-    // Inserting built nothing; the first hit builds, later ones reuse —
-    // residual hits included.
-    assert_eq!(delta(before), (0, 0));
-    cache.lookup(s, &cond, &schema).unwrap().unwrap();
-    assert_eq!(delta(before), (1, 0));
-    cache.lookup(s, &narrow, &schema).unwrap().unwrap();
-    cache.lookup(s, &cond, &schema).unwrap().unwrap();
-    assert_eq!(delta(before), (1, 2));
+    let (exact, residual) = (served(&mut cache, s, &cond), served(&mut cache, s, &narrow));
+    assert!(same(&served(&mut cache, s, &cond), &exact));
+    assert!(same(&served(&mut cache, s, &narrow), &residual));
 
-    // Through execution: each of the six misses builds its harvest's
-    // order as it computes its own answer; the warm run reuses all six.
+    // Through execution: a cold run fills six entries, each serves one
+    // set however often it is asked, and a warm run answers alike.
     let rels = [0, 1, 2].map(|_| {
         Relation::from_rows(
             dmv_schema(),
@@ -500,9 +497,13 @@ fn counters_show_one_build_per_harvest() {
     .unwrap();
     let plan = SimplePlanSpec::filter(2, 3).build(3).unwrap();
     let mut cache = AnswerCache::new(1 << 20);
-    let before = projection_memo_stats();
-    cached(&plan, &q, &sources, &mut cache);
-    assert_eq!(delta(before), (6, 0));
-    cached(&plan, &q, &sources, &mut cache);
-    assert_eq!(delta(before), (6, 6));
+    let cold = cached(&plan, &q, &sources, &mut cache);
+    assert_eq!(cache.len(), 6);
+    for j in 0..3 {
+        for cond in q.conditions() {
+            let first = served(&mut cache, SourceId(j), cond);
+            assert!(same(&served(&mut cache, SourceId(j), cond), &first));
+        }
+    }
+    assert_eq!(cached(&plan, &q, &sources, &mut cache).answer, cold.answer);
 }

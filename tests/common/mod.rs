@@ -10,9 +10,10 @@
 pub(crate) mod lattice;
 pub(crate) mod mutants;
 
+use fusion::core::analyze::ProofMemoStats;
 use fusion::core::plan::{Plan, SimplePlanSpec, SourceChoice, VarId};
 use fusion::core::query::FusionQuery;
-use fusion::core::TableCostModel;
+use fusion::core::{OptimizedPlan, TableCostModel};
 use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, Wrapper, WrapperResponse};
 use fusion::stats::{SplitMix64, TableStats};
 use fusion::types::error::Result;
@@ -232,6 +233,29 @@ pub(crate) fn for_seeds(cases: u64, mut body: impl FnMut(&mut Gen)) {
             std::panic::resume_unwind(payload);
         }
     }
+}
+
+/// One memo table's `(misses, hits, entries, resets)`.
+pub(crate) fn counts(stats: ProofMemoStats) -> (u64, u64, u64, u64) {
+    (stats.misses, stats.hits, stats.entries, stats.resets)
+}
+
+/// Bit patterns of `sizes`.
+pub(crate) fn bits(sizes: &[f64]) -> Vec<u64> {
+    sizes.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Bit-for-bit equality of everything an [`OptimizedPlan`] holds.
+pub(crate) fn assert_same_plan(got: &OptimizedPlan, want: &OptimizedPlan, what: &str) {
+    assert_eq!(got.plan, want.plan, "{what}: plan");
+    assert_eq!(got.spec, want.spec, "{what}: spec");
+    let cost = |p: &OptimizedPlan| p.cost.value().to_bits();
+    assert_eq!(cost(got), cost(want), "{what}: cost");
+    assert_eq!(
+        bits(&got.round_sizes),
+        bits(&want.round_sizes),
+        "{what}: sizes"
+    );
 }
 
 /// A sound 2-condition, 3-source plan whose step order hides a

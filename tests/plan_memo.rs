@@ -1,26 +1,24 @@
-//! The process-wide plan memo behind `sj_optimal` / `sja_optimal` may
-//! change how often the ordering search runs and nothing else: a hit is,
-//! bit for bit, the plan a fresh `ordering_search` finds, and a model
-//! that states no key is searched every time.
+//! The plan table of a `Memos` — behind `sj_optimal` / `sja_optimal` on
+//! the shared default — may change how often the ordering search runs
+//! and nothing else: a hit is, bit for bit, the plan a fresh
+//! `ordering_search` finds, and a model that states no key is searched
+//! every time.
 //!
-//! The memo is shared by every test of this binary, so each test holds
-//! [`SERIAL`] and asserts counter *deltas* over keys of its own, never
-//! absolute counts.
+//! Each test asks a `Memos` of its own and asserts its absolute
+//! `(misses, hits, entries, resets)`.
 
 mod common;
 
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::Barrier;
 
-use common::{width, Gen};
+use common::{assert_same_plan, bits, counts, width, Gen};
 use fusion::cache::{CacheSnapshot, CachedCostModel};
+use fusion::core::analyze::Memos;
 use fusion::core::optimizer::{
-    ordering_search, plan_memo_stats, reference_enumeration, RoundRule, PLAN_MEMO_CAPACITY,
+    ordering_search, reference_enumeration, RoundRule, PLAN_MEMO_CAPACITY,
 };
 use fusion::core::query::FusionQuery;
-use fusion::core::{
-    sj_optimal, sja_optimal, CostModel, FeedbackCostModel, NetworkCostModel, OptimizedPlan,
-    TableCostModel,
-};
+use fusion::core::{CostModel, FeedbackCostModel, NetworkCostModel, OptimizedPlan, TableCostModel};
 use fusion::exec::execute_plan;
 use fusion::net::{Link, LinkProfile, Network};
 use fusion::parse_fusion_query;
@@ -31,68 +29,22 @@ use fusion::types::{tuple, CmpOp, CondId, Condition, Cost, Predicate, Relation, 
 use fusion::workload::synth::{synth_relations, synth_scenario, synth_schema, SynthSpec};
 use fusion::workload::CapabilityMix;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A failed test poisons the lock; the others still have to run alone.
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+/// The plan table's `(misses, hits, entries, resets)`.
+fn plan_counts(memos: &Memos) -> (u64, u64, u64, u64) {
+    counts(memos.stats().plans)
 }
 
-/// What the plan memo's counters moved by while `ask` ran: `(misses,
-/// hits, entries)` — entries stored since the clear, if it filled up
-/// meanwhile (a CI-width battery outgrows the capacity).
-fn moved(ask: impl FnOnce()) -> (u64, u64, i64) {
-    let before = plan_memo_stats();
-    ask();
-    let after = plan_memo_stats();
-    let kept = if after.resets == before.resets {
-        before.entries
-    } else {
-        0
-    };
-    (
-        after.misses - before.misses,
-        after.hits - before.hits,
-        after.entries as i64 - kept as i64,
-    )
+/// `k` keys asked twice each: every first call a miss, every second a
+/// hit.
+fn asked_twice(k: u64) -> (u64, u64, u64, u64) {
+    (k, k, k, 0)
 }
 
-fn bits(sizes: &[f64]) -> Vec<u64> {
-    sizes.iter().map(|x| x.to_bits()).collect()
-}
-
-fn assert_same_plan(got: &OptimizedPlan, want: &OptimizedPlan, what: &str) {
-    assert_eq!(got.plan, want.plan, "{what}: plan");
-    assert_eq!(got.spec, want.spec, "{what}: spec");
-    assert_eq!(
-        got.cost.value().to_bits(),
-        want.cost.value().to_bits(),
-        "{what}: cost"
-    );
-    assert_eq!(
-        bits(&got.round_sizes),
-        bits(&want.round_sizes),
-        "{what}: round sizes"
-    );
-}
-
-fn front_door<M: CostModel>(model: &M, rule: RoundRule) -> OptimizedPlan {
-    match rule {
-        RoundRule::Uniform => sj_optimal(model),
-        RoundRule::PerSource => sja_optimal(model),
-    }
-}
-
-/// Asks the front door twice and the search once; all three must agree,
-/// and with Figures 3–4 enumerated literally where that is affordable.
-/// Returns the counter deltas of the two front-door calls.
-fn ask_twice<M: CostModel>(model: &M, rule: RoundRule, what: &str) -> [(u64, u64, i64); 2] {
-    let (mut first, mut second) = (None, None);
-    let deltas = [
-        moved(|| first = Some(front_door(model, rule))),
-        moved(|| second = Some(front_door(model, rule))),
-    ];
-    let (first, second) = (first.unwrap(), second.unwrap());
+/// Asks `memos` twice and the search once; all three must agree, and
+/// with Figures 3–4 enumerated literally where that is affordable.
+fn ask_twice<M: CostModel>(memos: &Memos, model: &M, rule: RoundRule, what: &str) {
+    let first = memos.optimal(model, rule);
+    let second = memos.optimal(model, rule);
     let fresh = ordering_search(model, rule).0;
     assert_same_plan(&first, &fresh, &format!("{what}: first call"));
     assert_same_plan(&second, &fresh, &format!("{what}: second call"));
@@ -117,19 +69,16 @@ fn ask_twice<M: CostModel>(model: &M, rule: RoundRule, what: &str) -> [(u64, u64
             "{what}: reference sizes"
         );
     }
-    deltas
 }
 
-const MISS_THEN_HIT: [(u64, u64, i64); 2] = [(1, 0, 1), (0, 1, 0)];
-const UNTOUCHED: [(u64, u64, i64); 2] = [(0, 0, 0); 2];
 const RULES: [RoundRule; 2] = [RoundRule::Uniform, RoundRule::PerSource];
 
 // ---------- (i) a hit is the search's plan ----------------------------------
 
 #[test]
 fn first_call_second_call_and_a_fresh_search_agree() {
-    let _alone = serial();
     for seed in 0..width("plan-memo") {
+        let memos = Memos::new();
         let mut g = Gen::new(0x9_1A40 ^ seed);
         let (m, n) = (1 + g.0.next_below(6), 2 + g.0.next_below(7));
         let table = g.model(m, n);
@@ -140,12 +89,16 @@ fn first_call_second_call_and_a_fresh_search_agree() {
         };
         let sels: Vec<f64> = (0..m).map(|_| g.0.next_f64_range(0.02, 0.9)).collect();
         let network = synth_scenario(&spec, &sels).cost_model();
-        for rule in RULES {
+        for (k, rule) in (0..).zip(RULES) {
             let what = format!("seed {seed} {m}×{n} {rule:?}");
-            let deltas = ask_twice(&table, rule, &format!("{what} table"));
-            assert_eq!(deltas, MISS_THEN_HIT, "{what} table");
-            let deltas = ask_twice(&network, rule, &format!("{what} network"));
-            assert_eq!(deltas, MISS_THEN_HIT, "{what} network");
+            ask_twice(&memos, &table, rule, &format!("{what} table"));
+            assert_eq!(plan_counts(&memos), asked_twice(2 * k + 1), "{what} table");
+            ask_twice(&memos, &network, rule, &format!("{what} network"));
+            assert_eq!(
+                plan_counts(&memos),
+                asked_twice(2 * k + 2),
+                "{what} network"
+            );
         }
     }
 }
@@ -196,7 +149,7 @@ fn lt(attr: &str, v: i64) -> Condition {
 
 #[test]
 fn perturbing_any_input_of_a_network_model_changes_the_key() {
-    let _alone = serial();
+    let memos = Memos::new();
     let spec = SynthSpec {
         domain_size: 1000,
         rows_per_source: 300,
@@ -211,11 +164,8 @@ fn perturbing_any_input_of_a_network_model_changes_the_key() {
         conditions: vec![lt("A1", 300), lt("A2", 500), lt("A3", 700)],
         domain: Some(1000.0),
     };
-    let resets_at_start = plan_memo_stats().resets;
-    assert_eq!(
-        ask_twice(&base.model(), RoundRule::PerSource, "base"),
-        MISS_THEN_HIT
-    );
+    ask_twice(&memos, &base.model(), RoundRule::PerSource, "base");
+    assert_eq!(plan_counts(&memos), asked_twice(1));
 
     type Knob = (&'static str, fn(&mut World));
     let knobs: [Knob; 23] = [
@@ -263,36 +213,28 @@ fn perturbing_any_input_of_a_network_model_changes_the_key() {
             w.links.swap(0, 2);
         }),
     ];
-    for (name, turn) in knobs {
+    for ((name, turn), k) in knobs.into_iter().zip(2..) {
         let mut world = base.clone();
         turn(&mut world);
-        let deltas = ask_twice(&world.model(), RoundRule::PerSource, name);
-        assert_eq!(deltas, MISS_THEN_HIT, "{name}: its own key");
+        ask_twice(&memos, &world.model(), RoundRule::PerSource, name);
+        assert_eq!(plan_counts(&memos), asked_twice(k), "{name}: its own key");
     }
     // SJ and SJA plans of one model are two entries.
-    assert_eq!(
-        ask_twice(&base.model(), RoundRule::Uniform, "base, SJ"),
-        MISS_THEN_HIT
-    );
-    // None of that displaced or altered the base entry (unless the memo
-    // filled up and was cleared under this test).
-    let again = moved(|| {
-        let fresh = ordering_search(&base.model(), RoundRule::PerSource).0;
-        assert_same_plan(&sja_optimal(&base.model()), &fresh, "base, again");
-    });
-    if plan_memo_stats().resets == resets_at_start {
-        assert_eq!(again, (0, 1, 0));
-    }
+    ask_twice(&memos, &base.model(), RoundRule::Uniform, "base, SJ");
+    assert_eq!(plan_counts(&memos), asked_twice(25));
+    // None of that displaced or altered the base entry.
+    let fresh = ordering_search(&base.model(), RoundRule::PerSource).0;
+    let again = memos.optimal(&base.model(), RoundRule::PerSource);
+    assert_same_plan(&again, &fresh, "base, again");
+    assert_eq!(plan_counts(&memos), (25, 26, 25, 0));
 }
 
 #[test]
 fn perturbing_any_cell_of_a_table_model_changes_the_key() {
-    let _alone = serial();
+    let memos = Memos::new();
     let base = Gen::new(0x7AB1E).model(4, 3);
-    assert_eq!(
-        ask_twice(&base, RoundRule::PerSource, "base"),
-        MISS_THEN_HIT
-    );
+    ask_twice(&memos, &base, RoundRule::PerSource, "base");
+    assert_eq!(plan_counts(&memos), asked_twice(1));
     let (c, s) = (CondId(2), SourceId(1));
     type Knob = (&'static str, fn(&mut TableCostModel, CondId, SourceId));
     let knobs: [Knob; 7] = [
@@ -322,21 +264,19 @@ fn perturbing_any_cell_of_a_table_model_changes_the_key() {
             t.set_domain(201.0);
         }),
     ];
-    for (name, turn) in knobs {
+    for ((name, turn), k) in knobs.into_iter().zip(2..) {
         let mut table = base.clone();
         turn(&mut table, c, s);
         assert_ne!(table, base, "{name}: the knob turned");
-        let deltas = ask_twice(&table, RoundRule::PerSource, name);
-        assert_eq!(deltas, MISS_THEN_HIT, "{name}: its own key");
+        ask_twice(&memos, &table, RoundRule::PerSource, name);
+        assert_eq!(plan_counts(&memos), asked_twice(k), "{name}: its own key");
     }
     // `0.0` and `-0.0` price alike but are different bit patterns: the
     // second can only miss, never borrow the first one's entry wrongly.
     let mut negative_zero = base;
     negative_zero.set_est_sq_items(c, s, -0.0);
-    assert_eq!(
-        ask_twice(&negative_zero, RoundRule::PerSource, "-0.0"),
-        MISS_THEN_HIT
-    );
+    ask_twice(&memos, &negative_zero, RoundRule::PerSource, "-0.0");
+    assert_eq!(plan_counts(&memos), asked_twice(9));
 }
 
 /// Two DMV sources in which `'aaa'`, `'bbb'` and `'cccccc'` are equally
@@ -364,7 +304,7 @@ fn symmetric_world() -> World {
 
 #[test]
 fn queries_that_price_alike_share_an_entry_and_keep_their_own_answers() {
-    let _alone = serial();
+    let memos = Memos::new();
     let mut world = symmetric_world();
     let sql = |violation: &str| {
         format!(
@@ -375,17 +315,15 @@ fn queries_that_price_alike_share_an_entry_and_keep_their_own_answers() {
     let mut answers = Vec::new();
     let mut plans = Vec::new();
     for (violation, want) in [
-        ("aaa", (1, 0, 1)),
-        ("bbb", (0, 1, 0)),
-        ("cccccc", (1, 0, 1)),
+        ("aaa", (1, 0, 1, 0)),
+        ("bbb", (1, 1, 1, 0)),
+        ("cccccc", (2, 1, 2, 0)),
     ] {
         let query = parse_fusion_query(&sql(violation), &dmv_schema()).unwrap();
         world.conditions = query.conditions().to_vec();
         let model = world.model();
-        let mut best = None;
-        let delta = moved(|| best = Some(sja_optimal(&model)));
-        assert_eq!(delta, want, "{violation}");
-        let best = best.unwrap();
+        let best = memos.optimal(&model, RoundRule::PerSource);
+        assert_eq!(plan_counts(&memos), want, "{violation}");
         assert_same_plan(
             &best,
             &ordering_search(&model, RoundRule::PerSource).0,
@@ -437,15 +375,15 @@ impl CostModel for Handwritten {
 
 #[test]
 fn decorators_and_user_models_move_no_counter() {
-    let _alone = serial();
     for seed in 0..width("plan-memo").min(24) {
+        let memos = Memos::new();
         let mut g = Gen::new(0xDEC0 ^ seed);
         let (m, n) = (2 + g.0.next_below(4), 2 + g.0.next_below(4));
         let table = g.model(m, n);
         // Key the undecorated model first: a decorator that inherited the
         // key by accident would now hit its entry.
-        sja_optimal(&table);
-        sj_optimal(&table);
+        memos.optimal(&table, RoundRule::PerSource);
+        memos.optimal(&table, RoundRule::Uniform);
         let covered = (0..m)
             .map(|_| (0..n).map(|_| g.0.next_below(3) == 0).collect())
             .collect();
@@ -455,15 +393,14 @@ fn decorators_and_user_models_move_no_counter() {
         for rule in RULES {
             let what = format!("seed {seed} {m}×{n} {rule:?}");
             let cached = CachedCostModel::new(&table, &snapshot);
-            assert_eq!(ask_twice(&cached, rule, &what), UNTOUCHED, "{what} cached");
+            ask_twice(&memos, &cached, rule, &what);
+            assert_eq!(plan_counts(&memos), (2, 0, 2, 0), "{what} cached");
             let fed = FeedbackCostModel::new(&table, &feedback);
-            assert_eq!(ask_twice(&fed, rule, &what), UNTOUCHED, "{what} feedback");
+            ask_twice(&memos, &fed, rule, &what);
+            assert_eq!(plan_counts(&memos), (2, 0, 2, 0), "{what} feedback");
             let by_hand = Handwritten(table.clone());
-            assert_eq!(
-                ask_twice(&by_hand, rule, &what),
-                UNTOUCHED,
-                "{what} by hand"
-            );
+            ask_twice(&memos, &by_hand, rule, &what);
+            assert_eq!(plan_counts(&memos), (2, 0, 2, 0), "{what} by hand");
         }
     }
 }
@@ -472,66 +409,58 @@ fn decorators_and_user_models_move_no_counter() {
 
 #[test]
 fn overfull_memo_stays_bounded_and_answers_alike() {
-    let _alone = serial();
+    let memos = Memos::new();
     let capacity = PLAN_MEMO_CAPACITY as u64;
-    // 1 × 1 models no other test builds, one key each.
     let model = |k: usize| TableCostModel::uniform(1, 1, 1.0 + k as f64, 1.0, 0.1, 9.0, 1.0, 5.0);
-    let before = plan_memo_stats();
     let firsts: Vec<OptimizedPlan> = (0..=PLAN_MEMO_CAPACITY)
         .map(|k| {
-            let plan = sja_optimal(&model(k));
-            assert!(plan_memo_stats().entries <= capacity);
+            let plan = memos.optimal(&model(k), RoundRule::PerSource);
+            assert!(memos.stats().plans.entries <= capacity);
             plan
         })
         .collect();
-    let after = plan_memo_stats();
-    assert_eq!(after.misses - before.misses, capacity + 1);
-    // `capacity + 1` new keys overflow the memo exactly once, unless it
-    // was already brim-full when they started.
-    let expected_resets = 1 + u64::from(before.entries == capacity);
-    assert_eq!(after.resets - before.resets, expected_resets);
-    assert!(after.entries >= 1 && after.entries <= capacity);
-    // Whatever the clear dropped is searched again, to the same plan;
-    // the newest entry outlived it.
-    let newest = moved(|| {
-        let again = sja_optimal(&model(PLAN_MEMO_CAPACITY));
-        assert_same_plan(&again, &firsts[PLAN_MEMO_CAPACITY], "newest");
-    });
-    assert_eq!(newest, (0, 1, 0));
+    // `capacity + 1` new keys overflow the memo exactly once.
+    assert_eq!(plan_counts(&memos), (capacity + 1, 0, 1, 1));
+    // The newest entry outlived the clear; whatever it dropped is
+    // searched again, to the same plan.
+    let again = memos.optimal(&model(PLAN_MEMO_CAPACITY), RoundRule::PerSource);
+    assert_same_plan(&again, &firsts[PLAN_MEMO_CAPACITY], "newest");
+    assert_eq!(plan_counts(&memos), (capacity + 1, 1, 1, 1));
     for k in [0, 1, PLAN_MEMO_CAPACITY / 2] {
-        assert_same_plan(&sja_optimal(&model(k)), &firsts[k], &format!("k={k}"));
+        let again = memos.optimal(&model(k), RoundRule::PerSource);
+        assert_same_plan(&again, &firsts[k], &format!("k={k}"));
     }
+    assert_eq!(plan_counts(&memos), (capacity + 4, 1, 4, 1));
 }
 
 // ---------- (v) racing first calls ------------------------------------------
 
 #[test]
 fn racing_first_calls_agree_and_leave_one_entry() {
-    let _alone = serial();
+    let memos = Memos::new();
     let model = Gen::new(0xACE5).model(6, 5);
     let gate = Barrier::new(4);
-    let mut raced = Vec::new();
-    let (misses, hits, entries) = moved(|| {
-        raced = std::thread::scope(|scope| {
-            let racers: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(|| {
-                        gate.wait();
-                        sja_optimal(&model)
-                    })
+    let raced: Vec<OptimizedPlan> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    gate.wait();
+                    memos.optimal(&model, RoundRule::PerSource)
                 })
-                .collect();
-            racers.into_iter().map(|r| r.join().unwrap()).collect()
-        });
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
     });
-    assert_eq!(entries, 1, "equal entries are one entry");
+    let (misses, hits, entries, resets) = plan_counts(&memos);
+    assert_eq!((entries, resets), (1, 0), "equal entries are one entry");
     assert_eq!(misses + hits, 4);
     assert!(misses >= 1);
     let fresh = ordering_search(&model, RoundRule::PerSource).0;
     for plan in &raced {
         assert_same_plan(plan, &fresh, "raced");
     }
-    assert_eq!(moved(|| drop(sja_optimal(&model))), (0, 1, 0));
+    memos.optimal(&model, RoundRule::PerSource);
+    assert_eq!(plan_counts(&memos), (misses, hits + 1, 1, 0));
 }
 
 // ---------- hostile floats ---------------------------------------------------
@@ -541,7 +470,7 @@ fn racing_first_calls_agree_and_leave_one_entry() {
 /// at worst miss: memoised and fresh plans agree, and nothing panics.
 #[test]
 fn hostile_estimates_plan_alike_memoised_and_fresh() {
-    let _alone = serial();
+    let memos = Memos::new();
     let base = || TableCostModel::uniform(3, 2, 10.0, 1.0, 0.1, 1e6, 5.0, 100.0);
     let cells = || (0..3).flat_map(|c| (0..2).map(move |s| (CondId(c), SourceId(s))));
 
@@ -582,13 +511,15 @@ fn hostile_estimates_plan_alike_memoised_and_fresh() {
         ("∞ estimate", infinite_estimate),
         ("NaN estimate", nan_estimate),
     ];
+    let mut keys = 0;
     for (name, model) in &hostile {
         for rule in RULES {
-            let deltas = ask_twice(model, rule, name);
-            assert_eq!(deltas, MISS_THEN_HIT, "{name} {rule:?}");
+            ask_twice(&memos, model, rule, name);
+            keys += 1;
+            assert_eq!(plan_counts(&memos), asked_twice(keys), "{name} {rule:?}");
         }
     }
-    let tie = sja_optimal(&hostile[0].1);
+    let tie = memos.optimal(&hostile[0].1, RoundRule::PerSource);
     assert!(tie.cost.is_infinite());
     assert_eq!(tie.spec.order, vec![CondId(0), CondId(1), CondId(2)]);
 }

@@ -1,36 +1,26 @@
-//! The two process-wide proof memos — proved plan shapes behind
+//! The two proof tables of a `Memos` — proved plan shapes behind
 //! `ensure_sound`, containment verdicts behind `subsumes` — may change
 //! how often a prover runs and nothing else: every verdict, every
 //! refusal text and every answer is what the un-memoised prover gives.
 //!
-//! The memos are shared by every test of this binary, so each test holds
-//! [`SERIAL`] and asserts verdicts plus counter *deltas* over keys of its
-//! own, never absolute counts.
+//! Each test asks a `Memos` of its own and asserts its absolute
+//! `(misses, hits, entries, resets)`.
 
 mod common;
 
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::Barrier;
 
 use common::mutants::{filter22, loaded22, mutant_corpus, semijoin22};
-use common::Gen;
-use fusion::cache::subsume::{CONTAINMENT_MEMO_PREDICATES, CONTAINMENT_MEMO_VERDICTS};
-use fusion::cache::{containment_memo_stats, subsumes};
-use fusion::core::analyze::{ensure_sound, proof_memo_stats, ProofMemoStats, PROOF_MEMO_CAPACITY};
+use common::{counts, Gen};
+use fusion::core::analyze::{
+    ensure_sound, Memos, CONTAINMENT_MEMO_PREDICATES, CONTAINMENT_MEMO_VERDICTS,
+    PROOF_MEMO_CAPACITY,
+};
 use fusion::core::plan::{Plan, SimplePlanSpec, Step, VarId};
 use fusion::core::{analyze_plan, sja_optimal};
-use fusion::exec::{execute_plan, run, RetryPolicy, RunOptions, Schedule, Target};
-use fusion::net::FaultPlan;
-use fusion::types::{
-    Attribute, CmpOp, CondId, Predicate, Schema, SourceId, Tuple, Value, ValueType,
-};
+use fusion::exec::execute_plan;
+use fusion::types::{Attribute, CmpOp, Predicate, Schema, Tuple, Value, ValueType};
 use fusion::workload::synth::{synth_scenario, SynthSpec};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A failed test poisons the lock; the others still have to run alone.
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The refusal the un-memoised analyzer words for a refuted plan.
 fn reference_refusal(plan: &Plan) -> String {
@@ -41,21 +31,8 @@ fn reference_refusal(plan: &Plan) -> String {
         .to_string()
 }
 
-/// What the counters behind `stats` moved by while `ask` ran:
-/// `(misses, hits, entries)`.
-fn moved(stats: fn() -> ProofMemoStats, ask: impl FnOnce()) -> (u64, u64, i64) {
-    let before = stats();
-    ask();
-    let after = stats();
-    (
-        after.misses - before.misses,
-        after.hits - before.hits,
-        after.entries as i64 - before.entries as i64,
-    )
-}
-
-/// A sound plan no other test asks about: FILTER over `n` sources with
-/// `pad` trailing variables nothing defines or reads.
+/// A sound plan: FILTER over `n` sources with `pad` trailing variables
+/// nothing defines or reads.
 fn padded_filter(m: usize, n: usize, pad: usize) -> Plan {
     let mut plan = SimplePlanSpec::filter(m, n).build(n).unwrap();
     for k in 0..pad {
@@ -68,13 +45,14 @@ fn padded_filter(m: usize, n: usize, pad: usize) -> Plan {
 
 #[test]
 fn mutants_are_refused_alike_cold_warm_and_twice() {
-    let _alone = serial();
+    let memos = Memos::new();
     let corpus = mutant_corpus();
-    // Cold: nothing sound of these shapes need have been asked yet.
+    let n = corpus.len() as u64;
+    // Cold: nothing sound of these shapes has been asked yet.
     let cold: Vec<String> = corpus
         .iter()
         .map(|(name, plan)| {
-            let text = ensure_sound(plan).unwrap_err().to_string();
+            let text = memos.ensure_sound(plan).unwrap_err().to_string();
             assert_eq!(text, reference_refusal(plan), "{name}: cold refusal");
             assert!(
                 text.contains("refusing to execute a semantically unsound plan"),
@@ -83,29 +61,31 @@ fn mutants_are_refused_alike_cold_warm_and_twice() {
             text
         })
         .collect();
+    assert_eq!(counts(memos.stats().proofs), (n, 0, 0, 0));
     // Memoise the sound originals every mutant was derived from.
     for (steps, result) in [filter22(), semijoin22(), loaded22()] {
         let original = Plan::new(steps, result, 2, 2);
-        ensure_sound(&original).unwrap();
-        let again = moved(proof_memo_stats, || ensure_sound(&original).unwrap());
-        assert_eq!(again, (0, 1, 0), "original was remembered");
+        memos.ensure_sound(&original).unwrap();
+        memos.ensure_sound(&original).unwrap();
     }
+    assert_eq!(
+        counts(memos.stats().proofs),
+        (n + 3, 3, 3, 0),
+        "originals kept"
+    );
     // Warm, and asked twice: the same bytes, and a proof every time.
     for ((name, plan), cold) in corpus.iter().zip(&cold) {
         for round in 0..2 {
-            let delta = moved(proof_memo_stats, || {
-                let text = ensure_sound(plan).unwrap_err().to_string();
-                assert_eq!(&text, cold, "{name}: round {round}");
-            });
-            // Proved again, neither served nor kept.
-            assert_eq!(delta, (1, 0, 0), "{name}: round {round}");
+            let text = memos.ensure_sound(plan).unwrap_err().to_string();
+            assert_eq!(&text, cold, "{name}: round {round}");
         }
     }
+    // Proved again, neither served nor kept.
+    assert_eq!(counts(memos.stats().proofs), (3 * n + 3, 3, 3, 0));
 }
 
 #[test]
 fn executors_refuse_a_mutant_after_running_its_original() {
-    let _alone = serial();
     let scenario = synth_scenario(&SynthSpec::default_with(2, 23), &[0.3, 0.4]);
     let truth = scenario.ground_truth().unwrap();
     let (steps, result) = filter22();
@@ -138,90 +118,15 @@ fn executors_refuse_a_mutant_after_running_its_original() {
     assert_eq!(ensure_sound(&broken).unwrap_err().to_string(), first);
 }
 
-/// The staged driver guards through the memo like `execute_plan`: a run
-/// without a retry policy of an already-proved plan proves nothing, and
-/// the analysis a drop needs is only built when a step is dropped —
-/// where a drop that would grow the answer is still refused.
-#[test]
-fn a_staged_run_proves_nothing_until_a_step_is_dropped() {
-    let _alone = serial();
-    let scenario = synth_scenario(&SynthSpec::default_with(2, 23), &[0.3, 0.4]);
-    let truth = scenario.ground_truth().unwrap();
-    // FILTER, plus `∪ (B − S)` with B and S the same selection asked
-    // twice: sound (B − S = ∅), but losing S alone would let B through.
-    let (mut steps, filter_result) = filter22();
-    for out in [VarId(7), VarId(8)] {
-        steps.push(Step::Sq {
-            out,
-            cond: CondId(0),
-            source: SourceId(0),
-        });
-    }
-    steps.push(Step::Diff {
-        out: VarId(9),
-        left: VarId(7),
-        right: VarId(8),
-    });
-    steps.push(Step::Union {
-        out: VarId(10),
-        inputs: vec![filter_result, VarId(9)],
-    });
-    let subtrahend_at = 8;
-    let plan = Plan::new(steps, VarId(10), 2, 2);
-    ensure_sound(&plan).unwrap();
-    let (q, sources) = (&scenario.query, &scenario.sources);
-    let staged = |retry| RunOptions {
-        schedule: Schedule::Stages {
-            threads: 2,
-            pace: None,
-        },
-        retry,
-        cache: None,
-    };
-    let delta = moved(proof_memo_stats, || {
-        let out = run(
-            Target::Plan(&plan),
-            q,
-            sources,
-            &mut scenario.network(),
-            staged(None),
-        );
-        assert_eq!(out.unwrap().outcome.answer, truth);
-    });
-    assert_eq!(delta, (0, 1, 0), "one memo hit, no proof");
-    // R1 answers its first three queries and goes dark before the fourth.
-    let mut network = scenario.network();
-    network.set_fault_plan(FaultPlan::none(2).with_outage(SourceId(0), 3));
-    let retry = RetryPolicy::default();
-    let err = run(
-        Target::Plan(&plan),
-        q,
-        sources,
-        &mut network,
-        staged(Some(&retry)),
-    )
-    .unwrap_err();
-    assert_eq!(
-        err.to_string(),
-        format!(
-            "execution error: source failure at step #{subtrahend_at}: dropping it would not \
-             yield a sound subset of the fusion answer (the step's value is used \
-             non-monotonically); aborting instead"
-        )
-    );
-}
-
 // ---------- (b) a near miss is decided on its own ---------------------------
 
 #[test]
 fn plans_one_field_away_from_a_memoised_one_are_decided_on_their_own() {
-    let _alone = serial();
+    let memos = Memos::new();
     let base = padded_filter(3, 3, 11);
-    let first_two = moved(proof_memo_stats, || {
-        ensure_sound(&base).unwrap();
-        ensure_sound(&base).unwrap();
-    });
-    assert_eq!(first_two, (1, 1, 1));
+    memos.ensure_sound(&base).unwrap();
+    memos.ensure_sound(&base).unwrap();
+    assert_eq!(counts(memos.stats().proofs), (1, 1, 1, 0));
 
     // One step differs: a union forgets an operand.
     let mut one_step = base.clone();
@@ -239,35 +144,41 @@ fn plans_one_field_away_from_a_memoised_one_are_decided_on_their_own() {
     // `n_sources` differs: a fourth source exists and is never asked.
     let mut more_sources = base.clone();
     more_sources.n_sources += 1;
-    for (what, plan) in [
+    for (k, (what, plan)) in [
         ("one step", &one_step),
         ("result", &other_result),
         ("n_sources", &more_sources),
-    ] {
-        let delta = moved(proof_memo_stats, || {
-            let text = ensure_sound(plan).unwrap_err().to_string();
-            assert_eq!(text, reference_refusal(plan), "{what}");
-        });
-        assert_eq!(delta, (1, 0, 0), "{what}: not its neighbour's proof");
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let text = memos.ensure_sound(plan).unwrap_err().to_string();
+        assert_eq!(text, reference_refusal(plan), "{what}");
+        let proved = counts(memos.stats().proofs);
+        assert_eq!(
+            proved,
+            (2 + k as u64, 1, 1, 0),
+            "{what}: not its neighbour's proof"
+        );
     }
 
     // A trailing unused variable: still sound, but its own proof and entry.
     let mut wider = base.clone();
     wider.fresh_var("UNUSED");
-    let delta = moved(proof_memo_stats, || ensure_sound(&wider).unwrap());
-    assert_eq!(delta, (1, 0, 1));
+    memos.ensure_sound(&wider).unwrap();
+    assert_eq!(counts(memos.stats().proofs), (5, 1, 2, 0));
 
     // Names are not part of the shape: a renamed twin is a hit.
     let mut renamed = base;
     renamed.var_names[0] = "SOMETHING_ELSE".into();
-    let delta = moved(proof_memo_stats, || ensure_sound(&renamed).unwrap());
-    assert_eq!(delta, (0, 1, 0));
+    memos.ensure_sound(&renamed).unwrap();
+    assert_eq!(counts(memos.stats().proofs), (5, 2, 2, 0));
 }
 
 /// A second pass over the same stream of optimizer plans proves nothing.
 #[test]
 fn a_repeated_query_stream_adds_no_proof_misses() {
-    let _alone = serial();
+    let memos = Memos::new();
     let plans: Vec<Plan> = (0..24u64)
         .map(|seed| {
             let mut g = Gen::new(0xBEEF ^ seed);
@@ -276,20 +187,29 @@ fn a_repeated_query_stream_adds_no_proof_misses() {
         })
         .collect();
     for plan in &plans {
-        ensure_sound(plan).unwrap();
+        memos.ensure_sound(plan).unwrap();
     }
-    let second_pass = moved(proof_memo_stats, || {
-        for plan in &plans {
-            ensure_sound(plan).unwrap();
-        }
-    });
-    assert_eq!(second_pass, (0, plans.len() as u64, 0));
+    let first = memos.stats().proofs;
+    assert_eq!(first.misses + first.hits, plans.len() as u64);
+    assert_eq!((first.entries, first.resets), (first.misses, 0));
+    for plan in &plans {
+        memos.ensure_sound(plan).unwrap();
+    }
+    let second = memos.stats().proofs;
+    assert_eq!(
+        counts(second),
+        (
+            first.misses,
+            first.hits + plans.len() as u64,
+            first.entries,
+            0
+        )
+    );
 }
 
 // ---------- (c) containment verdicts ----------------------------------------
 
-/// Two attribute names per test, mentioned nowhere else, so that every
-/// predicate pair is new to the memo when its test first asks.
+/// The two attributes a predicate pool ranges over.
 type Attrs = [&'static str; 2];
 
 fn containment_schema(attrs: Attrs) -> Schema {
@@ -368,22 +288,22 @@ fn predicate_pool(seed: u64, attrs: Attrs, size: usize) -> Vec<Predicate> {
     pool
 }
 
-/// `subsumes` over every ordered pair of `pool`, row-major.
-fn all_pairs(pool: &[Predicate]) -> Vec<bool> {
+/// `memos.subsumes` over every ordered pair of `pool`, row-major.
+fn all_pairs(memos: &Memos, pool: &[Predicate]) -> Vec<bool> {
     pool.iter()
-        .flat_map(|broad| pool.iter().map(move |narrow| subsumes(broad, narrow)))
+        .flat_map(|broad| pool.iter().map(move |narrow| memos.subsumes(broad, narrow)))
         .collect()
 }
 
 /// [`all_pairs`] from four threads released together.
-fn all_pairs_x4(pool: &[Predicate]) -> Vec<Vec<bool>> {
+fn all_pairs_x4(memos: &Memos, pool: &[Predicate]) -> Vec<Vec<bool>> {
     let gate = Barrier::new(4);
     std::thread::scope(|scope| {
         let asks: Vec<_> = (0..4)
             .map(|_| {
                 scope.spawn(|| {
                     gate.wait();
-                    all_pairs(pool)
+                    all_pairs(memos, pool)
                 })
             })
             .collect();
@@ -393,7 +313,7 @@ fn all_pairs_x4(pool: &[Predicate]) -> Vec<Vec<bool>> {
 
 #[test]
 fn containment_verdicts_repeat_from_the_memo_and_across_threads() {
-    let _alone = serial();
+    let memos = Memos::new();
     const ATTRS: Attrs = ["PM_A", "PM_B"];
     let pool = predicate_pool(0x5EED_C0DE, ATTRS, 104);
     let pairs = (pool.len() * pool.len()) as u64;
@@ -401,23 +321,18 @@ fn containment_verdicts_repeat_from_the_memo_and_across_threads() {
 
     // First ask of each pair: the memo cannot know it, so what comes
     // back is the prover's own verdict.
-    let mut proved = Vec::new();
-    let first = moved(containment_memo_stats, || proved = all_pairs(&pool));
-    assert_eq!(first, (pairs, 0, pairs as i64), "every pair was new");
+    let proved = all_pairs(&memos, &pool);
+    assert_eq!(counts(memos.stats().verdicts), (pairs, 0, pairs, 0));
 
     // Asked twice: the same verdicts, no prover run.
-    let second = moved(containment_memo_stats, || {
-        assert_eq!(all_pairs(&pool), proved);
-    });
-    assert_eq!(second, (0, pairs, 0));
+    assert_eq!(all_pairs(&memos, &pool), proved);
+    assert_eq!(counts(memos.stats().verdicts), (pairs, pairs, pairs, 0));
 
     // From four threads at once: the same again.
-    let threaded = moved(containment_memo_stats, || {
-        for run in all_pairs_x4(&pool) {
-            assert_eq!(run, proved);
-        }
-    });
-    assert_eq!(threaded, (0, 4 * pairs, 0));
+    for run in all_pairs_x4(&memos, &pool) {
+        assert_eq!(run, proved);
+    }
+    assert_eq!(counts(memos.stats().verdicts), (pairs, 5 * pairs, pairs, 0));
 
     // The verdicts themselves: reflexive, both directions asked, strict
     // containments among them, and every proof sound on a value grid
@@ -463,17 +378,19 @@ fn containment_verdicts_repeat_from_the_memo_and_across_threads() {
 
 #[test]
 fn racing_first_asks_agree_with_a_later_one() {
-    let _alone = serial();
+    let memos = Memos::new();
     let pool = predicate_pool(0xFACE_FEED, ["PM_RACE_A", "PM_RACE_B"], 24);
     let pairs = (pool.len() * pool.len()) as u64;
-    let mut raced = Vec::new();
-    let (misses, _, entries) = moved(containment_memo_stats, || raced = all_pairs_x4(&pool));
+    let raced = all_pairs_x4(&memos, &pool);
     // Each pair was decided at least once and at most once per thread.
+    let (misses, hits, entries, resets) = counts(memos.stats().verdicts);
     assert!((pairs..=4 * pairs).contains(&misses), "{misses}");
-    assert_eq!(entries, pairs as i64);
-    let mut settled = Vec::new();
-    let later = moved(containment_memo_stats, || settled = all_pairs(&pool));
-    assert_eq!(later, (0, pairs, 0));
+    assert_eq!((misses + hits, entries, resets), (4 * pairs, pairs, 0));
+    let settled = all_pairs(&memos, &pool);
+    assert_eq!(
+        counts(memos.stats().verdicts),
+        (misses, hits + pairs, pairs, 0)
+    );
     for run in &raced {
         assert_eq!(run, &settled);
     }
@@ -483,55 +400,64 @@ fn racing_first_asks_agree_with_a_later_one() {
 
 #[test]
 fn overfull_plan_memo_keeps_verdicts_right_and_stays_bounded() {
-    let _alone = serial();
+    let memos = Memos::new();
     let capacity = PROOF_MEMO_CAPACITY as u64;
     let (mutant_name, mutant) = mutant_corpus().swap_remove(0);
     let refusal = reference_refusal(&mutant);
-    let before = proof_memo_stats();
+    let mut refused = 0;
     for pad in 0..PROOF_MEMO_CAPACITY + 64 {
-        // Nine sources: shapes no other test of this binary builds.
-        let plan = padded_filter(1, 9, pad);
-        ensure_sound(&plan).unwrap();
-        assert!(proof_memo_stats().entries <= capacity);
+        memos.ensure_sound(&padded_filter(1, 9, pad)).unwrap();
+        assert!(memos.stats().proofs.entries <= capacity);
         if pad % 512 == 0 {
             assert_eq!(
-                ensure_sound(&mutant).unwrap_err().to_string(),
+                memos.ensure_sound(&mutant).unwrap_err().to_string(),
                 refusal,
                 "{mutant_name}"
             );
+            refused += 1;
         }
     }
-    let after = proof_memo_stats();
-    assert!(after.resets > before.resets, "the memo never filled");
-    assert!(after.entries >= 1 && after.entries <= capacity);
-    // Whatever the reset dropped is simply proved again.
-    ensure_sound(&padded_filter(1, 9, 0)).unwrap();
-    ensure_sound(&padded_filter(1, 9, PROOF_MEMO_CAPACITY + 63)).unwrap();
-    assert_eq!(ensure_sound(&mutant).unwrap_err().to_string(), refusal);
+    // `capacity + 64` shapes overflow once: the newest 64 are left.
+    let asked = capacity + 64 + refused;
+    assert_eq!(counts(memos.stats().proofs), (asked, 0, 64, 1));
+    // Whatever the reset dropped is simply proved again; the newest
+    // shape outlived it.
+    memos.ensure_sound(&padded_filter(1, 9, 0)).unwrap();
+    memos
+        .ensure_sound(&padded_filter(1, 9, PROOF_MEMO_CAPACITY + 63))
+        .unwrap();
+    assert_eq!(
+        memos.ensure_sound(&mutant).unwrap_err().to_string(),
+        refusal
+    );
+    assert_eq!(counts(memos.stats().proofs), (asked + 2, 1, 65, 1));
 }
 
 #[test]
 fn overfull_containment_memo_keeps_verdicts_right_and_stays_bounded() {
-    let _alone = serial();
+    let memos = Memos::new();
     let lt = |v: i64| Predicate::cmp("PM_FILL", CmpOp::Lt, v);
-    let before = containment_memo_stats();
-    // Two new predicates a pair: the intern table fills half-way through.
-    for k in 0..(CONTAINMENT_MEMO_PREDICATES as i64 / 2 + 64) {
+    let rounds = CONTAINMENT_MEMO_PREDICATES as u64 / 2 + 64;
+    // Two new predicates a round: the intern table is full after
+    // `CONTAINMENT_MEMO_PREDICATES / 2` rounds, so that round's second
+    // verdict clears it and stays, beside the 64 rounds after it.
+    for k in 0..rounds as i64 {
         let (narrow, broad) = (lt(2 * k), lt(2 * k + 1));
-        assert!(subsumes(&broad, &narrow), "k={k}");
-        assert!(!subsumes(&narrow, &broad), "k={k}");
-        assert!(containment_memo_stats().entries <= CONTAINMENT_MEMO_VERDICTS as u64);
+        assert!(memos.subsumes(&broad, &narrow), "k={k}");
+        assert!(!memos.subsumes(&narrow, &broad), "k={k}");
+        assert!(memos.stats().verdicts.entries <= CONTAINMENT_MEMO_VERDICTS as u64);
     }
-    let after = containment_memo_stats();
-    assert!(after.resets > before.resets, "the memo never filled");
-    // Dropped verdicts are decided again, the same way.
-    assert!(subsumes(&lt(1), &lt(0)) && !subsumes(&lt(0), &lt(1)));
-    let survivor = (
-        lt(CONTAINMENT_MEMO_PREDICATES as i64 + 126),
-        lt(CONTAINMENT_MEMO_PREDICATES as i64 + 127),
+    assert_eq!(
+        counts(memos.stats().verdicts),
+        (2 * rounds, 0, 2 * 64 + 1, 1)
     );
-    let newest = moved(containment_memo_stats, || {
-        assert!(subsumes(&survivor.1, &survivor.0));
-    });
-    assert_eq!(newest, (0, 1, 0), "the newest verdict outlives the reset");
+    // Dropped verdicts are decided again, the same way.
+    assert!(memos.subsumes(&lt(1), &lt(0)) && !memos.subsumes(&lt(0), &lt(1)));
+    // The newest verdict outlives the reset.
+    let newest = 2 * rounds as i64 - 2;
+    assert!(memos.subsumes(&lt(newest + 1), &lt(newest)));
+    assert_eq!(
+        counts(memos.stats().verdicts),
+        (2 * rounds + 2, 1, 2 * 64 + 3, 1)
+    );
 }
