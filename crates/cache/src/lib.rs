@@ -33,12 +33,15 @@
 mod cost;
 mod harvest;
 mod lint;
+mod resolution;
 mod shared;
 
 pub use cost::{CacheSnapshot, CachedCostModel};
 pub use harvest::Harvest;
 pub use lint::stale_cache_findings;
 pub use shared::{CacheGuard, SharedAnswerCache};
+
+use resolution::{Found, Resolutions};
 
 use std::sync::Arc;
 
@@ -188,6 +191,9 @@ pub struct AnswerCache {
     /// half of the server's linearizability certificate (see
     /// [`crate::shared`]). Exclusive (`&mut`) use never advances it.
     op_seq: u64,
+    /// What the entry scan returned, per condition and source, since
+    /// the entries or epochs last changed ([`crate::resolution`]).
+    resolutions: Resolutions,
 }
 
 impl AnswerCache {
@@ -201,6 +207,7 @@ impl AnswerCache {
             clock: 0,
             stats: CacheStats::default(),
             op_seq: 0,
+            resolutions: Resolutions::default(),
         }
     }
 
@@ -268,6 +275,7 @@ impl AnswerCache {
             self.epochs.resize(source.0 + 1, 0);
         }
         self.epochs[source.0] += 1;
+        self.resolutions.clear();
         let epoch = self.epochs[source.0];
         let mut removed: u64 = 0;
         let mut freed = 0;
@@ -289,12 +297,7 @@ impl AnswerCache {
         self.entries.clear();
         self.bytes = 0;
         self.epochs.clear();
-    }
-
-    /// True when a lookup for `(source, cond)` would be served — the
-    /// side-effect-free probe the optimizer snapshot uses.
-    pub(crate) fn would_serve(&self, source: SourceId, cond: &Condition) -> bool {
-        self.find_servable(source, cond).is_some()
+        self.resolutions.clear();
     }
 
     fn servable(&self, e: &CacheEntry) -> bool {
@@ -304,8 +307,9 @@ impl AnswerCache {
     /// Index of the entry a lookup would use: an exact match if one
     /// exists — looked for first, so no containment is proved when it
     /// does — else the smallest subsuming entry (fewest residual tuples
-    /// to filter).
-    fn find_servable(&self, source: SourceId, cond: &Condition) -> Option<(usize, HitKind)> {
+    /// to filter). Reached only through [`AnswerCache::found`], which
+    /// runs it once per memo row and source per cache state.
+    fn scan(&self, source: SourceId, cond: &Condition) -> Found {
         let candidates = || {
             self.entries
                 .iter()
@@ -321,6 +325,37 @@ impl AnswerCache {
             .map(|(i, _)| (i, HitKind::Subsumed))
     }
 
+    /// What a lookup for `(source, <row's condition>)` finds: the memo's
+    /// answer, else the scan's, remembered.
+    fn found(&mut self, row: usize, source: SourceId) -> Found {
+        if let Some(found) = *self.resolutions.slot(row, source) {
+            return found;
+        }
+        let found = self.scan(source, self.resolutions.cond(row));
+        *self.resolutions.slot(row, source) = Some(found);
+        found
+    }
+
+    /// Sets `covered[i][j]` for every condition `i` and every source
+    /// `j = first, first + stride, …` below the rows' width: whether a
+    /// lookup would be served. Each condition is hashed once, and a
+    /// lookup that follows finds its row by equality — the one loop of
+    /// both snapshots.
+    pub(crate) fn cover(
+        &mut self,
+        conditions: &[Condition],
+        (first, stride): (usize, usize),
+        covered: &mut [Vec<bool>],
+    ) {
+        self.resolutions.begin_snapshot();
+        for (cond, row_covered) in conditions.iter().zip(covered) {
+            let row = self.resolutions.name(cond);
+            for j in (first..row_covered.len()).step_by(stride) {
+                row_covered[j] = self.found(row, SourceId(j)).is_some();
+            }
+        }
+    }
+
     /// Resolves a lookup for `(source, cond)` without projecting: the
     /// statistics and LRU effects of [`AnswerCache::lookup`] happen
     /// here, but the per-tuple projection/filter work is deferred to
@@ -328,7 +363,8 @@ impl AnswerCache {
     /// under its shard lock.
     pub(crate) fn resolve(&mut self, source: SourceId, cond: &Condition) -> Option<ResolvedHit> {
         self.clock += 1;
-        let Some((idx, kind)) = self.find_servable(source, cond) else {
+        let row = self.resolutions.row(cond);
+        let Some((idx, kind)) = self.found(row, source) else {
             self.stats.misses += 1;
             return None;
         };
@@ -390,6 +426,7 @@ impl AnswerCache {
         refetch: Cost,
     ) {
         self.clock += 1;
+        self.resolutions.clear();
         let bytes = harvest.wire_bytes().max(1);
         let mut replaced = 0;
         self.entries.retain(|e| {
@@ -441,15 +478,9 @@ impl AnswerCache {
     /// The optimizer's view: which `(condition, source)` pairs are warm
     /// right now, plus the epochs the view was taken under (for the
     /// `stale-cache-serve` lint).
-    pub fn snapshot(&self, conditions: &[Condition], n_sources: usize) -> CacheSnapshot {
-        let covered = conditions
-            .iter()
-            .map(|c| {
-                (0..n_sources)
-                    .map(|j| self.would_serve(SourceId(j), c))
-                    .collect()
-            })
-            .collect();
+    pub fn snapshot(&mut self, conditions: &[Condition], n_sources: usize) -> CacheSnapshot {
+        let mut covered = vec![vec![false; n_sources]; conditions.len()];
+        self.cover(conditions, (0, 1), &mut covered);
         CacheSnapshot::new(covered, self.epochs(n_sources))
     }
 }
@@ -476,6 +507,12 @@ mod tests {
 
     fn lt(v: i64) -> Condition {
         Predicate::cmp("A1", CmpOp::Lt, v).into()
+    }
+
+    /// What a lookup for `(source, cond)` finds, through the memo.
+    fn served_by(c: &mut AnswerCache, source: SourceId, cond: &Condition) -> Found {
+        let row = c.resolutions.row(cond);
+        c.found(row, source)
     }
 
     #[test]
@@ -532,7 +569,7 @@ mod tests {
             Cost::new(1.0),
         );
         c.insert(s, lt(100), vec![row("a", 5)], true, Cost::new(1.0));
-        let (idx, kind) = c.find_servable(s, &lt(50)).unwrap();
+        let (idx, kind) = served_by(&mut c, s, &lt(50)).unwrap();
         assert_eq!(kind, HitKind::Subsumed);
         assert_eq!(c.entries[idx].cond, lt(100));
     }
@@ -553,7 +590,7 @@ mod tests {
             c.insert(s, lt(100), rows(), true, Cost::new(1.0));
         }
         assert_eq!(
-            crowded.find_servable(s, &lt(100)),
+            served_by(&mut crowded, s, &lt(100)),
             Some((3, HitKind::Exact))
         );
         let want = exact_only.lookup(s, &lt(100), &schema()).unwrap().unwrap();
@@ -562,9 +599,9 @@ mod tests {
         let counts = |c: &AnswerCache| (c.stats().hits, c.stats().residual_hits, c.stats().misses);
         assert_eq!(counts(&crowded), counts(&exact_only));
         // With no exact entry, the smallest subsuming one, first of equals.
-        let (idx, kind) = crowded.find_servable(s, &lt(50)).unwrap();
+        let (idx, kind) = served_by(&mut crowded, s, &lt(50)).unwrap();
         assert_eq!((kind, idx), (HitKind::Subsumed, 1));
-        let (idx, kind) = crowded.find_servable(s, &lt(600)).unwrap();
+        let (idx, kind) = served_by(&mut crowded, s, &lt(600)).unwrap();
         assert_eq!((kind, idx), (HitKind::Subsumed, 0));
     }
 
@@ -666,9 +703,9 @@ mod tests {
         );
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
-        assert!(c.would_serve(SourceId(0), &lt(10)));
-        assert!(!c.would_serve(SourceId(1), &lt(10)));
-        assert!(c.would_serve(SourceId(2), &lt(10)));
+        assert!(served_by(&mut c, SourceId(0), &lt(10)).is_some());
+        assert!(served_by(&mut c, SourceId(1), &lt(10)).is_none());
+        assert!(served_by(&mut c, SourceId(2), &lt(10)).is_some());
     }
 
     #[test]

@@ -32,6 +32,9 @@
 //!   an `Arc` of the entry's [`Harvest`] under the lock and
 //!   [`ResolvedHit::serve`] ([`crate::ResolvedHit`]) projects after
 //!   release, so concurrent warm hits do not serialize on each other.
+//! * Each shard keeps its own resolution memo ([`crate::resolution`]):
+//!   the admission's snapshot scans each pair once per shard state, and
+//!   its lookups read the snapshot's answers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
@@ -263,23 +266,17 @@ impl CacheGuard<'_> {
     ///
     /// # Panics
     /// Panics when the guard does not hold every shard.
-    pub fn snapshot(&self, conditions: &[Condition], n_sources: usize) -> CacheSnapshot {
+    pub fn snapshot(&mut self, conditions: &[Condition], n_sources: usize) -> CacheSnapshot {
         assert_eq!(
             self.guards.len(),
             self.n_shards,
             "snapshot requires all shards locked (use lock_all)"
         );
-        let covered = conditions
-            .iter()
-            .map(|c| {
-                (0..n_sources)
-                    .map(|j| {
-                        let source = SourceId(j);
-                        self.shard(source).would_serve(source, c)
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut covered = vec![vec![false; n_sources]; conditions.len()];
+        // Shard `i` owns sources `i, i + n_shards, …`.
+        for (shard, cache) in self.guards.iter_mut().filter(|(i, _)| *i < n_sources) {
+            cache.cover(conditions, (*shard, self.n_shards), &mut covered);
+        }
         CacheSnapshot::new(
             covered,
             (0..n_sources).map(|j| self.epoch(SourceId(j))).collect(),

@@ -1452,7 +1452,7 @@ executed cost {} with per-round re-optimization:",
                 let faults_on = self.faults.is_some();
                 let n_sources = self.sources.len();
                 let policy = faults_on.then(RetryPolicy::default);
-                let plan = match &self.cache {
+                let plan = match &mut self.cache {
                     Some(cache) => {
                         let snap = cache.snapshot(query.conditions(), n_sources);
                         // SJA (not SJA+): post-optimization can replace sq

@@ -144,8 +144,8 @@ pub(crate) trait Table: Default {
     /// Remembers `value` for a `key` that is absent, in a table that is
     /// not full.
     fn insert(&mut self, key: Self::Key<'_>, value: Self::Value);
-    /// Whether one more entry would not fit.
-    fn full(&self) -> bool;
+    /// Whether the entry for `key` would not fit.
+    fn full(&self, key: Self::Key<'_>) -> bool;
     /// Entries resident.
     fn entries(&self) -> usize;
 }
@@ -191,7 +191,7 @@ impl<T: Table> SharedMemo<T> {
         if table.get(key).is_some() {
             return;
         }
-        if table.full() {
+        if table.full(key) {
             *table = T::default();
             self.resets.fetch_add(1, Ordering::Relaxed);
         }
@@ -262,7 +262,7 @@ impl Table for Proved {
         self.push(self.hash(plan), plan);
     }
 
-    fn full(&self) -> bool {
+    fn full(&self, _: &Plan) -> bool {
         self.len >= PROOF_MEMO_CAPACITY
     }
 

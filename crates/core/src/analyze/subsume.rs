@@ -265,9 +265,14 @@ impl Table for Verdicts {
     }
 
     /// Full when the verdict table is, or the intern table has no room
-    /// for two more predicates.
-    fn full(&self) -> bool {
-        self.ids.len() + 2 > CONTAINMENT_MEMO_PREDICATES
+    /// for the predicates of `(broad, narrow)` it does not hold yet.
+    fn full(&self, (broad, narrow): (&Predicate, &Predicate)) -> bool {
+        let adds = match (self.ids.contains_key(broad), self.ids.contains_key(narrow)) {
+            (true, true) => 0,
+            (false, false) if broad != narrow => 2,
+            _ => 1,
+        };
+        self.ids.len() + adds > CONTAINMENT_MEMO_PREDICATES
             || self.by_pair.len() >= CONTAINMENT_MEMO_VERDICTS
     }
 
@@ -505,6 +510,24 @@ mod tests {
         let stats = memo.stats();
         assert_eq!((stats.entries, stats.resets), (1, 1));
         assert_eq!(memo.get((&lt("V2", 0), &lt("V2", 1))), None);
+    }
+
+    #[test]
+    fn full_intern_table_takes_a_verdict_on_names_it_holds() {
+        let memo = SharedMemo::<Verdicts>::default();
+        let pairs = CONTAINMENT_MEMO_PREDICATES as i64 / 2;
+        for k in 0..pairs {
+            memo.insert((&lt("V3", 2 * k), &lt("V3", 2 * k + 1)), true);
+        }
+        // Both names are interned: the reversed pair adds no predicate.
+        memo.insert((&lt("V3", 1), &lt("V3", 0)), false);
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.resets), (pairs as u64 + 1, 0));
+        assert_eq!(memo.get((&lt("V3", 0), &lt("V3", 1))), Some(true));
+        // A pair naming one new predicate does not fit.
+        memo.insert((&lt("V3", 0), &lt("V3", -1)), true);
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.resets), (1, 1));
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl Table for Plans {
         self.0.insert(key.clone(), plan);
     }
 
-    fn full(&self) -> bool {
+    fn full(&self, _: &PlanKey) -> bool {
         self.0.len() >= PLAN_MEMO_CAPACITY
     }
 

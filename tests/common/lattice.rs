@@ -538,7 +538,7 @@ impl<'a, M: CostModel> Case<'a, M> {
                 assert_eq!(got.completeness, want.completeness, "{tag}: vs uncached");
                 if !got.completeness.is_exact() {
                     // A subset harvest is never served.
-                    let cache = runs[i].1.cache.as_ref().expect("a cold cache");
+                    let cache = runs[i].1.cache.as_mut().expect("a cold cache");
                     let snap = cache.snapshot(self.scenario.query.conditions(), n);
                     assert!(!snap.any_covered(), "{tag}: subset entries served");
                 }

@@ -27,7 +27,9 @@ use fusion::types::{
 pub(crate) const VIOLATIONS: [&str; 3] = ["dui", "sp", "park"];
 
 /// Seeds per battery, `(battery, local, CI)`: `BATTERY_WIDTH=ci` selects
-/// the CI column for every battery at once.
+/// the CI column for every battery at once. The one battery that is a
+/// unit test, `fusion-cache`'s resolution-memo differential (100 / 1 000
+/// seeds), reads the same knob.
 const WIDTHS: [(&str, u64, u64); 13] = [
     ("cache-subsumption", 100, 400),
     ("cache-parity", 100, 250),

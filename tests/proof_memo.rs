@@ -439,18 +439,16 @@ fn overfull_containment_memo_keeps_verdicts_right_and_stays_bounded() {
     let lt = |v: i64| Predicate::cmp("PM_FILL", CmpOp::Lt, v);
     let rounds = CONTAINMENT_MEMO_PREDICATES as u64 / 2 + 64;
     // Two new predicates a round: the intern table is full after
-    // `CONTAINMENT_MEMO_PREDICATES / 2` rounds, so that round's second
-    // verdict clears it and stays, beside the 64 rounds after it.
+    // `CONTAINMENT_MEMO_PREDICATES / 2` rounds (each round's second
+    // verdict names no new predicate), so the next round's first
+    // verdict clears it, and the 64 rounds from there on stay.
     for k in 0..rounds as i64 {
         let (narrow, broad) = (lt(2 * k), lt(2 * k + 1));
         assert!(memos.subsumes(&broad, &narrow), "k={k}");
         assert!(!memos.subsumes(&narrow, &broad), "k={k}");
         assert!(memos.stats().verdicts.entries <= CONTAINMENT_MEMO_VERDICTS as u64);
     }
-    assert_eq!(
-        counts(memos.stats().verdicts),
-        (2 * rounds, 0, 2 * 64 + 1, 1)
-    );
+    assert_eq!(counts(memos.stats().verdicts), (2 * rounds, 0, 2 * 64, 1));
     // Dropped verdicts are decided again, the same way.
     assert!(memos.subsumes(&lt(1), &lt(0)) && !memos.subsumes(&lt(0), &lt(1)));
     // The newest verdict outlives the reset.
@@ -458,6 +456,6 @@ fn overfull_containment_memo_keeps_verdicts_right_and_stays_bounded() {
     assert!(memos.subsumes(&lt(newest + 1), &lt(newest)));
     assert_eq!(
         counts(memos.stats().verdicts),
-        (2 * rounds + 2, 1, 2 * 64 + 3, 1)
+        (2 * rounds + 2, 1, 2 * 64 + 2, 1)
     );
 }
