@@ -38,6 +38,20 @@ impl CacheSnapshot {
             .unwrap_or(false)
     }
 
+    /// The coverage as a bit string, row by row: bit `k` of the string
+    /// (word `k / 64`, bit `k % 64`) is the `k`-th pair in `covered`'s
+    /// row-major order. It is all of the snapshot [`CachedCostModel`]
+    /// reads, so among snapshots of one shape (one query's `m × n`)
+    /// equal bits price every plan alike.
+    pub fn coverage_bits(&self) -> Vec<u64> {
+        let pairs = self.covered.iter().map(Vec::len).sum::<usize>();
+        let mut words = vec![0u64; pairs.div_ceil(64)];
+        for (k, &covered) in self.covered.iter().flatten().enumerate() {
+            words[k / 64] |= u64::from(covered) << (k % 64);
+        }
+        words
+    }
+
     /// True when at least one pair is covered.
     pub fn any_covered(&self) -> bool {
         self.covered.iter().flatten().any(|&b| b)
@@ -162,5 +176,24 @@ mod tests {
         }
         assert!(!snap.any_covered());
         assert!(!snap.covers(CondId(5), SourceId(5)));
+        assert_eq!(snap.coverage_bits(), vec![0]);
+    }
+
+    #[test]
+    fn coverage_bits_number_pairs_row_by_row() {
+        let bits = |covered: Vec<Vec<bool>>| CacheSnapshot::new(covered, vec![]).coverage_bits();
+        assert_eq!(
+            bits(vec![vec![true, false], vec![false, true]]),
+            vec![0b1001]
+        );
+        assert_eq!(
+            bits(vec![vec![false, true], vec![true, false]]),
+            vec![0b0110]
+        );
+        // Past one word: 3 × 30 pairs, the last one set.
+        let mut wide = vec![vec![false; 30]; 3];
+        wide[2][29] = true;
+        assert_eq!(bits(wide), vec![0, 1 << (89 - 64)]);
+        assert_eq!(bits(vec![]), Vec::<u64>::new());
     }
 }

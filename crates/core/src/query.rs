@@ -16,7 +16,10 @@ use fusion_types::{Condition, ItemSet, Relation, Schema};
 /// ```text
 /// ⋂_{i=1..m}  ⋃_{j=1..n}  { items satisfying c_i in R_j }
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Two queries are equal when their schemas are and their conditions
+/// are, in order.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FusionQuery {
     schema: Schema,
     conditions: Vec<Condition>,

@@ -49,7 +49,7 @@ impl ValueType {
 }
 
 /// A named, typed attribute of the common schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// Attribute name, e.g. `"L"`, `"V"`, `"D"` in the DMV example.
     pub name: String,
@@ -70,7 +70,7 @@ impl Attribute {
 /// The common relational schema, with a designated merge attribute.
 ///
 /// Cheap to clone: the attribute list is shared behind an [`Arc`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schema {
     attrs: Arc<Vec<Attribute>>,
     merge_idx: usize,

@@ -19,9 +19,11 @@ use common::{width, Hooked};
 use fusion::core::query::FusionQuery;
 use fusion::exec::{serve, ServerConfig, TenantEvent};
 use fusion::net::{LinkProfile, Network};
+use fusion::parse_fusion_query;
 use fusion::source::{InMemoryWrapper, SourceSet, Wrapper};
+use fusion::stats::SplitMix64;
 use fusion::types::schema::dmv_schema;
-use fusion::types::{Condition, Predicate};
+use fusion::types::{Condition, Predicate, Schema, SourceId};
 use fusion::workload::{dmv, SessionSpec};
 
 /// Tenant streams for one battery seed: two tenants share a query pool
@@ -87,6 +89,62 @@ fn interleaved_updates_are_never_lost() {
 fn disjoint_pool_tenant_is_unaffected_by_neighbors() {
     let scenario = world(World::Served(5, 300), 4242);
     serve_cells(&scenario, &tenant_streams(4242), &config(), &[4]);
+}
+
+/// Seeded tenant streams of SQL text over the synthetic schema: three
+/// tenants draw two-condition queries from one small pool, so a run asks
+/// exact repeats (some spelled with other whitespace) and near
+/// duplicates — one condition changed, or the two swapped — under
+/// interleaved updates.
+fn sql_streams(seed: u64, schema: &Schema) -> Vec<Vec<TenantEvent>> {
+    const CONDS: [&str; 4] = ["A1 < 2000", "A1 < 2500", "A2 < 2000", "A3 < 3000"];
+    let mut rng = SplitMix64::new(seed ^ 0x51_4C);
+    let mut event = || {
+        if rng.next_below(5) == 0 {
+            return TenantEvent::Update(SourceId(rng.next_below(5)));
+        }
+        let first = rng.next_below(CONDS.len());
+        let second = (first + rng.next_range(1, CONDS.len())) % CONDS.len();
+        let gap = if rng.next_below(2) == 0 { " " } else { "  " };
+        let sql = format!(
+            "SELECT u1.M FROM U u1, U u2 WHERE u1.M = u2.M AND{gap}u1.{} AND u2.{}",
+            CONDS[first], CONDS[second]
+        );
+        TenantEvent::Query(parse_fusion_query(&sql, schema).expect("pool SQL parses"))
+    };
+    (0..3).map(|_| (0..8).map(|_| event()).collect()).collect()
+}
+
+/// Repeated and near-duplicate queries plan from the server's admission
+/// memo: with sharing and between-query re-optimization each on and off,
+/// at 1, 2 and 4 workers, every run replays bit for bit from its log
+/// (whose certificates `serve` checks), answers like isolated cold runs,
+/// and answers the naive evaluation over the raw relations.
+#[test]
+fn repeated_and_near_duplicate_queries_answer_like_the_naive_evaluation() {
+    for seed in 0..width("isolation") {
+        let scenario = world(World::Served(5, 300), 2600 + seed);
+        let tenants = sql_streams(seed, scenario.query.schema());
+        for (share, reopt) in [(true, false), (false, false), (true, true), (false, true)] {
+            let config = ServerConfig {
+                share,
+                reopt,
+                ..config()
+            };
+            for report in serve_cells(&scenario, &tenants, &config, &[1, 2, 4]) {
+                for r in &report.results {
+                    let TenantEvent::Query(q) = &tenants[r.tenant][r.index] else {
+                        panic!("result ({}, {}) names an update", r.tenant, r.index);
+                    };
+                    let naive = q.naive_answer(&scenario.relations).unwrap();
+                    assert_eq!(
+                        r.outcome.answer, naive,
+                        "seed {seed} share {share} reopt {reopt}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// A query that panics inside a worker comes out of `serve` as that

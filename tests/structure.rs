@@ -562,3 +562,116 @@ fn documents_stay_within_their_byte_ceilings() {
         assert!(bytes <= ceiling, "{doc}: {bytes} bytes, ceiling {ceiling}");
     }
 }
+
+/// The numbers of `text` as written, commas dropped (`6,400` → `6400`),
+/// bar those inside a name (`X21`, `E18`, `figure2a`) and citations
+/// (`§2.5`, `PR 17`, `[24]`): those are not measurements.
+fn quoted_numbers(text: &str) -> Vec<String> {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let before = i.checked_sub(1).map(|b| chars[b]);
+        let named = before.is_some_and(|c| c.is_alphanumeric() || "_.§[".contains(c));
+        let cited = i >= 3 && chars[i - 3..i] == ['P', 'R', ' '];
+        if !chars[i].is_ascii_digit() || named || cited {
+            i += 1;
+            continue;
+        }
+        let mut number = String::new();
+        while i < chars.len() {
+            let next_digit = chars.get(i + 1).is_some_and(char::is_ascii_digit);
+            match chars[i] {
+                c if c.is_ascii_digit() => number.push(c),
+                ',' if next_digit => {}
+                '.' if next_digit => number.push('.'),
+                _ => break,
+            }
+            i += 1;
+        }
+        out.push(number);
+    }
+    out
+}
+
+/// Whether `number` occurs in `text` as a whole number: `0.71` is not in
+/// `0.717`, nor `1` in `12`.
+fn prints_number(text: &str, number: &str) -> bool {
+    text.match_indices(number).any(|(i, _)| {
+        let before = text[..i].chars().next_back();
+        let mut after = text[i + number.len()..].chars();
+        let (next, then) = (after.next(), after.next());
+        let digit = |c: Option<char>| c.is_some_and(|c| c.is_ascii_digit());
+        let extends_before = digit(before) || before == Some('.');
+        let extends_after = digit(next) || (next == Some('.') && digit(then));
+        !(extends_before || extends_after)
+    })
+}
+
+/// What EXPERIMENTS.md says was measured for the pinned experiments
+/// (`fig1` … `e16-one-phase`) is what their goldens print: every number
+/// of the figures table's Measured column and of the `Measured:`
+/// paragraph of `### E1` … `### E16` occurs, as a whole number, in
+/// `tests/golden/experiments/<experiment>.txt`. Wall-clock figures are
+/// not pinned (E7's time columns are stripped) and stay out of those
+/// paragraphs.
+#[test]
+fn quoted_measurements_match_the_experiment_goldens() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let goldens: Vec<String> = fs::read_dir(root.join("tests/golden/experiments"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let golden = |prefix: &str| {
+        let name = goldens.iter().find(|g| g.starts_with(prefix))?;
+        Some(fs::read_to_string(root.join("tests/golden/experiments").join(name)).unwrap())
+    };
+    let doc = fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+    // (what, its golden, the quoted text)
+    let mut quoted: Vec<(String, String, String)> = Vec::new();
+    for row in doc.lines().filter(|l| l.starts_with("| Fig. ")) {
+        let cells: Vec<&str> = row.split('|').collect();
+        let figure: String = cells[1]
+            .trim()
+            .trim_start_matches("Fig. ")
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        if let Some(text) = golden(&format!("fig{figure}.")) {
+            quoted.push((cells[1].trim().to_string(), text, cells[3].to_string()));
+        }
+    }
+    let mut lines = doc.lines();
+    while let Some(line) = lines.next() {
+        let Some(rest) = line.strip_prefix("### E") else {
+            continue;
+        };
+        let k: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        if k.parse::<u32>().unwrap() > 16 {
+            continue;
+        }
+        let text = golden(&format!("e{k}-")).unwrap_or_else(|| panic!("E{k} has no golden"));
+        let section = lines.by_ref().take_while(|l| !l.starts_with("### "));
+        let paragraph = section
+            .skip_while(|l| !l.starts_with("Measured"))
+            .take_while(|l| !l.trim().is_empty());
+        quoted.push((
+            format!("E{k}"),
+            text,
+            paragraph.collect::<Vec<_>>().join(" "),
+        ));
+    }
+    let sections = quoted.iter().filter(|q| q.0.starts_with('E')).count();
+    assert_eq!(sections, 16, "E1 … E16, each with a Measured paragraph");
+    assert_eq!(quoted.len() - sections, 5, "Fig. 1, 2(a–c) and 5");
+    assert!(quoted.iter().all(|q| !q.2.is_empty()), "an empty Measured");
+    let mut drift = Vec::new();
+    for (what, text, prose) in &quoted {
+        for number in quoted_numbers(prose) {
+            if !prints_number(text, &number) {
+                drift.push(format!("{what}: {number}"));
+            }
+        }
+    }
+    assert_eq!(drift, Vec::<String>::new(), "quoted but not printed");
+}
