@@ -55,6 +55,22 @@ fn merged_runs_match_isolated_runs_at_every_worker_count() {
     }
 }
 
+/// The battery in open loop: arrivals 50 µs apart, inside the
+/// scheduler's yield window, so co-admissions come off the arrival
+/// schedule rather than off free workers; merged runs still replay and
+/// match isolation.
+#[test]
+fn open_loop_merged_runs_match_isolated_runs() {
+    for seed in 0..width("mqo") {
+        let scenario = world(World::Served(4, 200), 2900 + seed);
+        let config = ServerConfig {
+            offered: Some(20_000.0),
+            ..paced(0.002)
+        };
+        serve_cells(&scenario, &tenant_streams(seed), &config, &[1, 2, 4]);
+    }
+}
+
 /// Sharing actually engages on overlapping streams — the battery above
 /// is not vacuously checking runs in which nothing was ever merged —
 /// and the attaches stay byte-invisible and log-reproducible.

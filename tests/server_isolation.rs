@@ -69,6 +69,23 @@ fn concurrent_tenants_answer_exactly_like_isolated_sequential_runs() {
     }
 }
 
+/// The same battery in open loop: arrivals 50 µs apart, inside the
+/// scheduler's yield window, so workers park, yield and pick on the
+/// arrival schedule; nothing is shed, and every run still answers like
+/// isolation and replays bit-for-bit.
+#[test]
+fn open_loop_tenants_answer_exactly_like_isolated_sequential_runs() {
+    for seed in 0..width("isolation") {
+        let scenario = world(World::Served(5, 300), 3300 + seed);
+        let config = ServerConfig {
+            offered: Some(20_000.0),
+            per_source_limit: 2,
+            ..config()
+        };
+        serve_cells(&scenario, &tenant_streams(seed), &config, &[1, 2, 4]);
+    }
+}
+
 /// Update accounting: every update event bumps its source exactly once
 /// (updates are never shed and never lost under concurrency), so the log
 /// carries one bump per update event.
