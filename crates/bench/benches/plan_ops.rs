@@ -16,7 +16,7 @@ use fusion_core::optimizer::{ordering_search, RoundRule, PLAN_MEMO_CAPACITY};
 use fusion_core::plan::SimplePlanSpec;
 use fusion_core::{sja_optimal, CostModel, NetworkCostModel};
 use fusion_exec::{run, RunOptions, Schedule, Target};
-use fusion_source::SourceEngine;
+use fusion_source::{InMemoryWrapper, SourceEngine, Wrapper};
 use fusion_stats::{estimate_selectivity, TableStats};
 use fusion_types::{
     CmpOp, Condition, Cost, ItemSet, Predicate, Relation, Schema, SourceId, Tuple, Value,
@@ -131,20 +131,57 @@ fn bench_data_plane(c: &mut Criterion) {
 }
 
 /// The record path of a cached-mode miss, on sources of `serve-churn`'s
-/// size (400 rows): the record selection at each of 8 sources; the first
-/// projection of one ≈ 100-row answer, handed over shuffled or already in
-/// merge order (a fresh harvest each time, so the rows' copy is in the
-/// row); a residual filter over a built order; admission into the cache.
+/// size (400 rows): the record selection at each of 8 sources; the whole
+/// miss at each (selection, harvest, first projection, drop), with the
+/// records owned — what a wrapper without `select_shared` of its own
+/// hands over — or by reference; the first projection of one ≈ 100-row
+/// answer, handed over shuffled or already in merge order (a fresh
+/// harvest each time, so the rows' copy is in the row); a residual filter
+/// over a built order; admission into the cache.
 fn bench_record_path(group: &mut BenchmarkGroup<'_>) {
     let spec = SynthSpec {
         domain_size: 4_000,
         rows_per_source: 400,
         ..SynthSpec::default_with(8, 41)
     };
-    let engines: Vec<SourceEngine> = synth_relations(&spec)
-        .into_iter()
-        .map(SourceEngine::new)
+    let relations = synth_relations(&spec);
+    let wrappers: Vec<InMemoryWrapper> = relations
+        .iter()
+        .map(|r| InMemoryWrapper::fully_capable("S", r.clone()))
         .collect();
+    let engines: Vec<SourceEngine> = relations.into_iter().map(SourceEngine::new).collect();
+    let schema = synth_schema();
+    let cond = condition_with_selectivity(1, 0.25);
+    let miss = |harvest: Harvest| {
+        let items = harvest.project(SourceId(0), &cond, &schema, false);
+        black_box(items.expect("well-formed rows"));
+    };
+    group.bench_with_input(
+        BenchmarkId::new("records_miss_x8", "owned"),
+        &0.25,
+        |b, _| {
+            b.iter(|| {
+                for w in &wrappers {
+                    miss(Harvest::new(
+                        w.select_records(&cond).expect("well-typed").payload,
+                    ));
+                }
+            });
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("records_miss_x8", "shared"),
+        &0.25,
+        |b, _| {
+            b.iter(|| {
+                for w in &wrappers {
+                    miss(Harvest::from(
+                        w.select_shared(&cond).expect("well-typed").payload,
+                    ));
+                }
+            });
+        },
+    );
     for sel in [0.05, 0.25, 0.45] {
         let cond = condition_with_selectivity(1, sel);
         group.bench_with_input(BenchmarkId::new("select_records_x8", sel), &sel, |b, _| {
@@ -155,8 +192,7 @@ fn bench_record_path(group: &mut BenchmarkGroup<'_>) {
             });
         });
     }
-    let schema = synth_schema();
-    let cached = condition_with_selectivity(1, 0.25);
+    let cached = cond.clone();
     let (mut merged, _) = engines[0]
         .select_records(&cached)
         .expect("well-typed condition");

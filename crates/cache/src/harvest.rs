@@ -3,47 +3,43 @@
 //!
 //! A [`Harvest`] is what a cached-mode miss produces, what a share
 //! leader publishes, what a commit admits and what a lookup resolves to
-//! — one `Arc`, never a copy of the rows, its wire bytes summed once,
-//! when it is made. The first projection sorts the rows' *indices* by
-//! merge item (stably, so values that compare equal — `Int(2)` and
-//! `Float(2.0)` — keep the representation of the first row that carries
-//! them, as `Relation`'s merge index and [`ItemSet::from_items`] both do)
-//! and keeps that order beside the deduplicated item set. Rows that
-//! already arrive in merge order — what an in-memory source's record
-//! selection returns — cost the stable sort one run check (n − 1
-//! compares) and move nothing. Every later exact hit is a
-//! reference-count bump on that set; every residual hit is one filter
-//! pass in merge order, de-duplicating neighbours, with no sort — and the
-//! order keeps the sets it filtered out, so a narrower condition asked
-//! again is a reference-count bump too. Both show as identity, not as a
-//! count: an exact hit's set is the harvest's remembered `Arc`, and a
-//! repeated residual hit's set the `Arc` the first one returned.
+//! — one `Arc`, never a copy of the rows: a source's answer by reference
+//! ([`SharedRecords`]: one count for the row block, the answer's ids,
+//! their wire bytes). A source that reads its answer off a merge index
+//! hands over the ids in merge order with the items, so the first exact
+//! projection is free. Owned records ([`Harvest::new`]) get ids `0..n`,
+//! and the first projection sorts them by merge item — stably, so equal
+//! values (`Int(2)`, `Float(2.0)`) keep the first row's representation,
+//! as [`ItemSet::from_items`] does; ids already in order cost one run
+//! check. Every later exact hit is a reference-count bump on that set;
+//! every residual hit is one filter pass in merge order, de-duplicating
+//! neighbours, with no sort — and the order keeps the sets it filtered
+//! out, so a narrower condition asked again is a reference-count bump
+//! too (an identity, not a count).
 //!
-//! All of it is derived data, built with no lock held: the order is at
-//! most 36 bytes per row (a `u32` index and, for a row that starts a
-//! new item, the 32-byte item) and written once; the residual sets it
-//! owns together never hold more items than the harvest has rows, so at
-//! most 32 bytes per row more. One that would push them past that is
-//! remembered by `Weak` — asked again, it is the same set while anyone
-//! still holds it (the server's memo of derived sets keys on that
-//! identity) — and is pruned by the next insert once the last holder
-//! lets go. None of it is counted against the cache's byte budget, which
-//! weighs wire bytes only.
+//! All of it is derived data, built with no lock held and outside the
+//! byte budget (wire bytes only): the order is ≤ 40 bytes per row (an id,
+//! a 32-byte item where a new item starts), written once; the residual
+//! sets it owns hold no more items than the harvest has rows. One past
+//! that is remembered by `Weak` — the same set while anyone holds it (the
+//! server's memo of derived sets keys on that identity) — and pruned by
+//! the next insert once the last holder lets go.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, Weak};
 
 use fusion_types::error::{FusionError, Result};
 use fusion_types::itemset::push_item_of;
-use fusion_types::{Condition, Item, ItemSet, Schema, SourceId, Tuple};
+use fusion_types::{Condition, Item, ItemSet, Schema, SharedRecords, SourceId, Tuple};
 
 /// The rows of one harvest in merge order, and the set they project to.
 #[derive(Debug)]
 struct MergeOrder {
     /// The merge column the order was built for.
     merge_index: usize,
-    /// Row indices, stably sorted by the rows' merge values.
-    by_item: Vec<u32>,
+    /// Block ids stably sorted by the rows' merge values; `None` when
+    /// the harvest's own ids are in that order.
+    by_item: Option<Vec<usize>>,
     /// The distinct merge items, ascending — the exact hit's answer.
     items: Arc<ItemSet>,
     /// Residual answers already filtered out of this order; readers
@@ -51,11 +47,9 @@ struct MergeOrder {
     residuals: RwLock<Residuals>,
 }
 
-/// The residual sets one order remembers, by the condition that
-/// filtered them. An owned set weighs its items plus one (an empty set
-/// is not free); the owned sets' total weight stays within the order's
-/// row count. A set past that bound is remembered by [`Weak`]: asked
-/// again, it is the same set while anyone still holds it.
+/// The residual sets one order remembers, by condition: owned ones weigh
+/// their items plus one and stay within the row count together; one past
+/// that is kept by [`Weak`], the same set while anyone still holds it.
 #[derive(Debug, Default)]
 struct Residuals {
     sets: HashMap<Condition, Arc<ItemSet>>,
@@ -86,10 +80,10 @@ impl MergeOrder {
         memo.get(cond)
     }
 
-    /// Keeps `items` as the answer of `cond` — owned while the row-count
-    /// bound has room for it, else by [`Weak`] — and returns the set to
+    /// Keeps `items` as the answer of `cond` — owned while the bound of
+    /// `rows` has room for it, else by [`Weak`] — and returns the set to
     /// serve: a racing reader's, if one got here first.
-    fn remember(&self, cond: &Condition, items: Arc<ItemSet>) -> Arc<ItemSet> {
+    fn remember(&self, cond: &Condition, items: Arc<ItemSet>, rows: usize) -> Arc<ItemSet> {
         let weight = items.len() + 1;
         let mut memo = self
             .residuals
@@ -99,7 +93,7 @@ impl MergeOrder {
             return kept;
         }
         memo.spare.retain(|_, set| set.strong_count() > 0);
-        if memo.weight + weight <= self.by_item.len() {
+        if memo.weight + weight <= rows {
             memo.sets.insert(cond.clone(), Arc::clone(&items));
             memo.weight += weight;
         } else {
@@ -109,33 +103,49 @@ impl MergeOrder {
     }
 }
 
-/// The full records one `sq(c, R)` returned, in the order the wrapper
-/// returned them.
+/// The full records one `sq(c, R)` returned: the rows `ids` names in `block`.
 #[derive(Debug)]
 pub struct Harvest {
-    rows: Vec<Tuple>,
+    block: Arc<[Tuple]>,
+    /// The records, in the order the wrapper returned them.
+    ids: Vec<usize>,
     /// The rows' wire bytes, summed once.
     wire_bytes: usize,
-    /// Written once, by whichever projection finishes building first;
-    /// racing builders produce equal orders, and a failed build writes
-    /// nothing.
+    /// Given with the records, or written once by the first projection to
+    /// finish building (racing builds are equal; a failed one writes nothing).
     order: OnceLock<Arc<MergeOrder>>,
 }
 
+/// A source's answer as it came, with its merge order and items if it had them.
+impl From<SharedRecords> for Harvest {
+    fn from(records: SharedRecords) -> Harvest {
+        let order = records.items.map(|(merge_index, items)| MergeOrder {
+            merge_index,
+            by_item: None,
+            items: Arc::new(items),
+            residuals: RwLock::default(),
+        });
+        Harvest {
+            block: records.block,
+            ids: records.ids,
+            wire_bytes: records.wire_bytes,
+            order: order
+                .map(Arc::new)
+                .map_or_else(OnceLock::new, OnceLock::from),
+        }
+    }
+}
+
 impl Harvest {
-    /// Wraps fetched records and sums their wire bytes; nothing else is
+    /// Wraps owned records and sums their wire bytes; nothing else is
     /// derived until the first projection.
     pub fn new(rows: Vec<Tuple>) -> Harvest {
-        Harvest {
-            wire_bytes: rows.iter().map(Tuple::wire_size).sum(),
-            rows,
-            order: OnceLock::new(),
-        }
+        Harvest::from(SharedRecords::from(rows))
     }
 
     /// The records, in the order the wrapper returned them.
-    pub fn rows(&self) -> &[Tuple] {
-        &self.rows
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &Tuple> {
+        self.ids.iter().map(|&i| &self.block[i])
     }
 
     /// The sum of the records' [`Tuple::wire_size`]s: what the miss that
@@ -159,7 +169,7 @@ impl Harvest {
         if let Some(order) = self.order.get().filter(|o| o.merge_index == mi) {
             return Ok(Arc::clone(order));
         }
-        if let Some(short) = self.rows.iter().find(|r| r.arity() <= mi) {
+        if let Some(short) = self.rows().find(|r| r.arity() <= mi) {
             return Err(FusionError::execution(format!(
                 "cached answer of `{cond}` at R{} holds a row of arity {}, \
                  too short for the merge attribute at column {mi}",
@@ -167,18 +177,14 @@ impl Harvest {
                 short.arity()
             )));
         }
-        let n = u32::try_from(self.rows.len()).map_err(|_| {
-            FusionError::execution(format!(
-                "cached answer of `{cond}` at R{} holds {} rows, more than a merge order can index",
-                source.0 + 1,
-                self.rows.len()
-            ))
-        })?;
-        let mut by_item: Vec<u32> = (0..n).collect();
-        let key = |i: u32| self.rows[i as usize].get(mi);
-        by_item.sort_by(|&a, &b| key(a).cmp(key(b)));
-        let mut items: Vec<Item> = Vec::with_capacity(by_item.len());
-        for &i in &by_item {
+        let key = |i: usize| self.block[i].get(mi);
+        let by_item = (!self.ids.is_sorted_by(|&a, &b| key(a) <= key(b))).then(|| {
+            let mut sorted = self.ids.clone();
+            sorted.sort_by(|&a, &b| key(a).cmp(key(b)));
+            sorted
+        });
+        let mut items: Vec<Item> = Vec::with_capacity(self.ids.len());
+        for &i in by_item.as_deref().unwrap_or(&self.ids) {
             if items.last().is_none_or(|last| last.value() != key(i)) {
                 push_item_of(&mut items, key(i));
             }
@@ -228,8 +234,8 @@ impl Harvest {
         }
         let bound = cond.pred.bind(schema)?;
         let mut items: Vec<Item> = Vec::with_capacity(order.items.len());
-        for &i in &order.by_item {
-            let row = &self.rows[i as usize];
+        for &i in order.by_item.as_deref().unwrap_or(&self.ids) {
+            let row = &self.block[i];
             let value = row.get(order.merge_index);
             if items.last().is_some_and(|last| last.value() == value) {
                 continue;
@@ -239,7 +245,8 @@ impl Harvest {
             }
         }
         items.shrink_to_fit();
-        Ok(order.remember(cond, Arc::new(ItemSet::from_sorted_unique(items))))
+        let items = Arc::new(ItemSet::from_sorted_unique(items));
+        Ok(order.remember(cond, items, self.ids.len()))
     }
 }
 
@@ -298,7 +305,7 @@ mod tests {
         let exact = harvest.project(SourceId(0), &lt(100), &schema(), false);
         assert_eq!(exact.unwrap().to_string(), "{1, 2.0, a}");
         let order = harvest.order.get().expect("built");
-        assert_eq!(order.by_item, [0, 1, 2, 3]);
+        assert_eq!(order.by_item, None, "the ids were in merge order");
         let narrow = harvest.project(SourceId(0), &lt(3), &schema(), true);
         assert_eq!(narrow.unwrap().to_string(), "{2, a}");
     }

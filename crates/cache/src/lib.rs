@@ -63,10 +63,9 @@ pub struct CacheEntry {
     pub source: SourceId,
     /// The condition the records satisfy.
     pub cond: Condition,
-    /// Full records, in the order the wrapper returned them, plus their
-    /// remembered projection. Behind an [`Arc`] so a concurrent reader
-    /// ([`SharedAnswerCache`]) can take a cheap reference under the
-    /// shard lock and project outside it.
+    /// The records and their remembered projection, behind an [`Arc`] so a
+    /// [`SharedAnswerCache`] reader takes it under the shard lock and
+    /// projects outside it.
     harvest: Arc<Harvest>,
     /// Source epoch the records were fetched under.
     pub epoch: u64,
@@ -83,7 +82,7 @@ pub struct CacheEntry {
 
 impl CacheEntry {
     /// The cached records.
-    pub fn tuples(&self) -> &[Tuple] {
+    pub fn tuples(&self) -> impl ExactSizeIterator<Item = &Tuple> {
         self.harvest.rows()
     }
 
@@ -426,7 +425,6 @@ impl AnswerCache {
         refetch: Cost,
     ) {
         self.clock += 1;
-        self.resolutions.clear();
         let bytes = harvest.wire_bytes().max(1);
         let mut replaced = 0;
         self.entries.retain(|e| {
@@ -451,6 +449,8 @@ impl AnswerCache {
         self.stats.insertions += 1;
         let fresh = self.entries.len() - 1;
         let mut fresh_alive = true;
+        // A fresh entry that replaced nothing and alone was evicted changed nothing.
+        let mut changed = replaced > 0;
         while self.bytes > self.budget && !self.entries.is_empty() {
             let victim = self
                 .entries
@@ -469,8 +469,12 @@ impl AnswerCache {
                 fresh_alive = false;
             } else {
                 self.stats.evictions += 1;
+                changed = true;
             }
             self.bytes -= self.entries.remove(victim).bytes;
+        }
+        if changed || fresh_alive {
+            self.resolutions.clear();
         }
         self.debug_check_bytes();
     }

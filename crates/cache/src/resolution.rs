@@ -5,10 +5,9 @@
 //! depends only on the entries, their epochs and the containment
 //! verdicts between their conditions and `cond`, and a verdict depends
 //! only on the two predicates. So the answer is decided once per cache
-//! state: every change to the entries or epochs (an insert, whether it
-//! replaces, evicts or is rejected; an epoch bump; a clear) clears the
-//! memo. LRU stamps and statistics do not enter the scan and leave the
-//! memo alone.
+//! state: every change to the entries or epochs (an insert that admits,
+//! replaces or evicts; an epoch bump; a clear) clears the memo. A
+//! rejected insert, LRU stamps and statistics leave it alone.
 //!
 //! Rows are named by condition. A snapshot names each of its conditions
 //! once (one hash) and remembers the rows; a lookup after it finds its
@@ -316,6 +315,32 @@ mod tests {
         }
         // Every kind of change and answer happened.
         assert!(totals.iter().all(|&n| n > 0), "{totals:?}");
+    }
+
+    #[test]
+    fn a_rejected_insert_keeps_the_decided_rows() {
+        let row = |m: &str| Tuple::new(vec![Value::str(m), Value::Int(1)]);
+        let mut c = AnswerCache::new(row("a").wire_size());
+        let s = SourceId(0);
+        c.insert(s, lt(100).into(), vec![row("a")], true, Cost::new(9.0));
+        let conds: Vec<Condition> = vec![lt(100).into(), lt(5).into(), lt(-1).into()];
+        let mut covered = vec![vec![false; 2]; conds.len()];
+        c.cover(&conds, (0, 1), &mut covered);
+        let decided = |c: &AnswerCache| c.resolutions.decided().count();
+        assert_eq!(decided(&c), 6);
+        // Cheaper per byte than the resident entry: rejected, nothing
+        // changes, every decided row stays.
+        c.insert(s, lt(7).into(), vec![row("b")], true, Cost::new(1.0));
+        assert_eq!(c.stats().rejections, 1);
+        assert_eq!(decided(&c), 6);
+        check(&c, "after the rejection");
+        // A replacement changes the entries: the memo is cleared.
+        c.insert(s, lt(100).into(), vec![row("c")], true, Cost::new(9.0));
+        assert_eq!(decided(&c), 0);
+        c.cover(&conds, (0, 1), &mut covered);
+        // An admission that evicts changes them too.
+        c.insert(s, lt(8).into(), vec![row("d")], true, Cost::new(20.0));
+        assert_eq!((c.stats().evictions, decided(&c)), (1, 0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * A selection the cache serves (exactly, or by residual-filtering a
 //!   subsuming entry) never touches the network: a free
 //!   [`StepKind::CacheHit`] / [`StepKind::CacheResidual`] entry.
-//! * A miss fetches the *full records* (`select_records`), paying more
+//! * A miss fetches the *full records* (`select_shared`), paying more
 //!   than a cold `sq` so the answer can be admitted and residual-filtered
 //!   later; that price is the entry's eviction weight.
 //! * Inserts wait until the run completes, so the cache is constant while

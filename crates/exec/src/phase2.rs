@@ -114,7 +114,6 @@ pub fn cached_phase2_rows(
             }
             let rows: Vec<Tuple> = entry
                 .tuples()
-                .iter()
                 .filter(|t| t.arity() == schema.arity() && &t.item(schema) == item)
                 .cloned()
                 .collect();

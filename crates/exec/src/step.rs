@@ -387,10 +387,9 @@ pub(crate) fn exec_sq<E: Exchanger>(
 }
 
 /// The cached-mode selection miss: like [`exec_sq`] but fetching full
-/// records so the answer can be cached, with the response sized
-/// accordingly. The answer is the harvest's first projection, so the
-/// one sort a miss pays is also the merge order every later hit on the
-/// records reuses.
+/// records, by reference, so the answer can be cached, with the response
+/// sized accordingly. The answer is the harvest's first projection, whose
+/// merge order (the source's, or one sort) every later hit reuses.
 pub(crate) fn exec_sq_records<E: Exchanger>(
     d: &mut Delivery<'_, E>,
     cond: &Condition,
@@ -402,9 +401,9 @@ pub(crate) fn exec_sq_records<E: Exchanger>(
         return Ok(dropped);
     }
     let w = sources.get(d.source);
-    let resp = w.select_records(cond)?;
-    let n_rows = resp.payload.len();
-    let harvest = Arc::new(Harvest::new(resp.payload));
+    let resp = w.select_shared(cond)?;
+    let n_rows = resp.payload.ids.len();
+    let harvest = Arc::new(Harvest::from(resp.payload));
     let items = harvest.project(d.source, cond, schema, false)?;
     let sent = d.once(
         kind,

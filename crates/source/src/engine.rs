@@ -71,13 +71,9 @@ impl SourceEngine {
         })
     }
 
-    /// Selection returning full records: every tuple satisfying `cond`, in
-    /// merge order (see [`Relation::select_records`]), found through the
-    /// secondary index when one answers `cond`.
-    ///
-    /// The work reported is still the whole relation: a one-phase query
-    /// is priced as the scan the cost model charges for it, whatever the
-    /// engine used to answer it.
+    /// Selection returning full records ([`Relation::select_records`]).
+    /// The work reported is the whole relation: a one-phase query is
+    /// priced as the scan the cost model charges, however it is answered.
     ///
     /// # Errors
     /// Propagates predicate evaluation errors; an unknown attribute is

@@ -4,7 +4,7 @@ use crate::capability::{Capabilities, ProcessingProfile};
 use crate::engine::SourceEngine;
 use fusion_stats::TableStats;
 use fusion_types::error::{FusionError, Result};
-use fusion_types::{Condition, ItemSet, Relation, Tuple};
+use fusion_types::{Condition, ItemSet, Relation, SharedRecords, Tuple};
 
 /// A wrapper's answer: the payload plus how much work producing it took.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +82,18 @@ pub trait Wrapper: Send + Sync {
     /// # Errors
     /// Propagates predicate evaluation errors.
     fn select_records(&self, cond: &Condition) -> Result<WrapperResponse<Vec<Tuple>>>;
+
+    /// [`Wrapper::select_records`] by reference: the same records for the
+    /// same work. The default takes the owned records as they come.
+    ///
+    /// # Errors
+    /// As [`Wrapper::select_records`].
+    fn select_shared(&self, cond: &Condition) -> Result<WrapperResponse<SharedRecords>> {
+        self.select_records(cond).map(|r| WrapperResponse {
+            payload: r.payload.into(),
+            tuples_examined: r.tuples_examined,
+        })
+    }
 
     /// Semijoin query returning full records: every tuple satisfying
     /// `cond` whose item is in `bindings`.
@@ -256,6 +268,15 @@ impl Wrapper for InMemoryWrapper {
         Ok(WrapperResponse {
             payload: records,
             tuples_examined: examined,
+        })
+    }
+
+    fn select_shared(&self, cond: &Condition) -> Result<WrapperResponse<SharedRecords>> {
+        let relation = self.engine.relation();
+        let payload = relation.select_shared(cond)?;
+        Ok(WrapperResponse {
+            payload,
+            tuples_examined: relation.len(),
         })
     }
 

@@ -249,9 +249,18 @@ impl Predicate {
     }
 
     /// Estimated wire size in bytes of the predicate text when shipped to a
-    /// source as part of a query.
+    /// source as part of a query: its `Display` length, counted unbuilt.
     pub fn wire_size(&self) -> usize {
-        self.to_string().len()
+        struct Count(usize);
+        impl fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let mut count = Count(0);
+        fmt::write(&mut count, format_args!("{self}")).expect("a count never fails");
+        count.0
     }
 }
 

@@ -39,7 +39,7 @@ pub use condition::{Bound, CmpOp, Condition, Predicate};
 pub use cost::Cost;
 pub use error::FusionError;
 pub use itemset::ItemSet;
-pub use relation::{Relation, SelectOutcome};
+pub use relation::{Relation, SelectOutcome, SharedRecords};
 pub use schema::{Attribute, Schema, ValueType};
 pub use text::Text;
 pub use tuple::Tuple;

@@ -7,21 +7,19 @@
 
 use crate::condition::{CmpOp, Condition, Predicate};
 use crate::error::Result;
-use crate::itemset::{push_clone, ItemSet};
+use crate::itemset::{push_clone, push_item_of, ItemSet};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::{Item, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The merge-attribute index: the relation's distinct items in ascending
-/// order, built once so that no query ever sorts or compares its answer.
-///
-/// An item's position in `items` is its *rank*. A selection marks the
-/// ranks of its qualifying rows in a bitset and reads the items off in
-/// rank order — sorted and duplicate-free by construction. Values that
-/// compare equal (`Int(2)` and `Float(2.0)`) share a rank; its item is the
-/// value of the first row, in insertion order, that carries it.
+/// order, built once so that no query sorts or compares its answer. An
+/// item's position is its *rank*; a selection marks the ranks of its rows
+/// and reads the items off in rank order. Values that compare equal
+/// (`Int(2)`, `Float(2.0)`) share a rank, shown as its first row's value.
 #[derive(Debug, Clone)]
 struct MergeIndex {
     /// Distinct merge values, ascending; position = rank.
@@ -32,15 +30,28 @@ struct MergeIndex {
     rows: Vec<usize>,
     /// Rank of each row.
     rank_of_row: Vec<usize>,
+    /// Ranks whose rows do not all carry the rank's representation.
+    mixed: BitSet,
+    /// Each row's [`Tuple::wire_size`]: a selection sums without reading.
+    wire_of_row: Vec<usize>,
 }
 
 impl MergeIndex {
     fn build(rows: &[Tuple], mi: usize) -> MergeIndex {
         let (values, starts, by_value) = group_rows_by(rows, mi);
         let mut rank_of_row = vec![0; rows.len()];
+        let mut mixed = BitSet::new(values.len());
         for (rank, span) in starts.windows(2).enumerate() {
             for &rid in &by_value[span[0]..span[1]] {
                 rank_of_row[rid] = rank;
+                // Equal values that print apart: `2` and `2.0`, `0.0` and `-0.0`.
+                let apart = match (rows[rid].get(mi), &values[rank]) {
+                    (Value::Float(x), Value::Float(y)) => x.to_bits() != y.to_bits(),
+                    (v, shown) => std::mem::discriminant(v) != std::mem::discriminant(shown),
+                };
+                if apart {
+                    mixed.insert(rank);
+                }
             }
         }
         MergeIndex {
@@ -48,6 +59,8 @@ impl MergeIndex {
             starts,
             rows: by_value,
             rank_of_row,
+            mixed,
+            wire_of_row: rows.iter().map(Tuple::wire_size).collect(),
         }
     }
 
@@ -93,6 +106,7 @@ impl MergeIndex {
 const SPARSE_JOIN_RATIO: usize = 16;
 
 /// A fixed-size set of small integers (ranks, binding positions).
+#[derive(Debug, Clone)]
 struct BitSet {
     words: Vec<u64>,
 }
@@ -112,28 +126,30 @@ impl BitSet {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
+    /// Calls `f` with every set position, ascending.
+    fn for_each(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
     /// The items of `items` at the set positions, in position order.
     fn pick(&self, items: &[Item]) -> ItemSet {
         let count = self.words.iter().map(|w| w.count_ones() as usize).sum();
         let mut out = Vec::with_capacity(count);
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                push_clone(&mut out, &items[w * 64 + bits.trailing_zeros() as usize]);
-                bits &= bits - 1;
-            }
-        }
+        self.for_each(|i| push_clone(&mut out, &items[i]));
         ItemSet::from_sorted_unique(out)
     }
 }
 
-/// A secondary index in the merge index's shape: the distinct values of
-/// one attribute in ascending order, and the ids of the rows holding each.
-///
-/// Values that compare equal across types are one key (the value of the
-/// first row, in insertion order, that carries it). A range of keys is a
-/// contiguous run of `rows`, so a comparison predicate is answered by two
-/// binary searches and one or two slices.
+/// A secondary index in the merge index's shape: one attribute's distinct
+/// values ascending (equal across types: one key, the first row's), and the
+/// ids of the rows holding each. A range of keys is a contiguous run of
+/// `rows`: a comparison is two binary searches and one or two slices.
 #[derive(Debug, Clone)]
 struct SecondaryIndex {
     /// Distinct attribute values, ascending.
@@ -176,11 +192,11 @@ fn group_rows_by(rows: &[Tuple], col: usize) -> (Vec<Value>, Vec<usize>, Vec<usi
     (values, starts, by_value)
 }
 
-/// An in-memory relation over the common schema.
+/// An in-memory relation over the common schema, its rows one shared block.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
-    rows: Vec<Tuple>,
+    rows: Arc<[Tuple]>,
     /// attr index → (value → row ids), built on demand.
     indexes: BTreeMap<usize, SecondaryIndex>,
     /// index over the merge attribute, built on demand.
@@ -192,7 +208,7 @@ impl Relation {
     pub fn empty(schema: Schema) -> Relation {
         Relation {
             schema,
-            rows: Vec::new(),
+            rows: Arc::new([]),
             indexes: BTreeMap::new(),
             merge_index: None,
         }
@@ -214,7 +230,7 @@ impl Relation {
         }
         Relation {
             schema,
-            rows,
+            rows: rows.into(),
             indexes: BTreeMap::new(),
             merge_index: None,
         }
@@ -276,32 +292,59 @@ impl Relation {
     }
 
     /// The tuples satisfying `c` — a selection returning full records —
-    /// found as [`Relation::select_items`] finds its items. With the merge
-    /// index built they come out in merge order: rank ascending, and the
-    /// rows of one rank in insertion order, so the first row of every item
-    /// is the one that supplies its value (`2` or `2.0`). Without it they
-    /// come out in insertion order. Each is a reference to the stored row.
+    /// in the order of [`Relation::select_shared`]'s ids, each a reference
+    /// to the stored row.
     ///
     /// # Errors
     /// As [`Relation::select_items`].
     pub fn select_records(&self, cond: &Condition) -> Result<Vec<Tuple>> {
+        let SharedRecords { block, ids, .. } = self.select_shared(cond)?;
+        Ok(ids.into_iter().map(|rid| block[rid].clone()).collect())
+    }
+
+    /// The tuples satisfying `c` by reference, found as `select_items`
+    /// finds its items: the row block and the matching ids — over the
+    /// merge index in merge order (rank, then insertion), with wire bytes
+    /// and items read off it (a mixed rank's from its first matching row,
+    /// `2` or `2.0`); else in insertion order, with no items.
+    ///
+    /// # Errors
+    /// As [`Relation::select_items`].
+    pub fn select_shared(&self, cond: &Condition) -> Result<SharedRecords> {
+        let index = self.merge_index.as_ref();
         let mut matched = BitSet::new(self.rows.len());
+        let mut ranks = BitSet::new(index.map_or(0, |i| i.items.len()));
         let mut count = 0;
         self.for_each_match(cond, |rid| {
             matched.insert(rid);
+            if let Some(index) = index {
+                ranks.insert(index.rank_of_row[rid]);
+            }
             count += 1;
         })?;
-        let mut out = Vec::with_capacity(count);
-        let mut take = |rid: usize| {
-            if matched.contains(rid) {
-                out.push(self.rows[rid].clone());
-            }
-        };
-        match &self.merge_index {
-            Some(index) => index.rows.iter().for_each(|&rid| take(rid)),
-            None => (0..self.rows.len()).for_each(take),
+        let (mut ids, mut items) = (Vec::with_capacity(count), Vec::new());
+        let mi = self.schema.merge_index();
+        match index {
+            None => matched.for_each(|rid| ids.push(rid)),
+            Some(index) => ranks.for_each(|rank| {
+                let first = ids.len();
+                let rows = index.rows_of(rank).iter();
+                ids.extend(rows.filter(|&&rid| matched.contains(rid)));
+                if index.mixed.contains(rank) {
+                    push_item_of(&mut items, self.rows[ids[first]].get(mi));
+                } else {
+                    push_clone(&mut items, &index.items[rank]);
+                }
+            }),
         }
-        Ok(out)
+        let wire =
+            |rid: usize| index.map_or_else(|| self.rows[rid].wire_size(), |i| i.wire_of_row[rid]);
+        Ok(SharedRecords {
+            block: Arc::clone(&self.rows),
+            wire_bytes: ids.iter().map(|&rid| wire(rid)).sum(),
+            items: index.map(|_| (mi, ItemSet::from_sorted_unique(items))),
+            ids,
+        })
     }
 
     /// The one matching routine behind both selections: calls `hit` with
@@ -345,12 +388,8 @@ impl Relation {
     }
 
     /// Evaluates `sjq(c, R, bindings)`: the subset of `bindings` whose items
-    /// satisfy `c` at this relation (§2.1).
-    ///
-    /// With the merge index built this is a merge join of the sorted
-    /// bindings against the sorted distinct items; otherwise a single scan
-    /// filtered against the binding set. Either way the answer holds the
-    /// bindings' own items, already in order.
+    /// satisfy `c` at this relation (§2.1) — a merge join against the merge
+    /// index, else one scan; the answer holds the bindings' own items.
     ///
     /// # Errors
     /// Propagates predicate evaluation errors.
@@ -360,7 +399,7 @@ impl Relation {
         let Some(merge_index) = &self.merge_index else {
             let mi = self.schema.merge_index();
             let mut kept = BitSet::new(bound.len());
-            for row in &self.rows {
+            for row in self.rows.iter() {
                 if let Some(i) = bindings.position_of(row.get(mi)) {
                     if cond.eval(row)? {
                         kept.insert(i);
@@ -389,11 +428,9 @@ impl Relation {
         })
     }
 
-    /// The tuples whose merge item is in `items`, in insertion order.
-    ///
-    /// Membership is decided per rank by one merge join when the merge
-    /// index is built, by a borrowed binary search per row otherwise; no
-    /// item is cloned either way.
+    /// The tuples whose merge item is in `items`, in insertion order:
+    /// membership per rank by one merge join over the merge index, else by
+    /// a borrowed binary search per row; no item is cloned.
     pub fn rows_with_items<'a>(&'a self, items: &'a ItemSet) -> impl Iterator<Item = &'a Tuple> {
         let mi = self.schema.merge_index();
         let wanted = self.merge_index.as_ref().map(|index| {
@@ -484,6 +521,31 @@ impl<'a> Picked<'a> {
         match self {
             Picked::Ranked(index, ranks) => ranks.pick(&index.items),
             Picked::Unranked(_, items) => ItemSet::from_items(items),
+        }
+    }
+}
+
+/// A record selection by reference ([`Relation::select_shared`]).
+#[derive(Debug, Clone)]
+pub struct SharedRecords {
+    /// The rows the ids index, shared whole.
+    pub block: Arc<[Tuple]>,
+    /// The answer's rows: in merge order when `items` is set.
+    pub ids: Vec<usize>,
+    /// The merge column of that order, and the answer's distinct items.
+    pub items: Option<(usize, ItemSet)>,
+    /// The sum of the answer rows' [`Tuple::wire_size`]s.
+    pub wire_bytes: usize,
+}
+
+/// Owned records become a block of their own, ids in the order given.
+impl From<Vec<Tuple>> for SharedRecords {
+    fn from(rows: Vec<Tuple>) -> SharedRecords {
+        SharedRecords {
+            wire_bytes: rows.iter().map(Tuple::wire_size).sum(),
+            ids: (0..rows.len()).collect(),
+            block: rows.into(),
+            items: None,
         }
     }
 }

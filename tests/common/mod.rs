@@ -30,7 +30,7 @@ pub(crate) const VIOLATIONS: [&str; 3] = ["dui", "sp", "park"];
 /// the CI column for every battery at once. The one battery that is a
 /// unit test, `fusion-cache`'s resolution-memo differential (100 / 1 000
 /// seeds), reads the same knob.
-const WIDTHS: [(&str, u64, u64); 13] = [
+const WIDTHS: [(&str, u64, u64); 14] = [
     ("cache-subsumption", 100, 400),
     ("cache-parity", 100, 250),
     ("concurrency", 8, 64),
@@ -42,10 +42,12 @@ const WIDTHS: [(&str, u64, u64); 13] = [
     ("reopt", 16, 32),
     ("plan-memo", 40, 400),
     // `select_items` / `semijoin_items`, the secondary index, and the
-    // records, `union_all` and mixed-item set algebra.
+    // records, `union_all` and mixed-item set algebra; records by
+    // reference against owned records.
     ("data-plane-items", 192, 1000),
     ("data-plane-index", 96, 1000),
     ("data-plane-sets", 64, 1000),
+    ("data-plane-records", 64, 1000),
 ];
 
 /// The seeds battery `name` of [`WIDTHS`] sweeps in this run.

@@ -10,7 +10,11 @@
 //! The record selection is held to the same definition row for row: the
 //! rows `Predicate::eval` keeps, in merge order (rank, then insertion), and
 //! a cache harvest of them projects exactly what a harvest of the rows in
-//! any other order projects.
+//! any other order projects. A harvest of the records by reference
+//! (`Wrapper::select_shared`: the source's row block, ids in merge order,
+//! items read off the merge index) is held to a harvest of the same
+//! wrapper's owned records: rows, items, wire bytes, work and every
+//! residual projection.
 //!
 //! The generated relations carry what the rank bookkeeping could get wrong:
 //! several rows per merge value, NULL merge values, merge values that are
@@ -23,9 +27,9 @@
 
 mod common;
 
-use common::{for_seeds, width, Gen, VIOLATIONS};
+use common::{for_seeds, width, Gen, Hooked, VIOLATIONS};
 use fusion::cache::Harvest;
-use fusion::source::SourceEngine;
+use fusion::source::{InMemoryWrapper, SourceEngine, Wrapper, WrapperResponse};
 use fusion::types::schema::dmv_schema;
 use fusion::types::{CmpOp, Condition, Item, ItemSet, Predicate, Relation, SourceId, Tuple, Value};
 use std::collections::BTreeSet;
@@ -348,6 +352,110 @@ fn select_records_matches_a_full_scan() {
                     &what,
                 );
             }
+        }
+    });
+}
+
+/// Two harvests of one answer serve alike: the same rows in the same
+/// order, the same wire bytes, and the same sets — in representation —
+/// exactly and through every condition narrower than `cond`.
+fn assert_same_harvest(got: &Harvest, want: &Harvest, cond: &Condition, extra: &[Condition]) {
+    let schema = dmv_schema();
+    let rows = |h: &Harvest| h.rows().cloned().collect::<Vec<_>>();
+    assert_same(&rows(got), &rows(want), &format!("rows of {cond}"));
+    assert_eq!(got.wire_bytes(), want.wire_bytes(), "bytes of {cond}");
+    let serve = |h: &Harvest, cond: &Condition, residual| {
+        h.project(SourceId(0), cond, &schema, residual).unwrap()
+    };
+    assert_same(
+        &*serve(got, cond, false),
+        &*serve(want, cond, false),
+        &cond.to_string(),
+    );
+    for extra in extra {
+        let narrow = Predicate::And(vec![cond.pred.clone(), extra.pred.clone()]).into();
+        let what = format!("{cond} then {extra}");
+        assert_same(
+            &*serve(got, &narrow, true),
+            &*serve(want, &narrow, true),
+            &what,
+        );
+    }
+}
+
+/// A wrapper's records as a bag: every record twice.
+fn twice(mut resp: WrapperResponse<Vec<Tuple>>) -> WrapperResponse<Vec<Tuple>> {
+    resp.payload.extend(resp.payload.clone());
+    resp
+}
+
+/// A wrapper's records in reverse order.
+fn reversed(mut resp: WrapperResponse<Vec<Tuple>>) -> WrapperResponse<Vec<Tuple>> {
+    resp.payload.reverse();
+    resp
+}
+
+#[test]
+fn shared_records_harvest_like_owned_records() {
+    let schema = dmv_schema();
+    // `2.0` leads its rank; only the later `2` qualifies, and shows.
+    let mixed = vec![
+        Tuple::new(vec![Value::Float(2.0), Value::str("dui"), Value::Int(1993)]),
+        Tuple::new(vec![Value::Int(2), Value::str("sp"), Value::Int(1994)]),
+    ];
+    let w = InMemoryWrapper::fully_capable("R1", Relation::from_rows(schema.clone(), mixed));
+    let sp: Condition = Predicate::eq("V", "sp").into();
+    let shared = Harvest::from(w.select_shared(&sp).unwrap().payload);
+    let shown = shared.project(SourceId(0), &sp, &schema, false).unwrap();
+    assert_eq!(
+        format!("{shown:?}"),
+        format!("{:?}", ItemSet::from_items([2i64]))
+    );
+    assert_same_harvest(
+        &shared,
+        &Harvest::new(w.select_records(&sp).unwrap().payload),
+        &sp,
+        &[],
+    );
+
+    for_seeds(width("data-plane-records"), |g| {
+        let rows = rows(g);
+        let plain = Relation::from_rows(schema.clone(), rows.clone());
+        let inner = InMemoryWrapper::fully_capable("R1", plain.clone());
+        let hooked = |rows| -> Box<dyn Wrapper> {
+            Box::new(Hooked {
+                inner: inner.clone(),
+                on_cond: Box::new(|_| {}),
+                rows,
+            })
+        };
+        // The in-memory wrapper answers by reference; the hooked ones
+        // through the default adapter, with a bag and a reordering.
+        let wrappers = [Box::new(inner.clone()), hooked(twice), hooked(reversed)];
+        let mut conds = conditions(g);
+        conds.push(Predicate::Const(false).into());
+        let extra: Vec<Condition> = (0..3)
+            .map(|_| conds[g.0.next_below(conds.len())].clone())
+            .collect();
+        for cond in &conds {
+            let kept = rows.iter().filter(|r| qualifies(cond, r));
+            let want = ItemSet::from_items(kept.map(|r| r.item(&schema)));
+            for w in &wrappers {
+                let shared = w.select_shared(cond).unwrap();
+                let owned = w.select_records(cond).unwrap();
+                assert_eq!(shared.tuples_examined, owned.tuples_examined, "{cond}");
+                assert_eq!(shared.payload.ids.len(), owned.payload.len(), "{cond}");
+                let (got, owned) = (Harvest::from(shared.payload), Harvest::new(owned.payload));
+                assert_same_harvest(&got, &owned, cond, &extra);
+                let served = got.project(SourceId(0), cond, &schema, false).unwrap();
+                assert_eq!(*served, want, "{cond}");
+            }
+            // No merge index: the ids come in insertion order, the first
+            // projection sorts them.
+            let shared = plain.select_shared(cond).unwrap();
+            assert!(shared.items.is_none(), "{cond}");
+            let owned = Harvest::new(plain.select_records(cond).unwrap());
+            assert_same_harvest(&Harvest::from(shared), &owned, cond, &extra);
         }
     });
 }

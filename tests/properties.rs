@@ -199,6 +199,26 @@ fn sql_round_trip() {
     });
 }
 
+/// A request's predicate is sized by counting its text as it is
+/// written: the count is the text's length, on every shape `sql_round_trip`
+/// prints, nested, and on multi-byte literals.
+#[test]
+fn predicate_wire_size_is_its_text_length() {
+    use fusion::types::Predicate;
+    for_seeds(256, |g| {
+        let (a, b) = (g.sql_condition().pred, g.condition().pred);
+        let nested = [
+            Predicate::And(vec![a.clone(), b.clone()]),
+            Predicate::Or(vec![b.clone(), Predicate::Not(Box::new(a.clone()))]),
+            Predicate::eq("V", "é🦀 it's"),
+            Predicate::Const(g.0.next_below(2) == 0),
+        ];
+        for pred in [a, b].into_iter().chain(nested) {
+            assert_eq!(pred.wire_size(), pred.to_string().len(), "{pred}");
+        }
+    });
+}
+
 // ---------- the ordering search against the reference enumeration -----------
 
 fn bits(xs: &[f64]) -> Vec<u64> {

@@ -157,6 +157,13 @@ fn server_never_copies_a_harvest() {
     absent(&["crates/exec/src/server.rs"], concat!("rows", ".clone()"));
 }
 
+/// A cached miss takes the source's records by reference
+/// (`Wrapper::select_shared`): the step code never asks for owned ones.
+#[test]
+fn cached_misses_share_the_source_rows() {
+    absent(&["crates/exec/src/step.rs"], concat!("select_records", "("));
+}
+
 /// Relations keep one secondary-index representation.
 #[test]
 fn relations_keep_one_index_representation() {
