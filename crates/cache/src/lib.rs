@@ -447,8 +447,9 @@ impl AnswerCache {
         self.entries.push(entry);
         self.bytes = self.bytes - replaced + bytes;
         self.stats.insertions += 1;
-        let fresh = self.entries.len() - 1;
-        let mut fresh_alive = true;
+        // The fresh entry's index while it lives, moved down past each
+        // removal below it.
+        let mut fresh = Some(self.entries.len() - 1);
         // A fresh entry that replaced nothing and alone was evicted changed nothing.
         let mut changed = replaced > 0;
         while self.bytes > self.budget && !self.entries.is_empty() {
@@ -463,17 +464,21 @@ impl AnswerCache {
                 })
                 .map(|(i, _)| i)
                 .expect("non-empty");
-            if victim == fresh && fresh_alive {
-                self.stats.insertions -= 1;
-                self.stats.rejections += 1;
-                fresh_alive = false;
-            } else {
-                self.stats.evictions += 1;
-                changed = true;
+            match fresh {
+                Some(f) if f == victim => {
+                    self.stats.insertions -= 1;
+                    self.stats.rejections += 1;
+                    fresh = None;
+                }
+                _ => {
+                    self.stats.evictions += 1;
+                    changed = true;
+                    fresh = fresh.map(|f| if victim < f { f - 1 } else { f });
+                }
             }
             self.bytes -= self.entries.remove(victim).bytes;
         }
-        if changed || fresh_alive {
+        if changed || fresh.is_some() {
             self.resolutions.clear();
         }
         self.debug_check_bytes();
@@ -725,6 +730,25 @@ mod tests {
         assert_eq!(c.len(), 0);
         assert_eq!(c.stats().rejections, 1);
         assert_eq!(c.stats().insertions, 0);
+    }
+
+    #[test]
+    fn fresh_entry_evicted_after_an_earlier_victim_is_a_rejection() {
+        // Budget of three rows: the 1-row entry at price 1 goes first, and
+        // then the 3-row fresh entry (1.5 a row) before the one at 100.
+        let sz = row("aaaa", 1).wire_size();
+        let mut c = AnswerCache::new(3 * sz);
+        for (j, price) in [(0, 1.0), (1, 100.0)] {
+            let resident = vec![row("aaaa", 1)];
+            c.insert(SourceId(j), lt(10), resident, true, Cost::new(price));
+        }
+        let fresh = vec![row("cccc", 1), row("dddd", 1), row("eeee", 1)];
+        c.insert(SourceId(2), lt(10), fresh, true, Cost::new(4.5));
+        let stats = c.stats();
+        let counts = (stats.insertions, stats.evictions, stats.rejections);
+        assert_eq!(counts, (2, 1, 1));
+        assert_eq!(c.len(), 1);
+        assert!(served_by(&mut c, SourceId(1), &lt(10)).is_some());
     }
 
     #[test]
