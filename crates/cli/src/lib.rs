@@ -1129,7 +1129,6 @@ executed cost {} with per-round re-optimization:",
                         return Err(bad("worker count (must be positive)"));
                     }
                     config.workers = w;
-                    config.max_in_flight = w;
                 }
                 "budget" => config.cache_budget = val.parse().map_err(|_| bad("budget"))?,
                 "limit" => {

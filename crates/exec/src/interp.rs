@@ -1,19 +1,23 @@
 //! Plan execution: [`run`] interprets a plan — or a reopt spec, round by
 //! round — through the step core ([`crate::step`]) in one loop over
-//! *segments* (the whole plan, or one round under a [`ReoptRule`]). The
+//! *segments* (the whole plan, or one round under a [`ReoptRule`]). A
+//! segment's cache hits are looked up before any of its steps runs. The
 //! [`Schedule`] decides how a segment runs; the rule decides what happens
-//! at a segment boundary. [`Schedule::Stages`] is byte-identical to
+//! at a segment boundary. The server runs its admitted plans through the
+//! same loop, its hits and shares supplied by the admission.
+//! [`Schedule::Stages`] is byte-identical to
 //! [`Schedule::Sequential`] (DESIGN.md §9) but for one divergence: the
 //! retry deadline's `spent` is sampled at the last stage barrier, so under
 //! a [`RetryPolicy::deadline`] a staged run may retry slightly more. A
 //! reopt round runs as one stage: no worker sees a half-switched plan.
 
+use crate::cached::PendingInsert;
 use crate::ledger::CostLedger;
 use crate::reopt::{ReoptReport, ReoptRule, Rounds};
 use crate::replay::replay_events;
 use crate::retry::{Completeness, RetryPolicy};
 use crate::schedule::barrier_trace;
-use crate::step::PlanRun;
+use crate::step::{PlanRun, Supply};
 use fusion_cache::AnswerCache;
 use fusion_core::dataflow::{stage_decomposition, Event};
 use fusion_core::plan::{Plan, SimplePlanSpec};
@@ -23,6 +27,7 @@ use fusion_source::SourceSet;
 use fusion_types::error::{FusionError, Result};
 use fusion_types::{Cost, ItemSet};
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// The result of executing a plan.
@@ -144,7 +149,8 @@ pub fn run(
     network: &mut Network,
     options: RunOptions<'_>,
 ) -> Result<RunOutcome> {
-    drive(target, query, sources, network, options, true)
+    let proved = AtomicBool::new(false);
+    drive(target, query, sources, network, options, &proved, None).map(|(run, _)| run)
 }
 
 /// [`run`] of `plan` in plan order, with neither retry nor cache.
@@ -157,14 +163,8 @@ pub fn execute_plan(
     sources: &SourceSet,
     network: &mut Network,
 ) -> Result<ExecutionOutcome> {
-    run(
-        Target::Plan(plan),
-        query,
-        sources,
-        network,
-        Default::default(),
-    )
-    .map(|r| r.outcome)
+    let target = Target::Plan(plan);
+    run(target, query, sources, network, RunOptions::default()).map(|r| r.outcome)
 }
 
 /// [`execute_plan`] without the soundness guard: the plan is only
@@ -179,8 +179,10 @@ pub fn execute_plan_unchecked(
     sources: &SourceSet,
     network: &mut Network,
 ) -> Result<ExecutionOutcome> {
-    let target = Target::Plan(plan);
-    drive(target, query, sources, network, Default::default(), false).map(|r| r.outcome)
+    plan.validate()?;
+    let (target, checked) = (Target::Plan(plan), &AtomicBool::new(true));
+    let options = RunOptions::default();
+    drive(target, query, sources, network, options, checked, None).map(|r| r.0.outcome)
 }
 
 /// Rejects a `pace` (wall-clock seconds per cost unit) no worker can
@@ -194,15 +196,19 @@ pub(crate) fn check_pace(pace: Option<f64>) -> Result<()> {
     }
 }
 
-/// [`run`], with the soundness proof (`sound`) or bare validation.
-fn drive(
+/// [`run`], behind its one guard: [`fusion_core::analyze::ensure_sound`],
+/// unless `checked` says this very plan was proved by an earlier run (or
+/// validated by an unchecked caller); a proof sets it. A server run brings
+/// its `supply` and gets its pending cache admissions back for its commit.
+pub(crate) fn drive(
     target: Target<'_>,
     query: &FusionQuery,
     sources: &SourceSet,
     network: &mut Network,
     options: RunOptions<'_>,
-    sound: bool,
-) -> Result<RunOutcome> {
+    checked: &AtomicBool,
+    supply: Option<Supply<'_>>,
+) -> Result<(RunOutcome, Vec<PendingInsert>)> {
     let RunOptions {
         schedule,
         retry,
@@ -218,18 +224,22 @@ fn drive(
             (Cow::Owned(plan), Some(rounds))
         }
     };
-    if sound {
+    if !checked.load(Ordering::Acquire) {
         fusion_core::analyze::ensure_sound(&plan)?;
-    } else {
-        plan.validate()?;
+        checked.store(true, Ordering::Release);
     }
-    let mut run = PlanRun::new(&plan, query, sources, network, retry, cache.is_some())?;
+    let records = cache.is_some() || supply.is_some();
+    let mut run = PlanRun::new(&plan, query, sources, network, retry, records)?;
+    if let Some(supply) = supply {
+        run.supply(supply);
+    }
     // The certificate gate, before any thread spawns and in release builds
     // too: an unsound stage schedule is an error, never a data race.
     let certified = match schedule {
         Schedule::Stages { .. } => stage_decomposition(&plan)?.stages,
         _ => Vec::new(),
     };
+    let order = matches!(schedule, Schedule::Order { .. });
     let start = Instant::now();
     // The segment loop; a failed stage's buffered exchanges are committed
     // to the trace like a finished run's.
@@ -238,23 +248,20 @@ fn drive(
             let segment = rounds
                 .as_ref()
                 .map_or(0..run.plan().steps.len(), |rounds| rounds.segment(r));
+            // The segment's hits, on the calling thread in step order before
+            // any of its steps runs: one lookup sequence (stats, LRU
+            // touches) for every schedule, and hits never reach a worker.
+            // An `Order` run looks up at its `Lookup` events instead.
+            if let (Some(cache), false) = (cache.as_deref_mut(), order) {
+                run.look_up(segment.clone(), cache)?;
+            }
             match schedule {
                 Schedule::Sequential => {
                     for idx in segment {
-                        run.step(idx, network, cache.as_deref_mut())?;
+                        run.dispatch(idx, network)?;
                     }
                 }
                 Schedule::Stages { threads, pace } => {
-                    // Lookups resolve on the calling thread in step order:
-                    // the lookup sequence (stats, LRU touches) of the
-                    // sequential schedule. Hits never reach a worker.
-                    if let Some(cache) = cache.as_deref_mut() {
-                        for idx in segment.clone() {
-                            if let Some(hit) = run.lookup(idx, cache)? {
-                                run.serve(idx, hit, false);
-                            }
-                        }
-                    }
                     let round = [segment.collect::<Vec<_>>()];
                     let stages = if rounds.is_some() {
                         &round
@@ -284,11 +291,8 @@ fn drive(
     })();
     network.commit();
     let wall = wall?;
-    let outcome = match schedule {
-        // Admissions without a `Commit` event stay uncommitted.
-        Schedule::Order { .. } => run.finish().0,
-        _ => run.finish_committing(network, cache),
-    };
+    // An `Order` run's admissions without a `Commit` event stay uncommitted.
+    let (outcome, pending) = run.finish(network, cache.filter(|_| !order));
     let stages = match schedule {
         Schedule::Stages { threads, .. } if rounds.is_none() => Some(StageReport {
             threads: threads.max(1),
@@ -298,11 +302,12 @@ fn drive(
         }),
         _ => None,
     };
-    Ok(RunOutcome {
+    let outcome = RunOutcome {
         outcome,
         stages,
         reopt: rounds.map(Rounds::finish),
-    })
+    };
+    Ok((outcome, pending))
 }
 
 #[cfg(test)]

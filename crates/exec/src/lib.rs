@@ -9,7 +9,8 @@
 //! (§2.3) — each deliverable plainly or retried under a [`RetryPolicy`];
 //! one run state (variables, ledger slots, pending cache admissions,
 //! dropped steps, the [`Completeness`] fold, the BDD-guarded drop check);
-//! one stage pool. Two drivers run plans through it:
+//! one per-step dispatcher; one stage pool. One segment loop drives it,
+//! and two front doors reach that loop:
 //!
 //! * [`run`] interprets a [`Target`] — a plan, or a simple plan spec
 //!   under a [`ReoptRule`] — with one [`RunOptions`]: a [`Schedule`]
@@ -25,9 +26,11 @@
 //!   [`execute_plan`] / [`execute_plan_unchecked`] run a plan in plan
 //!   order, with and without the soundness proof.
 //! * [`serve`], the multi-tenant mediator server: a worker pool over one
-//!   shared, sharded answer cache with admission control, per-source
-//!   limits, cross-query fetch sharing, and a certified replayable log
-//!   ([`replay_serial`] / [`verify_replay_parity`]).
+//!   shared, sharded answer cache with per-source limits, cross-query
+//!   fetch sharing, and a certified replayable log ([`replay_serial`] /
+//!   [`verify_replay_parity`]). Each admitted plan runs through the same
+//!   loop, its cache hits, share attaches and permits supplied by the
+//!   admission.
 //!
 //! Beside them: [`CostLedger`]; [`response_time`] under a parallel
 //! execution model (§6); [`fetch_records`], the broadcast second phase

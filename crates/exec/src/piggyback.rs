@@ -72,7 +72,7 @@ pub fn execute_piggyback(
     let any_selection = choices.contains(&SourceChoice::Selection);
     let first = plan.steps.len() - n - 1 - usize::from(m > 1 && any_selection);
     for idx in 0..first {
-        run.step(idx, network, None)?;
+        run.dispatch(idx, network)?;
     }
     let mut ledger = CostLedger::new();
     for entry in (0..first).filter_map(|idx| run.entry(idx)) {

@@ -9,9 +9,10 @@
 //! graph and comparing the outcomes byte for byte turns the analyzer's
 //! happens-before claims into an executable proof obligation.
 //!
-//! Each event runs the code every schedule runs ([`PlanRun::fetch`] /
-//! [`PlanRun::fold`], [`AnswerCache::lookup`], the committed-failure
-//! guarded [`AnswerCache::bump_epoch`], the pending-admission insert),
+//! Each event runs the code every schedule runs ([`PlanRun::dispatch`],
+//! with the hit its `Lookup` event held; [`AnswerCache::lookup`]; the
+//! committed-failure guarded [`AnswerCache::bump_epoch`]; the
+//! pending-admission insert),
 //! and exchanges go through the shared per-source handles stage workers
 //! use, so the trace merges in step order as a concurrent run's would.
 //! Events run on the calling thread; only their order varies. The retry
@@ -24,7 +25,7 @@
 
 use crate::cached::commit_inserts;
 use crate::step::{PlanRun, SharedExchanger};
-use fusion_cache::{AnswerCache, Served};
+use fusion_cache::AnswerCache;
 use fusion_core::dataflow::Event;
 use fusion_core::plan::{Plan, Step};
 use fusion_net::Network;
@@ -59,7 +60,6 @@ pub(crate) fn replay_events(
     order: &[Event],
     guard_commits: bool,
 ) -> Result<()> {
-    let mut served: Vec<Option<Served>> = vec![None; plan.steps.len()];
     let mut failed = vec![false; plan.n_sources];
     let step_at = |idx: usize| -> Result<&Step> {
         plan.steps
@@ -80,7 +80,7 @@ pub(crate) fn replay_events(
         }
         match event {
             Event::Lookup { step } => {
-                served[step] = run.lookup(step, cache_for(&mut cache, event)?)?;
+                run.look_up(step..step + 1, cache_for(&mut cache, event)?)?;
             }
             Event::EpochBump { source } => {
                 let cache = cache_for(&mut cache, event)?;
@@ -130,19 +130,8 @@ pub(crate) fn replay_events(
                         )));
                     }
                 }
-                if step.source().is_none() {
-                    run.local(idx)?;
-                } else if let Some(hit) = served[idx].take() {
-                    run.serve(idx, hit, false);
-                } else {
-                    let spent = run.spent();
-                    let mut ex = SharedExchanger {
-                        net: &*network,
-                        step: idx,
-                    };
-                    let done = run.fetch(idx, &mut ex, spent)?;
-                    run.fold(idx, done)?;
-                }
+                let net = &*network;
+                run.dispatch(idx, &mut SharedExchanger { net, step: idx })?;
             }
         }
     }

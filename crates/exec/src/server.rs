@@ -45,39 +45,37 @@
 //! Per-source concurrency limits generalize the PR-4 serial queues
 //! across queries: at most `per_source_limit` in-flight exchanges per
 //! source, so an autonomous source still answers a bounded number of
-//! mediator requests at a time. An admission controller bounds total
-//! in-flight queries (`max_in_flight`) and, under paced open-loop
-//! overload ([`ServerConfig::offered`]), sheds each tenant's own
+//! mediator requests at a time. Under paced open-loop overload
+//! ([`ServerConfig::offered`]) the scheduler sheds each tenant's own
 //! backlog past [`ServerConfig::shed_after`] — a hot tenant loses its
 //! overflow without starving the others.
 
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::cached::PendingInsert;
-use crate::interp::check_pace;
+use crate::interp::{check_pace, drive};
 use crate::log::{
     server_commuting_pairs, verify_server_log, verify_share_windows, LoggedOp, OpKind,
 };
 use crate::reopt::harvest_observations;
 pub use crate::share::ShareRef;
 use crate::share::{ShareCtx, ShareTable};
-use crate::step::{pace_sleep, PlanRun, StepValue};
-use crate::ExecutionOutcome;
-use fusion_cache::{CacheStats, CachedCostModel, HitKind, ResolvedHit, Served, SharedAnswerCache};
+use crate::step::{DerivedSets, SourceLimits, Supply};
+use crate::{ExecutionOutcome, RunOptions, Target};
+use fusion_cache::{CacheStats, CachedCostModel, HitKind, Served, SharedAnswerCache};
 use fusion_core::cost::{FeedbackCostModel, NetworkCostModel};
-use fusion_core::plan::{Plan, Step, VarId};
+use fusion_core::plan::{Plan, Step};
 use fusion_core::query::FusionQuery;
 use fusion_core::sja_optimal;
 use fusion_net::Network;
 use fusion_source::SourceSet;
 use fusion_stats::{CardObservation, ConditionFeedback};
 use fusion_types::error::{FusionError, Result};
-use fusion_types::Condition;
-use fusion_types::{Cost, ItemSet, SourceId, Tuple};
+use fusion_types::{Condition, Cost, ItemSet, SourceId, Tuple};
 
 /// One event of a tenant's session stream, in the server's own
 /// vocabulary (converted from `fusion_workload::session::SessionEvent`
@@ -100,8 +98,6 @@ pub struct ServerConfig {
     pub cache_budget: usize,
     /// Shards of the shared cache (sources map to `source % n_shards`).
     pub n_shards: usize,
-    /// Admission controller: maximum queries admitted concurrently.
-    pub max_in_flight: usize,
     /// Per-source concurrency limit: maximum in-flight exchanges per
     /// source across all queries (1 = the PR-4 serial queue,
     /// generalized across queries).
@@ -148,7 +144,6 @@ impl Default for ServerConfig {
             workers: 4,
             cache_budget: 1 << 22,
             n_shards: 4,
-            max_in_flight: 4,
             per_source_limit: 1,
             pace: None,
             offered: None,
@@ -161,12 +156,10 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// A default config with `workers` worker threads (and the same
-    /// number of admission slots).
+    /// A default config with `workers` worker threads.
     pub fn with_workers(workers: usize) -> ServerConfig {
         ServerConfig {
             workers,
-            max_in_flight: workers,
             ..ServerConfig::default()
         }
     }
@@ -267,124 +260,6 @@ pub struct ReplayedQuery {
 }
 
 // ---------------------------------------------------------------------
-// Per-source concurrency limits
-// ---------------------------------------------------------------------
-
-/// Counting semaphores, one per source: at most `limit` in-flight
-/// exchanges per source across all concurrent queries. Workers hold at
-/// most one [`Permit`] at a time (acquire → exchange → drop), so there
-/// is no hold-and-wait and no deadlock, and a panicking exchange still
-/// gives its permit back. Poison recovery is sound: a count changes by
-/// one `+= 1` or `-= 1`, whole or not at all.
-struct SourceLimits {
-    slots: Vec<(Mutex<usize>, Condvar)>,
-    limit: usize,
-}
-
-impl SourceLimits {
-    fn new(n_sources: usize, limit: usize) -> SourceLimits {
-        SourceLimits {
-            slots: (0..n_sources)
-                .map(|_| (Mutex::new(0), Condvar::new()))
-                .collect(),
-            limit: limit.max(1),
-        }
-    }
-
-    fn acquire(&self, source: SourceId) -> Permit<'_> {
-        let (lock, cv) = &self.slots[source.0];
-        let mut n = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        while *n >= self.limit {
-            n = cv.wait(n).unwrap_or_else(PoisonError::into_inner);
-        }
-        *n += 1;
-        Permit {
-            slot: &self.slots[source.0],
-        }
-    }
-}
-
-/// One in-flight exchange with a source, released when dropped — on
-/// unwind too.
-struct Permit<'a> {
-    slot: &'a (Mutex<usize>, Condvar),
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        let (lock, cv) = self.slot;
-        let mut n = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        *n -= 1;
-        drop(n);
-        cv.notify_one();
-    }
-}
-
-// ---------------------------------------------------------------------
-// The memo of derived sets
-// ---------------------------------------------------------------------
-
-/// Entries the memo of derived sets holds before it starts over.
-const DERIVED_SETS: usize = 64;
-
-/// A `Union`, `Intersect` or `Diff` output, by the step kind and its
-/// inputs' `Arc` addresses in plan order. An entry holds its inputs, so
-/// no address in a live key can be reused: equal keys name the same
-/// immutable sets, and the stored output is the step's value.
-#[derive(Default)]
-struct DerivedSets {
-    /// Poison recovery is sound: the map is only looked up, inserted
-    /// into or cleared, and none of those can leave it torn.
-    sets: Mutex<HashMap<Vec<usize>, Derived>>,
-}
-
-struct Derived {
-    /// Pinned, never read: they keep the key's addresses unique.
-    _inputs: Vec<Arc<ItemSet>>,
-    out: Arc<ItemSet>,
-}
-
-impl DerivedSets {
-    /// The key of set step `step` over its `inputs` as bound in `run`;
-    /// `None` for any other step kind.
-    fn key(step: &Step, inputs: &[VarId], run: &PlanRun<'_>) -> Option<Vec<usize>> {
-        let kind = match step {
-            Step::Union { .. } => 0,
-            Step::Intersect { .. } => 1,
-            Step::Diff { .. } => 2,
-            _ => return None,
-        };
-        let addrs = inputs
-            .iter()
-            .map(|v| Arc::as_ptr(run.var_shared(*v)) as usize);
-        Some(std::iter::once(kind).chain(addrs).collect())
-    }
-
-    fn recall(&self, key: &[usize]) -> Option<Arc<ItemSet>> {
-        let sets = self.sets.lock().unwrap_or_else(PoisonError::into_inner);
-        sets.get(key).map(|d| Arc::clone(&d.out))
-    }
-
-    /// Keeps `out` under `key` (starting over when full) and returns the
-    /// set to bind: a racing worker's, if one got here first.
-    fn keep(&self, key: Vec<usize>, inputs: Vec<Arc<ItemSet>>, out: Arc<ItemSet>) -> Arc<ItemSet> {
-        let mut sets = self.sets.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(kept) = sets.get(&key) {
-            return Arc::clone(&kept.out);
-        }
-        if sets.len() >= DERIVED_SETS {
-            sets.clear();
-        }
-        let derived = Derived {
-            _inputs: inputs,
-            out: Arc::clone(&out),
-        };
-        sets.insert(key, derived);
-        out
-    }
-}
-
-// ---------------------------------------------------------------------
 // The admission memo
 // ---------------------------------------------------------------------
 
@@ -436,7 +311,8 @@ struct AdmissionMemo {
     models: Vec<OnceLock<NetworkCostModel>>,
     /// Plans by (query id, coverage bits), at most [`ADMISSION_PLANS`].
     /// Only admissions take the lock, inside `lock_all`, so it is never
-    /// contended; poison recovery is sound, as for [`DerivedSets`].
+    /// contended; poison recovery is sound: the map is only looked up,
+    /// inserted into or cleared.
     plans: Mutex<HashMap<AdmissionKey, Arc<Planned>>>,
 }
 
@@ -726,86 +602,31 @@ impl<'a> ServerCore<'a> {
         })
     }
 
-    /// Executes an admitted plan — the server's driver of the step core:
-    /// in plan order on a fresh per-query network, with every cache
-    /// lookup pre-resolved at admission. Served selections are free cache
-    /// entries, shared selections wait on (and serve from) another
-    /// query's merged fetch, misses fetch full records (for later commit)
-    /// under the per-source concurrency limits, optionally paced into
-    /// wall clock — and publish their harvest when this query leads a
-    /// merged fetch. The cache is not touched: the fetches wait in the
-    /// returned [`Ran`] for the commit critical section.
+    /// Executes an admitted plan through [`drive`], in plan order on a
+    /// fresh per-query network, with the admission's hits, attaches and
+    /// leads, the per-source permits, the pace and the memo of derived sets
+    /// supplied to its steps ([`Supply`]). The plan's proof is taken by its
+    /// first run and carried by the rest ([`Planned::proved`]). The cache
+    /// is not touched: the fetches wait in the returned [`Ran`] for the
+    /// commit critical section.
     fn run(
         &self,
-        admission: Admission<'a>,
+        mut admission: Admission<'a>,
         limits: Option<&SourceLimits>,
         pace: Option<f64>,
     ) -> Result<(Ran<'a>, ExecutionOutcome)> {
-        let Admission {
-            query,
-            plan,
-            served,
-            share,
-            ..
-        } = &admission;
-        if !plan.proved.load(Ordering::Acquire) {
-            fusion_core::analyze::ensure_sound(plan)?;
-            plan.proved.store(true, Ordering::Release);
-        }
-        let mut network = (self.net)();
-        let mut run = PlanRun::new(plan, query, self.sources, &network, None, true)?;
-        // Variables whose sets recur from query to query: served from the
-        // cache or held by the memo of derived sets.
-        let mut recurs = vec![false; plan.var_names.len()];
-        for (idx, step) in plan.steps.iter().enumerate() {
-            let Some(source) = step.source() else {
-                self.local(&mut run, idx, step, &mut recurs)?;
-                continue;
-            };
-            if let Some(hit) = &served[idx] {
-                // A reference-count bump: the set stays the cache entry's.
-                run.serve(idx, hit.clone(), false);
-                if let Some(out) = step.defined_var() {
-                    recurs[out.0] = true;
-                }
-                continue;
-            }
-            if let (Step::Sq { cond, .. }, Some(Some(att))) =
-                (step, share.as_ref().map(|s| s.attach[idx].as_ref()))
-            {
-                // Served from another query's merged fetch: wait for the
-                // leader's harvest, then run it through the same projection
-                // (and residual filter) a cache hit uses.
-                let rows = att.slot.wait()?;
-                let kind = if att.residual {
-                    HitKind::Subsumed
-                } else {
-                    HitKind::Exact
-                };
-                let hit = ResolvedHit::from_harvest(rows, source, kind)
-                    .serve(&query.conditions()[cond.0], query.schema())?;
-                run.serve(idx, hit, true);
-                continue;
-            }
-            // The permit is held around the fetch only.
-            let permit = limits.map(|l| l.acquire(source));
-            let done = run.fetch(idx, &mut network, Cost::ZERO);
-            drop(permit);
-            let done = done?;
-            pace_sleep(pace, done.entry.total())?;
-            // Leading a merged fetch: publish the exact harvest — the value
-            // this query goes on to commit — so waiting followers can serve
-            // from it (after the paced exchange, so a follower never observes
-            // records "before" the leader's fetch completes in simulated
-            // time).
-            if let Some(slot) = share.as_ref().and_then(|s| s.leads[idx].as_ref()) {
-                if let StepValue::CachedItems(_, harvest) = &done.value {
-                    slot.publish(Arc::clone(harvest));
-                }
-            }
-            run.fold(idx, done)?;
-        }
-        let (outcome, pending) = run.finish();
+        let supply = Supply {
+            hits: std::mem::take(&mut admission.served),
+            share: admission.share.as_ref(),
+            limits,
+            pace,
+            derived: &self.derived,
+        };
+        let (plan, query) = (&admission.plan, admission.query);
+        let (target, net) = (Target::Plan(&plan.plan), &mut (self.net)());
+        let (opts, proved, supply) = (RunOptions::default(), &plan.proved, Some(supply));
+        let (ran, pending) = drive(target, query, self.sources, net, opts, proved, supply)?;
+        let outcome = ran.outcome;
         let observed = match &self.feedback {
             Some(_) => harvest_observations(plan, query.conditions(), &outcome.ledger),
             None => Vec::new(),
@@ -816,43 +637,6 @@ impl<'a> ServerCore<'a> {
             observed,
         };
         Ok((ran, outcome))
-    }
-
-    /// Runs local step `idx` of `run`. A set step whose inputs all recur
-    /// goes through the memo of derived sets: the same input `Arc`s seen
-    /// before recall the stored output instead of recomputing it, and a
-    /// computed output is kept for next time. Any other step — one with a
-    /// fetched or share-served input — is computed and never kept.
-    fn local(
-        &self,
-        run: &mut PlanRun<'_>,
-        idx: usize,
-        step: &Step,
-        recurs: &mut [bool],
-    ) -> Result<()> {
-        let inputs = step.used_vars();
-        if !inputs.iter().all(|v| recurs[v.0]) {
-            return run.local(idx);
-        }
-        let Some(key) = DerivedSets::key(step, &inputs, run) else {
-            return run.local(idx);
-        };
-        let value = match self.derived.recall(&key) {
-            Some(recalled) => {
-                debug_assert_eq!(*run.compute_local(idx)?, *recalled, "recalled step #{idx}");
-                recalled
-            }
-            None => {
-                let pins = inputs.iter().map(|v| Arc::clone(run.var_shared(*v)));
-                self.derived
-                    .keep(key, pins.collect(), run.compute_local(idx)?)
-            }
-        };
-        run.bind_local(idx, value);
-        if let Some(out) = step.defined_var() {
-            recurs[out.0] = true;
-        }
-        Ok(())
     }
 
     /// Commits an executed query's fetches under the shards owning their
@@ -978,8 +762,6 @@ struct SchedState {
     tenants: Vec<TenantCursor>,
     /// Round-robin start pointer for fair tenant scanning.
     rr: usize,
-    /// Queries admitted and not yet committed.
-    in_flight: usize,
     shed: Vec<ShedQuery>,
     error: Option<FusionError>,
     /// A worker is yielding, lock dropped, toward an open-loop due
@@ -1060,7 +842,6 @@ impl<'a> Scheduler<'a> {
             state: Mutex::new(SchedState {
                 tenants: tenants.iter().map(cursor).collect(),
                 rr: 0,
-                in_flight: 0,
                 shed: Vec::new(),
                 error: None,
                 spinning: false,
@@ -1127,10 +908,8 @@ impl<'a> Scheduler<'a> {
             }
             let now = self.start.elapsed();
             let mut next_arrival: Option<Duration> = None;
-            let mut capacity_blocked = false;
             let n = state.tenants.len();
             let rr = state.rr;
-            let mut picked: Option<(usize, usize, bool)> = None;
             for off in 0..n {
                 let t = (rr + off) % n;
                 let cur = &state.tenants[t];
@@ -1150,52 +929,27 @@ impl<'a> Scheduler<'a> {
                     next_arrival = Some(next_arrival.map_or(arr, |a: Duration| a.min(arr)));
                     continue;
                 }
-                match &self.tenants[t][index] {
-                    TenantEvent::Update(_) => {
-                        picked = Some((t, index, false));
-                        break;
-                    }
-                    TenantEvent::Query(_) => {
-                        if let Some(limit) = self.config.shed_after {
-                            if now.saturating_sub(arr) > limit {
-                                // Overloaded: this tenant's backlog is
-                                // past the deadline — shed and rescan.
-                                state.shed.push(ShedQuery { tenant: t, index });
-                                state.tenants[t].next += 1;
-                                state.rr = (t + 1) % n;
-                                picked = None;
-                                break;
-                            }
-                        }
-                        if state.in_flight >= self.config.max_in_flight.max(1) {
-                            capacity_blocked = true;
-                            continue;
-                        }
-                        picked = Some((t, index, true));
-                        break;
-                    }
-                }
-            }
-            if let Some((t, index, is_query)) = picked {
-                state.tenants[t].busy = true;
+                let query = matches!(self.tenants[t][index], TenantEvent::Query(_));
+                let late = |limit| now.saturating_sub(arr) > limit;
                 state.rr = (t + 1) % n;
-                if is_query {
-                    state.in_flight += 1;
-                    return Picked::Query { tenant: t, index };
+                if query && self.config.shed_after.is_some_and(late) {
+                    // Overloaded: this tenant's backlog is past the
+                    // deadline — shed and rescan.
+                    state.shed.push(ShedQuery { tenant: t, index });
+                    state.tenants[t].next += 1;
+                    break;
                 }
-                return Picked::Update { tenant: t, index };
+                state.tenants[t].busy = true;
+                return match query {
+                    true => Picked::Query { tenant: t, index },
+                    false => Picked::Update { tenant: t, index },
+                };
             }
-            if !exhausted && next_arrival.is_none() && !capacity_blocked {
+            if !exhausted && next_arrival.is_none() {
                 // A shed consumed an event; rescan immediately.
                 continue;
             }
-            let wait = match next_arrival {
-                // A finish wakes a capacity-blocked worker; the timed
-                // wait only bounds it by the next arrival.
-                Some(arr) if capacity_blocked => Wait::Park(arr - now),
-                next_due => dispatch_wait(now, next_due, state.spinning),
-            };
-            state = match wait {
+            state = match dispatch_wait(now, next_arrival, state.spinning) {
                 Wait::Poll => state,
                 Wait::Park(timeout) => {
                     self.cv
@@ -1219,13 +973,10 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Marks a tenant's in-flight event finished and wakes waiters.
-    fn finish(&self, tenant: usize, was_query: bool) {
+    fn finish(&self, tenant: usize) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.tenants[tenant].busy = false;
         state.tenants[tenant].next += 1;
-        if was_query {
-            state.in_flight -= 1;
-        }
         drop(state);
         self.cv.notify_all();
     }
@@ -1315,7 +1066,7 @@ fn serve_core(core: &ServerCore<'_>, config: &ServerConfig) -> Result<ServerRepo
                 Picked::Update { tenant, index } => match core.bump(tenant, index) {
                     Ok(op) => {
                         log.push(op);
-                        sched.finish(tenant, false);
+                        sched.finish(tenant);
                     }
                     Err(e) => {
                         sched.fail(e);
@@ -1375,7 +1126,7 @@ fn serve_core(core: &ServerCore<'_>, config: &ServerConfig) -> Result<ServerRepo
                         Ok(())
                     })();
                     match run {
-                        Ok(()) => sched.finish(tenant, true),
+                        Ok(()) => sched.finish(tenant),
                         Err(e) => {
                             guard.fail(e);
                             return (results, log);
@@ -1587,6 +1338,7 @@ mod tests {
     use fusion_types::schema::dmv_schema;
     use fusion_types::{Attribute, Predicate, Schema, ValueType};
     use std::collections::HashSet;
+    use std::sync::atomic::Ordering;
 
     fn year_query(y: i64) -> FusionQuery {
         FusionQuery::new(
@@ -2341,7 +2093,6 @@ mod tests {
             .collect();
         let config = ServerConfig {
             workers: 1,
-            max_in_flight: 1,
             pace: Some(0.00002),
             offered: Some(10_000.0),
             shed_after: Some(Duration::from_micros(1)),

@@ -1,8 +1,8 @@
 //! The step core: what one plan step *means*, written once.
 //!
-//! Every plan executor in this crate is a *driver* of the three pieces
-//! below. A driver decides only in which order and on which thread
-//! steps run; it never re-derives what a step does.
+//! Every plan executor in this crate is a *driver* of the pieces below.
+//! A driver decides only in which order and on which thread steps run;
+//! it never re-derives what a step does.
 //!
 //! 1. **One fetch primitive per remote step kind** ([`exec_sq`],
 //!    [`exec_sq_records`], [`exec_bloom`], [`exec_lq`],
@@ -14,16 +14,21 @@
 //!    per-step ledger slots, pending cache admissions, dropped steps —
 //!    with one shape check, one completeness fold, one drop check and
 //!    one cache-commit tail.
-//! 3. **One stage pool** ([`PlanRun::stage`] over [`run_stage`]): a
+//! 3. **One per-step dispatcher**, [`PlanRun::dispatch`], for plan order,
+//!    replayed events, piggyback's prefix and the server's admitted plans
+//!    (which reach it through `drive` with a [`Supply`]): a run holds a
+//!    segment's cache hits before the segment runs.
+//! 4. **One stage pool** ([`PlanRun::stage`] over [`run_stage`]): a
 //!    stage's remote steps on scoped workers, folded at the barrier in
-//!    step order; [`crate::run`] merges the shared network trace on every
-//!    exit path.
+//!    step order, its other steps dispatched; [`crate::run`] merges the
+//!    shared network trace on every exit path.
 
 use crate::cached::{commit_inserts, served_entry, PendingInsert};
 use crate::interp::ExecutionOutcome;
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
-use fusion_cache::{AnswerCache, Harvest, Served};
+use crate::share::ShareCtx;
+use fusion_cache::{AnswerCache, Harvest, HitKind, ResolvedHit, Served};
 use fusion_core::analyze::Analysis;
 use fusion_core::plan::{Plan, RelVar, Step, VarId};
 use fusion_core::query::FusionQuery;
@@ -32,8 +37,10 @@ use fusion_source::{SourceSet, Wrapper};
 use fusion_types::error::{FusionError, Result};
 use fusion_types::{CondId, Condition, Cost, ItemSet, Relation, Schema, SourceId, Tuple};
 use std::borrow::Cow;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// How a step reaches the network: exclusively (the calling thread owns
@@ -576,12 +583,118 @@ pub(crate) fn run_semijoin<E: Exchanger>(
     })
 }
 
+/// Counting semaphores, one per source: at most `limit` in-flight
+/// exchanges per source across a server's queries. A run holds at most one
+/// [`Permit`] at a time (acquire → exchange → drop): no hold-and-wait, no
+/// deadlock, and a panicking exchange gives its permit back. Poison
+/// recovery is sound: a count changes by one, whole or not at all.
+pub(crate) struct SourceLimits {
+    slots: Vec<(Mutex<usize>, Condvar)>,
+    limit: usize,
+}
+
+impl SourceLimits {
+    pub(crate) fn new(n_sources: usize, limit: usize) -> SourceLimits {
+        SourceLimits {
+            slots: (0..n_sources)
+                .map(|_| (Mutex::new(0), Condvar::new()))
+                .collect(),
+            limit: limit.max(1),
+        }
+    }
+
+    fn acquire(&self, source: SourceId) -> Permit<'_> {
+        let (lock, cv) = &self.slots[source.0];
+        let mut n = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while *n >= self.limit {
+            n = cv.wait(n).unwrap_or_else(PoisonError::into_inner);
+        }
+        *n += 1;
+        Permit {
+            slot: &self.slots[source.0],
+        }
+    }
+}
+
+/// One in-flight exchange with a source, released when dropped — on
+/// unwind too.
+struct Permit<'a> {
+    slot: &'a (Mutex<usize>, Condvar),
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let (lock, cv) = self.slot;
+        let mut n = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        *n -= 1;
+        drop(n);
+        cv.notify_one();
+    }
+}
+
+/// Entries the memo of derived sets holds before it starts over.
+const DERIVED_SETS: usize = 64;
+
+/// The server's memo of derived sets (DESIGN §13), a field of its core: a
+/// `Union`, `Intersect` or `Diff` output, by the step kind and its inputs'
+/// `Arc` addresses in plan order. An entry holds its inputs, so no address
+/// in a live key can be reused: equal keys name the same immutable sets.
+#[derive(Default)]
+pub(crate) struct DerivedSets {
+    /// Poison recovery is sound: the map is only looked up, inserted
+    /// into or cleared, and none of those can leave it torn.
+    pub(crate) sets: Mutex<HashMap<Vec<usize>, Derived>>,
+}
+
+pub(crate) struct Derived {
+    /// Pinned: they keep the key's addresses unique.
+    pub(crate) _inputs: Vec<Arc<ItemSet>>,
+    pub(crate) out: Arc<ItemSet>,
+}
+
+impl DerivedSets {
+    fn recall(&self, key: &[usize]) -> Option<Arc<ItemSet>> {
+        let sets = self.sets.lock().unwrap_or_else(PoisonError::into_inner);
+        sets.get(key).map(|d| Arc::clone(&d.out))
+    }
+
+    /// Keeps `out` under `key` (starting over when full) and returns the
+    /// set to bind: a racing worker's, if one got here first.
+    fn keep(&self, key: Vec<usize>, inputs: Vec<Arc<ItemSet>>, out: Arc<ItemSet>) -> Arc<ItemSet> {
+        let mut sets = self.sets.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(kept) = sets.get(&key) {
+            return Arc::clone(&kept.out);
+        }
+        if sets.len() >= DERIVED_SETS {
+            sets.clear();
+        }
+        let derived = Derived {
+            _inputs: inputs,
+            out: Arc::clone(&out),
+        };
+        sets.insert(key, derived);
+        out
+    }
+}
+
+/// What a server run brings to its steps beyond the plan: the hits its
+/// admission resolved, the share attaches and leads it decided, the
+/// per-source permits, the pace and the memo of derived sets.
+pub(crate) struct Supply<'a> {
+    /// `hits[idx]`: selection step `idx` is served from the cache.
+    pub(crate) hits: Vec<Option<Served>>,
+    pub(crate) share: Option<&'a ShareCtx>,
+    pub(crate) limits: Option<&'a SourceLimits>,
+    /// Wall-clock seconds slept per cost unit of a fetched step.
+    pub(crate) pace: Option<f64>,
+    pub(crate) derived: &'a DerivedSets,
+}
+
 /// The state of one plan execution, shared by every driver.
 ///
-/// A driver serves cache hits ([`PlanRun::serve`]), runs local steps
-/// ([`PlanRun::local`]), fetches remote ones ([`PlanRun::fetch`] — `&self`,
-/// so stage workers can call it) and folds what they return
-/// ([`PlanRun::fold`]), in whatever order its schedule allows, then
+/// An in-order driver hands each step to [`PlanRun::dispatch`]; the stage
+/// pool fetches remote steps on workers ([`PlanRun::fetch`] — `&self`) and
+/// folds what they return ([`PlanRun::fold`]). Then the driver
 /// [`PlanRun::finish`]es.
 pub(crate) struct PlanRun<'a> {
     /// Borrowed from the caller until a reopt [`PlanRun::splice`].
@@ -613,6 +726,13 @@ pub(crate) struct PlanRun<'a> {
     /// Per-source failed-exchange counts before a retried cached run: a
     /// later increase means the source went through fault recovery.
     failed_before: Vec<usize>,
+    /// Hits held for steps that have not run; empty until one is held.
+    hits: Vec<Option<Served>>,
+    /// A server run's supply ([`PlanRun::supply`]); its hits are in `hits`.
+    supply: Option<Supply<'a>>,
+    /// A server run's variables whose sets recur from query to query:
+    /// served from the cache or held by the memo of derived sets.
+    recurs: Vec<bool>,
 }
 
 impl<'a> PlanRun<'a> {
@@ -669,7 +789,18 @@ impl<'a> PlanRun<'a> {
             } else {
                 Vec::new()
             },
+            hits: Vec::new(),
+            supply: None,
+            recurs: Vec::new(),
         })
+    }
+
+    /// Makes this a server run of `supply`: its hits are held for their
+    /// steps, and its extras serve [`PlanRun::dispatch`].
+    pub(crate) fn supply(&mut self, mut supply: Supply<'a>) {
+        self.hits = std::mem::take(&mut supply.hits);
+        self.recurs = vec![false; self.plan.var_names.len()];
+        self.supply = Some(supply);
     }
 
     /// The plan being run (the spliced one after a switch).
@@ -733,20 +864,27 @@ impl<'a> PlanRun<'a> {
             .is_some_and(|before| network.failed_count_for(source) > *before)
     }
 
-    /// Looks selection step `idx` up in `cache` (`None` for any other
-    /// step kind).
+    /// Looks the selections of `segment` up in `cache` in step order and
+    /// holds each one's hit, or no hit, until the step runs: a run gets a
+    /// segment's hits before any of its steps runs.
     ///
     /// # Errors
     /// Propagates residual-filter evaluation errors.
-    pub(crate) fn lookup(&self, idx: usize, cache: &mut AnswerCache) -> Result<Option<Served>> {
-        match &self.plan.steps[idx] {
-            Step::Sq { cond, source, .. } => cache.lookup(
-                *source,
-                &self.query.conditions()[cond.0],
-                self.query.schema(),
-            ),
-            _ => Ok(None),
+    pub(crate) fn look_up(&mut self, segment: Range<usize>, cache: &mut AnswerCache) -> Result<()> {
+        for idx in segment {
+            let Step::Sq { cond, source, .. } = &self.plan.steps[idx] else {
+                continue;
+            };
+            let (cond, schema) = (&self.query.conditions()[cond.0], self.query.schema());
+            let hit = cache.lookup(*source, cond, schema)?;
+            if hit.is_some() && self.hits.len() <= idx {
+                self.hits.resize(self.plan.steps.len(), None);
+            }
+            if let Some(slot) = self.hits.get_mut(idx) {
+                *slot = hit;
+            }
         }
+        Ok(())
     }
 
     /// Binds selection step `idx` to a hit — from the answer cache, or
@@ -754,7 +892,7 @@ impl<'a> PlanRun<'a> {
     ///
     /// # Panics
     /// Panics if step `idx` is not a selection.
-    pub(crate) fn serve(&mut self, idx: usize, hit: Served, shared: bool) {
+    fn serve(&mut self, idx: usize, hit: Served, shared: bool) {
         let Step::Sq { out, source, .. } = &self.plan.steps[idx] else {
             unreachable!("hit on non-selection step #{idx}");
         };
@@ -772,21 +910,6 @@ impl<'a> PlanRun<'a> {
         self.var_shared(v)
     }
 
-    /// Runs mediator-local step `idx` (`LocalSq`, `Union`, `Intersect`,
-    /// `Diff`): [`PlanRun::compute_local`], then [`PlanRun::bind_local`].
-    /// Free.
-    ///
-    /// # Errors
-    /// Propagates predicate evaluation errors.
-    ///
-    /// # Panics
-    /// Panics if called with a remote step.
-    pub(crate) fn local(&mut self, idx: usize) -> Result<()> {
-        let value = self.compute_local(idx)?;
-        self.bind_local(idx, value);
-        Ok(())
-    }
-
     /// The value of mediator-local step `idx`, computed from its bound
     /// inputs and bound nowhere.
     ///
@@ -795,7 +918,7 @@ impl<'a> PlanRun<'a> {
     ///
     /// # Panics
     /// Panics if called with a remote step.
-    pub(crate) fn compute_local(&self, idx: usize) -> Result<Arc<ItemSet>> {
+    fn compute_local(&self, idx: usize) -> Result<Arc<ItemSet>> {
         Ok(match &self.plan.steps[idx] {
             Step::LocalSq { cond, rel, .. } => {
                 let relation = self.rels[rel.0]
@@ -823,7 +946,7 @@ impl<'a> PlanRun<'a> {
             Step::Diff { left, right, .. } => {
                 Arc::new(self.var(*left).difference(self.var(*right)))
             }
-            remote => panic!("PlanRun::local called with remote step {remote:?}"),
+            remote => panic!("PlanRun::compute_local called with remote step {remote:?}"),
         })
     }
 
@@ -833,7 +956,7 @@ impl<'a> PlanRun<'a> {
     ///
     /// # Panics
     /// Panics if called with a remote step.
-    pub(crate) fn bind_local(&mut self, idx: usize, value: Arc<ItemSet>) {
+    fn bind_local(&mut self, idx: usize, value: Arc<ItemSet>) {
         let out = match &self.plan.steps[idx] {
             Step::LocalSq { out, cond, rel } => {
                 if self.rel_dropped[rel.0] {
@@ -871,12 +994,7 @@ impl<'a> PlanRun<'a> {
     ///
     /// # Panics
     /// Panics when called with a mediator-local step.
-    pub(crate) fn fetch<E: Exchanger>(
-        &self,
-        idx: usize,
-        ex: &mut E,
-        spent: Cost,
-    ) -> Result<StepDone> {
+    fn fetch<E: Exchanger>(&self, idx: usize, ex: &mut E, spent: Cost) -> Result<StepDone> {
         let step = &self.plan.steps[idx];
         let source = step
             .source()
@@ -950,7 +1068,7 @@ impl<'a> PlanRun<'a> {
     ///
     /// # Errors
     /// Fails when a dropped step cannot be soundly dropped.
-    pub(crate) fn fold(&mut self, idx: usize, done: StepDone) -> Result<()> {
+    fn fold(&mut self, idx: usize, done: StepDone) -> Result<()> {
         let refetch = done.entry.comm + done.entry.proc;
         self.entries[idx] = Some(done.entry);
         let schema = self.query.schema();
@@ -999,38 +1117,115 @@ impl<'a> PlanRun<'a> {
         Ok(())
     }
 
-    /// Runs step `idx` to completion on the calling thread — the unit of
-    /// every in-order driver: a local step runs; a selection is looked
-    /// up *before* anything can find its source dead (a hit needs no
-    /// network and is immune to faults); a miss is fetched with the
-    /// running ledger total as its deadline basis, and folded.
+    /// Runs step `idx` on the calling thread. A local step runs. A held hit
+    /// is served: it was looked up before anything could find its source
+    /// dead. A share attach waits for its leader's harvest and serves it as
+    /// a cache hit would. Anything else is fetched with the running ledger
+    /// total as its deadline basis — in a server run under the source's
+    /// permit, then paced, then published if the run leads its share (after
+    /// the pace: no follower sees records before the leader's fetch ends in
+    /// simulated time) — and folded.
     ///
     /// # Errors
-    /// As [`PlanRun::local`], [`PlanRun::fetch`] and [`PlanRun::fold`].
-    pub(crate) fn step<E: Exchanger>(
-        &mut self,
-        idx: usize,
-        ex: &mut E,
-        cache: Option<&mut AnswerCache>,
-    ) -> Result<()> {
-        if self.plan.steps[idx].source().is_none() {
-            return self.local(idx);
+    /// As [`PlanRun::fetch`] and [`PlanRun::fold`]; a failed leader or
+    /// residual filter; a pace no step can sleep by.
+    pub(crate) fn dispatch<E: Exchanger>(&mut self, idx: usize, ex: &mut E) -> Result<()> {
+        let Some(source) = self.plan.steps[idx].source() else {
+            return self.run_local(idx);
+        };
+        if let Some(hit) = self.hits.get_mut(idx).and_then(Option::take) {
+            // A reference-count bump: the set stays the cache entry's.
+            self.serve(idx, hit, false);
+            self.recur(idx);
+            return Ok(());
         }
-        if let Some(cache) = cache {
-            if let Some(hit) = self.lookup(idx, cache)? {
-                self.serve(idx, hit, false);
-                return Ok(());
-            }
+        let share = self.supply.as_ref().and_then(|s| s.share);
+        let attach = share.and_then(|s| s.attach[idx].as_ref());
+        if let (Step::Sq { cond, .. }, Some(att)) = (&self.plan.steps[idx], attach) {
+            let kind = if att.residual {
+                HitKind::Subsumed
+            } else {
+                HitKind::Exact
+            };
+            let cond = &self.query.conditions()[cond.0];
+            let hit = ResolvedHit::from_harvest(att.slot.wait()?, source, kind)
+                .serve(cond, self.query.schema())?;
+            self.serve(idx, hit, true);
+            return Ok(());
         }
-        let done = self.fetch(idx, ex, self.spent())?;
+        let limits = self.supply.as_ref().and_then(|s| s.limits);
+        let permit = limits.map(|l| l.acquire(source));
+        let done = self.fetch(idx, ex, self.spent());
+        drop(permit);
+        let done = done?;
+        if let Some(supply) = &self.supply {
+            pace_sleep(supply.pace, done.entry.total())?;
+        }
+        if let (Some(slot), StepValue::CachedItems(_, harvest)) =
+            (share.and_then(|s| s.leads[idx].as_ref()), &done.value)
+        {
+            slot.publish(Arc::clone(harvest));
+        }
         self.fold(idx, done)
     }
 
-    /// Runs one stage: the not-yet-served remote steps of `steps` on up
+    /// Runs mediator-local step `idx`. Free. In a server run, a set step
+    /// whose inputs all recur goes through the memo of derived sets: the
+    /// same input `Arc`s seen before recall the stored output instead of
+    /// recomputing it, and a computed output is kept for next time. Any
+    /// other step — one with a fetched or share-served input — is computed
+    /// and never kept.
+    fn run_local(&mut self, idx: usize) -> Result<()> {
+        let step = &self.plan.steps[idx];
+        let kind = match step {
+            Step::Union { .. } => Some(0),
+            Step::Intersect { .. } => Some(1),
+            Step::Diff { .. } => Some(2),
+            _ => None,
+        };
+        let derived = self.supply.as_ref().map(|s| s.derived);
+        let memo = derived.zip(kind).and_then(|(derived, kind)| {
+            let inputs = step.used_vars();
+            let recur = inputs.iter().all(|v| self.recurs[v.0]);
+            recur.then_some((derived, kind, inputs))
+        });
+        let Some((derived, kind, inputs)) = memo else {
+            let value = self.compute_local(idx)?;
+            self.bind_local(idx, value);
+            return Ok(());
+        };
+        let addrs = inputs
+            .iter()
+            .map(|v| Arc::as_ptr(self.var_shared(*v)) as usize);
+        let key: Vec<usize> = std::iter::once(kind).chain(addrs).collect();
+        let value = match derived.recall(&key) {
+            Some(recalled) => {
+                debug_assert_eq!(*self.compute_local(idx)?, *recalled, "recalled step #{idx}");
+                recalled
+            }
+            None => {
+                let pins = inputs.iter().map(|v| Arc::clone(self.var_shared(*v)));
+                derived.keep(key, pins.collect(), self.compute_local(idx)?)
+            }
+        };
+        self.bind_local(idx, value);
+        self.recur(idx);
+        Ok(())
+    }
+
+    /// Marks step `idx`'s output as recurring (a server run only).
+    fn recur(&mut self, idx: usize) {
+        let out = self.plan.steps[idx].defined_var();
+        if let Some(recurs) = out.and_then(|v| self.recurs.get_mut(v.0)) {
+            *recurs = true;
+        }
+    }
+
+    /// Runs one stage: the remote steps of `steps` with no held hit on up
     /// to `threads` workers sharing `net`, folded at the barrier in step
     /// order no matter which worker finished first; then the stage's
-    /// local steps. `pace` makes each worker [`pace_sleep`] after its
-    /// step. The caller commits the network.
+    /// other steps, dispatched in step order. `pace` makes each worker
+    /// [`pace_sleep`] after its step. The caller commits the network.
     ///
     /// # Errors
     /// The error of the lowest-indexed failing step.
@@ -1042,10 +1237,11 @@ impl<'a> PlanRun<'a> {
         pace: Option<f64>,
         spent: Cost,
     ) -> Result<()> {
+        let held = |i: usize| self.hits.get(i).is_some_and(Option::is_some);
         let remote: Vec<usize> = steps
             .iter()
             .copied()
-            .filter(|&i| self.plan.steps[i].source().is_some() && self.entries[i].is_none())
+            .filter(|&i| self.plan.steps[i].source().is_some() && !held(i))
             .collect();
         let run = &*self;
         let results = run_stage(threads, &remote, |idx| {
@@ -1057,8 +1253,8 @@ impl<'a> PlanRun<'a> {
             self.fold(idx, done?)?;
         }
         for &idx in steps {
-            if self.plan.steps[idx].source().is_none() {
-                self.local(idx)?;
+            if self.entries[idx].is_none() {
+                self.dispatch(idx, &mut SharedExchanger { net, step: idx })?;
             }
         }
         Ok(())
@@ -1080,12 +1276,24 @@ impl<'a> PlanRun<'a> {
     }
 
     /// Ends the run: the ledger in step order (reopt markers in place),
-    /// the answer, the one completeness fold — plus the admissions still
-    /// pending, for whoever owns the cache commit.
+    /// the answer, the one completeness fold and the one cache-commit tail.
+    /// With an exclusive `cache`, every source that failed an exchange
+    /// during the run (per the committed trace) went through fault
+    /// recovery — its epoch is bumped, killing its older entries, and its
+    /// fresh answers are withheld; the rest are admitted, as non-exact
+    /// (never servable) if the run degraded. Without one, the admissions
+    /// still pending are handed back, for whoever owns the commit.
     ///
     /// # Panics
     /// Panics if a step never ran.
-    pub(crate) fn finish(mut self) -> (ExecutionOutcome, Vec<PendingInsert>) {
+    pub(crate) fn finish(
+        mut self,
+        network: &Network,
+        cache: Option<&mut AnswerCache>,
+    ) -> (ExecutionOutcome, Vec<PendingInsert>) {
+        let failed: Vec<bool> = (0..self.failed_before.len())
+            .map(|j| self.failed_since_start(network, SourceId(j)))
+            .collect();
         let mut ledger = CostLedger::new();
         let mut markers = self.markers.into_iter().peekable();
         for (idx, entry) in self.entries.into_iter().enumerate() {
@@ -1122,30 +1330,15 @@ impl<'a> PlanRun<'a> {
             ledger,
             completeness,
         };
-        (outcome, self.pending)
-    }
-
-    /// [`PlanRun::finish`] plus the one cache-commit tail: every source
-    /// that failed an exchange during the run (per the committed trace)
-    /// went through fault recovery — its epoch is bumped, killing its
-    /// older entries, and its fresh answers are withheld; the rest are
-    /// admitted, as non-exact (never servable) if the run degraded.
-    pub(crate) fn finish_committing(
-        self,
-        network: &Network,
-        cache: Option<&mut AnswerCache>,
-    ) -> ExecutionOutcome {
-        let failed: Vec<bool> = (0..self.failed_before.len())
-            .map(|j| self.failed_since_start(network, SourceId(j)))
-            .collect();
-        let (outcome, pending) = self.finish();
-        if let Some(cache) = cache {
-            for (j, _) in failed.iter().enumerate().filter(|(_, f)| **f) {
-                cache.bump_epoch(SourceId(j));
-            }
-            commit_inserts(cache, pending, outcome.completeness.is_exact(), &failed);
+        let Some(cache) = cache else {
+            return (outcome, self.pending);
+        };
+        for (j, _) in failed.iter().enumerate().filter(|(_, f)| **f) {
+            cache.bump_epoch(SourceId(j));
         }
-        outcome
+        let exact = outcome.completeness.is_exact();
+        commit_inserts(cache, self.pending, exact, &failed);
+        (outcome, Vec::new())
     }
 }
 

@@ -612,10 +612,8 @@ pub(crate) fn serve_cells(
     let (netf, domain) = (|| world.network(), Some(world.domain_size));
     let serve = |&workers: &usize| {
         let tag = format!("{} workers {workers} share {}", world.name, config.share);
-        let max_in_flight = workers;
         let config = ServerConfig {
             workers,
-            max_in_flight,
             ..config.clone()
         };
         let report = verify_merged_vs_isolated(&world.sources, &netf, domain, tenants, &config)

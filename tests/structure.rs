@@ -317,10 +317,10 @@ fn one_server_core() {
     );
 }
 
-/// One plan entry point (DESIGN §19): a plan or a reopt spec runs
-/// through `run`'s one segment loop under `RunOptions`, so no per-mode
-/// entry point comes back, and the soundness proof is taken in three
-/// places — `run`, `ServerCore::run` and `execute_piggyback`.
+/// One plan entry point (DESIGN §19): a plan or a reopt spec — and the
+/// server's admitted plan — runs through `drive`'s one segment loop, so
+/// no per-mode entry point comes back, and the soundness proof is taken
+/// in two places: `drive` and `execute_piggyback`.
 #[test]
 fn one_plan_entry_point() {
     for name in [
@@ -333,7 +333,35 @@ fn one_plan_entry_point() {
         absent(&["crates"], name);
     }
     let proofs = grep(&["crates/exec/src"], concat!("ensure_sound", "("));
-    assert_eq!(proofs.len(), 3, "{proofs:?}");
+    assert_eq!(proofs.len(), 2, "{proofs:?}");
+}
+
+/// One per-step dispatcher (DESIGN §19): what a plan step does is decided
+/// in `step.rs` alone. No other executor file takes a run's step apart —
+/// fetches, folds, serves or computes and binds a local step — so the
+/// server, replayed events and piggyback's prefix all go through
+/// `PlanRun::dispatch`. The receiver is matched, so a wrapper's `fetch`
+/// is not a run's.
+#[test]
+fn one_step_dispatcher() {
+    let methods = [
+        "fetch",
+        "fold",
+        "serve",
+        "local",
+        "compute_local",
+        "bind_local",
+    ];
+    let calls = lines(&["crates/exec/src"], |l| {
+        let code = l.split("//").next().unwrap_or("");
+        methods.iter().any(|m| {
+            let call = format!("{}.{m}", "run");
+            word(code, &call) && code.contains(&format!("{call}("))
+        })
+    });
+    let step = concat!("crates/exec/src/", "step.rs:");
+    let outside: Vec<_> = calls.iter().filter(|l| !l.contains(step)).collect();
+    assert_eq!(outside, Vec::<&String>::new());
 }
 
 /// One owner holds the memos (DESIGN §18): across the crates that prove,
@@ -568,6 +596,26 @@ fn documents_stay_within_their_byte_ceilings() {
             .len();
         assert!(bytes <= ceiling, "{doc}: {bytes} bytes, ceiling {ceiling}");
     }
+}
+
+/// The executor cannot grow back unnoticed: `crates/exec/src` holds at most
+/// this many non-test lines — the lines above each file's first
+/// `#[cfg(test)]`, summed, as ROADMAP.md counts them. Raising it takes a
+/// reason in CHANGES.md.
+#[test]
+fn exec_stays_within_its_line_ceiling() {
+    let ceiling = 6_054;
+    let lines: usize = sources(&["crates/exec/src"])
+        .iter()
+        .map(|(_, text)| {
+            let product = text.split(concat!("#[cfg", "(test)]")).next().unwrap();
+            product.matches('\n').count()
+        })
+        .sum();
+    assert!(
+        lines <= ceiling,
+        "crates/exec/src: {lines} lines, ceiling {ceiling}"
+    );
 }
 
 /// The numbers of `text` as written, commas dropped (`6,400` → `6400`),
