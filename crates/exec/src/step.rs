@@ -901,7 +901,7 @@ impl<'a> PlanRun<'a> {
     }
 
     /// The shared set a bound variable holds.
-    pub(crate) fn var_shared(&self, v: VarId) -> &Arc<ItemSet> {
+    fn var_shared(&self, v: VarId) -> &Arc<ItemSet> {
         self.vars[v.0].as_ref().expect("validated: def before use")
     }
 
